@@ -48,6 +48,9 @@
 #                          summary is value-identical to the tracing-off run, the
 #                          span tree is non-empty and >=95% of every request's
 #                          latency is attributed; writes benchmarks/results/obs/
+#   make bench-ledger    - the repo's benchmark (BENCHMARK.json): four workloads,
+#                          timed + traced pass, correctness checks (a)-(d)
+#   make bench-ledger-smoke - the same runner on tiny budgets; the quick CI gate
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
 
 PYTHON ?= python
@@ -66,7 +69,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke docs-check
+.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -131,6 +134,12 @@ verify-consistency-smoke:
 
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs --smoke --out benchmarks/results/obs
+
+bench-ledger:
+	$(PYTHON) bench/run.py
+
+bench-ledger-smoke:
+	$(PYTHON) bench/run.py --smoke
 
 docs-check:
 	$(PYTHON) scripts/docs_check.py

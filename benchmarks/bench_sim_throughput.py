@@ -6,14 +6,17 @@ operations through a full Quaestor deployment and writes the numbers to
 ``BENCH_sim.json``.  Every scenario is run twice in the same process:
 
 * **baseline** -- under :func:`repro.perf.legacy_hot_paths`, which restores
-  the pre-overhaul per-operation code paths (``copy.deepcopy`` document
-  cloning, per-record ``Response``/Cache-Control construction, uncached ETag
-  rendering, per-operation RNG sampling, per-operation session snapshot
-  copies);
+  the pre-overhaul per-operation code paths that still have a switch
+  (uncached ETag rendering, per-operation RNG sampling);
 * **optimized** -- the default fast paths (tuple-heap event queue with bulk
   ``schedule_many`` start-up, chunked ``random.choices``-style workload
   sampling, fast-path hierarchy fetch and ``store_fresh`` cache stores,
-  memoized ETag rendering and per-version session snapshots).
+  memoized ETag rendering).
+
+Document cloning used to dominate the baseline leg; since stored document
+versions became immutable and shared by reference there is nothing to clone
+in *either* leg, so the committed ratios are close to 1 and the absolute
+numbers of both legs rose.
 
 Before any timing is read, the two legs' seeded
 :meth:`~repro.simulation.SimulationResult.summary` dictionaries are asserted

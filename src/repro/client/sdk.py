@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import perf
 from repro.bloom.bloom_filter import BloomFilter
 from repro.caching.expiration import ExpirationCache
 from repro.caching.hierarchy import CacheHierarchy, FetchResult, ORIGIN_LEVEL
@@ -575,25 +574,10 @@ class QuaestorClient:
         documents = body.get("documents", [])
         if not documents:
             return
-        if not perf.FAST_PATHS:
-            # Legacy per-record path: a full cacheable Response per member
-            # (measured as the benchmark baseline).
-            for document in documents:
-                document_id = str(document.get("_id", ""))
-                key = record_key(collection, document_id)
-                version = versions.get(document_id, 0)
-                response = Response.ok(
-                    {"document": document, "version": version},
-                    ttl=record_ttl,
-                    etag=etag_for_version(collection, document_id, version),
-                )
-                self.client_cache.store(key, response)
-                self.session.observe_read(key, version, document)
-            return
-        # Fast path: same entries, same session snapshots, minus the Response
-        # and Cache-Control construction per member record.  This loop runs
-        # for every member of every object-list query result, making it the
-        # single hottest client-side site in the simulator.
+        # One store per member, without a Response or Cache-Control per
+        # record.  This loop runs for every member of every object-list query
+        # result, making it the single hottest client-side site in the
+        # simulator.
         store_fresh = self.client_cache.store_fresh
         observe_read = self.session.observe_read
         memo = self._prepared_records

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro import perf
-from repro.db.documents import Document, deep_copy
+from repro.db.documents import Document
 
 
 class ClientSession:
-    """Session-scoped consistency bookkeeping for one client."""
+    """Session-scoped consistency bookkeeping for one client.
+
+    Documents are kept by reference: what reaches a session is a stored
+    version's immutable snapshot (see :mod:`repro.db.collection`), so neither
+    recording nor handing one out copies it.
+    """
 
     def __init__(self) -> None:
         # Own writes: record key -> (version, document or None for deletes).
@@ -30,7 +34,7 @@ class ClientSession:
 
     def record_own_write(self, key: str, version: int, document: Optional[Document]) -> None:
         """Remember the outcome of a write performed by this session."""
-        self._own_writes[key] = (version, deep_copy(document) if document else None)
+        self._own_writes[key] = (version, document if document else None)
         self.observe_read(key, version, document)
 
     def own_write(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
@@ -40,29 +44,11 @@ class ClientSession:
     # -- monotonic reads ----------------------------------------------------------------
 
     def observe_read(self, key: str, version: int, document: Optional[Document]) -> None:
-        """Record the version a read returned (keeps the highest one).
-
-        A version uniquely identifies a record's content (the database bumps
-        it on every mutation and never recycles it across delete/re-insert),
-        so re-observing the version already held for ``key`` cannot change
-        the snapshot -- the stored copy is kept and the defensive deep copy
-        skipped.  The skip only fires for *real* versions (positive -- zero
-        is the shared "unknown version" sentinel, e.g. a result body with
-        missing ``record_versions``, and pins no content) and only when the
-        held snapshot's presence matches what this observation would store
-        (a ``None`` snapshot from a falsy observation must not mask a later
-        real document at the same version).  Object-list query hits
-        re-observe every member record, making this the simulator's hottest
-        call site.
-        """
-        highest = self._seen_versions.get(key, -1)
-        if version < highest:
+        """Record the version a read returned (keeps the highest one)."""
+        if version < self._seen_versions.get(key, -1):
             return
-        if version == highest and version > 0 and perf.FAST_PATHS and key in self._seen_documents:
-            if (self._seen_documents[key] is not None) == bool(document):
-                return
         self._seen_versions[key] = version
-        self._seen_documents[key] = deep_copy(document) if document else None
+        self._seen_documents[key] = document if document else None
 
     def highest_seen_version(self, key: str) -> Optional[int]:
         return self._seen_versions.get(key)
@@ -73,20 +59,11 @@ class ClientSession:
         return highest is None or version >= highest
 
     def monotonic_fallback(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
-        """The newest version/document this session has already observed.
-
-        Returns a defensive copy: the caller's reference must stay disjoint
-        from the session's internal snapshot (the same-version skip in
-        :meth:`observe_read` keeps that snapshot alive, so handing it out
-        directly would let a caller's mutation corrupt later fallbacks).
-        Fallbacks are rare -- they are counted -- so the copy is off the hot
-        path.
-        """
+        """The newest version/document this session has already observed."""
         if key not in self._seen_versions:
             return None
         self.monotonic_violations_prevented += 1
-        document = self._seen_documents.get(key)
-        return self._seen_versions[key], deep_copy(document) if document else None
+        return self._seen_versions[key], self._seen_documents.get(key)
 
     def __len__(self) -> int:
         return len(self._seen_versions)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.db.documents import Document, deep_copy
+from repro.db.documents import Document
 from repro.db.query import Query
 from repro.errors import QuaestorError
 from repro.invalidb.events import Notification, NotificationType
@@ -40,14 +40,15 @@ class QuerySubscription:
 
     The subscription is created by :class:`SubscriptionManager`; it holds the
     materialised result set, applies InvaliDB notifications to it and notifies
-    listeners after every change.
+    listeners after every change.  The documents it holds and hands out are
+    the database's stored snapshots: shared and read-only.
     """
 
     def __init__(self, query: Query, initial_result: List[Document]) -> None:
         self.query = query
         self.query_key = query.cache_key
         self._documents: Dict[str, Document] = {
-            str(document["_id"]): deep_copy(document) for document in initial_result
+            str(document["_id"]): document for document in initial_result
         }
         self._listeners: List[SubscriptionListener] = []
         self.events: List[SubscriptionEvent] = []
@@ -59,8 +60,7 @@ class QuerySubscription:
         """The current materialised result (ordered like the query demands)."""
         from repro.db.query import apply_sort_and_window
 
-        documents = [deep_copy(document) for document in self._documents.values()]
-        return apply_sort_and_window(documents, self.query)
+        return apply_sort_and_window(list(self._documents.values()), self.query)
 
     def __len__(self) -> int:
         return len(self.result())
@@ -78,7 +78,7 @@ class QuerySubscription:
             return
         if notification.type in (NotificationType.ADD, NotificationType.CHANGE):
             if document is not None:
-                self._documents[notification.document_id] = deep_copy(document)
+                self._documents[notification.document_id] = document
         elif notification.type is NotificationType.REMOVE:
             self._documents.pop(notification.document_id, None)
         # CHANGE_INDEX only affects ordering, which result() recomputes anyway.

@@ -43,7 +43,9 @@ class ChangeEvent:
         Identity of the affected record.
     before, after:
         Before- and after-images.  ``before`` is ``None`` for inserts and
-        ``after`` is ``None`` for deletes.
+        ``after`` is ``None`` for deletes.  Both are the collection's stored
+        snapshots themselves (the displaced and the installed version):
+        immutable, shared by reference, never to be edited by a listener.
     timestamp:
         Simulation time at which the write was acknowledged.
     """

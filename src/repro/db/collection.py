@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.clock import Clock
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
@@ -20,6 +20,12 @@ class Collection:
     record's before- and after-image on the database's change stream -- the
     raw material for InvaliDB's invalidation detection and for the TTL
     estimator's write-rate sampling.
+
+    Ownership: a stored document version is immutable.  Caller data is copied
+    once on the way in (:meth:`insert`, :meth:`update`); every document handed
+    out -- by reads, writes, queries and change events alike -- is the stored
+    snapshot itself, shared by reference.  Callers that want to edit one
+    :func:`~repro.db.documents.deep_copy` it first.
     """
 
     def __init__(self, name: str, clock: Clock, change_stream: ChangeStream) -> None:
@@ -58,33 +64,30 @@ class Collection:
     # -- CRUD -----------------------------------------------------------------------
 
     def insert(self, document: Document) -> Document:
-        """Insert ``document``; it must carry a unique ``_id``."""
+        """Insert ``document``; it must carry a unique ``_id``.
+
+        This is the write ingress for new documents: the caller's dict is
+        copied once, and that copy is the stored snapshot that is returned.
+        """
         if "_id" not in document:
             raise InvalidQueryError("documents must carry an explicit _id")
         document_id = str(document["_id"])
         if document_id in self._documents:
             raise DuplicateKeyError(f"duplicate _id {document_id!r} in {self.name!r}")
-        stored = deep_copy(document)
-        self._documents[document_id] = stored
-        self._versions[document_id] = self._deleted_versions.pop(document_id, 0) + 1
-        self._indexes.add_document(document_id, stored)
-        self.writes += 1
-        self._publish(OperationType.INSERT, document_id, before=None, after=stored)
-        return deep_copy(stored)
+        return self._install(document_id, deep_copy(document), self.next_version(document_id))
 
     def get(self, document_id: str) -> Document:
-        """Return the document with ``document_id`` (a deep copy)."""
+        """Return the stored snapshot of ``document_id`` (shared, read-only)."""
         self.reads += 1
         document = self._documents.get(str(document_id))
         if document is None:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
-        return deep_copy(document)
+        return document
 
     def get_or_none(self, document_id: str) -> Optional[Document]:
         """Like :meth:`get` but returns ``None`` instead of raising."""
         self.reads += 1
-        document = self._documents.get(str(document_id))
-        return deep_copy(document) if document is not None else None
+        return self._documents.get(str(document_id))
 
     def exists(self, document_id: str) -> bool:
         return str(document_id) in self._documents
@@ -96,26 +99,32 @@ class Collection:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
         return version
 
+    def next_version(self, document_id: str) -> int:
+        """The version the next insert or update of ``document_id`` is assigned.
+
+        One past everything the id has ever held: its live version, its
+        tombstoned one, or a restored floor (failover: the deposed primary
+        assigned numbers a promoted replica never applied) -- so no version
+        ever names two contents.
+        """
+        return (
+            max(self._versions.get(document_id, 0), self._deleted_versions.get(document_id, 0)) + 1
+        )
+
     def update(self, document_id: str, update: Document) -> Document:
-        """Apply a partial update (or replacement) to an existing document."""
+        """Apply a partial update (or replacement) to an existing document.
+
+        :func:`~repro.db.updates.apply_update` builds the new version on a
+        fresh copy (the write ingress for updates); the previous snapshot is
+        left untouched and becomes the change event's before-image.
+        """
         document_id = str(document_id)
         current = self._documents.get(document_id)
         if current is None:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
-        before = deep_copy(current)
         after = apply_update(current, update)
         after["_id"] = current.get("_id", document_id)
-        self._documents[document_id] = after
-        # A restored floor can exceed the live version (failover: the deposed
-        # primary assigned numbers a promoted replica never applied); the
-        # next assignment must skip past it so no version ever names two
-        # contents.  Without a floor this is the plain +1.
-        floor = self._deleted_versions.pop(document_id, 0)
-        self._versions[document_id] = max(self._versions[document_id] + 1, floor + 1)
-        self._indexes.update_document(document_id, before, after)
-        self.writes += 1
-        self._publish(OperationType.UPDATE, document_id, before=before, after=deep_copy(after))
-        return deep_copy(after)
+        return self._install(document_id, after, self.next_version(document_id))
 
     def replace(self, document_id: str, document: Document) -> Document:
         """Replace the document entirely (keeping its ``_id``)."""
@@ -123,55 +132,42 @@ class Collection:
         return self.update(document_id, replacement)
 
     def delete(self, document_id: str) -> Document:
-        """Delete a document, returning its final state."""
+        """Delete a document, returning its final snapshot."""
         document_id = str(document_id)
-        current = self._documents.pop(document_id, None)
-        if current is None:
+        if document_id not in self._documents:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
-        final_version = self._versions.pop(document_id, None)
-        if final_version is not None:
-            # Never lower an existing floor: a restored (failover) floor can
-            # exceed the live version, and clobbering it would let a later
-            # re-insert recycle version numbers the deposed primary issued.
-            self._deleted_versions[document_id] = max(
-                final_version, self._deleted_versions.get(document_id, 0)
-            )
-        self._indexes.remove_document(document_id, current)
-        self.writes += 1
-        self._publish(OperationType.DELETE, document_id, before=deep_copy(current), after=None)
-        return deep_copy(current)
+        return self._install(document_id, None, 0)
+
+    def install_snapshot(self, document_id: str, snapshot: Document, version: int) -> None:
+        """Replication ingress: adopt another store's snapshot by reference.
+
+        ``snapshot`` is a version a primary already installed (a shipped
+        after-image or a resync source's stored document), hence immutable:
+        it is not copied, and it lands at exactly ``version`` so replica and
+        primary agree on which number names which content.
+        """
+        self._install(str(document_id), snapshot, version)
 
     # -- queries -----------------------------------------------------------------------
 
     def find(self, query: Query) -> List[Document]:
-        """Execute ``query`` and return matching documents (deep copies).
+        """Execute ``query`` and return the matching stored snapshots.
 
         Sorting, offset and limit are applied after predicate evaluation, as
-        in the paper's MongoDB deployment.
+        in the paper's MongoDB deployment.  The list is the caller's; the
+        documents in it are shared and read-only.
         """
-        if query.collection != self.name:
-            raise InvalidQueryError(
-                f"query targets {query.collection!r} but was executed on {self.name!r}"
-            )
+        candidates = self._candidates(query)
         self.reads += 1
-        candidate_ids = self._indexes.candidate_ids(query.criteria)
-        if candidate_ids is None:
-            candidates = self._documents.values()
-        else:
-            candidates = (
-                self._documents[document_id]
-                for document_id in candidate_ids
-                if document_id in self._documents
-            )
-        matching = [document for document in candidates if query.matches(document)]
-        matching = apply_sort_and_window(matching, query)
-        return [deep_copy(document) for document in matching]
+        matches = query.matches
+        matching = [document for document in candidates if matches(document)]
+        return apply_sort_and_window(matching, query)
 
     def count(self, query: Optional[Query] = None) -> int:
         """Number of documents (matching ``query`` if given, ignoring windowing)."""
         if query is None:
             return len(self._documents)
-        return sum(1 for document in self._documents.values() if query.matches(document))
+        return sum(1 for document in self._candidates(query) if query.matches(document))
 
     def ids(self) -> List[str]:
         """All document ids in the collection."""
@@ -204,15 +200,65 @@ class Collection:
         Floors apply to deleted ids (re-inserts continue past them) and --
         since failover can leave a live document *behind* a version the old
         primary already issued -- to live ids as well: the next update or
-        re-insert skips past the floor (see :meth:`update`/:meth:`insert`),
+        re-insert skips past the floor (see :meth:`next_version`),
         so a version number never aliases two contents across a promotion.
-        Only raises floors, never lowers them.
+        Only raises floors, never lowers them; a floor a live version already
+        reached says nothing and is not kept.
         """
         for document_id, floor in floors.items():
-            if floor > self._deleted_versions.get(document_id, 0):
+            if floor >= self.next_version(document_id):
                 self._deleted_versions[document_id] = floor
 
     # -- internals --------------------------------------------------------------------------
+
+    def _candidates(self, query: Query) -> Iterable[Document]:
+        """Stored documents ``query`` could match: index-narrowed, else all."""
+        if query.collection != self.name:
+            raise InvalidQueryError(
+                f"query targets {query.collection!r} but was executed on {self.name!r}"
+            )
+        candidate_ids = self._indexes.candidate_ids(query.criteria)
+        if candidate_ids is None:
+            return self._documents.values()
+        documents = self._documents
+        return [documents[document_id] for document_id in candidate_ids if document_id in documents]
+
+    def _install(
+        self, document_id: str, snapshot: Optional[Document], version: int
+    ) -> Document:
+        """The one write seam: make ``snapshot`` the stored version of ``document_id``.
+
+        Every mutation funnels through here.  ``snapshot`` belongs to the
+        store from now on and is never mutated again -- it is the object that
+        reads return, that the change event carries as its after-image (the
+        displaced snapshot is the before-image) and that replicas adopt.
+        ``None`` deletes the document.  Returns the installed snapshot, or
+        the final one on delete.
+        """
+        previous = self._documents.get(document_id)
+        if snapshot is None:
+            del self._documents[document_id]
+            # Never lower an existing floor: a restored (failover) floor can
+            # exceed the live version, and clobbering it would let a later
+            # re-insert recycle version numbers the deposed primary issued.
+            self._deleted_versions[document_id] = max(
+                self._versions.pop(document_id), self._deleted_versions.get(document_id, 0)
+            )
+            self._indexes.remove_document(document_id, previous)
+            operation = OperationType.DELETE
+        else:
+            self._documents[document_id] = snapshot
+            self._versions[document_id] = version
+            self._deleted_versions.pop(document_id, None)
+            if previous is None:
+                self._indexes.add_document(document_id, snapshot)
+                operation = OperationType.INSERT
+            else:
+                self._indexes.update_document(document_id, previous, snapshot)
+                operation = OperationType.UPDATE
+        self.writes += 1
+        self._publish(operation, document_id, before=previous, after=snapshot)
+        return previous if snapshot is None else snapshot
 
     def _publish(
         self,

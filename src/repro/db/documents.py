@@ -10,9 +10,8 @@ matcher and the update operators.
 from __future__ import annotations
 
 import copy
+from functools import lru_cache
 from typing import Any, Dict, List, Sequence, Tuple
-
-from repro import perf
 
 #: Type alias used throughout the database layer.
 Document = Dict[str, Any]
@@ -21,21 +20,19 @@ Document = Dict[str, Any]
 MISSING = object()
 
 
-def _fast_copy(value: Any) -> Any:
+def _copy_value(value: Any) -> Any:
     """Structural copy specialised for JSON-like values.
 
     ``copy.deepcopy`` pays for memoization and cycle detection that plain
-    JSON documents (str keys; scalar, list and dict values -- see the module
-    docstring) never need; this recursion is several times faster on the
-    document-cloning hot path.  Exact-type checks keep any exotic value
+    JSON documents never need.  Exact-type checks keep any exotic value
     (subclasses, tuples, custom objects) on the general ``copy.deepcopy``
     path, so only the shapes we understand take the shortcut.
     """
     cls = value.__class__
     if cls is dict:
-        return {key: _fast_copy(item) for key, item in value.items()}
+        return {key: _copy_value(item) for key, item in value.items()}
     if cls is list:
-        return [_fast_copy(item) for item in value]
+        return [_copy_value(item) for item in value]
     if cls is str or cls is int or cls is float or cls is bool or value is None:
         return value
     return copy.deepcopy(value)
@@ -44,20 +41,29 @@ def _fast_copy(value: Any) -> Any:
 def deep_copy(document: Document) -> Document:
     """Return an independent deep copy of ``document``.
 
-    Used to produce before/after-images so that later mutations of the stored
-    document never retroactively alter change-stream events.
+    The stack's one copy primitive, called only at write ingress
+    (:meth:`Collection.insert <repro.db.collection.Collection.insert>` and
+    the update operators): a stored document version is immutable and shared
+    by reference everywhere downstream, so nothing else copies.  Whoever
+    wants to edit a document they were handed copies it with this first.
+    The recursion lives in :func:`_copy_value`, so one call here is one
+    document copied -- the unit the benchmark's ``db.deep_copy`` span counts.
     """
-    if perf.FAST_PATHS:
-        return _fast_copy(document)
-    return copy.deepcopy(document)
+    return _copy_value(document)
 
 
-def split_path(path: str) -> List[str]:
-    """Split a dotted path into its segments, validating syntax."""
+@lru_cache(maxsize=4096)
+def split_path(path: str) -> Tuple[str, ...]:
+    """Split a dotted path into its segments, validating syntax.
+
+    Memoised: predicate matching resolves the same few paths against every
+    candidate document.  The result is a tuple, so no caller can corrupt the
+    cached value (errors are not cached and raise every time).
+    """
     if not path:
         raise ValueError("field path must not be empty")
-    segments = path.split(".")
-    if any(segment == "" for segment in segments):
+    segments = tuple(path.split("."))
+    if "" in segments:
         raise ValueError(f"malformed field path: {path!r}")
     return segments
 
@@ -73,7 +79,7 @@ def has_path(document: Document, path: str) -> bool:
     return _resolve(document, split_path(path)) is not MISSING
 
 
-def _resolve(node: Any, segments: List[str]) -> Any:
+def _resolve(node: Any, segments: Sequence[str]) -> Any:
     """Walk ``segments`` starting at ``node``; returns MISSING when absent."""
     current = node
     for segment in segments:
@@ -126,7 +132,7 @@ def unset_path(document: Document, path: str) -> bool:
     return False
 
 
-def _descend_for_write(document: Document, segments: List[str]) -> Any:
+def _descend_for_write(document: Document, segments: Sequence[str]) -> Any:
     current: Any = document
     for segment in segments:
         if isinstance(current, list):

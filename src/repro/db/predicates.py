@@ -12,7 +12,7 @@ example.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.db.documents import Document, MISSING, bson_type, compare_values, split_path
 from repro.errors import InvalidQueryError
@@ -74,7 +74,7 @@ def _field_values(document: Document, path: str) -> List[Any]:
     return _resolve_candidates(document, split_path(path))
 
 
-def _resolve_candidates(node: Any, segments: List[str]) -> List[Any]:
+def _resolve_candidates(node: Any, segments: Sequence[str]) -> List[Any]:
     if not segments:
         return [node]
     head, rest = segments[0], segments[1:]

@@ -4,6 +4,12 @@ The workloads in the paper issue *partial updates*; the resulting after-image
 is what InvaliDB matches against registered queries.  ``apply_update`` takes a
 document and an update specification and returns the updated document, leaving
 the input untouched.
+
+This module is the write ingress for updates: the new version is built on a
+fresh whole-document copy, and every container taken from the (caller-owned)
+update specification is copied before it is placed into it, so the result
+shares no mutable state with either argument and can be stored as an immutable
+snapshot.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from typing import Any, Callable, Dict
 
 from repro.db.documents import (
     Document,
+    compare_values,
     deep_copy,
     get_path,
     has_path,
@@ -67,8 +74,13 @@ def _require_number(operator: str, value: Any) -> float:
     return value
 
 
+def _owned(operand: Any) -> Any:
+    """The operand as the new version may keep it: containers are the caller's, so copied."""
+    return deep_copy(operand) if isinstance(operand, (dict, list)) else operand
+
+
 def _update_set(document: Document, path: str, operand: Any) -> None:
-    set_path(document, path, deep_copy(operand) if isinstance(operand, (dict, list)) else operand)
+    set_path(document, path, _owned(operand))
 
 
 def _update_unset(document: Document, path: str, operand: Any) -> None:
@@ -90,25 +102,13 @@ def _update_mul(document: Document, path: str, operand: Any) -> None:
 
 
 def _update_min(document: Document, path: str, operand: Any) -> None:
-    if not has_path(document, path):
-        set_path(document, path, operand)
-        return
-    current = get_path(document, path)
-    from repro.db.documents import compare_values
-
-    if compare_values(operand, current) < 0:
-        set_path(document, path, operand)
+    if not has_path(document, path) or compare_values(operand, get_path(document, path)) < 0:
+        set_path(document, path, _owned(operand))
 
 
 def _update_max(document: Document, path: str, operand: Any) -> None:
-    if not has_path(document, path):
-        set_path(document, path, operand)
-        return
-    current = get_path(document, path)
-    from repro.db.documents import compare_values
-
-    if compare_values(operand, current) > 0:
-        set_path(document, path, operand)
+    if not has_path(document, path) or compare_values(operand, get_path(document, path)) > 0:
+        set_path(document, path, _owned(operand))
 
 
 def _existing_list(document: Document, path: str, operator: str) -> list:
@@ -130,7 +130,7 @@ def _update_push(document: Document, path: str, operand: Any) -> None:
             raise InvalidQueryError("$push with $each requires a list")
         target.extend(deep_copy(values))
     else:
-        target.append(deep_copy(operand) if isinstance(operand, (dict, list)) else operand)
+        target.append(_owned(operand))
 
 
 def _update_add_to_set(document: Document, path: str, operand: Any) -> None:
@@ -144,7 +144,7 @@ def _update_add_to_set(document: Document, path: str, operand: Any) -> None:
         raise InvalidQueryError("$addToSet with $each requires a list")
     for candidate in candidates:
         if candidate not in target:
-            target.append(deep_copy(candidate) if isinstance(candidate, (dict, list)) else candidate)
+            target.append(_owned(candidate))
 
 
 def _update_pull(document: Document, path: str, operand: Any) -> None:

@@ -1,20 +1,21 @@
 """Global switch between the optimized and the legacy simulation hot paths.
 
-The end-to-end throughput overhaul (fast document copies, memoized ETag
-rendering, per-version session snapshots, fast-path cache stores, batched
-workload sampling) changes *how much work* one simulated operation costs,
-never *what it computes*: a seeded :class:`~repro.simulation.SimulationResult`
-is value-identical either way.  ``benchmarks/bench_sim_throughput.py`` relies
-on that to measure before/after on the same machine in the same process --
-the baseline leg runs under :func:`legacy_hot_paths`, which restores the
-pre-overhaul per-operation code paths (``copy.deepcopy`` document cloning,
-uncached ETag rendering, per-record ``Response`` construction, per-operation
-RNG sampling), and the report gates on the optimized-vs-legacy ratio so the
-guard is independent of runner speed.
+The end-to-end throughput overhaul (memoized ETag rendering, batched workload
+sampling) changes *how much work* one simulated
+operation costs, never *what it computes*: a seeded
+:class:`~repro.simulation.SimulationResult` is value-identical either way.
+``benchmarks/bench_sim_throughput.py`` relies on that to measure before/after
+on the same machine in the same process -- the baseline leg runs under
+:func:`legacy_hot_paths`, which restores the pre-overhaul per-operation code
+paths (uncached ETag rendering, per-operation RNG sampling), and the report
+gates on the optimized-vs-legacy ratio so the guard is independent of runner
+speed.  Document cloning is no longer one of those paths: stored document
+versions are immutable and shared by reference in both legs (see
+:mod:`repro.db.collection`).
 
 This module is a dependency leaf: it must not import anything from
-:mod:`repro`, because the lowest layers (``repro.db.documents``,
-``repro.rest.etags``) consult it on their hot paths.
+:mod:`repro`, because the lowest layers (``repro.rest.etags``) consult it on
+their hot paths.
 """
 
 from __future__ import annotations

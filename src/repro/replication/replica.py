@@ -5,10 +5,13 @@ flattened key/value mirror), for one reason: on failover the node is promoted
 to primary, and a promoted node must be able to carry a complete
 :class:`~repro.core.QuaestorServer` -- query execution, secondary indexes,
 version sequences, change stream for future writes -- without a rebuild.
-Applying the shipped log as real collection operations keeps every document
-version in lock-step with the primary (the same ordered mutation sequence
-produces the same version numbers), which is what makes ETags and the
+Applying the shipped log through the collection's write seam keeps every
+document version in lock-step with the primary (the same ordered mutation
+sequence produces the same version numbers, and a shipped version that is not
+the node's own next one is rejected), which is what makes ETags and the
 client-side version-keyed caches agree across primary and replica reads.
+Documents are never copied on the way: a stored version is immutable, so the
+node adopts the primary's snapshot object itself.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Optional
 from repro.clock import Clock
 from repro.db.changestream import OperationType
 from repro.db.database import Database
-from repro.db.documents import deep_copy
 from repro.errors import CacheCoherenceError, DocumentNotFoundError
 from repro.replication.log_shipping import LogRecord, ReplicationLink
 
@@ -62,14 +64,14 @@ class ReplicaNode:
         """Snapshot resync: rebuild this node's database from ``source``.
 
         Every collection is recreated with the same secondary indexes and the
-        same version floors, and each live document is inserted so it lands at
-        exactly its source version (``restore_version_floors`` primes the
-        insert to continue the sequence).  A floor *above* a live version
-        (failover protection against re-issuing a deposed primary's numbers)
-        is carried over after the snapshot inserts, so the protection
-        survives resyncs.  Used at group construction, when a crashed node
-        rejoins, and to realign surviving replicas after a promotion (their
-        logs may have diverged from the new primary's).
+        same version floors, and each live document's stored snapshot is
+        adopted by reference at exactly its source version.  A floor *above*
+        a live version (failover protection against re-issuing a deposed
+        primary's numbers) and the tombstones of deleted ids are restored
+        afterwards, so the protection survives resyncs.  Used at group
+        construction, when a crashed node rejoins, and to realign surviving
+        replicas after a promotion (their logs may have diverged from the new
+        primary's).
         """
         self.database = Database(clock=self._clock)
         self.link = ReplicationLink()
@@ -78,40 +80,13 @@ class ReplicaNode:
             replica_collection = self.database.create_collection(name)
             for field in source_collection.indexed_fields():
                 replica_collection.create_index(field)
-            floors = source_collection.version_floors()
-            live_versions = {
-                document_id: source_collection.version(document_id)
-                for document_id in source_collection.ids()
-            }
-            # Prime floors one below the live version so the snapshot insert
-            # assigns exactly the source version; tombstoned ids keep their
-            # final version so later re-inserts continue the sequence.
-            primed = {
-                document_id: live_versions[document_id] - 1
-                if document_id in live_versions
-                else floor
-                for document_id, floor in floors.items()
-            }
-            replica_collection.restore_version_floors(primed)
             for document_id in source_collection.ids():
-                replica_collection.insert(source_collection.get(document_id))
-                applied = replica_collection.version(document_id)
-                expected = live_versions[document_id]
-                if applied != expected:
-                    raise CacheCoherenceError(
-                        f"snapshot resync of {self.node_id} produced version {applied} "
-                        f"for {name}/{document_id}, primary has {expected}"
-                    )
-            # Re-apply floors that exceed the live version (consumed or
-            # bypassed by the inserts above): only-raise semantics keep the
-            # rest untouched.
-            replica_collection.restore_version_floors(
-                {
-                    document_id: floor
-                    for document_id, floor in floors.items()
-                    if floor > live_versions.get(document_id, 0)
-                }
-            )
+                replica_collection.install_snapshot(
+                    document_id,
+                    source_collection.get(document_id),
+                    source_collection.version(document_id),
+                )
+            replica_collection.restore_version_floors(source_collection.version_floors())
         self.applied_sequence = upto_sequence
         self.applied_timestamp = upto_timestamp
         self.link_sound = True
@@ -129,11 +104,7 @@ class ReplicaNode:
     def _apply(self, record: LogRecord) -> None:
         event = record.event
         collection = self.database.create_collection(event.collection)
-        if event.operation is OperationType.INSERT:
-            collection.insert(deep_copy(event.after))
-        elif event.operation is OperationType.UPDATE:
-            collection.replace(event.document_id, deep_copy(event.after))
-        else:  # DELETE
+        if event.operation is OperationType.DELETE:
             try:
                 collection.delete(event.document_id)
             except DocumentNotFoundError:
@@ -141,14 +112,20 @@ class ReplicaNode:
                     f"replica {self.node_id} applied a delete for missing "
                     f"{event.collection}/{event.document_id} (log gap)"
                 )
-        if event.operation is not OperationType.DELETE:
-            applied_version = collection.version(event.document_id)
-            if record.version and applied_version != record.version:
+        else:
+            # The primary's after-image is adopted by reference (one copy of
+            # each version per group, not one per node) at the shipped
+            # version, which must be the one this node would have assigned
+            # itself: the same ordered mutation sequence yields the same
+            # numbers, so a mismatch means the log skipped or repeated a write.
+            expected = collection.next_version(event.document_id)
+            if record.version and expected != record.version:
                 raise CacheCoherenceError(
                     f"replica {self.node_id} diverged on {event.collection}/"
-                    f"{event.document_id}: applied version {applied_version}, "
+                    f"{event.document_id}: next version {expected}, "
                     f"primary shipped {record.version}"
                 )
+            collection.install_snapshot(event.document_id, event.after, record.version or expected)
         self.applied_sequence = event.sequence
         self.applied_timestamp = event.timestamp
         self.records_applied += 1

@@ -56,21 +56,24 @@ class TestClientSession:
     def test_monotonic_fallback_unknown_key(self):
         assert ClientSession().monotonic_fallback("unknown") is None
 
-    def test_same_version_reobservation_keeps_snapshot_without_recopying(self):
+    def test_same_version_reobservation_keeps_the_latest_reference(self):
+        """No same-version special case: each observation at the highest
+        version is stored as is (a version pins one content, so it is the
+        same content either way)."""
         session = ClientSession()
-        session.observe_read("key", 2, {"_id": "x", "value": "v2"})
-        snapshot = session._seen_documents["key"]
-        session.observe_read("key", 2, {"_id": "x", "value": "v2"})
-        assert session._seen_documents["key"] is snapshot  # fast-path skip
+        first, second = {"_id": "x", "value": "v2"}, {"_id": "x", "value": "v2"}
+        session.observe_read("key", 2, first)
+        session.observe_read("key", 2, second)
+        assert session.monotonic_fallback("key")[1] is second
 
     def test_fallback_documents_are_disjoint_from_session_state(self):
-        """A caller mutating the fallback copy must not corrupt the snapshot
-        (the same-version skip keeps that snapshot alive indefinitely)."""
+        """Sessions hold and hand out stored snapshots by reference -- and what
+        the SDK feeds them is the database's copy, never the caller's dict."""
         session = ClientSession()
-        session.observe_read("key", 2, {"_id": "x", "value": "v2"})
-        handed_out = session.monotonic_fallback("key")[1]
-        handed_out["value"] = "mutated"
-        assert session.monotonic_fallback("key")[1] == {"_id": "x", "value": "v2"}
+        snapshot = {"_id": "x", "value": "v2"}
+        session.observe_read("key", 2, snapshot)
+        assert session.monotonic_fallback("key")[1] is snapshot
+        assert session.monotonic_fallback("key")[1] is snapshot
 
     def test_none_snapshot_does_not_mask_a_real_document_at_same_version(self):
         """The same-version skip must store what the legacy path would: a
@@ -95,12 +98,24 @@ class TestClientSession:
         assert session.own_write("key") == (4, {"_id": "x"})
         assert session.highest_seen_version("key") == 4
 
-    def test_own_write_copies_document(self):
-        session = ClientSession()
-        document = {"_id": "x", "tags": ["a"]}
-        session.record_own_write("key", 1, document)
+    def test_own_write_copies_document(self, deployment):
+        """Ingress isolation end to end: the session's own-write snapshot is the
+        stored version, so the caller editing its dict afterwards changes
+        neither the database nor the session."""
+        client, database = deployment["client"], deployment["database"]
+        document = {"_id": "fresh", "tags": ["a"]}
+        client.insert("posts", document)
         document["tags"].append("b")
-        assert session.own_write("key")[1]["tags"] == ["a"]
+        version, remembered = client.session.own_write("record:posts/fresh")
+        assert (version, remembered) == (1, {"_id": "fresh", "tags": ["a"]})
+        assert remembered is database.collection("posts").get("fresh")
+
+        update = {"$set": {"meta": {"k": ["v"]}}}
+        client.update("posts", "fresh", update)
+        update["$set"]["meta"]["k"].append("edited")
+        version, remembered = client.session.own_write("record:posts/fresh")
+        assert (version, remembered["meta"]) == (2, {"k": ["v"]})
+        assert remembered is database.collection("posts").get("fresh")
 
 
 class TestFreshnessPolicy:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from typing import Dict, List, Tuple
+
 import pytest
 
 from repro.caching import InvalidationCache
@@ -9,7 +12,66 @@ from repro.clock import VirtualClock
 from repro.client import QuaestorClient
 from repro.core import QuaestorConfig, QuaestorServer
 from repro.db import Database, Query
+from repro.db.collection import Collection
 from repro.invalidb import InvaliDBCluster
+
+
+def fingerprint(document) -> str:
+    """Canonical JSON of a document: equal exactly when the content is."""
+    return json.dumps(document, sort_keys=True, default=repr)
+
+
+class SnapshotGuard:
+    """Pins the ownership contract: an installed document version never changes.
+
+    Stored snapshots are shared by reference from the collection to change
+    events, caches, replicas and sessions, so an in-place edit anywhere would
+    corrupt all of them silently.  The guard fingerprints every snapshot on
+    its way through the ``Collection`` install seam and re-fingerprints them
+    all when the test ends.
+    """
+
+    def __init__(self) -> None:
+        # id(snapshot) -> (snapshot, fingerprint, label); holding the snapshot
+        # keeps its id from being reused.  Replicas adopt the primary's
+        # object, so one entry covers every node.
+        self._installed: Dict[int, Tuple[dict, str, str]] = {}
+
+    def wrap(self, install):
+        installed = self._installed
+
+        def guarded_install(collection, document_id, snapshot, version):
+            if snapshot is not None and id(snapshot) not in installed:
+                label = f"{collection.name}/{document_id} v{version}"
+                installed[id(snapshot)] = (snapshot, fingerprint(snapshot), label)
+            return install(collection, document_id, snapshot, version)
+
+        return guarded_install
+
+    def drifted(self) -> List[str]:
+        """One line per installed snapshot whose content changed since."""
+        return [
+            f"{label}: installed as {before}, now {fingerprint(snapshot)}"
+            for snapshot, before, label in self._installed.values()
+            if fingerprint(snapshot) != before
+        ]
+
+    def check(self) -> None:
+        drifted = self.drifted()
+        if drifted:
+            pytest.fail(
+                "a shared document snapshot was mutated in place (deep_copy before editing):\n"
+                + "\n".join(drifted)
+            )
+
+
+@pytest.fixture(autouse=True)
+def snapshot_guard(monkeypatch) -> SnapshotGuard:
+    """Fail any test during which a stored document version was mutated."""
+    guard = SnapshotGuard()
+    monkeypatch.setattr(Collection, "_install", guard.wrap(Collection._install))
+    yield guard
+    guard.check()
 
 
 @pytest.fixture

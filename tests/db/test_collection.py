@@ -34,11 +34,31 @@ class TestCrud:
         assert posts.get_or_none("nope") is None
 
     def test_returned_documents_are_copies(self, database):
+        """The ownership contract: one copy at write ingress, shared snapshots after."""
         posts = database.create_collection("posts")
-        posts.insert({"_id": "p1", "tags": ["a"]})
-        fetched = posts.get("p1")
-        fetched["tags"].append("b")
-        assert posts.get("p1")["tags"] == ["a"]
+        document = {"_id": "p1", "tags": ["a"]}
+        inserted = posts.insert(document)
+        document["tags"].append("caller-side edit")
+        assert inserted == {"_id": "p1", "tags": ["a"]}
+        # Reads, queries and write results hand out the stored object itself.
+        assert posts.get("p1") is inserted
+        assert posts.get_or_none("p1") is inserted
+        assert posts.find(Query("posts", {"tags": "a"})) == [inserted]
+        assert posts.find(Query("posts", {"tags": "a"}))[0] is inserted
+
+        operand = {"nested": ["x"]}
+        updated = posts.update("p1", {"$set": {"meta": operand}, "$push": {"tags": "b"}})
+        operand["nested"].append("caller-side edit")
+        assert updated == {"_id": "p1", "tags": ["a", "b"], "meta": {"nested": ["x"]}}
+        assert posts.get("p1") is updated
+        # The update built a new version; the previous one is untouched.
+        assert inserted == {"_id": "p1", "tags": ["a"]}
+
+        replacement = {"tags": ["c"]}
+        replaced = posts.replace("p1", replacement)
+        replacement["tags"].append("caller-side edit")
+        assert posts.get("p1") is replaced and replaced["tags"] == ["c"]
+        assert posts.delete("p1") is replaced
 
     def test_update_partial(self, database):
         posts = database.create_collection("posts")
@@ -159,6 +179,18 @@ class TestChangeEvents:
         assert events[0].after["tags"] == ["a"]
 
 
+    def test_change_events_carry_the_stored_snapshots(self, database):
+        posts = database.create_collection("posts")
+        first = posts.insert({"_id": "p1", "views": 1})
+        second = posts.update("p1", {"$inc": {"views": 1}})
+        posts.delete("p1")
+        inserted, updated, deleted = database.change_stream.history
+        assert inserted.before is None and inserted.after is first
+        assert updated.before is first and updated.after is second
+        assert deleted.before is second and deleted.after is None
+        assert (first, second) == ({"_id": "p1", "views": 1}, {"_id": "p1", "views": 2})
+
+
 class TestFind:
     def test_find_with_predicate(self, posts):
         result = posts.find(Query("posts", {"tags": "example"}))
@@ -191,6 +223,30 @@ class TestFind:
     def test_count(self, posts):
         assert posts.count() == 20
         assert posts.count(Query("posts", {"tags": "example"})) == 10
+
+    def test_count_ignores_windowing(self, posts):
+        assert posts.count(Query("posts", {"tags": "example"}, limit=3, offset=2)) == 10
+
+    def test_count_wrong_collection_rejected(self, posts):
+        with pytest.raises(InvalidQueryError):
+            posts.count(Query("users", {}))
+
+    def test_count_and_find_narrow_by_index(self, posts, monkeypatch):
+        """Both evaluate the predicate on the index's candidates only."""
+        evaluated = []
+        matches = Query.matches
+        monkeypatch.setattr(
+            Query, "matches", lambda query, document: evaluated.append(1) or matches(query, document)
+        )
+        indexed = Query("posts", {"tags": "example", "views": {"$gte": 10}})
+        assert posts.count(indexed) == 5
+        assert len(evaluated) == 10  # the "example" bucket, not all 20
+        del evaluated[:]
+        assert len(posts.find(indexed)) == 5
+        assert len(evaluated) == 10
+        del evaluated[:]
+        assert posts.count(Query("posts", {"views": {"$gte": 10}})) == 10
+        assert len(evaluated) == 20  # no indexed equality: full scan
 
     def test_ids_sorted(self, database):
         collection = database.create_collection("c")

@@ -19,13 +19,30 @@ from repro.db.documents import (
 
 class TestPaths:
     def test_split_path(self):
-        assert split_path("a.b.c") == ["a", "b", "c"]
+        assert split_path("a.b.c") == ("a", "b", "c")
 
     def test_split_path_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            split_path("")
-        with pytest.raises(ValueError):
-            split_path("a..b")
+        # Twice each: the memo must not swallow the error on a repeat call.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                split_path("")
+            with pytest.raises(ValueError):
+                split_path("a..b")
+            with pytest.raises(ValueError):
+                split_path("a.")
+
+    def test_split_path_cached_value_cannot_be_mutated(self):
+        segments = split_path("memo.ised.path")
+        assert split_path("memo.ised.path") is segments  # served from the memo
+        with pytest.raises(TypeError):
+            segments[0] = "hijacked"
+        with pytest.raises(AttributeError):
+            segments.append("extra")
+        # Path-walking helpers only slice the tuple; the memo stays intact.
+        document = {}
+        set_path(document, "memo.ised.path", 1)
+        assert unset_path(document, "memo.ised.path") is True
+        assert split_path("memo.ised.path") == ("memo", "ised", "path")
 
     def test_get_nested_field(self):
         document = {"author": {"name": "alice", "stats": {"karma": 7}}}

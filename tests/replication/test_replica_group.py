@@ -7,7 +7,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import ConsistencyLevel, QuaestorConfig, QuaestorServer
 from repro.db import Database
-from repro.errors import ShardUnavailableError
+from repro.errors import CacheCoherenceError, ShardUnavailableError
 from repro.invalidb import InvaliDBCluster
 from repro.replication import ReplicaGroup, ReplicationConfig
 from repro.rest.messages import StatusCode
@@ -88,6 +88,42 @@ class TestSeedingAndShipping:
         assert replica.database.collection("posts").version("p2") == (
             database.collection("posts").version("p2")
         )
+
+    def test_replicas_share_the_primarys_snapshot_of_each_version(self):
+        """RF 3 holds one object per document version, not three copies."""
+        clock, database, _server, group = build_group(replication_factor=3, lag_mean=0.01)
+        primary = database.collection("posts")
+        seeded = primary.get("p1")
+        clock.advance(1.0)
+        updated = database.update("posts", "p1", {"$set": {"views": 999}})
+        inserted = database.insert("posts", {"_id": "new", "category": 0})
+        for replica in group.replica_nodes():
+            stored = replica.database.collection("posts")
+            assert stored.get("p1") is seeded  # resync adopted the stored object
+            assert stored.get("p4") is primary.get("p4")
+        clock.advance(0.1)
+        for replica in group.replica_nodes():
+            replica.deliver_until(clock.now())
+            stored = replica.database.collection("posts")
+            assert stored.get("p1") is updated and stored.version("p1") == 2
+            assert stored.get("new") is inserted and stored.version("new") == 1
+            # The replica's own change stream (its shipping log once
+            # promoted) carries the very same images.
+            event = replica.database.change_stream.history[-2]
+            assert event.before is seeded and event.after is updated
+
+    def test_replica_rejects_a_shipped_version_it_would_not_have_assigned(self):
+        """A skipped record must surface as divergence, not be papered over."""
+        clock, database, _server, group = build_group(replication_factor=2, lag_mean=0.01)
+        clock.advance(1.0)
+        database.update("posts", "p1", {"$inc": {"views": 1}})
+        database.update("posts", "p1", {"$inc": {"views": 1}})
+        replica = group.replica_nodes()[0]
+        skipped = replica.link.take_ready(clock.now() + 1.0)
+        assert [record.version for record in skipped] == [2, 3]
+        with pytest.raises(CacheCoherenceError, match="diverged on posts/p1"):
+            replica._apply(skipped[1])
+        assert replica.database.collection("posts").version("p1") == 1
 
     def test_rf1_group_never_samples_lag_and_routes_to_primary(self):
         clock, database, server, group = build_group(replication_factor=1)
