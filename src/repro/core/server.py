@@ -356,7 +356,7 @@ class QuaestorServer:
             version_token = etag_for_version(
                 event.collection,
                 event.document_id,
-                self._safe_version(event.collection, event.document_id),
+                self.database.collection(event.collection).versions.get(event.document_id, 0),
             )
         self.record_authoritative(key, version_token, event.timestamp)
 
@@ -437,19 +437,12 @@ class QuaestorServer:
 
     def result_versions(self, collection: str, documents: List[Document]) -> Dict[str, int]:
         """The current version of every document in a query result."""
-        store = self.database.collection(collection)
+        current = self.database.collection(collection).versions
         versions: Dict[str, int] = {}
         for document in documents:
             document_id = str(document["_id"])
-            versions[document_id] = self._safe_version(collection, document_id, store)
+            versions[document_id] = current.get(document_id, 0)
         return versions
-
-    def _safe_version(self, collection: str, document_id: str, store=None) -> int:
-        target = store if store is not None else self.database.collection(collection)
-        try:
-            return target.version(document_id)
-        except DocumentNotFoundError:
-            return 0
 
     # -- statistics -----------------------------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.clock import Clock
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
@@ -36,6 +37,9 @@ class Collection:
         self._change_stream = change_stream
         self._documents: Dict[str, Document] = {}
         self._versions: Dict[str, int] = {}
+        #: Live read-only view of the version map, for callers that probe many
+        #: ids or must not raise on a vanished one: ``versions.get(id, 0)``.
+        self.versions: Mapping[str, int] = MappingProxyType(self._versions)
         #: Last version a deleted id held, so a re-insert of the same ``_id``
         #: continues the sequence instead of restarting at 1.  A version must
         #: pin one content forever: ETags derive from it (conditional
@@ -56,7 +60,7 @@ class Collection:
         """Create a secondary equality index on ``field`` and backfill it."""
         index = self._indexes.create(field)
         for document_id, document in self._documents.items():
-            index.add(document_id, document)
+            index.reindex(document_id, None, document)
 
     def indexed_fields(self) -> List[str]:
         return self._indexes.fields()
@@ -157,17 +161,15 @@ class Collection:
         in the paper's MongoDB deployment.  The list is the caller's; the
         documents in it are shared and read-only.
         """
-        candidates = self._candidates(query)
+        matching = list(filter(query.plan.matches, self._candidates(query)))
         self.reads += 1
-        matches = query.matches
-        matching = [document for document in candidates if matches(document)]
         return apply_sort_and_window(matching, query)
 
     def count(self, query: Optional[Query] = None) -> int:
         """Number of documents (matching ``query`` if given, ignoring windowing)."""
         if query is None:
             return len(self._documents)
-        return sum(1 for document in self._candidates(query) if query.matches(document))
+        return sum(map(query.plan.matches, self._candidates(query)))
 
     def ids(self) -> List[str]:
         """All document ids in the collection."""
@@ -217,11 +219,12 @@ class Collection:
             raise InvalidQueryError(
                 f"query targets {query.collection!r} but was executed on {self.name!r}"
             )
-        candidate_ids = self._indexes.candidate_ids(query.criteria)
+        candidate_ids = self._indexes.candidate_ids(query.plan.index_probes)
         if candidate_ids is None:
             return self._documents.values()
+        # The indexes are maintained by ``_install`` in step with the store.
         documents = self._documents
-        return [documents[document_id] for document_id in candidate_ids if document_id in documents]
+        return [documents[document_id] for document_id in candidate_ids]
 
     def _install(
         self, document_id: str, snapshot: Optional[Document], version: int
@@ -244,18 +247,13 @@ class Collection:
             self._deleted_versions[document_id] = max(
                 self._versions.pop(document_id), self._deleted_versions.get(document_id, 0)
             )
-            self._indexes.remove_document(document_id, previous)
             operation = OperationType.DELETE
         else:
             self._documents[document_id] = snapshot
             self._versions[document_id] = version
             self._deleted_versions.pop(document_id, None)
-            if previous is None:
-                self._indexes.add_document(document_id, snapshot)
-                operation = OperationType.INSERT
-            else:
-                self._indexes.update_document(document_id, previous, snapshot)
-                operation = OperationType.UPDATE
+            operation = OperationType.INSERT if previous is None else OperationType.UPDATE
+        self._indexes.reindex(document_id, previous, snapshot)
         self.writes += 1
         self._publish(operation, document_id, before=previous, after=snapshot)
         return previous if snapshot is None else snapshot

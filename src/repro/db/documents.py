@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from functools import lru_cache
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 #: Type alias used throughout the database layer.
 Document = Dict[str, Any]
@@ -180,85 +180,71 @@ def bson_type(value: Any) -> str:
     return "string"
 
 
+def order_key(value: Any) -> Tuple:
+    """The canonical comparable, hashable stand-in for a document value.
+
+    The one definition of how values relate (MongoDB-style: type classes
+    order null < number < string < document < array < boolean, values of one
+    class order naturally, ``1`` and ``1.0`` are the same number and ``True``
+    is not).  Keys compare with ``<`` for sorting and range operators, with
+    ``==`` for equality matching, and hash for the secondary indexes -- all
+    inside the interpreter's tuple machinery, no Python call per comparison.
+    """
+    cls = value.__class__
+    if cls is int or cls is float:
+        return (1, value)
+    if cls is str:
+        return (2, value)
+    if value is None:
+        return (0,)
+    kind = bson_type(value)
+    if kind == "array":
+        return (4, tuple(order_key(item) for item in value))
+    if kind == "document":
+        return (3, tuple((key, order_key(item)) for key, item in sorted(value.items())))
+    return (_TYPE_ORDER[kind], value)
+
+
 def compare_values(left: Any, right: Any) -> int:
-    """Total order over document values (MongoDB-style cross-type ordering).
+    """Total order over document values, as -1, 0 or 1 (see :func:`order_key`)."""
+    left_key, right_key = order_key(left), order_key(right)
+    return (left_key > right_key) - (left_key < right_key)
 
-    Values of different type classes order by the class; values of the same
-    class order naturally.  Returns -1, 0 or 1.
+
+class _Descending(tuple):
+    """An order key that sorts the other way round (for ``direction == -1``)."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: tuple) -> bool:
+        return tuple.__lt__(other, self)
+
+
+def _id_sort_key(document: Document) -> str:
+    return str(document.get("_id", ""))
+
+
+def compile_sort_key(spec: Sequence[Tuple[str, int]]) -> Callable[[Document], Any]:
+    """Compile a sort spec into the key function of the one canonical result order.
+
+    ``spec`` holds ``(field, direction)`` pairs, direction ``1`` or ``-1``;
+    ties -- and, with an empty spec, everything -- order by stringified
+    ``_id``, so the order is *total*.  Collections, the cluster's gather
+    merge and InvaliDB's stateful windows all sort with this key (through the
+    query's plan): ordering tied documents differently anywhere would let
+    served and invalidation windows diverge and changes go un-invalidated.
     """
-    left_type, right_type = bson_type(left), bson_type(right)
-    if left_type != right_type:
-        return -1 if _TYPE_ORDER[left_type] < _TYPE_ORDER[right_type] else 1
-    if left_type == "null":
-        return 0
-    if left_type == "array":
-        return _compare_sequences(left, right)
-    if left_type == "document":
-        return _compare_sequences(sorted(left.items()), sorted(right.items()))
-    if left == right:
-        return 0
-    return -1 if left < right else 1
+    if not spec:
+        return _id_sort_key
+    parts = [(split_path(field), direction < 0) for field, direction in spec]
 
+    def sort_key(document: Document) -> Tuple:
+        key = []
+        for segments, descending in parts:
+            value = _resolve(document, segments)
+            part = order_key(None if value is MISSING else value)
+            key.append(_Descending(part) if descending else part)
+        key.append(str(document.get("_id", "")))
+        return tuple(key)
 
-def _compare_sequences(left: Any, right: Any) -> int:
-    for left_item, right_item in zip(left, right):
-        if isinstance(left_item, tuple) and isinstance(right_item, tuple):
-            key_cmp = compare_values(left_item[0], right_item[0])
-            if key_cmp != 0:
-                return key_cmp
-            value_cmp = compare_values(left_item[1], right_item[1])
-            if value_cmp != 0:
-                return value_cmp
-        else:
-            item_cmp = compare_values(left_item, right_item)
-            if item_cmp != 0:
-                return item_cmp
-    if len(left) == len(right):
-        return 0
-    return -1 if len(left) < len(right) else 1
-
-
-class _Wrapped:
-    """A sort-spec-aware comparison wrapper for one field value.
-
-    Defined at module level so wrappers produced by *different*
-    :func:`sort_key` calls compare equal on ties -- a prerequisite for tuple
-    keys to fall through to a tiebreaker element.
-    """
-
-    __slots__ = ("value", "direction")
-
-    def __init__(self, value: Any, direction: int) -> None:
-        self.value = value
-        self.direction = direction
-
-    def __lt__(self, other: "_Wrapped") -> bool:
-        return compare_values(self.value, other.value) * self.direction < 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Wrapped):
-            return NotImplemented
-        return compare_values(self.value, other.value) == 0
-
-
-def sort_key(document: Document, spec: List[Tuple[str, int]]) -> Tuple:
-    """Build a comparable key for sorting ``document`` by ``spec``.
-
-    ``spec`` is a list of ``(field, direction)`` pairs with direction ``1``
-    (ascending) or ``-1`` (descending).
-    """
-    return tuple(
-        _Wrapped(get_path(document, field), direction) for field, direction in spec
-    )
-
-
-def total_sort_key(document: Document, spec: Sequence[Tuple[str, int]]) -> Tuple:
-    """A *total* order key: ``spec`` (possibly empty) with an ``_id`` tiebreak.
-
-    This is the one canonical result ordering.  Collections, the cluster's
-    scatter/gather merge and InvaliDB's stateful window maintenance must all
-    sort with this same key -- if any of them ordered tied documents
-    differently, served windows and invalidation windows would diverge and
-    tied-sort window changes could go un-invalidated.
-    """
-    return (sort_key(document, list(spec)), str(document.get("_id", "")))
+    return sort_key

@@ -8,15 +8,12 @@ would keep secondary indexes consistent with the primary data.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Set
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.db.documents import Document, get_path
+from repro.db.documents import Document, order_key, split_path
+from repro.db.predicates import resolve_values, with_array_elements
 
-
-def _index_key(value: Any) -> str:
-    """A hashable, canonical representation of an indexed value."""
-    return json.dumps(value, sort_keys=True, default=str)
+_NO_IDS: AbstractSet[str] = frozenset()
 
 
 class HashIndex:
@@ -26,38 +23,38 @@ class HashIndex:
         if not field:
             raise ValueError("index field must not be empty")
         self.field = field
-        self._entries: Dict[str, Set[str]] = {}
+        self._segments = split_path(field)
+        self._entries: Dict[Hashable, Set[str]] = {}
 
-    def add(self, document_id: str, document: Document) -> None:
-        """Index ``document`` under its current value(s) for the field."""
-        for value in self._values(document):
-            self._entries.setdefault(_index_key(value), set()).add(document_id)
+    def reindex(
+        self, document_id: str, before: Optional[Document], after: Optional[Document]
+    ) -> None:
+        """Move ``document_id`` from the keys of ``before`` to those of ``after``.
 
-    def remove(self, document_id: str, document: Document) -> None:
-        """Remove ``document``'s entries from the index."""
-        for value in self._values(document):
-            key = _index_key(value)
-            bucket = self._entries.get(key)
-            if bucket is not None:
-                bucket.discard(document_id)
-                if not bucket:
-                    del self._entries[key]
+        ``before`` is ``None`` for an insert, ``after`` for a delete.
+        """
+        old = self._keys(before) if before is not None else set()
+        new = self._keys(after) if after is not None else set()
+        for key in old - new:
+            bucket = self._entries[key]
+            bucket.discard(document_id)
+            if not bucket:
+                del self._entries[key]
+        for key in new - old:
+            self._entries.setdefault(key, set()).add(document_id)
 
-    def update(self, document_id: str, before: Document, after: Document) -> None:
-        """Re-index a document after an update."""
-        self.remove(document_id, before)
-        self.add(document_id, after)
+    def bucket(self, key: Hashable) -> AbstractSet[str]:
+        """Live set of the ids whose field equals (or array contains) the keyed value."""
+        return self._entries.get(key, _NO_IDS)
 
-    def lookup(self, value: Any) -> Set[str]:
-        """Document ids whose field equals (or whose array contains) ``value``."""
-        return set(self._entries.get(_index_key(value), set()))
+    def _keys(self, document: Document) -> Set[Hashable]:
+        """Every key an equality condition on the field can find ``document`` under.
 
-    def _values(self, document: Document) -> List[Any]:
-        value = get_path(document, self.field, None)
-        if isinstance(value, list):
-            # Multikey behaviour: every array element is indexed individually.
-            return list(value) + [value]
-        return [value]
+        Mirrors the matcher: the path fans out over arrays, each value counts
+        whole and (multikey) element by element, a missing path as ``None``.
+        """
+        values = with_array_elements(resolve_values(document, self._segments))
+        return set(map(order_key, values)) if values else {order_key(None)}
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
@@ -80,47 +77,28 @@ class IndexSet:
             self._indexes[field] = index
         return index
 
-    def get(self, field: str) -> Optional[HashIndex]:
-        return self._indexes.get(field)
-
     def fields(self) -> List[str]:
         return sorted(self._indexes)
 
-    def add_document(self, document_id: str, document: Document) -> None:
+    def reindex(
+        self, document_id: str, before: Optional[Document], after: Optional[Document]
+    ) -> None:
+        """Keep every index in step with one write (see :meth:`HashIndex.reindex`)."""
         for index in self._indexes.values():
-            index.add(document_id, document)
+            index.reindex(document_id, before, after)
 
-    def remove_document(self, document_id: str, document: Document) -> None:
-        for index in self._indexes.values():
-            index.remove(document_id, document)
+    def candidate_ids(
+        self, probes: Iterable[Tuple[str, Hashable]]
+    ) -> Optional[AbstractSet[str]]:
+        """Candidate document ids for a plan's ``index_probes`` (read-only).
 
-    def update_document(self, document_id: str, before: Document, after: Document) -> None:
-        for index in self._indexes.values():
-            index.update(document_id, before, after)
-
-    def candidate_ids(self, criteria: Document) -> Optional[Set[str]]:
-        """Candidate document ids for ``criteria`` based on indexed equalities.
-
-        Returns ``None`` when no indexed field appears as a top-level equality
-        condition, in which case the caller must fall back to a full scan.
+        Returns ``None`` when none of the probed fields is indexed, in which
+        case the caller must fall back to a full scan.
         """
-        candidates: Optional[Set[str]] = None
-        for field, condition in criteria.items():
-            if field.startswith("$"):
-                continue
+        candidates: Optional[AbstractSet[str]] = None
+        for field, key in probes:
             index = self._indexes.get(field)
-            if index is None:
-                continue
-            if isinstance(condition, dict):
-                if set(condition) == {"$eq"}:
-                    value = condition["$eq"]
-                else:
-                    continue
-            else:
-                value = condition
-            matched = index.lookup(value)
-            candidates = matched if candidates is None else candidates & matched
+            if index is not None:
+                matched = index.bucket(key)
+                candidates = matched if candidates is None else candidates & matched
         return candidates
-
-    def __len__(self) -> int:
-        return len(self._indexes)

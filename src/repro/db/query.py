@@ -10,13 +10,40 @@ the key hashed into the Expiring Bloom Filter.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional
+from typing import Sequence, Tuple
 
-from repro.db.documents import Document, total_sort_key
-from repro.db.predicates import SUPPORTED_OPERATORS, matches
+from repro.db.documents import Document, compile_sort_key, order_key
+from repro.db.predicates import SUPPORTED_OPERATORS, Matcher, compile_criteria
 from repro.errors import InvalidQueryError, UnsupportedOperationError
 
 _UNSUPPORTED_OPERATORS = {"$lookup", "$group", "$unwind", "$graphLookup", "$facet"}
+
+
+class QueryPlan(NamedTuple):
+    """Everything executing a query needs, compiled once from its criteria and sort."""
+
+    #: The compiled predicate (:func:`~repro.db.predicates.compile_criteria`).
+    matches: Matcher
+    #: The canonical total result order (:func:`~repro.db.documents.compile_sort_key`).
+    sort_key: Callable[[Document], Any]
+    #: ``(field, order key)`` per top-level equality condition: what an
+    #: :class:`~repro.db.indexes.IndexSet` looks up to narrow the candidates.
+    index_probes: Tuple[Tuple[str, Hashable], ...]
+
+
+def _equality_probes(criteria: Document) -> Tuple[Tuple[str, Hashable], ...]:
+    """Top-level equalities as index keys: each is a necessary condition of the predicate."""
+    probes = []
+    for field, condition in criteria.items():
+        if field.startswith("$"):
+            continue
+        if isinstance(condition, dict):
+            if set(condition) != {"$eq"}:
+                continue
+            condition = condition["$eq"]
+        probes.append((field, order_key(condition)))
+    return tuple(probes)
 
 
 class Query:
@@ -36,7 +63,7 @@ class Query:
         from InvaliDB's point of view (Section 4.1, "Managing Query State").
     """
 
-    __slots__ = ("collection", "criteria", "sort", "limit", "offset", "_cache_key")
+    __slots__ = ("collection", "criteria", "sort", "limit", "offset", "_cache_key", "_plan")
 
     def __init__(
         self,
@@ -66,6 +93,7 @@ class Query:
         object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "offset", int(offset))
         object.__setattr__(self, "_cache_key", None)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name: str, value: Any) -> None:  # pragma: no cover - guard
         raise AttributeError("Query objects are immutable")
@@ -73,18 +101,33 @@ class Query:
     def __getstate__(self) -> Dict[str, Any]:
         # Default slot pickling restores via setattr, which the immutability
         # guard rejects; explicit state keeps queries picklable (the
-        # process-parallel simulator ships datasets to spawned workers).
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        # process-parallel simulator ships datasets to spawned workers).  The
+        # plan is closures, which do not pickle: a copy recompiles on use.
+        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_plan"}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
+        object.__setattr__(self, "_plan", None)
 
-    # -- matching ------------------------------------------------------------------
+    # -- execution -----------------------------------------------------------------
+
+    @property
+    def plan(self) -> QueryPlan:
+        """The compiled plan, built on first use (a malformed filter raises here)."""
+        plan = self._plan
+        if plan is None:
+            plan = QueryPlan(
+                compile_criteria(self.criteria),
+                compile_sort_key(self.sort),
+                _equality_probes(self.criteria),
+            )
+            object.__setattr__(self, "_plan", plan)
+        return plan
 
     def matches(self, document: Document) -> bool:
         """Whether ``document`` satisfies this query's predicate (ignores windowing)."""
-        return matches(document, self.criteria)
+        return self.plan.matches(document)
 
     @property
     def is_stateful(self) -> bool:
@@ -100,7 +143,7 @@ class Query:
     @property
     def cache_key(self) -> str:
         """Canonical string form used as cache URL and EBF key."""
-        key = object.__getattribute__(self, "_cache_key")
+        key = self._cache_key
         if key is None:
             key = self._normalize()
             object.__setattr__(self, "_cache_key", key)
@@ -132,6 +175,7 @@ class Query:
             offset=self.offset,
         )
         object.__setattr__(copy, "_cache_key", cache_key)
+        object.__setattr__(copy, "_plan", self._plan)
         return copy
 
     def to_url(self) -> str:
@@ -173,22 +217,15 @@ def record_key(collection: str, document_id: str) -> str:
 
 
 def apply_sort_and_window(documents: List[Document], query: Query) -> List[Document]:
-    """Order ``documents`` by the query's sort spec and cut its result window.
+    """Order ``documents`` by the plan's total sort key and cut the result window.
 
-    The single place defining result ordering: collections apply it to their
-    local matches, and the cluster's scatter/gather merge applies it to the
-    concatenated shard sub-results, so both stay byte-identical by
-    construction.  Ties in the sort spec break by stringified primary key
-    (and without a sort spec that key orders the whole result): ordering must
-    not depend on insertion or shard-concatenation order, otherwise the same
-    LIMIT/OFFSET window would differ across deployment topologies.
+    Collections apply it to their local matches and the cluster's
+    scatter/gather merge to the concatenated shard sub-results, so both stay
+    byte-identical by construction: the order never depends on insertion or
+    shard-concatenation order (see :func:`~repro.db.documents.compile_sort_key`).
     """
-    ordered = sorted(documents, key=lambda document: total_sort_key(document, query.sort))
-    if query.offset:
-        ordered = ordered[query.offset :]
-    if query.limit is not None:
-        ordered = ordered[: query.limit]
-    return ordered
+    end = None if query.limit is None else query.offset + query.limit
+    return sorted(documents, key=query.plan.sort_key)[query.offset : end]
 
 
 def _canonical(value: Any) -> Any:

@@ -25,6 +25,7 @@ from repro.db.documents import (
     set_path,
     unset_path,
 )
+from repro.db.predicates import compile_operators
 from repro.errors import InvalidQueryError
 
 MISSING_DEFAULT = object()
@@ -154,9 +155,8 @@ def _update_pull(document: Document, path: str, operand: Any) -> None:
     if not isinstance(current, list):
         raise InvalidQueryError(f"$pull target {path!r} is not an array")
     if isinstance(operand, dict) and any(key.startswith("$") for key in operand):
-        from repro.db.predicates import _match_operators  # operator condition on elements
-
-        remaining = [item for item in current if not _match_operators([item], operand)]
+        removes = compile_operators(operand)
+        remaining = [item for item in current if not removes([item])]
     else:
         remaining = [item for item in current if item != operand]
     set_path(document, path, remaining)

@@ -8,7 +8,6 @@ from typing import Callable, Dict, List, Optional
 from repro.db.changestream import ChangeEvent
 from repro.db.documents import Document
 from repro.db.query import Query
-from repro.errors import UnsupportedOperationError
 from repro.invalidb.events import Notification
 from repro.invalidb.index import QueryStateIndex
 from repro.invalidb.matching import QueryMatchState
@@ -244,13 +243,6 @@ class InvaliDBCluster:
                 handler(notification)
         return notifications
 
-    def process_events(self, events: List[ChangeEvent]) -> List[Notification]:
-        """Convenience batch form of :meth:`process_event`."""
-        notifications: List[Notification] = []
-        for event in events:
-            notifications.extend(self.process_event(event))
-        return notifications
-
     # -- capacity and latency ----------------------------------------------------------------
 
     def queries_per_node(self) -> List[int]:
@@ -259,10 +251,6 @@ class InvaliDBCluster:
         for query_key, home in self._stateful_home_node.items():
             counts[home] += 1
         return counts
-
-    def busiest_node_queries(self) -> int:
-        counts = self.queries_per_node()
-        return max(counts) if counts else 0
 
     def offered_load_per_node(self, update_rate: float) -> List[float]:
         """Matching ops/s per node for a cluster-wide update rate.
@@ -293,16 +281,6 @@ class InvaliDBCluster:
         """
         per_node = self.capacity_model.sustainable_ops(latency_bound)
         return per_node * len(self.nodes)
-
-    # -- validation --------------------------------------------------------------------------------
-
-    @staticmethod
-    def validate_query(query: Query) -> None:
-        """Reject queries outside InvaliDB's scope (joins / aggregations)."""
-        # Joins and aggregations cannot be expressed through Query at all, so
-        # the only check needed here is a guard for future extension points.
-        if not isinstance(query, Query):
-            raise UnsupportedOperationError("only Query instances can be registered")
 
     def __repr__(self) -> str:
         return (

@@ -69,6 +69,7 @@ class QueryMatchState:
     def __init__(self, query: Query, member_filter=None) -> None:
         self.query = query
         self.query_key = query.cache_key
+        self._matches = query.plan.matches
         self._member_filter = member_filter
         self._matching_ids: Set[str] = set()
         self._ordered: Optional[OrderedResultState] = (
@@ -105,7 +106,7 @@ class QueryMatchState:
         is_match = (
             after is not None
             and event.operation != OperationType.DELETE
-            and self.query.matches(after)
+            and self._matches(after)
         )
 
         if self._ordered is not None:

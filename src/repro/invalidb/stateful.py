@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.db.documents import Document, total_sort_key
+from repro.db.documents import Document
 from repro.db.query import Query
 
 
@@ -77,7 +77,7 @@ class OrderedResultState:
         # The same total order the database serves (sort spec + _id
         # tiebreak): a divergent tie order here would let window changes
         # slip past window_diff un-notified.
-        documents.sort(key=lambda doc: total_sort_key(doc, self.query.sort))
+        documents.sort(key=self.query.plan.sort_key)
         self._ordered_ids = [str(doc["_id"]) for doc in documents]
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
@@ -14,6 +16,16 @@ from repro.core import QuaestorConfig, QuaestorServer
 from repro.db import Database, Query
 from repro.db.collection import Collection
 from repro.invalidb import InvaliDBCluster
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The pre-compiler predicate interpreter, frozen as the differential oracle."""
+    path = Path(__file__).parent / "db" / "reference_predicates.py"
+    spec = importlib.util.spec_from_file_location("reference_predicates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fingerprint(document) -> str:

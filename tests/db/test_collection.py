@@ -231,21 +231,26 @@ class TestFind:
         with pytest.raises(InvalidQueryError):
             posts.count(Query("users", {}))
 
-    def test_count_and_find_narrow_by_index(self, posts, monkeypatch):
-        """Both evaluate the predicate on the index's candidates only."""
+    def test_count_and_find_narrow_by_index(self, posts):
+        """Both evaluate the plan's matcher on the index's candidates only."""
         evaluated = []
-        matches = Query.matches
-        monkeypatch.setattr(
-            Query, "matches", lambda query, document: evaluated.append(1) or matches(query, document)
-        )
-        indexed = Query("posts", {"tags": "example", "views": {"$gte": 10}})
+
+        def counting(query):
+            matcher = query.plan.matches
+            counted = query.plan._replace(
+                matches=lambda document: evaluated.append(1) or matcher(document)
+            )
+            object.__setattr__(query, "_plan", counted)
+            return query
+
+        indexed = counting(Query("posts", {"tags": "example", "views": {"$gte": 10}}))
         assert posts.count(indexed) == 5
         assert len(evaluated) == 10  # the "example" bucket, not all 20
         del evaluated[:]
         assert len(posts.find(indexed)) == 5
         assert len(evaluated) == 10
         del evaluated[:]
-        assert posts.count(Query("posts", {"views": {"$gte": 10}})) == 10
+        assert posts.count(counting(Query("posts", {"views": {"$gte": 10}}))) == 10
         assert len(evaluated) == 20  # no indexed equality: full scan
 
     def test_ids_sorted(self, database):

@@ -7,11 +7,11 @@ import pytest
 from repro.db.documents import (
     bson_type,
     compare_values,
+    compile_sort_key,
     deep_copy,
     get_path,
     has_path,
     set_path,
-    sort_key,
     split_path,
     unset_path,
 )
@@ -127,12 +127,12 @@ class TestComparison:
 class TestSortKey:
     def test_ascending_sort(self):
         documents = [{"views": 3}, {"views": 1}, {"views": 2}]
-        documents.sort(key=lambda doc: sort_key(doc, [("views", 1)]))
+        documents.sort(key=compile_sort_key([("views", 1)]))
         assert [doc["views"] for doc in documents] == [1, 2, 3]
 
     def test_descending_sort(self):
         documents = [{"views": 3}, {"views": 1}, {"views": 2}]
-        documents.sort(key=lambda doc: sort_key(doc, [("views", -1)]))
+        documents.sort(key=compile_sort_key([("views", -1)]))
         assert [doc["views"] for doc in documents] == [3, 2, 1]
 
     def test_compound_sort(self):
@@ -141,7 +141,7 @@ class TestSortKey:
             {"category": "b", "views": 1},
             {"category": "a", "views": 1},
         ]
-        documents.sort(key=lambda doc: sort_key(doc, [("category", 1), ("views", -1)]))
+        documents.sort(key=compile_sort_key([("category", 1), ("views", -1)]))
         assert documents == [
             {"category": "a", "views": 2},
             {"category": "a", "views": 1},
@@ -150,5 +150,17 @@ class TestSortKey:
 
     def test_missing_field_sorts_first_ascending(self):
         documents = [{"views": 1}, {}]
-        documents.sort(key=lambda doc: sort_key(doc, [("views", 1)]))
+        documents.sort(key=compile_sort_key([("views", 1)]))
         assert documents[0] == {}
+
+    def test_ties_and_the_empty_spec_order_by_stringified_id(self):
+        documents = [{"_id": 10, "views": 1}, {"_id": 9, "views": 1}, {"_id": "a", "views": 0}]
+        documents.sort(key=compile_sort_key([("views", -1)]))
+        assert [doc["_id"] for doc in documents] == [10, 9, "a"]  # "10" < "9"
+        documents.sort(key=compile_sort_key([]))
+        assert [doc["_id"] for doc in documents] == [10, 9, "a"]
+
+    def test_dotted_sort_field(self):
+        documents = [{"_id": 1, "a": {"b": 2}}, {"_id": 2, "a": {"b": 1}}, {"_id": 3}]
+        documents.sort(key=compile_sort_key([("a.b", 1)]))
+        assert [doc["_id"] for doc in documents] == [3, 2, 1]

@@ -4,44 +4,51 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.documents import order_key
 from repro.db.indexes import HashIndex, IndexSet
+from repro.db.query import Query
+
+
+def probes(criteria):
+    """What a collection hands its index set: the query plan's index probes."""
+    return Query("posts", criteria).plan.index_probes
 
 
 class TestHashIndex:
     def test_add_and_lookup(self):
         index = HashIndex("category")
-        index.add("d1", {"category": "tech"})
-        index.add("d2", {"category": "tech"})
-        index.add("d3", {"category": "life"})
-        assert index.lookup("tech") == {"d1", "d2"}
-        assert index.lookup("life") == {"d3"}
-        assert index.lookup("missing") == set()
+        index.reindex("d1", None, {"category": "tech"})
+        index.reindex("d2", None, {"category": "tech"})
+        index.reindex("d3", None, {"category": "life"})
+        assert index.bucket(order_key("tech")) == {"d1", "d2"}
+        assert index.bucket(order_key("life")) == {"d3"}
+        assert index.bucket(order_key("missing")) == set()
 
     def test_multikey_indexing_of_arrays(self):
         index = HashIndex("tags")
-        index.add("d1", {"tags": ["a", "b"]})
-        assert index.lookup("a") == {"d1"}
-        assert index.lookup("b") == {"d1"}
-        assert index.lookup(["a", "b"]) == {"d1"}
+        index.reindex("d1", None, {"tags": ["a", "b"]})
+        assert index.bucket(order_key("a")) == {"d1"}
+        assert index.bucket(order_key("b")) == {"d1"}
+        assert index.bucket(order_key(["a", "b"])) == {"d1"}
 
     def test_remove(self):
         index = HashIndex("category")
-        index.add("d1", {"category": "tech"})
-        index.remove("d1", {"category": "tech"})
-        assert index.lookup("tech") == set()
+        index.reindex("d1", None, {"category": "tech"})
+        index.reindex("d1", {"category": "tech"}, None)
+        assert index.bucket(order_key("tech")) == set()
         assert len(index) == 0
 
     def test_update_moves_entry(self):
         index = HashIndex("category")
-        index.add("d1", {"category": "tech"})
-        index.update("d1", {"category": "tech"}, {"category": "life"})
-        assert index.lookup("tech") == set()
-        assert index.lookup("life") == {"d1"}
+        index.reindex("d1", None, {"category": "tech"})
+        index.reindex("d1", {"category": "tech"}, {"category": "life"})
+        assert index.bucket(order_key("tech")) == set()
+        assert index.bucket(order_key("life")) == {"d1"}
 
     def test_nested_field_indexing(self):
         index = HashIndex("author.name")
-        index.add("d1", {"author": {"name": "alice"}})
-        assert index.lookup("alice") == {"d1"}
+        index.reindex("d1", None, {"author": {"name": "alice"}})
+        assert index.bucket(order_key("alice")) == {"d1"}
 
     def test_requires_field_name(self):
         with pytest.raises(ValueError):
@@ -59,30 +66,30 @@ class TestIndexSet:
     def test_candidate_ids_for_equality(self):
         indexes = IndexSet()
         indexes.create("category")
-        indexes.add_document("d1", {"category": "a", "views": 1})
-        indexes.add_document("d2", {"category": "b", "views": 2})
-        assert indexes.candidate_ids({"category": "a"}) == {"d1"}
-        assert indexes.candidate_ids({"category": {"$eq": "b"}}) == {"d2"}
+        indexes.reindex("d1", None, {"category": "a", "views": 1})
+        indexes.reindex("d2", None, {"category": "b", "views": 2})
+        assert indexes.candidate_ids(probes({"category": "a"})) == {"d1"}
+        assert indexes.candidate_ids(probes({"category": {"$eq": "b"}})) == {"d2"}
 
     def test_candidate_ids_none_when_not_indexed(self):
         indexes = IndexSet()
         indexes.create("category")
-        assert indexes.candidate_ids({"views": 3}) is None
-        assert indexes.candidate_ids({"category": {"$gt": 1}}) is None
+        assert indexes.candidate_ids(probes({"views": 3})) is None
+        assert indexes.candidate_ids(probes({"category": {"$gt": 1}})) is None
 
     def test_candidate_ids_intersects_multiple_indexes(self):
         indexes = IndexSet()
         indexes.create("category")
         indexes.create("author")
-        indexes.add_document("d1", {"category": "a", "author": "x"})
-        indexes.add_document("d2", {"category": "a", "author": "y"})
-        assert indexes.candidate_ids({"category": "a", "author": "y"}) == {"d2"}
+        indexes.reindex("d1", None, {"category": "a", "author": "x"})
+        indexes.reindex("d2", None, {"category": "a", "author": "y"})
+        assert indexes.candidate_ids(probes({"category": "a", "author": "y"})) == {"d2"}
 
     def test_document_lifecycle(self):
         indexes = IndexSet()
         indexes.create("category")
-        indexes.add_document("d1", {"category": "a"})
-        indexes.update_document("d1", {"category": "a"}, {"category": "b"})
-        assert indexes.candidate_ids({"category": "b"}) == {"d1"}
-        indexes.remove_document("d1", {"category": "b"})
-        assert indexes.candidate_ids({"category": "b"}) == set()
+        indexes.reindex("d1", None, {"category": "a"})
+        indexes.reindex("d1", {"category": "a"}, {"category": "b"})
+        assert indexes.candidate_ids(probes({"category": "b"})) == {"d1"}
+        indexes.reindex("d1", {"category": "b"}, None)
+        assert indexes.candidate_ids(probes({"category": "b"})) == set()
