@@ -51,6 +51,10 @@
 #   make bench-ledger    - the repo's benchmark (BENCHMARK.json): four workloads,
 #                          timed + traced pass, correctness checks (a)-(d)
 #   make bench-ledger-smoke - the same runner on tiny budgets; the quick CI gate
+#   make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=1234]
+#                        - alternating parent-vs-working-tree runs of the
+#                          benchmark: medians, quartiles, wins, the gain verdict
+#                          and whether every sim_* value stayed identical
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
 
 PYTHON ?= python
@@ -69,7 +73,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke docs-check
+.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -140,6 +144,9 @@ bench-ledger:
 
 bench-ledger-smoke:
 	$(PYTHON) bench/run.py --smoke
+
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),1234)
 
 docs-check:
 	$(PYTHON) scripts/docs_check.py

@@ -6,11 +6,12 @@ operations through a full Quaestor deployment and writes the numbers to
 ``BENCH_sim.json``.  Every scenario is run twice in the same process:
 
 * **baseline** -- under :func:`repro.perf.legacy_hot_paths`, which restores
-  the pre-overhaul per-operation code paths that still have a switch
-  (uncached ETag rendering, per-operation RNG sampling);
+  the one pre-overhaul per-operation code path the simulator still has a
+  switch for (uncached ETag rendering; the generator's ``operations()`` also
+  samples per operation under it, but the simulator pulls chunks either way);
 * **optimized** -- the default fast paths (tuple-heap event queue with bulk
   ``schedule_many`` start-up, chunked ``random.choices``-style workload
-  sampling, fast-path hierarchy fetch and ``store_fresh`` cache stores,
+  sampling, one-frame-per-tier hierarchy fetch and batch member restamps,
   memoized ETag rendering).
 
 Document cloning used to dominate the baseline leg; since stored document

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs: a parent commit against the working tree.
+
+    python scripts/bench_pairs.py --parent <ref> --workload read_hot [--pairs 10] [--seed 1234]
+
+The procedure a performance claim rests on (``bench/README.md``, "Landing a
+change"): the parent is checked out into a temporary ``git worktree``, each
+pair runs the *unmodified* ``bench/run.py --trace 0`` of either side once --
+alternating which side goes first, because the box's noise drifts over
+minutes -- and the report gives, per side, the median, quartiles and n of
+``host_ops_per_s``, the wins, the parent's interquartile spread, the verdict
+"won >= 9/10 of the pairs and the medians differ by more than the parent's
+IQR", and whether every exact ``sim_*`` value was identical in every pair (a
+host-only change must not move one).  Exit status 0 means the verdict holds
+and nothing simulated moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+METRIC = "host_ops_per_s"
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
+    """One timed pass of ``checkout``'s own benchmark; returns its gated metrics."""
+    finished = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(finished.stdout.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise RuntimeError(f"{checkout}: benchmark reported failed operations or checks")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def describe(samples: List[float]) -> str:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return f"median {median:.6g}  q1 {q1:.6g}  q3 {q3:.6g}  n={len(samples)}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--parent", required=True, help="git ref of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1234)
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("quartiles need at least two pairs")
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        parent_dir = Path(scratch) / "parent"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
+            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+        )
+        try:
+            parent: List[Dict[str, float]] = []
+            change: List[Dict[str, float]] = []
+            for pair in range(args.pairs):
+                order = [(parent_dir, parent), (ROOT, change)]
+                if pair % 2:
+                    order.reverse()
+                for checkout, sink in order:
+                    sink.append(run_once(checkout, args.workload, args.seed))
+                print(
+                    f"pair {pair + 1:>2}/{args.pairs} ({'change' if pair % 2 else 'parent'} first): "
+                    f"parent {parent[-1][METRIC]:.6g}  change {change[-1][METRIC]:.6g}",
+                    flush=True,
+                )
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(parent_dir)], cwd=ROOT, check=False
+            )
+
+    before = [run[METRIC] for run in parent]
+    after = [run[METRIC] for run in change]
+    wins = sum(new > old for old, new in zip(before, after))
+    ties = sum(new == old for old, new in zip(before, after))
+    q1, parent_median, q3 = statistics.quantiles(before, n=4)
+    change_median = statistics.median(after)
+    gap = change_median - parent_median
+    moved = sorted({
+        name
+        for old, new in zip(parent, change)
+        for name in old
+        if name.startswith("sim_") and old[name] != new.get(name)
+    })
+    claimed = wins * 10 >= (args.pairs - ties) * 9 and gap > q3 - q1
+
+    print(f"\n{args.workload} {METRIC}, seed {args.seed}, {args.pairs} alternating pairs")
+    print(f"  parent ({args.parent}): {describe(before)}")
+    print(f"  change (working tree): {describe(after)}")
+    print(f"  ratio of medians {change_median / parent_median:.3f}x   wins {wins}/{args.pairs - ties}"
+          f"   parent IQR {q3 - q1:.6g}   median gap {gap:.6g}")
+    print(f"  verdict: {'GAIN' if claimed else 'no claim'} (>= 9/10 wins and gap > parent IQR)")
+    for name in parent[0]:
+        if name != METRIC and not name.startswith("sim_"):
+            print(f"  {name}: parent {describe([run[name] for run in parent])}")
+            print(f"  {' ' * len(name)}  change {describe([run[name] for run in change])}")
+    print(f"  sim_* metrics: {'identical in every pair' if not moved else 'MOVED: ' + ', '.join(moved)}")
+    return 0 if claimed and not moved else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,8 +31,9 @@ class BloomFilter:
             raise ValueError("num_bits must be positive")
         if num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
-        if hash_scheme not in hashing.WIRE_VERSION_BY_SCHEME:
-            raise ValueError(f"unknown hash scheme: {hash_scheme!r}")
+        # The scheme's raw ``key -> (h1, h2)`` function (memoised per key for
+        # blake2), bound once; rejects an unknown scheme.
+        self._pair = hashing.base_pair_function(hash_scheme)
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
         self.hash_scheme = hash_scheme
@@ -73,9 +74,6 @@ class BloomFilter:
     def _set_bit(self, index: int) -> None:
         self._bits[index >> 3] |= 1 << (index & 7)
 
-    def _get_bit(self, index: int) -> bool:
-        return bool(self._bits[index >> 3] & (1 << (index & 7)))
-
     # -- public API -----------------------------------------------------------
 
     def add(self, key: str) -> None:
@@ -93,7 +91,7 @@ class BloomFilter:
         bits = self._bits
         num_bits = self.num_bits
         hash_range = range(self.num_hashes)
-        pair = hashing.base_pair_function(self.hash_scheme)
+        pair = self._pair
         count = 0
         for key in keys:
             h1, h2 = pair(key)
@@ -106,20 +104,28 @@ class BloomFilter:
         self._count += count
 
     def contains(self, key: str) -> bool:
-        """Return ``True`` if ``key`` is possibly contained (no false negatives)."""
-        return all(
-            self._get_bit(position)
-            for position in hashing.positions(
-                key, self.num_hashes, self.num_bits, self.hash_scheme
-            )
-        )
+        """Return ``True`` if ``key`` is possibly contained (no false negatives).
+
+        One frame: the client SDK probes its EBF copy with this before every
+        read and query.
+        """
+        bits = self._bits
+        num_bits = self.num_bits
+        h1, h2 = self._pair(key)
+        h2 |= 1
+        for _ in range(self.num_hashes):
+            position = h1 % num_bits
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+            h1 += h2
+        return True
 
     def contains_all(self, keys: Sequence[str]) -> List[bool]:
         """Batch membership test: one ``bool`` per key, in input order."""
         bits = self._bits
         num_bits = self.num_bits
         hash_range = range(self.num_hashes)
-        pair = hashing.base_pair_function(self.hash_scheme)
+        pair = self._pair
         results: List[bool] = []
         append = results.append
         for key in keys:

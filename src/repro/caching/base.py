@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Optional, Sequence
 
 from repro.caching.entry import CacheEntry
 from repro.caching.stats import CacheStatistics
@@ -40,16 +40,18 @@ class WebCache:
 
     def lookup(self, key: str) -> Optional[CacheEntry]:
         """Return the fresh entry for ``key`` or ``None`` (counts hit/miss)."""
-        entry = self._entries.get(key)
+        entries = self._entries
+        stats = self.stats
+        entry = entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            stats.misses += 1
             return None
-        if not entry.is_fresh(self._clock.now()):
-            self.stats.misses += 1
-            self.stats.stale_hits += 1
+        if self._clock.now() >= entry.stored_at + entry.ttl:  # not entry.is_fresh(now)
+            stats.misses += 1
+            stats.stale_hits += 1
             return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
+        entries.move_to_end(key)
+        stats.hits += 1
         return entry
 
     def peek(self, key: str) -> Optional[CacheEntry]:
@@ -84,22 +86,38 @@ class WebCache:
         self._insert(key, entry)
         return entry
 
-    def store_fresh(self, key: str, body: Any, etag: Optional[str], ttl: float) -> Optional[CacheEntry]:
-        """Fast-path store of an already-cacheable payload under ``ttl``.
+    def restamp(self, entries: Sequence[CacheEntry], ttl: float) -> None:
+        """Re-store a batch of entries this cache owns, fresh for ``ttl`` from now.
 
-        Equivalent to wrapping ``body`` in a cacheable 200 :class:`Response`
-        with ``max-age=ttl`` and calling :meth:`store`, minus the Response
-        and Cache-Control object construction.  Callers that mint many
-        entries per operation (the SDK's object-list record side-caching)
-        use this; anything carrying real header semantics goes through
-        :meth:`store`.  Note the TTL is applied as-is -- the shared/private
-        distinction was already resolved by the caller.
+        The SDK's object-list side-caching: every serve of a query result
+        re-stores its member records, and the entries of one result version
+        are built once and restamped here on each re-serve.  The outcome --
+        map content, LRU order, evictions, ``stats`` -- is exactly that of
+        storing a new entry per member in sequence order, minus the entry
+        construction and a clock read per member.  A non-positive ``ttl``
+        stores nothing, so a negative one never reaches an entry.
+
+        Ownership: the entries are *mutated* (``stored_at`` / ``ttl``), so
+        they must be private to this cache and its caller.  Nothing else may
+        hold one: an entry leaves a cache for another only as a
+        :meth:`CacheEntry.refreshed` copy.
         """
         if ttl <= 0:
-            return None
-        entry = CacheEntry(key=key, body=body, etag=etag, stored_at=self._clock.now(), ttl=ttl)
-        self._insert(key, entry)
-        return entry
+            return
+        now = self._clock.now()
+        store = self._entries
+        move_to_end = store.move_to_end
+        max_entries = self._max_entries
+        for entry in entries:
+            key = entry.key
+            entry.stored_at = now
+            entry.ttl = ttl
+            store[key] = entry
+            move_to_end(key)
+            if max_entries is not None and len(store) > max_entries:
+                store.popitem(last=False)
+                self.stats.evictions += 1
+        self.stats.stores += len(entries)
 
     def store_entry(self, entry: CacheEntry) -> None:
         """Store a pre-built entry (used by 304 refresh paths)."""

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.caching.base import WebCache
+from repro.caching.entry import CacheEntry
 from repro.caching.invalidation import InvalidationCache
 from repro.rest.messages import Response
 
@@ -49,12 +50,14 @@ OriginFunction = Callable[[str], Response]
 ORIGIN_LEVEL = "origin"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FetchResult:
-    """Outcome of a hierarchy fetch.
+    """Outcome of a hierarchy fetch (one is minted per request).
 
-    ``__slots__`` (one instance is minted per simulated read) while staying a
-    frozen dataclass: hashable, immutable, value-compared.
+    Value-compared and slotted, but deliberately not ``frozen``: a frozen
+    dataclass assigns every field through ``object.__setattr__``, which
+    makes constructing one several times dearer than everything else a
+    first-level cache hit does.  Treat instances as read-only.
     """
 
     key: str
@@ -122,40 +125,23 @@ class CacheHierarchy:
             Force the request through to the origin regardless of cache
             freshness (used for strong consistency / linearizable reads).
         """
-        plan = self._serve_plan
-        hit_index = -1
-        hit_entry = None
         if not bypass_all_caches:
-            # The request races past every cache when bypassing; otherwise it
-            # walks the prebound plan until a servable fresh entry answers.
-            for index, (_name, cache, serves_revalidation) in enumerate(plan):
-                if revalidate and not serves_revalidation:
-                    # Expiration-based caches are bypassed but will be
-                    # refreshed by the response on its way back to the client.
-                    continue
-                entry = cache.lookup(key)
-                if entry is not None:
-                    hit_index = index
-                    hit_entry = entry
-                    break
+            # Walk the prebound plan and answer from inside the loop: a hit
+            # at the first level is one lookup and one result, nothing else.
+            for index, (name, cache, serves_revalidation) in enumerate(self._serve_plan):
+                # Under revalidation, expiration-based caches are bypassed
+                # for serving; the response refreshes them on its way back.
+                if serves_revalidation or not revalidate:
+                    entry = cache.lookup(key)
+                    if entry is not None:
+                        if index:
+                            self._refresh_downstream(self._levels[:index], entry)
+                        return FetchResult(key, entry.body, entry.etag, name, revalidate)
 
-        if hit_entry is None:
-            response = self._origin(key)
-            result_body, result_etag = response.body, response.etag
-            level = ORIGIN_LEVEL
-            self._populate(self._levels, key, response)
-        else:
-            hit_name, hit_cache, _serves = plan[hit_index]
-            result_body, result_etag = hit_entry.body, hit_entry.etag
-            level = hit_name
-            self._refresh_downstream(self._levels[:hit_index], key, hit_cache)
-
+        response = self._origin(key)
+        self._populate(self._levels, key, response)
         return FetchResult(
-            key,
-            result_body,
-            result_etag,
-            level,
-            revalidate or bypass_all_caches,
+            key, response.body, response.etag, ORIGIN_LEVEL, revalidate or bypass_all_caches
         )
 
     # -- purging -----------------------------------------------------------------------
@@ -181,13 +167,8 @@ class CacheHierarchy:
             cache.store(key, response)
 
     @staticmethod
-    def _refresh_downstream(
-        downstream: List[Tuple[str, WebCache]], key: str, source: WebCache
-    ) -> None:
+    def _refresh_downstream(downstream: List[Tuple[str, WebCache]], entry: CacheEntry) -> None:
         """Copy the hit entry into the caches between the client and the hit level."""
-        entry = source.peek(key)
-        if entry is None:
-            return
         for _name, cache in downstream:
             # Downstream copies inherit the upstream entry's absolute expiry so
             # a client-cache copy never outlives the CDN copy it came from.

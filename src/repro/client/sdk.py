@@ -10,12 +10,13 @@ opt-in causal/strong consistency levels described in Section 3.2 of the paper.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bloom.bloom_filter import BloomFilter
+from repro.caching.entry import CacheEntry
 from repro.caching.expiration import ExpirationCache
-from repro.caching.hierarchy import CacheHierarchy, FetchResult, ORIGIN_LEVEL
+from repro.caching.hierarchy import CacheHierarchy, ORIGIN_LEVEL
 from repro.caching.invalidation import InvalidationCache
 from repro.clock import Clock
 from repro.client.freshness import FreshnessPolicy
@@ -46,6 +47,10 @@ ERROR_LEVEL = "error"
 #: degraded marker.
 DEGRADED_LEVEL = "stale-if-error"
 
+_OBJECT_LIST = ResultRepresentation.OBJECT_LIST.value
+#: Result versions whose member entries stay prepared (see _cache_result_records).
+_PREPARED_RESULTS = 4096
+
 
 @dataclass(slots=True)
 class ClientResult:
@@ -58,14 +63,10 @@ class ClientResult:
     version: Optional[int] = None
     revalidated: bool = False
     #: Levels of any additional per-record fetches (id-list assembly).
-    extra_levels: List[str] = field(default_factory=list)
+    extra_levels: Sequence[str] = ()
     #: True when served under stale-if-error: the value is *known* expired,
     #: surfaced only because the authoritative path was unavailable.
     degraded: bool = False
-
-    @property
-    def served_by_cache(self) -> bool:
-        return self.level not in (ORIGIN_LEVEL,)
 
 
 class QuaestorClient:
@@ -148,17 +149,17 @@ class QuaestorClient:
         self._server_replica_reads = bool(getattr(server, "supports_replica_reads", False))
         self._origin_read_context: tuple = (consistency, None)
         self._causal_frontier = 0.0
-        # Interned per-level counter names so the per-read accounting does
-        # not build an f-string per operation.
-        self._hit_counter_names: Dict[str, str] = {}
-        # Prepared member-record entries per (collection, result etag, member
-        # order): the etag pins the exact member ids and versions (and the id
-        # tuple their served order), so the rendered keys, record etags and
-        # bodies of an unchanged object-list result can be re-stored without
-        # re-deriving them (see _cache_result_records).  LRU-bounded so
-        # superseded result versions age out instead of pinning their
-        # documents until a wholesale clear.
-        self._prepared_records: "OrderedDict[tuple, list]" = OrderedDict()
+        # Per-level hit counter names, fixed with the hierarchy.
+        self._hit_counter_names: Dict[str, str] = {
+            level: f"hits_{level}" for level in (*self._hierarchy.level_names, ORIGIN_LEVEL)
+        }
+        # Prepared member entries per (collection, result etag) -> (served id
+        # list, entries): the etag pins the member ids and versions, the id
+        # list their served order.  The entries are private to this client's
+        # cache and are restamped on every re-serve (see
+        # _cache_result_records).  LRU-bounded so superseded result versions
+        # age out instead of pinning their documents.
+        self._prepared_records: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # -- connection / EBF management -----------------------------------------------------
 
@@ -230,10 +231,10 @@ class QuaestorClient:
         document_id: str,
         consistency: Optional[ConsistencyLevel] = None,
     ) -> ClientResult:
-        self.counters.increment("reads")
+        self.counters.counts["reads"] += 1
         key = record_key(collection, document_id)
         level_consistency = consistency if consistency is not None else self.consistency
-        refresh_due = self.use_ebf and self.freshness.needs_refresh(self.now())
+        refresh_due = self.use_ebf and self.freshness.needs_refresh(self._clock.now())
 
         if self._server_replica_reads:
             # Only replicated servers consume the routing hints; keep the
@@ -245,23 +246,33 @@ class QuaestorClient:
                 else None,
             )
         result = self._fetch(key, level_consistency, refresh_due)
-        if (
-            isinstance(result.value, dict)
-            and result.value.get("error") == "unavailable"
-        ):
-            # Structured 503 from a replicated cluster: the shard cannot
-            # serve this read at the requested level right now.  The failed
-            # round trip must not whitelist the key or touch session state.
-            if refresh_due:
-                self.refresh_bloom_filter()
-            degraded = self._stale_if_error(key)
-            if degraded is not None:
-                return degraded
-            return self._unavailable_result(key, "reads")
-        document, version = self._unpack_record(result)
+        document = result.value
+        version = None
+        if isinstance(document, dict):
+            if "error" in document and document["error"] == "unavailable":
+                # Structured 503 from a replicated cluster: the shard cannot
+                # serve this read at the requested level right now.  The failed
+                # round trip must not whitelist the key or touch session state.
+                if refresh_due:
+                    self.refresh_bloom_filter()
+                degraded = self._stale_if_error(key)
+                if degraded is not None:
+                    return degraded
+                return self._unavailable_result(key, "reads")
+            if "document" in document:
+                # A record body: unwrap it into the result.
+                version = result.version = document.get("version")
+                document = result.value = document.get("document")
 
-        result = self._enforce_monotonic_reads(key, result, document, version)
-        document, version = self._unpack_record(result)
+        session = self.session
+        if version is not None and session.is_regression(key, version):
+            # Monotonic reads: never expose a version older than one this
+            # session has already seen.
+            self.counters.increment("monotonic_read_fallbacks")
+            version, document = session.monotonic_fallback(key)
+            result = ClientResult(
+                key, document, SESSION_LEVEL, result.etag, version, result.revalidated
+            )
 
         if refresh_due:
             # The promoted revalidation piggybacks a fresh EBF copy; refresh it
@@ -271,8 +282,9 @@ class QuaestorClient:
         if result.revalidated or result.level == ORIGIN_LEVEL:
             self.whitelist.add(key)
         if version is not None:
-            self.session.observe_read(key, version, document)
-        self._update_causal_state(result, level_consistency)
+            session.observe_read(key, version, document)
+        if level_consistency is ConsistencyLevel.CAUSAL:
+            self._update_causal_state(result.level)
         return result
 
     def query(
@@ -290,15 +302,18 @@ class QuaestorClient:
         query: Query,
         consistency: Optional[ConsistencyLevel] = None,
     ) -> ClientResult:
-        self.counters.increment("queries")
+        counts = self.counters.counts
+        counts["queries"] += 1
         key = query.cache_key
         self._known_queries[key] = query
         level_consistency = consistency if consistency is not None else self.consistency
-        refresh_due = self.use_ebf and self.freshness.needs_refresh(self.now())
+        refresh_due = self.use_ebf and self.freshness.needs_refresh(self._clock.now())
 
+        # The fetch's result is the query's: only its value (and the markers
+        # of a partial answer) are filled in below.
         result = self._fetch(key, level_consistency, refresh_due)
         body = result.value if isinstance(result.value, dict) else {}
-        if body.get("error") == "unavailable":
+        if "error" in body and body["error"] == "unavailable":
             # Every shard primary is down: total scatter unavailability.
             if refresh_due:
                 self.refresh_bloom_filter()
@@ -310,42 +325,33 @@ class QuaestorClient:
         # state.
         degraded = "shard_errors" in body
         if degraded:
-            self.counters.increment("degraded_queries")
-        representation = body.get("representation", ResultRepresentation.OBJECT_LIST.value)
+            counts["degraded_queries"] += 1
 
-        if representation == ResultRepresentation.OBJECT_LIST.value:
-            documents = body.get("documents", [])
-            self._cache_result_records(query.collection, body, result_etag=result.etag)
-            value: Any = documents
-            extra_levels: List[str] = []
+        if body.get("representation", _OBJECT_LIST) == _OBJECT_LIST:
+            result.value = body.get("documents", [])
+            self._cache_result_records(query.collection, body, result.etag)
         else:
-            documents, extra_levels = self._assemble_id_list(query.collection, body.get("ids", []))
-            value = documents
-            if ERROR_LEVEL in extra_levels:
+            result.value, result.extra_levels = self._assemble_id_list(
+                query.collection, body.get("ids", [])
+            )
+            if ERROR_LEVEL in result.extra_levels:
                 # A member record could not be served (its shard is down):
                 # the assembled result is partial and must be treated like a
                 # degraded merge -- served, but never whitelisted as fresh
                 # and never advancing causal state.
                 degraded = True
-                self.counters.increment("degraded_queries")
+                counts["degraded_queries"] += 1
+        result.degraded = degraded
 
-        final = ClientResult(
-            key=key,
-            value=value,
-            level=result.level,
-            etag=result.etag,
-            revalidated=result.revalidated,
-            extra_levels=extra_levels,
-            degraded=degraded,
-        )
         if refresh_due:
             # Refresh before whitelisting so the revalidated result stays
             # whitelisted until the next EBF renewal (see read()).
             self.refresh_bloom_filter()
         if not degraded:
-            if final.revalidated or final.level == ORIGIN_LEVEL:
+            if result.revalidated or result.level == ORIGIN_LEVEL:
                 self.whitelist.add(key)
-            self._update_causal_state(final, level_consistency)
+            if level_consistency is ConsistencyLevel.CAUSAL:
+                self._update_causal_state(result.level)
         elif level_consistency is ConsistencyLevel.CAUSAL:
             # The partial merge still delivered origin-fresh documents from
             # the surviving shards; causal order demands subsequent reads
@@ -353,7 +359,7 @@ class QuaestorClient:
             # deliberately not advanced -- a partial result is not evidence
             # that replicas have caught up to anything.
             self._causal_revalidate = True
-        return final
+        return result
 
     # -- writes -------------------------------------------------------------------------------
 
@@ -440,40 +446,38 @@ class QuaestorClient:
     def _fetch(
         self, key: str, consistency: ConsistencyLevel, refresh_due: bool
     ) -> ClientResult:
+        """One request through the cascade: EBF -> client cache -> CDN -> origin.
+
+        Decides whether the load must be a revalidation (strong read, EBF
+        refresh due, causal session that saw newer state, or the EBF flags
+        the key and it is not whitelisted), fetches through the hierarchy and
+        accounts the serving level.
+        """
+        counts = self.counters.counts
         bypass_all = consistency.always_revalidates
-        revalidate = (
-            bypass_all
-            or refresh_due
-            or self._causal_revalidate
-            or self._is_potentially_stale(key)
-        )
-        if revalidate and not bypass_all:
-            self.counters.increment("revalidations")
-        fetch = self._hierarchy.fetch(key, revalidate=revalidate, bypass_all_caches=bypass_all)
-        names = self._hit_counter_names
-        counter_name = names.get(fetch.level)
-        if counter_name is None:
-            counter_name = names.setdefault(fetch.level, f"hits_{fetch.level}")
-        self.counters.increment(counter_name)
+        if bypass_all:
+            revalidate = True
+        else:
+            bloom = self._bloom
+            revalidate = (
+                refresh_due
+                or self._causal_revalidate
+                or (
+                    bloom is not None
+                    and self.use_ebf
+                    and key not in self.whitelist
+                    and bloom.contains(key)
+                )
+            )
+            if revalidate:
+                counts["revalidations"] += 1
+        fetch = self._hierarchy.fetch(key, revalidate, bypass_all)
+        level = fetch.level
+        counts[self._hit_counter_names[level]] += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.event(
-                "sdk.fetch", level=fetch.level, revalidated=fetch.revalidated
-            )
-        return ClientResult(
-            key=key,
-            value=fetch.body,
-            level=fetch.level,
-            etag=fetch.etag,
-            revalidated=fetch.revalidated,
-        )
-
-    def _is_potentially_stale(self, key: str) -> bool:
-        if not self.use_ebf or self._bloom is None:
-            return False
-        if key in self.whitelist:
-            return False
-        return self._bloom.contains(key)
+            tracer.event("sdk.fetch", level=level, revalidated=fetch.revalidated)
+        return ClientResult(key, fetch.body, level, fetch.etag, None, fetch.revalidated)
 
     def potentially_stale(self, keys: Sequence[str]) -> List[bool]:
         """Batch staleness precheck: one flag per key, in input order.
@@ -517,39 +521,6 @@ class QuaestorClient:
 
     # -- internals: record handling ----------------------------------------------------------------------
 
-    @staticmethod
-    def _unpack_record(result: ClientResult) -> tuple:
-        body = result.value
-        if isinstance(body, dict) and "document" in body:
-            document = body.get("document")
-            version = body.get("version")
-            result.value = document
-            result.version = version
-            return document, version
-        return result.value, result.version
-
-    def _enforce_monotonic_reads(
-        self, key: str, result: ClientResult, document: Optional[Document], version: Optional[int]
-    ) -> ClientResult:
-        """Never expose a version older than one this session has already seen."""
-        if version is None:
-            return result
-        if self.session.newer_than_seen(key, version):
-            return result
-        self.counters.increment("monotonic_read_fallbacks")
-        fallback = self.session.monotonic_fallback(key)
-        if fallback is None:
-            return result
-        seen_version, seen_document = fallback
-        return ClientResult(
-            key=key,
-            value=seen_document,
-            level=SESSION_LEVEL,
-            etag=result.etag,
-            version=seen_version,
-            revalidated=result.revalidated,
-        )
-
     def _cache_result_records(
         self, collection: str, body: Dict[str, Any], result_etag: Optional[str] = None
     ) -> None:
@@ -559,61 +530,58 @@ class QuaestorClient:
         query result is cached, reads of its member records become client-cache
         hits as well.
 
-        Every serving of the result re-stores its member records (each store
-        restamps the entry's freshness window, which is behaviour the hit
-        rates depend on), but the *derived* values -- record keys, record
-        etags, entry bodies -- are pure functions of the member versions.
-        When ``result_etag`` is given it fingerprints exactly those versions,
-        so the derivation is memoized per (collection, result etag) and a
-        re-served unchanged result only pays for the stores themselves.
+        Every serving of the result re-stores its member records, in served
+        document order (it drives LRU recency in a bounded client cache), for
+        the ``record_ttl`` this serving carries.  What a store *is* -- record
+        key, etag, body, and the version the session observes -- is a pure
+        function of the member versions, which ``result_etag`` fingerprints.
+        So the member entries are built, and observed into the session, once
+        per result version; a re-serve only restamps them in one batch
+        (:meth:`~repro.caching.base.WebCache.restamp`).  Observing again
+        would be a no-op: the session already holds each member at this
+        version or a newer one.
         """
         record_ttl = body.get("record_ttl", 0.0) or 0.0
         if not self.use_client_cache or record_ttl <= 0:
             return
-        versions = body.get("record_versions", {})
-        documents = body.get("documents", [])
+        documents = body.get("documents")
         if not documents:
             return
-        # One store per member, without a Response or Cache-Control per
-        # record.  This loop runs for every member of every object-list query
-        # result, making it the single hottest client-side site in the
-        # simulator.
-        store_fresh = self.client_cache.store_fresh
-        observe_read = self.session.observe_read
-        memo = self._prepared_records
-        prepared = None
-        # The result etag fingerprints the member-version *set* only, while
-        # the stores below must run in the served body's document order (it
-        # drives LRU recency in a bounded client cache), so the body's id
-        # list -- always rendered in document order -- is part of the key.
         ids = body.get("ids")
-        memo_key = (
-            (collection, result_etag, tuple(ids))
-            if result_etag is not None and ids is not None
-            else None
-        )
-        if memo_key is not None:
+        memo = self._prepared_records
+        memo_key = prepared = None
+        if result_etag is not None and ids is not None:
+            memo_key = (collection, result_etag)
             prepared = memo.get(memo_key)
-            if prepared is not None:
-                memo.move_to_end(memo_key)
-        if prepared is None:
-            versions_get = versions.get
-            prepared = []
+        if prepared is not None and prepared[0] == ids:
+            memo.move_to_end(memo_key)
+            entries = prepared[1]
+        else:
+            # New result version (or the same members served in another
+            # order): build the entries, stamped by the restamp below.
+            versions_get = body.get("record_versions", {}).get
+            observe_read = self.session.observe_read
+            entries = []
             for document in documents:
                 document_id = str(document.get("_id", ""))
                 key = record_key(collection, document_id)
                 version = versions_get(document_id, 0)
-                etag = etag_for_version(collection, document_id, version)
-                prepared.append(
-                    (key, {"document": document, "version": version}, etag, version, document)
+                entries.append(
+                    CacheEntry(
+                        key,
+                        {"document": document, "version": version},
+                        etag_for_version(collection, document_id, version),
+                        0.0,
+                        record_ttl,
+                    )
                 )
+                observe_read(key, version, document)
             if memo_key is not None:
-                memo[memo_key] = prepared
-                if len(memo) > 4096:
+                memo[memo_key] = (ids, entries)
+                memo.move_to_end(memo_key)
+                if len(memo) > _PREPARED_RESULTS:
                     memo.popitem(last=False)
-        for key, record_body, etag, version, document in prepared:
-            store_fresh(key, record_body, etag, record_ttl)
-            observe_read(key, version, document)
+        self.client_cache.restamp(entries, record_ttl)
 
     def _assemble_id_list(self, collection: str, ids: List[str]) -> tuple:
         """Fetch each member record of an id-list result through the cache chain.
@@ -687,17 +655,16 @@ class QuaestorClient:
             # may only serve this session once they have applied it.
             self._causal_frontier = self.now()
 
-    def _update_causal_state(self, result: ClientResult, consistency: ConsistencyLevel) -> None:
-        if consistency is not ConsistencyLevel.CAUSAL:
-            return
+    def _update_causal_state(self, level: str) -> None:
+        """A causal session was served at ``level``."""
         # A read served by the origin or the CDN may be newer than the EBF
         # copy; until the next refresh, subsequent reads must revalidate to
         # preserve causal order (option 2 in Section 3.2).
-        if result.level in (ORIGIN_LEVEL, "cdn"):
+        if level == ORIGIN_LEVEL or level == "cdn":
             self._causal_revalidate = True
             # The session observed (potentially) primary-fresh state: lagging
             # replicas must catch up to this instant before serving it again.
-            self._causal_frontier = self.now()
+            self._causal_frontier = self._clock.now()
 
     # -- statistics -----------------------------------------------------------------------------------------
 

@@ -53,10 +53,10 @@ class ClientSession:
     def highest_seen_version(self, key: str) -> Optional[int]:
         return self._seen_versions.get(key)
 
-    def newer_than_seen(self, key: str, version: int) -> bool:
-        """Whether ``version`` is at least as new as anything seen before."""
+    def is_regression(self, key: str, version: int) -> bool:
+        """Whether ``version`` is older than one this session has already seen."""
         highest = self._seen_versions.get(key)
-        return highest is None or version >= highest
+        return highest is not None and version < highest
 
     def monotonic_fallback(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
         """The newest version/document this session has already observed."""

@@ -25,11 +25,8 @@ class DifferentialWhitelist:
         self._fresh_keys.add(key)
         self.additions += 1
 
-    def contains(self, key: str) -> bool:
-        return key in self._fresh_keys
-
     def __contains__(self, key: str) -> bool:
-        return self.contains(key)
+        return key in self._fresh_keys
 
     def reset(self) -> None:
         """Clear the whitelist (called whenever a new EBF copy arrives)."""

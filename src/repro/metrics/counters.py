@@ -7,10 +7,16 @@ from typing import Dict, Optional
 
 
 class Counter:
-    """A named group of integer counters."""
+    """A named group of integer counters.
+
+    ``counts`` is the live name -> value mapping (missing names read 0).
+    Per-operation paths that only ever add one (``counts[name] += 1``) use it
+    directly; anything that can subtract goes through :meth:`increment`,
+    which guards the floor.
+    """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = defaultdict(int)
+        self.counts: Dict[str, int] = defaultdict(int)
 
     def increment(self, name: str, amount: int = 1) -> int:
         """Increase ``name`` by ``amount`` and return the new value.
@@ -20,30 +26,30 @@ class Counter:
         Values that legitimately fall (queue depths, in-flight requests)
         belong in :class:`repro.obs.Gauge` instead.
         """
-        new_value = self._counts[name] + amount
+        new_value = self.counts[name] + amount
         if new_value < 0:
             raise ValueError(
                 f"counter {name!r} cannot go below zero "
-                f"(value={self._counts[name]}, amount={amount}); "
+                f"(value={self.counts[name]}, amount={amount}); "
                 f"use a gauge for values that fall"
             )
-        self._counts[name] = new_value
+        self.counts[name] = new_value
         return new_value
 
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 
     def __repr__(self) -> str:
-        return f"Counter({dict(self._counts)!r})"
+        return f"Counter({dict(self.counts)!r})"
 
 
 class ThroughputWindow:

@@ -70,4 +70,4 @@ def clear_etag_caches() -> None:
 
 def weak_compare(left: str, right: str) -> bool:
     """Weak comparison: equal ignoring the ``W/`` prefix."""
-    return left.lstrip("W/") == right.lstrip("W/")
+    return left.removeprefix("W/") == right.removeprefix("W/")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro import perf
 from repro.caching.invalidation import InvalidationCache
 from repro.clock import VirtualClock
 from repro.client.sdk import DEGRADED_LEVEL, ERROR_LEVEL, QuaestorClient, SESSION_LEVEL
@@ -357,6 +356,12 @@ class Simulator:
             )
             self.fault_injector.arm()
 
+        #: The cluster's resilience runtime, whose per-request trace is priced
+        #: into latency; ``None`` on single servers and with the layer off.
+        self._resilience_runtime = (
+            self.cluster.resilience_runtime if self.cluster is not None else None
+        )
+
         self.cdn: Optional[InvalidationCache] = None
         if config.mode.uses_cdn:
             self.cdn = InvalidationCache("cdn", self.clock)
@@ -403,6 +408,12 @@ class Simulator:
         # scale-out).  Slots are keyed by node id and created on first use;
         # the single-server deployment uses the one token ``0``.
         self._client_next_slot = [0.0] * config.num_clients
+        self._client_issue_interval = 1.0 / config.client_instance_capacity
+        # One prebound event action per client instance: every connection of
+        # a client reschedules the same callable.
+        self._client_actions = [
+            partial(self._execute_operation, index) for index in range(config.num_clients)
+        ]
         self._origin_next_slot: Dict[object, float] = {}
         self._extra_fetch_rr = 0
 
@@ -410,6 +421,11 @@ class Simulator:
         self.read_latency = Histogram("read")
         self.query_latency = Histogram("query")
         self.write_latency = Histogram("write")
+        self._latency_by_class = {
+            "read": self.read_latency,
+            "query": self.query_latency,
+            "write": self.write_latency,
+        }
         self.level_counts: Dict[str, Counter] = {
             "read": Counter(),
             "query": Counter(),
@@ -482,11 +498,10 @@ class Simulator:
             return
         self._started = True
         uniform = self.rng.uniform
-        execute = self._execute_operation
         self.events.schedule_many(
             (
-                (uniform(0.0, 0.01), partial(execute, client_index))
-                for client_index in range(self.config.num_clients)
+                (uniform(0.0, 0.01), action)
+                for action in self._client_actions
                 for _ in range(self.config.connections_per_client)
             ),
             label="op",
@@ -573,37 +588,29 @@ class Simulator:
             return None
         return self.metrics_registry.state()
 
-    # -- workload buffering ---------------------------------------------------------------------
-
-    def _next_workload_operation(self) -> Operation:
-        """Next operation, sampled through the generator's chunked batch API."""
-        if not perf.FAST_PATHS:
-            return self.workload.next_operation()
-        cursor = self._op_cursor
-        buffer = self._op_buffer
-        if cursor >= len(buffer):
-            buffer = self._op_buffer = self.workload.next_operations(self._op_chunk)
-            cursor = 0
-        self._op_cursor = cursor + 1
-        return buffer[cursor]
-
     # -- per-connection behaviour -------------------------------------------------------------
-
-    def _client_wait(self, client_index: int) -> float:
-        """Queueing delay at the client instance (its request-issue capacity)."""
-        now = self.clock.now()
-        next_slot = self._client_next_slot[client_index]
-        wait = max(0.0, next_slot - now)
-        self._client_next_slot[client_index] = (
-            max(now, next_slot) + 1.0 / self.config.client_instance_capacity
-        )
-        return wait
 
     def _execute_operation(self, client_index: int) -> None:
         client = self.clients[client_index]
-        operation = self._next_workload_operation()
+        # Next operation off the sampled-ahead buffer; refilled through the
+        # generator's chunked batch API.
+        cursor = self._op_cursor
+        try:
+            operation = self._op_buffer[cursor]
+        except IndexError:
+            self._op_buffer = self.workload.next_operations(self._op_chunk)
+            cursor = 0
+            operation = self._op_buffer[0]
+        self._op_cursor = cursor + 1
         start_time = self.clock.now()
-        issue_wait = self._client_wait(client_index)
+        # Queueing delay at the client instance (its request-issue capacity).
+        next_slot = self._client_next_slot[client_index]
+        if next_slot > start_time:
+            issue_wait = next_slot - start_time
+            self._client_next_slot[client_index] = next_slot + self._client_issue_interval
+        else:
+            issue_wait = 0.0
+            self._client_next_slot[client_index] = start_time + self._client_issue_interval
 
         recording = self.history is not None
         if recording:
@@ -645,8 +652,8 @@ class Simulator:
         measured = self._measure_start_time is not None
         if measured:
             self._measured_operations += 1
-            self._record_metrics(op_class, latency)
-            self.level_counts[op_class].increment(level)
+            self._latency_by_class[op_class].record(latency)
+            self.level_counts[op_class].counts[level] += 1
             if registry is not None:
                 registry.inc("sim_operations_total", op=op_class, level=level)
                 registry.observe("sim_request_latency_seconds", latency, op=op_class)
@@ -658,16 +665,14 @@ class Simulator:
                 audit = self.auditor.audit_read(
                     key, etag, start_time, degraded=(level == DEGRADED_LEVEL)
                 )
-                stale_counts = self._stale_counts
+                stale_counts = self._stale_counts.counts
                 if audit.stale:
-                    stale_counts.increment("stale_read" if op_class == "read" else "stale_query")
+                    stale_counts["stale_read" if op_class == "read" else "stale_query"] += 1
                     if registry is not None:
                         registry.inc("sim_stale_reads_total", op=op_class)
                 if audit.degraded:
-                    stale_counts.increment("degraded_served")
-                stale_counts.increment(
-                    "audited_read" if op_class == "read" else "audited_query"
-                )
+                    stale_counts["degraded_served"] += 1
+                stale_counts["audited_read" if op_class == "read" else "audited_query"] += 1
 
         if recording:
             hedged, retried, fast_failed = self._op_markers
@@ -690,33 +695,36 @@ class Simulator:
                 fast_failed=fast_failed,
             )
 
-        self.events.schedule(
-            completion, partial(self._execute_operation, client_index), label="op"
-        )
+        self.events.schedule(completion, self._client_actions[client_index], label="op")
 
     def _perform(self, client: QuaestorClient, operation: Operation):
         """Execute one operation and derive its latency from the serving level."""
         topology = self.config.topology
-        if operation.type == OperationType.QUERY:
+        operation_type = operation.type
+        if operation_type == OperationType.QUERY:
             result = client.query(operation.query)
-            latency = self._read_path_latency(result.level, result.key)
+            level = result.level
+            latency = self._read_path_latency(level, result.key)
             for extra_level in result.extra_levels:
                 latency += self._read_path_latency(extra_level, None)
-            latency = self._drain_resilience(latency, result.level)
-            return latency, "query", result.key, result.etag, result.level, result
+            if self._resilience_runtime is not None:
+                latency = self._drain_resilience(latency, level)
+            return latency, "query", result.key, result.etag, level, result
 
-        if operation.type == OperationType.READ:
+        if operation_type == OperationType.READ:
             result = client.read(operation.collection, operation.document_id)
-            latency = self._read_path_latency(result.level, result.key)
-            latency = self._drain_resilience(latency, result.level)
-            return latency, "read", result.key, result.etag, result.level, result
+            level = result.level
+            latency = self._read_path_latency(level, result.key)
+            if self._resilience_runtime is not None:
+                latency = self._drain_resilience(latency, level)
+            return latency, "read", result.key, result.etag, level, result
 
         # Writes always travel to the origin (the owning shard's primary) and
         # pay its capacity constraint.
         write_token = self._write_token(operation)
-        if operation.type == OperationType.UPDATE:
+        if operation_type == OperationType.UPDATE:
             result = client.update(operation.collection, operation.document_id, operation.payload)
-        elif operation.type == OperationType.INSERT:
+        elif operation_type == OperationType.INSERT:
             result = client.insert(operation.collection, operation.payload)
         else:
             result = client.delete(operation.collection, operation.document_id)
@@ -855,10 +863,10 @@ class Simulator:
         point of the breaker).  No-op -- zero draws, zero float ops -- when
         the trace is empty, which it always is on no-fault runs.
         """
-        cluster = self.cluster
-        if cluster is None or cluster.resilience_runtime is None:
+        runtime = self._resilience_runtime
+        if runtime is None:
             return latency
-        trace = cluster.resilience_runtime.take_trace()
+        trace = runtime.take_trace()
         if trace.empty:
             return latency
         if self.history is not None:
@@ -956,14 +964,6 @@ class Simulator:
         wait = max(0.0, slot - now)
         self._origin_next_slot[token] = max(now, slot) + 1.0 / self.config.origin_capacity
         return wait
-
-    def _record_metrics(self, op_class: str, latency: float) -> None:
-        if op_class == "read":
-            self.read_latency.record(latency)
-        elif op_class == "query":
-            self.query_latency.record(latency)
-        else:
-            self.write_latency.record(latency)
 
     # -- result aggregation -------------------------------------------------------------------------
 

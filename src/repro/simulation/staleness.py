@@ -14,9 +14,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadAudit:
-    """Verdict for a single audited read (``__slots__``: one per audited read)."""
+    """Verdict for a single audited read.
+
+    One is minted per audited read, so it is slotted and -- like
+    :class:`~repro.caching.hierarchy.FetchResult` -- not ``frozen`` (which
+    would assign each of the seven fields through ``object.__setattr__``).
+    Treat instances as read-only.
+    """
 
     key: str
     read_time: float
@@ -48,7 +54,11 @@ class StalenessAuditor:
     # -- write side ----------------------------------------------------------------
 
     def record_version(self, key: str, version: str, timestamp: float) -> None:
-        """Record that ``key``'s authoritative content became ``version`` at ``timestamp``."""
+        """Record that ``key``'s authoritative content became ``version`` at ``timestamp``.
+
+        Installs arrive in clock order: along a key's history timestamps
+        never decrease (equal ones are fine), which the lookups rely on.
+        """
         history = self._history.setdefault(key, [])
         if history and history[-1][1] == version:
             return
@@ -61,13 +71,13 @@ class StalenessAuditor:
             return None
         if at_time is None:
             return history[-1][1]
-        current: Optional[str] = None
-        for timestamp, version in history:
+        # Timestamps never decrease along the append-only history, so the
+        # newest entry at or before ``at_time`` is found from the newest end
+        # -- audits ask about "now", where that is the first one tried.
+        for timestamp, version in reversed(history):
             if timestamp <= at_time:
-                current = version
-            else:
-                break
-        return current
+                return version
+        return None
 
     # -- read side -------------------------------------------------------------------
 
@@ -90,7 +100,17 @@ class StalenessAuditor:
         self.reads_audited += 1
         if degraded:
             self.degraded_reads += 1
-        history = self._history.get(key, [])
+        history = self._history.get(key, ())
+        if history:
+            installed_at, newest = history[-1]
+            if newest == observed_version and installed_at <= read_time:
+                # The common case, decided without scanning: the read returned
+                # the newest version, and that version was already installed
+                # when the read began -- so it is also the expected one and
+                # nothing superseded it.  Anything else (older or unknown
+                # version, or one installed only after the read began) gets
+                # the full verdict below.
+                return ReadAudit(key, read_time, False, 0.0, newest, newest, degraded)
         expected = self.current_version(key, read_time)
 
         if observed_version is None or not history:

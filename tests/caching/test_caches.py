@@ -109,33 +109,63 @@ class TestExpirationCache:
         assert cache.stats.misses == 0
 
 
-class TestStoreFresh:
-    def test_store_fresh_matches_store_of_a_cacheable_response(self, clock):
-        """The fast path mints the same entry a cacheable 200 would produce."""
+def _entry(key, body=1, etag=None):
+    return CacheEntry(key=key, body=body, etag=etag, stored_at=0.0, ttl=1.0)
+
+
+class TestRestamp:
+    def test_restamp_matches_store_of_a_cacheable_response(self, clock):
+        """A restamped entry is the entry a cacheable 200 would produce."""
         via_response = ExpirationCache("slow", clock)
-        via_fast = ExpirationCache("fast", clock)
+        via_batch = ExpirationCache("batch", clock)
         clock.advance(3.0)
-        slow_entry = via_response.store(
+        stored = via_response.store(
             "k", Response.ok({"document": {"a": 1}}, ttl=7.0, etag='"e"')
         )
-        fast_entry = via_fast.store_fresh("k", {"document": {"a": 1}}, '"e"', 7.0)
-        assert fast_entry == slow_entry
-        assert via_fast.lookup("k").body == via_response.lookup("k").body
+        via_batch.restamp([_entry("k", {"document": {"a": 1}}, '"e"')], 7.0)
+        assert via_batch.peek("k") == stored
+        assert via_batch.lookup("k").body == via_response.lookup("k").body
+        assert via_batch.stats.stores == 1
 
-    def test_store_fresh_rejects_non_positive_ttl(self, clock):
+    def test_restamp_stores_nothing_for_a_non_positive_ttl(self, clock):
         cache = ExpirationCache("c", clock)
-        assert cache.store_fresh("k", 1, None, 0.0) is None
-        assert cache.store_fresh("k", 1, None, -1.0) is None
+        entry = _entry("k")
+        cache.restamp([entry], 0.0)
+        cache.restamp([entry], -1.0)
         assert "k" not in cache
+        assert cache.stats.stores == 0
+        # A negative TTL never reaches the entry either.
+        assert entry.ttl == 1.0
 
-    def test_store_fresh_respects_lru_bound(self, clock):
+    def test_restamp_respects_lru_bound_like_single_stores(self, clock):
         cache = ExpirationCache("c", clock, max_entries=2)
-        cache.store_fresh("a", 1, None, 10.0)
-        cache.store_fresh("b", 2, None, 10.0)
-        cache.store_fresh("c", 3, None, 10.0)
+        cache.restamp([_entry("a"), _entry("b"), _entry("c")], 10.0)
         assert "a" not in cache
         assert "b" in cache and "c" in cache
         assert cache.stats.evictions == 1
+        # Re-storing an evicted key mid-batch evicts again, exactly as three
+        # single stores would: b, c | a -> c, a | b -> a, b | c -> b, c.
+        cache.restamp([_entry("a"), _entry("b"), _entry("c")], 10.0)
+        assert list(cache._entries) == ["b", "c"]
+        assert cache.stats.evictions == 4
+        assert cache.stats.stores == 6
+
+    def test_restamp_applies_the_ttl_of_each_call(self, clock):
+        cache = ExpirationCache("c", clock)
+        entries = [_entry("a"), _entry("b")]
+        cache.restamp(entries, 10.0)
+        clock.advance(4.0)
+        cache.restamp(entries, 2.5)
+        assert [cache.peek(key).fresh_until for key in ("a", "b")] == [6.5, 6.5]
+        clock.advance(2.5)
+        assert cache.lookup("a") is None
+
+    def test_restamp_moves_existing_keys_to_the_recent_end(self, clock):
+        cache = ExpirationCache("c", clock)
+        first, second = _entry("a"), _entry("b")
+        cache.restamp([first, second], 10.0)
+        cache.restamp([first], 10.0)
+        assert list(cache._entries) == ["b", "a"]
 
 
 class TestInvalidationCache:

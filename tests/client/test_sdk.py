@@ -7,8 +7,10 @@ import pytest
 from repro.caching import InvalidationCache
 from repro.client import QuaestorClient
 from repro.core import ConsistencyLevel, QuaestorConfig, QuaestorServer
+from repro.core.representation import object_list_body
 from repro.db import Query
 from repro.invalidb import InvaliDBCluster
+from repro.rest import Response
 
 
 @pytest.fixture
@@ -190,11 +192,52 @@ class TestPreparedRecordMemo:
         server = QuaestorServer(database)
         sdk = QuaestorClient(server, clock=clock, client_cache_max_entries=32)
         sdk.connect()
-        sdk.query(Query("posts", {"tags": "example"}, sort=[("views", 1)]))
-        served = sdk.query(Query("posts", {"tags": "example"}, sort=[("views", -1)]))
-        stored = [key for key in sdk.client_cache._entries if key.startswith("record:")]
-        assert stored == [f"record:posts/{document['_id']}" for document in served.value]
+        ascending = Query("posts", {"tags": "example"}, sort=[("views", 1)])
+        descending = Query("posts", {"tags": "example"}, sort=[("views", -1)])
+        assert sdk.query(ascending).etag == sdk.query(descending).etag
+        # Alternating serves (memo hit, miss on order, hit ...) each store in
+        # the order of the body just served.
+        for query in (descending, ascending, ascending, descending):
+            served = sdk.query(query)
+            stored = [key for key in sdk.client_cache._entries if key.startswith("record:")]
+            assert stored == [f"record:posts/{document['_id']}" for document in served.value]
         assert stored[0] == "record:posts/p18"
+
+    def test_a_re_served_result_version_applies_the_current_record_ttl(self, clock):
+        """The same result version can come back with another ``record_ttl``
+        (the TTL estimator moved in between); its members must be restamped
+        with the TTL of *this* serving, and a non-positive one stores nothing."""
+        documents = [{"_id": "a", "n": 1}, {"_id": "b", "n": 2}]
+        body = object_list_body(documents, {"a": 1, "b": 1}, record_ttl=10.0)
+
+        class Origin:
+            def handle_query(self, query):
+                return Response.ok(dict(body), ttl=50.0, etag='"result-v1"')
+
+        origin = Origin()
+        origin.clock = clock
+        sdk = QuaestorClient(origin, clock=clock, use_ebf=False)
+        query = Query("things", {})
+        strong = ConsistencyLevel.STRONG  # every serve comes from the origin
+
+        def member_expiries():
+            return [sdk.client_cache.peek(f"record:things/{name}").fresh_until for name in "ab"]
+
+        sdk.query(query, consistency=strong)
+        assert member_expiries() == [10.0, 10.0]
+        clock.advance(1.0)
+        body["record_ttl"] = 2.5
+        sdk.query(query, consistency=strong)
+        assert member_expiries() == [3.5, 3.5]
+        stores = sdk.client_cache.stats.stores
+        for unusable in (0.0, -4.0):
+            clock.advance(0.25)
+            body["record_ttl"] = unusable
+            sdk.query(query, consistency=strong)
+            assert member_expiries() == [3.5, 3.5]
+            assert sdk.client_cache.peek("record:things/a").ttl == 2.5
+        # Only the result itself was stored by those two serves.
+        assert sdk.client_cache.stats.stores == stores + 2
 
 
 class TestIdListAssembly:

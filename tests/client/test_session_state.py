@@ -12,7 +12,7 @@ class TestDifferentialWhitelist:
         whitelist = DifferentialWhitelist()
         whitelist.add("query:q")
         assert "query:q" in whitelist
-        assert whitelist.contains("query:q")
+        assert "query:other" not in whitelist
 
     def test_reset_clears_everything(self):
         whitelist = DifferentialWhitelist()
@@ -39,12 +39,12 @@ class TestClientSession:
         session.observe_read("record:posts/p1", 2, {"_id": "p1", "v": 2})
         assert session.highest_seen_version("record:posts/p1") == 3
 
-    def test_newer_than_seen(self):
+    def test_is_regression(self):
         session = ClientSession()
-        assert session.newer_than_seen("key", 1)
+        assert not session.is_regression("key", 1)
         session.observe_read("key", 5, None)
-        assert session.newer_than_seen("key", 5)
-        assert not session.newer_than_seen("key", 4)
+        assert not session.is_regression("key", 5)
+        assert session.is_regression("key", 4)
 
     def test_monotonic_fallback_returns_newest_copy(self):
         session = ClientSession()

@@ -44,6 +44,12 @@ class TestEtags:
         assert weak_compare(strong, "W/" + strong)
         assert not weak_compare(strong, etag_for({"a": 2}))
 
+    def test_weak_compare_strips_the_prefix_not_its_characters(self):
+        assert weak_compare('W/"x"', 'W/"x"')
+        assert not weak_compare('/"x"', '"x"')
+        assert not weak_compare('WW/"x"', '"x"')
+        assert not weak_compare('W/W/"x"', '"x"')
+
 
 class TestRequest:
     def test_is_read(self):
