@@ -7,10 +7,6 @@
 #   make bench-hotpaths-check - budget-mode run gated against the committed
 #                               BENCH_hotpaths.json (fails when a speedup
 #                               ratio collapses >3x)
-#   make bench-sim       - end-to-end simulator throughput; rewrites BENCH_sim.json
-#   make bench-sim-check - budget-mode run gated against the committed
-#                          BENCH_sim.json (fails when a speedup ratio
-#                          collapses >3x)
 #   make bench-replication       - replica-read scale-out + failover drills;
 #                                  rewrites BENCH_replication.json
 #   make bench-replication-check - budget-mode run gated against the committed
@@ -20,13 +16,8 @@
 #   make bench-ttl-check - budget-mode run gated against the committed
 #                          BENCH_ttl.json (fails when the winner's quality
 #                          score collapses >3x; deterministic, seeded)
-#   make bench-sim-parallel       - process-parallel scaling grid (workers=1/2/4/8,
-#                                   or SIM_WORKERS=N for a single count); parity
-#                                   against the serial oracle asserted before timing
-#   make bench-sim-parallel-check - budget-mode parallel grid gated on measured
-#                                   scaling floors (0.625x per usable worker;
-#                                   oversubscribed counts bounded)
-#   make sim-parallel-smoke       - oracle-parity + worker-invariance test subset
+#   make sim-parallel-smoke       - oracle-parity, worker-invariance and
+#                                   worker-failure tests of the partitioned engine
 #   make smoke-failover  - seeded crash+recover scenario must stay deterministic
 #   make bench-resilience        - availability/staleness chaos grid (resilience
 #                                  on vs off); rewrites BENCH_resilience.json
@@ -66,14 +57,13 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 # chain that silently rots when a file is renamed.
 GATED_BENCH := \
 	benchmarks/bench_hotpaths.py \
-	benchmarks/bench_sim_throughput.py \
 	benchmarks/bench_replication.py \
 	benchmarks/bench_ttl.py \
 	benchmarks/bench_resilience.py
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs docs-check
+.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -90,20 +80,8 @@ bench-hotpaths:
 bench-hotpaths-check:
 	$(PYTHON) benchmarks/bench_hotpaths.py --budget --check BENCH_hotpaths.json
 
-bench-sim:
-	$(PYTHON) benchmarks/bench_sim_throughput.py
-
-bench-sim-check:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --budget --check BENCH_sim.json
-
-bench-sim-parallel:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --no-write $(if $(SIM_WORKERS),--workers $(SIM_WORKERS))
-
-bench-sim-parallel-check:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --budget --check-parallel
-
 sim-parallel-smoke:
-	$(PYTEST) tests/simulation/test_parallel_parity.py tests/simulation/test_parallel_invariance.py -q
+	$(PYTEST) tests/simulation/test_parallel_parity.py tests/simulation/test_parallel_invariance.py tests/verify/test_parallel_history.py -q
 
 bench-replication:
 	$(PYTHON) benchmarks/bench_replication.py

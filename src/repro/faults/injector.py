@@ -207,22 +207,6 @@ class FaultInjector:
             if "time_to_recover" in entry
         ]
 
-    def summary(self) -> Dict[str, float]:
-        """Flat availability metrics for simulation/benchmark summaries.
-
-        Deliberately does *not* report a failover count: the cluster's
-        ``failovers`` counter is the single authoritative source (it also
-        covers promotions not driven by this injector).
-        """
-        recoveries = self.recovery_times()
-        summary: Dict[str, float] = {
-            "faults_injected": float(self.faults_fired),
-        }
-        if recoveries:
-            summary["mean_time_to_recover_s"] = sum(recoveries) / len(recoveries)
-            summary["max_time_to_recover_s"] = max(recoveries)
-        return summary
-
     def __repr__(self) -> str:
         return (
             f"FaultInjector(plan={self.plan.name!r}, events={len(self.plan)}, "

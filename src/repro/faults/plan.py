@@ -193,8 +193,8 @@ class FaultPlan:
         partition 1), so a sub-plan replays against a sub-cluster exactly as
         the global plan would against the whole fleet.  Events keep their
         relative order (plans are time-sorted), which is the canonical
-        ``(timestamp, seq, shard_id)`` application order of the epoch-barrier
-        merge.  PARTITION/HEAL links must not span partitions -- in the
+        ``(timestamp, seq, shard_id)`` order each partition's own event queue
+        applies them in.  PARTITION/HEAL links must not span partitions -- in the
         partitioned model, no replication link crosses a shard-group
         boundary.
         """

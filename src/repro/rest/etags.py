@@ -9,9 +9,7 @@ versions) so they change exactly when the cached representation changes.
 Because tags are pure functions of ``(collection, id, version)`` -- or, for
 query results, of the member-version mapping -- their rendering is memoized:
 a record that has not changed renders the identical string without paying the
-JSON canonicalisation again.  The caches are bypassed under
-:func:`repro.perf.legacy_hot_paths` so the throughput benchmark can measure
-the original rendering cost.
+JSON canonicalisation again.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import json
 from functools import lru_cache
 from typing import Any, Dict, Tuple
 
-from repro import perf
 from repro.bloom.hashing import stable_uint64
 
 
@@ -31,14 +28,8 @@ def etag_for(payload: Any) -> str:
 
 
 @lru_cache(maxsize=65_536)
-def _etag_for_version_cached(collection: str, document_id: str, version: int) -> str:
-    return etag_for({"c": collection, "id": document_id, "v": version})
-
-
 def etag_for_version(collection: str, document_id: str, version: int) -> str:
     """Etag for an individual record at a specific version."""
-    if perf.FAST_PATHS:
-        return _etag_for_version_cached(collection, document_id, version)
     return etag_for({"c": collection, "id": document_id, "v": version})
 
 
@@ -57,15 +48,7 @@ def etag_for_result(versions: Dict[str, int]) -> str:
     mapping, so an unchanged result re-served by the read pipeline skips the
     canonicalisation entirely.
     """
-    if perf.FAST_PATHS:
-        return _etag_for_result_cached(tuple(sorted(versions.items())))
-    return etag_for({"ids": sorted(versions), "versions": versions})
-
-
-def clear_etag_caches() -> None:
-    """Drop the memoized renderings (benchmark cold-start hygiene)."""
-    _etag_for_version_cached.cache_clear()
-    _etag_for_result_cached.cache_clear()
+    return _etag_for_result_cached(tuple(sorted(versions.items())))
 
 
 def weak_compare(left: str, right: str) -> bool:

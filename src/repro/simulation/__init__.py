@@ -11,6 +11,7 @@ clients against a full Quaestor deployment.
 
 from __future__ import annotations
 
+from repro.simulation.aggregate import RunAggregate
 from repro.simulation.event_queue import EventQueue, ScheduledEvent
 from repro.simulation.latency import LatencyModel, NetworkTopology, REGION_RTT_SECONDS
 from repro.simulation.staleness import ReadAudit, StalenessAuditor
@@ -20,9 +21,9 @@ from repro.simulation.simulator import (
     SimulationResult,
     Simulator,
 )
+from repro.simulation.pool import ParallelSimulationError
 from repro.simulation.parallel import (
     ParallelParityError,
-    ParallelSimulationError,
     ParallelSimulationResult,
     ParallelSimulator,
     PartitionJob,
@@ -41,6 +42,7 @@ __all__ = [
     "REGION_RTT_SECONDS",
     "ReadAudit",
     "StalenessAuditor",
+    "RunAggregate",
     "CachingMode",
     "SimulationConfig",
     "SimulationResult",

@@ -1,9 +1,8 @@
-"""Process-parallel simulation: shard-partitioned workers, deterministic merge.
+"""Process-parallel simulation: shard-partitioned jobs, deterministic merge.
 
 The single-process :class:`~repro.simulation.Simulator` executes every
-shard's events on one core.  This module scales the engine across worker
-*processes* (stdlib :mod:`multiprocessing`, spawn-safe) while keeping seeded
-results byte-for-byte reproducible:
+shard's events on one core.  This module spreads a run over worker
+*processes* while keeping seeded results byte-for-byte reproducible:
 
 **The partitioned model.**  A simulation with ``S`` shards is decomposed
 into ``P`` partitions (``P`` divides ``S``; by default one partition per
@@ -18,48 +17,37 @@ cross-shard interaction named by the model -- scatter/gather query fan-out,
 InvaliDB notifications, replication log shipping -- happens *inside* a
 partition's own sub-deployment; fault-plan events targeting remote shards
 are routed to the owning partition up front
-(:meth:`~repro.faults.FaultPlan.split_by_shard`) in canonical
-``(timestamp, seq, shard_id)`` order.
+(:meth:`~repro.faults.FaultPlan.split_by_shard`).
 
-**Epoch barriers.**  Workers advance their partitions' event queues in
-lock-step epochs: the coordinator releases one epoch boundary at a time and
-gathers a progress report (operations done, simulated time, finished flag)
-from every partition at the barrier.  :meth:`Simulator.advance_until`
-guarantees that slicing a run into epochs pops the exact same events in the
-exact same order as one uninterrupted run -- the virtual clock only ever
-advances to *executed events*, never to an epoch boundary -- so barriers
-bound cross-worker skew without perturbing a single result value.
+**One way to run a partition.**  Partitions share nothing, so there is
+nothing to coordinate: :func:`run_partition` runs one job to completion with
+the plain ``Simulator.run()``, and
+:func:`~repro.simulation.pool.map_in_processes` maps it over the jobs -- a
+loop in this process for one worker, a spawn-context process pool otherwise
+-- returning outcomes in job order.
 
-**Deterministic merge.**  Per-partition outcomes are reduced to exact
-mergeable aggregates (latency sums, level counts, staleness counts,
-availability counters) and folded in partition-id order, so the merged
-summary is byte-identical run-to-run and *independent of the worker count*:
-``workers=2`` and ``workers=8`` produce the same bytes.
+**Deterministic merge.**  Each outcome carries its run's exact mergeable
+:class:`~repro.simulation.aggregate.RunAggregate`; :func:`merge_outcomes`
+folds them in partition-id order, so the merged summary is byte-identical
+run-to-run and *independent of the worker count*.
 
-**The golden oracle.**  The single-process :class:`Simulator` remains the
-oracle: :func:`serial_oracle` runs every partition to completion with plain
-``Simulator.run()`` in the parent process and feeds the same merge.  The
-parity harness (:func:`run_parity_harness`) asserts that the multi-process
-engine matches it exactly -- any divergence (epoch-slicing bug, RNG stream
-leakage between partitions sharing a worker, pickling drift) fails loudly.
+**The golden oracle.**  :func:`serial_oracle` is the one-worker run: every
+partition executes in this process.  The parity harness
+(:func:`run_parity_harness`) asserts that real spawned processes match it
+exactly -- any divergence (RNG stream leakage, pickling drift, state leaking
+between jobs sharing a worker) fails loudly.
 """
 
 from __future__ import annotations
 
 import copy
-import math
-import multiprocessing
-import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.simulation.simulator import (
-    CachingMode,
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-)
+from repro.simulation.aggregate import RunAggregate
+from repro.simulation.pool import map_in_processes, usable_cpus
+from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
 from repro.workloads.dataset import Dataset, generate_dataset
 from repro.workloads.generator import (
     derive_substream_seed,
@@ -68,20 +56,9 @@ from repro.workloads.generator import (
     split_workload_spec,
 )
 
-#: Default number of lock-step epochs a run is sliced into.
-DEFAULT_EPOCHS = 8
-#: Seconds the coordinator waits on a worker barrier before declaring it dead.
-WORKER_TIMEOUT = 600.0
-
-_ERROR_LEVEL = "error"
-
-
-class ParallelSimulationError(RuntimeError):
-    """A worker process failed or the coordination protocol broke down."""
-
 
 class ParallelParityError(AssertionError):
-    """The parallel engine diverged from the single-process oracle."""
+    """Spawned worker processes diverged from the in-process oracle."""
 
 
 # -- partition planning ---------------------------------------------------------------------
@@ -92,9 +69,6 @@ class PartitionJob:
     """One partition of a simulation: sub-config plus its dataset slice."""
 
     partition_id: int
-    num_partitions: int
-    #: Global shard ids this partition owns (contiguous block).
-    shard_ids: Tuple[int, ...]
     config: SimulationConfig
     dataset: Dataset
 
@@ -129,15 +103,7 @@ def partition_simulation(
         raise ConfigurationError("num_partitions must be positive")
     parent = dataset if dataset is not None else generate_dataset(config.dataset)
     if total == 1:
-        return [
-            PartitionJob(
-                partition_id=0,
-                num_partitions=1,
-                shard_ids=tuple(range(config.num_shards)),
-                config=config,
-                dataset=parent,
-            )
-        ]
+        return [PartitionJob(partition_id=0, config=config, dataset=parent)]
     if config.num_shards % total != 0:
         raise ConfigurationError(
             f"num_partitions ({total}) must divide num_shards ({config.num_shards})"
@@ -180,13 +146,6 @@ def partition_simulation(
         jobs.append(
             PartitionJob(
                 partition_id=partition_id,
-                num_partitions=total,
-                shard_ids=tuple(
-                    range(
-                        partition_id * shards_per_partition,
-                        (partition_id + 1) * shards_per_partition,
-                    )
-                ),
                 config=sub_config,
                 dataset=parent.partition(partition_id, total),
             )
@@ -199,33 +158,12 @@ def partition_simulation(
 
 @dataclass
 class PartitionOutcome:
-    """Exact mergeable aggregates of one partition's finished simulation.
-
-    Everything the canonical merge needs is carried as raw sums and counts
-    (never as pre-divided rates), so folding outcomes in partition-id order
-    reproduces the same floats no matter which process produced them.
-    """
+    """What one finished partition ships back: its aggregate plus recorder rows."""
 
     partition_id: int
-    operations: int
+    aggregate: RunAggregate
     total_operations: int
     events_processed: int
-    measured_duration: float
-    throughput: float
-    #: Per op-class ``(latency_sum_seconds, sample_count)``.
-    latency: Dict[str, Tuple[float, int]]
-    level_counts: Dict[str, Dict[str, int]]
-    stale_counts: Dict[str, int]
-    audit_staleness_sum: float
-    audit_staleness_count: int
-    audit_max_staleness: float
-    server_statistics: Dict[str, float]
-    replication_active: bool
-    has_fault_injector: bool
-    faults_injected: int
-    recovery_times: Tuple[float, ...]
-    #: The partition's own flat summary (diagnostics / drill-down).
-    summary: Dict[str, float]
     #: Recorded consistency history as flat picklable rows
     #: (:meth:`Simulator.history_tuples`); empty unless the config set
     #: ``record_history``.
@@ -239,51 +177,23 @@ class PartitionOutcome:
     metrics: Optional[tuple] = None
 
 
-def extract_outcome(
-    partition_id: int, simulator: Simulator, result: SimulationResult
-) -> PartitionOutcome:
-    """Reduce a finished partition simulation to its mergeable aggregates."""
-    latency: Dict[str, Tuple[float, int]] = {}
-    for op_class, histogram in (
-        ("read", result.read_latency),
-        ("query", result.query_latency),
-        ("write", result.write_latency),
-    ):
-        samples = histogram.samples()
-        latency[op_class] = (float(sum(samples)), len(samples))
-    auditor = simulator.auditor
-    staleness = auditor.staleness_samples()
-    injector = simulator.fault_injector
+def run_partition(job: PartitionJob) -> PartitionOutcome:
+    """Run one partition to completion with the plain single-process engine.
+
+    A module-level function of one picklable job, so it runs unchanged in
+    this process or in a spawned worker.
+    """
+    simulator = Simulator(job.config, dataset=job.dataset)
+    result = simulator.run()
     return PartitionOutcome(
-        partition_id=partition_id,
-        operations=result.operations,
+        partition_id=job.partition_id,
+        aggregate=result.aggregate,
         total_operations=simulator.total_operations,
         events_processed=simulator.events.processed,
-        measured_duration=result.measured_duration,
-        throughput=result.throughput,
-        latency=latency,
-        level_counts={name: dict(counts) for name, counts in result.level_counts.items()},
-        stale_counts=simulator.stale_counts(),
-        audit_staleness_sum=float(sum(staleness)),
-        audit_staleness_count=len(staleness),
-        audit_max_staleness=auditor.max_staleness,
-        server_statistics=dict(result.server_statistics),
-        replication_active=result.replication is not None,
-        has_fault_injector=injector is not None,
-        faults_injected=injector.faults_fired if injector is not None else 0,
-        recovery_times=tuple(injector.recovery_times()) if injector is not None else (),
-        summary=result.summary(),
         history=simulator.history_tuples(),
         trace=simulator.trace_tuples(),
         metrics=simulator.metrics_state(),
     )
-
-
-def run_partition(job: PartitionJob) -> PartitionOutcome:
-    """Run one partition to completion with the plain single-process engine."""
-    simulator = Simulator(job.config, dataset=job.dataset)
-    result = simulator.run()
-    return extract_outcome(job.partition_id, simulator, result)
 
 
 # -- deterministic merge --------------------------------------------------------------------
@@ -294,37 +204,33 @@ class ParallelSimulationResult:
     """Merged outcome of a partitioned simulation run."""
 
     mode: CachingMode
-    num_partitions: int
     num_workers: int
-    epochs_run: int
-    operations: int
     total_operations: int
     events_processed: int
-    measured_duration: float
-    throughput: float
+    #: The partition aggregates folded in partition-id order.
+    aggregate: RunAggregate
+    #: Per-partition outcomes, sorted by partition id.
     outcomes: List[PartitionOutcome]
-    #: Per epoch: a tuple of ``(partition_id, total_operations, sim_time,
-    #: finished)`` progress reports, sorted by partition id.  Worker-count
-    #: invariant (pinned by tests); empty for the serial oracle.
-    barrier_trace: Tuple[tuple, ...] = ()
     #: Partition histories concatenated in partition-id order with globally
-    #: renumbered sequence numbers: worker-count invariant, and identical to
-    #: the serial oracle's merge by construction.  Empty unless the config
-    #: set ``record_history``.
+    #: renumbered sequence numbers.  Empty unless the config set
+    #: ``record_history``.
     history: Tuple[tuple, ...] = ()
     #: Partition traces merged in partition-id order with span/parent ids
-    #: offset into one global id space (:func:`repro.obs.merge_trace_tuples`):
-    #: worker-count invariant and byte-identical to the serial oracle.  Empty
-    #: unless the config enabled ``observability`` tracing.
+    #: offset into one global id space (:func:`repro.obs.merge_trace_tuples`).
+    #: Empty unless the config enabled ``observability`` tracing.
     trace: Tuple[tuple, ...] = ()
     #: Merged metrics registry state (:func:`repro.obs.merge_states`);
     #: ``None`` unless the config enabled ``observability`` metrics.
     metrics: Optional[tuple] = None
-    _summary: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def operations(self) -> int:
+        """Operations inside the measured windows (warm-up excluded)."""
+        return self.aggregate.measured_operations
 
     def summary(self) -> Dict[str, float]:
         """Merged flat summary; same keys as the serial simulator's."""
-        return dict(self._summary)
+        return self.aggregate.summary()
 
     def history_events(self) -> Tuple:
         """The merged history as :class:`~repro.verify.HistoryEvent` objects."""
@@ -340,78 +246,26 @@ class ParallelSimulationResult:
 
 
 def merge_outcomes(
-    outcomes: Sequence[PartitionOutcome],
-    mode: CachingMode,
-    num_workers: int,
-    epochs_run: int,
-    barrier_trace: Tuple[tuple, ...] = (),
+    outcomes: Iterable[PartitionOutcome], mode: CachingMode, num_workers: int
 ) -> ParallelSimulationResult:
-    """Fold partition outcomes into one summary, in canonical partition order.
+    """Fold partition outcomes into one result, in canonical partition order.
 
-    All aggregation is exact and order-pinned: sums run over outcomes sorted
-    by partition id, rates are re-derived from summed numerators and
-    denominators, and extrema take ``max``.  Cluster throughput is the sum
-    of per-partition throughput (each partition is an independent slice of
-    the deployment measuring its own window), matching how multi-origin
-    ops/sec is reported everywhere else in this repo.
+    Sorting by partition id first is what makes the merge independent of the
+    order outcomes are handed over in (float sums are order-sensitive); the
+    summary itself is :meth:`RunAggregate.merge` over the sorted aggregates.
     """
-    if not outcomes:
-        raise ConfigurationError("cannot merge zero partition outcomes")
     ordered = sorted(outcomes, key=lambda outcome: outcome.partition_id)
+    if not ordered:
+        raise ConfigurationError("cannot merge zero partition outcomes")
 
-    latency: Dict[str, Tuple[float, int]] = {}
-    level_counts: Dict[str, Dict[str, int]] = {}
-    stale_counts: Dict[str, int] = {}
-    throughput = 0.0
-    operations = 0
-    total_operations = 0
-    events_processed = 0
-    measured_duration = 0.0
-    staleness_sum = 0.0
-    staleness_count = 0
-    max_staleness = 0.0
-    replica_reads = 0.0
-    primary_reads = 0.0
-    failovers = 0.0
-    faults_injected = 0
-    recovery_times: List[float] = []
-    for outcome in ordered:
-        throughput += outcome.throughput
-        operations += outcome.operations
-        total_operations += outcome.total_operations
-        events_processed += outcome.events_processed
-        measured_duration = max(measured_duration, outcome.measured_duration)
-        for op_class, (lat_sum, lat_count) in outcome.latency.items():
-            merged_sum, merged_count = latency.get(op_class, (0.0, 0))
-            latency[op_class] = (merged_sum + lat_sum, merged_count + lat_count)
-        for op_class, counts in outcome.level_counts.items():
-            merged = level_counts.setdefault(op_class, {})
-            for level, count in counts.items():
-                merged[level] = merged.get(level, 0) + count
-        for name, count in outcome.stale_counts.items():
-            stale_counts[name] = stale_counts.get(name, 0) + count
-        staleness_sum += outcome.audit_staleness_sum
-        staleness_count += outcome.audit_staleness_count
-        max_staleness = max(max_staleness, outcome.audit_max_staleness)
-        statistics = outcome.server_statistics
-        replica_reads += float(statistics.get("replication_replica_reads", 0.0))
-        primary_reads += float(statistics.get("replication_primary_reads", 0.0))
-        failovers += float(statistics.get("cluster_failovers", 0.0))
-        faults_injected += outcome.faults_injected
-        recovery_times.extend(outcome.recovery_times)
-
-    # Partition-order-stable history merge: concatenate in partition-id
-    # order and renumber the per-partition sequence numbers globally, so
-    # the merged history is worker-count invariant and byte-identical
-    # between the serial oracle and the parallel engine.
+    # History, trace and metrics follow the same partition-order discipline:
+    # histories concatenate with globally renumbered sequence numbers,
+    # span/parent ids are offset into one global id space, counters/gauges
+    # sum, histogram samples concatenate, series group by sample time.
     history: List[tuple] = []
     for outcome in ordered:
         for row in outcome.history:
             history.append((len(history),) + row[1:])
-
-    # Trace and metrics merges follow the same partition-order discipline
-    # (span/parent ids offset into one global id space; counters/gauges
-    # summed, histogram samples concatenated, series grouped by epoch).
     trace: Tuple[tuple, ...] = ()
     if any(outcome.trace for outcome in ordered):
         from repro.obs import merge_trace_tuples
@@ -425,171 +279,29 @@ def merge_outcomes(
             [outcome.metrics for outcome in ordered if outcome.metrics is not None]
         )
 
-    def mean_latency_ms(op_class: str) -> float:
-        lat_sum, lat_count = latency.get(op_class, (0.0, 0))
-        return (lat_sum / lat_count) * 1000.0 if lat_count else 0.0
-
-    def hit_rate(op_class: str, level: str) -> float:
-        counts = level_counts.get(op_class, {})
-        total = sum(counts.values())
-        return counts.get(level, 0) / total if total else 0.0
-
-    def stale_rate(op_class: str) -> float:
-        audited = stale_counts.get(f"audited_{op_class}", 0)
-        if audited == 0:
-            return 0.0
-        return stale_counts.get(f"stale_{op_class}", 0) / audited
-
-    summary: Dict[str, float] = {
-        "throughput": throughput,
-        "mean_read_latency_ms": mean_latency_ms("read"),
-        "mean_query_latency_ms": mean_latency_ms("query"),
-        "client_query_hit_rate": hit_rate("query", "client"),
-        "client_read_hit_rate": hit_rate("read", "client"),
-        "cdn_query_hit_rate": hit_rate("query", "cdn"),
-        "cdn_read_hit_rate": hit_rate("read", "cdn"),
-        "query_stale_rate": stale_rate("query"),
-        "read_stale_rate": stale_rate("read"),
-    }
-    if any(outcome.replication_active for outcome in ordered):
-        errors = sum(
-            counts.get(_ERROR_LEVEL, 0) for counts in level_counts.values()
-        )
-        reads = primary_reads + replica_reads
-        summary["request_error_rate"] = errors / operations if operations else 0.0
-        summary["replica_read_share"] = replica_reads / reads if reads else 0.0
-        summary["failovers"] = failovers
-        summary["max_staleness_s"] = max_staleness
-        summary["mean_staleness_s"] = (
-            staleness_sum / staleness_count if staleness_count else 0.0
-        )
-        if any(outcome.has_fault_injector for outcome in ordered):
-            summary["faults_injected"] = float(faults_injected)
-            if recovery_times:
-                summary["mean_time_to_recover_s"] = sum(recovery_times) / len(recovery_times)
-                summary["max_time_to_recover_s"] = max(recovery_times)
-        # Resilience counters are plain sums over partitions; the key set is
-        # gated on the per-partition summaries so merged summaries of runs
-        # without a resilience layer are unchanged.
-        if any("resilience_retries" in outcome.summary for outcome in ordered):
-            for key in (
-                "resilience_retries",
-                "resilience_retry_successes",
-                "breaker_fast_fails",
-                "stale_if_error_serves",
-                "hedged_reads",
-                "hedge_wins",
-                "degraded_served",
-            ):
-                summary[key] = float(
-                    sum(outcome.summary.get(key, 0.0) for outcome in ordered)
-                )
-
     return ParallelSimulationResult(
         mode=mode,
-        num_partitions=len(ordered),
         num_workers=num_workers,
-        epochs_run=epochs_run,
-        operations=operations,
-        total_operations=total_operations,
-        events_processed=events_processed,
-        measured_duration=measured_duration,
-        throughput=throughput,
-        outcomes=list(ordered),
-        barrier_trace=barrier_trace,
+        total_operations=sum(outcome.total_operations for outcome in ordered),
+        events_processed=sum(outcome.events_processed for outcome in ordered),
+        aggregate=RunAggregate.merge(outcome.aggregate for outcome in ordered),
+        outcomes=ordered,
         history=tuple(history),
         trace=trace,
         metrics=metrics,
-        _summary=summary,
     )
 
 
-def serial_oracle(
-    config: SimulationConfig,
-    num_partitions: Optional[int] = None,
-    dataset: Optional[Dataset] = None,
-) -> ParallelSimulationResult:
-    """Run the partitioned model with the single-process golden oracle.
-
-    Every partition executes to completion via plain ``Simulator.run()`` in
-    this process (no epochs, no subprocesses) and the outcomes feed the same
-    canonical merge as the parallel engine.  This is the reference the
-    parity harness holds the multi-process path to, byte for byte.
-    """
-    jobs = partition_simulation(config, num_partitions, dataset=dataset)
-    outcomes = [run_partition(job) for job in jobs]
-    return merge_outcomes(
-        outcomes, mode=config.mode, num_workers=1, epochs_run=0, barrier_trace=()
-    )
-
-
-# -- the parallel engine --------------------------------------------------------------------
-
-
-def _worker_main(connection, jobs: List[PartitionJob]) -> None:
-    """Worker-process entry point: lock-step epoch execution of ``jobs``.
-
-    Spawn-safe by construction: a module-level function whose only inputs
-    are picklable partition jobs.  Protocol (coordinator -> worker):
-    ``("epoch", boundary)`` advances every owned partition to ``boundary``
-    and answers with a ``("barrier", reports)`` progress message;
-    ``("collect", None)`` finalizes, ships the partition outcomes back and
-    exits.  Any exception is reported as ``("error", traceback)`` rather
-    than dying silently.
-    """
-    import traceback
-
-    try:
-        simulators = [
-            (job, Simulator(job.config, dataset=job.dataset)) for job in jobs
-        ]
-        finished = {job.partition_id: False for job in jobs}
-        for _job, simulator in simulators:
-            simulator.start()
-        while True:
-            kind, payload = connection.recv()
-            if kind == "epoch":
-                reports = []
-                for job, simulator in simulators:
-                    if not finished[job.partition_id]:
-                        finished[job.partition_id] = simulator.advance_until(payload)
-                    reports.append(
-                        (
-                            job.partition_id,
-                            simulator.total_operations,
-                            simulator.clock.now(),
-                            finished[job.partition_id],
-                        )
-                    )
-                connection.send(("barrier", reports))
-            elif kind == "collect":
-                outcomes = [
-                    extract_outcome(job.partition_id, simulator, simulator.finalize())
-                    for job, simulator in simulators
-                ]
-                connection.send(("outcome", outcomes))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise ParallelSimulationError(f"unknown coordinator message {kind!r}")
-    except Exception:
-        try:
-            connection.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - coordinator already gone
-            pass
+# -- the engine -----------------------------------------------------------------------------
 
 
 class ParallelSimulator:
-    """Run a partitioned simulation across worker processes.
+    """Run a partitioned simulation, in this process or across worker processes.
 
     ``num_partitions`` fixes the decomposition (default: one partition per
-    shard group); ``num_workers`` only chooses how partitions are scheduled
-    onto processes -- results are identical for every worker count.
-    ``num_workers=1`` executes the same epoch protocol in-process (no
-    subprocesses), which is both the no-dependency fallback and the
-    single-process leg of the scaling benchmark.  ``epoch_length`` (seconds
-    of simulated time per barrier) bounds cross-worker skew; it cannot
-    affect results (see :meth:`Simulator.advance_until`), only how often
-    workers synchronize.
+    shard group); ``num_workers`` (default: the usable CPUs, at most one per
+    partition) only chooses where :func:`run_partition` executes -- results
+    are identical for every worker count.
     """
 
     def __init__(
@@ -597,26 +309,14 @@ class ParallelSimulator:
         config: SimulationConfig,
         num_partitions: Optional[int] = None,
         num_workers: Optional[int] = None,
-        epoch_length: Optional[float] = None,
         dataset: Optional[Dataset] = None,
     ) -> None:
         self.config = config
         self.jobs = partition_simulation(config, num_partitions, dataset=dataset)
-        requested = num_workers if num_workers is not None else (os.cpu_count() or 1)
+        requested = num_workers if num_workers is not None else usable_cpus()
         if requested <= 0:
             raise ConfigurationError("num_workers must be positive")
         self.num_workers = min(requested, len(self.jobs))
-        if epoch_length is None:
-            epoch_length = config.duration / DEFAULT_EPOCHS
-        if epoch_length <= 0:
-            raise ConfigurationError("epoch_length must be positive")
-        epochs = max(1, math.ceil(config.duration / epoch_length - 1e-9))
-        # Equal slices whose last boundary is *exactly* the configured
-        # duration (no accumulated float drift past the stop time).
-        self.epoch_boundaries: List[float] = [
-            config.duration * (index + 1) / epochs for index in range(epochs)
-        ]
-        self.epoch_boundaries[-1] = config.duration
 
     @property
     def num_partitions(self) -> int:
@@ -624,116 +324,21 @@ class ParallelSimulator:
 
     def run(self) -> ParallelSimulationResult:
         """Execute every partition and return the deterministically merged result."""
-        if self.num_workers == 1:
-            outcomes, trace, epochs_run = self._run_inline()
-        else:
-            outcomes, trace, epochs_run = self._run_processes()
-        return merge_outcomes(
-            outcomes,
-            mode=self.config.mode,
-            num_workers=self.num_workers,
-            epochs_run=epochs_run,
-            barrier_trace=trace,
-        )
+        outcomes = map_in_processes(run_partition, self.jobs, self.num_workers)
+        return merge_outcomes(outcomes, mode=self.config.mode, num_workers=self.num_workers)
 
-    # -- single-process epoch loop ---------------------------------------------------
 
-    def _run_inline(self):
-        simulators = [(job, Simulator(job.config, dataset=job.dataset)) for job in self.jobs]
-        for _job, simulator in simulators:
-            simulator.start()
-        finished = {job.partition_id: False for job in self.jobs}
-        trace: List[tuple] = []
-        epochs_run = 0
-        for boundary in self.epoch_boundaries:
-            epochs_run += 1
-            reports = []
-            for job, simulator in simulators:
-                if not finished[job.partition_id]:
-                    finished[job.partition_id] = simulator.advance_until(boundary)
-                reports.append(
-                    (
-                        job.partition_id,
-                        simulator.total_operations,
-                        simulator.clock.now(),
-                        finished[job.partition_id],
-                    )
-                )
-            trace.append(tuple(reports))
-            if all(finished.values()):
-                break
-        outcomes = [
-            extract_outcome(job.partition_id, simulator, simulator.finalize())
-            for job, simulator in simulators
-        ]
-        return outcomes, tuple(trace), epochs_run
+def serial_oracle(
+    config: SimulationConfig,
+    num_partitions: Optional[int] = None,
+    dataset: Optional[Dataset] = None,
+) -> ParallelSimulationResult:
+    """Run the partitioned model in this process: the one-worker engine.
 
-    # -- multi-process epoch loop ----------------------------------------------------
-
-    def _run_processes(self):
-        context = multiprocessing.get_context("spawn")
-        workers = []
-        try:
-            for worker_index in range(self.num_workers):
-                assigned = [
-                    job
-                    for index, job in enumerate(self.jobs)
-                    if index % self.num_workers == worker_index
-                ]
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_worker_main, args=(child_end, assigned), daemon=True
-                )
-                process.start()
-                child_end.close()
-                workers.append((process, parent_end))
-
-            trace: List[tuple] = []
-            epochs_run = 0
-            for boundary in self.epoch_boundaries:
-                epochs_run += 1
-                for _process, connection in workers:
-                    connection.send(("epoch", boundary))
-                reports: List[tuple] = []
-                for _process, connection in workers:
-                    reports.extend(self._receive(connection, "barrier"))
-                reports.sort(key=lambda report: report[0])
-                trace.append(tuple(reports))
-                if all(report[3] for report in reports):
-                    break
-
-            for _process, connection in workers:
-                connection.send(("collect", None))
-            outcomes: List[PartitionOutcome] = []
-            for _process, connection in workers:
-                outcomes.extend(self._receive(connection, "outcome"))
-            outcomes.sort(key=lambda outcome: outcome.partition_id)
-            return outcomes, tuple(trace), epochs_run
-        finally:
-            for process, connection in workers:
-                connection.close()
-            for process, _connection in workers:
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - defensive teardown
-                    process.terminate()
-                    process.join(timeout=5.0)
-
-    @staticmethod
-    def _receive(connection, expected: str):
-        """One protocol message from a worker, surfacing worker errors."""
-        try:
-            if not connection.poll(WORKER_TIMEOUT):
-                raise ParallelSimulationError(
-                    f"worker did not reach the barrier within {WORKER_TIMEOUT:.0f}s"
-                )
-            kind, payload = connection.recv()
-        except (EOFError, ConnectionResetError, BrokenPipeError) as error:
-            raise ParallelSimulationError("worker process died mid-protocol") from error
-        if kind == "error":
-            raise ParallelSimulationError(f"worker failed:\n{payload}")
-        if kind != expected:  # pragma: no cover - protocol misuse
-            raise ParallelSimulationError(f"expected {expected!r} message, got {kind!r}")
-        return payload
+    This is the reference the parity harness holds spawned worker processes
+    to, byte for byte.
+    """
+    return ParallelSimulator(config, num_partitions, num_workers=1, dataset=dataset).run()
 
 
 # -- parity harness -------------------------------------------------------------------------
@@ -792,7 +397,7 @@ def run_parity_harness(
     """Prove merged parallel summaries byte-identical to the serial oracle.
 
     For every ``mode x replication_factor`` case the same partitioned config
-    is run through :func:`serial_oracle` (plain single-process simulators)
+    is run through :func:`serial_oracle` (every partition in this process)
     and through :class:`ParallelSimulator` at each requested worker count;
     the summary dicts must compare *equal* -- Python float equality, no
     tolerance.  With ``strict`` (the default, what the CI smoke step runs) a

@@ -35,6 +35,7 @@ from repro.invalidb.cluster import InvaliDBCluster
 from repro.metrics.counters import Counter
 from repro.metrics.histogram import Histogram
 from repro.resilience import ResilienceConfig
+from repro.simulation.aggregate import RunAggregate
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.latency import NetworkTopology
 from repro.simulation.staleness import StalenessAuditor
@@ -213,32 +214,22 @@ class SimulationResult:
     read_stale_rate: float
     cdn_stale_rate: float
     server_statistics: Dict[str, float]
-    #: Availability/replication metrics, present only when the run used a
-    #: replication factor above one or injected faults (so the summary of a
-    #: plain run is byte-identical to one from before the replication layer).
-    replication: Optional[Dict[str, float]] = None
+    #: The raw sums and counts every rate above was derived from; the
+    #: partitioned engine folds these (:meth:`RunAggregate.merge`).
+    aggregate: RunAggregate
 
     def summary(self) -> Dict[str, float]:
-        """Flat summary used by the benchmark reports.
+        """Flat summary used by the benchmark reports (:meth:`RunAggregate.summary`)."""
+        return self.aggregate.summary()
 
-        Replicated / fault-injected runs append their availability metrics
-        (request error rate, replica read share, failover counts and
-        time-to-recover, observed staleness bounds) to the flat summary.
-        """
-        summary = {
-            "throughput": self.throughput,
-            "mean_read_latency_ms": self.read_latency.mean * 1000.0,
-            "mean_query_latency_ms": self.query_latency.mean * 1000.0,
-            "client_query_hit_rate": self.client_query_hit_rate,
-            "client_read_hit_rate": self.client_read_hit_rate,
-            "cdn_query_hit_rate": self.cdn_query_hit_rate,
-            "cdn_read_hit_rate": self.cdn_read_hit_rate,
-            "query_stale_rate": self.query_stale_rate,
-            "read_stale_rate": self.read_stale_rate,
-        }
-        if self.replication:
-            summary.update(self.replication)
-        return summary
+    @property
+    def replication(self) -> Optional[Dict[str, float]]:
+        """The availability metrics a replicated or fault-injected run adds to
+        its summary; ``None`` for a plain run."""
+        if not self.aggregate.replication_active:
+            return None
+        plain = RunAggregate().summary()
+        return {key: value for key, value in self.summary().items() if key not in plain}
 
 
 class Simulator:
@@ -455,10 +446,6 @@ class Simulator:
         self._total_operations = 0
         self._warmup_operations = int(config.warmup_fraction * config.max_operations)
         self._measure_start_time: Optional[float] = None
-        self._stop_time = config.duration
-        self._stopped_at: Optional[float] = None
-        self._started = False
-        self._finalized = False
 
     # -- purge path -------------------------------------------------------------------------
 
@@ -474,29 +461,9 @@ class Simulator:
     # -- main loop ----------------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Run the simulation to completion and return aggregated results.
-
-        Equivalent to :meth:`start` followed by a single
-        :meth:`advance_until` up to the configured duration and
-        :meth:`finalize` -- the epoch-sliced parallel driver
-        (:mod:`repro.simulation.parallel`) calls the same three phases with
-        intermediate barriers, and both paths execute the exact same event
-        sequence.
-        """
-        self.start()
-        self.advance_until(self._stop_time)
-        return self.finalize()
-
-    def start(self) -> None:
-        """Seed the connection start-up events (idempotent).
-
-        One event per simulated connection, bulk-loaded via schedule_many
-        (start times drawn in the same client-major order as before, so
-        sequences -- and thus tie-breaking -- are unchanged).
-        """
-        if self._started:
-            return
-        self._started = True
+        """Run the simulation to completion and return aggregated results."""
+        # One start-up event per simulated connection, bulk-loaded (start
+        # times drawn client-major, which fixes sequences and tie-breaking).
         uniform = self.rng.uniform
         self.events.schedule_many(
             (
@@ -506,47 +473,23 @@ class Simulator:
             ),
             label="op",
         )
-
-    def advance_until(self, end_time: float) -> bool:
-        """Execute events due at or before ``min(end_time, duration)``.
-
-        Returns ``True`` once the simulation is finished: the operation
-        budget is exhausted or no pending event is due within the configured
-        duration.  Slicing a run into several ``advance_until`` calls pops
-        the exact same events in the exact same order as one call covering
-        the whole span -- the clock only ever advances *to executed events*
-        (never to ``end_time`` itself), so epoch boundaries leave no trace
-        in any result value.  This is the determinism contract the parallel
-        simulator's epoch barriers rely on.
-        """
-        if not self._started:
-            raise RuntimeError("start() must be called before advance_until()")
         # Main loop: a single heap inspection per iteration (pop_if_before),
-        # with the loop-invariant lookups hoisted out.
+        # with the loop-invariant lookups hoisted out.  The clock only ever
+        # advances to executed events, never to the stop time itself.
         pop_if_before = self.events.pop_if_before
         advance_to = self.clock.advance_to
-        limit = min(end_time, self._stop_time)
+        stop_time = self.config.duration
         max_operations = self.config.max_operations
         while self._total_operations < max_operations:
-            event = pop_if_before(limit)
+            event = pop_if_before(stop_time)
             if event is None:
                 break
             advance_to(event.timestamp)
             event.action()
-        if self._total_operations >= max_operations:
-            return True
-        next_time = self.events.peek_time()
-        return next_time is None or next_time > self._stop_time
-
-    def finalize(self) -> SimulationResult:
-        """Freeze the stop time and aggregate results (idempotent stop mark)."""
-        if not self._finalized:
-            self._finalized = True
-            self._stopped_at = self.clock.now()
-            if self.metrics_registry is not None:
-                # Closing snapshot at the (deterministic) stop time so the
-                # series always covers the whole run.
-                self.metrics_registry.sample(self._stopped_at)
+        if self.metrics_registry is not None:
+            # Closing snapshot at the (deterministic) stop time so the
+            # series always covers the whole run.
+            self.metrics_registry.sample(self.clock.now())
         return self._collect_results()
 
     @property
@@ -968,104 +911,77 @@ class Simulator:
     # -- result aggregation -------------------------------------------------------------------------
 
     def _collect_results(self) -> SimulationResult:
-        end_time = self._stopped_at if self._stopped_at is not None else self._stop_time
+        end_time = self.clock.now()
         start_time = self._measure_start_time if self._measure_start_time is not None else end_time
         measured_duration = max(1e-9, end_time - start_time)
-        throughput = self._measured_operations / measured_duration
-
-        def hit_rate(op_class: str, level: str) -> float:
-            counts = self.level_counts[op_class].as_dict()
-            total = sum(counts.values())
-            return counts.get(level, 0) / total if total else 0.0
-
-        def stale_rate(op_class: str) -> float:
-            audited = self._stale_counts.get(f"audited_{op_class}")
-            if audited == 0:
-                return 0.0
-            return self._stale_counts.get(f"stale_{op_class}") / audited
-
-        cdn_stale_rate = 0.0
-        if self.cdn is not None and self.cdn.stats.lookups:
-            # Upper bound on CDN-served staleness: hits that would have been
-            # purged were it not for the invalidation delay are not tracked
-            # individually, so report the auditor's overall rate for reads that
-            # came from the CDN-backed levels.
-            cdn_stale_rate = stale_rate("query")
-
-        server_statistics = self.server.statistics()
-        replication: Optional[Dict[str, float]] = None
-        if self._replication_active:
-            errors = sum(
-                counter.get(ERROR_LEVEL) for counter in self.level_counts.values()
-            )
-            replication = {
-                "request_error_rate": (
-                    errors / self._measured_operations if self._measured_operations else 0.0
+        statistics = self.server.statistics()
+        staleness = self.auditor.staleness_samples()
+        injector = self.fault_injector
+        resilience: Dict[str, int] = {}
+        if self.config.resilience is not None:
+            resilience = {
+                "resilience_retries": sum(
+                    statistics.get(f"cluster_{kind}_retries", 0)
+                    for kind in ("read", "query", "write")
                 ),
-                "replica_read_share": float(
-                    server_statistics.get("replica_read_share", 0.0)
+                "resilience_retry_successes": sum(
+                    statistics.get(f"cluster_{kind}_retry_successes", 0)
+                    for kind in ("read", "query", "write")
                 ),
-                "failovers": float(server_statistics.get("cluster_failovers", 0.0)),
-                "max_staleness_s": self.auditor.max_staleness,
-                "mean_staleness_s": self.auditor.mean_staleness,
+                "breaker_fast_fails": statistics.get("cluster_breaker_fast_fails", 0),
+                "stale_if_error_serves": sum(
+                    client.counters.get("stale_if_error_serves") for client in self.clients
+                ),
+                "hedged_reads": self._hedged_reads,
+                "hedge_wins": self._hedge_wins,
             }
-            if self.fault_injector is not None:
-                replication.update(self.fault_injector.summary())
-            if self.config.resilience is not None:
-                # Resilience keys ride on the availability block (they only
-                # mean anything under faults), gated on the config so pinned
-                # replication summaries from before the layer are unchanged.
-                stats = server_statistics
-                retries = (
-                    stats.get("cluster_read_retries", 0.0)
-                    + stats.get("cluster_query_retries", 0.0)
-                    + stats.get("cluster_write_retries", 0.0)
-                )
-                retry_successes = (
-                    stats.get("cluster_read_retry_successes", 0.0)
-                    + stats.get("cluster_query_retry_successes", 0.0)
-                    + stats.get("cluster_write_retry_successes", 0.0)
-                )
-                replication.update(
-                    {
-                        "resilience_retries": float(retries),
-                        "resilience_retry_successes": float(retry_successes),
-                        "breaker_fast_fails": float(
-                            stats.get("cluster_breaker_fast_fails", 0.0)
-                        ),
-                        "stale_if_error_serves": float(
-                            sum(
-                                client.counters.get("stale_if_error_serves")
-                                for client in self.clients
-                            )
-                        ),
-                        "hedged_reads": float(self._hedged_reads),
-                        "hedge_wins": float(self._hedge_wins),
-                        "degraded_served": float(
-                            self._stale_counts.get("degraded_served")
-                        ),
-                    }
-                )
-
+        aggregate = RunAggregate(
+            measured_operations=self._measured_operations,
+            measured_duration=measured_duration,
+            throughput=self._measured_operations / measured_duration,
+            latency={
+                name: (float(sum(histogram.samples())), histogram.count)
+                for name, histogram in self._latency_by_class.items()
+            },
+            level_counts={name: counter.as_dict() for name, counter in self.level_counts.items()},
+            stale_counts=self.stale_counts(),
+            staleness_sum=float(sum(staleness)),
+            staleness_count=len(staleness),
+            max_staleness=self.auditor.max_staleness,
+            replica_reads=statistics.get("replication_replica_reads", 0),
+            primary_reads=statistics.get("replication_primary_reads", 0),
+            failovers=statistics.get("cluster_failovers", 0),
+            faults_fired=injector.faults_fired if injector is not None else 0,
+            recovery_times=tuple(injector.recovery_times()) if injector is not None else (),
+            resilience=resilience,
+            replication_active=self._replication_active,
+            has_fault_injector=injector is not None,
+            has_resilience=self.config.resilience is not None,
+        )
+        # Upper bound on CDN-served staleness: hits that would have been
+        # purged were it not for the invalidation delay are not tracked
+        # individually, so report the auditor's overall rate for reads that
+        # came from the CDN-backed levels.
+        cdn_active = self.cdn is not None and self.cdn.stats.lookups
         return SimulationResult(
             mode=self.config.mode,
             connections=self.config.total_connections,
             measured_duration=measured_duration,
             operations=self._measured_operations,
-            throughput=throughput,
+            throughput=aggregate.throughput,
             read_latency=self.read_latency,
             query_latency=self.query_latency,
             write_latency=self.write_latency,
-            level_counts={name: counter.as_dict() for name, counter in self.level_counts.items()},
-            client_query_hit_rate=hit_rate("query", "client"),
-            client_read_hit_rate=hit_rate("read", "client"),
-            cdn_query_hit_rate=hit_rate("query", "cdn"),
-            cdn_read_hit_rate=hit_rate("read", "cdn"),
-            query_stale_rate=stale_rate("query"),
-            read_stale_rate=stale_rate("read"),
-            cdn_stale_rate=cdn_stale_rate,
-            server_statistics=server_statistics,
-            replication=replication,
+            level_counts=aggregate.level_counts,
+            client_query_hit_rate=aggregate.hit_rate("query", "client"),
+            client_read_hit_rate=aggregate.hit_rate("read", "client"),
+            cdn_query_hit_rate=aggregate.hit_rate("query", "cdn"),
+            cdn_read_hit_rate=aggregate.hit_rate("read", "cdn"),
+            query_stale_rate=aggregate.stale_rate("query"),
+            read_stale_rate=aggregate.stale_rate("read"),
+            cdn_stale_rate=aggregate.stale_rate("query") if cdn_active else 0.0,
+            server_statistics=statistics,
+            aggregate=aggregate,
         )
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Sequence
+
+from repro.simulation.pool import map_in_processes, usable_cpus
 
 from .checkers import run_all
 from .report import render_report, shrink_first_violation
@@ -96,10 +99,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     specs = smoke_matrix() if args.smoke else scenario_matrix()
-    results: List[ScenarioResult] = []
     for spec in specs:
         print(f"auditing {spec.name} (seed {spec.seed}) ...", flush=True)
-        results.append(run_scenario(spec, with_mutations=not args.no_mutations))
+    # The cells are independent seeded runs: audit them on every usable CPU.
+    # Results come back in spec order, so the output does not depend on it.
+    results: List[ScenarioResult] = map_in_processes(
+        partial(run_scenario, with_mutations=not args.no_mutations),
+        specs,
+        num_workers=min(usable_cpus(), len(specs)),
+    )
 
     print()
     print(_verdict_table(results))

@@ -13,7 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import perf
 from repro.errors import ConfigurationError
 from repro.workloads.dataset import Dataset
 from repro.workloads.distributions import UniformGenerator, ZipfianGenerator
@@ -322,9 +321,7 @@ class WorkloadGenerator:
 
     def operations(self, count: int) -> List[Operation]:
         """Materialise ``count`` operations as a list."""
-        if perf.FAST_PATHS:
-            return self.next_operations(count)
-        return list(self.stream(count))
+        return self.next_operations(count)
 
     def split(self, num_workers: int) -> List["WorkloadGenerator"]:
         """Derive ``num_workers`` independent substream generators.
@@ -468,8 +465,6 @@ class PhasedWorkloadGenerator:
 
     def operations(self, count: int) -> List[Operation]:
         """Materialise ``count`` operations as a list."""
-        if not perf.FAST_PATHS:
-            return list(self.stream(count))
         batch: List[Operation] = []
         while len(batch) < count:
             batch.extend(self.next_operations(count - len(batch)))

@@ -2,7 +2,7 @@
 
 The queue's determinism guarantee -- pops come out in ``(timestamp,
 insertion sequence)`` order, cancellation is lazy, compaction is invisible
--- is what the process-parallel simulator's epoch slicing leans on.  These
+-- is what every seeded run's reproducibility leans on.  These
 properties drive randomized interleavings of schedule/cancel/pop against a
 simple sorted-list model.
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
 from repro.simulation import CachingMode, SimulationConfig, Simulator
 from repro.ttl import TTLEstimatorSpec
 from repro.workloads import DatasetSpec, WorkloadSpec
@@ -110,17 +109,3 @@ class TestGoldenSummaries:
         config.ttl_estimator = TTLEstimatorSpec.legacy()
         result = Simulator(config).run()
         assert result.summary() == GOLDEN_SUMMARIES[(CachingMode.QUAESTOR, 1)]
-
-    def test_legacy_hot_paths_produce_the_same_summary(self):
-        """The flagged legacy implementation is the benchmark baseline; it
-        must agree with the optimized paths value-for-value."""
-        fast = Simulator(golden_config(CachingMode.QUAESTOR)).run().summary()
-        with perf.legacy_hot_paths():
-            legacy = Simulator(golden_config(CachingMode.QUAESTOR)).run().summary()
-        assert legacy == fast
-
-    def test_legacy_context_restores_fast_paths(self):
-        assert perf.FAST_PATHS
-        with perf.legacy_hot_paths():
-            assert not perf.FAST_PATHS
-        assert perf.FAST_PATHS
