@@ -38,7 +38,8 @@
 #   make obs-smoke       - seeded brownout scenario with tracing on: asserts the
 #                          summary is value-identical to the tracing-off run, the
 #                          span tree is non-empty and >=95% of every request's
-#                          latency is attributed; writes benchmarks/results/obs/
+#                          latency is attributed; prints the recorders' price
+#                          (retained objects/op, off vs on); writes benchmarks/results/obs/
 #   make bench-ledger    - the repo's benchmark (BENCHMARK.json): four workloads,
 #                          timed + traced pass, correctness checks (a)-(d)
 #   make bench-ledger-smoke - the same runner on tiny budgets; the quick CI gate
@@ -46,6 +47,10 @@
 #                        - alternating parent-vs-working-tree runs of the
 #                          benchmark: medians, quartiles, wins, the gain verdict
 #                          and whether every sim_* value stayed identical
+#   make retained WORKLOAD=<name> [SEED=42]
+#                        - one benchmark segment's cost to the cyclic collector:
+#                          collector seconds and share, collections per
+#                          generation, GC-tracked objects retained per op by type
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
 
 PYTHON ?= python
@@ -63,7 +68,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs docs-check
+.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -125,6 +130,9 @@ bench-ledger-smoke:
 
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),1234)
+
+retained:
+	$(PYTHON) scripts/retained_objects.py --workload $(WORKLOAD) --seed $(or $(SEED),42)
 
 docs-check:
 	$(PYTHON) scripts/docs_check.py

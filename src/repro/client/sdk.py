@@ -48,8 +48,8 @@ ERROR_LEVEL = "error"
 DEGRADED_LEVEL = "stale-if-error"
 
 _OBJECT_LIST = ResultRepresentation.OBJECT_LIST.value
-#: Result versions whose member entries stay prepared (see _cache_result_records).
-_PREPARED_RESULTS = 4096
+#: Queries whose last served result stays prepared (see _cache_result_records).
+_PREPARED_QUERIES = 1024
 
 
 @dataclass(slots=True)
@@ -153,13 +153,15 @@ class QuaestorClient:
         self._hit_counter_names: Dict[str, str] = {
             level: f"hits_{level}" for level in (*self._hierarchy.level_names, ORIGIN_LEVEL)
         }
-        # Prepared member entries per (collection, result etag) -> (served id
-        # list, entries): the etag pins the member ids and versions, the id
+        # Prepared member entries per query cache key -> (result etag, served
+        # id list, entries): the etag pins the member ids and versions, the id
         # list their served order.  The entries are private to this client's
         # cache and are restamped on every re-serve (see
-        # _cache_result_records).  LRU-bounded so superseded result versions
-        # age out instead of pinning their documents.
-        self._prepared_records: "OrderedDict[tuple, tuple]" = OrderedDict()
+        # _cache_result_records).  One version per query -- the one that can
+        # still be re-served -- so a superseded result stops pinning its
+        # entries and documents the moment its successor arrives, and an LRU
+        # over the queries so a long tail of one-off queries ages out.
+        self._prepared_records: "OrderedDict[str, tuple]" = OrderedDict()
 
     # -- connection / EBF management -----------------------------------------------------
 
@@ -207,11 +209,10 @@ class QuaestorClient:
         span = tracer.begin(name)
         try:
             result = impl(*args)
-        finally:
+        except BaseException:
             tracer.end(span)
-        if span is not None:
-            span.attrs["key"] = result.key
-            span.attrs["level"] = result.level
+            raise
+        tracer.end(span, "key", result.key, "level", result.level)
         return result
 
     def read(
@@ -329,7 +330,7 @@ class QuaestorClient:
 
         if body.get("representation", _OBJECT_LIST) == _OBJECT_LIST:
             result.value = body.get("documents", [])
-            self._cache_result_records(query.collection, body, result.etag)
+            self._cache_result_records(query.collection, body, key, result.etag)
         else:
             result.value, result.extra_levels = self._assemble_id_list(
                 query.collection, body.get("ids", [])
@@ -476,7 +477,7 @@ class QuaestorClient:
         counts[self._hit_counter_names[level]] += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.event("sdk.fetch", level=level, revalidated=fetch.revalidated)
+            tracer.event("sdk.fetch", "level", level, "revalidated", fetch.revalidated)
         return ClientResult(key, fetch.body, level, fetch.etag, None, fetch.revalidated)
 
     def potentially_stale(self, keys: Sequence[str]) -> List[bool]:
@@ -522,7 +523,7 @@ class QuaestorClient:
     # -- internals: record handling ----------------------------------------------------------------------
 
     def _cache_result_records(
-        self, collection: str, body: Dict[str, Any], result_etag: Optional[str] = None
+        self, collection: str, body: Dict[str, Any], query_key: str, result_etag: Optional[str]
     ) -> None:
         """Insert all records of an object-list result into the client cache.
 
@@ -536,9 +537,9 @@ class QuaestorClient:
         key, etag, body, and the version the session observes -- is a pure
         function of the member versions, which ``result_etag`` fingerprints.
         So the member entries are built, and observed into the session, once
-        per result version; a re-serve only restamps them in one batch
-        (:meth:`~repro.caching.base.WebCache.restamp`).  Observing again
-        would be a no-op: the session already holds each member at this
+        per result version of ``query_key``; a re-serve only restamps them in
+        one batch (:meth:`~repro.caching.base.WebCache.restamp`).  Observing
+        again would be a no-op: the session already holds each member at this
         version or a newer one.
         """
         record_ttl = body.get("record_ttl", 0.0) or 0.0
@@ -549,13 +550,10 @@ class QuaestorClient:
             return
         ids = body.get("ids")
         memo = self._prepared_records
-        memo_key = prepared = None
-        if result_etag is not None and ids is not None:
-            memo_key = (collection, result_etag)
-            prepared = memo.get(memo_key)
-        if prepared is not None and prepared[0] == ids:
-            memo.move_to_end(memo_key)
-            entries = prepared[1]
+        prepared = memo.get(query_key)
+        if prepared is not None and prepared[0] == result_etag and prepared[1] == ids:
+            memo.move_to_end(query_key)
+            entries = prepared[2]
         else:
             # New result version (or the same members served in another
             # order): build the entries, stamped by the restamp below.
@@ -576,10 +574,10 @@ class QuaestorClient:
                     )
                 )
                 observe_read(key, version, document)
-            if memo_key is not None:
-                memo[memo_key] = (ids, entries)
-                memo.move_to_end(memo_key)
-                if len(memo) > _PREPARED_RESULTS:
+            if result_etag is not None and ids is not None:
+                memo[query_key] = (result_etag, ids, entries)
+                memo.move_to_end(query_key)
+                if len(memo) > _PREPARED_QUERIES:
                     memo.popitem(last=False)
         self.client_cache.restamp(entries, record_ttl)
 
@@ -634,7 +632,7 @@ class QuaestorClient:
             return None
         self.counters.increment("stale_if_error_serves")
         if self.tracer is not None:
-            self.tracer.event("sdk.stale_if_error", key=key)
+            self.tracer.event("sdk.stale_if_error", "key", key)
         body = entry.body if isinstance(entry.body, dict) else {}
         return ClientResult(
             key=key,

@@ -224,12 +224,17 @@ class QuaestorCluster:
         #: statistics facade above, so the registry lives on ``obs_metrics``.
         self.tracer = tracer
         self.obs_metrics = metrics
+        self._request_counters = (
+            None if metrics is None else metrics.counters("cluster_requests_total", "op")
+        )
         if tracer is not None:
             self.router.tracer = tracer
             for shard in self.shards:
                 shard.server.tracer = tracer
-        if self.resilience_runtime is not None:
-            self.resilience_runtime.metrics = metrics
+        if self.resilience_runtime is not None and metrics is not None:
+            self.resilience_runtime.attempt_counters = metrics.counters(
+                "resilience_attempts_total", "kind"
+            )
 
     def _build_server(self, database: Database, ebf, ttl_estimator) -> QuaestorServer:
         """Server factory for promoted replicas.
@@ -352,16 +357,16 @@ class QuaestorCluster:
         below is kept as the exact pre-resilience fast path.
         """
         self.counters.increment("reads")
-        if self.obs_metrics is not None:
-            self.obs_metrics.inc("cluster_requests_total", op="read")
+        if self._request_counters is not None:
+            self._request_counters["read"].inc()
         shard_id = self.router.record_read(collection, document_id)
         tracer = self.tracer
-        if tracer is not None and tracer.recording:
-            with tracer.span("cluster.read", shard=shard_id):
-                return self._read_routed(
-                    shard_id, collection, document_id, consistency, min_timestamp
-                )
-        return self._read_routed(shard_id, collection, document_id, consistency, min_timestamp)
+        span = tracer.begin("cluster.read") if tracer is not None and tracer.recording else None
+        try:
+            return self._read_routed(shard_id, collection, document_id, consistency, min_timestamp)
+        finally:
+            if span is not None:
+                tracer.end(span, "shard", shard_id)
 
     def _read_routed(
         self,
@@ -544,13 +549,15 @@ class QuaestorCluster:
         never created raises from the first shard, like on a single server.
         """
         self.counters.increment("scatter_queries")
-        if self.obs_metrics is not None:
-            self.obs_metrics.inc("cluster_requests_total", op="query")
-        tracer = self.tracer
-        if tracer is not None and tracer.recording:
-            with tracer.span("cluster.scatter", shards=self.num_shards):
-                return self._scatter_gather(query, tracer)
-        return self._scatter_gather(query, None)
+        if self._request_counters is not None:
+            self._request_counters["query"].inc()
+        tracer = self.tracer if self.tracer is not None and self.tracer.recording else None
+        span = tracer.begin("cluster.scatter") if tracer is not None else None
+        try:
+            return self._scatter_gather(query, tracer)
+        finally:
+            if span is not None:
+                tracer.end(span, "shards", self.num_shards)
 
     def _scatter_gather(self, query: Query, tracer) -> Response:
         """The scatter/gather body of :meth:`query` (optionally traced)."""
@@ -577,15 +584,15 @@ class QuaestorCluster:
                 continue
             prepared.append(shard.server.prepare_shard_query(query, scatter, deadline=deadline))
             if tracer is not None:
-                tracer.event("cluster.shard_query", shard=shard_id)
+                tracer.event("cluster.shard_query", "shard", shard_id)
         if shard_errors:
             self.counters.increment("scatter_queries_degraded")
             self.counters.increment("scatter_shard_errors", len(shard_errors))
             if self.obs_metrics is not None:
-                self.obs_metrics.inc("cluster_shard_errors_total", len(shard_errors))
+                self.obs_metrics.counter("cluster_shard_errors_total").inc(len(shard_errors))
             if tracer is not None:
                 for failed_shard, reason in sorted(shard_errors.items()):
-                    tracer.event("cluster.shard_error", shard=failed_shard, reason=reason)
+                    tracer.event("cluster.shard_error", "shard", failed_shard, "reason", reason)
         if not prepared:
             # Every shard is down: nothing to merge, total unavailability.
             self.counters.increment("query_errors")
@@ -603,7 +610,7 @@ class QuaestorCluster:
                 self.counters.increment("scatter_queries_aborted")
             responses = [read.abort() for read in prepared]
         if tracer is not None:
-            tracer.event("cluster.gather", shards=len(prepared), degraded=bool(shard_errors))
+            tracer.event("cluster.gather", "shards", len(prepared), "degraded", bool(shard_errors))
         return self._merge_query_responses(query, responses, now, shard_errors=shard_errors)
 
     def _scatter_attempt(self, shard_id: int, deadline) -> bool:
@@ -746,13 +753,15 @@ class QuaestorCluster:
 
     def _write_routed(self, shard_id: int, op: str, apply) -> Response:
         """Dispatch a routed write: pre-resilience fast path, else retry loop."""
-        if self.obs_metrics is not None:
-            self.obs_metrics.inc("cluster_requests_total", op="write")
+        if self._request_counters is not None:
+            self._request_counters["write"].inc()
         tracer = self.tracer
-        if tracer is not None and tracer.recording:
-            with tracer.span("cluster.write", shard=shard_id, op=op):
-                return self._write_dispatch(shard_id, apply)
-        return self._write_dispatch(shard_id, apply)
+        span = tracer.begin("cluster.write") if tracer is not None and tracer.recording else None
+        try:
+            return self._write_dispatch(shard_id, apply)
+        finally:
+            if span is not None:
+                tracer.end(span, "shard", shard_id, "op", op)
 
     def _write_dispatch(self, shard_id: int, apply) -> Response:
         if self.resilience_runtime is None and not self.gray.active:

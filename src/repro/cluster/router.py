@@ -115,14 +115,14 @@ class ShardRouter:
         shard_id = self.shard_for_record(collection, document_id)
         self._statistics.record_read(shard_id)
         if self.tracer is not None:
-            self.tracer.event("router.route", op="read", shard=shard_id)
+            self.tracer.event("router.route", "op", "read", "shard", shard_id)
         return shard_id
 
     def record_write(self, collection: str, document_id: str) -> int:
         shard_id = self.shard_for_record(collection, document_id)
         self._statistics.record_write(shard_id)
         if self.tracer is not None:
-            self.tracer.event("router.route", op="write", shard=shard_id)
+            self.tracer.event("router.route", "op", "write", "shard", shard_id)
         return shard_id
 
     def record_writes_at(self, shard_id: int, count: int = 1) -> None:

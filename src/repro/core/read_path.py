@@ -226,7 +226,7 @@ class ReadPipeline:
         """The single-record path (``handle_read``)."""
         server = self.server
         if server.tracer is not None:
-            server.tracer.event("pipeline.record_read", collection=collection)
+            server.tracer.event("pipeline.record_read", "collection", collection)
         now = server.now()
         try:
             document = server.database.get(collection, document_id)
@@ -262,7 +262,7 @@ class ReadPipeline:
             return self._uncacheable_client_response(ctx)
         admitted = self.probe_admission(ctx)
         if server.tracer is not None:
-            server.tracer.event("pipeline.admission", admitted=admitted)
+            server.tracer.event("pipeline.admission", "admitted", admitted)
         if not admitted:
             return self._uncacheable_client_response(ctx)
 
@@ -313,7 +313,7 @@ class ReadPipeline:
             else:
                 self.probe_admission(ctx)
         if server.tracer is not None:
-            server.tracer.event("pipeline.shard_probe", admitted=ctx.admitted)
+            server.tracer.event("pipeline.shard_probe", "admitted", ctx.admitted)
         return PreparedShardRead(self, ctx, body)
 
     def _uncacheable_client_response(self, ctx: ReadContext) -> Response:
@@ -401,7 +401,7 @@ class PreparedShardRead:
         """
         self._resolve()
         if self._pipeline.server.tracer is not None:
-            self._pipeline.server.tracer.event("pipeline.shard_abort", admitted=self.admitted)
+            self._pipeline.server.tracer.event("pipeline.shard_abort", "admitted", self.admitted)
         if self.admitted:
             self._pipeline.abort_admission(self.ctx)
             self._pipeline.server.counters.increment("shard_queries_aborted")

@@ -389,7 +389,7 @@ class QuaestorServer:
 
         self.counters.increment("query_invalidations")
         if self.tracer is not None:
-            self.tracer.event("invalidb.notify", key=query_key)
+            self.tracer.event("invalidb.notify", "key", query_key)
         actual_ttl = self.active_list.record_invalidation(query_key, notification.timestamp)
         if actual_ttl is not None:
             self.ttl_estimator.observe_query_invalidation(
@@ -407,7 +407,7 @@ class QuaestorServer:
         if added:
             self.counters.increment("ebf_additions")
         if self.tracer is not None:
-            self.tracer.event("invalidb.invalidate", key=key, ebf_added=added)
+            self.tracer.event("invalidb.invalidate", "key", key, "ebf_added", added)
         self.counters.increment("purges_sent")
         for target in self._purge_targets:
             if isinstance(target, InvalidationCache):

@@ -17,7 +17,8 @@ Entry points:
 
 * ``ObservabilityConfig`` — the ``SimulationConfig.observability`` knob.
 * ``TraceRecorder`` / ``Span`` — the tracing subsystem.
-* ``MetricsRegistry`` / ``Gauge`` — labeled counters/gauges/histograms.
+* ``MetricsRegistry`` / ``Gauge`` — labeled counters/gauges/histograms,
+  published through children bound once per label set.
 * ``repro.obs.analyze`` — critical path, attribution, waterfall, flamegraph.
 * ``python -m repro.obs`` — seeded scenario + artifacts + attribution report.
 """

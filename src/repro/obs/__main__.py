@@ -10,13 +10,15 @@ path stages at p50/p99, waterfalls).
 *off* first and asserts the two summaries are value-identical — the
 determinism gate CI runs (``make obs-smoke``) — and enforces that the
 analyzer attributes at least 95% of every sampled request's latency to
-named spans.  Exit code 0 means every gate held.
+named spans.  It also prints the recorders' *price*: GC-tracked objects
+retained per operation, off vs on (exact for a seed; wall and collector time
+are ``make retained``'s job).  Exit code 0 means every gate held.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
 import sys
 
@@ -59,6 +61,16 @@ def scenario_config(
     )
 
 
+def _run_counting_retained(config: SimulationConfig):
+    """Run ``config``; returns (simulator, summary, GC-tracked objects retained per operation)."""
+    simulator = Simulator(config)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    summary = simulator.run().summary()
+    gc.collect()
+    return simulator, summary, (len(gc.get_objects()) - tracked) / config.max_operations
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description=__doc__.splitlines()[0]
@@ -96,10 +108,11 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline_summary = None
     if args.smoke:
-        baseline_summary = Simulator(scenario_config(args.seed, args.ops)).run().summary()
+        _, baseline_summary, retained_off = _run_counting_retained(
+            scenario_config(args.seed, args.ops)
+        )
 
-    simulator = Simulator(traced_config)
-    summary = simulator.run().summary()
+    simulator, summary, retained_on = _run_counting_retained(traced_config)
 
     if baseline_summary is not None and summary != baseline_summary:
         diff = {
@@ -140,6 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     if baseline_summary is not None:
         print("summary parity: OK (observability off == on, "
               f"{len(summary)} values compared)")
+        print(
+            f"price (trace + metrics, {args.ops} ops): retained objects/op "
+            f"off {retained_off:.2f}, on {retained_on:.2f}"
+        )
     print(f"artifacts: {prom_path} {json_path}")
     print(f"summary: {json.dumps(summary, sort_keys=True)}")
     return 0

@@ -5,15 +5,25 @@ harness), the registry keys every instrument by ``(name, label-tuple)`` —
 the Prometheus data model — and can snapshot the counter/gauge state onto a
 sim-time epoch grid so a metric can be watched *evolving* during a scenario.
 
-Three instrument kinds:
+Three instrument kinds, each handed out as a *bound child* of one label set:
 
-* **counter** — monotone; ``inc`` rejects negative amounts (decrements are
-  a modelling bug for counters — use a gauge).
+* **counter** (:class:`BoundCounter`) — monotone; ``inc`` rejects negative
+  amounts (decrements are a modelling bug for counters — use a gauge).
 * **gauge** (:class:`Gauge`) — a level that may go up *and* down: queue
   depths, open breakers, cache residency.
-* **histogram** — raw sample lists (deterministically merged across
-  partitions by concatenation in partition order); exposition derives
-  count/sum/quantiles.
+* **histogram** — the flat ``list`` of raw samples itself (deterministically
+  merged across partitions by concatenation in partition order); exposition
+  derives count/sum/quantiles.
+
+**Write path.**  ``registry.counter(name, **labels)`` / ``gauge`` /
+``histogram`` resolve the label set -- the only place a label ``dict`` is
+built and sorted -- and return the child.  A publishing site keeps its child
+(or a :meth:`MetricsRegistry.counters` / ``histograms`` mapping that binds
+each label-value combination on first use), so ``counter.inc()`` /
+``samples.append(value)`` in a run loop touch one number or append one float
+and allocate nothing.  A
+child shows in ``state()`` from the moment it is resolved; sites resolve
+lazily, so a label set that never occurred is not exported as zero.
 
 Determinism contract: publishing draws no RNG and reads nothing but the
 values handed to it plus explicitly supplied timestamps, so enabling the
@@ -25,15 +35,39 @@ the spawn boundary and ``merge_states`` folds in partition-id order.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-__all__ = ["Gauge", "MetricsRegistry", "merge_states", "canonical_metrics_bytes"]
+__all__ = [
+    "BoundCounter",
+    "Gauge",
+    "MetricsRegistry",
+    "merge_states",
+    "canonical_metrics_bytes",
+]
 
 LabelKey = Tuple[Tuple[str, object], ...]
 
 
 def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted(labels.items()))
+
+
+class BoundCounter:
+    """One label set of a monotone counter."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: float = 0
+
+    def inc(self, amount: float = 1) -> None:
+        """Increment; negative amounts are rejected."""
+        if amount < 0:
+            raise ValueError(
+                f"counters are monotone and cannot be decremented (amount={amount!r}); "
+                "use a Gauge for values that fall"
+            )
+        self.value += amount
 
 
 class Gauge:
@@ -59,6 +93,24 @@ class Gauge:
         return self.value
 
 
+class _BoundByLabelValues(dict):
+    """Children of one instrument, bound on first use; indexed by the one label's
+    value, or by the tuple of values in ``label_names`` order when there are several."""
+
+    __slots__ = ("_bind", "_name", "_label_names")
+
+    def __init__(self, bind: Callable, name: str, label_names: Tuple[str, ...]) -> None:
+        super().__init__()
+        self._bind = bind
+        self._name = name
+        self._label_names = label_names
+
+    def __missing__(self, values):
+        as_tuple = values if len(self._label_names) > 1 else (values,)
+        child = self[values] = self._bind(self._name, **dict(zip(self._label_names, as_tuple)))
+        return child
+
+
 class MetricsRegistry:
     """Counters, gauges and histograms keyed by ``(name, label-tuple)``."""
 
@@ -68,41 +120,39 @@ class MetricsRegistry:
         if interval <= 0.0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self._counters: Dict[Tuple[str, LabelKey], float] = {}
+        self._counters: Dict[Tuple[str, LabelKey], BoundCounter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], List[float]] = {}
         self._series: List[tuple] = []
 
     # ------------------------------------------------------------------ write
-    def inc(self, name: str, amount: float = 1, **labels) -> float:
-        """Increment a monotone counter; negative amounts are rejected."""
-        if amount < 0:
-            raise ValueError(
-                f"counter {name!r} is monotone and cannot be decremented "
-                f"(amount={amount!r}); use a Gauge for values that fall"
-            )
+    @staticmethod
+    def _child(children: dict, kind: type, name: str, labels: dict):
         key = (name, _label_key(labels))
-        value = self._counters.get(key, 0) + amount
-        self._counters[key] = value
-        return value
+        child = children.get(key)
+        if child is None:
+            child = children[key] = kind()
+        return child
+
+    def counter(self, name: str, **labels) -> BoundCounter:
+        """The counter for this label set, created at zero on first use."""
+        return self._child(self._counters, BoundCounter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
         """The gauge for this label set, created at zero on first use."""
-        key = (name, _label_key(labels))
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = Gauge()
-            self._gauges[key] = gauge
-        return gauge
+        return self._child(self._gauges, Gauge, name, labels)
 
-    def observe(self, name: str, value: float, **labels) -> None:
-        """Record one histogram sample."""
-        key = (name, _label_key(labels))
-        samples = self._histograms.get(key)
-        if samples is None:
-            samples = []
-            self._histograms[key] = samples
-        samples.append(value)
+    def histogram(self, name: str, **labels) -> List[float]:
+        """This label set's flat sample list (``append`` observes), created on first use."""
+        return self._child(self._histograms, list, name, labels)
+
+    def counters(self, name: str, *label_names: str) -> Dict[object, BoundCounter]:
+        """``mapping[label values] -> BoundCounter``, each bound on first use."""
+        return _BoundByLabelValues(self.counter, name, label_names)
+
+    def histograms(self, name: str, *label_names: str) -> Dict[object, List[float]]:
+        """``mapping[label values] -> sample list``, each bound on first use."""
+        return _BoundByLabelValues(self.histogram, name, label_names)
 
     def sample(self, timestamp: float) -> None:
         """Snapshot counters and gauges onto the time series at ``timestamp``.
@@ -112,7 +162,9 @@ class MetricsRegistry:
         grids line up at merge time.
         """
         counters = tuple(
-            sorted((name, labels, value) for (name, labels), value in self._counters.items())
+            sorted(
+                (name, labels, counter.value) for (name, labels), counter in self._counters.items()
+            )
         )
         gauges = tuple(
             sorted((name, labels, gauge.value) for (name, labels), gauge in self._gauges.items())
@@ -120,16 +172,6 @@ class MetricsRegistry:
         self._series.append((timestamp, counters, gauges))
 
     # ------------------------------------------------------------------- read
-    def counter_value(self, name: str, **labels) -> float:
-        return self._counters.get((name, _label_key(labels)), 0)
-
-    def gauge_value(self, name: str, **labels) -> float:
-        gauge = self._gauges.get((name, _label_key(labels)))
-        return 0.0 if gauge is None else gauge.value
-
-    def histogram_samples(self, name: str, **labels) -> Tuple[float, ...]:
-        return tuple(self._histograms.get((name, _label_key(labels)), ()))
-
     def series(self) -> Tuple[tuple, ...]:
         return tuple(self._series)
 
@@ -141,7 +183,9 @@ class MetricsRegistry:
         key and ``series`` is the snapshot list in record order.
         """
         counters = tuple(
-            sorted((name, labels, value) for (name, labels), value in self._counters.items())
+            sorted(
+                (name, labels, counter.value) for (name, labels), counter in self._counters.items()
+            )
         )
         gauges = tuple(
             sorted((name, labels, gauge.value) for (name, labels), gauge in self._gauges.items())

@@ -1,20 +1,31 @@
 """Deterministic request tracing on the simulation's virtual clock.
 
-A :class:`Span` is one named piece of work inside a request: the SDK root
-operation, the cluster scatter, a pipeline stage, a replica selection, or a
-*cost span* attached after the fact carrying the modelled seconds the
-simulator priced for a stage (``net.origin``, ``resilience.backoff``, ...).
+A span is one named piece of work inside a request: the SDK root operation,
+the cluster scatter, a pipeline stage, a replica selection, or a *cost span*
+carrying the modelled seconds the simulator priced for a stage
+(``net.origin``, ``resilience.backoff``, ...).
 
-The recorder follows the ``repro.verify.history`` playbook that keeps
-recording invisible to seeded results:
+**Storage** (layout and price: ``docs/architecture.md``, "Observability").
+:class:`TraceRecorder` is a write-only flat log of atoms, so recording creates
+nothing the cyclic collector has to track.  ``_log`` holds five slots per
+span -- ``parent_id, name, start, end, cost`` -- appended with one
+``extend``; a span's id *is* its position (``index // 5``) and is the integer
+handle ``begin`` / ``event`` return.  A cost span stores ``None`` for
+``start`` / ``end``: it happens at its parent's ``end``, resolved on read.
+``_attrs`` is one flat ``span_id, key, value`` list; a call passes at most
+three attributes, positionally as ``key, value`` pairs (no ``dict`` is
+built), and a key written twice keeps the last value.  The log is
+append-only but for two slots: ``end`` closes an open span, and a completed
+*root* may be finished exactly once (:meth:`TraceRecorder.finish_root`)
+before the next root completes.  :class:`Span` is the read-side value type;
+one exists only after :meth:`TraceRecorder.spans` / :func:`spans_from_tuples`.
 
-* timestamps come only from the virtual clock (never wall clock),
-* no random numbers are ever drawn — request sampling is counter based,
-* spans serialize to plain tuples (``to_tuple``) that pickle across the
-  ``ParallelSimulator`` spawn boundary, and
-* ``canonical_bytes`` defines a byte-exact wire form (floats via ``repr``)
-  used by the parity tests to pin merged parallel traces against the
-  serial oracle.
+Like ``repro.verify.history``, recording stays invisible to seeded results:
+timestamps come only from the virtual clock, no random numbers are drawn
+(request sampling is counter based), spans serialize to plain tuples
+(``span_tuples``) that pickle across the ``ParallelSimulator`` spawn
+boundary, and ``canonical_trace_bytes`` defines the byte-exact wire form
+(floats via ``repr``) the parity tests pin.
 
 Because the virtual clock does not advance *inside* a synchronous request,
 a span's ``start``/``end`` describe structure, not duration; the modelled
@@ -26,7 +37,8 @@ by summing ``cost`` over a root's descendants.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Span",
@@ -36,38 +48,28 @@ __all__ = [
     "canonical_trace_bytes",
 ]
 
+#: Slots per span in the flat log: ``parent_id, name, start, end, cost``.
+_STRIDE = 5
+_END = 3
+_COST = 4
 
+
+@dataclass(eq=False, slots=True)
 class Span:
-    """One node of a request's trace tree.
+    """One node of a request's trace tree (read side only).
 
-    Mutable while the request is in flight (the simulator back-fills the
-    root's ``end``/``cost`` and result attributes once the operation has
-    been priced); treated as frozen once exported via :meth:`to_tuple`.
+    Built from the recorder's log by :meth:`TraceRecorder.spans` or from
+    ``to_tuple`` rows by :func:`spans_from_tuples`; editing one does not
+    write back to the log.
     """
 
-    __slots__ = ("span_id", "parent_id", "name", "start", "end", "cost", "attrs")
-
-    def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        start: float,
-        end: Optional[float] = None,
-        cost: float = 0.0,
-        attrs: Optional[dict] = None,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start = start
-        self.end = start if end is None else end
-        self.cost = cost
-        self.attrs = {} if attrs is None else attrs
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    span_id: int
+    parent_id: Optional[int]
+    name: str
+    start: float
+    end: float
+    cost: float
+    attrs: dict
 
     def to_tuple(self) -> tuple:
         """Picklable row: ``(span_id, parent_id, name, start, end, cost, attrs)``.
@@ -84,31 +86,6 @@ class Span:
             self.cost,
             tuple(sorted(self.attrs.items())),
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Span(id={self.span_id}, parent={self.parent_id}, name={self.name!r}, "
-            f"cost={self.cost!r}, attrs={self.attrs!r})"
-        )
-
-
-class _SpanScope:
-    """``with tracer.span("name"):`` sugar; safe when sampling skips the request."""
-
-    __slots__ = ("_recorder", "_name", "_attrs", "span")
-
-    def __init__(self, recorder: "TraceRecorder", name: str, attrs: dict) -> None:
-        self._recorder = recorder
-        self._name = name
-        self._attrs = attrs
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Optional[Span]:
-        self.span = self._recorder.begin(self._name, **self._attrs)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._recorder.end(self.span)
 
 
 class TraceRecorder:
@@ -128,10 +105,11 @@ class TraceRecorder:
     __slots__ = (
         "clock",
         "sample_every",
-        "_spans",
+        "recording",
+        "_log",
+        "_attrs",
         "_stack",
         "_roots_seen",
-        "_recording",
         "_last_root",
     )
 
@@ -140,111 +118,137 @@ class TraceRecorder:
             raise ValueError("sample_every must be >= 1")
         self.clock = clock
         self.sample_every = sample_every
-        self._spans: List[Span] = []
-        self._stack: List[Optional[Span]] = []
+        #: Whether a request is on the stack *and* being sampled.
+        self.recording = False
+        self._log: list = []
+        self._attrs: list = []
+        self._stack: List[Optional[int]] = []
         self._roots_seen = 0
-        self._recording = False
-        self._last_root: Optional[Span] = None
+        self._last_root: Optional[int] = None
 
-    @property
-    def recording(self) -> bool:
-        """Whether the request currently on the stack is being sampled."""
-        return bool(self._stack) and self._recording
-
-    def begin(self, name: str, **attrs) -> Optional[Span]:
-        """Open a span; returns ``None`` when the request is not sampled."""
-        if not self._stack:
-            self._recording = (self._roots_seen % self.sample_every) == 0
+    # ------------------------------------------------------------------ write
+    def begin(self, name: str) -> Optional[int]:
+        """Open a span; returns its id, or ``None`` when the request is not sampled."""
+        stack = self._stack
+        if stack:
+            parent = stack[-1]
+        else:
+            parent = None
+            self.recording = (self._roots_seen % self.sample_every) == 0
             self._roots_seen += 1
-        if not self._recording:
-            self._stack.append(None)
+        if not self.recording:
+            stack.append(None)
             return None
-        parent = self._stack[-1] if self._stack else None
+        log = self._log
+        span_id = len(log) // _STRIDE
         now = self.clock.now()
-        span = Span(
-            len(self._spans),
-            None if parent is None else parent.span_id,
-            name,
-            now,
-            attrs=dict(attrs),
-        )
-        self._spans.append(span)
-        self._stack.append(span)
-        return span
+        log.extend((parent, name, now, now, 0.0))
+        stack.append(span_id)
+        return span_id
 
-    def end(self, span: Optional[Span] = None, **attrs) -> None:
-        """Close the innermost open span (``span`` is accepted for symmetry)."""
-        if not self._stack:
+    def end(self, span: Optional[int] = None, key=None, value=None, key2=None, value2=None) -> None:
+        """Close the innermost open span, which must be ``span``.
+
+        ``span`` is what the matching :meth:`begin` returned (``None`` for an
+        unsampled request, which pops its placeholder); any other handle
+        means the instrumentation is unbalanced and raises.
+        """
+        stack = self._stack
+        if not stack:
             raise RuntimeError("TraceRecorder.end() without a matching begin()")
-        popped = self._stack.pop()
-        if popped is None:
-            return
-        popped.end = self.clock.now()
-        if attrs:
-            popped.attrs.update(attrs)
-        if not self._stack:
-            self._last_root = popped
+        if stack[-1] != span:
+            raise RuntimeError(f"end({span!r}): the innermost open span is {stack[-1]!r}")
+        del stack[-1]
+        if span is not None:
+            self._log[span * _STRIDE + _END] = self.clock.now()
+            if key is not None:
+                if key2 is None:
+                    self._attrs.extend((span, key, value))
+                else:
+                    self._attrs.extend((span, key, value, span, key2, value2))
+        if not stack:
+            self.recording = False
+            self._last_root = span
 
-    def span(self, name: str, **attrs) -> _SpanScope:
-        """Context-manager form of :meth:`begin`/:meth:`end`."""
-        return _SpanScope(self, name, attrs)
-
-    def event(self, name: str, cost: float = 0.0, **attrs) -> Optional[Span]:
+    def event(
+        self, name: str, key=None, value=None, key2=None, value2=None, key3=None, value3=None
+    ) -> Optional[int]:
         """Record an instant child of the innermost open span.
 
         Dropped (returns ``None``) outside any request or when the request
         is unsampled — traces stay strictly request-scoped.
         """
-        if not self._stack or not self._recording:
+        if not self.recording:
             return None
-        parent = self._stack[-1]
-        if parent is None:
-            return None
+        log = self._log
+        span_id = len(log) // _STRIDE
         now = self.clock.now()
-        span = Span(len(self._spans), parent.span_id, name, now, cost=cost, attrs=dict(attrs))
-        self._spans.append(span)
-        return span
+        log.extend((self._stack[-1], name, now, now, 0.0))
+        if key is not None:
+            if key2 is None:
+                self._attrs.extend((span_id, key, value))
+            elif key3 is None:
+                self._attrs.extend((span_id, key, value, span_id, key2, value2))
+            else:
+                self._attrs.extend(
+                    (span_id, key, value, span_id, key2, value2, span_id, key3, value3)
+                )
+        return span_id
 
-    def attach(self, parent: Span, name: str, cost: float = 0.0, **attrs) -> Span:
-        """Append a child to an already-closed span.
+    def cost(self, name: str, seconds: float) -> None:
+        """Hang a priced latency component off the last completed root.
 
-        Used by the simulator to hang priced latency components
-        (``net.origin``, ``resilience.retry``, ...) off a request root after
-        the synchronous call has returned.
+        Called at the simulator's pricing sites (``net.origin``, ...) after the
+        synchronous call has returned; a no-op when that request was not sampled.
         """
-        span = Span(
-            len(self._spans),
-            parent.span_id,
-            name,
-            parent.end,
-            end=parent.end,
-            cost=cost,
-            attrs=dict(attrs),
-        )
-        self._spans.append(span)
-        return span
-
-    def take_last_root(self) -> Optional[Span]:
-        """The most recently completed root span, consumed (or ``None``)."""
         root = self._last_root
+        if root is not None:
+            self._log.extend((root, name, None, None, seconds))
+
+    def finish_root(self, end: float, cost: float, key: str, value) -> Optional[int]:
+        """Price the last completed root: final ``end``, total ``cost``, one attribute.
+
+        Consumes the root (returns its id, ``None`` when the request was not
+        sampled), so a root is finished at most once.
+        """
+        root = self._last_root
+        if root is None:
+            return None
         self._last_root = None
+        base = root * _STRIDE
+        self._log[base + _END] = end
+        self._log[base + _COST] = cost
+        self._attrs.extend((root, key, value))
         return root
 
+    # ------------------------------------------------------------------- read
+    def _rows(self) -> Iterator[tuple]:
+        """``(span_id, parent_id, name, start, end, cost, attrs dict)`` per span."""
+        log = self._log
+        attrs: Dict[int, dict] = {}
+        for span_id, key, value in zip(*[iter(self._attrs)] * 3):
+            attrs.setdefault(span_id, {})[key] = value
+        for span_id, (parent, name, start, end, cost) in enumerate(zip(*[iter(log)] * _STRIDE)):
+            if start is None:
+                start = end = log[parent * _STRIDE + _END]
+            yield span_id, parent, name, start, end, cost, attrs.get(span_id) or {}
+
     def spans(self) -> Tuple[Span, ...]:
-        return tuple(self._spans)
+        """Materialise every recorded span (the only place ``Span`` objects are built)."""
+        return tuple(Span(*row) for row in self._rows())
 
     def span_tuples(self) -> Tuple[tuple, ...]:
-        """All spans as picklable rows (the parallel-merge surface)."""
-        return tuple(span.to_tuple() for span in self._spans)
+        """All spans as picklable ``Span.to_tuple`` rows (the parallel-merge surface)."""
+        return tuple(row[:6] + (tuple(sorted(row[6].items())),) for row in self._rows())
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._log) // _STRIDE
 
 
 def spans_from_tuples(rows: Iterable[tuple]) -> List[Span]:
     """Rebuild :class:`Span` objects from :meth:`Span.to_tuple` rows."""
     return [
-        Span(span_id, parent_id, name, start, end=end, cost=cost, attrs=dict(attrs))
+        Span(span_id, parent_id, name, start, end, cost, dict(attrs))
         for span_id, parent_id, name, start, end, cost, attrs in rows
     ]
 
@@ -270,12 +274,6 @@ def merge_trace_tuples(partitions: Sequence[Sequence[tuple]]) -> Tuple[tuple, ..
     return tuple(merged)
 
 
-def _canonical_value(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def canonical_trace_bytes(rows: Iterable[tuple]) -> bytes:
     """Byte-exact wire form of span rows.
 
@@ -291,7 +289,7 @@ def canonical_trace_bytes(rows: Iterable[tuple]) -> bytes:
             repr(start),
             repr(end),
             repr(cost),
-            [[key, _canonical_value(value)] for key, value in attrs],
+            [[key, repr(value) if isinstance(value, float) else value] for key, value in attrs],
         ]
         for span_id, parent_id, name, start, end, cost, attrs in rows
     ]

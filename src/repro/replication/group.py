@@ -302,9 +302,7 @@ class ReplicaGroup:
         if tracer is not None:
             tracer.event(
                 "replica.select",
-                node=node.node_id,
-                candidates=len(candidates),
-                level=level.value,
+                "node", node.node_id, "candidates", len(candidates), "level", level.value,
             )
         if is_primary:
             return self._primary_read(collection, document_id)

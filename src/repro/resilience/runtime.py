@@ -72,7 +72,7 @@ class RequestTrace:
 class ResilienceRuntime:
     """Mutable resilience state for one cluster (see module docstring)."""
 
-    __slots__ = ("config", "clock", "rng", "_breakers", "_trace", "metrics")
+    __slots__ = ("config", "clock", "rng", "_breakers", "_trace", "attempt_counters")
 
     def __init__(self, config: ResilienceConfig, clock: Clock) -> None:
         self.config = config
@@ -80,9 +80,10 @@ class ResilienceRuntime:
         self.rng = random.Random(config.seed)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._trace = RequestTrace()
-        #: Optional :class:`repro.obs.MetricsRegistry`; drained traces publish
-        #: ``resilience_attempts_total`` counters into it.
-        self.metrics = None
+        #: Optional ``resilience_attempts_total`` counters by ``kind``
+        #: (``repro.obs.MetricsRegistry.counters``); drained traces publish
+        #: into them.
+        self.attempt_counters = None
 
     # -- retry / deadline ---------------------------------------------------------------
 
@@ -159,13 +160,12 @@ class ResilienceRuntime:
         trace = self._trace
         if not trace.empty:
             self._trace = RequestTrace()
-            if self.metrics is not None:
+            counters = self.attempt_counters
+            if counters is not None:
                 if trace.extra_round_trips:
-                    self.metrics.inc(
-                        "resilience_attempts_total", trace.extra_round_trips, kind="retry"
-                    )
+                    counters["retry"].inc(trace.extra_round_trips)
                 if trace.fast_failed:
-                    self.metrics.inc("resilience_attempts_total", kind="fast_fail")
+                    counters["fast_fail"].inc()
                 if trace.hedged:
-                    self.metrics.inc("resilience_attempts_total", kind="hedge")
+                    counters["hedge"].inc()
         return trace

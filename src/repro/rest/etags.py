@@ -9,7 +9,10 @@ versions) so they change exactly when the cached representation changes.
 Because tags are pure functions of ``(collection, id, version)`` -- or, for
 query results, of the member-version mapping -- their rendering is memoized:
 a record that has not changed renders the identical string without paying the
-JSON canonicalisation again.
+JSON canonicalisation again.  A *new* version of a known record does not start
+over either: FNV-1a is a running hash, so the state after the canonical JSON
+up to the version digits is memoized per ``(collection, id)`` and only the
+tail is hashed.
 """
 
 from __future__ import annotations
@@ -18,19 +21,32 @@ import json
 from functools import lru_cache
 from typing import Any, Dict, Tuple
 
-from repro.bloom.hashing import stable_uint64
+from repro.bloom.hashing import fnv1a_64
+
+
+def _canonical(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, default=str, separators=(",", ":"))
 
 
 def etag_for(payload: Any) -> str:
     """A strong Etag derived deterministically from ``payload``."""
-    canonical = json.dumps(payload, sort_keys=True, default=str, separators=(",", ":"))
-    return f'"{stable_uint64(canonical):016x}"'
+    return f'"{fnv1a_64(_canonical(payload).encode("utf-8")):016x}"'
+
+
+@lru_cache(maxsize=65_536)
+def _version_prefix_state(collection: str, document_id: str) -> int:
+    """FNV state after ``{"c":…,"id":…,"v":`` -- a record tag up to its version."""
+    canonical = _canonical({"c": collection, "id": document_id, "v": 0})
+    return fnv1a_64(canonical[:-2].encode("utf-8"))  # minus ``0}``
 
 
 @lru_cache(maxsize=65_536)
 def etag_for_version(collection: str, document_id: str, version: int) -> str:
     """Etag for an individual record at a specific version."""
-    return etag_for({"c": collection, "id": document_id, "v": version})
+    if type(version) is not int:
+        return etag_for({"c": collection, "id": document_id, "v": version})
+    state = _version_prefix_state(collection, document_id)
+    return f'"{fnv1a_64(b"%d}" % version, state):016x}"'
 
 
 @lru_cache(maxsize=16_384)

@@ -49,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs import MetricsRegistry, ObservabilityConfig, TraceRecorder
     from repro.verify.history import HistoryRecorder
 
+#: Cost-span name of a read served at each cache level.
+_NET_STAGE = {"client": "net.client", "cdn": "net.cdn", "origin": "net.origin"}
+
 
 class CachingMode(str, enum.Enum):
     """The four system configurations compared throughout Section 6.2."""
@@ -428,20 +431,18 @@ class Simulator:
         #: (hedged, retried, fast_failed) markers of the operation in flight,
         #: stashed by _drain_resilience for the history recorder.
         self._op_markers: Tuple[bool, bool, bool] = (False, False, False)
-        #: Latency components of the operation in flight: ``(stage, seconds)``
-        #: pairs appended at the exact sites where latency is priced (the
-        #: virtual clock does not advance inside a synchronous request, so
-        #: per-stage attribution must come from the pricing code, not from
-        #: span timestamps).  ``None`` whenever tracing is off.
-        self._trace_parts: Optional[List[Tuple[str, float]]] = None
         #: Next sim-time epoch boundary at which the metrics registry
         #: snapshots its time series.  Sampling is lazy -- piggybacked on
         #: operation execution, never scheduled into the event queue, which
         #: would advance the clock past the last workload event and change
         #: the measured duration.
-        self._next_metrics_sample: Optional[float] = (
-            self.metrics_registry.interval if self.metrics_registry is not None else None
-        )
+        self._next_metrics_sample: Optional[float] = None
+        registry = self.metrics_registry
+        if registry is not None:
+            self._next_metrics_sample = registry.interval
+            self._operation_counters = registry.counters("sim_operations_total", "op", "level")
+            self._stale_read_counters = registry.counters("sim_stale_reads_total", "op")
+            self._latency_samples = registry.histograms("sim_request_latency_seconds", "op")
         self._measured_operations = 0
         self._total_operations = 0
         self._warmup_operations = int(config.warmup_fraction * config.max_operations)
@@ -558,24 +559,12 @@ class Simulator:
         recording = self.history is not None
         if recording:
             self._op_markers = (False, False, False)
-        tracer = self.tracer
         registry = self.metrics_registry
-        if tracer is not None:
-            self._trace_parts = []
         latency, op_class, key, etag, level, result = self._perform(client, operation)
-        if tracer is not None:
-            # Decorate the completed root span with the priced outcome: the
-            # total modelled latency plus one cost child per latency
-            # component collected at the pricing sites.
-            root = tracer.take_last_root()
-            if root is not None:
-                root.end = start_time + latency
-                root.cost = latency
-                root.attrs["op"] = op_class
-                root.attrs["level"] = level
-                for stage, cost in self._trace_parts:
-                    tracer.attach(root, stage, cost=cost)
-            self._trace_parts = None
+        if self.tracer is not None:
+            # Price the completed root (its key and level came with the SDK's
+            # ``end``, its cost children from the pricing sites): latency, op class.
+            self.tracer.finish_root(start_time + latency, latency, "op", op_class)
         if registry is not None:
             # Lazy epoch sampling: snapshot the time series at every grid
             # boundary this operation's start time has crossed.  The grid is
@@ -598,8 +587,8 @@ class Simulator:
             self._latency_by_class[op_class].record(latency)
             self.level_counts[op_class].counts[level] += 1
             if registry is not None:
-                registry.inc("sim_operations_total", op=op_class, level=level)
-                registry.observe("sim_request_latency_seconds", latency, op=op_class)
+                self._operation_counters[op_class, level].inc()
+                self._latency_samples[op_class].append(latency)
             if (
                 self.config.audit_staleness
                 and etag is not None
@@ -612,7 +601,7 @@ class Simulator:
                 if audit.stale:
                     stale_counts["stale_read" if op_class == "read" else "stale_query"] += 1
                     if registry is not None:
-                        registry.inc("sim_stale_reads_total", op=op_class)
+                        self._stale_read_counters[op_class].inc()
                 if audit.degraded:
                     stale_counts["degraded_served"] += 1
                 stale_counts["audited_read" if op_class == "read" else "audited_query"] += 1
@@ -671,34 +660,34 @@ class Simulator:
             result = client.insert(operation.collection, operation.payload)
         else:
             result = client.delete(operation.collection, operation.document_id)
-        parts = self._trace_parts
+        tracer = self.tracer
         if result.level == ERROR_LEVEL:
             # The primary is down: the write failed after a wide-area round
             # trip and consumed no origin capacity.
             probe = topology.write_latency()
-            if parts is not None:
-                parts.append(("net.probe", probe))
+            if tracer is not None:
+                tracer.cost("net.probe", probe)
             latency = self._drain_resilience(probe, ERROR_LEVEL)
             return latency, "write", result.key, None, ERROR_LEVEL, result
         base = topology.write_latency()
         wait = self._origin_wait(write_token)
-        if parts is not None:
-            parts.append(("net.write", base))
+        if tracer is not None:
+            tracer.cost("net.write", base)
             if wait > 0.0:
-                parts.append(("queue.origin", wait))
+                tracer.cost("queue.origin", wait)
         latency = base + wait
         inflated = self._gray_write_latency(latency, operation)
-        if parts is not None and inflated != latency:
-            parts.append(("gray.slow", inflated - latency))
+        if tracer is not None and inflated != latency:
+            tracer.cost("gray.slow", inflated - latency)
         latency = self._drain_resilience(inflated, "origin")
         return latency, "write", result.key, None, "origin", result
 
     def _read_path_latency(self, level: str, key: Optional[str]) -> float:
         """Latency of a read/query answered at ``level`` plus origin queueing."""
-        parts = self._trace_parts
+        tracer = self.tracer
         if level == SESSION_LEVEL:
-            if parts is not None:
-                parts.append(("net.session", 0.0))
+            if tracer is not None:
+                tracer.cost("net.session", 0.0)
             return 0.0
         if level == ERROR_LEVEL or level == DEGRADED_LEVEL:
             # A failed request still pays the round trip that discovered the
@@ -706,20 +695,20 @@ class Simulator:
             # pays the same discovery round trip before falling back to the
             # expired cache entry.
             probe = self.config.topology.origin_round_trip.sample()
-            if parts is not None:
-                parts.append(("net.probe", probe))
+            if tracer is not None:
+                tracer.cost("net.probe", probe)
             return probe
         latency = self.config.topology.read_latency(level)
-        if parts is not None:
-            parts.append((f"net.{level}", latency))
+        if tracer is not None:
+            tracer.cost(_NET_STAGE[level], latency)
         if level == "origin":
             wait = self._origin_wait_for_key(key)
-            if parts is not None and wait > 0.0:
-                parts.append(("queue.origin", wait))
+            if tracer is not None and wait > 0.0:
+                tracer.cost("queue.origin", wait)
             latency += wait
             inflated = self._gray_origin_latency(latency, key)
-            if parts is not None and inflated != latency:
-                parts.append(("gray.slow", inflated - latency))
+            if tracer is not None and inflated != latency:
+                tracer.cost("gray.slow", inflated - latency)
             latency = inflated
         return latency
 
@@ -818,36 +807,33 @@ class Simulator:
                 trace.extra_round_trips > 0,
                 trace.fast_failed,
             )
-        parts = self._trace_parts
+        tracer = self.tracer
         if (
             trace.fast_failed
             and trace.extra_round_trips == 0
             and (level == ERROR_LEVEL or level == DEGRADED_LEVEL)
         ):
-            if parts is not None and latency != 0.0:
+            if tracer is not None and latency != 0.0:
                 # The breaker refused before any network attempt: the
                 # discovery round trip priced above was never paid, so the
                 # attribution carries the compensating negative component.
-                parts.append(("resilience.fast_fail", -latency))
+                tracer.cost("resilience.fast_fail", -latency)
             latency = 0.0
         latency += trace.backoff_s
-        if parts is not None:
+        if tracer is not None:
             if trace.backoff_s:
-                parts.append(("resilience.backoff", trace.backoff_s))
+                tracer.cost("resilience.backoff", trace.backoff_s)
             if trace.hedged:
-                parts.append(("resilience.hedge", 0.0))
+                tracer.cost("resilience.hedge", 0.0)
         if trace.extra_round_trips:
             rtt = self.config.topology.origin_round_trip
-            if parts is None:
-                for _ in range(trace.extra_round_trips):
-                    latency += rtt.sample()
-            else:
-                retry_cost = 0.0
-                for _ in range(trace.extra_round_trips):
-                    step = rtt.sample()
-                    latency += step
-                    retry_cost += step
-                parts.append(("resilience.retry", retry_cost))
+            retry_cost = 0.0
+            for _ in range(trace.extra_round_trips):
+                step = rtt.sample()
+                latency += step
+                retry_cost += step
+            if tracer is not None:
+                tracer.cost("resilience.retry", retry_cost)
         return latency
 
     def _write_token(self, operation: Operation) -> object:

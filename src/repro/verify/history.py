@@ -12,17 +12,21 @@ during a simulated run, captured at two planes:
   checker scores client reads against, recorded at the same call sites
   that feed :class:`repro.simulation.staleness.StalenessAuditor`.
 
-Events are plain frozen dataclasses so checkers are pure functions over
-tuples; :func:`canonical_bytes` gives a stable serialisation used to
-assert byte-identity between the serial oracle and the parallel
-simulator.
+**Storage.**  :class:`HistoryRecorder` is a write-only flat log of atoms:
+fifteen slots per event -- the fields of :class:`HistoryEvent`, in order --
+appended with one ``extend``, so recording creates nothing the cyclic
+collector has to track.  The log is append-only.  :class:`HistoryEvent`
+(a named tuple, so checkers are pure functions over tuples and building one
+from a log row is a single C call) is the read-side value type and exists
+only after :meth:`HistoryRecorder.events` (or :func:`events_from_tuples`)
+built it; :func:`canonical_bytes` gives a stable serialisation used to
+assert byte-identity between the serial oracle and the parallel simulator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "KIND_INSTALL",
@@ -40,8 +44,7 @@ KIND_INSTALL = "install"
 TOMBSTONE_VERSION = -1
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     """One entry in a recorded history.
 
     ``seq`` is the global record order assigned by the recorder — for a
@@ -52,12 +55,6 @@ class HistoryEvent:
     server-side installs.  ``frontier`` snapshots the client's causal
     frontier *after* the operation completed.
     """
-
-    __slots__ = (
-        "seq", "kind", "session", "op", "key", "invoked", "completed",
-        "etag", "version", "level", "frontier", "degraded", "hedged",
-        "retried", "fast_failed",
-    )
 
     seq: int
     kind: str
@@ -77,12 +74,7 @@ class HistoryEvent:
 
     def to_tuple(self) -> tuple:
         """Picklable, order-preserving flat form (used across processes)."""
-        return (
-            self.seq, self.kind, self.session, self.op, self.key,
-            self.invoked, self.completed, self.etag, self.version,
-            self.level, self.frontier, self.degraded, self.hedged,
-            self.retried, self.fast_failed,
-        )
+        return tuple(self)
 
     def describe(self) -> str:
         """One legible timeline line (used by violation reports)."""
@@ -102,9 +94,13 @@ class HistoryEvent:
         return head + (" " + " ".join(bits) if bits else "")
 
 
+#: Slots per event in the recorder's flat log: the fields, in order.
+_STRIDE = len(HistoryEvent._fields)
+
+
 def events_from_tuples(rows: Iterable[tuple]) -> Tuple[HistoryEvent, ...]:
     """Rebuild events from :meth:`HistoryEvent.to_tuple` rows."""
-    return tuple(HistoryEvent(*row) for row in rows)
+    return tuple(map(HistoryEvent._make, rows))
 
 
 def canonical_bytes(events: Sequence[HistoryEvent]) -> bytes:
@@ -136,39 +132,25 @@ class HistoryRecorder:
     timeline matches the auditor's zone structure exactly.
     """
 
-    __slots__ = ("_events", "_last_install")
+    __slots__ = ("_log", "_last_install")
 
     def __init__(self) -> None:
-        self._events: List[HistoryEvent] = []
+        self._log: list = []
         self._last_install: Dict[str, str] = {}
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._log) // _STRIDE
 
     def record_install(self, key: str, token: str, timestamp: float) -> None:
         """Record an authoritative version install for ``key``."""
         if self._last_install.get(key) == token:
             return
         self._last_install[key] = token
-        self._events.append(
-            HistoryEvent(
-                seq=len(self._events),
-                kind=KIND_INSTALL,
-                session="",
-                op="install",
-                key=key,
-                invoked=timestamp,
-                completed=timestamp,
-                etag=token,
-                version=None,
-                level="origin",
-                frontier=0.0,
-                degraded=False,
-                hedged=False,
-                retried=False,
-                fast_failed=False,
-            )
-        )
+        log = self._log
+        log.extend((
+            len(log) // _STRIDE, KIND_INSTALL, "", "install", key, timestamp, timestamp,
+            token, None, "origin", 0.0, False, False, False, False,
+        ))
 
     def record_operation(
         self,
@@ -188,29 +170,16 @@ class HistoryRecorder:
         fast_failed: bool = False,
     ) -> None:
         """Record one completed client operation."""
-        self._events.append(
-            HistoryEvent(
-                seq=len(self._events),
-                kind=KIND_OPERATION,
-                session=session,
-                op=op,
-                key=key,
-                invoked=invoked,
-                completed=completed,
-                etag=etag,
-                version=version,
-                level=level,
-                frontier=frontier,
-                degraded=degraded,
-                hedged=hedged,
-                retried=retried,
-                fast_failed=fast_failed,
-            )
-        )
-
-    def events(self) -> Tuple[HistoryEvent, ...]:
-        return tuple(self._events)
+        log = self._log
+        log.extend((
+            len(log) // _STRIDE, KIND_OPERATION, session, op, key, invoked, completed,
+            etag, version, level, frontier, degraded, hedged, retried, fast_failed,
+        ))
 
     def event_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable form for cross-process merging."""
-        return tuple(event.to_tuple() for event in self._events)
+        """Flat picklable ``HistoryEvent.to_tuple`` rows for cross-process merging."""
+        return tuple(zip(*[iter(self._log)] * _STRIDE))
+
+    def events(self) -> Tuple[HistoryEvent, ...]:
+        """Materialise every recorded event (the only place events are built)."""
+        return events_from_tuples(zip(*[iter(self._log)] * _STRIDE))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.caching import InvalidationCache
+from repro.caching.entry import CacheEntry
 from repro.client import QuaestorClient
+from repro.client import sdk as sdk_module
 from repro.core import ConsistencyLevel, QuaestorConfig, QuaestorServer
 from repro.core.representation import object_list_body
 from repro.db import Query
@@ -183,7 +187,43 @@ class TestConsistencyLevels:
         assert client.read("posts", "p0").level == "client"
 
 
+def live_cache_entries() -> int:
+    gc.collect()
+    return sum(type(item) is CacheEntry for item in gc.get_objects())
+
+
 class TestPreparedRecordMemo:
+    def test_a_superseded_result_version_is_released(self, database, posts, clock):
+        """The memo keeps one prepared version per query, so with a bounded
+        client cache the ``CacheEntry`` objects a client keeps alive do not
+        grow with the number of result versions it has been served."""
+        sdk = QuaestorClient(QuaestorServer(database), clock=clock, client_cache_max_entries=8)
+        sdk.connect()
+        query = Query("posts", {"tags": "example"})
+        before = live_cache_entries()
+        for _ in range(40):
+            sdk.server.handle_update("posts", "p0", {"$inc": {"views": 1}})
+            served = sdk.query(query, consistency=ConsistencyLevel.STRONG)
+            assert served.level == "origin" and len(served.value) == 10
+        assert len(sdk._prepared_records) == 1
+        assert live_cache_entries() - before <= 8 + 10
+
+    def test_a_long_tail_of_distinct_queries_ages_out(self, database, posts, clock, monkeypatch):
+        """An LRU over the queries bounds the memo itself: many one-off
+        queries through a bounded client cache leave a bounded number of
+        ``CacheEntry`` objects alive, and a query still in use stays prepared."""
+        monkeypatch.setattr(sdk_module, "_PREPARED_QUERIES", 4)
+        sdk = QuaestorClient(QuaestorServer(database), clock=clock, client_cache_max_entries=8)
+        sdk.connect()
+        hot = Query("posts", {"tags": "other"})
+        before = live_cache_entries()
+        for bound in range(60):
+            assert len(sdk.query(Query("posts", {"views": {"$lt": 100 + bound}})).value) == 20
+            sdk.query(hot)
+        assert len(sdk._prepared_records) == 4
+        assert hot.cache_key in sdk._prepared_records
+        assert live_cache_entries() - before <= 8 + 3 * 20 + 10
+
     def test_same_members_in_opposite_order_store_in_served_order(self, database, posts, clock):
         """Two queries over the same members with opposite sorts share a
         result etag but not a serving order; the prepared-record memo must

@@ -67,30 +67,72 @@ class TestTraceRecorder:
         clock = FakeClock()
         tracer = TraceRecorder(clock)
         root = tracer.begin("sdk.read")
-        child = tracer.begin("cluster.read", shard=1)
-        tracer.end(child)
+        child = tracer.begin("cluster.read")
+        tracer.end(child, "shard", 1)
         tracer.end(root)
+        # The write side hands out integer handles: a span's id.
+        assert (root, child) == (0, 1)
         spans = tracer.spans()
         assert [span.name for span in spans] == ["sdk.read", "cluster.read"]
-        assert spans[1].parent_id == spans[0].span_id
+        assert spans[1].parent_id == spans[0].span_id == root
         assert spans[0].parent_id is None
-        assert tracer.take_last_root() is spans[0]
-        assert tracer.take_last_root() is None
+        assert spans[1].attrs == {"shard": 1}
+        # The completed root can be finished exactly once.
+        assert tracer.finish_root(1.5, 0.25, "op", "read") == root
+        assert tracer.finish_root(2.5, 0.5, "op", "read") is None
+        finished = tracer.spans()[0]
+        assert (finished.end, finished.cost, finished.attrs) == (1.5, 0.25, {"op": "read"})
 
     def test_events_require_an_open_span(self):
         tracer = TraceRecorder(FakeClock())
-        assert tracer.event("router.route", shard=0) is None
+        assert tracer.event("router.route", "shard", 0) is None
         assert len(tracer) == 0
         root = tracer.begin("sdk.read")
-        event = tracer.event("router.route", shard=0)
+        event = tracer.event("router.route", "shard", 0)
         tracer.end(root)
-        assert event.parent_id == root.span_id
-        assert event.attrs["shard"] == 0
+        recorded = tracer.spans()[event]
+        assert recorded.parent_id == root
+        assert recorded.attrs["shard"] == 0
+
+    def test_up_to_three_attributes_and_last_write_wins(self):
+        tracer = TraceRecorder(FakeClock())
+        root = tracer.begin("sdk.query")
+        tracer.event("replica.select", "node", "s0:n1", "candidates", 3, "level", "causal")
+        tracer.event("sdk.fetch", "level", "cdn", "level", "origin")
+        tracer.end(root, "key", "k", "level", "cdn")
+        tracer.finish_root(1.0, 1.0, "level", "origin")
+        rows = tracer.span_tuples()
+        assert rows[0][6] == (("key", "k"), ("level", "origin"))
+        assert rows[1][6] == (("candidates", 3), ("level", "causal"), ("node", "s0:n1"))
+        assert rows[2][6] == (("level", "origin"),)
 
     def test_unbalanced_end_raises(self):
         tracer = TraceRecorder(FakeClock())
         with pytest.raises(RuntimeError):
             tracer.end()
+
+    def test_end_with_the_wrong_handle_raises(self):
+        tracer = TraceRecorder(FakeClock())
+        root = tracer.begin("sdk.read")
+        child = tracer.begin("cluster.read")
+        with pytest.raises(RuntimeError, match="innermost open span"):
+            tracer.end(root)
+        with pytest.raises(RuntimeError, match="innermost open span"):
+            tracer.end(None)
+        # The failed calls closed nothing: the balanced sequence still works.
+        tracer.end(child)
+        tracer.end(root)
+        assert len(tracer) == 2
+
+    def test_unsampled_requests_close_with_their_none_handle(self):
+        tracer = TraceRecorder(FakeClock(), sample_every=2)
+        tracer.end(tracer.begin("sdk.read"))  # request 0: sampled
+        skipped = tracer.begin("sdk.read")  # request 1: not sampled
+        assert skipped is None
+        with pytest.raises(RuntimeError, match="innermost open span"):
+            tracer.end(0)  # a stale handle must not pop the placeholder
+        tracer.end(skipped)
+        assert len(tracer) == 1
 
     def test_sampling_every_other_request(self):
         tracer = TraceRecorder(FakeClock(), sample_every=2)
@@ -98,25 +140,33 @@ class TestTraceRecorder:
             root = tracer.begin("sdk.read")
             tracer.event("sdk.fetch")
             tracer.end(root)
-            # Sampled requests return a Span, skipped ones None -- but the
+            # Priced like the simulator does; a no-op for skipped requests.
+            tracer.cost("net.client", 0.001)
+            tracer.finish_root(0.001, 0.001, "op", "read")
+            # Sampled requests return a handle, skipped ones None -- but the
             # stack stays balanced either way.
             assert (root is not None) == (index % 2 == 0)
         names = [span.name for span in tracer.spans()]
-        assert names == ["sdk.read", "sdk.fetch", "sdk.read", "sdk.fetch"]
+        assert names == ["sdk.read", "sdk.fetch", "net.client"] * 2
 
-    def test_attach_cost_children(self):
+    def test_cost_children_hang_off_the_completed_root(self):
         clock = FakeClock(5.0)
         tracer = TraceRecorder(clock)
+        tracer.cost("net.origin", 0.15)  # no completed root yet: dropped
         root = tracer.begin("sdk.read")
         tracer.end(root)
-        part = tracer.attach(root, "net.origin", cost=0.15)
-        assert part.parent_id == root.span_id
+        tracer.cost("net.origin", 0.15)
+        tracer.finish_root(5.15, 0.15, "op", "read")
+        _root, part = tracer.spans()
+        assert part.parent_id == root
         assert part.cost == 0.15
+        # A cost span happens at its parent's (priced) end.
+        assert part.start == part.end == 5.15
 
     def test_round_trip_through_tuples(self):
         tracer = TraceRecorder(FakeClock())
-        root = tracer.begin("sdk.read", key="k")
-        tracer.end(root)
+        root = tracer.begin("sdk.read")
+        tracer.end(root, "key", "k")
         rows = tracer.span_tuples()
         restored = spans_from_tuples(rows)
         assert [span.to_tuple() for span in restored] == list(rows)
@@ -142,27 +192,44 @@ class TestTraceRecorder:
 class TestMetricsRegistry:
     def test_counters_are_monotone(self):
         registry = MetricsRegistry()
-        registry.inc("requests_total", op="read")
-        registry.inc("requests_total", 2, op="read")
-        assert registry.counter_value("requests_total", op="read") == 3
+        counter = registry.counter("requests_total", op="read")
+        counter.inc()
+        counter.inc(2)
+        assert registry.counter("requests_total", op="read") is counter
+        assert counter.value == 3
         with pytest.raises(ValueError):
-            registry.inc("requests_total", -1, op="read")
+            counter.inc(-1)
+
+    def test_children_bound_by_label_values_on_first_use(self):
+        registry = MetricsRegistry()
+        by_op_level = registry.counters("ops_total", "op", "level")
+        by_op = registry.histograms("latency", "op")
+        assert registry.state()[0] == ()  # nothing exists until it is used
+        by_op_level["read", "cdn"].inc()
+        by_op_level["read", "cdn"].inc()
+        by_op["read"].append(0.5)
+        assert by_op_level["read", "cdn"] is registry.counter("ops_total", level="cdn", op="read")
+        assert registry.counter("ops_total", op="read", level="cdn").value == 2
+        assert registry.histogram("latency", op="read") == [0.5]
+        counters, _gauges, histograms, _series = registry.state()
+        assert counters == (("ops_total", (("level", "cdn"), ("op", "read")), 2),)
+        assert histograms == (("latency", (("op", "read"),), (0.5,)),)
 
     def test_gauges_move_both_ways(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("inflight")
         gauge.add(3)
         assert gauge.add(-2) == 1
-        assert registry.gauge_value("inflight") == 1
+        assert registry.gauge("inflight").value == 1
         standalone = Gauge(5.0)
         standalone.set(1.0)
         assert standalone.value == 1.0
 
     def test_series_snapshots(self):
         registry = MetricsRegistry(interval=1.0)
-        registry.inc("ops")
+        registry.counter("ops").inc()
         registry.sample(1.0)
-        registry.inc("ops")
+        registry.counter("ops").inc()
         registry.sample(2.0)
         series = registry.series()
         assert [point[0] for point in series] == [1.0, 2.0]
@@ -172,8 +239,8 @@ class TestMetricsRegistry:
     def test_merge_states_sums_and_concatenates(self):
         def one(value, sample):
             registry = MetricsRegistry()
-            registry.inc("ops", value, op="read")
-            registry.observe("lat", sample, op="read")
+            registry.counter("ops", op="read").inc(value)
+            registry.histogram("lat", op="read").append(sample)
             registry.sample(1.0)
             return registry.state()
 
@@ -188,10 +255,10 @@ class TestMetricsRegistry:
 class TestExport:
     def _state(self):
         registry = MetricsRegistry()
-        registry.inc("requests_total", 7, op="read")
+        registry.counter("requests_total", op="read").inc(7)
         registry.gauge("inflight").add(2)
-        registry.observe("latency_seconds", 0.25, op="read")
-        registry.observe("latency_seconds", 0.75, op="read")
+        registry.histogram("latency_seconds", op="read").append(0.25)
+        registry.histogram("latency_seconds", op="read").append(0.75)
         registry.sample(1.0)
         return registry.state()
 
@@ -213,14 +280,14 @@ class TestExport:
 
 
 def _request(tracer, name, parts, level="origin"):
+    """One priced request, written the way the SDK + simulator write it."""
     root = tracer.begin(name)
-    tracer.end(root)
+    tracer.end(root, "level", level)
     total = 0.0
     for stage, cost in parts:
-        tracer.attach(root, stage, cost=cost)
+        tracer.cost(stage, cost)
         total += cost
-    root.cost = total
-    root.attrs["level"] = level
+    tracer.finish_root(total, total, "op", name.partition(".")[2])
     return root
 
 
@@ -243,10 +310,11 @@ class TestAnalyze:
 
     def test_coverage_with_negative_compensation(self):
         tracer = TraceRecorder(FakeClock())
-        root = _request(
+        root_id = _request(
             tracer, "sdk.read", [("net.origin", 0.2), ("resilience.fast_fail", -0.2)]
         )
-        _by_id, children = index_spans(tracer.spans())
+        by_id, children = index_spans(tracer.spans())
+        root = by_id[root_id]
         # Zero total latency: trivially fully covered.
         assert root.cost == 0.0
         assert coverage(root, children) == 1.0
