@@ -1,4 +1,4 @@
-"""Benchmark targets for the design-choice ablations listed in DESIGN.md."""
+"""Benchmark targets for the design-choice ablations listed in ``docs/benchmarks.md``."""
 
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ the resulting data series, so running ``pytest benchmarks/ --benchmark-only``
 reproduces the full evaluation at laptop scale.  Each report is additionally
 written to ``benchmarks/results/<experiment>.txt`` so the series survive
 pytest's output capturing and can be compared against the paper
-(see EXPERIMENTS.md).
+(see ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ Scans ``README.md`` and every Markdown file under ``docs/`` for
 * repository-relative file paths like ``benchmarks/bench_table1.py`` or
   ``examples/quickstart.py`` -- the file or directory must exist.
 
+The docstrings of ``benchmarks/*.py`` are scanned as well, for files they
+name in prose (``BENCH_ttl.json``, ``docs/benchmarks.md``): a benchmark that
+points its reader at a report or a document must point at one that exists.
+
 It additionally enforces *coverage*: every subsystem package listed in
 ``REQUIRED_MODULES`` must both import and be referenced somewhere in the
 scanned documentation, so a new subsystem cannot land undocumented (and a
@@ -20,6 +24,7 @@ fail CI instead of silently rotting.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -33,6 +38,10 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PATH_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/", "scripts/")
 #: A dotted reference into the reproduction package.
 MODULE_REFERENCE = re.compile(r"^repro(\.\w+)+$")
+
+#: A file named in a docstring: a bare or slash-separated name ending in a
+#: document, data or source suffix (``<placeholder>`` names never match).
+FILE_REFERENCE = re.compile(r"(?<![\w<>/.-])[\w./-]+\.(?:md|json|py|txt)\b")
 
 #: Subsystem packages every documentation pass must cover: each must import
 #: from ``src/`` *and* be referenced in README.md or docs/.
@@ -101,6 +110,20 @@ def check_file(path: Path) -> list:
     return broken
 
 
+def check_benchmark_docstrings() -> list:
+    """Files named in ``benchmarks/*.py`` docstrings that do not exist, as
+    (path, line, ref); names resolve from the repository root or ``benchmarks/``."""
+    broken = []
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted((REPO_ROOT / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            docstring = ast.get_docstring(node) if isinstance(node, documented) else None
+            for reference in FILE_REFERENCE.findall(docstring or ""):
+                if not check_path(reference) and not (path.parent / reference).exists():
+                    broken.append((path, getattr(node, "lineno", 1), reference))
+    return broken
+
+
 def check_required_coverage(markdown_files: list) -> list:
     """Required modules that fail to import or go unmentioned in the docs."""
     corpus = "\n".join(path.read_text(encoding="utf-8") for path in markdown_files)
@@ -124,6 +147,10 @@ def main() -> int:
             failures += 1
             relative = path.relative_to(REPO_ROOT)
             print(f"{relative}:{line_number}: unresolved {kind} reference: {reference}")
+    for path, line_number, reference in check_benchmark_docstrings():
+        failures += 1
+        relative = path.relative_to(REPO_ROOT)
+        print(f"{relative}:{line_number}: docstring names a missing file: {reference}")
     for module, problem in check_required_coverage(markdown_files):
         failures += 1
         print(f"coverage: required module {module}: {problem}")

@@ -371,23 +371,12 @@ class QuaestorClient:
         return self._with_root("sdk.insert", self._insert_impl, collection, document)
 
     def _insert_impl(self, collection: str, document: Document) -> ClientResult:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         response = self.server.handle_insert(collection, document)
-        document_id = str(document.get("_id", ""))
-        key = record_key(collection, document_id)
-        self._after_own_write(key, response)
-        if response.status is StatusCode.SERVICE_UNAVAILABLE:
-            return self._unavailable_result(key, "writes")
-        body = response.body or {}
-        return ClientResult(
-            key=key,
-            value=body.get("document"),
-            level=ORIGIN_LEVEL,
-            # Re-inserting a previously deleted _id continues its version
-            # sequence, so the server's assigned version is authoritative.
-            version=body.get("version", 1),
-            revalidated=True,
-        )
+        key = record_key(collection, str(document.get("_id", "")))
+        # Re-inserting a previously deleted _id continues its version
+        # sequence, so the server's assigned version is authoritative.
+        return self._own_write_result(key, response, 1)
 
     def update(self, collection: str, document_id: str, update: Document) -> ClientResult:
         """Apply a partial update to a record."""
@@ -396,23 +385,13 @@ class QuaestorClient:
         return self._with_root("sdk.update", self._update_impl, collection, document_id, update)
 
     def _update_impl(self, collection: str, document_id: str, update: Document) -> ClientResult:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         key = record_key(collection, document_id)
         # Beginning an update invalidates the record in the client's own cache
         # (the behaviour the paper relies on in its staleness analysis).
         self.client_cache.remove(key)
         response = self.server.handle_update(collection, document_id, update)
-        self._after_own_write(key, response)
-        if response.status is StatusCode.SERVICE_UNAVAILABLE:
-            return self._unavailable_result(key, "writes")
-        body = response.body or {}
-        return ClientResult(
-            key=key,
-            value=body.get("document"),
-            level=ORIGIN_LEVEL,
-            version=body.get("version"),
-            revalidated=True,
-        )
+        return self._own_write_result(key, response, None)
 
     def delete(self, collection: str, document_id: str) -> ClientResult:
         """Delete a record."""
@@ -421,14 +400,14 @@ class QuaestorClient:
         return self._with_root("sdk.delete", self._delete_impl, collection, document_id)
 
     def _delete_impl(self, collection: str, document_id: str) -> ClientResult:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         key = record_key(collection, document_id)
         self.client_cache.remove(key)
         response = self.server.handle_delete(collection, document_id)
         if response.status is StatusCode.SERVICE_UNAVAILABLE:
             return self._unavailable_result(key, "writes")
         self.session.record_own_write(key, version=-1, document=None)
-        self._causal_frontier = self.now()
+        self._causal_frontier = self._clock.now()
         return ClientResult(
             key=key,
             value=(response.body or {}).get("document"),
@@ -535,11 +514,13 @@ class QuaestorClient:
         document order (it drives LRU recency in a bounded client cache), for
         the ``record_ttl`` this serving carries.  What a store *is* -- record
         key, etag, body, and the version the session observes -- is a pure
-        function of the member versions, which ``result_etag`` fingerprints.
-        So the member entries are built, and observed into the session, once
-        per result version of ``query_key``; a re-serve only restamps them in
-        one batch (:meth:`~repro.caching.base.WebCache.restamp`).  Observing
-        again would be a no-op: the session already holds each member at this
+        function of the member's version.  So a member's entry is built, and
+        observed into the session, once per *member version*: a re-serve of
+        the same result only restamps its entries in one batch
+        (:meth:`~repro.caching.base.WebCache.restamp`), and a new result
+        version of ``query_key`` keeps the entry of every member whose
+        version did not change and builds the changed ones.  Observing a kept
+        member again would be a no-op: the session already holds it at this
         version or a newer one.
         """
         record_ttl = body.get("record_ttl", 0.0) or 0.0
@@ -555,26 +536,35 @@ class QuaestorClient:
             memo.move_to_end(query_key)
             entries = prepared[2]
         else:
-            # New result version (or the same members served in another
-            # order): build the entries, stamped by the restamp below.
-            versions_get = body.get("record_versions", {}).get
+            # A new result version, or the same members served in another
+            # order.  ``ids`` names ``documents`` one to one (the wire format,
+            # :func:`~repro.core.representation.object_list_body`).  The kept
+            # entries stay private to this client -- they move from the
+            # superseded memo tuple to its successor -- and are stamped, like
+            # the new ones, by the restamp below.
+            if ids is None:
+                ids = [str(document.get("_id", "")) for document in documents]
+            kept = dict(zip(prepared[1], prepared[2])) if prepared is not None else {}
+            entries = list(map(kept.get, ids))
+            versions = list(map(body.get("record_versions", {}).get, ids))
             observe_read = self.session.observe_read
-            entries = []
-            for document in documents:
-                document_id = str(document.get("_id", ""))
-                key = record_key(collection, document_id)
-                version = versions_get(document_id, 0)
-                entries.append(
-                    CacheEntry(
+            for index, entry in enumerate(entries):
+                version = versions[index]
+                if entry is None or entry.body["version"] != version:
+                    if version is None:
+                        version = 0
+                    document_id = ids[index]
+                    document = documents[index]
+                    key = record_key(collection, document_id)
+                    entries[index] = CacheEntry(
                         key,
                         {"document": document, "version": version},
                         etag_for_version(collection, document_id, version),
                         0.0,
                         record_ttl,
                     )
-                )
-                observe_read(key, version, document)
-            if result_etag is not None and ids is not None:
+                    observe_read(key, version, document)
+            if result_etag is not None:
                 memo[query_key] = (result_etag, ids, entries)
                 memo.move_to_end(query_key)
                 if len(memo) > _PREPARED_QUERIES:
@@ -643,15 +633,27 @@ class QuaestorClient:
             degraded=True,
         )
 
-    def _after_own_write(self, key: str, response: Response) -> None:
+    def _own_write_result(
+        self, key: str, response: Response, default_version: Optional[int]
+    ) -> ClientResult:
+        """Absorb the origin's answer to an own insert/update and report it.
+
+        ``default_version`` is what the result reports when the answer carries
+        no version (1 for an insert, ``None`` for an update); the session
+        books an acknowledged write without one at version 1.
+        """
+        status = response.status
+        if status is StatusCode.SERVICE_UNAVAILABLE:
+            return self._unavailable_result(key, "writes")
         body = response.body or {}
-        version = body.get("version", 1)
+        version = body.get("version", default_version)
         document = body.get("document")
-        if response.status in (StatusCode.OK, StatusCode.CREATED):
-            self.session.record_own_write(key, version, document)
+        if status is StatusCode.OK or status is StatusCode.CREATED:
+            self.session.record_own_write(key, 1 if version is None else version, document)
             # An acknowledged write advances the causal frontier: replicas
             # may only serve this session once they have applied it.
-            self._causal_frontier = self.now()
+            self._causal_frontier = self._clock.now()
+        return ClientResult(key, document, ORIGIN_LEVEL, None, version, True)
 
     def _update_causal_state(self, level: str) -> None:
         """A causal session was served at ``level``."""

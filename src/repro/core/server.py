@@ -44,8 +44,7 @@ shard and talks to it through these additional entry points:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.consistency import ConsistencyLevel
@@ -137,11 +136,15 @@ class QuaestorServer:
         #: pumps stay silent.
         self.tracer = None
         self.counters = Counter()
+        self._counts = self.counters.counts  # the live mapping, for ``+= 1`` per write
         self.pipeline = ReadPipeline(self)
 
-        self._purge_targets: List[PurgeTarget] = []
+        #: One ``purge(key)`` callable per registered target.
+        self._purges: List[Callable[[str], None]] = []
         self._invalidation_hooks: List[InvalidationHook] = []
         self._defer_pump = False
+        #: The newest change event: write handlers read their assigned version off it.
+        self._last_change: Optional[ChangeEvent] = None
 
         # Every acknowledged write flows through the change stream into the
         # invalidation machinery.
@@ -171,7 +174,7 @@ class QuaestorServer:
 
     def register_purge_target(self, target: PurgeTarget) -> None:
         """Register an invalidation-based cache (or purge callback) to purge."""
-        self._purge_targets.append(target)
+        self._purges.append(target.purge if isinstance(target, InvalidationCache) else target)
 
     def add_invalidation_hook(self, hook: InvalidationHook) -> None:
         """Register a hook invoked whenever a key is marked stale."""
@@ -267,35 +270,43 @@ class QuaestorServer:
     # -- write path --------------------------------------------------------------------------
 
     def handle_insert(self, collection: str, document: Document) -> Response:
-        self.counters.increment("writes")
+        self._counts["writes"] += 1
         inserted = self.database.insert(collection, document)
         self._process_invalidations()
         # The assigned version is not always 1: re-inserting a deleted _id
         # continues its version sequence (versions never alias two contents),
         # so clients must learn the real number.
-        version = self.database.collection(collection).version(str(inserted.get("_id", "")))
+        version = self._installed_version(collection, str(inserted.get("_id", "")), inserted)
         return Response.uncacheable(
             {"document": inserted, "version": version}, status=StatusCode.CREATED
         )
 
     def handle_update(self, collection: str, document_id: str, update: Document) -> Response:
-        self.counters.increment("writes")
+        self._counts["writes"] += 1
         try:
             updated = self.database.update(collection, document_id, update)
         except DocumentNotFoundError:
             return Response.uncacheable(None, status=StatusCode.NOT_FOUND)
         self._process_invalidations()
-        version = self.database.collection(collection).version(document_id)
+        version = self._installed_version(collection, document_id, updated)
         return Response.uncacheable({"document": updated, "version": version})
 
     def handle_delete(self, collection: str, document_id: str) -> Response:
-        self.counters.increment("writes")
+        self._counts["writes"] += 1
         try:
             deleted = self.database.delete(collection, document_id)
         except DocumentNotFoundError:
             return Response.uncacheable(None, status=StatusCode.NOT_FOUND)
         self._process_invalidations()
         return Response.uncacheable({"document": deleted})
+
+    def _installed_version(self, collection: str, document_id: str, snapshot: Document) -> int:
+        """The version the write that just returned ``snapshot`` installed it at."""
+        event = self._last_change
+        if event is not None and event.after is snapshot:
+            return event.version
+        # Detached from the change stream (closed): ask the collection.
+        return self.database.collection(collection).version(document_id)
 
     def execute(self, operation: Operation) -> Response:
         """Execute a workload operation (dispatch helper for simulators/examples)."""
@@ -318,19 +329,10 @@ class QuaestorServer:
                 WorkloadOperationType.DELETE,
             ):
                 raise ValueError(f"write batches only accept writes, got {operation.type}")
-        self.counters.increment("write_batches")
-        responses: List[Response] = []
-        with self._deferred_invalidations():
-            for operation in operations:
-                responses.append(self.execute(operation))
-        return responses
-
-    @contextmanager
-    def _deferred_invalidations(self) -> Iterator[None]:
-        """Suspend notification pumping inside the block, pump once on exit."""
-        self._defer_pump = True
+        self._counts["write_batches"] += 1
+        self._defer_pump = True  # suspend notification pumping, pump once on exit
         try:
-            yield
+            return [self.execute(operation) for operation in operations]
         finally:
             self._defer_pump = False
             self._process_invalidations()
@@ -347,21 +349,21 @@ class QuaestorServer:
 
     def _on_change(self, event: ChangeEvent) -> None:
         """React to an acknowledged write: sample rates, invalidate, notify InvaliDB."""
-        key = record_key(event.collection, event.document_id)
-        self.ttl_estimator.observe_write(key, event.timestamp)
+        self._last_change = event
+        collection = event.collection
+        document_id = event.document_id
+        timestamp = event.timestamp
+        key = record_key(collection, document_id)
+        self.ttl_estimator.observe_write(key, timestamp)
 
-        if event.operation == OperationType.DELETE:
+        if event.operation is OperationType.DELETE:
             version_token = f"deleted@{event.sequence}"
         else:
-            version_token = etag_for_version(
-                event.collection,
-                event.document_id,
-                self.database.collection(event.collection).versions.get(event.document_id, 0),
-            )
-        self.record_authoritative(key, version_token, event.timestamp)
+            version_token = etag_for_version(collection, document_id, event.version)
+        self.record_authoritative(key, version_token, timestamp)
 
         # The record itself becomes stale in all caches holding it.
-        self._invalidate_key(key, event.timestamp)
+        self._invalidate_key(key, timestamp)
 
         # Forward the after-image to InvaliDB for query matching.
         self.frontend.submit_change(event)
@@ -384,10 +386,10 @@ class QuaestorServer:
             entry.representation is ResultRepresentation.ID_LIST
             and not notification.invalidates_id_list()
         ):
-            self.counters.increment("notifications_ignored_id_list")
+            self._counts["notifications_ignored_id_list"] += 1
             return
 
-        self.counters.increment("query_invalidations")
+        self._counts["query_invalidations"] += 1
         if self.tracer is not None:
             self.tracer.event("invalidb.notify", "key", query_key)
         actual_ttl = self.active_list.record_invalidation(query_key, notification.timestamp)
@@ -403,17 +405,15 @@ class QuaestorServer:
 
     def _invalidate_key(self, key: str, timestamp: float) -> None:
         """Mark ``key`` stale: EBF addition, CDN purges and hooks."""
+        counts = self._counts
         added = self.ebf.report_invalidation(key, timestamp)
         if added:
-            self.counters.increment("ebf_additions")
+            counts["ebf_additions"] += 1
         if self.tracer is not None:
             self.tracer.event("invalidb.invalidate", "key", key, "ebf_added", added)
-        self.counters.increment("purges_sent")
-        for target in self._purge_targets:
-            if isinstance(target, InvalidationCache):
-                target.purge(key)
-            else:
-                target(key)
+        counts["purges_sent"] += 1
+        for purge in self._purges:
+            purge(key)
         for hook in self._invalidation_hooks:
             hook(key, timestamp)
 

@@ -14,8 +14,9 @@ primary because the stream is totally ordered.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.db.documents import Document
 
@@ -28,9 +29,13 @@ class OperationType(str, enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChangeEvent:
     """A single entry of the database change stream.
+
+    Built once per write by the collection's write seam with everything the
+    seam knew, so no consumer (invalidation, matching, replication, auditing)
+    looks any of it up again.  By convention nobody assigns to a published event.
 
     Attributes
     ----------
@@ -48,6 +53,9 @@ class ChangeEvent:
         immutable, shared by reference, never to be edited by a listener.
     timestamp:
         Simulation time at which the write was acknowledged.
+    version:
+        The version ``after`` was installed at in its collection; ``0`` for
+        deletes and for hand-built events that never went through one.
     """
 
     sequence: int
@@ -57,6 +65,7 @@ class ChangeEvent:
     before: Optional[Document]
     after: Optional[Document]
     timestamp: float
+    version: int = 0
 
     @property
     def after_image(self) -> Optional[Document]:
@@ -72,24 +81,27 @@ class ChangeStream:
 
     Listeners are invoked synchronously in registration order, which keeps the
     simulation deterministic; any propagation delay (e.g. asynchronous
-    invalidations) is modelled by the subscriber itself.
+    invalidations) is modelled by the subscriber itself.  The listener tuple
+    is replaced, never edited, so a delivery in progress keeps the listeners
+    it started with; the history is a deque bounded by ``history_limit``.
     """
 
     def __init__(self, history_limit: Optional[int] = None) -> None:
         if history_limit is not None and history_limit <= 0:
             raise ValueError("history_limit must be positive when given")
-        self._listeners: List[ChangeListener] = []
-        self._history: List[ChangeEvent] = []
-        self._history_limit = history_limit
+        self._listeners: Tuple[ChangeListener, ...] = ()
+        self._history: Deque[ChangeEvent] = deque(maxlen=history_limit)
         self._sequence = 0
 
     def subscribe(self, listener: ChangeListener) -> Callable[[], None]:
         """Register ``listener``; returns a callable that unsubscribes it."""
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
         def _unsubscribe() -> None:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+            listeners = list(self._listeners)
+            if listener in listeners:
+                listeners.remove(listener)
+                self._listeners = tuple(listeners)
 
         return _unsubscribe
 
@@ -101,9 +113,7 @@ class ChangeStream:
     def publish(self, event: ChangeEvent) -> None:
         """Record ``event`` and deliver it to all listeners."""
         self._history.append(event)
-        if self._history_limit is not None and len(self._history) > self._history_limit:
-            del self._history[: len(self._history) - self._history_limit]
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(event)
 
     def replay_since(self, sequence: int) -> List[ChangeEvent]:

@@ -111,9 +111,9 @@ class Collection:
         assigned numbers a promoted replica never applied) -- so no version
         ever names two contents.
         """
-        return (
-            max(self._versions.get(document_id, 0), self._deleted_versions.get(document_id, 0)) + 1
-        )
+        live = self._versions.get(document_id, 0)
+        floor = self._deleted_versions.get(document_id, 0)
+        return (live if live > floor else floor) + 1
 
     def update(self, document_id: str, update: Document) -> Document:
         """Apply a partial update (or replacement) to an existing document.
@@ -235,8 +235,11 @@ class Collection:
         store from now on and is never mutated again -- it is the object that
         reads return, that the change event carries as its after-image (the
         displaced snapshot is the before-image) and that replicas adopt.
-        ``None`` deletes the document.  Returns the installed snapshot, or
-        the final one on delete.
+        ``None`` deletes the document.  The change event is built here, once,
+        with everything the seam knows (the displaced and installed
+        snapshots, the assigned ``version``), so no listener has to look any
+        of it up again.  Returns the installed snapshot, or the final one on
+        delete.
         """
         previous = self._documents.get(document_id)
         if snapshot is None:
@@ -251,30 +254,25 @@ class Collection:
         else:
             self._documents[document_id] = snapshot
             self._versions[document_id] = version
-            self._deleted_versions.pop(document_id, None)
+            if document_id in self._deleted_versions:
+                del self._deleted_versions[document_id]
             operation = OperationType.INSERT if previous is None else OperationType.UPDATE
         self._indexes.reindex(document_id, previous, snapshot)
         self.writes += 1
-        self._publish(operation, document_id, before=previous, after=snapshot)
-        return previous if snapshot is None else snapshot
-
-    def _publish(
-        self,
-        operation: OperationType,
-        document_id: str,
-        before: Optional[Document],
-        after: Optional[Document],
-    ) -> None:
-        event = ChangeEvent(
-            sequence=self._change_stream.next_sequence(),
-            operation=operation,
-            collection=self.name,
-            document_id=document_id,
-            before=before,
-            after=after,
-            timestamp=self._clock.now(),
+        stream = self._change_stream
+        stream.publish(
+            ChangeEvent(
+                stream.next_sequence(),
+                operation,
+                self.name,
+                document_id,
+                previous,
+                snapshot,
+                self._clock.now(),
+                version,
+            )
         )
-        self._change_stream.publish(event)
+        return previous if snapshot is None else snapshot
 
     def __len__(self) -> int:
         return len(self._documents)

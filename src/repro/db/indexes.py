@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.db.documents import Document, order_key, split_path
+from repro.db.documents import MISSING, Document, order_key, split_path
 from repro.db.predicates import resolve_values, with_array_elements
 
 _NO_IDS: AbstractSet[str] = frozenset()
@@ -31,8 +31,14 @@ class HashIndex:
     ) -> None:
         """Move ``document_id`` from the keys of ``before`` to those of ``after``.
 
-        ``before`` is ``None`` for an insert, ``after`` for a delete.
+        ``before`` is ``None`` for an insert, ``after`` for a delete.  An
+        update whose snapshots hold the very same value object under the
+        path's top-level field (or both lack it) cannot move the document.
         """
+        if before is not None and after is not None:
+            head = self._segments[0]
+            if before.get(head, MISSING) is after.get(head, MISSING):
+                return
         old = self._keys(before) if before is not None else set()
         new = self._keys(after) if after is not None else set()
         for key in old - new:

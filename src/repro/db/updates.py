@@ -40,9 +40,8 @@ def apply_update(document: Document, update: Document) -> Document:
     """
     if not isinstance(update, dict):
         raise InvalidQueryError("update specification must be a document")
-    operator_keys = [key for key in update if key.startswith("$")]
-    literal_keys = [key for key in update if not key.startswith("$")]
-    if operator_keys and literal_keys:
+    operator_keys = [key for key in update if key[:1] == "$"]
+    if operator_keys and len(operator_keys) != len(update):
         raise InvalidQueryError("cannot mix update operators and replacement fields")
 
     if not operator_keys:

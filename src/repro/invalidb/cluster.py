@@ -109,10 +109,13 @@ class InvaliDBNode:
         legacy scan over every registered state.  ``match_operations`` counts
         the query evaluations actually performed.
         """
+        candidates = self._index.candidates(event)
+        if not candidates:
+            return candidates
+        self.match_operations += len(candidates)
         notifications: List[Notification] = []
-        for state in self._index.candidates(event):
-            self.match_operations += 1
-            notifications.extend(state.process(event))
+        for state in candidates:
+            notifications += state.process(event)
         return notifications
 
     def state(self, query_key: str) -> Optional[QueryMatchState]:
@@ -158,6 +161,11 @@ class InvaliDBCluster:
                         use_matching_index=use_matching_index,
                     )
                 )
+        #: Object partition -> the nodes an after-image of it is forwarded to.
+        self._partition_nodes: List[List[InvaliDBNode]] = [
+            [node for node in self.nodes if node.object_partition == partition]
+            for partition in range(self.scheme.object_partitions)
+        ]
         # Order-maintenance layer for stateful queries, partitioned by query.
         self._stateful_states = QueryStateIndex(use_matching_index)
         self._stateful_home_node: Dict[str, int] = {}
@@ -233,14 +241,16 @@ class InvaliDBCluster:
         """
         self.events_processed += 1
         notifications: List[Notification] = []
-        for node_index in self.scheme.nodes_for_document(event.document_id):
-            notifications.extend(self.nodes[node_index].process(event))
-        for state in self._stateful_states.candidates(event):
-            notifications.extend(state.process(event))
-        self.notifications_emitted += len(notifications)
-        for notification in notifications:
-            for handler in self._handlers:
-                handler(notification)
+        for node in self._partition_nodes[self.scheme.object_partition(event.document_id)]:
+            notifications += node.process(event)
+        if self._stateful_home_node:  # any stateful query registered at all
+            for state in self._stateful_states.candidates(event):
+                notifications += state.process(event)
+        if notifications:
+            self.notifications_emitted += len(notifications)
+            for notification in notifications:
+                for handler in self._handlers:
+                    handler(notification)
         return notifications
 
     # -- capacity and latency ----------------------------------------------------------------

@@ -23,9 +23,9 @@ class NotificationType(str, enum.Enum):
     CHANGE_INDEX = "changeIndex"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Notification:
-    """A single query-invalidation notification."""
+    """A single query-invalidation notification (by convention never reassigned)."""
 
     query_key: str
     query: Query

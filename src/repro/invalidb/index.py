@@ -43,7 +43,7 @@ deduplicate on ``event.sequence`` before ingestion.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.query import Query
@@ -89,25 +89,6 @@ def _indexable_value(value: Any) -> bool:
     return isinstance(value, float) and not math.isnan(value)
 
 
-def _lookup_values(image: Optional[Dict[str, Any]], field: str) -> Iterator[Any]:
-    """The index-key candidates an image contributes for ``field``.
-
-    A scalar field value is looked up directly; an array value fans out over
-    its scalar elements (MongoDB's "array contains" equality).
-    """
-    if image is None:
-        return
-    value = image.get(field, _MISSING)
-    if value is _MISSING:
-        return
-    if isinstance(value, list):
-        for element in value:
-            if _indexable_value(element):
-                yield element
-    elif _indexable_value(value):
-        yield value
-
-
 class QueryStateIndex:
     """Registration-ordered registry of query states with candidate pruning.
 
@@ -116,7 +97,7 @@ class QueryStateIndex:
 
     * ``collection -> states`` for queries without an indexable equality
       predicate (always scanned for events of that collection), and
-    * ``(collection, field) -> value -> states`` for queries with one.
+    * ``collection -> field -> value -> states`` for queries with one.
 
     ``use_index=False`` disables pruning entirely -- :meth:`candidates` then
     degenerates to the legacy full scan, which the hot-path benchmark uses as
@@ -130,10 +111,8 @@ class QueryStateIndex:
         self._next_order = 0
         #: collection -> {query_key: state} for non-equality-indexable queries.
         self._scan_bucket: Dict[str, Dict[str, QueryMatchState]] = {}
-        #: (collection, field) -> value -> {query_key: state}.
-        self._eq_index: Dict[Tuple[str, str], Dict[Any, Dict[str, QueryMatchState]]] = {}
-        #: collection -> {field: reference count} of indexed equality fields.
-        self._eq_fields: Dict[str, Dict[str, int]] = {}
+        #: collection -> field -> value -> {query_key: state}.
+        self._eq_index: Dict[str, Dict[str, Dict[Any, Dict[str, QueryMatchState]]]] = {}
         #: query_key -> (collection, field, value) placement for deregister.
         self._placement: Dict[str, Tuple[str, Optional[str], Any]] = {}
 
@@ -156,7 +135,7 @@ class QueryStateIndex:
             if field is None:
                 self._scan_bucket[collection][key] = state
             else:
-                self._eq_index[(collection, field)][value][key] = state
+                self._eq_index[collection][field][value][key] = state
             return
         self._states[key] = state
         self._order[key] = self._next_order
@@ -168,9 +147,8 @@ class QueryStateIndex:
             self._placement[key] = (collection, None, None)
         else:
             field, value = predicate
-            self._eq_index.setdefault((collection, field), {}).setdefault(value, {})[key] = state
-            fields = self._eq_fields.setdefault(collection, {})
-            fields[field] = fields.get(field, 0) + 1
+            by_field = self._eq_index.setdefault(collection, {})
+            by_field.setdefault(field, {}).setdefault(value, {})[key] = state
             self._placement[key] = (collection, field, value)
 
     def deregister(self, query_key: str) -> bool:
@@ -186,19 +164,16 @@ class QueryStateIndex:
             if not bucket:
                 del self._scan_bucket[collection]
         else:
-            by_value = self._eq_index[(collection, field)]
+            by_field = self._eq_index[collection]
+            by_value = by_field[field]
             bucket = by_value[value]
             del bucket[query_key]
             if not bucket:
                 del by_value[value]
                 if not by_value:
-                    del self._eq_index[(collection, field)]
-            fields = self._eq_fields[collection]
-            fields[field] -= 1
-            if fields[field] == 0:
-                del fields[field]
-                if not fields:
-                    del self._eq_fields[collection]
+                    del by_field[field]
+                    if not by_field:
+                        del self._eq_index[collection]
         return True
 
     def get(self, query_key: str) -> Optional[QueryMatchState]:
@@ -227,11 +202,13 @@ class QueryStateIndex:
             return list(self._states.values())
         collection = event.collection
         scan = self._scan_bucket.get(collection)
-        eq_fields = self._eq_fields.get(collection)
-        if not eq_fields:
+        by_field = self._eq_index.get(collection)
+        if not by_field:
             # Bucket dicts preserve registration order among themselves.
             return list(scan.values()) if scan else []
-        if event.before is None and event.operation is not OperationType.INSERT:
+        before = event.before
+        after = event.after
+        if before is None and event.operation is not OperationType.INSERT:
             # Defensive: without a before-image the equality index cannot
             # prove which previously matching states are affected.  Fall back
             # to every state of the collection (never happens with the
@@ -245,14 +222,22 @@ class QueryStateIndex:
                 if state.query.collection == collection
             ]
 
+        # Each image contributes its field value as a lookup key; an array
+        # fans out over its elements (MongoDB's "array contains" equality).
+        # A value both images share by reference is looked up once.
         eq_found: Dict[str, QueryMatchState] = {}
-        for field in eq_fields:
-            by_value = self._eq_index.get((collection, field))
-            if not by_value:
-                continue
-            for image in (event.before, event.after):
-                for value in _lookup_values(image, field):
-                    bucket = by_value.get(value)
+        for field in by_field:
+            by_value = by_field[field]
+            old = before.get(field, _MISSING) if before is not None else _MISSING
+            new = after.get(field, _MISSING) if after is not None else _MISSING
+            for value in (old,) if new is old else (old, new):
+                if value is _MISSING:
+                    continue
+                for element in value if isinstance(value, list) else (value,):
+                    try:
+                        bucket = by_value.get(element)
+                    except TypeError:
+                        continue  # unhashable (nested document or array): never a key
                     if bucket:
                         eq_found.update(bucket)
         scan_states = list(scan.values()) if scan else []
@@ -261,7 +246,7 @@ class QueryStateIndex:
         order = self._order
         # Equality hits are few; sort only those and merge with the (already
         # registration-ordered) scan bucket instead of sorting everything.
-        eq_states = sorted(eq_found.values(), key=lambda state: order[state.query_key])
+        eq_states = [eq_found[key] for key in sorted(eq_found, key=order.__getitem__)]
         if not scan_states:
             return eq_states
         merged: List[QueryMatchState] = []

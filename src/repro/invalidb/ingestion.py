@@ -69,12 +69,14 @@ class ChangestreamIngestionTask:
 
     def run_once(self, max_items: Optional[int] = None) -> List[Notification]:
         """Process up to ``max_items`` queued change events."""
+        items = self.queue.drain(max_items)
+        process_event = self.cluster.process_event
         notifications: List[Notification] = []
-        for item in self.queue.drain(max_items):
-            if not isinstance(item, ChangeEvent):
+        for item in items:
+            if item.__class__ is not ChangeEvent:
                 raise TypeError(f"unexpected item on changestream queue: {type(item).__name__}")
-            notifications.extend(self.cluster.process_event(item))
-            self.events_forwarded += 1
+            notifications += process_event(item)
+        self.events_forwarded += len(items)
         return notifications
 
 
@@ -92,6 +94,9 @@ class InvaliDBFrontend:
         self.change_queue = MessageQueue("invalidb:changes", capacity=queue_capacity)
         self._query_task = QueryIngestionTask(self.query_queue, cluster)
         self._change_task = ChangestreamIngestionTask(self.change_queue, cluster)
+        #: Producer side, change events: ``submit_change(event) -> accepted``
+        #: is the change queue's ``offer`` itself (one frame per stage).
+        self.submit_change = self.change_queue.offer
 
     # -- producer side (Quaestor server) ----------------------------------------------
 
@@ -101,14 +106,12 @@ class InvaliDBFrontend:
     def submit_deactivation(self, query_key: str) -> bool:
         return self.query_queue.offer(QueryDeactivation(query_key))
 
-    def submit_change(self, event: ChangeEvent) -> bool:
-        return self.change_queue.offer(event)
-
     # -- consumer side (the cluster's workers) -------------------------------------------
 
     def pump(self, max_items: Optional[int] = None) -> List[Notification]:
         """Process pending activations first, then pending change events."""
-        self._query_task.run_once(max_items)
+        if self.query_queue:
+            self._query_task.run_once(max_items)
         return self._change_task.run_once(max_items)
 
     @property

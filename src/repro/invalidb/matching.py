@@ -82,10 +82,11 @@ class QueryMatchState:
 
     def initialize(self, initial_result: List[Document]) -> None:
         """Seed the state with the initial result set evaluated by Quaestor."""
+        responsible = self._member_filter
         relevant = [
             document
             for document in initial_result
-            if self._is_responsible(str(document["_id"]))
+            if responsible is None or responsible(str(document["_id"]))
         ]
         self._matching_ids = {str(document["_id"]) for document in relevant}
         if self._ordered is not None:
@@ -94,42 +95,50 @@ class QueryMatchState:
     # -- matching ---------------------------------------------------------------------
 
     def process(self, event: ChangeEvent) -> List[Notification]:
-        """Match one change event; returns the notifications it triggers."""
+        """Match one change event; returns the notifications it triggers.
+
+        A stateless query decides here, in this frame: ``add`` when the
+        document starts matching, ``remove`` when it stops, ``change`` when a
+        member's content changed.  A stateful one diffs its visible window.
+        """
+        document_id = event.document_id
         if event.collection != self.query.collection:
             return []
-        if not self._is_responsible(event.document_id):
+        member_filter = self._member_filter
+        if member_filter is not None and not member_filter(document_id):
             return []
         self.events_processed += 1
 
-        was_match = event.document_id in self._matching_ids
+        matching_ids = self._matching_ids
+        was_match = document_id in matching_ids
         after = event.after
         is_match = (
             after is not None
-            and event.operation != OperationType.DELETE
+            and event.operation is not OperationType.DELETE
             and self._matches(after)
         )
 
         if self._ordered is not None:
             notifications = self._process_stateful(event, was_match, is_match)
+            self.notifications_emitted += len(notifications)
+            return notifications
+        if is_match:
+            if not was_match:
+                matching_ids.add(document_id)
+                notification_type = NotificationType.ADD
+            elif event.before != after:
+                notification_type = NotificationType.CHANGE
+            else:
+                return []
+        elif was_match:
+            matching_ids.discard(document_id)
+            notification_type = NotificationType.REMOVE
         else:
-            notifications = self._process_stateless(event, was_match, is_match)
-        self.notifications_emitted += len(notifications)
-        return notifications
-
-    # -- stateless path -----------------------------------------------------------------
-
-    def _process_stateless(
-        self, event: ChangeEvent, was_match: bool, is_match: bool
-    ) -> List[Notification]:
-        if not was_match and is_match:
-            self._matching_ids.add(event.document_id)
-            return [self._notification(NotificationType.ADD, event)]
-        if was_match and not is_match:
-            self._matching_ids.discard(event.document_id)
-            return [self._notification(NotificationType.REMOVE, event)]
-        if was_match and is_match and self._content_changed(event):
-            return [self._notification(NotificationType.CHANGE, event)]
-        return []
+            return []
+        self.notifications_emitted += 1
+        return [
+            Notification(self.query_key, self.query, notification_type, document_id, event.timestamp)
+        ]
 
     # -- stateful path -------------------------------------------------------------------
 
@@ -173,21 +182,12 @@ class QueryMatchState:
             and is_match
             and event.document_id in window_after
             and event.document_id not in entered
-            and self._content_changed(event)
+            and event.before != event.after
         ):
             notifications.append(self._notification(NotificationType.CHANGE, event))
         return notifications
 
     # -- helpers --------------------------------------------------------------------------
-
-    def _is_responsible(self, document_id: str) -> bool:
-        if self._member_filter is None:
-            return True
-        return self._member_filter(document_id)
-
-    @staticmethod
-    def _content_changed(event: ChangeEvent) -> bool:
-        return event.before != event.after
 
     def _notification(
         self,

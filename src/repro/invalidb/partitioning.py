@@ -68,6 +68,8 @@ class PartitioningScheme:
 
     def object_partition(self, document_id: str) -> int:
         """Object partition responsible for ``document_id``."""
+        if self.object_partitions == 1:
+            return 0
         return stable_uint64(f"obj:{document_id}") % self.object_partitions
 
     def node_index(self, query_partition: int, object_partition: int) -> int:
@@ -95,7 +97,10 @@ class PartitioningScheme:
         ]
 
     def member_filter(self, object_partition: int):
-        """Predicate restricting a node's match state to its object partition."""
+        """Predicate restricting a node's match state to its object partition
+        (``None`` when there is only one: it holds every document)."""
+        if self.object_partitions == 1:
+            return None
 
         def _filter(document_id: str) -> bool:
             return self.object_partition(document_id) == object_partition

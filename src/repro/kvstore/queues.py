@@ -49,8 +49,12 @@ class MessageQueue:
 
     def drain(self, max_items: Optional[int] = None) -> List[Any]:
         """Dequeue up to ``max_items`` items (all of them when ``None``)."""
-        limit = len(self._items) if max_items is None else min(max_items, len(self._items))
-        drained = [self._items.popleft() for _ in range(limit)]
+        items = self._items
+        if max_items is None or max_items >= len(items):
+            drained = list(items)
+            items.clear()
+        else:
+            drained = [items.popleft() for _ in range(max_items)]
         self.consumed += len(drained)
         return drained
 

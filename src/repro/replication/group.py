@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from repro.clock import Clock
 from repro.core.consistency import ConsistencyLevel
 from repro.core.read_path import render_record_read
-from repro.db.changestream import ChangeEvent, OperationType
+from repro.db.changestream import ChangeEvent
 from repro.db.database import Database
 from repro.db.query import record_key
 from repro.errors import (
@@ -210,17 +210,11 @@ class ReplicaGroup:
         ]
         if not replicas:
             return
-        version = 0
-        if event.operation is not OperationType.DELETE:
-            try:
-                version = self.database.collection(event.collection).version(event.document_id)
-            except (CollectionNotFoundError, DocumentNotFoundError):
-                version = 0
         for node in replicas:
             # One lag draw per (event, replica), in node order: deterministic
             # under a fixed seed, and independent streams per topology model.
             lag = self.config.lag.sample()
-            node.link.ship(LogRecord(event, version, event.timestamp + lag))
+            node.link.ship(LogRecord(event, event.timestamp + lag))
 
     # -- read routing --------------------------------------------------------------------
 
@@ -578,9 +572,9 @@ class ReplicaGroup:
             self.ebf.report_invalidation(
                 record_key(event.collection, event.document_id), timestamp
             )
-            if record.version > 0:
+            if event.version > 0:
                 node.database.create_collection(event.collection).restore_version_floors(
-                    {event.document_id: record.version}
+                    {event.document_id: event.version}
                 )
 
     def _absorb_lost_events(

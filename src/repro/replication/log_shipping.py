@@ -2,12 +2,11 @@
 
 Every acknowledged write on a primary produces a
 :class:`~repro.db.changestream.ChangeEvent`; the replica group wraps it into
-a :class:`LogRecord` (adding the authoritative post-write version and the
-modelled delivery time) and appends it to one :class:`ReplicationLink` per
-replica.  Delivery is pull-based and lazy: a replica applies every record
-whose delivery time has passed the moment it is asked to serve a read (or is
-considered for promotion), which keeps the simulation deterministic without
-scheduling one event per shipped write.
+a :class:`LogRecord` (adding the modelled delivery time) and appends it to
+one :class:`ReplicationLink` per replica.  Delivery is pull-based and lazy: a
+replica applies every record whose delivery time has passed the moment it is
+asked to serve a read (or is considered for promotion), which keeps the
+simulation deterministic without scheduling one event per shipped write.
 
 Links model two failure behaviours:
 
@@ -32,18 +31,16 @@ from repro.db.changestream import ChangeEvent
 class LogRecord:
     """One shipped change-stream entry, annotated for replica apply.
 
-    ``version`` is the authoritative post-write version of the document on
-    the primary (``0`` for deletes), captured synchronously at ship time so
-    the replica can verify its own version sequence stayed in lock-step.
-    ``apply_at`` is the virtual time at which the record becomes visible on
-    the receiving replica.
+    The event carries the authoritative post-write version of the document
+    on the primary (``event.version``, ``0`` for deletes), so the replica can
+    verify its own version sequence stayed in lock-step.  ``apply_at`` is the
+    virtual time at which the record becomes visible on the receiving replica.
     """
 
-    __slots__ = ("event", "version", "apply_at")
+    __slots__ = ("event", "apply_at")
 
-    def __init__(self, event: ChangeEvent, version: int, apply_at: float) -> None:
+    def __init__(self, event: ChangeEvent, apply_at: float) -> None:
         self.event = event
-        self.version = version
         self.apply_at = apply_at
 
     def __repr__(self) -> str:

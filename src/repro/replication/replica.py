@@ -119,13 +119,13 @@ class ReplicaNode:
             # itself: the same ordered mutation sequence yields the same
             # numbers, so a mismatch means the log skipped or repeated a write.
             expected = collection.next_version(event.document_id)
-            if record.version and expected != record.version:
+            if event.version and expected != event.version:
                 raise CacheCoherenceError(
                     f"replica {self.node_id} diverged on {event.collection}/"
                     f"{event.document_id}: next version {expected}, "
-                    f"primary shipped {record.version}"
+                    f"primary shipped {event.version}"
                 )
-            collection.install_snapshot(event.document_id, event.after, record.version or expected)
+            collection.install_snapshot(event.document_id, event.after, event.version or expected)
         self.applied_sequence = event.sequence
         self.applied_timestamp = event.timestamp
         self.records_applied += 1

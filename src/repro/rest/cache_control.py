@@ -44,8 +44,8 @@ class CacheControl:
 
     @classmethod
     def uncacheable(cls) -> "CacheControl":
-        """A response no cache may store."""
-        return cls(no_cache=True, no_store=True)
+        """A response no cache may store (instances are immutable: one is shared)."""
+        return UNCACHEABLE
 
     # -- queries -----------------------------------------------------------------
 
@@ -107,3 +107,7 @@ class CacheControl:
             no_store=no_store,
             must_revalidate=must_revalidate,
         )
+
+
+#: ``no-cache, no-store``: what every write acknowledgement and error carries.
+UNCACHEABLE = CacheControl(no_cache=True, no_store=True)

@@ -6,65 +6,51 @@ still matches, avoiding a full body transfer.  Etags here derive from the
 record version counter (or, for query results, from the member ids and their
 versions) so they change exactly when the cached representation changes.
 
-Because tags are pure functions of ``(collection, id, version)`` -- or, for
-query results, of the member-version mapping -- their rendering is memoized:
-a record that has not changed renders the identical string without paying the
-JSON canonicalisation again.  A *new* version of a known record does not start
-over either: FNV-1a is a running hash, so the state after the canonical JSON
-up to the version digits is memoized per ``(collection, id)`` and only the
-tail is hashed.
+Every tag is one 8-byte ``hashlib.blake2b`` digest, rendered as sixteen hex
+digits in quotes, over an *injective* text of what it names: distinct inputs
+hash distinct bytes, so two tags are equal only if the digest itself
+collides.  Record and result tags use ``ascii()`` of the identifying tuple(s)
+-- a Python literal, so ``("a", "b:1")`` and ``("a:b", "1")`` (or any other
+id text that contains a quote, comma, bracket or escape) cannot run together,
+``1``, ``1.0``, ``True`` and ``"1"`` stay apart, and every character outside
+ASCII is escaped the same way on every interpreter.  Versions are ``int`` in
+this system; any other value is tagged through its ``repr`` all the same.
+The digest runs in C over a few hundred bytes, so a result tag needs no memo;
+record tags keep one because every origin read of an unchanged
+record asks for the same tag again.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Any, Dict, Tuple
+from hashlib import blake2b
+from typing import Any, Dict
 
-from repro.bloom.hashing import fnv1a_64
 
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, default=str, separators=(",", ":"))
+def _tag(text: str) -> str:
+    """The quoted digest of an ASCII ``text`` -- the one tag rendering."""
+    return f'"{blake2b(text.encode("ascii"), digest_size=8).hexdigest()}"'
 
 
 def etag_for(payload: Any) -> str:
-    """A strong Etag derived deterministically from ``payload``."""
-    return f'"{fnv1a_64(_canonical(payload).encode("utf-8")):016x}"'
-
-
-@lru_cache(maxsize=65_536)
-def _version_prefix_state(collection: str, document_id: str) -> int:
-    """FNV state after ``{"c":…,"id":…,"v":`` -- a record tag up to its version."""
-    canonical = _canonical({"c": collection, "id": document_id, "v": 0})
-    return fnv1a_64(canonical[:-2].encode("utf-8"))  # minus ``0}``
+    """A strong Etag derived deterministically from a JSON-like ``payload``."""
+    return _tag(json.dumps(payload, sort_keys=True, default=str, separators=(",", ":")))
 
 
 @lru_cache(maxsize=65_536)
 def etag_for_version(collection: str, document_id: str, version: int) -> str:
     """Etag for an individual record at a specific version."""
-    if type(version) is not int:
-        return etag_for({"c": collection, "id": document_id, "v": version})
-    state = _version_prefix_state(collection, document_id)
-    return f'"{fnv1a_64(b"%d}" % version, state):016x}"'
-
-
-@lru_cache(maxsize=16_384)
-def _etag_for_result_cached(items: Tuple[Tuple[str, int], ...]) -> str:
-    versions = dict(items)
-    return etag_for({"ids": sorted(versions), "versions": versions})
+    return _tag(ascii((collection, document_id, version)))
 
 
 def etag_for_result(versions: Dict[str, int]) -> str:
     """Etag fingerprinting a query result's member ids and versions.
 
-    Renders the same string as
-    ``etag_for({"ids": sorted(versions), "versions": versions})`` (the
-    canonical JSON sorts keys either way) but memoizes it per version
-    mapping, so an unchanged result re-served by the read pipeline skips the
-    canonicalisation entirely.
+    Independent of the mapping's order: the pairs are sorted by id (ids are
+    unique, so versions are never compared with each other).
     """
-    return _etag_for_result_cached(tuple(sorted(versions.items())))
+    return _tag(ascii(sorted(versions.items())))
 
 
 def weak_compare(left: str, right: str) -> bool:

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.rest.cache_control import CacheControl
+from repro.rest.cache_control import UNCACHEABLE, CacheControl
 
 
 class StatusCode(int, enum.Enum):
@@ -105,7 +105,7 @@ class Response:
     @classmethod
     def uncacheable(cls, body: Any, status: StatusCode = StatusCode.OK) -> "Response":
         """A response that no cache may store."""
-        return cls(status=status, body=body, cache_control=CacheControl.uncacheable())
+        return cls(status, body, None, UNCACHEABLE)
 
     @classmethod
     def not_modified_response(cls, etag: str, ttl: float, shared_ttl: Optional[float] = None) -> "Response":

@@ -284,26 +284,14 @@ class WorkloadGenerator:
         for operation_type, payload, insert_number in plan:
             if operation_type is query_type:
                 query = queries[next(query_indexes)]
-                append(Operation(type=query_type, collection=query.collection, query=query))
+                append(Operation(query_type, query.collection, None, query))
                 continue
             table, document_id = document_ids[next(document_indexes)]
             if operation_type is insert_type:
                 new_id = f"{table}-new-{insert_number:06d}"
-                payload = {"_id": new_id, **payload}
-                append(
-                    Operation(
-                        type=insert_type, collection=table, document_id=new_id, payload=payload
-                    )
-                )
+                append(Operation(insert_type, table, new_id, None, {"_id": new_id, **payload}))
             else:
-                append(
-                    Operation(
-                        type=operation_type,
-                        collection=table,
-                        document_id=document_id,
-                        payload=payload,
-                    )
-                )
+                append(Operation(operation_type, table, document_id, None, payload))
         return operations
 
     def stream(self, count: int) -> Iterator[Operation]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db import Database
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
 from repro.db.sharding import HashSharder, ShardStatisticsTable
 
@@ -132,6 +133,42 @@ class TestChangeStream:
         assert len(stream) == 3
         assert [event.document_id for event in stream.history] == ["d7", "d8", "d9"]
 
+    def test_publishing_three_times_the_limit_answers_like_an_unbounded_tail(self):
+        """Retention is a sliding window: past the limit every publish drops
+        exactly the oldest event, and ``replay_since`` / ``covers_since``
+        answer as the last ``limit`` events of an unbounded stream would."""
+        limit = 50
+        bounded, unbounded = ChangeStream(history_limit=limit), ChangeStream()
+        for index in range(3 * limit):
+            for stream in (bounded, unbounded):
+                stream.publish(_event(stream.next_sequence(), f"d{index}"))
+            tail = unbounded.history[-limit:]
+            assert bounded.history == tail and len(bounded) == len(tail)
+            oldest = tail[0].sequence
+            for since in {0, max(0, oldest - 2), oldest - 1, oldest, index, index + 1, index + 5}:
+                assert bounded.replay_since(since) == [
+                    event for event in tail if event.sequence > since
+                ]
+                # Complete exactly when nothing after ``since`` was dropped.
+                assert bounded.covers_since(since) == (since >= oldest - 1)
+                assert unbounded.covers_since(since)
+
+    def test_a_listener_may_unsubscribe_during_delivery(self):
+        """Delivery runs over the listeners it started with; the change shows
+        from the next event on."""
+        stream = ChangeStream()
+        received = []
+
+        def once(event):
+            received.append(("once", event.sequence))
+            unsubscribe()
+
+        unsubscribe = stream.subscribe(once)
+        stream.subscribe(lambda event: received.append(("always", event.sequence)))
+        stream.publish(_event(stream.next_sequence()))
+        stream.publish(_event(stream.next_sequence()))
+        assert received == [("once", 1), ("always", 1), ("always", 2)]
+
     def test_history_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             ChangeStream(history_limit=0)
@@ -139,3 +176,17 @@ class TestChangeStream:
     def test_after_image_alias(self):
         event = _event(1)
         assert event.after_image == event.after
+
+    def test_a_collection_stamps_the_installed_version_on_its_events(self):
+        database = Database()
+        received = []
+        database.subscribe(received.append)
+        posts = database.create_collection("posts")
+        posts.insert({"_id": "p1", "views": 0})
+        posts.update("p1", {"$inc": {"views": 1}})
+        posts.delete("p1")
+        posts.insert({"_id": "p1", "views": 9})  # continues the sequence past the tombstone
+        assert [(event.operation.value, event.version) for event in received] == [
+            ("insert", 1), ("update", 2), ("delete", 0), ("insert", 3)
+        ]
+        assert _event(1).version == 0  # hand-built events carry none

@@ -173,7 +173,6 @@ class TestIndexMaintenance:
         event = make_event(1, "p1", {"_id": "p1", "category": 1})
         assert index.candidates(event) == []
         assert index._eq_index == {}
-        assert index._eq_fields == {}
         assert index._scan_bucket == {}
         assert index._placement == {}
 

@@ -120,7 +120,7 @@ class TestSeedingAndShipping:
         database.update("posts", "p1", {"$inc": {"views": 1}})
         replica = group.replica_nodes()[0]
         skipped = replica.link.take_ready(clock.now() + 1.0)
-        assert [record.version for record in skipped] == [2, 3]
+        assert [record.event.version for record in skipped] == [2, 3]
         with pytest.raises(CacheCoherenceError, match="diverged on posts/p1"):
             replica._apply(skipped[1])
         assert replica.database.collection("posts").version("p1") == 1
