@@ -3,10 +3,6 @@
 #   make test            - tier-1 test suite (what CI gates on)
 #   make bench-smoke     - fast benchmark subset (EBF micro + cluster scaling)
 #   make bench           - every benchmark target (regenerates benchmarks/results/)
-#   make bench-hotpaths  - hot-path microbenchmarks; rewrites BENCH_hotpaths.json
-#   make bench-hotpaths-check - budget-mode run gated against the committed
-#                               BENCH_hotpaths.json (fails when a speedup
-#                               ratio collapses >3x)
 #   make bench-replication       - replica-read scale-out + failover drills;
 #                                  rewrites BENCH_replication.json
 #   make bench-replication-check - budget-mode run gated against the committed
@@ -61,14 +57,13 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 # bench` collects.  New gated benchmarks are added HERE, not to a filter-out
 # chain that silently rots when a file is renamed.
 GATED_BENCH := \
-	benchmarks/bench_hotpaths.py \
 	benchmarks/bench_replication.py \
 	benchmarks/bench_ttl.py \
 	benchmarks/bench_resilience.py
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check
+.PHONY: test bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -78,12 +73,6 @@ bench-smoke:
 
 bench:
 	$(PYTEST) $(BENCH_FILES) -q
-
-bench-hotpaths:
-	$(PYTHON) benchmarks/bench_hotpaths.py
-
-bench-hotpaths-check:
-	$(PYTHON) benchmarks/bench_hotpaths.py --budget --check BENCH_hotpaths.json
 
 sim-parallel-smoke:
 	$(PYTEST) tests/simulation/test_parallel_parity.py tests/simulation/test_parallel_invariance.py tests/verify/test_parallel_history.py -q

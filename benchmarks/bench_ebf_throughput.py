@@ -2,19 +2,18 @@
 
 The paper reports that the Redis-based EBF implementation sustains more than
 150,000 queries or invalidations per second per Redis instance (Section 3.3,
-*Scalability*).  These targets measure the reproduction's in-memory and
-KV-store-backed variants with pytest-benchmark so the cost of the structure
-on the critical request path is tracked over time.
+*Scalability*).  These targets measure the reproduction's in-memory EBF
+with pytest-benchmark so the cost of the structure on the critical request
+path is tracked over time.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from repro.bloom import ExpiringBloomFilter, KVBackedExpiringBloomFilter
+from repro.bloom import ExpiringBloomFilter
 from repro.bloom.sizing import PAPER_DEFAULT_BITS
 from repro.clock import VirtualClock
-from repro.kvstore import KeyValueStore
 
 
 def _drive_ebf(ebf, clock, keys, ttl: float = 30.0) -> int:
@@ -47,23 +46,6 @@ def test_in_memory_ebf_operation_throughput(benchmark):
     assert operations == 500 + 167 + 500
     # The flat export stays consistent under load.
     assert ebf.to_flat() is not None
-
-
-def test_kv_backed_ebf_operation_throughput(benchmark):
-    clock = VirtualClock()
-    store = KeyValueStore(clock=clock)
-    ebf = KVBackedExpiringBloomFilter(store, num_bits=2 ** 16, num_hashes=4)
-    counter = itertools.count()
-
-    def batch():
-        base = next(counter) * 200
-        keys = [f"query:bench-{base + index}" for index in range(200)]
-        return _drive_ebf(ebf, clock, keys)
-
-    operations = benchmark(batch)
-    assert operations == 200 + 67 + 200
-    # Every EBF operation maps to key-value store commands (the paper's load unit).
-    assert store.operations > 0
 
 
 def test_flat_snapshot_export_cost(benchmark):

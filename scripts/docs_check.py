@@ -18,6 +18,9 @@ It additionally enforces *coverage*: every subsystem package listed in
 scanned documentation, so a new subsystem cannot land undocumented (and a
 removed one cannot leave its docs behind).
 
+Finally it flags *orphan modules*: a module under ``src/repro/`` that no
+non-test file imports (see ``check_orphan_modules``) is code nothing runs.
+
 Exits non-zero listing every reference that does not resolve, so stale docs
 fail CI instead of silently rotting.
 """
@@ -136,6 +139,63 @@ def check_required_coverage(markdown_files: list) -> list:
     return problems
 
 
+#: Trees whose files count as a module's real users (tests do not).
+IMPORTER_TREES = ("src", "examples", "benchmarks", "bench", "scripts")
+
+
+def _imported_names(path: Path, package: str) -> set:
+    """Dotted names ``path`` imports: every module, plus ``module.name`` per
+    from-import (a submodule or a re-exported name); relative imports resolve
+    against ``package``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            anchor = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            base = ".".join(filter(None, (anchor, node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def check_orphan_modules() -> list:
+    """Modules under ``src/repro/`` (``__init__`` and ``__main__`` aside) that
+    no non-test file imports -- directly, or through a name their package
+    ``__init__`` re-exports; the package's own ``__init__`` does not count.
+    A module listed in ``REQUIRED_MODULES`` passes (a documented public
+    engine that only tests drive)."""
+    src = REPO_ROOT / "src"
+
+    def dotted(path: Path) -> str:
+        return ".".join(path.relative_to(src).with_suffix("").parts)
+
+    imports = {}
+    for tree in IMPORTER_TREES:
+        for path in (REPO_ROOT / tree).rglob("*.py"):
+            if "tests" in path.relative_to(REPO_ROOT).parts or path.name.startswith("test_"):
+                continue
+            # Relative imports occur in src/ only; they resolve against the package.
+            module = dotted(path) if tree == "src" else ""
+            package = module if path.stem == "__init__" else module.rpartition(".")[0]
+            imports[path] = _imported_names(path, package.removesuffix(".__init__"))
+    orphans = []
+    for path in sorted(src.glob("repro/**/*.py")):
+        module = dotted(path)
+        if path.stem in ("__init__", "__main__") or module in REQUIRED_MODULES:
+            continue
+        own_init = path.parent / "__init__.py"
+        package = module.rpartition(".")[0]
+        wanted = {module} | {
+            f"{package}.{name.rpartition('.')[2]}"
+            for name in imports.get(own_init, ())
+            if name.startswith(module + ".")
+        }
+        if not any(wanted & names for importer, names in imports.items() if importer != own_init):
+            orphans.append(module)
+    return orphans
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures = 0
@@ -154,6 +214,9 @@ def main() -> int:
     for module, problem in check_required_coverage(markdown_files):
         failures += 1
         print(f"coverage: required module {module}: {problem}")
+    for module in check_orphan_modules():
+        failures += 1
+        print(f"orphan: no non-test file imports module {module}")
     if failures:
         print(f"docs-check: {failures} broken reference(s) in {checked} file(s)")
         return 1

@@ -5,7 +5,7 @@ This package is a from-scratch reproduction of the system described in
 It contains the paper's primary contribution (the Expiring Bloom Filter
 cache-coherence scheme, the InvaliDB streaming invalidation pipeline, and the
 statistical TTL estimator) together with every substrate the system depends
-on: a MongoDB-like document store, a Redis-like key-value store, HTTP
+on: a MongoDB-like document store, Redis-like message queues, HTTP
 expiration/invalidation web caches, a discrete-event simulation framework,
 YCSB-style workload generators and a benchmark harness reproducing every
 table and figure in the paper's evaluation.

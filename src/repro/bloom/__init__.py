@@ -7,10 +7,15 @@ that removes entries once every previously issued TTL has run out.  Clients
 receive a flat (non-counting) copy of the filter and consult it before every
 read to decide between a cached load and a revalidation.
 
+Every filter is in-memory and owned by one server; a sharded deployment
+unions the per-shard flat copies (:meth:`BloomFilter.union_all`) instead of
+sharing one Redis-backed filter as the paper does.
+
 Modules
 -------
 ``hashing``
-    Double-hashing scheme producing *k* independent bit positions.
+    The blake2b double-hashing scheme producing *k* bit positions, and the
+    FNV-based placement hashes of the sharding layer.
 ``sizing``
     False-positive-rate arithmetic: optimal bit count and hash count.
 ``bloom_filter``
@@ -19,9 +24,6 @@ Modules
     Counting Bloom filter supporting removals.
 ``expiring``
     The Expiring Bloom Filter: counting filter + TTL/expiration tracking.
-``backed``
-    A distributed EBF variant persisting its state in :mod:`repro.kvstore`,
-    mirroring the paper's Redis-backed implementation.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ from __future__ import annotations
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.expiring import ExpiringBloomFilter
-from repro.bloom.backed import KVBackedExpiringBloomFilter
-from repro.bloom.partitioned import PartitionedExpiringBloomFilter
-from repro.bloom.hashing import (
-    DEFAULT_SCHEME,
-    SCHEME_BLAKE2,
-    SCHEME_FNV,
-    SCHEME_BY_WIRE_VERSION,
-    WIRE_VERSION_BY_SCHEME,
-)
 from repro.bloom.sizing import (
     false_positive_rate,
     optimal_bit_count,
@@ -48,13 +41,6 @@ __all__ = [
     "BloomFilter",
     "CountingBloomFilter",
     "ExpiringBloomFilter",
-    "KVBackedExpiringBloomFilter",
-    "PartitionedExpiringBloomFilter",
-    "DEFAULT_SCHEME",
-    "SCHEME_BLAKE2",
-    "SCHEME_FNV",
-    "SCHEME_BY_WIRE_VERSION",
-    "WIRE_VERSION_BY_SCHEME",
     "false_positive_rate",
     "optimal_bit_count",
     "optimal_hash_count",

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
-from repro.bloom import hashing
+from repro.bloom.hashing import _blake2_pair_cached as _pair
 from repro.bloom.sizing import false_positive_rate, optimal_hash_count
 
 
@@ -13,88 +13,58 @@ class BloomFilter:
 
     Clients receive this flat representation of the server-side Expiring Bloom
     Filter; it supports membership tests, insertion, bitwise union (used to
-    aggregate per-table EBF partitions) and compact serialisation.
+    aggregate per-shard EBFs) and compact serialisation.
 
-    The filter's geometry is *versioned*: ``(num_bits, num_hashes,
-    hash_scheme)`` together determine which bits a key sets, and the scheme
-    maps to a wire version (see :data:`repro.bloom.hashing.SCHEME_BY_WIRE_VERSION`).
-    ``to_bytes`` still emits the raw bit array, so payloads are byte-identical
-    for identical bits; a payload produced under the legacy FNV scheme is
-    reconstructed with ``from_bytes(..., hash_scheme=SCHEME_FNV)`` (or
-    ``wire_version=1``) and stays fully readable.
+    ``(num_bits, num_hashes)`` is the filter's whole geometry: the positions a
+    key sets come from the memoised blake2b pair of
+    :mod:`repro.bloom.hashing`, and ``to_bytes`` emits the raw bit array.
     """
 
-    def __init__(
-        self, num_bits: int, num_hashes: int, hash_scheme: str = hashing.DEFAULT_SCHEME
-    ) -> None:
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
         if num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
-        # The scheme's raw ``key -> (h1, h2)`` function (memoised per key for
-        # blake2), bound once; rejects an unknown scheme.
-        self._pair = hashing.base_pair_function(hash_scheme)
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
-        self.hash_scheme = hash_scheme
         self._bits = bytearray((self.num_bits + 7) // 8)
         self._count = 0
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def with_capacity(
-        cls,
-        expected_items: int,
-        target_fp_rate: float = 0.05,
-        hash_scheme: str = hashing.DEFAULT_SCHEME,
-    ) -> "BloomFilter":
+    def with_capacity(cls, expected_items: int, target_fp_rate: float = 0.05) -> "BloomFilter":
         """Create a filter sized for ``expected_items`` at ``target_fp_rate``."""
         from repro.bloom.sizing import optimal_bit_count
 
         bits = optimal_bit_count(expected_items, target_fp_rate)
         hashes = optimal_hash_count(bits, expected_items)
-        return cls(bits, hashes, hash_scheme)
+        return cls(bits, hashes)
 
     @classmethod
-    def from_keys(
-        cls,
-        keys: Iterable[str],
-        num_bits: int,
-        num_hashes: int,
-        hash_scheme: str = hashing.DEFAULT_SCHEME,
-    ) -> "BloomFilter":
+    def from_keys(cls, keys: Iterable[str], num_bits: int, num_hashes: int) -> "BloomFilter":
         """Create a filter of fixed geometry containing ``keys``."""
-        instance = cls(num_bits, num_hashes, hash_scheme)
+        instance = cls(num_bits, num_hashes)
         instance.add_all(keys)
         return instance
-
-    # -- bit manipulation -----------------------------------------------------
-
-    def _set_bit(self, index: int) -> None:
-        self._bits[index >> 3] |= 1 << (index & 7)
 
     # -- public API -----------------------------------------------------------
 
     def add(self, key: str) -> None:
         """Insert ``key`` into the filter."""
-        for position in hashing.positions(key, self.num_hashes, self.num_bits, self.hash_scheme):
-            self._set_bit(position)
-        self._count += 1
+        self.add_all((key,))
 
     def add_all(self, keys: Iterable[str]) -> None:
         """Insert every key of ``keys`` (batch form of :meth:`add`).
 
-        One bound-method lookup and one validation for the whole batch; the
-        per-key work reduces to the hash-pair evaluation and the bit sets.
+        The per-key work is the memoised hash-pair evaluation and the bit sets.
         """
         bits = self._bits
         num_bits = self.num_bits
         hash_range = range(self.num_hashes)
-        pair = self._pair
         count = 0
         for key in keys:
-            h1, h2 = pair(key)
+            h1, h2 = _pair(key)
             h2 |= 1
             for _ in hash_range:
                 position = h1 % num_bits
@@ -111,7 +81,7 @@ class BloomFilter:
         """
         bits = self._bits
         num_bits = self.num_bits
-        h1, h2 = self._pair(key)
+        h1, h2 = _pair(key)
         h2 |= 1
         for _ in range(self.num_hashes):
             position = h1 % num_bits
@@ -125,11 +95,10 @@ class BloomFilter:
         bits = self._bits
         num_bits = self.num_bits
         hash_range = range(self.num_hashes)
-        pair = self._pair
         results: List[bool] = []
         append = results.append
         for key in keys:
-            h1, h2 = pair(key)
+            h1, h2 = _pair(key)
             h2 |= 1
             member = True
             for _ in hash_range:
@@ -156,12 +125,11 @@ class BloomFilter:
     def union(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR of two filters with identical geometry.
 
-        Used to aggregate per-table EBF partitions into one client filter.
         The OR runs as a single whole-array integer operation instead of a
         per-byte Python loop.
         """
         self._require_same_geometry(other)
-        merged = BloomFilter(self.num_bits, self.num_hashes, self.hash_scheme)
+        merged = BloomFilter(self.num_bits, self.num_hashes)
         combined = int.from_bytes(self._bits, "little") | int.from_bytes(other._bits, "little")
         merged._bits = bytearray(combined.to_bytes(len(self._bits), "little"))
         merged._count = self._count + other._count
@@ -184,7 +152,7 @@ class BloomFilter:
             first._require_same_geometry(other)
             combined |= int.from_bytes(other._bits, "little")
             count += other._count
-        merged = cls(first.num_bits, first.num_hashes, first.hash_scheme)
+        merged = cls(first.num_bits, first.num_hashes)
         merged._bits = bytearray(combined.to_bytes(len(first._bits), "little"))
         merged._count = count
         return merged
@@ -202,46 +170,17 @@ class BloomFilter:
 
     # -- serialisation --------------------------------------------------------
 
-    @property
-    def wire_version(self) -> int:
-        """Wire version of this filter's geometry (pins the hash scheme)."""
-        return hashing.WIRE_VERSION_BY_SCHEME[self.hash_scheme]
-
     def to_bytes(self) -> bytes:
         """Serialise the bit array (the payload piggybacked to clients).
 
-        The payload is the raw bits, unchanged across schemes; receivers pair
-        it with the geometry ``(num_bits, num_hashes, wire_version)``.
+        Receivers pair the raw bits with the geometry ``(num_bits, num_hashes)``.
         """
         return bytes(self._bits)
 
     @classmethod
-    def from_bytes(
-        cls,
-        payload: bytes,
-        num_bits: int,
-        num_hashes: int,
-        hash_scheme: Optional[str] = None,
-        wire_version: Optional[int] = None,
-    ) -> "BloomFilter":
-        """Reconstruct a filter from :meth:`to_bytes` output.
-
-        ``wire_version`` (or ``hash_scheme`` directly) selects the scheme the
-        payload's bits were produced with; legacy payloads serialized before
-        the blake2 switch pass ``wire_version=1`` (equivalently
-        ``hash_scheme=hashing.SCHEME_FNV``).
-        """
-        if hash_scheme is not None and wire_version is not None:
-            if hashing.WIRE_VERSION_BY_SCHEME.get(hash_scheme) != wire_version:
-                raise ValueError(
-                    f"hash scheme {hash_scheme!r} does not match wire version {wire_version}"
-                )
-        scheme = (
-            hash_scheme
-            if hash_scheme is not None
-            else hashing.scheme_for_wire_version(wire_version)
-        )
-        instance = cls(num_bits, num_hashes, scheme)
+    def from_bytes(cls, payload: bytes, num_bits: int, num_hashes: int) -> "BloomFilter":
+        """Reconstruct a filter from :meth:`to_bytes` output."""
+        instance = cls(num_bits, num_hashes)
         expected = (num_bits + 7) // 8
         if len(payload) != expected:
             raise ValueError(
@@ -253,7 +192,7 @@ class BloomFilter:
 
     def copy(self) -> "BloomFilter":
         """Return an independent copy of this filter."""
-        clone = BloomFilter(self.num_bits, self.num_hashes, self.hash_scheme)
+        clone = BloomFilter(self.num_bits, self.num_hashes)
         clone._bits = bytearray(self._bits)
         clone._count = self._count
         return clone
@@ -275,20 +214,16 @@ class BloomFilter:
     # -- internals ------------------------------------------------------------
 
     def _require_same_geometry(self, other: "BloomFilter") -> None:
-        if (
-            self.num_bits != other.num_bits
-            or self.num_hashes != other.num_hashes
-            or self.hash_scheme != other.hash_scheme
-        ):
+        if self.num_bits != other.num_bits or self.num_hashes != other.num_hashes:
             raise ValueError(
                 "filters must share geometry: "
-                f"({self.num_bits}, {self.num_hashes}, {self.hash_scheme}) vs "
-                f"({other.num_bits}, {other.num_hashes}, {other.hash_scheme})"
+                f"({self.num_bits}, {self.num_hashes}) vs "
+                f"({other.num_bits}, {other.num_hashes})"
             )
 
     def __repr__(self) -> str:
         return (
             f"BloomFilter(bits={self.num_bits}, hashes={self.num_hashes}, "
-            f"scheme={self.hash_scheme}, insertions={self._count}, "
+            f"insertions={self._count}, "
             f"fill={self.fill_ratio():.4f})"
         )

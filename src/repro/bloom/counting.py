@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.bloom import hashing
 from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.hashing import _blake2_pair_cached as _pair
 
 
 class CountingBloomFilter:
@@ -19,32 +19,44 @@ class CountingBloomFilter:
     per request would be inefficient.
     """
 
-    def __init__(
-        self, num_bits: int, num_hashes: int, hash_scheme: str = hashing.DEFAULT_SCHEME
-    ) -> None:
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
         if num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
-        self.hash_scheme = hash_scheme
         # Sparse counter storage: most slots are zero in practice.
         self._counters: Dict[int, int] = {}
-        self._flat = BloomFilter(num_bits, num_hashes, hash_scheme)
+        self._flat = BloomFilter(num_bits, num_hashes)
         self._item_count = 0
+
+    def _slots(self, key: str) -> Dict[int, None]:
+        """The distinct positions of ``key``, in probe order.
+
+        Distinct because counting filters must not increment the same counter
+        twice for one key, otherwise a later removal would underflow other
+        keys' counters.
+        """
+        num_bits = self.num_bits
+        h1, h2 = _pair(key)
+        h2 |= 1
+        slots: Dict[int, None] = {}
+        for _ in range(self.num_hashes):
+            slots[h1 % num_bits] = None
+            h1 += h2
+        return slots
 
     # -- mutation -------------------------------------------------------------
 
     def add(self, key: str) -> None:
         """Increment the counters of ``key`` (idempotence is *not* implied)."""
-        for position in hashing.distinct_positions(
-            key, self.num_hashes, self.num_bits, self.hash_scheme
-        ):
+        flat_bits = self._flat._bits
+        for position in self._slots(key):
             previous = self._counters.get(position, 0)
             self._counters[position] = previous + 1
             if previous == 0:
-                self._flat._set_bit(position)
+                flat_bits[position >> 3] |= 1 << (position & 7)
         self._item_count += 1
 
     def add_all(self, keys: Iterable[str]) -> None:
@@ -58,7 +70,7 @@ class CountingBloomFilter:
         Returns ``False`` (and leaves the filter untouched) when the key is
         definitely not contained, which protects against counter underflow.
         """
-        slots = hashing.distinct_positions(key, self.num_hashes, self.num_bits, self.hash_scheme)
+        slots = self._slots(key)
         if any(self._counters.get(position, 0) == 0 for position in slots):
             return False
         for position in slots:
@@ -81,12 +93,7 @@ class CountingBloomFilter:
 
     def contains(self, key: str) -> bool:
         """Membership test with the usual one-sided (false positive) error."""
-        return all(
-            self._counters.get(position, 0) > 0
-            for position in hashing.distinct_positions(
-                key, self.num_hashes, self.num_bits, self.hash_scheme
-            )
-        )
+        return all(self._counters.get(position, 0) > 0 for position in self._slots(key))
 
     def contains_all(self, keys: Sequence[str]) -> List[bool]:
         """Batch membership test: one ``bool`` per key, in input order.

@@ -22,7 +22,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bloom import hashing
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.sizing import PAPER_DEFAULT_BITS
@@ -59,13 +58,11 @@ class ExpiringBloomFilter:
         num_bits: int = PAPER_DEFAULT_BITS,
         num_hashes: int = 4,
         clock: Optional[Clock] = None,
-        hash_scheme: str = hashing.DEFAULT_SCHEME,
     ) -> None:
         self.num_bits = int(num_bits)
         self.num_hashes = int(num_hashes)
-        self.hash_scheme = hash_scheme
         self._clock: Clock = clock if clock is not None else VirtualClock()
-        self._filter = CountingBloomFilter(self.num_bits, self.num_hashes, hash_scheme)
+        self._filter = CountingBloomFilter(self.num_bits, self.num_hashes)
         # Latest instant until which some cache may hold the key.
         self._cacheable_until: Dict[str, float] = {}
         # Keys currently marked stale, mapped to when they leave the filter.

@@ -5,58 +5,29 @@ Uses the Kirsch-Mitzenmacher double hashing construction: two independent
 ``(h1 + i * h2) mod m``, which preserves the asymptotic false positive rate of
 ``k`` fully independent hash functions while requiring only two evaluations.
 
-Two base-hash *schemes* produce the ``(h1, h2)`` pair:
-
-``blake2`` (default)
-    One :func:`hashlib.blake2b` call with a 16-byte digest, split into two
-    64-bit halves.  The digest is computed in C, so hashing cost is almost
-    independent of key length -- roughly an order of magnitude faster than
-    the per-byte Python loop of the legacy scheme on realistic cache keys.
-    Pairs are additionally memoised in an LRU cache because the read path
-    hashes the same record/query keys over and over.
-
-``fnv`` (legacy)
-    Two FNV-1a passes with different offset bases -- the scheme every filter
-    serialized before the blake2 switch was built with.  It is kept
-    bit-for-bit intact (and deliberately uncached) so old payloads remain
-    readable: deserialising a legacy payload with ``hash_scheme=SCHEME_FNV``
-    reproduces the exact positions its bits were set with.
-
-The scheme is part of a filter's *versioned geometry*: wire version 1 means
-FNV bits, wire version 2 means blake2 bits (see :data:`SCHEME_BY_WIRE_VERSION`).
-Both schemes are deterministic across processes (unlike Python's built-in
-``hash``, which is salted per process).
+The ``(h1, h2)`` pair is one :func:`hashlib.blake2b` call with a 16-byte
+digest, split into two 64-bit halves.  The digest is computed in C, so
+hashing cost is almost independent of key length, and it is deterministic
+across processes (unlike Python's built-in ``hash``, which is salted per
+process).  Pairs are memoised in an LRU cache because the read path hashes
+the same record/query keys over and over.
 
 The sharding/partitioning hashes :func:`stable_uint64` and
-:func:`mixed_uint64` remain FNV-based regardless of the filter scheme --
-consistent-hash ring placement and grid partitioning must not move when the
-Bloom scheme changes -- but are memoised, since partition lookups hit the
-same keys repeatedly on the hot path.
+:func:`mixed_uint64` are FNV-1a based -- consistent-hash ring placement and
+grid partitioning must not move -- and are memoised as well, since partition
+lookups hit the same keys repeatedly on the hot path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 import hashlib
 
 _FNV_PRIME_64 = 0x100000001B3
 _FNV_OFFSET_64 = 0xCBF29CE484222325
-# A second, unrelated offset basis yields an (empirically) independent hash.
-_FNV_OFFSET_64_ALT = 0x84222325CBF29CE4
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
-
-#: Legacy scheme: per-byte FNV-1a, used by all wire-version-1 payloads.
-SCHEME_FNV = "fnv"
-#: Default scheme: one blake2b digest split into two 64-bit hashes.
-SCHEME_BLAKE2 = "blake2"
-#: Scheme used by newly constructed filters.
-DEFAULT_SCHEME = SCHEME_BLAKE2
-
-#: Versioned geometry: which hash scheme a serialized payload was built with.
-SCHEME_BY_WIRE_VERSION = {1: SCHEME_FNV, 2: SCHEME_BLAKE2}
-WIRE_VERSION_BY_SCHEME = {scheme: version for version, scheme in SCHEME_BY_WIRE_VERSION.items()}
 
 #: Keys memoised by the hash-pair cache (the read path hashes the same
 #: record/query keys over and over; cache hits skip the digest entirely).
@@ -78,22 +49,18 @@ def _as_bytes(key: "str | bytes") -> bytes:
     return key.encode("utf-8")
 
 
-def _fnv_pair(data: bytes) -> Tuple[int, int]:
-    """The legacy (wire version 1) base-hash pair -- two FNV-1a passes."""
-    return fnv1a_64(data, _FNV_OFFSET_64), fnv1a_64(data, _FNV_OFFSET_64_ALT)
-
-
 _blake2b = hashlib.blake2b
 
 
 @lru_cache(maxsize=HASH_PAIR_CACHE_SIZE)
 def _blake2_pair_cached(key: "str | bytes") -> Tuple[int, int]:
-    """The blake2 base-hash pair, memoised per key.
+    """The raw ``key -> (h1, h2)`` base-hash pair, memoised per key.
 
     Cached on the key object itself (``str`` and ``bytes`` spellings of the
     same key occupy separate slots) so cache hits avoid even the UTF-8
     encode.  ``h2`` is forced odd by the caller, not here, so the cached
-    value stays the raw digest split.
+    value stays the raw digest split; filters bind this function once and
+    force ``h2`` odd themselves.
     """
     if not isinstance(key, bytes):
         key = key.encode("utf-8")
@@ -101,75 +68,26 @@ def _blake2_pair_cached(key: "str | bytes") -> Tuple[int, int]:
     return value >> 64, value & _MASK_64
 
 
-def _fnv_pair_any(key: "str | bytes") -> Tuple[int, int]:
-    return _fnv_pair(_as_bytes(key))
-
-
-def base_pair_function(scheme: str):
-    """The raw ``key -> (h1, h2)`` pair function for ``scheme``.
-
-    Batch callers bind this once per batch to skip the per-key dispatch of
-    :func:`hash_pair`; they must force ``h2`` odd themselves.
-    """
-    if scheme == SCHEME_BLAKE2:
-        return _blake2_pair_cached
-    if scheme == SCHEME_FNV:
-        return _fnv_pair_any
-    raise ValueError(f"unknown hash scheme: {scheme!r}")
-
-
-def hash_pair(key: "str | bytes", scheme: str = DEFAULT_SCHEME) -> Tuple[int, int]:
-    """Return the two independent 64-bit base hashes for ``key``.
-
-    ``scheme`` selects the hash family (see module docstring); the legacy FNV
-    scheme is kept uncached and bit-identical to the original implementation.
-    """
-    if scheme == SCHEME_BLAKE2:
-        h1, h2 = _blake2_pair_cached(key)
-    elif scheme == SCHEME_FNV:
-        h1, h2 = _fnv_pair_any(key)
-    else:
-        raise ValueError(f"unknown hash scheme: {scheme!r}")
+def hash_pair(key: "str | bytes") -> Tuple[int, int]:
+    """Return the two independent 64-bit base hashes for ``key``."""
+    h1, h2 = _blake2_pair_cached(key)
     # h2 must be odd so that it is invertible modulo powers of two and never
     # collapses all k positions onto one slot.
     return h1, h2 | 1
 
 
-def hash_pair_cache_info():
-    """Hit/miss statistics of the blake2 hash-pair cache (diagnostics)."""
-    return _blake2_pair_cached.cache_info()
+def positions(key: "str | bytes", num_hashes: int, num_bits: int) -> List[int]:
+    """Return the ``num_hashes`` bit positions of ``key`` in a filter of ``num_bits``.
 
-
-def clear_hash_pair_cache() -> None:
-    """Drop all memoised hash pairs (benchmarks measuring cold-cache cost)."""
-    _blake2_pair_cached.cache_clear()
-    _stable_uint64_cached.cache_clear()
-
-
-def positions(
-    key: "str | bytes", num_hashes: int, num_bits: int, scheme: str = DEFAULT_SCHEME
-) -> List[int]:
-    """Return the ``num_hashes`` bit positions of ``key`` in a filter of ``num_bits``."""
+    The reference form of the probe loop the filters inline over
+    :func:`_blake2_pair_cached`; the golden vectors pin it.
+    """
     if num_hashes <= 0:
         raise ValueError("num_hashes must be positive")
     if num_bits <= 0:
         raise ValueError("num_bits must be positive")
-    h1, h2 = hash_pair(key, scheme)
+    h1, h2 = hash_pair(key)
     return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
-
-
-def distinct_positions(
-    key: "str | bytes", num_hashes: int, num_bits: int, scheme: str = DEFAULT_SCHEME
-) -> List[int]:
-    """Like :func:`positions` but with duplicate slots removed.
-
-    Counting filters must not increment the same counter twice for one key,
-    otherwise a later removal would underflow other keys' counters.
-    """
-    seen: dict[int, None] = {}
-    for position in positions(key, num_hashes, num_bits, scheme):
-        seen.setdefault(position, None)
-    return list(seen)
 
 
 @lru_cache(maxsize=HASH_PAIR_CACHE_SIZE)
@@ -180,8 +98,7 @@ def _stable_uint64_cached(key: "str | bytes") -> int:
 def stable_uint64(key: "str | bytes") -> int:
     """A stable 64-bit hash used for sharding/partitioning decisions.
 
-    Always FNV-based (memoised, never rehashed with the Bloom scheme):
-    partition and ring placement must not move when the filter scheme does.
+    FNV-1a based and memoised: partition and ring placement must never move.
     """
     return _stable_uint64_cached(key)
 
@@ -201,20 +118,3 @@ def mixed_uint64(key: "str | bytes") -> int:
     value = (value * 0xC4CEB9FE1A85EC53) & _MASK_64
     value ^= value >> 33
     return value
-
-
-def spread(keys: Iterable["str | bytes"], buckets: int) -> List[int]:
-    """Map each key to one of ``buckets`` partitions using the stable hash."""
-    if buckets <= 0:
-        raise ValueError("buckets must be positive")
-    return [stable_uint64(key) % buckets for key in keys]
-
-
-def scheme_for_wire_version(version: Optional[int]) -> str:
-    """Map a payload's wire version to the hash scheme its bits were built with."""
-    if version is None:
-        return DEFAULT_SCHEME
-    try:
-        return SCHEME_BY_WIRE_VERSION[version]
-    except KeyError:
-        raise ValueError(f"unknown Bloom filter wire version: {version}") from None

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bloom.hashing import DEFAULT_SCHEME, WIRE_VERSION_BY_SCHEME
 from repro.bloom.sizing import PAPER_DEFAULT_BITS
 from repro.errors import ConfigurationError
 from repro.ttl.base import TTLBounds, TTLEstimator
@@ -26,15 +25,11 @@ class QuaestorConfig:
     # -- Expiring Bloom Filter ------------------------------------------------------
     ebf_bits: int = PAPER_DEFAULT_BITS
     ebf_hashes: int = 4
-    #: Hash scheme of the EBF geometry (wire-versioned): ``"blake2"`` is the
-    #: fast default, ``"fnv"`` the legacy scheme for pre-blake2 payloads.
-    ebf_hash_scheme: str = DEFAULT_SCHEME
 
     # -- TTL estimation --------------------------------------------------------------
     #: Which TTL estimator family serves this deployment, selected by name
     #: from the :mod:`repro.ttl.spec` registry.  The default is the bake-off
-    #: winner (``BENCH_ttl.json``); :meth:`TTLEstimatorSpec.legacy` restores
-    #: the exact pre-bake-off estimator for pinned legacy results.
+    #: winner (``BENCH_ttl.json``).
     ttl_estimator: TTLEstimatorSpec = field(default_factory=TTLEstimatorSpec)
     ttl_quantile: float = 0.5
     ewma_alpha: float = 0.7
@@ -62,11 +57,6 @@ class QuaestorConfig:
     def __post_init__(self) -> None:
         if self.ebf_bits <= 0 or self.ebf_hashes <= 0:
             raise ConfigurationError("EBF geometry must be positive")
-        if self.ebf_hash_scheme not in WIRE_VERSION_BY_SCHEME:
-            raise ConfigurationError(
-                f"unknown EBF hash scheme: {self.ebf_hash_scheme!r} "
-                f"(known: {sorted(WIRE_VERSION_BY_SCHEME)})"
-            )
         if not isinstance(self.ttl_estimator, TTLEstimatorSpec):
             raise ConfigurationError("ttl_estimator must be a TTLEstimatorSpec")
         if not 0.0 < self.ttl_quantile < 1.0:

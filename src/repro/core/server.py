@@ -106,7 +106,6 @@ class QuaestorServer:
                 num_bits=self.config.ebf_bits,
                 num_hashes=self.config.ebf_hashes,
                 clock=self._clock,
-                hash_scheme=self.config.ebf_hash_scheme,
             )
         )
         self.ttl_estimator: TTLEstimator = (

@@ -69,14 +69,13 @@ class InvaliDBNode:
         object_partition: int,
         scheme: PartitioningScheme,
         capacity_model: NodeCapacityModel,
-        use_matching_index: bool = True,
     ) -> None:
         self.node_index = node_index
         self.query_partition = query_partition
         self.object_partition = object_partition
         self._scheme = scheme
         self.capacity_model = capacity_model
-        self._index = QueryStateIndex(use_matching_index)
+        self._index = QueryStateIndex()
         self.match_operations = 0
 
     # -- query lifecycle -------------------------------------------------------------
@@ -105,8 +104,8 @@ class InvaliDBNode:
         The :class:`~repro.invalidb.index.QueryStateIndex` narrows the event
         to the states whose collection (and, for equality predicates, whose
         indexed attribute value) could react; each candidate still runs its
-        full predicate, so the emitted notifications are identical to the
-        legacy scan over every registered state.  ``match_operations`` counts
+        full predicate, so the emitted notifications are identical to a scan
+        over every registered state.  ``match_operations`` counts
         the query evaluations actually performed.
         """
         candidates = self._index.candidates(event)
@@ -142,11 +141,9 @@ class InvaliDBCluster:
         matching_nodes: int = 1,
         scheme: Optional[PartitioningScheme] = None,
         capacity_model: Optional[NodeCapacityModel] = None,
-        use_matching_index: bool = True,
     ) -> None:
         self.scheme = scheme if scheme is not None else PartitioningScheme.for_nodes(matching_nodes)
         self.capacity_model = capacity_model if capacity_model is not None else NodeCapacityModel()
-        self.use_matching_index = use_matching_index
         self.nodes: List[InvaliDBNode] = []
         for query_partition in range(self.scheme.query_partitions):
             for object_partition in range(self.scheme.object_partitions):
@@ -158,7 +155,6 @@ class InvaliDBCluster:
                         object_partition,
                         self.scheme,
                         self.capacity_model,
-                        use_matching_index=use_matching_index,
                     )
                 )
         #: Object partition -> the nodes an after-image of it is forwarded to.
@@ -167,7 +163,7 @@ class InvaliDBCluster:
             for partition in range(self.scheme.object_partitions)
         ]
         # Order-maintenance layer for stateful queries, partitioned by query.
-        self._stateful_states = QueryStateIndex(use_matching_index)
+        self._stateful_states = QueryStateIndex()
         self._stateful_home_node: Dict[str, int] = {}
         self._registered: Dict[str, Query] = {}
         self._handlers: List[NotificationHandler] = []
@@ -236,8 +232,7 @@ class InvaliDBCluster:
         Candidate pruning (per-collection and per-attribute-value indexes,
         see :mod:`repro.invalidb.index`) narrows the fan-out; the emitted
         notification stream is identical to evaluating every registered
-        query.  Pass ``use_matching_index=False`` to the constructor to run
-        the legacy full scan instead.
+        query.
         """
         self.events_processed += 1
         notifications: List[Notification] = []

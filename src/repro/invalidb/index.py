@@ -12,10 +12,10 @@ with equality predicates.
 
 Correctness invariant: :meth:`QueryStateIndex.candidates` must return a
 *superset* of the states whose ``process(event)`` would emit a notification,
-in the exact order the legacy full scan would have visited them -- the
-notification stream stays byte-for-byte identical (each state still performs
-its own full predicate evaluation).  The superset argument for the equality
-index:
+in the exact order a full scan over every registered state would visit them
+-- the notification stream stays byte-for-byte identical (each state still
+performs its own full predicate evaluation).  The superset argument for the
+equality index:
 
 * A state is indexed under ``(collection, field) -> value`` only when
   ``field == value`` is a *necessary* condition of its predicate (a top-level
@@ -35,8 +35,8 @@ The superset argument assumes the change-stream contract the repository's
 ``before`` image is the last image delivered for that document, and ``None``
 exactly when the document is new to the stream (INSERT).  An at-least-once
 transport that redelivers INSERT events for already-tracked documents breaks
-that assumption for *both* the index and the legacy scan (the scan would
-then emit notifications from a stale matching set); such transports must
+that assumption for *both* the index and a full scan (the scan would then
+emit notifications from a stale matching set); such transports must
 deduplicate on ``event.sequence`` before ingestion.
 """
 
@@ -98,14 +98,9 @@ class QueryStateIndex:
     * ``collection -> states`` for queries without an indexable equality
       predicate (always scanned for events of that collection), and
     * ``collection -> field -> value -> states`` for queries with one.
-
-    ``use_index=False`` disables pruning entirely -- :meth:`candidates` then
-    degenerates to the legacy full scan, which the hot-path benchmark uses as
-    its measured baseline and the golden tests use as the reference stream.
     """
 
-    def __init__(self, use_index: bool = True) -> None:
-        self.use_index = use_index
+    def __init__(self) -> None:
         self._states: Dict[str, QueryMatchState] = {}
         self._order: Dict[str, int] = {}
         self._next_order = 0
@@ -194,12 +189,10 @@ class QueryStateIndex:
     def candidates(self, event: ChangeEvent) -> List[QueryMatchState]:
         """The states that could possibly emit a notification for ``event``.
 
-        Returned in registration order -- the order the legacy full scan
-        evaluated them in -- so downstream notification streams are
-        unchanged.  With ``use_index=False`` this *is* the full scan.
+        Returned in registration order -- the order a full scan over
+        :meth:`states` evaluates them in -- so downstream notification
+        streams are unchanged.
         """
-        if not self.use_index:
-            return list(self._states.values())
         collection = event.collection
         scan = self._scan_bucket.get(collection)
         by_field = self._eq_index.get(collection)

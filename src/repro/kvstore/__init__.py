@@ -1,22 +1,16 @@
-"""Redis-like in-memory key-value store substrate.
+"""Redis-like message queues connecting Quaestor servers to InvaliDB.
 
-The paper's deployment uses Redis for three purposes: hosting the distributed
-Expiring Bloom Filter (counters + expiration bookkeeping), the shared *active
-list* of currently cached queries, and the message queues connecting Quaestor
-servers to the InvaliDB cluster.  This package provides an in-process
-reproduction of the required Redis feature subset: string/hash/counter/sorted
-set values, per-key TTLs, pub/sub channels and blocking-free message queues.
+The paper's deployment uses Redis for the shared Expiring Bloom Filter, the
+shared *active list* of cached queries and the message queues feeding the
+InvaliDB cluster.  This reproduction keeps filter and active list in-memory
+per server (:mod:`repro.bloom`, :mod:`repro.core.active_list`); what remains
+here is the queue substrate InvaliDB ingestion runs on.
 """
 
 from __future__ import annotations
 
-from repro.kvstore.store import KeyValueStore
-from repro.kvstore.pubsub import PubSubBroker, Subscription
 from repro.kvstore.queues import MessageQueue
 
 __all__ = [
-    "KeyValueStore",
-    "PubSubBroker",
-    "Subscription",
     "MessageQueue",
 ]

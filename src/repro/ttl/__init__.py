@@ -33,7 +33,6 @@ from repro.ttl.adaptive import AdaptiveTTLEstimator
 from repro.ttl.spec import (
     DEFAULT_ESTIMATOR,
     ESTIMATOR_NAMES,
-    LEGACY_ESTIMATOR,
     TTLEstimatorSpec,
     build_estimator,
 )
@@ -53,6 +52,5 @@ __all__ = [
     "TTLEstimatorSpec",
     "build_estimator",
     "DEFAULT_ESTIMATOR",
-    "LEGACY_ESTIMATOR",
     "ESTIMATOR_NAMES",
 ]

@@ -16,18 +16,15 @@ poisson     :class:`~repro.ttl.poisson.PoissonTTLEstimator` -- quantile, no EWMA
 quaestor    :class:`~repro.ttl.estimator.QuaestorTTLEstimator` -- Poisson + EWMA
 ========== =====================================================================
 
-(plus the ``quaestor-window`` / ``quaestor-legacy`` variants described below)
+(plus the ``quaestor-window`` variant described below)
 
-Two additional entries qualify the dual strategy's write-rate sampler:
+One additional entry qualifies the dual strategy's write-rate sampler:
 ``quaestor-window`` runs it on the windowed sampler whose contracts the
 property suite enforces (finite first-observation rate, zero-interval burst
-floor -- see :mod:`repro.ttl.write_rate`), and ``quaestor-legacy`` is a
-frozen alias of the pre-bake-off default, guaranteed never to change so
-pinned golden results stay reproducible even if ``quaestor`` is retuned.
-The bake-off (``BENCH_ttl.json``) confirmed the span-sampled dual strategy
-as the winner in every scenario, so ``quaestor`` keeps the span sampler and
-remains the default.  Seeded simulator summaries under
-:meth:`TTLEstimatorSpec.legacy` are pinned value-identical by
+floor -- see :mod:`repro.ttl.write_rate`).  The bake-off (``BENCH_ttl.json``)
+confirmed the span-sampled dual strategy as the winner in every scenario, so
+``quaestor`` keeps the span sampler and remains the default.  Seeded
+simulator summaries under the default spec are pinned value-identical by
 ``tests/simulation/test_golden_summary.py``.
 """
 
@@ -43,10 +40,6 @@ from repro.ttl.estimator import QuaestorTTLEstimator
 from repro.ttl.poisson import PoissonTTLEstimator
 from repro.ttl.static import StaticTTLEstimator
 from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
-
-#: Frozen alias of the pre-bake-off default (never retuned; pinned goldens
-#: reference it so they survive any future change to ``quaestor``).
-LEGACY_ESTIMATOR = "quaestor-legacy"
 
 #: The bake-off winner (``BENCH_ttl.json``): the paper's dual strategy on the
 #: scale-free span sampler, which beat every challenger -- including its own
@@ -121,9 +114,6 @@ _BUILDERS: Dict[str, Callable[..., TTLEstimator]] = {
     "poisson": _build_poisson,
     "quaestor": _build_quaestor,
     "quaestor-window": _build_quaestor_window,
-    # The frozen legacy alias intentionally shares the winner's builder: the
-    # bake-off confirmed the pre-existing default, so today they coincide.
-    LEGACY_ESTIMATOR: _build_quaestor,
 }
 
 #: Every registered estimator name (the bake-off's sweep axis).
@@ -157,11 +147,6 @@ class TTLEstimatorSpec:
     def of(cls, name: str, **params: float) -> "TTLEstimatorSpec":
         """Spec for ``name`` with keyword parameter overrides."""
         return cls(name=name, params=tuple(sorted(params.items())))
-
-    @classmethod
-    def legacy(cls, **params: float) -> "TTLEstimatorSpec":
-        """The explicit pre-bake-off default (for pinned legacy results)."""
-        return cls.of(LEGACY_ESTIMATOR, **params)
 
     def param_dict(self) -> Dict[str, float]:
         return dict(self.params)

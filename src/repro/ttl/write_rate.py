@@ -22,9 +22,8 @@ Two estimation modes are supported (the TTL bake-off compares them through the
   the estimate makes the key look quasi-infinitely hot, collapsing its TTL to
   the lower bound.  The bake-off (``BENCH_ttl.json``) showed this fresh-biased
   behaviour *wins* under the simulator's compressed virtual clock, so the
-  default ``quaestor`` estimator spec keeps it (and ``quaestor-legacy`` pins
-  it forever); the windowed contracts above remain available via
-  ``quaestor-window``.
+  default ``quaestor`` estimator spec keeps it; the windowed contracts above
+  remain available via ``quaestor-window``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,10 @@
-"""Batch APIs, whole-array bit operations and scheme plumbing of the Bloom stack."""
+"""Batch APIs, whole-array bit operations and the hash-pair memo of the Bloom stack."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bloom import (
-    BloomFilter,
-    CountingBloomFilter,
-    ExpiringBloomFilter,
-    SCHEME_BLAKE2,
-    SCHEME_FNV,
-)
+from repro.bloom import BloomFilter, CountingBloomFilter, ExpiringBloomFilter
 from repro.bloom import hashing
 from repro.clock import VirtualClock
 
@@ -19,19 +13,17 @@ ABSENT = [f"record:posts/absent-{index}" for index in range(64)]
 
 
 class TestBatchApis:
-    @pytest.mark.parametrize("scheme", [SCHEME_FNV, SCHEME_BLAKE2])
-    def test_add_all_equals_repeated_add(self, scheme):
-        batch = BloomFilter(2048, 4, hash_scheme=scheme)
+    def test_add_all_equals_repeated_add(self):
+        batch = BloomFilter(2048, 4)
         batch.add_all(KEYS)
-        single = BloomFilter(2048, 4, hash_scheme=scheme)
+        single = BloomFilter(2048, 4)
         for key in KEYS:
             single.add(key)
         assert batch.to_bytes() == single.to_bytes()
         assert len(batch) == len(single) == len(KEYS)
 
-    @pytest.mark.parametrize("scheme", [SCHEME_FNV, SCHEME_BLAKE2])
-    def test_contains_all_equals_repeated_contains(self, scheme):
-        bloom = BloomFilter(2048, 4, hash_scheme=scheme)
+    def test_contains_all_equals_repeated_contains(self):
+        bloom = BloomFilter(2048, 4)
         bloom.add_all(KEYS)
         probes = KEYS + ABSENT
         assert bloom.contains_all(probes) == [bloom.contains(key) for key in probes]
@@ -111,12 +103,6 @@ class TestWholeArrayOps:
         with pytest.raises(ValueError):
             BloomFilter.union_all([BloomFilter(128, 4), BloomFilter(256, 4)])
 
-    def test_union_rejects_mixed_schemes(self):
-        legacy = BloomFilter(256, 4, hash_scheme=SCHEME_FNV)
-        fast = BloomFilter(256, 4, hash_scheme=SCHEME_BLAKE2)
-        with pytest.raises(ValueError):
-            legacy.union(fast)
-
 
 class TestSchemePlumbing:
     def test_counting_fill_ratio_tracks_flat(self):
@@ -130,24 +116,8 @@ class TestSchemePlumbing:
         assert ebf.report_invalidation("key", 1.0)
         assert ebf.fill_ratio() == ebf.to_flat(1.0).fill_ratio() > 0.0
 
-    def test_legacy_scheme_propagates_through_stack(self):
-        ebf = ExpiringBloomFilter(num_bits=1024, num_hashes=4, hash_scheme=SCHEME_FNV)
-        ebf.report_read("key", ttl=100.0, read_time=0.0)
-        assert ebf.report_invalidation("key", 1.0)
-        flat = ebf.to_flat(1.0)
-        assert flat.hash_scheme == SCHEME_FNV
-        assert flat.wire_version == 1
-        assert flat.contains("key")
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(128, 4, hash_scheme="md5")
-        with pytest.raises(ValueError):
-            hashing.hash_pair("key", "md5")
-
     def test_hash_pair_cache_serves_hits(self):
-        hashing.clear_hash_pair_cache()
         hashing.hash_pair("cached-key")
-        before = hashing.hash_pair_cache_info().hits
+        before = hashing._blake2_pair_cached.cache_info().hits
         hashing.hash_pair("cached-key")
-        assert hashing.hash_pair_cache_info().hits == before + 1
+        assert hashing._blake2_pair_cached.cache_info().hits == before + 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bloom import CountingBloomFilter
+from repro.bloom import CountingBloomFilter, hashing
 
 
 @pytest.fixture
@@ -61,6 +61,21 @@ class TestCounters:
         ]
         assert 1 <= len(nonzero) <= counting.num_hashes
         assert all(counting.counter(position) == 1 for position in nonzero)
+
+    def test_colliding_probes_increment_each_counter_once(self):
+        """8 probes into 6 slots must collide; each slot still counts one."""
+        counting = CountingBloomFilter(num_bits=6, num_hashes=8)
+        counting.add("key")
+        assert counting.nonzero_slots() < 8
+        assert all(counting.counter(position) in (0, 1) for position in range(6))
+        assert counting.remove("key")
+        assert counting.nonzero_slots() == 0
+
+    def test_counters_sit_on_the_probe_positions(self):
+        counting = CountingBloomFilter(num_bits=6, num_hashes=8)
+        counting.add("key")
+        nonzero = {position for position in range(6) if counting.counter(position)}
+        assert nonzero == set(hashing.positions("key", 8, 6))
 
     def test_counter_out_of_range(self, counting: CountingBloomFilter):
         with pytest.raises(IndexError):

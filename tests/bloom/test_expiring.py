@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bloom import ExpiringBloomFilter
+from repro.bloom import BloomFilter, ExpiringBloomFilter
+from repro.bloom.hashing import stable_uint64
 from repro.clock import VirtualClock
 
 
@@ -116,6 +117,95 @@ class TestFlatSnapshot:
         assert stats.stale_keys == 1
         assert stats.reads_reported == 2
         assert stats.invalidations_reported == 1
+
+    def test_statistics_count_expirations_and_estimate_fp_rate(self, ebf, clock):
+        ebf.report_read("a", ttl=5.0)
+        ebf.report_read("b", ttl=50.0)
+        ebf.report_invalidation("a")
+        ebf.report_invalidation("b")
+        assert ebf.statistics().expirations_processed == 0
+        clock.advance(6.0)
+        stats = ebf.statistics()
+        assert stats.expirations_processed == 1
+        assert (stats.tracked_keys, stats.stale_keys) == (1, 1)
+        assert stats.false_positive_rate == ebf.to_flat().estimated_false_positive_rate()
+
+
+@pytest.mark.parametrize("bits, hashes", [(0, 4), (-8, 4), (64, 0), (64, -1)])
+def test_invalid_geometry_rejected(bits, hashes):
+    with pytest.raises(ValueError):
+        ExpiringBloomFilter(num_bits=bits, num_hashes=hashes)
+
+
+KEYS = tuple(f"record:posts/p{number}" for number in range(12))
+
+
+def reads_and_invalidations(filters, clock):
+    for number, key in enumerate(KEYS):
+        filters.report_read(key, ttl=10.0 + number)
+    yield
+    for key in KEYS[::2]:
+        filters.report_invalidation(key)
+        yield
+
+
+def across_expiry(filters, clock):
+    for number, key in enumerate(KEYS):
+        filters.report_read(key, ttl=1.0 + number)
+    for key in KEYS:
+        filters.report_invalidation(key)
+    yield
+    for _ in KEYS:
+        clock.advance(1.0)
+        yield
+
+
+def re_read_extends(filters, clock):
+    for key in KEYS:
+        filters.report_read(key, ttl=2.0)
+        filters.report_invalidation(key)
+    for key in KEYS[:4]:
+        filters.report_read(key, ttl=20.0)
+    yield
+    clock.advance(5.0)
+    yield
+    clock.advance(20.0)
+    yield
+
+
+class ShardedFilters:
+    """One shared EBF plus ``shards`` per-shard EBFs, fed the same calls."""
+
+    def __init__(self, shards, clock):
+        self.shared = ExpiringBloomFilter(64, 3, clock=clock)
+        self.per_shard = [ExpiringBloomFilter(64, 3, clock=clock) for _ in range(shards)]
+
+    def _pair(self, key):
+        return self.shared, self.per_shard[stable_uint64(key) % len(self.per_shard)]
+
+    def report_read(self, key, ttl):
+        for ebf in self._pair(key):
+            ebf.report_read(key, ttl)
+
+    def report_invalidation(self, key):
+        for ebf in self._pair(key):
+            ebf.report_invalidation(key)
+
+
+class TestShardedUnion:
+    """``union_all`` of per-shard flat copies equals one shared filter."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("scenario", [reads_and_invalidations, across_expiry, re_read_extends])
+    def test_union_equals_shared_filter_at_every_step(self, scenario, shards, clock):
+        filters = ShardedFilters(shards, clock)
+        fills = []
+        for _ in scenario(filters, clock):
+            union = BloomFilter.union_all([ebf.to_flat() for ebf in filters.per_shard])
+            shared = filters.shared.to_flat()
+            assert union.to_bytes() == shared.to_bytes()
+            fills.append(shared.fill_ratio())
+        assert max(fills) > 0.0
 
 
 class TestDeltaAtomicity:

@@ -1,86 +1,38 @@
-"""Golden hash vectors pinning wire compatibility across the hashing rework.
+"""Golden hash vectors pinning filter positions and placement hashes.
 
-The values below were captured from the pre-blake2 implementation (pure
-per-byte FNV-1a).  They guarantee three compatibility properties:
-
-* ``fnv1a_64`` / legacy-scheme ``hash_pair`` / legacy ``positions`` are
-  byte-for-byte what they were, so filters serialized before the rework
-  deserialize with ``hash_scheme=SCHEME_FNV`` (wire version 1) and answer
-  membership exactly as when they were written.
-* ``stable_uint64`` / ``mixed_uint64`` are unchanged, so consistent-hash
-  ring placement and grid partitioning did not move.
-* The blake2 vectors pin the *new* scheme (wire version 2) so any future
-  change to it is caught the same way.
+* ``fnv1a_64`` / ``stable_uint64`` / ``mixed_uint64`` are byte-for-byte what
+  the original per-byte FNV-1a implementation produced, so consistent-hash
+  ring placement and grid partitioning never move.
+* The blake2 vectors pin the Bloom filters' ``(h1, h2)`` pair, their probe
+  positions and a serialized payload, so any change to which bits a key sets
+  is caught -- through :func:`hashing.positions` and through the probe loop
+  each filter class inlines.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bloom import hashing
+from repro.bloom import CountingBloomFilter, ExpiringBloomFilter, hashing
 from repro.bloom.bloom_filter import BloomFilter
 
-#: key -> (fnv1a_64, mixed_uint64, legacy h2, legacy positions(key, 4, 11680))
-#: captured from the pre-rework implementation.
+#: key -> (fnv1a_64, mixed_uint64) captured from the original implementation.
 LEGACY_VECTORS = {
-    "record:posts/1": (
-        5211827933553280589,
-        8864720829329768974,
-        13288363070606427285,
-        [589, 5794, 10999, 4524],
-    ),
-    "record:posts/42": (
-        14819961067862807348,
-        13250860115081672949,
-        5038151899078560011,
-        [1588, 2239, 2890, 3541],
-    ),
-    "record:users/alice": (
-        14440190778667258321,
-        9616544398544815375,
-        15705419558463796225,
-        [8081, 8786, 9491, 10196],
-    ),
+    "record:posts/1": (5211827933553280589, 8864720829329768974),
+    "record:posts/42": (14819961067862807348, 13250860115081672949),
+    "record:users/alice": (14440190778667258321, 9616544398544815375),
     'query:{"c":"posts","l":null,"o":0,"q":{"tags":"example"},"s":[]}': (
         10835346583316893828,
         17172030000890905864,
-        128178259144712673,
-        [2468, 11301, 8454, 5607],
     ),
-    "a": (
-        12638187200555641996,
-        9413272369427828315,
-        8691452747775473151,
-        [9836, 2187, 6218, 10249],
-    ),
-    "quaestor": (
-        15810328381429036443,
-        5400911916018903619,
-        1514497912698754391,
-        [3643, 9874, 4425, 10656],
-    ),
-    "key-0": (
-        8147957248299270233,
-        1734865316076021129,
-        6360567615894030191,
-        [2873, 10984, 7415, 3846],
-    ),
-    "": (
-        14695981039346656037,
-        17280346270528514342,
-        9521211207457086693,
-        [6597, 8010, 9423, 10836],
-    ),
-    "unicode-éèü": (
-        862559248993790971,
-        1295929929781238761,
-        13285695350945182119,
-        [4091, 3170, 2249, 1328],
-    ),
+    "a": (12638187200555641996, 9413272369427828315),
+    "quaestor": (15810328381429036443, 5400911916018903619),
+    "key-0": (8147957248299270233, 1734865316076021129),
+    "": (14695981039346656037, 17280346270528514342),
+    "unicode-éèü": (862559248993790971, 1295929929781238761),
 }
 
-#: key -> (h1, h2, positions(key, 4, 11680)) for the blake2 scheme, pinning
-#: wire version 2 against future drift.
+#: key -> (h1, h2, positions(key, 4, 11680)) of the blake2 pair.
 BLAKE2_VECTORS = {
     "record:posts/1": (
         11330858912190745905,
@@ -119,18 +71,11 @@ BLAKE2_VECTORS = {
 
 CORPUS = list(LEGACY_VECTORS)
 
-#: ``BloomFilter(512, 4, scheme).add_all(CORPUS).to_bytes().hex()`` per scheme.
-#: The FNV payload is what the pre-rework code produced for this corpus.
-GOLDEN_PAYLOAD_HEX = {
-    hashing.SCHEME_FNV: (
-        "00140000800000804022200220000000101e0000400000000000000004800500"
-        "00000000200090000006000000008000000000080500000000011e0000000008"
-    ),
-    hashing.SCHEME_BLAKE2: (
-        "8000000084000040000800000002002000100800040000000900000101010044"
-        "0000000000002220010002004000008000080000050602000200000100800090"
-    ),
-}
+#: ``BloomFilter(512, 4).add_all(CORPUS).to_bytes().hex()``.
+GOLDEN_PAYLOAD_HEX = (
+    "8000000084000040000800000002002000100800040000000900000101010044"
+    "0000000000002220010002004000008000080000050602000200000100800090"
+)
 
 
 class TestLegacyVectors:
@@ -140,29 +85,15 @@ class TestLegacyVectors:
 
     @pytest.mark.parametrize("key", CORPUS)
     def test_stable_and_mixed_uint64_pinned(self, key):
-        expected_fnv, expected_mixed, _, _ = LEGACY_VECTORS[key]
+        expected_fnv, expected_mixed = LEGACY_VECTORS[key]
         assert hashing.stable_uint64(key) == expected_fnv
         assert hashing.mixed_uint64(key) == expected_mixed
-
-    @pytest.mark.parametrize("key", CORPUS)
-    def test_legacy_hash_pair_pinned(self, key):
-        expected_fnv, _, expected_h2, _ = LEGACY_VECTORS[key]
-        assert hashing.hash_pair(key, hashing.SCHEME_FNV) == (expected_fnv, expected_h2)
-
-    @pytest.mark.parametrize("key", CORPUS)
-    def test_legacy_positions_pinned(self, key):
-        assert (
-            hashing.positions(key, 4, 11680, hashing.SCHEME_FNV)
-            == LEGACY_VECTORS[key][3]
-        )
 
 
 class TestBlake2Vectors:
     @pytest.mark.parametrize("key", CORPUS)
     def test_hash_pair_pinned(self, key):
         h1, h2, _ = BLAKE2_VECTORS[key]
-        assert hashing.hash_pair(key, hashing.SCHEME_BLAKE2) == (h1, h2)
-        # The default scheme is blake2.
         assert hashing.hash_pair(key) == (h1, h2)
 
     @pytest.mark.parametrize("key", CORPUS)
@@ -170,44 +101,91 @@ class TestBlake2Vectors:
         assert hashing.positions(key, 4, 11680) == BLAKE2_VECTORS[key][2]
 
 
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_bytes_spelling_hashes_like_str(self, key):
+        """``str`` and ``bytes`` keys occupy separate memo slots, same pair."""
+        h1, h2, _ = BLAKE2_VECTORS[key]
+        assert hashing.hash_pair(key.encode("utf-8")) == (h1, h2)
+
+
+class TestPlacementSpellings:
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_bytes_spelling_places_like_str(self, key):
+        expected_fnv, expected_mixed = LEGACY_VECTORS[key]
+        assert hashing.stable_uint64(key.encode("utf-8")) == expected_fnv
+        assert hashing.mixed_uint64(key.encode("utf-8")) == expected_mixed
+
+
+def pinned_bits(key):
+    return sorted(set(BLAKE2_VECTORS[key][2]))
+
+
+class TestInlinedProbeLoops:
+    """Every filter inlines the probe loop over the memoised pair; each copy
+    must touch exactly the pinned positions of :func:`hashing.positions`."""
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_bloom_add_sets_exactly_the_pinned_positions(self, key):
+        bloom = BloomFilter(11680, 4)
+        bloom.add(key)
+        assert list(bloom.iter_set_bits()) == pinned_bits(key)
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_counting_add_raises_exactly_the_pinned_counters(self, key):
+        counting = CountingBloomFilter(11680, 4)
+        counting.add(key)
+        assert counting.nonzero_slots() == len(pinned_bits(key))
+        assert all(counting.counter(position) == 1 for position in pinned_bits(key))
+        assert list(counting.to_flat().iter_set_bits()) == pinned_bits(key)
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_expiring_flat_copy_sets_exactly_the_pinned_positions(self, key):
+        ebf = ExpiringBloomFilter(11680, 4)
+        ebf.report_read(key, ttl=10.0, read_time=0.0)
+        assert ebf.report_invalidation(key, 1.0)
+        assert list(ebf.to_flat(1.0).iter_set_bits()) == pinned_bits(key)
+
+    @pytest.mark.parametrize("key", CORPUS)
+    def test_contains_needs_every_pinned_position(self, key):
+        payload = bytearray(11680 // 8)
+        for position in pinned_bits(key):
+            payload[position >> 3] |= 1 << (position & 7)
+        bloom = BloomFilter.from_bytes(bytes(payload), 11680, 4)
+        assert bloom.contains(key) and bloom.contains_all([key]) == [True]
+        for position in pinned_bits(key):
+            missing = bytearray(payload)
+            missing[position >> 3] &= ~(1 << (position & 7)) & 0xFF
+            holey = BloomFilter.from_bytes(bytes(missing), 11680, 4)
+            assert not holey.contains(key)
+            assert holey.contains_all([key]) == [False]
+
+
 class TestSerializedPayloads:
-    @pytest.mark.parametrize("scheme", sorted(GOLDEN_PAYLOAD_HEX))
-    def test_payload_byte_identity(self, scheme):
+    def test_payload_byte_identity(self):
         """Building the corpus filter reproduces the pinned payload exactly."""
-        bloom = BloomFilter(512, 4, hash_scheme=scheme)
+        bloom = BloomFilter(512, 4)
         bloom.add_all(CORPUS)
-        assert bloom.to_bytes().hex() == GOLDEN_PAYLOAD_HEX[scheme]
+        assert bloom.to_bytes().hex() == GOLDEN_PAYLOAD_HEX
+
+    def test_counting_flat_copy_reproduces_the_payload(self):
+        counting = CountingBloomFilter(512, 4)
+        counting.add_all(CORPUS)
+        assert counting.to_flat().to_bytes().hex() == GOLDEN_PAYLOAD_HEX
+
+    def test_expiring_flat_copy_reproduces_the_payload(self):
+        ebf = ExpiringBloomFilter(512, 4)
+        ebf.report_read_many(CORPUS, ttl=10.0, read_time=0.0)
+        for key in CORPUS:
+            assert ebf.report_invalidation(key, 1.0)
+        assert ebf.to_flat(1.0).to_bytes().hex() == GOLDEN_PAYLOAD_HEX
 
     def test_batch_and_single_add_set_identical_bits(self):
-        for scheme in GOLDEN_PAYLOAD_HEX:
-            single = BloomFilter(512, 4, hash_scheme=scheme)
-            for key in CORPUS:
-                single.add(key)
-            assert single.to_bytes().hex() == GOLDEN_PAYLOAD_HEX[scheme]
+        single = BloomFilter(512, 4)
+        for key in CORPUS:
+            single.add(key)
+        assert single.to_bytes().hex() == GOLDEN_PAYLOAD_HEX
 
-    def test_legacy_payload_roundtrip_membership(self):
-        """A pre-rework payload still answers membership when loaded as v1."""
-        payload = bytes.fromhex(GOLDEN_PAYLOAD_HEX[hashing.SCHEME_FNV])
-        restored = BloomFilter.from_bytes(payload, 512, 4, wire_version=1)
-        assert restored.hash_scheme == hashing.SCHEME_FNV
+    def test_payload_roundtrip_membership(self):
+        """The pinned payload answers membership for its corpus when loaded."""
+        restored = BloomFilter.from_bytes(bytes.fromhex(GOLDEN_PAYLOAD_HEX), 512, 4)
         assert all(restored.contains_all(CORPUS))
-
-    def test_wire_version_mapping(self):
-        assert hashing.scheme_for_wire_version(1) == hashing.SCHEME_FNV
-        assert hashing.scheme_for_wire_version(2) == hashing.SCHEME_BLAKE2
-        assert BloomFilter(64, 2, hashing.SCHEME_FNV).wire_version == 1
-        assert BloomFilter(64, 2).wire_version == 2
-        with pytest.raises(ValueError):
-            hashing.scheme_for_wire_version(99)
-        with pytest.raises(ValueError):
-            BloomFilter.from_bytes(b"\x00" * 8, 64, 2, hash_scheme="fnv", wire_version=2)
-
-    def test_schemes_are_not_interchangeable(self):
-        """Loading v1 bits under the v2 scheme must not claim membership.
-
-        This is exactly why the geometry is versioned: the bit pattern only
-        means something under the scheme that produced it.
-        """
-        payload = bytes.fromhex(GOLDEN_PAYLOAD_HEX[hashing.SCHEME_FNV])
-        wrong = BloomFilter.from_bytes(payload, 512, 4, wire_version=2)
-        assert not all(wrong.contains_all(CORPUS))

@@ -46,29 +46,7 @@ class TestPositions:
         with pytest.raises(ValueError):
             hashing.positions("key", 1, 0)
 
-    def test_distinct_positions_unique(self):
-        positions = hashing.distinct_positions("key", 8, 16)
-        assert len(positions) == len(set(positions))
-
-    def test_distinct_positions_subset_of_positions(self):
-        raw = hashing.positions("key", 8, 16)
-        distinct = hashing.distinct_positions("key", 8, 16)
-        assert set(distinct) == set(raw)
-
 
 class TestSpread:
     def test_stable_uint64_is_deterministic(self):
         assert hashing.stable_uint64("x") == hashing.stable_uint64("x")
-
-    def test_spread_assigns_buckets_in_range(self):
-        keys = [f"key-{index}" for index in range(100)]
-        for bucket in hashing.spread(keys, 7):
-            assert 0 <= bucket < 7
-
-    def test_spread_uses_all_buckets_for_many_keys(self):
-        keys = [f"key-{index}" for index in range(500)]
-        assert set(hashing.spread(keys, 4)) == {0, 1, 2, 3}
-
-    def test_spread_rejects_non_positive_buckets(self):
-        with pytest.raises(ValueError):
-            hashing.spread(["a"], 0)

@@ -48,10 +48,8 @@ def serialize(response):
 class TestGoldenEquivalence:
     def test_single_server_responses_are_byte_identical_to_pre_pipeline(self):
         # The golden file was captured under the pre-bake-off default
-        # estimator; the legacy spec reproduces it byte-for-byte.
-        server, clock = build_server(
-            config=QuaestorConfig(ttl_estimator=TTLEstimatorSpec.legacy())
-        )
+        # estimator, which the bake-off kept as the default spec.
+        server, clock = build_server(config=QuaestorConfig(ttl_estimator=TTLEstimatorSpec()))
         for index in range(40):
             server.handle_insert(
                 "posts",

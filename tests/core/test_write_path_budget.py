@@ -174,7 +174,8 @@ def test_the_count_sees_what_it_claims_to():
     def scanning_cost(foreign_queries):
         client = _client(foreign_queries)
         for node in client.server.invalidb.nodes:
-            node._index.use_index = False
+            index = node._index
+            index.candidates = lambda event, states=index.states: states()
         return _calls_during(lambda: _plain_update(client))
 
     few, many = scanning_cost(FEW_FOREIGN_QUERIES), scanning_cost(MANY_FOREIGN_QUERIES)

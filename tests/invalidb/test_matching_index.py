@@ -3,8 +3,9 @@
 The index must never change *what* is notified, only how many states are
 touched per event.  The golden test replays a fixed mixed workload and pins
 the serialized notification stream's SHA-256, captured from the pre-index
-full-scan implementation -- indexed and legacy modes must both reproduce it
-byte for byte.
+full-scan implementation -- the indexed cluster must reproduce it byte for
+byte.  The full scan itself lives here as the reference: every registered
+state, in registration order (``scan_candidates``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-
-import pytest
 
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.query import Query
@@ -46,8 +45,8 @@ def make_event(sequence, doc_id, after, before=None, collection="posts", operati
     )
 
 
-def build_index(queries, use_index=True):
-    index = QueryStateIndex(use_index)
+def build_index(queries):
+    index = QueryStateIndex()
     for query in queries:
         state = QueryMatchState(query)
         state.initialize([])
@@ -55,8 +54,19 @@ def build_index(queries, use_index=True):
     return index
 
 
-def candidate_keys(index, event):
-    return [state.query_key for state in index.candidates(event)]
+def scan_candidates(index, event):
+    """The reference full scan: every registered state, in registration order."""
+    return index.states()
+
+
+def candidate_keys(index, event, candidates=QueryStateIndex.candidates):
+    return [state.query_key for state in candidates(index, event)]
+
+
+def use_full_scan(cluster):
+    """Make every index of ``cluster`` hand out the reference full scan."""
+    for index in [node._index for node in cluster.nodes] + [cluster._stateful_states]:
+        index.candidates = lambda event, index=index: scan_candidates(index, event)
 
 
 class TestEqualityPredicateExtraction:
@@ -157,10 +167,14 @@ class TestCandidatePruning:
         assert candidate_keys(index, event) == [query.cache_key for query in queries[:3]]
 
     def test_legacy_mode_scans_everything(self):
+        """The reference scan visits every state; the index prunes to one."""
         queries = [Query("posts", {"category": 1}), Query("users", {"plan": "pro"})]
-        index = build_index(queries, use_index=False)
+        index = build_index(queries)
         event = make_event(1, "p1", {"_id": "p1", "category": 1})
-        assert candidate_keys(index, event) == [query.cache_key for query in queries]
+        assert candidate_keys(index, event, scan_candidates) == [
+            query.cache_key for query in queries
+        ]
+        assert candidate_keys(index, event) == [queries[0].cache_key]
 
 
 class TestIndexMaintenance:
@@ -193,14 +207,12 @@ class TestIndexMaintenance:
             Query("posts", {"views": {"$lte": 100}}),  # scan bucket
             Query("posts", {"category": 1, "views": {"$gte": 5}}),  # eq index
         ]
-        indexed = build_index(queries, use_index=True)
-        scan = build_index(queries, use_index=False)
-        for target in (indexed, scan):
-            replacement = QueryMatchState(queries[0])
-            replacement.initialize([])
-            target.register(queries[0], replacement)
+        index = build_index(queries)
+        replacement = QueryMatchState(queries[0])
+        replacement.initialize([])
+        index.register(queries[0], replacement)
         event = make_event(1, "p1", {"_id": "p1", "category": 1, "views": 10})
-        assert candidate_keys(indexed, event) == candidate_keys(scan, event)
+        assert candidate_keys(index, event) == candidate_keys(index, event, scan_candidates)
 
     def test_cluster_register_deregister_keeps_index_consistent(self):
         cluster = InvaliDBCluster(matching_nodes=2)
@@ -298,8 +310,8 @@ def golden_events(steps=160):
     return events
 
 
-def run_golden_stream(use_matching_index):
-    cluster = InvaliDBCluster(matching_nodes=4, use_matching_index=use_matching_index)
+def run_golden_stream():
+    cluster = InvaliDBCluster(matching_nodes=4)
     for query in golden_queries():
         cluster.register_query(query, [])
     stream = []
@@ -318,19 +330,18 @@ def run_golden_stream(use_matching_index):
 
 
 class TestGoldenNotificationStream:
-    @pytest.mark.parametrize("use_matching_index", [True, False])
-    def test_stream_matches_pre_index_capture(self, use_matching_index):
-        """Indexed and legacy modes replay the captured stream byte for byte."""
-        stream = run_golden_stream(use_matching_index)
+    def test_stream_matches_pre_index_capture(self):
+        """The indexed cluster replays the captured stream byte for byte."""
+        stream = run_golden_stream()
         assert len(stream) == GOLDEN_STREAM_LENGTH
         payload = json.dumps(stream, separators=(",", ":")).encode()
         assert hashlib.sha256(payload).hexdigest() == GOLDEN_STREAM_SHA256
 
     def test_indexed_mode_touches_fewer_states(self):
-        def total_ops(use_matching_index):
-            cluster = InvaliDBCluster(
-                matching_nodes=4, use_matching_index=use_matching_index
-            )
+        def total_ops(indexed):
+            cluster = InvaliDBCluster(matching_nodes=4)
+            if not indexed:
+                use_full_scan(cluster)
             for query in golden_queries():
                 cluster.register_query(query, [])
             for event in golden_events():

@@ -100,12 +100,11 @@ class TestGoldenSummaries:
         result = Simulator(golden_config(mode, num_shards)).run()
         assert result.summary() == GOLDEN_SUMMARIES[(mode, num_shards)]
 
-    def test_legacy_estimator_spec_reproduces_the_pinned_summaries(self):
+    def test_explicit_default_estimator_spec_reproduces_the_pinned_summaries(self):
         """The TTL bake-off confirmed the pre-existing estimator as the
-        default, and ``TTLEstimatorSpec.legacy()`` freezes it: runs under the
-        explicit legacy flag must keep reproducing the golden summaries even
-        if the ``quaestor`` registry entry is ever retuned."""
+        default: selecting it explicitly through ``SimulationConfig`` must
+        reproduce the golden summaries exactly."""
         config = golden_config(CachingMode.QUAESTOR)
-        config.ttl_estimator = TTLEstimatorSpec.legacy()
+        config.ttl_estimator = TTLEstimatorSpec()
         result = Simulator(config).run()
         assert result.summary() == GOLDEN_SUMMARIES[(CachingMode.QUAESTOR, 1)]

@@ -18,7 +18,6 @@ from repro.simulation import CachingMode, SimulationConfig, Simulator
 from repro.ttl import (
     DEFAULT_ESTIMATOR,
     ESTIMATOR_NAMES,
-    LEGACY_ESTIMATOR,
     QuaestorTTLEstimator,
     StaticTTLEstimator,
     TTLEstimatorSpec,
@@ -69,10 +68,8 @@ class TestTTLEstimatorSpec:
             estimator = spec.build()
             assert estimator.estimate_record("k", 1.0) > 0.0
 
-    def test_legacy_spec_is_the_frozen_alias(self):
-        spec = TTLEstimatorSpec.legacy()
-        assert spec.name == LEGACY_ESTIMATOR
-        estimator = spec.build()
+    def test_default_spec_is_the_span_sampled_dual_strategy(self):
+        estimator = TTLEstimatorSpec().build()
         assert isinstance(estimator, QuaestorTTLEstimator)
         assert estimator.sampler.estimation == "span"
 

@@ -9,8 +9,8 @@ an auditable diff of concrete TTL values rather than a shifted simulation
 summary.
 
 The vectors also document the one behavioural split the bake-off measured:
-``quaestor`` (span sampler, the winner and default, aliased by
-``quaestor-legacy``) derives a rate from ``cold``'s lone write
+``quaestor`` (span sampler, the winner and default) derives a rate from
+``cold``'s lone write
 (``record_cold`` = 19.4 s), while ``quaestor-window`` / ``poisson`` /
 ``write-rate`` keep the default-rate prior for a single observation
 (``record_cold`` = prior).
@@ -88,15 +88,6 @@ GOLDEN_VECTORS = {
         "query_cold": 415.88830833596717,
         "query_empty": 415.88830833596717,
     },
-    "quaestor-legacy": {
-        "record_hot": 2.0447841826518385,
-        "record_warm": 7.971192576439371,
-        "record_cold": 19.408121055678468,
-        "record_unseen": 415.88830833596717,
-        "query_mixed": 4.10753670055951,
-        "query_cold": 19.408121055678468,
-        "query_empty": 415.88830833596717,
-    },
 }
 
 
@@ -129,12 +120,6 @@ class TestGoldenVectors:
     @pytest.mark.parametrize("name", sorted(GOLDEN_VECTORS))
     def test_estimates_match_the_pinned_vector_exactly(self, name):
         assert run_trace(name) == GOLDEN_VECTORS[name]
-
-    def test_legacy_alias_is_byte_identical_to_the_default(self):
-        """quaestor-legacy freezes today's default; they must coincide until
-        the default is deliberately retuned (at which point the alias keeps
-        the old numbers and this test is updated)."""
-        assert run_trace("quaestor-legacy") == run_trace("quaestor")
 
     def test_window_and_span_samplers_split_on_the_lone_write(self):
         span = run_trace("quaestor")

@@ -108,7 +108,7 @@ class TestEstimationModes:
         from repro.ttl import TTLEstimatorSpec
 
         assert TTLEstimatorSpec.of("quaestor").build().sampler.estimation == "span"
-        assert TTLEstimatorSpec.legacy().build().sampler.estimation == "span"
+        assert TTLEstimatorSpec().build().sampler.estimation == "span"
         assert TTLEstimatorSpec.of("quaestor-window").build().sampler.estimation == "window"
         assert TTLEstimatorSpec.of("poisson").build().sampler.estimation == "window"
         assert TTLEstimatorSpec.of("write-rate").build().sampler.estimation == "window"
