@@ -8,11 +8,17 @@ change"): the parent is checked out into a temporary ``git worktree``, each
 pair runs the *unmodified* ``bench/run.py --trace 0`` of either side once --
 alternating which side goes first, because the box's noise drifts over
 minutes -- and the report gives, per side, the median, quartiles and n of
-``host_ops_per_s``, the wins, the parent's interquartile spread, the verdict
-"won >= 9/10 of the pairs and the medians differ by more than the parent's
-IQR", and whether every exact ``sim_*`` value was identical in every pair (a
-host-only change must not move one).  Exit status 0 means the verdict holds
-and nothing simulated moved.
+``host_ops_per_s``, the wins, the parent's interquartile spread, a verdict,
+each host metric's ratio of medians against its ``BENCHMARK.json`` bound,
+and whether every exact ``sim_*`` value was identical in every pair (a
+host-only change must not move one).
+
+The verdict is GAIN when the change won >= 9/10 of the decided pairs and its
+median is above the parent's by more than the parent's IQR, LOSS when the
+same holds the other way round, and FLAT otherwise.  A bound line reads
+"within" when the change's median is no worse than the parent's by more
+than the metric's bound -- the rows a "must not move" control is read off.
+Exit status 0 means the verdict is GAIN and nothing simulated moved.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 METRIC = "host_ops_per_s"
+#: The end-to-end metrics ``BENCHMARK.json`` declares, by name (read only).
+DECLARED = {
+    entry["name"]: entry
+    for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
@@ -47,6 +58,33 @@ def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
 def describe(samples: List[float]) -> str:
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return f"median {median:.6g}  q1 {q1:.6g}  q3 {q3:.6g}  n={len(samples)}"
+
+
+def verdict(before: List[float], after: List[float]) -> str:
+    """GAIN / LOSS: one side won >= 9/10 of the decided pairs and the medians
+    differ by more than the parent's IQR in its favour; FLAT otherwise."""
+    wins = sum(new > old for old, new in zip(before, after))
+    losses = sum(new < old for old, new in zip(before, after))
+    decided = wins + losses
+    q1, parent_median, q3 = statistics.quantiles(before, n=4)
+    gap = statistics.median(after) - parent_median
+    if wins * 10 >= decided * 9 and gap > q3 - q1:
+        return "GAIN"
+    if losses * 10 >= decided * 9 and -gap > q3 - q1:
+        return "LOSS"
+    return "FLAT"
+
+
+def bound_line(name: str, before: List[float], after: List[float]) -> str:
+    """The ratio of medians next to the metric's declared bound."""
+    declared = DECLARED[name]
+    ratio = statistics.median(after) / statistics.median(before)
+    worse_by = ratio - 1.0 if declared["better"] == "lower" else 1.0 - ratio
+    status = "within" if worse_by <= declared["bound"] else "OUTSIDE"
+    return (
+        f"  {name}: ratio of medians {ratio:.3f}x ({declared['better']} is better), "
+        f"bound {declared['bound']:.0%}: {status}"
+    )
 
 
 def main() -> int:
@@ -97,20 +135,23 @@ def main() -> int:
         for name in old
         if name.startswith("sim_") and old[name] != new.get(name)
     })
-    claimed = wins * 10 >= (args.pairs - ties) * 9 and gap > q3 - q1
+    outcome = verdict(before, after)
 
     print(f"\n{args.workload} {METRIC}, seed {args.seed}, {args.pairs} alternating pairs")
     print(f"  parent ({args.parent}): {describe(before)}")
     print(f"  change (working tree): {describe(after)}")
     print(f"  ratio of medians {change_median / parent_median:.3f}x   wins {wins}/{args.pairs - ties}"
           f"   parent IQR {q3 - q1:.6g}   median gap {gap:.6g}")
-    print(f"  verdict: {'GAIN' if claimed else 'no claim'} (>= 9/10 wins and gap > parent IQR)")
-    for name in parent[0]:
-        if name != METRIC and not name.startswith("sim_"):
+    print(f"  verdict: {outcome} (GAIN / LOSS: >= 9/10 pairs won / lost and |gap| > parent IQR)")
+    host = [name for name in parent[0] if not name.startswith("sim_")]
+    for name in host:
+        if name != METRIC:
             print(f"  {name}: parent {describe([run[name] for run in parent])}")
             print(f"  {' ' * len(name)}  change {describe([run[name] for run in change])}")
+    for name in host:
+        print(bound_line(name, [run[name] for run in parent], [run[name] for run in change]))
     print(f"  sim_* metrics: {'identical in every pair' if not moved else 'MOVED: ' + ', '.join(moved)}")
-    return 0 if claimed and not moved else 1
+    return 0 if outcome == "GAIN" and not moved else 1
 
 
 if __name__ == "__main__":

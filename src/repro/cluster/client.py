@@ -4,9 +4,10 @@
 :class:`~repro.client.QuaestorClient` (and the simulator) expects from a
 :class:`~repro.core.QuaestorServer` -- ``handle_read``, ``handle_query``, the
 write handlers, ``get_bloom_filter``, ``register_purge_target``,
-``statistics`` and the ``clock`` property -- and implements each of them by
-routing through the :class:`~repro.cluster.deployment.QuaestorCluster`.  An
-unmodified ``QuaestorClient`` therefore works against a sharded fleet:
+``statistics`` and the ``clock`` property -- each one the corresponding
+:class:`~repro.cluster.deployment.QuaestorCluster` method, bound to the
+cluster.  An unmodified ``QuaestorClient`` therefore works against a sharded
+fleet:
 
 >>> cluster = QuaestorCluster(num_shards=4)
 >>> client = QuaestorClient(ClusterClient(cluster))   # doctest: +SKIP
@@ -19,15 +20,10 @@ does not describe, so the facade refuses rather than silently miscommitting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
-from repro.bloom.bloom_filter import BloomFilter
 from repro.clock import Clock
 from repro.cluster.deployment import QuaestorCluster
-from repro.core.consistency import ConsistencyLevel
-from repro.core.server import InvalidationHook, PurgeTarget
-from repro.db.documents import Document
-from repro.db.query import Query
 from repro.errors import UnsupportedOperationError
 from repro.rest.messages import Response
 from repro.workloads.operations import Operation, dispatch_operation
@@ -43,8 +39,36 @@ class ClusterClient:
 
     def __init__(self, cluster: QuaestorCluster) -> None:
         self.cluster = cluster
+        # The request handlers are the cluster's own methods, bound here: a
+        # request enters the cluster directly, with no forwarding frame.
+        self.handle_read = cluster.read
+        self.handle_query = cluster.query
+        self.handle_insert = cluster.insert
+        self.handle_update = cluster.update
+        self.handle_delete = cluster.delete
+        self.handle_write_batch = cluster.write_batch
+        self.get_bloom_filter = cluster.bloom_filter
+        self.register_purge_target = cluster.register_purge_target
+        self.add_invalidation_hook = cluster.add_invalidation_hook
 
-    # -- protocol: wiring ---------------------------------------------------------------
+    # -- protocol --------------------------------------------------------------------
+    # Every instance binds these names to its cluster in ``__init__``.  The
+    # class-level aliases name the same functions, so ``ClusterClient.X``
+    # resolves (for readers and profilers) to the code that serves the
+    # request: ``handle_read`` is :meth:`QuaestorCluster.read` (Delta-atomic
+    # and causal sessions may be served by a replica, STRONG reaches the
+    # primary), ``handle_query`` the scatter/gather, the write handlers the
+    # routed writes, ``get_bloom_filter`` the union of every shard's EBF.
+
+    handle_read = QuaestorCluster.read
+    handle_query = QuaestorCluster.query
+    handle_insert = QuaestorCluster.insert
+    handle_update = QuaestorCluster.update
+    handle_delete = QuaestorCluster.delete
+    handle_write_batch = QuaestorCluster.write_batch
+    get_bloom_filter = QuaestorCluster.bloom_filter
+    register_purge_target = QuaestorCluster.register_purge_target
+    add_invalidation_hook = QuaestorCluster.add_invalidation_hook
 
     @property
     def clock(self) -> Clock:
@@ -52,53 +76,6 @@ class ClusterClient:
 
     def now(self) -> float:
         return self.cluster.clock.now()
-
-    def register_purge_target(self, target: PurgeTarget) -> None:
-        self.cluster.register_purge_target(target)
-
-    def add_invalidation_hook(self, hook: InvalidationHook) -> None:
-        self.cluster.add_invalidation_hook(hook)
-
-    def get_bloom_filter(self) -> BloomFilter:
-        """The union of every shard's flat EBF (the client's coherence view)."""
-        return self.cluster.bloom_filter()
-
-    # -- protocol: reads ----------------------------------------------------------------
-
-    def handle_read(
-        self,
-        collection: str,
-        document_id: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        min_timestamp: Optional[float] = None,
-    ) -> Response:
-        """Route a record read, honouring the session's consistency level.
-
-        Delta-atomic and causal sessions may be served by a shard replica
-        (read scale-out / fail-stale availability); STRONG always reaches the
-        primary.  See :meth:`QuaestorCluster.read`.
-        """
-        return self.cluster.read(
-            collection, document_id, consistency=consistency, min_timestamp=min_timestamp
-        )
-
-    def handle_query(self, query: Query) -> Response:
-        return self.cluster.query(query)
-
-    # -- protocol: writes ---------------------------------------------------------------
-
-    def handle_insert(self, collection: str, document: Document) -> Response:
-        return self.cluster.insert(collection, document)
-
-    def handle_update(self, collection: str, document_id: str, update: Document) -> Response:
-        return self.cluster.update(collection, document_id, update)
-
-    def handle_delete(self, collection: str, document_id: str) -> Response:
-        return self.cluster.delete(collection, document_id)
-
-    def handle_write_batch(self, operations: Sequence[Operation]) -> List[Response]:
-        """Batched write propagation: routed per shard, one pump per shard batch."""
-        return self.cluster.write_batch(operations)
 
     def execute(self, operation: Operation) -> Response:
         """Execute a workload operation (same dispatch as the single server)."""

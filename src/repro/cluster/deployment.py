@@ -50,8 +50,20 @@ writes need the primary.  When a primary is down:
   revalidate rather than trust state the new primary never had.
 
 With ``replication_factor=1`` and no injected faults all of this is a strict
-no-op: the group routes every request to its primary through the identical
-code path.
+no-op: the group routes every request to its primary.
+
+One request path
+----------------
+Each request kind has one path.  A record read is :meth:`QuaestorCluster.read`
+-> :meth:`ReplicaGroup.read`; a write is :meth:`QuaestorCluster._write` ->
+the shard server's handler; a query is one scatter loop over the shards.
+Retries with seeded backoff, circuit breakers and the deadline budget
+(:mod:`repro.resilience`) and gray-failure drops (:mod:`repro.faults.gray`)
+sit inside those loops and cost a healthy request only what it uses: with
+no resilience runtime and no gray condition in force a request makes no
+policy call at all -- one attempt, served or answered with the structured
+503 -- and with a runtime attached a healthy request pays its breaker
+checks and nothing else.
 """
 
 from __future__ import annotations
@@ -149,6 +161,9 @@ class QuaestorCluster:
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self.config = config if config is not None else QuaestorConfig()
         self.router = ShardRouter(num_shards, replicas=replicas)
+        #: ``"shard:N"`` per shard: the key of its circuit breaker (and of
+        #: its shard-level gray conditions), built once.
+        self._shard_keys = tuple(f"shard:{shard_id}" for shard_id in range(num_shards))
         self.auditor = auditor if auditor is not None else StalenessAuditor()
         #: Shared history recorder (like the auditor, installs are global);
         #: threaded into every shard server, including failover promotions.
@@ -158,7 +173,7 @@ class QuaestorCluster:
         self._matching_nodes = matching_nodes
         #: Gray failures (slow / flaky targets) the fault injector toggles;
         #: empty in every run without gray fault events, so the request paths
-        #: keep their exact pre-resilience behavior (and RNG silence).
+        #: never consult it (and draw no random numbers).
         self.gray = GrayFailureState(gray_seed)
         self.resilience = resilience if resilience is not None and resilience.enabled else None
         self.resilience_runtime = (
@@ -231,6 +246,8 @@ class QuaestorCluster:
             self.router.tracer = tracer
             for shard in self.shards:
                 shard.server.tracer = tracer
+            for group in self.groups:
+                group.tracer = tracer
         if self.resilience_runtime is not None and metrics is not None:
             self.resilience_runtime.attempt_counters = metrics.counters(
                 "resilience_attempts_total", "kind"
@@ -351,123 +368,81 @@ class QuaestorCluster:
         the hot path needs no existence scan; a read of a collection that was
         never created raises like on a single server.
 
-        With a resilience layer attached (or gray failures in force) the
-        read runs through :meth:`_read_resilient` -- retry with seeded
-        backoff, per-shard circuit breaker, deadline budget.  The plain path
-        below is kept as the exact pre-resilience fast path.
+        Every read walks the one loop below.  Reads are idempotent, so every
+        failure mode -- shard unavailable, gray request drop, gray response
+        drop -- is retryable up to the resilience policy's attempt budget,
+        behind the per-shard circuit breaker and the deadline budget; backoff
+        waits and extra attempts accumulate on the runtime's
+        :class:`~repro.resilience.RequestTrace`, which the simulator drains
+        into latency (virtual time cannot advance inside this synchronous
+        loop).  Without a runtime the loop is one attempt, and while no gray
+        condition is in force no drop check runs, so a read with neither
+        makes no policy call at all.
         """
-        self.counters.increment("reads")
+        self.counters.counts["reads"] += 1
         if self._request_counters is not None:
             self._request_counters["read"].inc()
         shard_id = self.router.record_read(collection, document_id)
         tracer = self.tracer
         span = tracer.begin("cluster.read") if tracer is not None and tracer.recording else None
-        try:
-            return self._read_routed(shard_id, collection, document_id, consistency, min_timestamp)
-        finally:
-            if span is not None:
-                tracer.end(span, "shard", shard_id)
-
-    def _read_routed(
-        self,
-        shard_id: int,
-        collection: str,
-        document_id: str,
-        consistency: Optional[ConsistencyLevel],
-        min_timestamp: Optional[float],
-    ) -> Response:
-        """Dispatch a routed read: exact pre-resilience fast path, else retry loop."""
-        if self.resilience_runtime is None and not self.gray.active:
-            try:
-                return self.groups[shard_id].read(
-                    collection, document_id, consistency=consistency, min_timestamp=min_timestamp
-                )
-            except ShardUnavailableError:
-                self.counters.increment("read_errors")
-                return self._unavailable_response(shard_id)
-        return self._read_resilient(shard_id, collection, document_id, consistency, min_timestamp)
-
-    def _read_resilient(
-        self,
-        shard_id: int,
-        collection: str,
-        document_id: str,
-        consistency: Optional[ConsistencyLevel],
-        min_timestamp: Optional[float],
-    ) -> Response:
-        """Record read with retry/backoff, breaker gating and deadline budget.
-
-        Reads are idempotent, so every failure mode -- shard unavailable,
-        gray request drop, gray response drop -- is retryable up to the
-        policy's attempt budget.  Backoff waits and extra network attempts
-        are accumulated on the runtime's :class:`RequestTrace`; the simulator
-        drains them into latency (virtual time cannot advance inside this
-        synchronous loop).
-        """
         runtime = self.resilience_runtime
+        gray = self.gray
         group = self.groups[shard_id]
-        shard_key = f"shard:{shard_id}"
-        attempts = runtime.read_attempts if runtime is not None else 1
+        shard_key = self._shard_keys[shard_id]
+        attempts = 1 if runtime is None else runtime.read_attempts
         # The deadline budget is built lazily on the first failure: a clean
         # first attempt (the overwhelmingly common case) allocates nothing.
         deadline = None
-        for attempt in range(attempts):
-            if runtime is not None and not runtime.allow(shard_key):
-                self.counters.increment("breaker_fast_fails")
-                runtime.trace.fast_failed = True
-                break
-            if attempt:
-                self.counters.increment("read_retries")
-            try:
-                response = self._attempt_read(
-                    shard_id, group, collection, document_id, consistency, min_timestamp
-                )
-            except ShardUnavailableError:
-                if runtime is not None:
+        try:
+            for attempt in range(attempts):
+                if runtime is not None and not runtime.allow(shard_key):
+                    self.counters.increment("breaker_fast_fails")
+                    runtime.trace.fast_failed = True
+                    break
+                if attempt:
+                    self.counters.increment("read_retries")
+                try:
+                    # A shard-level flaky target drops the *request* before
+                    # it reaches any node; a node-level one drops the
+                    # *response* after the read was served.
+                    if gray.active and gray.should_drop_request(shard_id):
+                        self.counters.increment("gray_request_drops")
+                        raise ShardUnavailableError(
+                            f"shard {shard_id}: request dropped (gray failure)"
+                        )
+                    response = group.read(
+                        collection, document_id,
+                        consistency=consistency, min_timestamp=min_timestamp,
+                    )
+                    served_by = group.last_served_node_id
+                    if gray.active and gray.should_drop_response(served_by):
+                        self.counters.increment("gray_response_drops")
+                        if runtime is not None and served_by is not None:
+                            runtime.record_failure(served_by)
+                        raise ShardUnavailableError(
+                            f"{served_by}: response dropped (gray failure)"
+                        )
+                except ShardUnavailableError:
+                    if runtime is None:
+                        break
                     runtime.record_failure(shard_key)
                     if deadline is None:
                         deadline = runtime.new_deadline()
-                if runtime is None or not self._plan_retry(runtime, deadline, attempt, attempts):
-                    break
-                continue
-            if runtime is not None:
-                runtime.record_success(shard_key)
-                if attempt:
-                    self.counters.increment("read_retry_successes")
-            return response
-        self.counters.increment("read_errors")
-        return self._unavailable_response(shard_id)
-
-    def _attempt_read(
-        self,
-        shard_id: int,
-        group: ReplicaGroup,
-        collection: str,
-        document_id: str,
-        consistency: Optional[ConsistencyLevel],
-        min_timestamp: Optional[float],
-    ) -> Response:
-        """One network attempt, subject to the gray failure state.
-
-        A shard-level flaky target drops the *request* before it reaches any
-        node; a node-level flaky target drops the *response* after the read
-        was served (both retry-safe for reads).
-        """
-        if self.gray.should_drop_request(shard_id):
-            self.counters.increment("gray_request_drops")
-            raise ShardUnavailableError(f"shard {shard_id}: request dropped (gray failure)")
-        response = group.read(
-            collection, document_id, consistency=consistency, min_timestamp=min_timestamp
-        )
-        served_by = group.last_served_node_id
-        if self.gray.should_drop_response(served_by):
-            self.counters.increment("gray_response_drops")
-            if self.resilience_runtime is not None and served_by is not None:
-                self.resilience_runtime.record_failure(served_by)
-            raise ShardUnavailableError(f"{served_by}: response dropped (gray failure)")
-        if self.resilience_runtime is not None and served_by is not None:
-            self.resilience_runtime.record_success(served_by)
-        return response
+                    if not self._plan_retry(runtime, deadline, attempt, attempts):
+                        break
+                    continue
+                if runtime is not None:
+                    if served_by is not None:
+                        runtime.record_success(served_by)
+                    runtime.record_success(shard_key)
+                    if attempt:
+                        self.counters.increment("read_retry_successes")
+                return response
+            self.counters.increment("read_errors")
+            return self._unavailable_response(shard_id)
+        finally:
+            if span is not None:
+                tracer.end(span, "shard", shard_id)
 
     def _plan_retry(
         self,
@@ -548,70 +523,79 @@ class QuaestorCluster:
         no existence scan is needed here; querying a collection that was
         never created raises from the first shard, like on a single server.
         """
-        self.counters.increment("scatter_queries")
+        self.counters.counts["scatter_queries"] += 1
         if self._request_counters is not None:
             self._request_counters["query"].inc()
         tracer = self.tracer if self.tracer is not None and self.tracer.recording else None
         span = tracer.begin("cluster.scatter") if tracer is not None else None
         try:
-            return self._scatter_gather(query, tracer)
+            now = self.clock.now()
+            scatter = self._scatter_query(query)
+            prepared = []
+            shard_errors: Dict[int, str] = {}
+            runtime = self.resilience_runtime
+            gray_active = self.gray.active
+            # One deadline budget per scatter, shared by every shard's
+            # retries: the gather point is only as patient as the whole
+            # request's budget.
+            deadline = runtime.new_deadline() if runtime is not None and gray_active else None
+            for shard, group in zip(self.shards, self.groups):
+                shard_id = shard.shard_id
+                if not group.primary_node.alive:
+                    shard_errors[shard_id] = "primary-unavailable"
+                    continue
+                if runtime is not None and not runtime.allow(self._shard_keys[shard_id]):
+                    self.counters.increment("breaker_fast_fails")
+                    shard_errors[shard_id] = "breaker-open"
+                    continue
+                if gray_active and not self._scatter_attempt(shard_id, deadline):
+                    shard_errors[shard_id] = "request-dropped"
+                    continue
+                prepared.append(shard.server.prepare_shard_query(query, scatter, deadline=deadline))
+                if tracer is not None:
+                    tracer.event("cluster.shard_query", "shard", shard_id)
+            if shard_errors:
+                self.counters.increment("scatter_queries_degraded")
+                self.counters.increment("scatter_shard_errors", len(shard_errors))
+                if self.obs_metrics is not None:
+                    self.obs_metrics.counter("cluster_shard_errors_total").inc(len(shard_errors))
+                if tracer is not None:
+                    for failed_shard, reason in sorted(shard_errors.items()):
+                        tracer.event("cluster.shard_error", "shard", failed_shard, "reason", reason)
+            if not prepared:
+                # Every shard is down: nothing to merge, total unavailability.
+                self.counters.increment("query_errors")
+                return Response.uncacheable(
+                    {"error": "unavailable", "shard_errors": shard_errors},
+                    status=StatusCode.SERVICE_UNAVAILABLE,
+                )
+            # Phase two: commit when every shard admitted, else abort them all.
+            ttls: Optional[List[Optional[Tuple[float, float]]]] = None
+            if not shard_errors:
+                for read in prepared:
+                    if not read.admitted:
+                        break
+                else:
+                    ttls = [read.commit_ttls() for read in prepared]
+                    self._registered_queries[query.cache_key] = query
+            if ttls is None:
+                if not shard_errors and any(read.admitted for read in prepared):
+                    # At least one probe succeeded but another shard
+                    # rejected: the fleet-wide abort the two-phase protocol
+                    # exists for.
+                    self.counters.increment("scatter_queries_aborted")
+                for read in prepared:
+                    read.abort()
+            if tracer is not None:
+                tracer.event(
+                    "cluster.gather", "shards", len(prepared), "degraded", bool(shard_errors)
+                )
+            return self._merge_query_responses(
+                query, [read.body for read in prepared], ttls, now, shard_errors
+            )
         finally:
             if span is not None:
                 tracer.end(span, "shards", self.num_shards)
-
-    def _scatter_gather(self, query: Query, tracer) -> Response:
-        """The scatter/gather body of :meth:`query` (optionally traced)."""
-        now = self.clock.now()
-        scatter = self._scatter_query(query)
-        prepared = []
-        shard_errors: Dict[int, str] = {}
-        runtime = self.resilience_runtime
-        gray_active = self.gray.active
-        # One deadline budget per scatter, shared by every shard's retries:
-        # the gather point is only as patient as the whole request's budget.
-        deadline = runtime.new_deadline() if runtime is not None and gray_active else None
-        for shard in self.shards:
-            shard_id = shard.shard_id
-            if not self.groups[shard_id].primary_alive:
-                shard_errors[shard_id] = "primary-unavailable"
-                continue
-            if runtime is not None and not runtime.allow(f"shard:{shard_id}"):
-                self.counters.increment("breaker_fast_fails")
-                shard_errors[shard_id] = "breaker-open"
-                continue
-            if gray_active and not self._scatter_attempt(shard_id, deadline):
-                shard_errors[shard_id] = "request-dropped"
-                continue
-            prepared.append(shard.server.prepare_shard_query(query, scatter, deadline=deadline))
-            if tracer is not None:
-                tracer.event("cluster.shard_query", "shard", shard_id)
-        if shard_errors:
-            self.counters.increment("scatter_queries_degraded")
-            self.counters.increment("scatter_shard_errors", len(shard_errors))
-            if self.obs_metrics is not None:
-                self.obs_metrics.counter("cluster_shard_errors_total").inc(len(shard_errors))
-            if tracer is not None:
-                for failed_shard, reason in sorted(shard_errors.items()):
-                    tracer.event("cluster.shard_error", "shard", failed_shard, "reason", reason)
-        if not prepared:
-            # Every shard is down: nothing to merge, total unavailability.
-            self.counters.increment("query_errors")
-            return Response.uncacheable(
-                {"error": "unavailable", "shard_errors": shard_errors},
-                status=StatusCode.SERVICE_UNAVAILABLE,
-            )
-        if not shard_errors and all(read.admitted for read in prepared):
-            responses = [read.commit() for read in prepared]
-            self._registered_queries[query.cache_key] = query
-        else:
-            if not shard_errors and any(read.admitted for read in prepared):
-                # At least one probe succeeded but another shard rejected:
-                # the fleet-wide abort the two-phase protocol exists for.
-                self.counters.increment("scatter_queries_aborted")
-            responses = [read.abort() for read in prepared]
-        if tracer is not None:
-            tracer.event("cluster.gather", "shards", len(prepared), "degraded", bool(shard_errors))
-        return self._merge_query_responses(query, responses, now, shard_errors=shard_errors)
 
     def _scatter_attempt(self, shard_id: int, deadline) -> bool:
         """Get one scatter sub-request through a flaky shard (with retries).
@@ -622,7 +606,7 @@ class QuaestorCluster:
         with one, the sub-request retries on the shared scatter deadline.
         """
         runtime = self.resilience_runtime
-        shard_key = f"shard:{shard_id}"
+        shard_key = self._shard_keys[shard_id]
         if not self.gray.should_drop_request(shard_id):
             if runtime is not None:
                 runtime.record_success(shard_key)
@@ -662,14 +646,21 @@ class QuaestorCluster:
     def _merge_query_responses(
         self,
         query: Query,
-        responses: Sequence[Response],
+        bodies: Sequence[Dict],
+        ttls: Optional[Sequence[Optional[Tuple[float, float]]]],
         now: float,
-        shard_errors: Optional[Dict[int, str]] = None,
+        shard_errors: Dict[int, str],
     ) -> Response:
+        """Merge the shards' sub-results into the client's response.
+
+        ``ttls`` holds each committed shard's ``(ttl, shared_ttl)`` (``None``
+        for a shard whose commit was re-arbitrated away), or is ``None``
+        when the scatter aborted or degraded and no shard vouches for any
+        freshness.
+        """
         documents: List[Document] = []
         versions: Dict[str, int] = {}
-        for response in responses:
-            body = response.body or {}
+        for body in bodies:
             documents.extend(body.get("documents", []))
             versions.update(body.get("record_versions", {}))
 
@@ -698,9 +689,11 @@ class QuaestorCluster:
         # Min-TTL wins: the merged entry may only live as long as every shard
         # sub-result vouches for.  One uncacheable sub-result (capacity
         # rejection, caching disabled) makes the whole merge uncacheable.
-        ttl = min(response.ttl_for(shared=False) for response in responses)
-        shared_ttl = min(response.ttl_for(shared=True) for response in responses)
-        cacheable = all(response.is_cacheable for response in responses) and ttl > 0
+        cacheable = ttls is not None and None not in ttls
+        if cacheable:
+            private_ttls, shared_ttls = zip(*ttls)
+            ttl, shared_ttl = min(private_ttls), min(shared_ttls)
+            cacheable = ttl > 0
 
         if not cacheable:
             self.counters.increment("scatter_queries_uncacheable")
@@ -720,113 +713,96 @@ class QuaestorCluster:
     # -- write path -----------------------------------------------------------------------
 
     def insert(self, collection: str, document: Document) -> Response:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         # Inserting is what brings a collection into existence; materialise it
         # everywhere (including replicas, so a promoted replica can serve
         # scatter queries) so queries see a consistent schema.
         for group in self.groups:
             group.ensure_collection(collection)
         shard_id = self.router.record_write(collection, str(document.get("_id", "")))
-        return self._write_routed(
-            shard_id,
-            "insert",
-            lambda: self.shards[shard_id].server.handle_insert(collection, document),
+        return self._write(
+            shard_id, "insert", self.shards[shard_id].server.handle_insert, collection, document
         )
 
     def update(self, collection: str, document_id: str, update: Document) -> Response:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         shard_id = self.router.record_write(collection, document_id)
-        return self._write_routed(
-            shard_id,
-            "update",
-            lambda: self.shards[shard_id].server.handle_update(collection, document_id, update),
+        return self._write(
+            shard_id, "update", self.shards[shard_id].server.handle_update,
+            collection, document_id, update,
         )
 
     def delete(self, collection: str, document_id: str) -> Response:
-        self.counters.increment("writes")
+        self.counters.counts["writes"] += 1
         shard_id = self.router.record_write(collection, document_id)
-        return self._write_routed(
-            shard_id,
-            "delete",
-            lambda: self.shards[shard_id].server.handle_delete(collection, document_id),
+        return self._write(
+            shard_id, "delete", self.shards[shard_id].server.handle_delete, collection, document_id
         )
 
-    def _write_routed(self, shard_id: int, op: str, apply) -> Response:
-        """Dispatch a routed write: pre-resilience fast path, else retry loop."""
+    def _write(self, shard_id: int, op: str, handler, *args) -> Response:
+        """Apply a routed write on the shard's primary: the one write path.
+
+        ``handler`` is the shard server's bound write handler, called with
+        ``args`` once the write is admitted.  Failures that happen *before*
+        the primary admits the mutation -- a down primary, a gray request
+        drop -- are retried like reads when a resilience runtime is
+        attached: the write never reached a log, so re-sending cannot
+        double-apply.  A gray *response* drop is different: the primary
+        applied and replicated the write but the ack was lost.  Re-sending a
+        non-idempotent mutation would double-apply it, so the loss surfaces
+        as an error (counted separately as ``write_ack_drops``) and the
+        breaker learns about the flaky node.  Without a runtime and with no
+        gray condition in force the loop makes no policy call: the write
+        applies, or a down primary answers with the structured 503.
+        """
         if self._request_counters is not None:
             self._request_counters["write"].inc()
         tracer = self.tracer
         span = tracer.begin("cluster.write") if tracer is not None and tracer.recording else None
+        runtime = self.resilience_runtime
+        gray = self.gray
+        group = self.groups[shard_id]
+        shard_key = self._shard_keys[shard_id]
+        attempts = 1 if runtime is None else runtime.write_attempts
+        deadline = None
         try:
-            return self._write_dispatch(shard_id, apply)
+            for attempt in range(attempts):
+                if runtime is not None and not runtime.allow(shard_key):
+                    self.counters.increment("breaker_fast_fails")
+                    runtime.trace.fast_failed = True
+                    break
+                if attempt:
+                    self.counters.increment("write_retries")
+                # Pre-admission checks: both failure modes are retryable.
+                if gray.active and gray.should_drop_request(shard_id):
+                    self.counters.increment("gray_request_drops")
+                elif group.primary_node.alive:
+                    response = handler(*args)
+                    served_by = group.primary_node.node_id
+                    if gray.active and gray.should_drop_response(served_by):
+                        # Post-apply ack loss: never retried (see docstring).
+                        self.counters.increment("gray_response_drops")
+                        self.counters.increment("write_ack_drops")
+                        if runtime is not None:
+                            runtime.record_failure(served_by)
+                        break
+                    if runtime is not None:
+                        runtime.record_success(shard_key)
+                        if attempt:
+                            self.counters.increment("write_retry_successes")
+                    return response
+                if runtime is None:
+                    break
+                runtime.record_failure(shard_key)
+                if deadline is None:
+                    deadline = runtime.new_deadline()
+                if not self._plan_retry(runtime, deadline, attempt, attempts):
+                    break
+            self.counters.increment("write_errors")
+            return self._unavailable_response(shard_id)
         finally:
             if span is not None:
                 tracer.end(span, "shard", shard_id, "op", op)
-
-    def _write_dispatch(self, shard_id: int, apply) -> Response:
-        if self.resilience_runtime is None and not self.gray.active:
-            if not self.groups[shard_id].primary_alive:
-                self.counters.increment("write_errors")
-                return self._unavailable_response(shard_id)
-            return apply()
-        return self._write_resilient(shard_id, apply)
-
-    def _write_resilient(self, shard_id: int, apply) -> Response:
-        """Write with pre-admission retries only (idempotency-aware).
-
-        Failures that happen *before* the primary admits the mutation -- a
-        down primary, a gray request drop -- are retried like reads: the
-        write never reached a log, so re-sending cannot double-apply.  A
-        gray *response* drop is different: the primary applied and
-        replicated the write but the ack was lost.  Re-sending a
-        non-idempotent mutation would double-apply it, so the loss surfaces
-        as an error (counted separately as ``write_ack_drops``) and the
-        breaker learns about the flaky node.
-        """
-        runtime = self.resilience_runtime
-        group = self.groups[shard_id]
-        shard_key = f"shard:{shard_id}"
-        attempts = runtime.write_attempts if runtime is not None else 1
-        deadline = None
-        for attempt in range(attempts):
-            if runtime is not None and not runtime.allow(shard_key):
-                self.counters.increment("breaker_fast_fails")
-                runtime.trace.fast_failed = True
-                break
-            if attempt:
-                self.counters.increment("write_retries")
-            # Pre-admission checks: both failure modes are retryable.
-            if self.gray.should_drop_request(shard_id):
-                self.counters.increment("gray_request_drops")
-                failed_pre_admission = True
-            elif not group.primary_alive:
-                failed_pre_admission = True
-            else:
-                failed_pre_admission = False
-            if failed_pre_admission:
-                if runtime is not None:
-                    runtime.record_failure(shard_key)
-                    if deadline is None:
-                        deadline = runtime.new_deadline()
-                if runtime is None or not self._plan_retry(runtime, deadline, attempt, attempts):
-                    break
-                continue
-            response = apply()
-            served_by = group.primary_node_id
-            if self.gray.should_drop_response(served_by):
-                # Post-apply ack loss: never retried (see docstring).
-                self.counters.increment("gray_response_drops")
-                self.counters.increment("write_ack_drops")
-                if runtime is not None:
-                    runtime.record_failure(served_by)
-                break
-            if runtime is not None:
-                runtime.record_success(shard_key)
-                if attempt:
-                    self.counters.increment("write_retry_successes")
-            return response
-        self.counters.increment("write_errors")
-        return self._unavailable_response(shard_id)
 
     def write_batch(self, operations: Sequence[Operation]) -> List[Response]:
         """Apply a write batch: group by owning shard, one invalidation pump each.

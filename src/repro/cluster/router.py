@@ -7,10 +7,9 @@ and adds the pieces the cluster layer needs on top of raw placement:
   operations to the shard that owns them,
 * grouping of write batches by destination shard while remembering the
   original positions (so responses can be re-assembled in request order), and
-* per-shard routing statistics kept in the shared
-  :class:`~repro.db.sharding.ShardStatisticsTable` -- the same helper the
-  database tier's :class:`~repro.db.sharding.HashSharder` uses -- which the
-  cluster metrics use to report placement imbalance.
+* per-shard routing statistics kept in a
+  :class:`~repro.db.sharding.ShardStatisticsTable`, which the cluster
+  metrics use to report placement imbalance.
 
 Queries do not route to a single shard -- their predicate may match documents
 anywhere -- so the router deliberately has no ``shard_for_query``; the cluster
@@ -112,14 +111,14 @@ class ShardRouter:
     # -- statistics ------------------------------------------------------------------
 
     def record_read(self, collection: str, document_id: str) -> int:
-        shard_id = self.shard_for_record(collection, document_id)
+        shard_id = self.ring.shard_for(record_key(collection, document_id))
         self._statistics.record_read(shard_id)
         if self.tracer is not None:
             self.tracer.event("router.route", "op", "read", "shard", shard_id)
         return shard_id
 
     def record_write(self, collection: str, document_id: str) -> int:
-        shard_id = self.shard_for_record(collection, document_id)
+        shard_id = self.ring.shard_for(record_key(collection, document_id))
         self._statistics.record_write(shard_id)
         if self.tracer is not None:
             self.tracer.event("router.route", "op", "write", "shard", shard_id)

@@ -32,7 +32,7 @@ admission) land here instead of in N copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.representation import (
     ResultRepresentation,
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports us)
     from repro.resilience import DeadlineBudget
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadContext:
     """Per-read state threaded through the pipeline stages."""
 
@@ -303,8 +303,9 @@ class ReadPipeline:
         """
         server = self.server
         fetch = scatter_query if scatter_query is not None else query
-        ctx = ReadContext.for_query(query, fetch, server.now())
-        ctx.deadline = deadline
+        ctx = ReadContext(
+            query.cache_key, server.now(), query=query, fetch_query=fetch, deadline=deadline
+        )
         self.execute(ctx)
         body = {"documents": ctx.documents, "record_versions": ctx.versions}
         if server.config.cache_queries:
@@ -312,9 +313,10 @@ class ReadPipeline:
                 server.counters.increment("deadline_skipped_probes")
             else:
                 self.probe_admission(ctx)
+        prepared = PreparedShardRead(self, ctx, body)
         if server.tracer is not None:
-            server.tracer.event("pipeline.shard_probe", "admitted", ctx.admitted)
-        return PreparedShardRead(self, ctx, body)
+            server.tracer.event("pipeline.shard_probe", "admitted", prepared.admitted)
+        return prepared
 
     def _uncacheable_client_response(self, ctx: ReadContext) -> Response:
         """An uncached (but etagged) object-list result for the client."""
@@ -340,6 +342,8 @@ class PreparedShardRead:
       keep theirs -- see :meth:`abort`).
     """
 
+    __slots__ = ("_pipeline", "ctx", "body", "admitted", "_resolved")
+
     def __init__(
         self,
         pipeline: ReadPipeline,
@@ -349,16 +353,11 @@ class PreparedShardRead:
         self._pipeline = pipeline
         self.ctx = ctx
         self.body = body
+        #: Whether this shard's probe admitted the query, read once off the
+        #: context's ticket (which the probe fixed): absent (caching
+        #: disabled) or rejected both read as not admitted.
+        self.admitted = ctx.admitted
         self._resolved = False
-
-    @property
-    def admitted(self) -> bool:
-        """Whether this shard's probe admitted the query.
-
-        Single source of truth is the context's ticket: absent (caching
-        disabled) or rejected both read as not admitted.
-        """
-        return self.ctx.admitted
 
     def commit(self) -> Response:
         """Perform all stateful stages and return the cacheable shard response.
@@ -370,6 +369,18 @@ class PreparedShardRead:
         manager; if that rejects, the read degrades to the uncacheable
         response an up-front rejection would have produced.
         """
+        ttls = self.commit_ttls()
+        if ttls is None:
+            return Response.uncacheable(self.body)
+        return Response.ok(self.body, ttl=ttls[0], shared_ttl=ttls[1])
+
+    def commit_ttls(self) -> Optional[Tuple[float, float]]:
+        """:meth:`commit` without the response: the shard's ``(ttl, shared_ttl)``.
+
+        ``None`` when re-arbitration rejected a stale ticket (the shard
+        result is uncacheable).  The cluster's merge consumes exactly these
+        terms, so a scatter builds no per-shard response.
+        """
         if not self.admitted:
             raise ValueError("cannot commit a shard read that was not admitted")
         self._resolve()
@@ -378,7 +389,7 @@ class PreparedShardRead:
             pipeline.server.tracer.event("pipeline.shard_commit")
         if not pipeline.commit_admission(ctx):
             pipeline.server.counters.increment("queries_uncacheable")
-            return Response.uncacheable(self.body)
+            return None
         pipeline.estimate_ttl(ctx)
         # Shard results are merged before the representation is chosen, so the
         # conservative OBJECT_LIST entry makes every notification invalidate.
@@ -386,7 +397,7 @@ class PreparedShardRead:
         pipeline.register_in_invalidb(ctx)
         pipeline.record_active(ctx)
         pipeline.report_to_ebf(ctx)
-        return Response.ok(self.body, ttl=ctx.ttl, shared_ttl=ctx.shared_ttl)
+        return ctx.ttl, ctx.shared_ttl
 
     def abort(self) -> Response:
         """Discard the probe and return the raw documents uncacheable.

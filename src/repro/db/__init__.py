@@ -10,7 +10,8 @@ Quaestor relies on:
   InvaliDB's invalidation detection),
 * MongoDB-style query predicates, sorting, limit and offset,
 * MongoDB-style update operators (``$set``, ``$inc``, ``$push``, ...),
-* hash sharding over the primary key, and
+* consistent-hash placement of record keys onto shards (the cluster
+  router's ring), and
 * simple secondary indexes for equality predicates.
 
 Joins and aggregations are intentionally unsupported, matching the paper's
@@ -25,7 +26,7 @@ from repro.db.database import Database
 from repro.db.documents import Document, get_path, set_path
 from repro.db.predicates import matches
 from repro.db.query import Query
-from repro.db.sharding import ConsistentHashRing, HashSharder, ShardStatisticsTable
+from repro.db.sharding import ConsistentHashRing, ShardStatisticsTable
 from repro.db.updates import apply_update
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "matches",
     "Query",
     "ConsistentHashRing",
-    "HashSharder",
     "ShardStatisticsTable",
     "apply_update",
 ]

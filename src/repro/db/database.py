@@ -9,7 +9,6 @@ from repro.db.changestream import ChangeEvent, ChangeStream
 from repro.db.collection import Collection
 from repro.db.documents import Document
 from repro.db.query import Query
-from repro.db.sharding import HashSharder
 from repro.errors import CollectionNotFoundError
 
 
@@ -24,7 +23,6 @@ class Database:
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        num_shards: int = 2,
         change_history_limit: Optional[int] = 100_000,
     ) -> None:
         self._clock: Clock = clock if clock is not None else VirtualClock()
@@ -35,7 +33,6 @@ class Database:
         #: (ETags and the client-side version-keyed caches depend on that).
         self._version_floors: Dict[str, Dict[str, int]] = {}
         self.change_stream = ChangeStream(history_limit=change_history_limit)
-        self.sharder = HashSharder(num_shards)
 
     # -- collection management ------------------------------------------------------
 
@@ -80,22 +77,18 @@ class Database:
         floors.update(collection.version_floors())
         return True
 
-    # -- convenience CRUD (delegates to collections, updates shard stats) -----------
+    # -- convenience CRUD (delegates to collections) ----------------------------------
 
     def insert(self, collection: str, document: Document) -> Document:
-        self.sharder.record_write(collection, str(document.get("_id", "")))
         return self.create_collection(collection).insert(document)
 
     def get(self, collection: str, document_id: str) -> Document:
-        self.sharder.record_read(collection, document_id)
         return self.collection(collection).get(document_id)
 
     def update(self, collection: str, document_id: str, update: Document) -> Document:
-        self.sharder.record_write(collection, document_id)
         return self.collection(collection).update(document_id, update)
 
     def delete(self, collection: str, document_id: str) -> Document:
-        self.sharder.record_write(collection, document_id)
         return self.collection(collection).delete(document_id)
 
     def find(self, query: Query) -> List[Document]:

@@ -1,25 +1,14 @@
-"""Hash sharding of documents over shard servers.
+"""Consistent-hash placement of record keys over shard servers.
 
 The paper's MongoDB cluster shards documents through their hashed primary
-key.  This module provides the two placement functions used by the
-reproduction:
+key.  :class:`ConsistentHashRing` is the reproduction's placement function:
+a consistent-hash ring with virtual nodes, on which the
+:class:`~repro.cluster.ShardRouter` places record keys onto whole Quaestor
+deployments (shards).  A ring keeps almost all key placements stable when
+shards are added or removed, which modulo placement does not.
 
-* :class:`HashSharder` -- the modulo placement of the database tier.  Every
-  :class:`~repro.db.database.Database` owns one and uses it to track
-  per-shard operation counts, so benchmarks can model the write-throughput
-  limit of the database tier (the bottleneck the paper identifies for
-  write-heavy workloads).
-* :class:`ConsistentHashRing` -- a consistent-hash ring with virtual nodes.
-  This is the cluster integration point: the
-  :class:`~repro.cluster.ShardRouter` builds on it to place record keys onto
-  whole Quaestor deployments (shards), because a ring keeps almost all key
-  placements stable when shards are added or removed, which modulo placement
-  does not.
-
-Both placement functions account their traffic in a shared
-:class:`ShardStatisticsTable` (per-shard read/write counters plus the
-max/mean imbalance ratio), so the database tier's and the cluster router's
-balance figures come from one implementation and cannot drift.
+:class:`ShardStatisticsTable` keeps the router's per-shard read/write
+counters and the max/mean imbalance ratio the cluster metrics report.
 """
 
 from __future__ import annotations
@@ -28,7 +17,10 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.bloom.hashing import mixed_uint64, stable_uint64
+from repro.bloom.hashing import mixed_uint64
+
+#: Keys the ring's placement memo holds before it starts over.
+PLACEMENT_MEMO_SIZE = 1 << 16
 
 
 @dataclass
@@ -47,10 +39,8 @@ class ShardStatistics:
 class ShardStatisticsTable:
     """Per-shard operation counters with the max/mean imbalance ratio.
 
-    The single bookkeeping helper behind every placement function: the
-    database tier's :class:`HashSharder` and the cluster's
-    :class:`~repro.cluster.router.ShardRouter` both delegate their counters
-    and imbalance figures here, so the two metrics share one definition.
+    The bookkeeping behind :class:`~repro.cluster.router.ShardRouter`'s
+    routing statistics and the cluster's placement-imbalance figure.
     """
 
     def __init__(self, shard_ids: Iterable[int] = ()) -> None:
@@ -102,41 +92,6 @@ class ShardStatisticsTable:
         )
 
 
-class HashSharder:
-    """Deterministic hash placement of primary keys onto ``num_shards`` shards."""
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.num_shards = int(num_shards)
-        self._table = ShardStatisticsTable(range(self.num_shards))
-
-    def shard_for(self, collection: str, document_id: str) -> int:
-        """The shard responsible for ``collection/document_id``."""
-        return stable_uint64(f"{collection}/{document_id}") % self.num_shards
-
-    def record_read(self, collection: str, document_id: str) -> int:
-        shard_id = self.shard_for(collection, document_id)
-        self._table.record_read(shard_id)
-        return shard_id
-
-    def record_write(self, collection: str, document_id: str) -> int:
-        shard_id = self.shard_for(collection, document_id)
-        self._table.record_write(shard_id)
-        return shard_id
-
-    def statistics(self) -> List[ShardStatistics]:
-        """Per-shard counters, ordered by shard id."""
-        return self._table.statistics(range(self.num_shards))
-
-    def imbalance(self) -> float:
-        """Max/mean operation ratio across shards (1.0 = perfectly balanced)."""
-        return self._table.imbalance()
-
-    def __repr__(self) -> str:
-        return f"HashSharder(num_shards={self.num_shards}, imbalance={self.imbalance():.3f})"
-
-
 class ConsistentHashRing:
     """A consistent-hash ring mapping string keys onto shard ids.
 
@@ -146,6 +101,13 @@ class ConsistentHashRing:
     (wrapping around), so adding or removing one shard only moves the keys
     whose arcs that shard owned -- roughly ``1/num_shards`` of them -- while
     every other placement stays stable.
+
+    Placements are memoised per key: a request resolves its shard once and
+    every later lookup of the same key (routing statistics, capacity and
+    latency pricing) is one dict probe instead of a hash and a bisection.
+    The memo is emptied whenever the ring's membership changes and when it
+    reaches :data:`PLACEMENT_MEMO_SIZE` keys, so it never answers for a
+    ring that no longer exists and never grows without bound.
     """
 
     def __init__(self, shard_ids: Iterable[int] = (), replicas: int = 64) -> None:
@@ -155,6 +117,7 @@ class ConsistentHashRing:
         self._shards: set = set()
         #: Sorted ring points as ``(position, shard_id)`` pairs.
         self._ring: List[Tuple[int, int]] = []
+        self._placements: Dict[str, int] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
@@ -165,6 +128,7 @@ class ConsistentHashRing:
         if shard_id in self._shards:
             return
         self._shards.add(shard_id)
+        self._placements.clear()
         for replica in range(self.replicas):
             position = mixed_uint64(f"shard:{shard_id}:vnode:{replica}")
             bisect.insort(self._ring, (position, shard_id))
@@ -174,6 +138,7 @@ class ConsistentHashRing:
         if shard_id not in self._shards:
             raise KeyError(f"shard {shard_id} is not on the ring")
         self._shards.discard(shard_id)
+        self._placements.clear()
         self._ring = [(position, sid) for position, sid in self._ring if sid != shard_id]
 
     def shard_ids(self) -> List[int]:
@@ -190,13 +155,19 @@ class ConsistentHashRing:
 
     def shard_for(self, key: str) -> int:
         """The shard owning ``key``: first virtual node clockwise of its hash."""
-        if not self._ring:
+        shard_id = self._placements.get(key)
+        if shard_id is not None:
+            return shard_id
+        ring = self._ring
+        if not ring:
             raise ValueError("cannot place keys on an empty ring")
-        position = mixed_uint64(key)
-        index = bisect.bisect_left(self._ring, (position, -1))
-        if index == len(self._ring):
-            index = 0
-        return self._ring[index][1]
+        index = bisect.bisect_left(ring, (mixed_uint64(key), -1))
+        shard_id = ring[index][1] if index < len(ring) else ring[0][1]
+        placements = self._placements
+        if len(placements) >= PLACEMENT_MEMO_SIZE:
+            placements.clear()
+        placements[key] = shard_id
+        return shard_id
 
     def distribution(self, keys: Iterable[str]) -> Dict[int, int]:
         """Key counts per shard for ``keys`` (diagnostics and tests)."""

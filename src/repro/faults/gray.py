@@ -22,7 +22,10 @@ conditions, mutated by :class:`~repro.faults.injector.FaultInjector` when a
   the primary applied the write (a lost ack -- never retried).
 
 The state draws no randomness while both registries are empty
-(:attr:`active` is ``False``), which keeps no-fault runs byte-identical.
+(:attr:`~GrayFailureState.active` is ``False``), which keeps no-fault runs
+byte-identical.  ``active`` is a plain attribute kept current by every
+mutation, so the request paths test it for free and call into this module
+only while a condition is in force.
 """
 
 from __future__ import annotations
@@ -35,21 +38,29 @@ from repro.errors import ConfigurationError
 __all__ = ["GrayFailureState"]
 
 
+class _ShardTargets(dict):
+    """``shard_id -> "shard:N"``, each string built on first use only."""
+
+    __slots__ = ()
+
+    def __missing__(self, shard_id: int) -> str:
+        target = self[shard_id] = f"shard:{shard_id}"
+        return target
+
+
 class GrayFailureState:
     """Registry of live slow/flaky conditions keyed by fault-plan target."""
 
-    __slots__ = ("_seed", "_slow", "_flaky", "_rngs")
+    __slots__ = ("_seed", "_slow", "_flaky", "_rngs", "_shard_targets", "active")
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._slow: Dict[str, float] = {}
         self._flaky: Dict[str, float] = {}
         self._rngs: Dict[str, random.Random] = {}
-
-    @property
-    def active(self) -> bool:
-        """Any gray condition currently in force?"""
-        return bool(self._slow) or bool(self._flaky)
+        self._shard_targets: Dict[int, str] = _ShardTargets()
+        #: Any gray condition currently in force?
+        self.active = False
 
     # -- mutation (driven by the fault injector) ----------------------------------------
 
@@ -57,16 +68,19 @@ class GrayFailureState:
         if factor < 1.0:
             raise ConfigurationError("slow factor must be >= 1")
         self._slow[target] = float(factor)
+        self.active = True
 
     def set_flaky(self, target: str, rate: float) -> None:
         if not 0.0 < rate <= 1.0:
             raise ConfigurationError("flaky drop rate must be in (0, 1]")
         self._flaky[target] = float(rate)
+        self.active = True
 
     def restore(self, target: str) -> None:
         """Clear every gray condition on ``target`` (missing is a no-op)."""
         self._slow.pop(target, None)
         self._flaky.pop(target, None)
+        self.active = bool(self._slow) or bool(self._flaky)
 
     # -- queries ------------------------------------------------------------------------
 
@@ -74,7 +88,7 @@ class GrayFailureState:
         """Latency multiplier for a request served by ``node_id`` on a shard."""
         if not self._slow:
             return 1.0
-        factor = self._slow.get(f"shard:{shard_id}", 1.0)
+        factor = self._slow.get(self._shard_targets[shard_id], 1.0)
         if node_id is not None:
             factor = max(factor, self._slow.get(node_id, 1.0))
         return factor
@@ -83,7 +97,7 @@ class GrayFailureState:
         """Seeded pre-admission drop decision for a shard-level flaky target."""
         if not self._flaky:
             return False
-        target = f"shard:{shard_id}"
+        target = self._shard_targets[shard_id]
         rate = self._flaky.get(target, 0.0)
         if rate <= 0.0:
             return False

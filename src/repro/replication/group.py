@@ -55,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nothing
     from repro.core.server import QuaestorServer
     from repro.ttl.base import TTLEstimator
 
+#: Trace attribute text of each level (``.value`` is a property call).
+_LEVEL_NAMES = {level: level.value for level in ConsistencyLevel}
+
 #: Builds a fresh primary server on a promoted replica's database.  The
 #: Expiring Bloom Filter and TTL estimator are handed through so the
 #: coherence state survives the failover (see the module docstring).
@@ -97,7 +100,8 @@ class ReplicaGroup:
             self.nodes.append(node)
 
         self._server: "QuaestorServer" = server
-        self._primary_index = 0
+        #: The serving primary's node (re-pointed on failover and recovery).
+        self.primary_node: ReplicaNode = primary
         self._read_rr = 0
         self._partitions: Set[frozenset] = set()
         self.last_served_node_id = primary.node_id
@@ -120,16 +124,15 @@ class ReplicaGroup:
         #: state a deployment without resilience ever sees -- changes
         #: nothing about candidate selection.
         self.breaker_gate: Optional[Callable[[str], bool]] = None
+        #: Optional :class:`repro.obs.TraceRecorder` (bound once by the
+        #: cluster); replica selections become ``replica.select`` events.
+        self.tracer = None
         self._unsubscribe = database.subscribe(self._ship)
 
     def _node_id(self, index: int) -> str:
         return f"s{self.shard_id}:n{index}"
 
     # -- membership / introspection ------------------------------------------------------
-
-    @property
-    def primary_node(self) -> ReplicaNode:
-        return self.nodes[self._primary_index]
 
     @property
     def primary_node_id(self) -> str:
@@ -155,11 +158,7 @@ class ReplicaGroup:
         raise KeyError(f"no node {node_id!r} in replica group of shard {self.shard_id}")
 
     def replica_nodes(self) -> List[ReplicaNode]:
-        return [
-            node
-            for index, node in enumerate(self.nodes)
-            if index != self._primary_index
-        ]
+        return [node for node in self.nodes if node is not self.primary_node]
 
     def alive_replicas(self) -> List[ReplicaNode]:
         return [node for node in self.replica_nodes() if node.alive]
@@ -190,11 +189,11 @@ class ReplicaGroup:
                 {
                     "node_id": node.node_id,
                     "alive": node.alive,
-                    "role": "primary" if index == self._primary_index else "replica",
+                    "role": "primary" if node is self.primary_node else "replica",
                     "applied_sequence": node.applied_sequence,
                     "backlog": node.lag_records,
                 }
-                for index, node in enumerate(self.nodes)
+                for node in self.nodes
             ],
             "promotions": len(self.promotions),
         }
@@ -203,11 +202,8 @@ class ReplicaGroup:
 
     def _ship(self, event: ChangeEvent) -> None:
         """Fan one acknowledged primary write out to every live replica."""
-        replicas = [
-            node
-            for index, node in enumerate(self.nodes)
-            if index != self._primary_index and node.alive
-        ]
+        primary = self.primary_node
+        replicas = [node for node in self.nodes if node is not primary and node.alive]
         if not replicas:
             return
         for node in replicas:
@@ -233,37 +229,44 @@ class ReplicaGroup:
         :class:`~repro.errors.ShardUnavailableError` when no node can serve
         the request at the requested level.
         """
+        primary = self.primary_node
         if len(self.nodes) == 1:
             # RF=1 fast path: every level routes to the sole primary.  No
             # candidate lists, no level coercion -- the record-read hot path
             # of an unreplicated cluster stays as lean as before this layer.
-            if not self.primary_node.alive:
+            if not primary.alive:
                 self.counters.increment("unavailable_reads")
                 raise ShardUnavailableError(
                     f"shard {self.shard_id}: primary down and unreplicated"
                 )
             return self._primary_read(collection, document_id)
         now = self.clock.now()
-        level = self._coerce_level(consistency)
+        level = (
+            consistency
+            if consistency.__class__ is ConsistencyLevel
+            else self._coerce_level(consistency)
+        )
 
-        if level.always_revalidates:
+        if level is ConsistencyLevel.STRONG:
             # STRONG: only the primary can linearize.
-            if not self.primary_alive:
+            if not primary.alive:
                 self.counters.increment("unavailable_reads")
                 raise ShardUnavailableError(
                     f"shard {self.shard_id}: primary down, strong read cannot be served"
                 )
             return self._primary_read(collection, document_id)
 
-        candidates: List[Tuple[ReplicaNode, bool]] = []
-        stale_candidates: List[Tuple[ReplicaNode, bool]] = []
-        if self.primary_alive:
-            candidates.append((self.primary_node, True))
-        for node in self.replica_nodes():
-            if not node.alive:
+        # Candidates are the live primary first, then the eligible replicas
+        # in node order; the read rotation picks among them.
+        candidates: List[ReplicaNode] = [primary] if primary.alive else []
+        stale_candidates: Optional[List[ReplicaNode]] = None
+        breaker_gate = self.breaker_gate
+        max_staleness = self.config.max_replica_staleness
+        for node in self.nodes:
+            if node is primary or not node.alive:
                 continue
             node.deliver_until(now)
-            if self.breaker_gate is not None and not self.breaker_gate(node.node_id):
+            if breaker_gate is not None and not breaker_gate(node.node_id):
                 # The resilience layer's per-replica breaker is open for this
                 # node (e.g. it has been dropping acks): route around it.
                 self.counters.increment("breaker_skipped_replicas")
@@ -271,34 +274,36 @@ class ReplicaGroup:
             if level is ConsistencyLevel.CAUSAL and not node.caught_up_to(min_timestamp):
                 self.counters.increment("causal_replica_skips")
                 continue
-            if node.staleness_at(now) > self.config.max_replica_staleness:
+            if node.staleness_at(now) > max_staleness:
                 # Beyond the Delta budget (partitioned or deeply backlogged):
                 # not eligible while fresher nodes exist, but kept as the
                 # fail-stale last resort when the primary is down.
                 self.counters.increment("stale_replica_skips")
-                stale_candidates.append((node, False))
+                if stale_candidates is None:
+                    stale_candidates = []
+                stale_candidates.append(node)
                 continue
-            candidates.append((node, False))
+            candidates.append(node)
         if not candidates:
             # Fail-stale availability beats refusing entirely: during an
             # outage an over-bound replica may still answer (the staleness
             # auditor measures exactly this window).
+            if not stale_candidates:
+                self.counters.increment("unavailable_reads")
+                raise ShardUnavailableError(
+                    f"shard {self.shard_id}: no node can serve a {level.value} read"
+                )
             candidates = stale_candidates
-        if not candidates:
-            self.counters.increment("unavailable_reads")
-            raise ShardUnavailableError(
-                f"shard {self.shard_id}: no node can serve a {level.value} read"
-            )
 
-        node, is_primary = candidates[self._read_rr % len(candidates)]
+        node = candidates[self._read_rr % len(candidates)]
         self._read_rr += 1
-        tracer = getattr(self._server, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             tracer.event(
                 "replica.select",
-                "node", node.node_id, "candidates", len(candidates), "level", level.value,
+                "node", node.node_id, "candidates", len(candidates), "level", _LEVEL_NAMES[level],
             )
-        if is_primary:
+        if node is primary:
             return self._primary_read(collection, document_id)
         return self._replica_read(node, collection, document_id, now)
 
@@ -311,8 +316,8 @@ class ReplicaGroup:
         return ConsistencyLevel(consistency)
 
     def _primary_read(self, collection: str, document_id: str) -> Response:
-        self.counters.increment("primary_reads")
-        self.last_served_node_id = self.primary_node_id
+        self.counters.counts["primary_reads"] += 1
+        self.last_served_node_id = self.primary_node.node_id
         return self._server.handle_read(collection, document_id)
 
     def _replica_read(
@@ -327,8 +332,9 @@ class ReplicaGroup:
         """
         self.last_served_node_id = node.node_id
         try:
-            document = node.database.get(collection, document_id)
-            version = node.database.collection(collection).version(document_id)
+            records = node.database.collection(collection)
+            document = records.get(document_id)
+            version = records.version(document_id)
         except (CollectionNotFoundError, DocumentNotFoundError):
             # The replica has not applied the insert yet.  A lagging *value*
             # is bounded staleness, but a 404 for an acknowledged document
@@ -340,7 +346,7 @@ class ReplicaGroup:
             if self.primary_alive:
                 return self._primary_read(collection, document_id)
             return Response.uncacheable(None, status=StatusCode.NOT_FOUND)
-        self.counters.increment("replica_reads")
+        self.counters.counts["replica_reads"] += 1
         return render_record_read(
             collection,
             document_id,
@@ -415,7 +421,7 @@ class ReplicaGroup:
         live = [
             (index, node)
             for index, node in enumerate(self.nodes)
-            if node.alive and index != self._primary_index
+            if node.alive and node is not self.primary_node
         ]
         for _index, node in live:
             node.deliver_until(timestamp)
@@ -451,7 +457,6 @@ class ReplicaGroup:
             lost_count = stream.last_sequence - since
 
         previous = deposed.node_id
-        self._primary_index = best_index
         self._install_server(best, timestamp)
 
         # Surviving replicas may have applied past (or diverged from) the new
@@ -537,13 +542,12 @@ class ReplicaGroup:
             lost = node.link.pending_records()
             node.link.clear()
             self._absorb_lost_records(node, lost, timestamp)
-        self._primary_index = self.nodes.index(node)
         self._install_server(node, timestamp)
         self._apply_partitions()
         return "primary"
 
     def _install_server(self, node: ReplicaNode, timestamp: float) -> None:
-        """Make ``node`` the serving primary: new epoch, server, shipping.
+        """Make ``node`` the serving primary: role, new epoch, server, shipping.
 
         The database is first topped up with every collection the shard has
         ever materialised (the node may have been down when one was created;
@@ -552,6 +556,7 @@ class ReplicaGroup:
         """
         for name in self._known_collections:
             node.database.create_collection(name)
+        self.primary_node = node
         self._epoch += 1
         node.epoch = self._epoch
         self._server = self.server_factory(node.database, self.ebf, self.ttl_estimator)

@@ -23,7 +23,7 @@ Links model two failure behaviours:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from repro.db.changestream import ChangeEvent
 
@@ -70,12 +70,16 @@ class ReplicationLink:
         self._pending.append(record)
         self.shipped += 1
 
-    def take_ready(self, now: float) -> List[LogRecord]:
-        """Pop every record whose delivery time has passed (FIFO order)."""
-        if self.partitioned:
-            return []
-        ready: List[LogRecord] = []
+    def take_ready(self, now: float) -> Sequence[LogRecord]:
+        """Pop every record whose delivery time has passed (FIFO order).
+
+        Nothing due -- the common case of a read-path delivery check --
+        returns the shared empty tuple without building a list.
+        """
         pending = self._pending
+        if self.partitioned or not pending or pending[0].apply_at > now:
+            return ()
+        ready: List[LogRecord] = []
         while pending and pending[0].apply_at <= now:
             ready.append(pending.popleft())
         self.delivered += len(ready)

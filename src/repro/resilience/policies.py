@@ -201,6 +201,8 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May a request go out right now?  (Half-open admits one probe.)"""
+        if self._state == BREAKER_CLOSED:
+            return True
         self._maybe_half_open()
         if self._state == BREAKER_OPEN:
             return False

@@ -72,31 +72,40 @@ class RequestTrace:
 class ResilienceRuntime:
     """Mutable resilience state for one cluster (see module docstring)."""
 
-    __slots__ = ("config", "clock", "rng", "_breakers", "_trace", "attempt_counters")
+    __slots__ = (
+        "config",
+        "clock",
+        "rng",
+        "read_attempts",
+        "write_attempts",
+        "_breakers",
+        "_trace",
+        "touched",
+        "attempt_counters",
+    )
 
     def __init__(self, config: ResilienceConfig, clock: Clock) -> None:
         self.config = config
         self.clock = clock
         self.rng = random.Random(config.seed)
+        retry = config.retry
+        #: Attempts per request (the config is frozen, so fixed per runtime).
+        self.read_attempts = retry.max_attempts if retry is not None else 1
+        # Writes share the read budget; idempotency is enforced by *where*
+        # the retry loop sits (pre-admission only), not by a smaller count.
+        self.write_attempts = self.read_attempts
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._trace = RequestTrace()
+        #: Whether :attr:`trace` was handed out since the last
+        #: :meth:`take_trace`; an untouched trace is empty, so a request
+        #: the layer did nothing for drains without looking at it.
+        self.touched = False
         #: Optional ``resilience_attempts_total`` counters by ``kind``
         #: (``repro.obs.MetricsRegistry.counters``); drained traces publish
         #: into them.
         self.attempt_counters = None
 
     # -- retry / deadline ---------------------------------------------------------------
-
-    @property
-    def read_attempts(self) -> int:
-        retry = self.config.retry
-        return retry.max_attempts if retry is not None else 1
-
-    @property
-    def write_attempts(self) -> int:
-        # Writes share the read budget; idempotency is enforced by *where*
-        # the retry loop sits (pre-admission only), not by a smaller count.
-        return self.read_attempts
 
     def backoff(self, attempt: int) -> float:
         retry = self.config.retry
@@ -124,13 +133,20 @@ class ResilienceRuntime:
         return breaker
 
     def allow(self, key: str) -> bool:
-        breaker = self.breaker(key)
-        return True if breaker is None else breaker.allow()
+        breaker = self._breakers.get(key)
+        if breaker is None:
+            breaker = self.breaker(key)
+            if breaker is None:
+                return True
+        return breaker.allow()
 
     def record_success(self, key: str) -> None:
-        breaker = self.breaker(key)
-        if breaker is not None:
-            breaker.record_success()
+        breaker = self._breakers.get(key)
+        if breaker is None:
+            breaker = self.breaker(key)
+            if breaker is None:
+                return
+        breaker.record_success()
 
     def record_failure(self, key: str) -> None:
         breaker = self.breaker(key)
@@ -153,10 +169,13 @@ class ResilienceRuntime:
 
     @property
     def trace(self) -> RequestTrace:
+        """The current request's trace, for writing (marks it touched)."""
+        self.touched = True
         return self._trace
 
     def take_trace(self) -> RequestTrace:
         """Return the current trace and reset it (no-op when empty)."""
+        self.touched = False
         trace = self._trace
         if not trace.empty:
             self._trace = RequestTrace()

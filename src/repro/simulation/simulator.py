@@ -51,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 #: Cost-span name of a read served at each cache level.
 _NET_STAGE = {"client": "net.client", "cdn": "net.cdn", "origin": "net.origin"}
+#: History text of each operation type (``.value`` is a property call).
+_OPERATION_NAMES = {kind: kind.value for kind in OperationType}
 
 
 class CachingMode(str, enum.Enum):
@@ -613,7 +615,7 @@ class Simulator:
                 version = -1  # tombstone: acknowledged deletes carry no body
             self.history.record_operation(
                 session=client.name,
-                op=operation.type.value,
+                op=_OPERATION_NAMES[operation.type],
                 key=key,
                 invoked=start_time,
                 completed=completion,
@@ -639,7 +641,8 @@ class Simulator:
             latency = self._read_path_latency(level, result.key)
             for extra_level in result.extra_levels:
                 latency += self._read_path_latency(extra_level, None)
-            if self._resilience_runtime is not None:
+            runtime = self._resilience_runtime
+            if runtime is not None and runtime.touched:
                 latency = self._drain_resilience(latency, level)
             return latency, "query", result.key, result.etag, level, result
 
@@ -647,7 +650,8 @@ class Simulator:
             result = client.read(operation.collection, operation.document_id)
             level = result.level
             latency = self._read_path_latency(level, result.key)
-            if self._resilience_runtime is not None:
+            runtime = self._resilience_runtime
+            if runtime is not None and runtime.touched:
                 latency = self._drain_resilience(latency, level)
             return latency, "read", result.key, result.etag, level, result
 
@@ -737,8 +741,9 @@ class Simulator:
             return self._maybe_hedge(latency * factor, group)
         factor = 1.0
         for group in cluster.groups:
-            if group.primary_alive:
-                node_factor = gray.slow_factor(group.shard_id, group.primary_node_id)
+            primary = group.primary_node
+            if primary.alive:
+                node_factor = gray.slow_factor(group.shard_id, primary.node_id)
                 if node_factor > factor:
                     factor = node_factor
         return latency * factor if factor > 1.0 else latency
@@ -783,7 +788,7 @@ class Simulator:
             return latency
         shard_id = cluster.router.shard_for_operation(operation)
         group = cluster.groups[shard_id]
-        factor = cluster.gray.slow_factor(shard_id, group.primary_node_id)
+        factor = cluster.gray.slow_factor(shard_id, group.primary_node.node_id)
         return latency * factor if factor > 1.0 else latency
 
     def _drain_resilience(self, latency: float, level: str) -> float:
@@ -793,10 +798,11 @@ class Simulator:
         waits are added verbatim, and a request the breaker rejected before
         any network attempt costs nothing at all (the fast-fail is the whole
         point of the breaker).  No-op -- zero draws, zero float ops -- when
-        the trace is empty, which it always is on no-fault runs.
+        the trace is empty, which it always is on no-fault runs: a trace
+        nothing touched is not even taken.
         """
         runtime = self._resilience_runtime
-        if runtime is None:
+        if runtime is None or not runtime.touched:
             return latency
         trace = runtime.take_trace()
         if trace.empty:
@@ -847,7 +853,7 @@ class Simulator:
         if self.cluster is None:
             return 0
         shard_id = self.cluster.router.shard_for_operation(operation)
-        return self.cluster.groups[shard_id].primary_node_id
+        return self.cluster.groups[shard_id].primary_node.node_id
 
     def _origin_wait_for_key(self, key: Optional[str]) -> float:
         """Origin queueing for one request, routed by its cache key.
@@ -880,9 +886,9 @@ class Simulator:
             shard_id = self.cluster.router.shard_for_key(key)
             return self._origin_wait(groups[shard_id].last_served_node_id)
         waits = [
-            self._origin_wait(group.primary_node_id)
+            self._origin_wait(group.primary_node.node_id)
             for group in groups
-            if group.primary_alive
+            if group.primary_node.alive
         ]
         return max(waits) if waits else 0.0
 

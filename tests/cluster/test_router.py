@@ -156,7 +156,7 @@ class TestOperationRouting:
         assert router.imbalance() < 2.0
 
     def test_router_uses_the_shared_statistics_table(self):
-        """Router and HashSharder imbalance come from one helper (no drift)."""
+        """The router's imbalance figure is the shared statistics table's."""
         from repro.db.sharding import ShardStatisticsTable
 
         router = ShardRouter(num_shards=3)

@@ -1,4 +1,4 @@
-"""Tests for the database facade: collections, change stream, sharding stats."""
+"""Tests for the database facade: collections, CRUD, change stream."""
 
 from __future__ import annotations
 
@@ -76,18 +76,3 @@ class TestChangeStreamIntegration:
         database.insert("a", {"_id": "2"})
         assert len(events) == 1
 
-
-class TestSharding:
-    def test_shard_statistics_accumulate(self, database):
-        for index in range(50):
-            database.insert("posts", {"_id": f"p{index}"})
-        for index in range(50):
-            database.get("posts", f"p{index}")
-        stats = database.sharder.statistics()
-        assert sum(shard.writes for shard in stats) == 50
-        assert sum(shard.reads for shard in stats) == 50
-
-    def test_hash_sharding_is_reasonably_balanced(self, database):
-        for index in range(400):
-            database.insert("posts", {"_id": f"p{index}"})
-        assert database.sharder.imbalance() < 1.5

@@ -1,4 +1,4 @@
-"""Tests for hash sharding and the change stream container."""
+"""Tests for the shard statistics table and the change stream container."""
 
 from __future__ import annotations
 
@@ -6,40 +6,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
-from repro.db.sharding import HashSharder, ShardStatisticsTable
-
-
-class TestHashSharder:
-    def test_placement_is_deterministic(self):
-        sharder = HashSharder(4)
-        assert sharder.shard_for("posts", "p1") == sharder.shard_for("posts", "p1")
-
-    def test_placement_in_range(self):
-        sharder = HashSharder(3)
-        for index in range(100):
-            assert 0 <= sharder.shard_for("posts", f"p{index}") < 3
-
-    def test_rejects_non_positive_shards(self):
-        with pytest.raises(ValueError):
-            HashSharder(0)
-
-    def test_counters_track_reads_and_writes(self):
-        sharder = HashSharder(2)
-        shard = sharder.record_write("posts", "p1")
-        sharder.record_read("posts", "p1")
-        stats = sharder.statistics()
-        assert stats[shard].writes == 1
-        assert stats[shard].reads == 1
-        assert stats[shard].operations == 2
-
-    def test_balanced_distribution(self):
-        sharder = HashSharder(4)
-        for index in range(2000):
-            sharder.record_write("posts", f"doc-{index}")
-        assert sharder.imbalance() < 1.25
-
-    def test_imbalance_of_idle_sharder_is_one(self):
-        assert HashSharder(3).imbalance() == 1.0
+from repro.db.sharding import ShardStatisticsTable
 
 
 def _event(sequence: int, document_id: str = "d1") -> ChangeEvent:
@@ -92,13 +59,6 @@ class TestShardStatisticsTable:
         table = ShardStatisticsTable([2, 0, 1])
         assert [stats.shard_id for stats in table.statistics()] == [0, 1, 2]
         assert [stats.shard_id for stats in table.statistics([2, 0])] == [2, 0]
-
-    def test_hash_sharder_delegates_to_the_shared_table(self):
-        sharder = HashSharder(4)
-        assert isinstance(sharder._table, ShardStatisticsTable)
-        for index in range(100):
-            sharder.record_write("posts", f"doc-{index}")
-        assert sharder.imbalance() == sharder._table.imbalance()
 
 
 class TestChangeStream:
