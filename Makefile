@@ -28,7 +28,8 @@
 #                                   run the Δ-atomicity/session-guarantee checkers
 #                                   (zero violations required) and the mutation
 #                                   self-test (every injected breach detected),
-#                                   then the slow_chaos pytest cells
+#                                   then the slow_chaos pytest cells and the
+#                                   online-vs-replayed staleness differential
 #   make verify-consistency-smoke - one representative scenario per fault
 #                                   archetype; the quick CI gate
 #   make obs-smoke       - seeded brownout scenario with tracing on: asserts the
@@ -48,6 +49,11 @@
 #                          collector seconds and share, collections per
 #                          generation, GC-tracked objects retained per op by type
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
+#   make unused-functions - report-only census: every def under src/repro that
+#                          no non-test entry point (benchmark workloads, verify
+#                          and obs smokes, fast examples, figure harnesses, a
+#                          4-partition run) calls, listed by name and body
+#                          lines under its module
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -63,7 +69,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check
+.PHONY: test bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
@@ -125,3 +131,6 @@ retained:
 
 docs-check:
 	$(PYTHON) scripts/docs_check.py
+
+unused-functions:
+	PYTHONPATH=src $(PYTHON) scripts/unused_functions.py

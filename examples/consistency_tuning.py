@@ -41,11 +41,10 @@ def sweep_delta() -> None:
             max_operations=5_000,
             seed=5,
         )
-        simulator = Simulator(config)
-        result = simulator.run()
+        result = Simulator(config).run()
         print(
             f"{delta:>10.1f} | {result.client_query_hit_rate:>14.2%} | "
-            f"{result.query_stale_rate:>13.2%} | {simulator.auditor.max_staleness:>17.2f}"
+            f"{result.query_stale_rate:>13.2%} | {result.aggregate.max_staleness:>17.2f}"
         )
     print("staleness never exceeds Delta by more than the invalidation delay -- Theorem 1.\n")
 

@@ -113,9 +113,9 @@ def main() -> None:
         if read_result.level == "error":
             bucket["read_errors"] += 1
         elif read_result.etag is not None:
-            audit = cluster.auditor.audit_read(read_result.key, read_result.etag, now)
+            staleness = cluster.auditor.audit_read(read_result.key, read_result.etag, now)
             bucket["reads_audited"] += 1
-            if audit.stale:
+            if staleness is not None:
                 bucket["stale_reads"] += 1
 
         # Every second, an author edits a post.

@@ -69,10 +69,7 @@ checks and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.verify.history import HistoryRecorder
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.clock import Clock, VirtualClock
@@ -132,7 +129,9 @@ class QuaestorCluster:
         InvaliDB matching nodes *per shard*.
     auditor:
         Shared staleness auditor; record versions are global, so one auditor
-        observes the whole cluster.
+        observes the whole cluster -- every shard server, failover promotion
+        and scatter merge installs through it (and through it into an
+        attached history recorder).
     dataset:
         Optional dataset loaded (routed by record key) into the shard
         databases *before* the servers subscribe to the change streams,
@@ -152,7 +151,6 @@ class QuaestorCluster:
         replication: Optional[ReplicationConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         gray_seed: int = 0,
-        history: Optional["HistoryRecorder"] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -165,9 +163,6 @@ class QuaestorCluster:
         #: its shard-level gray conditions), built once.
         self._shard_keys = tuple(f"shard:{shard_id}" for shard_id in range(num_shards))
         self.auditor = auditor if auditor is not None else StalenessAuditor()
-        #: Shared history recorder (like the auditor, installs are global);
-        #: threaded into every shard server, including failover promotions.
-        self.history = history
         self.counters = Counter()
         self.replication = replication if replication is not None else ReplicationConfig()
         self._matching_nodes = matching_nodes
@@ -193,7 +188,6 @@ class QuaestorCluster:
                     config=self.config,
                     invalidb=InvaliDBCluster(matching_nodes=matching_nodes),
                     auditor=self.auditor,
-                    history=self.history,
                 ),
             )
             for shard_id, database in enumerate(databases)
@@ -270,7 +264,6 @@ class QuaestorCluster:
             ttl_estimator=ttl_estimator,
             ebf=ebf,
             auditor=self.auditor,
-            history=self.history,
         )
         # Promoted primaries keep emitting spans like the server they replace.
         server.tracer = self.tracer
@@ -300,17 +293,6 @@ class QuaestorCluster:
     def shard_for_record(self, collection: str, document_id: str) -> QuaestorShard:
         """The shard owning ``collection/document_id``."""
         return self.shards[self.router.shard_for_record(collection, document_id)]
-
-    def record_authoritative(self, key: str, token: str, timestamp: float) -> None:
-        """Record a cluster-level authoritative install (scatter merges).
-
-        Mirrors :meth:`QuaestorServer.record_authoritative`: the shared
-        auditor and (when attached) the offline history recorder see the
-        same timeline.
-        """
-        self.auditor.record_version(key, token, timestamp)
-        if self.history is not None:
-            self.history.record_install(key, token, timestamp)
 
     # -- fleet-wide wiring --------------------------------------------------------------
 
@@ -684,7 +666,7 @@ class QuaestorCluster:
             return Response.uncacheable(body)
 
         etag = etag_for_result(window_versions)
-        self.record_authoritative(query.cache_key, etag, now)
+        self.auditor.record_version(query.cache_key, etag, now)
 
         # Min-TTL wins: the merged entry may only live as long as every shard
         # sub-result vouches for.  One uncacheable sub-result (capacity

@@ -45,7 +45,7 @@ class ClusterMetrics:
         not just the tenure of its current primary.
         """
         merged: Dict[int, Dict[str, float]] = {}
-        retired = getattr(self._cluster, "_retired_statistics", {})
+        retired = self._cluster._retired_statistics
         for shard in self._cluster.shards:
             snapshot = dict(shard.server.statistics())
             for name, value in retired.get(shard.shard_id, {}).items():
@@ -72,7 +72,7 @@ class ClusterMetrics:
             snapshot[name] = value
         # Breaker-state gauges exist only when a resilience layer is
         # attached, so snapshots of pre-resilience deployments are unchanged.
-        runtime = getattr(self._cluster, "resilience_runtime", None)
+        runtime = self._cluster.resilience_runtime
         if runtime is not None:
             snapshot.update(runtime.breaker_state_counts())
         return snapshot

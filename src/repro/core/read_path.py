@@ -142,7 +142,7 @@ class ReadPipeline:
     def fingerprint(self, ctx: ReadContext) -> None:
         """Derive the result etag and record it with the staleness auditor."""
         ctx.etag = etag_for_result(ctx.versions)
-        self.server.record_authoritative(ctx.cache_key, ctx.etag, ctx.now)
+        self.server.auditor.record_version(ctx.cache_key, ctx.etag, ctx.now)
 
     def probe_admission(self, ctx: ReadContext) -> bool:
         """Phase-one admission: would this query be worth caching?"""
@@ -246,9 +246,7 @@ class ReadPipeline:
         )
         # Primary-only: the authoritative version enters the audit history
         # (replica reads share the rendering above but never this record).
-        server.record_authoritative(
-            record_key(collection, document_id), response.etag, now
-        )
+        server.auditor.record_version(record_key(collection, document_id), response.etag, now)
         return response
 
     def run_query(self, query: Query) -> Response:

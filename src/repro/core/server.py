@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.consistency import ConsistencyLevel
-    from repro.verify.history import HistoryRecorder
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.expiring import ExpiringBloomFilter
@@ -93,7 +92,6 @@ class QuaestorServer:
         ttl_estimator: Optional[TTLEstimator] = None,
         ebf: Optional[ExpiringBloomFilter] = None,
         auditor: Optional["StalenessAuditor"] = None,
-        history: Optional["HistoryRecorder"] = None,
     ) -> None:
         self.database = database
         self.config = config if config is not None else QuaestorConfig()
@@ -126,10 +124,8 @@ class QuaestorServer:
         # package, which itself builds on the core package.
         from repro.simulation.staleness import StalenessAuditor
 
+        #: Every authoritative install enters ``auditor.record_version``.
         self.auditor = auditor if auditor is not None else StalenessAuditor()
-        #: Optional history recorder mirroring every authoritative version
-        #: install for offline consistency checking (:mod:`repro.verify`).
-        self.history = history
         #: Optional :class:`repro.obs.TraceRecorder`; events are only emitted
         #: inside an open (sampled) request span, so background notification
         #: pumps stay silent.
@@ -157,19 +153,6 @@ class QuaestorServer:
 
     def now(self) -> float:
         return self._clock.now()
-
-    def record_authoritative(self, key: str, token: str, timestamp: float) -> None:
-        """Record that ``key``'s authoritative content became ``token``.
-
-        Single chokepoint for every install site (write stream, query
-        fingerprints, invalidation markers): feeds both the online
-        :class:`StalenessAuditor` and, when attached, the offline history
-        recorder -- so the Δ-atomicity checker scores reads against
-        exactly the timeline the auditor uses.
-        """
-        self.auditor.record_version(key, token, timestamp)
-        if self.history is not None:
-            self.history.record_install(key, token, timestamp)
 
     def register_purge_target(self, target: PurgeTarget) -> None:
         """Register an invalidation-based cache (or purge callback) to purge."""
@@ -359,7 +342,7 @@ class QuaestorServer:
             version_token = f"deleted@{event.sequence}"
         else:
             version_token = etag_for_version(collection, document_id, event.version)
-        self.record_authoritative(key, version_token, timestamp)
+        self.auditor.record_version(key, version_token, timestamp)
 
         # The record itself becomes stale in all caches holding it.
         self._invalidate_key(key, timestamp)
@@ -397,7 +380,7 @@ class QuaestorServer:
                 query_key, actual_ttl, notification.timestamp
             )
         self.capacity.record_invalidation(query_key)
-        self.record_authoritative(
+        self.auditor.record_version(
             query_key, f"invalidated@{notification.timestamp:.6f}", notification.timestamp
         )
         self._invalidate_key(query_key, notification.timestamp)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.simulation.aggregate import RunAggregate
 from repro.simulation.event_queue import EventQueue, ScheduledEvent
 from repro.simulation.latency import LatencyModel, NetworkTopology, REGION_RTT_SECONDS
-from repro.simulation.staleness import ReadAudit, StalenessAuditor
+from repro.simulation.staleness import StalenessAuditor
 from repro.simulation.simulator import (
     CachingMode,
     SimulationConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "LatencyModel",
     "NetworkTopology",
     "REGION_RTT_SECONDS",
-    "ReadAudit",
     "StalenessAuditor",
     "RunAggregate",
     "CachingMode",

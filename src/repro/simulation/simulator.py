@@ -255,15 +255,15 @@ class Simulator:
         if config.ttl_estimator is not None:
             # Applied after any mode substitution so the knob always wins.
             quaestor_config = replace(quaestor_config, ttl_estimator=config.ttl_estimator)
-        self.auditor = StalenessAuditor()
-        #: Offline-verification history: shared by the deployment's install
-        #: sites and this simulator's per-operation recording.  ``None``
-        #: (the default) keeps every path recording-free.
+        #: Offline-verification history: installs enter it through the
+        #: auditor, operations through this simulator.  ``None`` (the
+        #: default) keeps every path recording-free.
         self.history: Optional["HistoryRecorder"] = None
         if config.record_history:
             from repro.verify.history import HistoryRecorder
 
             self.history = HistoryRecorder()
+        self.auditor = StalenessAuditor(recorder=self.history)
         #: Observability: the trace recorder and metrics registry shared by
         #: every layer of the deployment.  ``None`` (the default) keeps the
         #: request path instrumentation-free beyond one ``is None`` check
@@ -316,7 +316,6 @@ class Simulator:
                 replication=replication,
                 resilience=config.resilience,
                 gray_seed=config.seed,
-                history=self.history,
                 tracer=self.tracer,
                 metrics=self.metrics_registry,
             )
@@ -332,7 +331,6 @@ class Simulator:
                 config=quaestor_config,
                 invalidb=InvaliDBCluster(matching_nodes=config.matching_nodes),
                 auditor=self.auditor,
-                history=self.history,
             )
             self.server.tracer = self.tracer
 
@@ -428,6 +426,8 @@ class Simulator:
             "write": Counter(),
         }
         self._stale_counts = Counter()
+        #: How long each stale measured read had been superseded, in audit order.
+        self._staleness_samples: List[float] = []
         self._hedged_reads = 0
         self._hedge_wins = 0
         #: (hedged, retried, fast_failed) markers of the operation in flight,
@@ -596,15 +596,14 @@ class Simulator:
                 and etag is not None
                 and (op_class == "read" or op_class == "query")
             ):
-                audit = self.auditor.audit_read(
-                    key, etag, start_time, degraded=(level == DEGRADED_LEVEL)
-                )
+                staleness = self.auditor.audit_read(key, etag, start_time)
                 stale_counts = self._stale_counts.counts
-                if audit.stale:
+                if staleness is not None:
                     stale_counts["stale_read" if op_class == "read" else "stale_query"] += 1
+                    self._staleness_samples.append(staleness)
                     if registry is not None:
                         self._stale_read_counters[op_class].inc()
-                if audit.degraded:
+                if level == DEGRADED_LEVEL:
                     stale_counts["degraded_served"] += 1
                 stale_counts["audited_read" if op_class == "read" else "audited_query"] += 1
 
@@ -907,7 +906,7 @@ class Simulator:
         start_time = self._measure_start_time if self._measure_start_time is not None else end_time
         measured_duration = max(1e-9, end_time - start_time)
         statistics = self.server.statistics()
-        staleness = self.auditor.staleness_samples()
+        staleness = self._staleness_samples
         injector = self.fault_injector
         resilience: Dict[str, int] = {}
         if self.config.resilience is not None:
@@ -939,7 +938,7 @@ class Simulator:
             stale_counts=self.stale_counts(),
             staleness_sum=float(sum(staleness)),
             staleness_count=len(staleness),
-            max_staleness=self.auditor.max_staleness,
+            max_staleness=max(staleness, default=0.0),
             replica_reads=statistics.get("replication_replica_reads", 0),
             primary_reads=statistics.get("replication_primary_reads", 0),
             failovers=statistics.get("cluster_failovers", 0),

@@ -11,10 +11,10 @@ Checkers
 * ``delta-atomicity`` — Golab-style per-key zone scoring: a read's score
   is how long its observed version token had been superseded when the
   read was invoked; any score above the configured Δ budget is a
-  violation.  The supersession logic replicates
-  :meth:`repro.simulation.staleness.StalenessAuditor.audit_read`
-  (latest occurrence ≤ invocation; in-flight and unknown tokens are
-  fresh) so zones agree with the online auditor.
+  violation.  The score is not computed here: the checker replays a
+  fresh :class:`repro.simulation.staleness.StalenessAuditor` over the
+  log in seq order, so each read gets the online auditor's own verdict
+  against the installs recorded before it.
 * ``read-your-writes`` — per session: a read of a key this session wrote
   must observe a version at least as new as the last acknowledged write.
 * ``monotonic-reads`` — per (session, key): observed record versions
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.client.sdk import DEGRADED_LEVEL, ERROR_LEVEL
+from repro.simulation.staleness import StalenessAuditor
 
 from .history import KIND_INSTALL, KIND_OPERATION, TOMBSTONE_VERSION, HistoryEvent
 
@@ -74,57 +75,20 @@ class CheckerReport:
         return not self.violations
 
 
-def _install_timelines(
-    events: Sequence[HistoryEvent],
-) -> Dict[str, List[Tuple[float, str]]]:
-    """Per-key authoritative (timestamp, token) timelines, in seq order."""
-    timelines: Dict[str, List[Tuple[float, str]]] = {}
-    for event in events:
-        if event.kind != KIND_INSTALL or event.etag is None:
-            continue
-        timeline = timelines.setdefault(event.key, [])
-        if timeline and timeline[-1][1] == event.etag:
-            continue
-        timeline.append((event.invoked, event.etag))
-    return timelines
-
-
-def _supersession_score(
-    timeline: List[Tuple[float, str]], token: str, read_time: float
-) -> Optional[float]:
-    """Seconds the observed token had been superseded at ``read_time``.
-
-    Returns ``None`` when the read is fresh: the token was current, only
-    became authoritative after the read started (in-flight write), or was
-    never recorded (pre-audit content).  Mirrors
-    ``StalenessAuditor.audit_read`` including the ABA rule: the relevant
-    occurrence is the *latest* one established before the read started.
-    """
-    superseded_at: Optional[float] = None
-    found = False
-    in_flight = False
-    for index in range(len(timeline) - 1, -1, -1):
-        timestamp, candidate = timeline[index]
-        if candidate != token:
-            continue
-        in_flight = True
-        if timestamp <= read_time:
-            found = True
-            if index + 1 < len(timeline):
-                superseded_at = timeline[index + 1][0]
-            break
-    if not found or superseded_at is None or superseded_at > read_time:
-        del in_flight  # fresh either way; kept for symmetry with the auditor
-        return None
-    return read_time - superseded_at
-
-
 def check_delta_atomicity(
     events: Sequence[HistoryEvent],
     delta_budget: float,
     degraded_budget: Optional[float] = None,
 ) -> CheckerReport:
-    """Score every read/query against the per-key install timeline.
+    """Replay the staleness auditor over the log and score every read/query.
+
+    Events are walked in seq order, the order a recorded history keeps
+    them in: each install enters a fresh :class:`StalenessAuditor`, and
+    each read or query is scored by its ``audit_read`` when the replay
+    reaches it.  A read is therefore judged against the installs recorded
+    before it -- exactly what the online auditor saw when it audited that
+    read.  An install stamped with the read's own instant but recorded
+    after it does not supersede the read.
 
     ``delta_budget`` is the Δ the system promises for ordinary reads;
     ``degraded_budget`` (default: same) applies to stale-if-error serves,
@@ -132,20 +96,19 @@ def check_delta_atomicity(
     """
     if degraded_budget is None:
         degraded_budget = delta_budget
-    timelines = _install_timelines(events)
+    auditor = StalenessAuditor()
     report = CheckerReport(checker="delta-atomicity", checked=0)
     zones: Dict[str, float] = {}
     worst = 0.0
     for event in events:
-        if event.kind != KIND_OPERATION or event.op not in ("read", "query"):
+        if event.kind == KIND_INSTALL:
+            if event.etag is not None:
+                auditor.record_version(event.key, event.etag, event.invoked)
             continue
-        if event.etag is None or event.level == ERROR_LEVEL:
+        if event.op not in ("read", "query") or event.etag is None or event.level == ERROR_LEVEL:
             continue
         report.checked += 1
-        timeline = timelines.get(event.key)
-        if not timeline:
-            continue
-        score = _supersession_score(timeline, event.etag, event.invoked)
+        score = auditor.audit_read(event.key, event.etag, event.invoked)
         if score is None:
             continue
         zones[event.key] = max(zones.get(event.key, 0.0), score)

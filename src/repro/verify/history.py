@@ -9,8 +9,9 @@ during a simulated run, captured at two planes:
 * **Authoritative installs** — one event each time the origin (primary
   write stream, query fingerprint, scatter merge) establishes a new
   version token for a key.  These are the ground truth the Δ-atomicity
-  checker scores client reads against, recorded at the same call sites
-  that feed :class:`repro.simulation.staleness.StalenessAuditor`.
+  checker scores client reads against.  They enter the log only through
+  :meth:`repro.simulation.staleness.StalenessAuditor.record_version`,
+  which mirrors each entry it appends to its timeline.
 
 **Storage.**  :class:`HistoryRecorder` is a write-only flat log of atoms:
 fifteen slots per event -- the fields of :class:`HistoryEvent`, in order --
@@ -26,7 +27,7 @@ assert byte-identity between the serial oracle and the parallel simulator.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "KIND_INSTALL",
@@ -124,28 +125,24 @@ def canonical_bytes(events: Sequence[HistoryEvent]) -> bytes:
 class HistoryRecorder:
     """Accumulates history events in deterministic record order.
 
-    One recorder is shared by the simulator's clients and the
-    server/cluster install sites; sequence numbers are assigned as events
-    arrive, which in the discrete-event simulator is a pure function of
-    the seed.  Consecutive identical install tokens per key are deduped,
-    mirroring :meth:`StalenessAuditor.record_version`, so the install
-    timeline matches the auditor's zone structure exactly.
+    One recorder is shared by the simulator's clients and the staleness
+    auditor every install site feeds; sequence numbers are assigned as
+    events arrive, which in the discrete-event simulator is a pure function
+    of the seed.  Installs arrive already deduplicated: the auditor mirrors
+    only what it appends to its timeline, so the recorded installs *are*
+    the auditor's timelines.
     """
 
-    __slots__ = ("_log", "_last_install")
+    __slots__ = ("_log",)
 
     def __init__(self) -> None:
         self._log: list = []
-        self._last_install: Dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._log) // _STRIDE
 
     def record_install(self, key: str, token: str, timestamp: float) -> None:
         """Record an authoritative version install for ``key``."""
-        if self._last_install.get(key) == token:
-            return
-        self._last_install[key] = token
         log = self._log
         log.extend((
             len(log) // _STRIDE, KIND_INSTALL, "", "install", key, timestamp, timestamp,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.client.sdk import DEGRADED_LEVEL
+from repro.simulation.staleness import StalenessAuditor
 
 from .checkers import run_all
 from .history import KIND_INSTALL, KIND_OPERATION, HistoryEvent
@@ -86,25 +87,20 @@ def _install(seq: int, key: str, token: str, timestamp: float) -> HistoryEvent:
 def _superseded_token(
     events: Sequence[HistoryEvent],
 ) -> Optional[Tuple[str, str, float]]:
-    """(key, old token, supersession time) for some key with ≥2 installs."""
-    timelines: Dict[str, List[Tuple[float, str]]] = {}
+    """(key, token, instant) where reading ``token`` is stale far past Δ.
+
+    Reads the timelines the Δ-checker replays: some key's first token, read
+    long after the key's last install.  The ABA rule scores a token by its
+    latest occurrence, so a first token that is current again is skipped.
+    """
+    auditor = StalenessAuditor()
     for event in events:
-        if event.kind != KIND_INSTALL or event.etag is None:
-            continue
-        timeline = timelines.setdefault(event.key, [])
-        if not timeline or timeline[-1][1] != event.etag:
-            timeline.append((event.invoked, event.etag))
-    for key, timeline in timelines.items():
-        if len(timeline) < 2:
-            continue
-        old_token = timeline[0][1]
-        # The checker scores against the *latest* occurrence of a token
-        # (ABA rule), so the chosen token must not also be the current
-        # one, and supersession time is taken after its last occurrence.
-        latest = max(i for i, (_, token) in enumerate(timeline) if token == old_token)
-        if latest + 1 >= len(timeline):
-            continue
-        return key, old_token, timeline[latest + 1][0]
+        if event.kind == KIND_INSTALL and event.etag is not None:
+            auditor.record_version(event.key, event.etag, event.invoked)
+    for key, timeline in auditor.timelines.items():
+        token, invoked = timeline[0][1], timeline[-1][0] + _WAY_PAST_DELTA
+        if auditor.audit_read(key, token, invoked) is not None:
+            return key, token, invoked
     return None
 
 
@@ -117,18 +113,11 @@ def _stale_serve(events: Sequence[HistoryEvent], op: str, fixture_key: str) -> L
         base = _last_time(mutated) + 1.0
         mutated.append(_install(seq, fixture_key, "v1", base))
         mutated.append(_install(seq + 1, fixture_key, "v2", base + 1.0))
-        target = (fixture_key, "v1", base + 1.0)
+        target = (fixture_key, "v1", base + 1.0 + _WAY_PAST_DELTA)
         seq += 2
-    key, token, superseded_at = target
+    key, token, invoked = target
     mutated.append(
-        _operation(
-            seq,
-            session="mutant",
-            op=op,
-            key=key,
-            invoked=superseded_at + _WAY_PAST_DELTA,
-            etag=token,
-        )
+        _operation(seq, session="mutant", op=op, key=key, invoked=invoked, etag=token)
     )
     return mutated
 

@@ -23,6 +23,7 @@ from typing import List, Optional
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import TraceRecorder, spans_from_tuples
+from repro.simulation.staleness import StalenessAuditor
 from repro.verify.history import (
     KIND_INSTALL,
     KIND_OPERATION,
@@ -241,7 +242,8 @@ def test_trace_log_matches_the_object_recorder(sample_every, program):
 
 
 class RefHistoryRecorder:
-    """The parent's recorder: one frozen ``HistoryEvent`` per record."""
+    """The object recorder: one frozen ``HistoryEvent`` per record, with the
+    repeat rule the flat log gets from the auditor in front of it."""
 
     def __init__(self) -> None:
         self._events: List[HistoryEvent] = []
@@ -306,12 +308,14 @@ OPERATIONS = st.tuples(
 @given(program=st.lists(st.one_of(INSTALLS, OPERATIONS), max_size=30))
 def test_history_log_matches_the_object_recorder(program):
     recorder, reference = HistoryRecorder(), RefHistoryRecorder()
+    auditor = StalenessAuditor(recorder=recorder)
     for command, *args in program:
-        for target in (recorder, reference):
-            if command == "install":
-                target.record_install(*args)
-            else:
-                target.record_operation(**args[0])
+        if command == "install":
+            auditor.record_version(*args)
+            reference.record_install(*args)
+        else:
+            recorder.record_operation(**args[0])
+            reference.record_operation(**args[0])
     expected = reference.events()
     assert recorder.events() == expected
     assert recorder.event_tuples() == tuple(event.to_tuple() for event in expected)

@@ -135,10 +135,10 @@ class TestScatterDegradation:
         clock, cluster, facade = build_cluster()
         query = Query("posts", {"category": 3})
         facade.handle_query(query)
-        history_before = cluster.auditor.current_version(query.cache_key)
+        timeline_before = list(cluster.auditor.timelines.get(query.cache_key, ()))
         cluster.crash_node(cluster.groups[0].primary_node_id)
         facade.handle_query(query)
-        assert cluster.auditor.current_version(query.cache_key) == history_before
+        assert cluster.auditor.timelines.get(query.cache_key, []) == timeline_before
 
 
 class TestClusterFailover:

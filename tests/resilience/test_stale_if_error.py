@@ -8,10 +8,30 @@ from repro.clock import VirtualClock
 from repro.client import QuaestorClient
 from repro.client.sdk import DEGRADED_LEVEL
 from repro.cluster import ClusterClient, QuaestorCluster
+from repro.faults import FaultPlan
 from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig, StaleIfErrorPolicy
+from repro.simulation import SimulationConfig, Simulator
 from repro.simulation.latency import LatencyModel
 from repro.simulation.staleness import StalenessAuditor
+from repro.workloads import DatasetSpec, WorkloadSpec
+
+#: A single unreplicated shard whose primary crashes two seconds in: every
+#: read of an expired entry after that is served stale-if-error.
+DEGRADED_RUN = SimulationConfig(
+    num_shards=1,
+    num_clients=2,
+    connections_per_client=4,
+    dataset=DatasetSpec(num_tables=1, documents_per_table=50, queries_per_table=5),
+    workload=WorkloadSpec.with_update_rate(0.1),
+    duration=60.0,
+    max_operations=600,
+    ebf_refresh_interval=0.5,
+    matching_nodes=1,
+    seed=3,
+    resilience=ResilienceConfig(),
+    fault_plan=FaultPlan.primary_crash(shard=0, at=2.0, recover_at=32.0),
+)
 
 
 def build(resilience=ResilienceConfig(), replication_factor=1):
@@ -111,17 +131,20 @@ class TestFreshnessAccounting:
         assert key not in client.whitelist
         assert dict(client.session._seen_versions) == session_before
 
-    def test_auditor_counts_degraded_reads_separately(self):
+    def test_auditor_scores_a_degraded_serve_like_any_read(self):
         auditor = StalenessAuditor()
         auditor.record_version("record:posts/p1", "v1", 0.0)
-        audit = auditor.audit_read("record:posts/p1", "v1", 1.0, degraded=True)
-        assert audit.degraded is True
-        assert audit.stale is False  # never superseded: an availability
-        assert auditor.degraded_reads == 1  # concession, not a violation
+        # Never superseded: an availability concession, not a violation.
+        assert auditor.audit_read("record:posts/p1", "v1", 1.0) is None
         auditor.record_version("record:posts/p1", "v2", 2.0)
-        stale_audit = auditor.audit_read("record:posts/p1", "v1", 3.0, degraded=True)
-        assert stale_audit.degraded and stale_audit.stale
-        assert stale_audit.staleness == pytest.approx(1.0)
-        assert auditor.degraded_reads == 2
-        auditor.reset_counters()
-        assert auditor.degraded_reads == 0
+        assert auditor.audit_read("record:posts/p1", "v1", 3.0) == pytest.approx(1.0)
+
+    def test_simulator_counts_degraded_serves_apart_from_stale_reads(self):
+        simulator = Simulator(DEGRADED_RUN)
+        summary = simulator.run().summary()
+        counts = simulator.stale_counts()
+        degraded = sum(
+            simulator.level_counts[op_class].get(DEGRADED_LEVEL) for op_class in ("read", "query")
+        )
+        assert counts["degraded_served"] == degraded > 0
+        assert summary["degraded_served"] == degraded

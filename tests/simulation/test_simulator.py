@@ -120,10 +120,9 @@ class TestStalenessBound:
             max_operations=3_000,
             workload=WorkloadSpec.with_update_rate(0.05),
         )
-        simulator = Simulator(config)
-        simulator.run()
+        result = Simulator(config).run()
         slack = 0.2  # invalidation delay + jitter
-        assert simulator.auditor.max_staleness <= delta + slack
+        assert result.aggregate.max_staleness <= delta + slack
 
     def test_smaller_delta_means_less_staleness(self):
         tight = Simulator(
@@ -140,6 +139,6 @@ class TestStalenessBound:
                 workload=WorkloadSpec.with_update_rate(0.05),
             )
         )
-        tight.run()
-        loose.run()
-        assert tight.auditor.max_staleness <= loose.auditor.max_staleness + 0.25
+        tight_max = tight.run().aggregate.max_staleness
+        loose_max = loose.run().aggregate.max_staleness
+        assert tight_max <= loose_max + 0.25

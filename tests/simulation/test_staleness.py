@@ -8,46 +8,41 @@ from repro.simulation import StalenessAuditor
 
 
 class TestVersionTracking:
-    def test_current_version_follows_writes(self):
+    def test_timeline_follows_writes(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
         auditor.record_version("key", "v2", 5.0)
-        assert auditor.current_version("key") == "v2"
-        assert auditor.current_version("key", at_time=3.0) == "v1"
-        assert auditor.current_version("key", at_time=0.5) is None
+        assert auditor.timelines == {"key": [(1.0, "v1"), (5.0, "v2")]}
 
     def test_duplicate_consecutive_versions_are_deduplicated(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
         auditor.record_version("key", "v1", 2.0)
-        assert len(auditor._history["key"]) == 1
+        assert len(auditor.timelines["key"]) == 1
 
     def test_unknown_key(self):
-        assert StalenessAuditor().current_version("missing") is None
+        auditor = StalenessAuditor()
+        assert auditor.audit_read("missing", "v1", 1.0) is None
+        assert auditor.timelines == {}
 
 
 class TestReadAudits:
     def test_fresh_read_passes(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
-        audit = auditor.audit_read("key", "v1", read_time=2.0)
-        assert not audit.stale
-        assert auditor.stale_rate == 0.0
+        assert auditor.audit_read("key", "v1", 2.0) is None
 
     def test_stale_read_detected_with_duration(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
         auditor.record_version("key", "v2", 5.0)
-        audit = auditor.audit_read("key", "v1", read_time=8.0)
-        assert audit.stale
-        assert audit.staleness == pytest.approx(3.0)
-        assert auditor.stale_reads == 1
+        assert auditor.audit_read("key", "v1", 8.0) == pytest.approx(3.0)
 
     def test_read_before_supersession_is_fresh(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
         auditor.record_version("key", "v2", 5.0)
-        assert not auditor.audit_read("key", "v1", read_time=4.0).stale
+        assert auditor.audit_read("key", "v1", 4.0) is None
 
     def test_aba_content_is_not_flagged(self):
         """A result that reverts to an earlier state is fresh again (ABA)."""
@@ -55,52 +50,40 @@ class TestReadAudits:
         auditor.record_version("key", "vA", 1.0)
         auditor.record_version("key", "vB", 5.0)
         auditor.record_version("key", "vA", 10.0)
-        assert not auditor.audit_read("key", "vA", read_time=12.0).stale
+        assert auditor.audit_read("key", "vA", 12.0) is None
 
     def test_aba_read_between_transitions_is_still_stale(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "vA", 1.0)
         auditor.record_version("key", "vB", 5.0)
         auditor.record_version("key", "vA", 10.0)
-        audit = auditor.audit_read("key", "vA", read_time=7.0)
-        assert audit.stale
-        assert audit.staleness == pytest.approx(2.0)
+        assert auditor.audit_read("key", "vA", 7.0) == pytest.approx(2.0)
 
     def test_unknown_version_treated_as_fresh(self):
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
-        assert not auditor.audit_read("key", "unknown-version", read_time=2.0).stale
+        assert auditor.audit_read("key", "unknown-version", 2.0) is None
 
     def test_none_version_treated_as_fresh(self):
         auditor = StalenessAuditor()
-        assert not auditor.audit_read("key", None, read_time=2.0).stale
+        assert auditor.audit_read("key", None, 2.0) is None
 
     def test_in_flight_write_not_counted_stale(self):
         """Observing a version that only becomes authoritative later is fine."""
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 1.0)
         auditor.record_version("key", "v2", 5.0)
-        assert not auditor.audit_read("key", "v2", read_time=4.9).stale
+        assert auditor.audit_read("key", "v2", 4.9) is None
 
 
-class TestAggregates:
-    def test_rates_and_maximum(self):
+class TestVerdicts:
+    def test_audits_are_pure(self):
+        """Auditing keeps no state: counting and aggregating is the simulator's."""
         auditor = StalenessAuditor()
         auditor.record_version("key", "v1", 0.0)
         auditor.record_version("key", "v2", 10.0)
-        auditor.audit_read("key", "v2", read_time=11.0)   # fresh
-        auditor.audit_read("key", "v1", read_time=12.0)   # stale by 2
-        auditor.audit_read("key", "v1", read_time=15.0)   # stale by 5
-        assert auditor.reads_audited == 3
-        assert auditor.stale_rate == pytest.approx(2 / 3)
-        assert auditor.max_staleness == pytest.approx(5.0)
-        assert auditor.mean_staleness == pytest.approx(3.5)
-        assert len(auditor.staleness_samples()) == 2
-
-    def test_reset_counters_keeps_history(self):
-        auditor = StalenessAuditor()
-        auditor.record_version("key", "v1", 0.0)
-        auditor.audit_read("key", "v1", read_time=1.0)
-        auditor.reset_counters()
-        assert auditor.reads_audited == 0
-        assert auditor.current_version("key") == "v1"
+        reads = [("v2", 11.0), ("v1", 12.0), ("v1", 15.0)]
+        verdicts = [auditor.audit_read("key", token, at) for token, at in reads]
+        assert verdicts == [None, 2.0, 5.0]
+        assert [auditor.audit_read("key", token, at) for token, at in reads] == verdicts
+        assert auditor.timelines == {"key": [(0.0, "v1"), (10.0, "v2")]}

@@ -91,6 +91,30 @@ class TestDeltaAtomicity:
         stale = history[:3] + [op("c0", "read", "k", 60.0, etag="B")]
         assert not check_delta_atomicity(stale, delta_budget=1.0).ok
 
+    def test_an_install_recorded_after_the_read_does_not_supersede_it(self):
+        """The replay contract: a read is judged against the installs recorded
+        before it.  ``v2`` carries the read's own instant but was recorded
+        after the read, so the online auditor had not seen it: the read of
+        ``v1`` is fresh, not 0.0 s stale."""
+        history = [
+            install("k", "v1", 1.0),
+            op("c0", "read", "k", 5.0, etag="v1"),
+            install("k", "v2", 5.0),
+        ]
+        report = check_delta_atomicity(history, delta_budget=1.0)
+        assert report.checked == 1
+        assert report.ok
+        assert "k" not in report.stats["zone_scores"]
+        # Recorded the other way round, the same instant does supersede it.
+        superseded = [
+            install("k", "v1", 1.0),
+            install("k", "v2", 5.0),
+            op("c0", "read", "k", 5.0, etag="v1"),
+        ]
+        assert check_delta_atomicity(superseded, delta_budget=1.0).stats["zone_scores"] == {
+            "k": 0.0
+        }
+
     def test_unknown_token_is_fresh(self):
         history = [op("c0", "read", "k", 1.0, etag="never-installed")]
         assert check_delta_atomicity(history, delta_budget=1.0).ok

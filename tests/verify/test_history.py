@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation.simulator import SimulationConfig, Simulator
+from repro.simulation.staleness import StalenessAuditor
 from repro.verify.history import (
     KIND_INSTALL,
     KIND_OPERATION,
@@ -30,22 +31,23 @@ def _config(record_history: bool, seed: int = 42) -> SimulationConfig:
 
 
 class TestRecorder:
+    """Installs reach the log through the auditor, which applies the repeat rule."""
+
     def test_install_dedupes_consecutive_identical_tokens(self):
         recorder = HistoryRecorder()
-        recorder.record_install("k", "v1", 1.0)
-        recorder.record_install("k", "v1", 2.0)  # same token again: dropped
-        recorder.record_install("k", "v2", 3.0)
-        recorder.record_install("k", "v1", 4.0)  # reappearance: kept (ABA)
-        assert [(e.etag, e.invoked) for e in recorder.events()] == [
-            ("v1", 1.0),
-            ("v2", 3.0),
-            ("v1", 4.0),
-        ]
+        auditor = StalenessAuditor(recorder=recorder)
+        auditor.record_version("k", "v1", 1.0)
+        auditor.record_version("k", "v1", 2.0)  # same token again: dropped
+        auditor.record_version("k", "v2", 3.0)
+        auditor.record_version("k", "v1", 4.0)  # reappearance: kept (ABA)
+        assert [(e.invoked, e.etag) for e in recorder.events()] == auditor.timelines["k"]
+        assert auditor.timelines["k"] == [(1.0, "v1"), (3.0, "v2"), (4.0, "v1")]
 
     def test_install_dedupe_is_per_key(self):
         recorder = HistoryRecorder()
-        recorder.record_install("a", "v1", 1.0)
-        recorder.record_install("b", "v1", 2.0)
+        auditor = StalenessAuditor(recorder=recorder)
+        auditor.record_version("a", "v1", 1.0)
+        auditor.record_version("b", "v1", 2.0)
         assert len(recorder.events()) == 2
 
     def test_operation_events_are_sequenced(self):
