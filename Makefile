@@ -48,6 +48,8 @@
 #                        - one benchmark segment's cost to the cyclic collector:
 #                          collector seconds and share, collections per
 #                          generation, GC-tracked objects retained per op by type
+#   make budgets         - the machine-independent cost guards: frames and calls
+#                          of every tests/*/test_*budget*.py path (seconds)
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
 #   make unused-functions - report-only census: every def under src/repro that
 #                          no non-test entry point (benchmark workloads, verify
@@ -69,10 +71,13 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check unused-functions
+.PHONY: test budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
+
+budgets:
+	$(PYTEST) $(wildcard tests/*/test_*budget*.py) -q
 
 bench-smoke:
 	$(PYTEST) benchmarks/bench_ebf_throughput.py benchmarks/bench_cluster_scaling.py -q

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.db.documents import Document
-from repro.db.query import Query
+from repro.db.query import Query, window_ids
 from repro.errors import QuaestorError
 from repro.invalidb.events import Notification, NotificationType
 
@@ -58,9 +58,8 @@ class QuerySubscription:
 
     def result(self) -> List[Document]:
         """The current materialised result (ordered like the query demands)."""
-        from repro.db.query import apply_sort_and_window
-
-        return apply_sort_and_window(list(self._documents.values()), self.query)
+        documents = self._documents
+        return list(map(documents.__getitem__, window_ids(documents, documents, self.query)))
 
     def __len__(self) -> int:
         return len(self.result())

@@ -76,6 +76,7 @@ from repro.clock import Clock, VirtualClock
 from repro.core.config import QuaestorConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.representation import (
+    ResultTagMemo,
     choose_representation,
     object_list_body,
     query_result_body,
@@ -83,7 +84,7 @@ from repro.core.representation import (
 from repro.core.server import PurgeTarget, InvalidationHook, QuaestorServer
 from repro.db.database import Database
 from repro.db.documents import Document
-from repro.db.query import Query, apply_sort_and_window
+from repro.db.query import Query, window_ids
 from repro.errors import ShardUnavailableError
 from repro.faults.gray import GrayFailureState
 from repro.resilience import ResilienceConfig, ResilienceRuntime
@@ -93,7 +94,6 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.router import ShardRouter
 from repro.replication.config import ReplicationConfig
 from repro.replication.group import ReplicaGroup
-from repro.rest.etags import etag_for_result
 from repro.rest.messages import Response, StatusCode
 from repro.simulation.staleness import StalenessAuditor
 from repro.workloads.dataset import Dataset, INDEXED_QUERY_FIELD
@@ -215,6 +215,7 @@ class QuaestorCluster:
         #: registry failover uses to rebuild InvaliDB registrations and
         #: active-list entries on a promoted primary.
         self._registered_queries: Dict[str, Query] = {}
+        self._result_tags = ResultTagMemo()
         #: Purge targets / invalidation hooks registered fleet-wide, retained
         #: so a server installed by failover is wired identically to the one
         #: it replaces (otherwise CDN purges would silently stop post-crash).
@@ -640,20 +641,19 @@ class QuaestorCluster:
         when the scatter aborted or degraded and no shard vouches for any
         freshness.
         """
-        documents: List[Document] = []
+        # A shard's ``record_versions`` keys name its ``documents`` one to one.
+        by_id: Dict[str, Document] = {}
         versions: Dict[str, int] = {}
         for body in bodies:
-            documents.extend(body.get("documents", []))
-            versions.update(body.get("record_versions", {}))
+            shard_versions = body["record_versions"]
+            by_id.update(zip(shard_versions, body["documents"]))
+            versions.update(shard_versions)
 
         # The same sort/window code path a single-node find() takes, applied
         # to the concatenated shard sub-results -- identical by construction.
-        documents = apply_sort_and_window(documents, query)
-
-        window_versions = {
-            str(document["_id"]): versions.get(str(document["_id"]), 0)
-            for document in documents
-        }
+        ids = window_ids(versions, by_id, query)
+        documents = list(map(by_id.__getitem__, ids))
+        window_versions = dict(zip(ids, map(versions.__getitem__, ids)))
 
         if shard_errors:
             # Degraded merge: some shards contributed nothing.  The partial
@@ -665,7 +665,7 @@ class QuaestorCluster:
             body["shard_errors"] = dict(shard_errors)
             return Response.uncacheable(body)
 
-        etag = etag_for_result(window_versions)
+        etag = self._result_tags.tag(query.cache_key, window_versions)
         self.auditor.record_version(query.cache_key, etag, now)
 
         # Min-TTL wins: the merged entry may only live as long as every shard
@@ -680,9 +680,7 @@ class QuaestorCluster:
         if not cacheable:
             self.counters.increment("scatter_queries_uncacheable")
             body = object_list_body(documents, window_versions, record_ttl=0.0)
-            merged = Response.uncacheable(body)
-            merged.etag = etag
-            return merged
+            return Response.uncacheable(body, etag=etag)
 
         representation = choose_representation(
             result_size=len(documents),

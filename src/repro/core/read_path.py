@@ -3,11 +3,8 @@
 Every cacheable read in Quaestor walks the same bookkeeping sequence --
 execute, versions/etag fingerprint, capacity admission, TTL estimation,
 representation choice, InvaliDB registration, active-list entry, EBF
-reporting.  Before this module existed the sequence was hand-duplicated
-between :meth:`~repro.core.server.QuaestorServer.handle_query` and
-:meth:`~repro.core.server.QuaestorServer.handle_shard_query`, and the two
-copies drifted.  :class:`ReadPipeline` owns the stages once; the server's
-entry points are thin orchestrations over them:
+reporting.  :class:`ReadPipeline` owns the stages once; the server's entry
+points are thin orchestrations over them:
 
 * :meth:`ReadPipeline.run_record_read` -- the single-record path
   (``handle_read``): execute, fingerprint, TTL, EBF report.
@@ -25,8 +22,7 @@ entry points are thin orchestrations over them:
   others maintain a merged result that is never cached.
 
 The stages mutate a :class:`ReadContext`, the single carrier of per-read
-state; future read features (per-stage metrics, async execution, smarter
-admission) land here instead of in N copies.
+state.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.representation import (
     ResultRepresentation,
+    ResultTagMemo,
     choose_representation,
     object_list_body,
     query_result_body,
@@ -44,7 +41,7 @@ from repro.db.documents import Document
 from repro.db.query import Query, record_key
 from repro.errors import DocumentNotFoundError
 from repro.invalidb.capacity import AdmissionTicket
-from repro.rest.etags import etag_for_result, etag_for_version
+from repro.rest.etags import etag_for_version
 from repro.rest.messages import Response, StatusCode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports us)
@@ -78,18 +75,6 @@ class ReadContext:
     #: remaining budget; an exhausted budget skips the admission probe.
     deadline: Optional["DeadlineBudget"] = None
 
-    @property
-    def result_size(self) -> int:
-        return len(self.documents)
-
-    @property
-    def admitted(self) -> bool:
-        return self.ticket is not None and self.ticket.admitted
-
-    @classmethod
-    def for_query(cls, query: Query, fetch_query: Query, now: float) -> "ReadContext":
-        return cls(cache_key=query.cache_key, now=now, query=query, fetch_query=fetch_query)
-
 
 def render_record_read(
     collection: str,
@@ -115,9 +100,7 @@ def render_record_read(
     etag = etag_for_version(collection, document_id, version)
     body = {"document": document, "version": version}
     if not config.cache_records:
-        response = Response.uncacheable(body)
-        response.etag = etag
-        return response
+        return Response.uncacheable(body, etag=etag)
     key = record_key(collection, document_id)
     ttl = ttl_estimator.estimate_record(key, now)
     shared_ttl = ttl * config.cdn_ttl_factor
@@ -130,24 +113,25 @@ class ReadPipeline:
 
     def __init__(self, server: "QuaestorServer") -> None:
         self.server = server
+        self._result_tags = ResultTagMemo()
 
     # -- stages ------------------------------------------------------------------------
 
     def execute(self, ctx: ReadContext) -> None:
-        """Run the fetch query and collect the member versions."""
-        server = self.server
-        ctx.documents = server.database.find(ctx.fetch_query)
-        ctx.versions = server.result_versions(ctx.query.collection, ctx.documents)
+        """Run the fetch query; the collection hands back the member versions with it."""
+        query = ctx.fetch_query
+        collection = self.server.database.collection(query.collection)
+        ctx.documents, ctx.versions = collection.find_versioned(query)
 
     def fingerprint(self, ctx: ReadContext) -> None:
         """Derive the result etag and record it with the staleness auditor."""
-        ctx.etag = etag_for_result(ctx.versions)
+        ctx.etag = self._result_tags.tag(ctx.cache_key, ctx.versions)
         self.server.auditor.record_version(ctx.cache_key, ctx.etag, ctx.now)
 
     def probe_admission(self, ctx: ReadContext) -> bool:
         """Phase-one admission: would this query be worth caching?"""
         server = self.server
-        ctx.ticket = server.capacity.probe(ctx.cache_key, result_size=ctx.result_size)
+        ctx.ticket = server.capacity.probe(ctx.cache_key, result_size=len(ctx.documents))
         if not ctx.ticket.admitted:
             server.counters.increment("queries_uncacheable")
         return ctx.ticket.admitted
@@ -179,7 +163,7 @@ class ReadPipeline:
     def choose_client_representation(self, ctx: ReadContext) -> None:
         """Cost-based id-list vs object-list choice for a client-facing result."""
         ctx.representation = choose_representation(
-            result_size=ctx.result_size,
+            result_size=len(ctx.documents),
             assumed_record_hit_rate=self.server.config.assumed_record_hit_rate,
             object_list_max_size=self.server.config.object_list_max_size,
         )
@@ -202,9 +186,9 @@ class ReadPipeline:
         """Enter the query into the active list and the capacity cost model."""
         server = self.server
         server.active_list.record_read(
-            ctx.query, ctx.now, ctx.ttl, ctx.result_size, ctx.representation
+            ctx.query, ctx.now, ctx.ttl, len(ctx.documents), ctx.representation
         )
-        server.capacity.record_read(ctx.cache_key, ctx.result_size)
+        server.capacity.record_read(ctx.cache_key, len(ctx.documents))
 
     def report_to_ebf(self, ctx: ReadContext) -> None:
         """Report the read to the EBF (query key + members, if client-cacheable).
@@ -229,8 +213,7 @@ class ReadPipeline:
             server.tracer.event("pipeline.record_read", "collection", collection)
         now = server.now()
         try:
-            document = server.database.get(collection, document_id)
-            version = server.database.collection(collection).version(document_id)
+            document, version = server.database.collection(collection).get_versioned(document_id)
         except DocumentNotFoundError:
             return Response.uncacheable(None, status=StatusCode.NOT_FOUND)
 
@@ -252,7 +235,7 @@ class ReadPipeline:
     def run_query(self, query: Query) -> Response:
         """The single-server query path (``handle_query``): probe + commit."""
         server = self.server
-        ctx = ReadContext.for_query(query, query, server.now())
+        ctx = ReadContext(query.cache_key, server.now(), query=query, fetch_query=query)
         self.execute(ctx)
         self.fingerprint(ctx)
 
@@ -319,9 +302,7 @@ class ReadPipeline:
     def _uncacheable_client_response(self, ctx: ReadContext) -> Response:
         """An uncached (but etagged) object-list result for the client."""
         body = object_list_body(ctx.documents, ctx.versions, record_ttl=0.0)
-        response = Response.uncacheable(body)
-        response.etag = ctx.etag
-        return response
+        return Response.uncacheable(body, etag=ctx.etag)
 
 
 class PreparedShardRead:
@@ -354,7 +335,7 @@ class PreparedShardRead:
         #: Whether this shard's probe admitted the query, read once off the
         #: context's ticket (which the probe fixed): absent (caching
         #: disabled) or rejected both read as not admitted.
-        self.admitted = ctx.admitted
+        self.admitted = ctx.ticket is not None and ctx.ticket.admitted
         self._resolved = False
 
     def commit(self) -> Response:

@@ -11,7 +11,12 @@ query using a cost model that weighs fewer invalidations (id-lists ignore pure
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
+
+from repro.rest.etags import etag_for_result
+
+#: Cache keys one :class:`ResultTagMemo` holds before it starts over.
+RESULT_TAG_MEMO_SIZE = 1 << 14
 
 
 class ResultRepresentation(str, enum.Enum):
@@ -21,14 +26,24 @@ class ResultRepresentation(str, enum.Enum):
     OBJECT_LIST = "object-list"
 
 
-def _result_ids(documents: List[Dict[str, Any]]) -> List[str]:
-    """The member-id list of a result, rendered from the documents themselves.
+class ResultTagMemo(Dict[str, Tuple[Dict[str, int], str]]):
+    """One owner's last ``(versions, tag)`` per cache key: an equal map reuses the tag.
 
-    Always derived from ``documents`` (never from a versions mapping's keys):
-    the id list must pair positionally with the document list, and no cheap
-    check can prove an externally built dict shares its order.
+    Owners pass only maps a :class:`~repro.db.collection.Collection` built from
+    ``int`` versions (dict equality takes ``1``, ``1.0`` and ``True`` for one
+    another, so :func:`etag_for_result` stays unmemoised); a map handed in is
+    kept and must not change.  Emptied at :data:`RESULT_TAG_MEMO_SIZE` keys.
     """
-    return [str(document["_id"]) for document in documents]
+
+    def tag(self, key: str, versions: Dict[str, int]) -> str:
+        last = self.get(key)
+        if last is not None and last[0] == versions:
+            return last[1]
+        etag = etag_for_result(versions)
+        if len(self) >= RESULT_TAG_MEMO_SIZE:
+            self.clear()
+        self[key] = (versions, etag)
+        return etag
 
 
 def object_list_body(
@@ -38,11 +53,13 @@ def object_list_body(
 
     One shared builder: the single server and the cluster's scatter/gather
     merge both emit this shape, and the client SDK reads it -- a field added
-    here is immediately consistent everywhere.
+    here is immediately consistent everywhere.  ``versions`` comes from the
+    same id list as ``documents`` (``Collection.find_versioned``, the merge):
+    its keys are the id list.
     """
     return {
         "representation": ResultRepresentation.OBJECT_LIST.value,
-        "ids": _result_ids(documents),
+        "ids": list(versions),
         "documents": documents,
         "record_versions": versions,
         "record_ttl": record_ttl,
@@ -65,7 +82,7 @@ def query_result_body(
         return object_list_body(documents, versions, record_ttl=record_ttl)
     return {
         "representation": ResultRepresentation.ID_LIST.value,
-        "ids": _result_ids(documents),
+        "ids": list(versions),
     }
 
 

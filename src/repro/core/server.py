@@ -417,15 +417,6 @@ class QuaestorServer:
             self._handle_notification(notification)
         self.counters.increment("queries_registered")
 
-    def result_versions(self, collection: str, documents: List[Document]) -> Dict[str, int]:
-        """The current version of every document in a query result."""
-        current = self.database.collection(collection).versions
-        versions: Dict[str, int] = {}
-        for document in documents:
-            document_id = str(document["_id"])
-            versions[document_id] = current.get(document_id, 0)
-        return versions
-
     # -- statistics -----------------------------------------------------------------------------------
 
     def statistics(self) -> Dict[str, Any]:

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.db.documents import Document
 from repro.db.query import Query, record_key
 from repro.errors import TransactionAbortedError
-from repro.rest.etags import etag_for_result
+from repro.rest.etags import etag_for_result, etag_for_version
 from repro.rest.messages import StatusCode
 
 
@@ -51,8 +51,6 @@ class Transaction:
         if response.status == StatusCode.NOT_FOUND:
             self._read_set[record_key(collection, document_id)] = "missing"
             return None
-        from repro.rest.etags import etag_for_version
-
         observed = response.etag or etag_for_version(
             collection, document_id, response.body["version"]
         )
@@ -147,8 +145,6 @@ class Transaction:
         # Keys look like "record:<collection>/<id>".
         _, _, rest = key.partition(":")
         collection, _, document_id = rest.partition("/")
-        from repro.rest.etags import etag_for_version
-
         try:
             version = self._server.database.collection(collection).version(document_id)
         except Exception:
@@ -156,6 +152,5 @@ class Transaction:
         return etag_for_version(collection, document_id, version)
 
     def _current_query_etag(self, query: Query) -> str:
-        documents = self._server.database.find(query)
-        versions = self._server.result_versions(query.collection, documents)
-        return etag_for_result(versions)
+        collection = self._server.database.collection(query.collection)
+        return etag_for_result(collection.find_versioned(query)[1])

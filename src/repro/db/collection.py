@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional
+from collections import abc
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
 from repro.clock import Clock
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
 from repro.db.documents import Document, deep_copy
 from repro.db.indexes import IndexSet
-from repro.db.query import Query, apply_sort_and_window
+from repro.db.query import Query, window_ids
 from repro.db.updates import apply_update
 from repro.errors import DocumentNotFoundError, DuplicateKeyError, InvalidQueryError
 
@@ -37,9 +38,6 @@ class Collection:
         self._change_stream = change_stream
         self._documents: Dict[str, Document] = {}
         self._versions: Dict[str, int] = {}
-        #: Live read-only view of the version map, for callers that probe many
-        #: ids or must not raise on a vanished one: ``versions.get(id, 0)``.
-        self.versions: Mapping[str, int] = MappingProxyType(self._versions)
         #: Last version a deleted id held, so a re-insert of the same ``_id``
         #: continues the sequence instead of restarting at 1.  A version must
         #: pin one content forever: ETags derive from it (conditional
@@ -82,11 +80,16 @@ class Collection:
 
     def get(self, document_id: str) -> Document:
         """Return the stored snapshot of ``document_id`` (shared, read-only)."""
+        return self.get_versioned(document_id)[0]
+
+    def get_versioned(self, document_id: str) -> Tuple[Document, int]:
+        """:meth:`get` and the document's version, from one id probe."""
         self.reads += 1
-        document = self._documents.get(str(document_id))
+        document_id = str(document_id)
+        document = self._documents.get(document_id)
         if document is None:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
-        return document
+        return document, self._versions[document_id]
 
     def get_or_none(self, document_id: str) -> Optional[Document]:
         """Like :meth:`get` but returns ``None`` instead of raising."""
@@ -161,15 +164,21 @@ class Collection:
         in the paper's MongoDB deployment.  The list is the caller's; the
         documents in it are shared and read-only.
         """
-        matching = list(filter(query.plan.matches, self._candidates(query)))
+        return self.find_versioned(query)[0]
+
+    def find_versioned(self, query: Query) -> Tuple[List[Document], Dict[str, int]]:
+        """:meth:`find` and ``{id: version}``, both from one id list: the map's
+        keys pair with the documents."""
+        ids = window_ids(self._matching_ids(query), self._documents, query)
         self.reads += 1
-        return apply_sort_and_window(matching, query)
+        return (
+            list(map(self._documents.__getitem__, ids)),
+            dict(zip(ids, map(self._versions.__getitem__, ids))),
+        )
 
     def count(self, query: Optional[Query] = None) -> int:
         """Number of documents (matching ``query`` if given, ignoring windowing)."""
-        if query is None:
-            return len(self._documents)
-        return sum(map(query.plan.matches, self._candidates(query)))
+        return len(self._documents if query is None else self._matching_ids(query))
 
     def ids(self) -> List[str]:
         """All document ids in the collection."""
@@ -213,18 +222,24 @@ class Collection:
 
     # -- internals --------------------------------------------------------------------------
 
-    def _candidates(self, query: Query) -> Iterable[Document]:
-        """Stored documents ``query`` could match: index-narrowed, else all."""
+    def _candidates(self, query: Query) -> Tuple[abc.Collection[str], bool]:
+        """Ids ``query`` could match (index-narrowed, else all), and whether the
+        plan is covered -- ``probes_exact`` with every probed field indexed --
+        which makes them exactly its matches."""
         if query.collection != self.name:
             raise InvalidQueryError(
                 f"query targets {query.collection!r} but was executed on {self.name!r}"
             )
-        candidate_ids = self._indexes.candidate_ids(query.plan.index_probes)
-        if candidate_ids is None:
-            return self._documents.values()
-        # The indexes are maintained by ``_install`` in step with the store.
-        documents = self._documents
-        return [documents[document_id] for document_id in candidate_ids]
+        plan = query.plan
+        ids, every_probe_indexed = self._indexes.candidate_ids(plan.index_probes)
+        return (self._documents if ids is None else ids), plan.probes_exact and every_probe_indexed
+
+    def _matching_ids(self, query: Query) -> abc.Collection[str]:
+        """Ids matching ``query`` (read-only): a covered plan skips the predicate."""
+        ids, covered = self._candidates(query)
+        if covered:
+            return ids
+        return list(compress(ids, map(query.plan.matches, map(self._documents.__getitem__, ids))))
 
     def _install(
         self, document_id: str, snapshot: Optional[Document], version: int

@@ -220,22 +220,17 @@ class _Descending(tuple):
         return tuple.__lt__(other, self)
 
 
-def _id_sort_key(document: Document) -> str:
-    return str(document.get("_id", ""))
-
-
 def compile_sort_key(spec: Sequence[Tuple[str, int]]) -> Callable[[Document], Any]:
     """Compile a sort spec into the key function of the one canonical result order.
 
     ``spec`` holds ``(field, direction)`` pairs, direction ``1`` or ``-1``;
     ties -- and, with an empty spec, everything -- order by stringified
-    ``_id``, so the order is *total*.  Collections, the cluster's gather
-    merge and InvaliDB's stateful windows all sort with this key (through the
-    query's plan): ordering tied documents differently anywhere would let
-    served and invalidation windows diverge and changes go un-invalidated.
+    ``_id``, so the order is *total*.  InvaliDB's stateful windows sort with
+    this key and :func:`~repro.db.query.window_ids` (collections, the gather
+    merge) with it or, for an empty spec, with the ids themselves: ordering
+    tied documents differently anywhere would let served and invalidation
+    windows diverge and changes go un-invalidated.
     """
-    if not spec:
-        return _id_sort_key
     parts = [(split_path(field), direction < 0) for field, direction in spec]
 
     def sort_key(document: Document) -> Tuple:

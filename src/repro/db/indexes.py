@@ -95,16 +95,16 @@ class IndexSet:
 
     def candidate_ids(
         self, probes: Iterable[Tuple[str, Hashable]]
-    ) -> Optional[AbstractSet[str]]:
-        """Candidate document ids for a plan's ``index_probes`` (read-only).
-
-        Returns ``None`` when none of the probed fields is indexed, in which
-        case the caller must fall back to a full scan.
-        """
+    ) -> Tuple[Optional[AbstractSet[str]], bool]:
+        """Candidate ids for a plan's ``index_probes`` (read-only; ``None``: scan
+        them all), and whether every probed field is indexed."""
         candidates: Optional[AbstractSet[str]] = None
+        every_probe_indexed = True
         for field, key in probes:
             index = self._indexes.get(field)
-            if index is not None:
+            if index is None:
+                every_probe_indexed = False
+            else:
                 matched = index.bucket(key)
                 candidates = matched if candidates is None else candidates & matched
-        return candidates
+        return candidates, every_probe_indexed

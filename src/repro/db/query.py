@@ -10,8 +10,8 @@ the key hashed into the Expiring Bloom Filter.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional
-from typing import Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, Hashable, Iterable, List, Mapping
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.db.documents import Document, compile_sort_key, order_key
 from repro.db.predicates import SUPPORTED_OPERATORS, Matcher, compile_criteria
@@ -30,20 +30,27 @@ class QueryPlan(NamedTuple):
     #: ``(field, order key)`` per top-level equality condition: what an
     #: :class:`~repro.db.indexes.IndexSet` looks up to narrow the candidates.
     index_probes: Tuple[Tuple[str, Hashable], ...]
+    #: Whether every criterion is a probe and no operand a NaN: with the probed
+    #: fields indexed, the plan is *covered* -- its bucket is the match set.
+    probes_exact: bool
 
 
-def _equality_probes(criteria: Document) -> Tuple[Tuple[str, Hashable], ...]:
-    """Top-level equalities as index keys: each is a necessary condition of the predicate."""
-    probes = []
+def _equality_probes(criteria: Document) -> Tuple[Tuple[Tuple[str, Hashable], ...], bool]:
+    """Top-level equalities as index keys, and whether they are the whole predicate.
+
+    A bucket holds a value exactly when the matcher's equality does, except
+    a NaN: the bucket finds the very object by identity, ``==`` never does.
+    """
+    operands = {}
     for field, condition in criteria.items():
-        if field.startswith("$"):
-            continue
         if isinstance(condition, dict):
             if set(condition) != {"$eq"}:
                 continue
             condition = condition["$eq"]
-        probes.append((field, order_key(condition)))
-    return tuple(probes)
+        if not field.startswith("$"):
+            operands[field] = condition
+    exact = len(operands) == len(criteria) and all(value == value for value in operands.values())
+    return tuple((field, order_key(value)) for field, value in operands.items()), exact
 
 
 class Query:
@@ -120,7 +127,7 @@ class Query:
             plan = QueryPlan(
                 compile_criteria(self.criteria),
                 compile_sort_key(self.sort),
-                _equality_probes(self.criteria),
+                *_equality_probes(self.criteria),
             )
             object.__setattr__(self, "_plan", plan)
         return plan
@@ -216,16 +223,18 @@ def record_key(collection: str, document_id: str) -> str:
     return f"record:{collection}/{document_id}"
 
 
-def apply_sort_and_window(documents: List[Document], query: Query) -> List[Document]:
-    """Order ``documents`` by the plan's total sort key and cut the result window.
+def window_ids(ids: Collection[str], documents: Mapping[str, Document], query: Query) -> List[str]:
+    """The ids of ``query``'s result window among ``ids`` (keys of ``documents``).
 
-    Collections apply it to their local matches and the cluster's
-    scatter/gather merge to the concatenated shard sub-results, so both stay
-    byte-identical by construction: the order never depends on insertion or
-    shard-concatenation order (see :func:`~repro.db.documents.compile_sort_key`).
+    Ids are ``str(_id)``, the whole order when there is no sort spec: they
+    sort in C.  Collections, the gather merge and subscriptions all cut with
+    it, so they agree by construction (:func:`~repro.db.documents.compile_sort_key`).
     """
     end = None if query.limit is None else query.offset + query.limit
-    return sorted(documents, key=query.plan.sort_key)[query.offset : end]
+    if not query.sort:
+        return sorted(ids)[query.offset : end]
+    sort_keys = dict(zip(ids, map(query.plan.sort_key, map(documents.__getitem__, ids))))
+    return sorted(sort_keys, key=sort_keys.__getitem__)[query.offset : end]
 
 
 def _canonical(value: Any) -> Any:

@@ -332,9 +332,7 @@ class ReplicaGroup:
         """
         self.last_served_node_id = node.node_id
         try:
-            records = node.database.collection(collection)
-            document = records.get(document_id)
-            version = records.version(document_id)
+            document, version = node.database.collection(collection).get_versioned(document_id)
         except (CollectionNotFoundError, DocumentNotFoundError):
             # The replica has not applied the insert yet.  A lagging *value*
             # is bounded staleness, but a 404 for an acknowledged document

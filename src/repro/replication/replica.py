@@ -82,9 +82,7 @@ class ReplicaNode:
                 replica_collection.create_index(field)
             for document_id in source_collection.ids():
                 replica_collection.install_snapshot(
-                    document_id,
-                    source_collection.get(document_id),
-                    source_collection.version(document_id),
+                    document_id, *source_collection.get_versioned(document_id)
                 )
             replica_collection.restore_version_floors(source_collection.version_floors())
         self.applied_sequence = upto_sequence

@@ -15,9 +15,10 @@ id text that contains a quote, comma, bracket or escape) cannot run together,
 ``1``, ``1.0``, ``True`` and ``"1"`` stay apart, and every character outside
 ASCII is escaped the same way on every interpreter.  Versions are ``int`` in
 this system; any other value is tagged through its ``repr`` all the same.
-The digest runs in C over a few hundred bytes, so a result tag needs no memo;
-record tags keep one because every origin read of an unchanged
-record asks for the same tag again.
+Rendering ``ascii()`` of a ten-member result costs several times the digest,
+and most origin reads ask for the tag they asked for last time: record tags
+are memoised, result tags per owner
+(:class:`~repro.core.representation.ResultTagMemo`).
 """
 
 from __future__ import annotations

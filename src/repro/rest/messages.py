@@ -103,9 +103,11 @@ class Response:
         )
 
     @classmethod
-    def uncacheable(cls, body: Any, status: StatusCode = StatusCode.OK) -> "Response":
+    def uncacheable(
+        cls, body: Any, status: StatusCode = StatusCode.OK, etag: Optional[str] = None
+    ) -> "Response":
         """A response that no cache may store."""
-        return cls(status, body, None, UNCACHEABLE)
+        return cls(status, body, etag, UNCACHEABLE)
 
     @classmethod
     def not_modified_response(cls, etag: str, ttl: float, shared_ttl: Optional[float] = None) -> "Response":

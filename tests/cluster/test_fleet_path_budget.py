@@ -18,7 +18,10 @@ that run the breaker's full state machine, or to per-read candidate and
 delivery lists fails here on any machine, without a wall-clock threshold.
 Before the path became one loop these requests cost (frames / calls): a
 replica-served read 76 / 102, a primary-served read 86 / 113, an update
-90 / 135, the scatter 734 / 1123.
+90 / 135, the scatter 734 / 1123.  Before a record read took its document
+and version in one probe, a primary-served read cost 54 / 76; before each
+shard handed its versions back with its documents and the merge carried
+them through its sort, the scatter cost 627 / 1014.
 
 Every request runs once unmeasured first -- a read or update on the
 deployment it is then measured on, the scatter on a twin (a repeat on the
@@ -41,10 +44,10 @@ from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig
 
 #: (frames, all calls) budgets.
-REPLICA_READ = (44, 64)
-PRIMARY_READ = (54, 76)
+REPLICA_READ = (43, 62)
+PRIMARY_READ = (50, 70)
 UPDATE = (67, 111)
-SCATTER = (627, 1014)
+SCATTER = (570, 889)
 
 
 @pytest.fixture(autouse=True)

@@ -1,0 +1,116 @@
+"""Machine-independent cost guard for the origin query path.
+
+One uncached ``QuaestorServer.handle_query`` executes the query at the
+origin and answers it with an ETag over the member ids and versions.  This
+test counts, around one such query on a 10-member result,
+
+* Python frames (``sys.setprofile`` ``call`` events, as
+  ``tests/core/test_write_path_budget.py`` does), and
+* all calls, Python and C (as ``cProfile`` and the benchmark's
+  ``calls_per_op`` do),
+
+once when the server's result-tag memo misses (the first execution) and once
+when it hits (the result is unchanged since the last one).  A covered index
+plan runs no predicate and no per-member sort key, the collection hands the
+versions back with the documents, and an unchanged result reuses its tag --
+so a return to filtering an index bucket, to a Python sort key per member,
+to a separate ``str(_id)`` pass for the versions or the id list, or to
+rendering every tag afresh fails here on any machine, without a wall-clock
+threshold.  Before, this query cost 54 frames / 96 calls on its first
+execution and 54 / 95 on the next (there was no memo); now a miss costs
+27 / 40 and a hit 25 / 31.
+
+Both runs are preceded by one on a twin server: the query's compiled plan
+and the process-wide memo tables then answer the measured runs the same way
+whatever ran earlier in the process, which makes the counts exact.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.clock import VirtualClock
+from repro.core import QuaestorServer
+from repro.core.config import QuaestorConfig
+from repro.db import Database, Query
+
+#: (frames, all calls) budgets.
+MEMO_MISS = (27, 40)
+MEMO_HIT = (25, 31)
+
+
+@pytest.fixture(autouse=True)
+def snapshot_guard():
+    """Replaces the suite's guard: its wrapper around the install seam adds
+    frames that are not the path's."""
+    yield
+
+
+def _calls_during(function):
+    frames = c_calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal frames, c_calls
+        if event == "call":
+            frames += 1
+        elif event == "c_call":
+            c_calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    frames -= 1  # the lambda itself
+    return frames, frames + c_calls - 1  # the closing sys.setprofile(None) is seen as a c_call
+
+
+def _server() -> QuaestorServer:
+    """An uncached server in front of 40 posts indexed on ``category``."""
+    database = Database(clock=VirtualClock())
+    posts = database.create_collection("posts")
+    posts.create_index("category")
+    for number in range(40):
+        posts.insert({"_id": f"d{number:03d}", "category": number % 4, "views": number})
+    return QuaestorServer(database, config=QuaestorConfig.uncached())
+
+
+QUERY = Query("posts", {"category": 2})
+
+
+def _costs():
+    """``(miss, hit)``: the first and the second execution on a fresh server."""
+    assert len(_server().handle_query(QUERY).body["documents"]) == 10  # the twin
+    server = _server()
+    miss = _calls_during(lambda: server.handle_query(QUERY))
+    hit = _calls_during(lambda: server.handle_query(QUERY))
+    return miss, hit
+
+
+def _within(cost, budget) -> bool:
+    return cost[0] <= budget[0] and cost[1] <= budget[1]
+
+
+def test_a_query_whose_tag_memo_misses_fits_the_budget():
+    miss, _hit = _costs()
+    assert _within(miss, MEMO_MISS), miss
+
+
+def test_a_query_whose_result_is_unchanged_fits_the_budget():
+    _miss, hit = _costs()
+    assert _within(hit, MEMO_HIT), hit
+
+
+def test_the_count_sees_what_it_claims_to():
+    """Vacuity check: the tag rendering a hit skips is visible to the count,
+    and an unindexed (filtered) execution costs more than a covered one."""
+    miss, hit = _costs()
+    assert hit[1] < miss[1]
+
+    server = _server()
+    unindexed = Query("posts", {"views": {"$gte": 0}, "category": 2})
+    server.handle_query(unindexed)
+    filtered = _calls_during(lambda: server.handle_query(unindexed))
+    assert filtered[0] > hit[0] + 10, filtered

@@ -68,14 +68,20 @@ class TestIndexSet:
         indexes.create("category")
         indexes.reindex("d1", None, {"category": "a", "views": 1})
         indexes.reindex("d2", None, {"category": "b", "views": 2})
-        assert indexes.candidate_ids(probes({"category": "a"})) == {"d1"}
-        assert indexes.candidate_ids(probes({"category": {"$eq": "b"}})) == {"d2"}
+        assert indexes.candidate_ids(probes({"category": "a"})) == ({"d1"}, True)
+        assert indexes.candidate_ids(probes({"category": {"$eq": "b"}})) == ({"d2"}, True)
 
     def test_candidate_ids_none_when_not_indexed(self):
         indexes = IndexSet()
         indexes.create("category")
-        assert indexes.candidate_ids(probes({"views": 3})) is None
-        assert indexes.candidate_ids(probes({"category": {"$gt": 1}})) is None
+        assert indexes.candidate_ids(probes({"views": 3})) == (None, False)
+        assert indexes.candidate_ids(probes({"category": {"$gt": 1}})) == (None, True)  # no probe
+
+    def test_candidate_ids_report_an_unindexed_probe(self):
+        indexes = IndexSet()
+        indexes.create("category")
+        indexes.reindex("d1", None, {"category": "a", "views": 1})
+        assert indexes.candidate_ids(probes({"category": "a", "views": 3})) == ({"d1"}, False)
 
     def test_candidate_ids_intersects_multiple_indexes(self):
         indexes = IndexSet()
@@ -83,13 +89,13 @@ class TestIndexSet:
         indexes.create("author")
         indexes.reindex("d1", None, {"category": "a", "author": "x"})
         indexes.reindex("d2", None, {"category": "a", "author": "y"})
-        assert indexes.candidate_ids(probes({"category": "a", "author": "y"})) == {"d2"}
+        assert indexes.candidate_ids(probes({"category": "a", "author": "y"})) == ({"d2"}, True)
 
     def test_document_lifecycle(self):
         indexes = IndexSet()
         indexes.create("category")
         indexes.reindex("d1", None, {"category": "a"})
         indexes.reindex("d1", {"category": "a"}, {"category": "b"})
-        assert indexes.candidate_ids(probes({"category": "b"})) == {"d1"}
+        assert indexes.candidate_ids(probes({"category": "b"})) == ({"d1"}, True)
         indexes.reindex("d1", {"category": "b"}, None)
-        assert indexes.candidate_ids(probes({"category": "b"})) == set()
+        assert indexes.candidate_ids(probes({"category": "b"})) == (set(), True)
