@@ -44,6 +44,10 @@
 #                        - alternating parent-vs-working-tree runs of the
 #                          benchmark: medians, quartiles, wins, the gain verdict
 #                          and whether every sim_* value stayed identical
+#   make wall-profile WORKLOAD=<name> [SEED=42]
+#                        - sampled wall-clock profile of one benchmark segment:
+#                          self and inclusive shares per function and per layer
+#                          (no per-call overhead, unlike the cProfile pass)
 #   make retained WORKLOAD=<name> [SEED=42]
 #                        - one benchmark segment's cost to the cyclic collector:
 #                          collector seconds and share, collections per
@@ -71,7 +75,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs retained docs-check unused-functions
+.PHONY: test budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
@@ -130,6 +134,9 @@ bench-ledger-smoke:
 
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),1234)
+
+wall-profile:
+	$(PYTHON) scripts/wall_profile.py --workload $(WORKLOAD) --seed $(or $(SEED),42)
 
 retained:
 	$(PYTHON) scripts/retained_objects.py --workload $(WORKLOAD) --seed $(or $(SEED),42)

@@ -131,6 +131,9 @@ class QuaestorClient:
         if cdn is not None:
             levels.append(("cdn", cdn))
         self._hierarchy = CacheHierarchy(levels, origin=self._origin_fetch)
+        #: No cache level and no EBF (the uncached baseline): reads and queries
+        #: call the server directly -- no cache to walk, no whitelist to keep.
+        self._direct = not levels and not use_ebf
 
         self.freshness = FreshnessPolicy(refresh_interval)
         self.whitelist = DifferentialWhitelist()
@@ -246,7 +249,13 @@ class QuaestorClient:
                 if level_consistency is ConsistencyLevel.CAUSAL
                 else None,
             )
-        result = self._fetch(key, level_consistency, refresh_due)
+        response = None
+        if self._direct:
+            if self._server_replica_reads:
+                response = self._origin_fetch(key)  # routed by the hints above
+            else:
+                response = self.server.handle_read(collection, document_id)
+        result = self._fetch(key, level_consistency, refresh_due, response)
         document = result.value
         version = None
         if isinstance(document, dict):
@@ -261,9 +270,9 @@ class QuaestorClient:
                     return degraded
                 return self._unavailable_result(key, "reads")
             if "document" in document:
-                # A record body: unwrap it into the result.
-                version = result.version = document.get("version")
-                document = result.value = document.get("document")
+                # A record body (render_record_read): unwrap it into the result.
+                version = result.version = document["version"]
+                document = result.value = document["document"]
 
         session = self.session
         if version is not None and session.is_regression(key, version):
@@ -280,7 +289,7 @@ class QuaestorClient:
             # first so the whitelist entry below survives until the *next*
             # renewal (it is as fresh as the new filter).
             self.refresh_bloom_filter()
-        if result.revalidated or result.level == ORIGIN_LEVEL:
+        if not self._direct and (result.revalidated or result.level == ORIGIN_LEVEL):
             self.whitelist.add(key)
         if version is not None:
             session.observe_read(key, version, document)
@@ -306,13 +315,17 @@ class QuaestorClient:
         counts = self.counters.counts
         counts["queries"] += 1
         key = query.cache_key
-        self._known_queries[key] = query
         level_consistency = consistency if consistency is not None else self.consistency
         refresh_due = self.use_ebf and self.freshness.needs_refresh(self._clock.now())
 
         # The fetch's result is the query's: only its value (and the markers
         # of a partial answer) are filled in below.
-        result = self._fetch(key, level_consistency, refresh_due)
+        direct = self._direct
+        if direct:
+            result = self._fetch(key, level_consistency, refresh_due, self.server.handle_query(query))
+        else:
+            self._known_queries[key] = query
+            result = self._fetch(key, level_consistency, refresh_due)
         body = result.value if isinstance(result.value, dict) else {}
         if "error" in body and body["error"] == "unavailable":
             # Every shard primary is down: total scatter unavailability.
@@ -329,8 +342,9 @@ class QuaestorClient:
             counts["degraded_queries"] += 1
 
         if body.get("representation", _OBJECT_LIST) == _OBJECT_LIST:
-            result.value = body.get("documents", [])
-            self._cache_result_records(query.collection, body, key, result.etag)
+            result.value = body["documents"] if "documents" in body else []
+            if not direct:
+                self._cache_result_records(query.collection, body, key, result.etag)
         else:
             result.value, result.extra_levels = self._assemble_id_list(
                 query.collection, body.get("ids", [])
@@ -349,7 +363,7 @@ class QuaestorClient:
             # whitelisted until the next EBF renewal (see read()).
             self.refresh_bloom_filter()
         if not degraded:
-            if result.revalidated or result.level == ORIGIN_LEVEL:
+            if not direct and (result.revalidated or result.level == ORIGIN_LEVEL):
                 self.whitelist.add(key)
             if level_consistency is ConsistencyLevel.CAUSAL:
                 self._update_causal_state(result.level)
@@ -424,14 +438,19 @@ class QuaestorClient:
     # -- internals: fetching -------------------------------------------------------------------------
 
     def _fetch(
-        self, key: str, consistency: ConsistencyLevel, refresh_due: bool
+        self,
+        key: str,
+        consistency: ConsistencyLevel,
+        refresh_due: bool,
+        response: Optional[Response] = None,
     ) -> ClientResult:
         """One request through the cascade: EBF -> client cache -> CDN -> origin.
 
         Decides whether the load must be a revalidation (strong read, EBF
         refresh due, causal session that saw newer state, or the EBF flags
         the key and it is not whitelisted), fetches through the hierarchy and
-        accounts the serving level.
+        accounts the serving level.  A direct client passes the origin's
+        ``response`` it already has, and the hierarchy is skipped.
         """
         counts = self.counters.counts
         bypass_all = consistency.always_revalidates
@@ -451,13 +470,16 @@ class QuaestorClient:
             )
             if revalidate:
                 counts["revalidations"] += 1
-        fetch = self._hierarchy.fetch(key, revalidate, bypass_all)
-        level = fetch.level
+        if response is None:
+            fetch = self._hierarchy.fetch(key, revalidate, bypass_all)
+            level, body, etag, revalidate = fetch.level, fetch.body, fetch.etag, fetch.revalidated
+        else:
+            level, body, etag = ORIGIN_LEVEL, response.body, response.etag
         counts[self._hit_counter_names[level]] += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.event("sdk.fetch", "level", level, "revalidated", fetch.revalidated)
-        return ClientResult(key, fetch.body, level, fetch.etag, None, fetch.revalidated)
+            tracer.event("sdk.fetch", "level", level, "revalidated", revalidate)
+        return ClientResult(key, body, level, etag, None, revalidate)
 
     def potentially_stale(self, keys: Sequence[str]) -> List[bool]:
         """Batch staleness precheck: one flag per key, in input order.

@@ -620,11 +620,15 @@ class QuaestorCluster:
         Each shard must return its top ``offset + limit`` candidates (in the
         global sort order) so that the merged, re-sorted stream provably
         contains the global window regardless of how matches are distributed.
+        The window shares the query's compiled plan (criteria and sort are
+        the same), so the shards' result memos know it again.
         """
         if query.limit is None and query.offset == 0:
             return query
         fetch_limit = None if query.limit is None else query.limit + query.offset
-        return Query(query.collection, query.criteria, sort=query.sort, limit=fetch_limit)
+        scatter = Query(query.collection, query.criteria, sort=query.sort, limit=fetch_limit)
+        object.__setattr__(scatter, "_plan", query._plan)
+        return scatter
 
     def _merge_query_responses(
         self,

@@ -26,18 +26,25 @@ class ResultRepresentation(str, enum.Enum):
     OBJECT_LIST = "object-list"
 
 
+#: The wire text of each representation (``.value`` is a property call).
+_OBJECT_LIST = ResultRepresentation.OBJECT_LIST.value
+_ID_LIST = ResultRepresentation.ID_LIST.value
+
+
 class ResultTagMemo(Dict[str, Tuple[Dict[str, int], str]]):
     """One owner's last ``(versions, tag)`` per cache key: an equal map reuses the tag.
 
     Owners pass only maps a :class:`~repro.db.collection.Collection` built from
     ``int`` versions (dict equality takes ``1``, ``1.0`` and ``True`` for one
     another, so :func:`etag_for_result` stays unmemoised); a map handed in is
-    kept and must not change.  Emptied at :data:`RESULT_TAG_MEMO_SIZE` keys.
+    kept and must not change.  The very map seen last -- what a collection's
+    result memo hands out again -- is taken without comparing it.  Emptied at
+    :data:`RESULT_TAG_MEMO_SIZE` keys.
     """
 
     def tag(self, key: str, versions: Dict[str, int]) -> str:
         last = self.get(key)
-        if last is not None and last[0] == versions:
+        if last is not None and (last[0] is versions or last[0] == versions):
             return last[1]
         etag = etag_for_result(versions)
         if len(self) >= RESULT_TAG_MEMO_SIZE:
@@ -58,7 +65,7 @@ def object_list_body(
     its keys are the id list.
     """
     return {
-        "representation": ResultRepresentation.OBJECT_LIST.value,
+        "representation": _OBJECT_LIST,
         "ids": list(versions),
         "documents": documents,
         "record_versions": versions,
@@ -81,7 +88,7 @@ def query_result_body(
     if representation is ResultRepresentation.OBJECT_LIST:
         return object_list_body(documents, versions, record_ttl=record_ttl)
     return {
-        "representation": ResultRepresentation.ID_LIST.value,
+        "representation": _ID_LIST,
         "ids": list(versions),
     }
 

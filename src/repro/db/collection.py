@@ -14,6 +14,9 @@ from repro.db.query import Query, window_ids
 from repro.db.updates import apply_update
 from repro.errors import DocumentNotFoundError, DuplicateKeyError, InvalidQueryError
 
+#: Covered plans one collection keeps a result for before it starts over.
+RESULT_MEMO_SIZE = 1024
+
 
 class Collection:
     """A named table of documents keyed by ``_id``.
@@ -27,7 +30,10 @@ class Collection:
     once on the way in (:meth:`insert`, :meth:`update`); every document handed
     out -- by reads, writes, queries and change events alike -- is the stored
     snapshot itself, shared by reference.  Callers that want to edit one
-    :func:`~repro.db.documents.deep_copy` it first.
+    :func:`~repro.db.documents.deep_copy` it first.  The same holds for a
+    query's result list and version map (:meth:`find_versioned`): they are
+    shared with the result memo and every earlier caller, so they are
+    read-only -- copy one before editing it.
     """
 
     def __init__(self, name: str, clock: Clock, change_stream: ChangeStream) -> None:
@@ -49,6 +55,8 @@ class Collection:
         #: numbers meaningful per document.
         self._deleted_versions: Dict[str, int] = {}
         self._indexes = IndexSet()
+        #: Covered plan -> (limit, offset, guards, documents, versions).
+        self._results: Dict[object, tuple] = {}
         self.reads = 0
         self.writes = 0
 
@@ -161,24 +169,55 @@ class Collection:
         """Execute ``query`` and return the matching stored snapshots.
 
         Sorting, offset and limit are applied after predicate evaluation, as
-        in the paper's MongoDB deployment.  The list is the caller's; the
-        documents in it are shared and read-only.
+        in the paper's MongoDB deployment.  The list and the documents in it
+        are shared and read-only (see :meth:`find_versioned`).
         """
         return self.find_versioned(query)[0]
 
     def find_versioned(self, query: Query) -> Tuple[List[Document], Dict[str, int]]:
         """:meth:`find` and ``{id: version}``, both from one id list: the map's
-        keys pair with the documents."""
-        ids = window_ids(self._matching_ids(query), self._documents, query)
+        keys pair with the documents.
+
+        A covered plan's result is memoised with the stamps of the buckets it
+        probed (:class:`~repro.db.indexes.HashIndex`); while they hold, the
+        very same list and map come back -- no sort, no copy.
+        """
         self.reads += 1
-        return (
-            list(map(self._documents.__getitem__, ids)),
-            dict(zip(ids, map(self._versions.__getitem__, ids))),
-        )
+        memo = self._results
+        # The compiled plan keys the memo.  It is read off the query's slot:
+        # a query that has no plan yet has never run, so it has no entry.
+        plan = query._plan
+        if plan in memo:
+            limit, offset, guards, documents, versions = memo[plan]
+            if limit == query.limit and offset == query.offset:
+                for stamps, key, stamp in guards:
+                    if (stamps[key] if key in stamps else 0) != stamp:
+                        break
+                else:
+                    return documents, versions
+        ids, covered = self._candidates(query)
+        plan = query._plan  # compiled by _candidates
+        ids = window_ids(ids if covered else self._filtered(ids, plan), self._documents, query)
+        documents = list(map(self._documents.__getitem__, ids))
+        versions = dict(zip(ids, map(self._versions.__getitem__, ids)))
+        if covered and plan.index_probes:
+            # Guard every probed bucket: (its index's stamps, key, stamp now).
+            stamp_tables = self._indexes.stamps
+            guards = []
+            for field, key in plan.index_probes:
+                stamps = stamp_tables[field]
+                guards.append((stamps, key, stamps[key] if key in stamps else 0))
+            if len(memo) >= RESULT_MEMO_SIZE:
+                memo.clear()
+            memo[plan] = (query.limit, query.offset, guards, documents, versions)
+        return documents, versions
 
     def count(self, query: Optional[Query] = None) -> int:
         """Number of documents (matching ``query`` if given, ignoring windowing)."""
-        return len(self._documents if query is None else self._matching_ids(query))
+        if query is None:
+            return len(self._documents)
+        ids, covered = self._candidates(query)
+        return len(ids if covered else self._filtered(ids, query.plan))
 
     def ids(self) -> List[str]:
         """All document ids in the collection."""
@@ -234,12 +273,9 @@ class Collection:
         ids, every_probe_indexed = self._indexes.candidate_ids(plan.index_probes)
         return (self._documents if ids is None else ids), plan.probes_exact and every_probe_indexed
 
-    def _matching_ids(self, query: Query) -> abc.Collection[str]:
-        """Ids matching ``query`` (read-only): a covered plan skips the predicate."""
-        ids, covered = self._candidates(query)
-        if covered:
-            return ids
-        return list(compress(ids, map(query.plan.matches, map(self._documents.__getitem__, ids))))
+    def _filtered(self, ids: abc.Collection[str], plan) -> List[str]:
+        """The ``ids`` whose documents ``plan`` matches."""
+        return list(compress(ids, map(plan.matches, map(self._documents.__getitem__, ids))))
 
     def _install(
         self, document_id: str, snapshot: Optional[Document], version: int

@@ -14,10 +14,18 @@ from repro.db.documents import MISSING, Document, order_key, split_path
 from repro.db.predicates import resolve_values, with_array_elements
 
 _NO_IDS: AbstractSet[str] = frozenset()
+_NO_KEYS: Tuple[Hashable, ...] = ()
 
 
 class HashIndex:
-    """Equality index over a single (possibly dotted) field path."""
+    """Equality index over a single (possibly dotted) field path.
+
+    Each key's *stamp* (:attr:`stamps`) numbers the last install that filed
+    a document under it, took one out, or changed one filed there: it holds
+    exactly while the bucket's members and their contents do.  An empty
+    bucket has none (reads as 0); numbers only grow, so a refilled bucket
+    never shows an old stamp.
+    """
 
     def __init__(self, field: str) -> None:
         if not field:
@@ -25,29 +33,48 @@ class HashIndex:
         self.field = field
         self._segments = split_path(field)
         self._entries: Dict[Hashable, Set[str]] = {}
+        self.stamps: Dict[Hashable, int] = {}
+        #: The keys each document is filed under (never recomputed on a move).
+        self._filed: Dict[str, Tuple[Hashable, ...]] = {}
+        self._installs = 0
 
     def reindex(
         self, document_id: str, before: Optional[Document], after: Optional[Document]
     ) -> None:
-        """Move ``document_id`` from the keys of ``before`` to those of ``after``.
+        """Move ``document_id`` from the keys of ``before`` to those of ``after``
+        and stamp every key it leaves, stays under or enters.
 
         ``before`` is ``None`` for an insert, ``after`` for a delete.  An
         update whose snapshots hold the very same value object under the
-        path's top-level field (or both lack it) cannot move the document.
+        path's top-level field (or both lack it) cannot move the document;
+        it only stamps the keys the document is filed under.
         """
+        self._installs = stamp = self._installs + 1
+        stamps = self.stamps
         if before is not None and after is not None:
             head = self._segments[0]
             if before.get(head, MISSING) is after.get(head, MISSING):
+                for key in self._filed[document_id]:
+                    stamps[key] = stamp
                 return
-        old = self._keys(before) if before is not None else set()
-        new = self._keys(after) if after is not None else set()
-        for key in old - new:
-            bucket = self._entries[key]
-            bucket.discard(document_id)
-            if not bucket:
-                del self._entries[key]
-        for key in new - old:
-            self._entries.setdefault(key, set()).add(document_id)
+        old = self._filed.pop(document_id, _NO_KEYS)
+        new = _NO_KEYS
+        if after is not None:
+            new = self._filed[document_id] = tuple(self._keys(after))
+        entries = self._entries
+        for key in old:
+            if key not in new:
+                bucket = entries[key]
+                bucket.discard(document_id)
+                if not bucket:
+                    del entries[key]
+                    del stamps[key]
+                    continue
+            stamps[key] = stamp
+        for key in new:
+            if key not in old:
+                entries.setdefault(key, set()).add(document_id)
+            stamps[key] = stamp
 
     def bucket(self, key: Hashable) -> AbstractSet[str]:
         """Live set of the ids whose field equals (or array contains) the keyed value."""
@@ -74,6 +101,8 @@ class IndexSet:
 
     def __init__(self) -> None:
         self._indexes: Dict[str, HashIndex] = {}
+        #: Per indexed field, its index's key stamps (:attr:`HashIndex.stamps`).
+        self.stamps: Dict[str, Dict[Hashable, int]] = {}
 
     def create(self, field: str) -> HashIndex:
         """Create (or return the existing) index on ``field``."""
@@ -81,6 +110,7 @@ class IndexSet:
         if index is None:
             index = HashIndex(field)
             self._indexes[field] = index
+            self.stamps[field] = index.stamps
         return index
 
     def fields(self) -> List[str]:

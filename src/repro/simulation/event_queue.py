@@ -1,10 +1,11 @@
 """A minimal discrete-event queue ordered by virtual timestamp.
 
 Hot-path layout (classic DES engineering): the heap holds plain
-``(timestamp, sequence, event)`` tuples -- CPython compares tuples in C, so
-sift operations never call back into Python -- and the event objects
-themselves are ``__slots__`` instances.  Cancellation is lazy (cancelled
-events stay in the heap and are skipped on pop), with a live-event counter
+``(timestamp, sequence, item)`` tuples -- CPython compares tuples in C, so
+sift operations never call back into Python.  An item is a cancellable
+:class:`ScheduledEvent` or, for what is never cancelled, the bare action
+(:meth:`EventQueue.push`); both are callable.  Cancellation is lazy
+(cancelled events stay in the heap and are skipped on pop), with counters
 keeping ``len()``/``bool()`` O(1) and a compaction pass that rebuilds the
 heap once cancelled entries outnumber live ones.
 """
@@ -12,12 +13,19 @@ heap once cancelled entries outnumber live ones.
 from __future__ import annotations
 
 import heapq
+import math
+from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional, Tuple
 
-#: One heap entry: (timestamp, insertion sequence, event).  The sequence is
-#: unique, so tuple comparison never reaches the (incomparable) event object
-#: and ties break by insertion order -- the determinism guarantee.
-_HeapEntry = Tuple[float, int, "ScheduledEvent"]
+#: One heap entry: (timestamp, insertion sequence, event or bare action).  The
+#: sequence is unique, so tuple comparison never reaches the (incomparable)
+#: item and ties break by insertion order -- the determinism guarantee.
+_HeapEntry = Tuple[float, int, Callable[[], None]]
+
+
+def _check_timestamp(timestamp: float) -> None:
+    if not 0.0 <= timestamp < math.inf:
+        raise ValueError(f"timestamp must be finite and non-negative, got {timestamp!r}")
 
 
 class ScheduledEvent:
@@ -39,6 +47,10 @@ class ScheduledEvent:
         self.label = label
         self.cancelled = False
         self._queue = queue
+
+    def __call__(self) -> None:
+        """Run the action (what a loop over :meth:`EventQueue.pop_if_before` does)."""
+        self.action()
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped.
@@ -63,7 +75,7 @@ class ScheduledEvent:
 
 
 class EventQueue:
-    """Priority queue of :class:`ScheduledEvent` ordered by timestamp.
+    """Priority queue of timestamped actions.
 
     Ties are broken by insertion order, which keeps simulations fully
     deterministic.
@@ -72,23 +84,31 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[_HeapEntry] = []
         self._next_sequence = 0
-        #: Number of scheduled-but-not-yet-popped events that are not
-        #: cancelled; maintained so ``len``/``bool`` never scan the heap.
-        self._live = 0
+        #: Events cancelled while still queued (``len`` subtracts them).
+        self._cancelled = 0
         #: Cancelled entries still sitting in the heap (lazy deletion debt).
         self._cancelled_in_heap = 0
         self.processed = 0
 
     def schedule(self, timestamp: float, action: Callable[[], None], label: str = "") -> ScheduledEvent:
-        """Schedule ``action`` to run at ``timestamp``."""
-        if timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
+        """Schedule ``action`` to run at ``timestamp``; the event can be cancelled."""
+        _check_timestamp(timestamp)
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
         event = ScheduledEvent(timestamp, sequence, action, label, self)
-        heapq.heappush(self._heap, (timestamp, sequence, event))
-        self._live += 1
+        heappush(self._heap, (timestamp, sequence, event))
         return event
+
+    def push(self, timestamp: float, action: Callable[[], None]) -> None:
+        """Queue ``action`` at ``timestamp`` as a bare entry that is never cancelled.
+
+        Unchecked: the caller guarantees a finite, non-negative timestamp --
+        the simulator's completions and purges are sums of a clock reading
+        and latencies, all validated finite where they were built.
+        """
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        heappush(self._heap, (timestamp, sequence, action))
 
     def schedule_many(
         self, items: Iterable[Tuple[float, Callable[[], None]]], label: str = ""
@@ -110,79 +130,81 @@ class EventQueue:
         entries: List[_HeapEntry] = []
         events: List[ScheduledEvent] = []
         for timestamp, action in items:
-            if timestamp < 0:
-                raise ValueError("timestamp must be non-negative")
+            _check_timestamp(timestamp)
             event = ScheduledEvent(timestamp, sequence, action, label, self)
             entries.append((timestamp, sequence, event))
             events.append(event)
             sequence += 1
         self._next_sequence = sequence
-        if not entries:
-            return events
-        self._live += len(events)
         heap = self._heap
         if len(entries) * 4 < len(heap):
             for entry in entries:
-                heapq.heappush(heap, entry)
+                heappush(heap, entry)
         else:
             heap.extend(entries)
             heapq.heapify(heap)
         return events
 
     def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the next non-cancelled event (or ``None``)."""
-        return self.pop_if_before(float("inf"))
+        """Remove and return the next non-cancelled event (or ``None``); a bare
+        entry comes back wrapped in a detached event."""
+        entry = self.pop_if_before(math.inf)
+        if entry is None or entry[2].__class__ is ScheduledEvent:
+            return entry and entry[2]
+        return ScheduledEvent(*entry)
 
-    def pop_if_before(self, end_time: float) -> Optional[ScheduledEvent]:
-        """Pop the next event only if it is due at or before ``end_time``.
+    def pop_if_before(self, end_time: float) -> Optional[_HeapEntry]:
+        """Pop the next live ``(timestamp, sequence, item)`` due at or before
+        ``end_time`` (``None`` when there is none); ``item()`` runs it.
 
         Single heap inspection for the simulator's main loop (instead of a
-        :meth:`peek_time` followed by a :meth:`pop`, each of which walks past
-        cancelled heads separately).
+        :meth:`peek_time` followed by a :meth:`pop`).
         """
         heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            if head[0] > end_time:
-                return None
-            heapq.heappop(heap)
-            event._queue = None
-            self._live -= 1
+        if self._cancelled_in_heap:
+            self._drop_cancelled_head()
+        if heap and heap[0][0] <= end_time:
+            entry = heappop(heap)
+            if entry[2].__class__ is ScheduledEvent:
+                entry[2]._queue = None
             self.processed += 1
-            return event
+            return entry
         return None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event without removing it."""
+        if self._cancelled_in_heap:
+            self._drop_cancelled_head()
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return self._live
+        return self._next_sequence - self.processed - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return self._next_sequence - self.processed - self._cancelled > 0
 
     # -- lazy-deletion bookkeeping ------------------------------------------------------
 
+    @staticmethod
+    def _is_cancelled(entry: _HeapEntry) -> bool:
+        return entry[2].__class__ is ScheduledEvent and entry[2].cancelled
+
+    def _drop_cancelled_head(self) -> None:
+        while self._heap and self._is_cancelled(self._heap[0]):
+            heappop(self._heap)
+            self._cancelled_in_heap -= 1
+
     def _on_cancel(self) -> None:
         """Account for one cancellation; compact once debt exceeds live work."""
-        self._live -= 1
+        self._cancelled += 1
         self._cancelled_in_heap += 1
         if self._cancelled_in_heap * 2 > len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (amortised O(n))."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap = [entry for entry in self._heap if not self._is_cancelled(entry)]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -192,11 +214,11 @@ class EventQueue:
         advance_to = clock.advance_to
         pop_if_before = self.pop_if_before
         while True:
-            event = pop_if_before(end_time)
-            if event is None:
+            entry = pop_if_before(end_time)
+            if entry is None:
                 break
-            advance_to(event.timestamp)
-            event.action()
+            advance_to(entry[0])
+            entry[2]()
             executed += 1
         advance_to(end_time)
         return executed

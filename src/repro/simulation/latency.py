@@ -10,6 +10,7 @@ to model jitter.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,6 +28,10 @@ REGION_RTT_SECONDS: Dict[str, float] = {
 }
 
 
+#: ``random.Random.gauss``'s angle factor, computed the same way.
+_TWO_PI = 2.0 * math.pi
+
+
 @dataclass
 class LatencyModel:
     """A latency source: a mean with optional jitter around it.
@@ -40,6 +45,12 @@ class LatencyModel:
     ``mu = ln(mean) - sigma^2/2``), producing the heavy upper tail without
     moving the average.  The default stays ``"gauss"`` so existing seeded
     experiments reproduce value-identically.
+
+    :meth:`sample` runs ``random.gauss``'s Box--Muller steps itself (no
+    ``gauss`` frame), keeping the pair's spare on the model -- it is pickled
+    with it and dropped by :meth:`reseed` -- so the stream is exactly
+    ``max(minimum, Random(seed).gauss(mean, jitter))``.  The lognormal
+    parameters are computed once.
     """
 
     mean: float
@@ -49,33 +60,51 @@ class LatencyModel:
     _rng: random.Random = field(default_factory=lambda: random.Random(17), repr=False)
 
     def __post_init__(self) -> None:
-        if self.mean < 0:
-            raise ValueError("mean latency must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.minimum < 0:
-            raise ValueError("minimum must be non-negative")
+        for name in ("mean", "jitter", "minimum"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.distribution not in ("gauss", "lognormal"):
             raise ValueError(f"unknown latency distribution {self.distribution!r}")
         if self.distribution == "lognormal" and self.jitter > 0 and self.mean <= 0:
             raise ValueError("lognormal jitter requires a positive mean")
+        self._fixed = max(self.minimum, self.mean)
+        self._spare: Optional[float] = None
+        if self.distribution == "lognormal" and self.jitter > 0:
+            cv_squared = (self.jitter / self.mean) ** 2
+            sigma_squared = math.log(1.0 + cv_squared)
+            self._mu = math.log(self.mean) - sigma_squared / 2.0
+            self._sigma = math.sqrt(sigma_squared)
 
     def sample(self) -> float:
         """Draw one latency sample (mean when jitter is zero)."""
         if self.jitter == 0.0:
-            return max(self.minimum, self.mean)
+            return self._fixed
         if self.distribution == "lognormal":
-            cv_squared = (self.jitter / self.mean) ** 2
-            sigma_squared = math.log(1.0 + cv_squared)
-            mu = math.log(self.mean) - sigma_squared / 2.0
-            value = self._rng.lognormvariate(mu, math.sqrt(sigma_squared))
+            value = self._rng.lognormvariate(self._mu, self._sigma)
         else:
-            value = self._rng.gauss(self.mean, self.jitter)
-        return max(self.minimum, value)
+            z = self._spare
+            if z is None:
+                uniform = self._rng.random
+                x2pi = uniform() * _TWO_PI
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+                # The pair (cos * g2rad, sin * g2rad) is the point at radius
+                # g2rad and angle x2pi: one rect() call, the same products.
+                pair = cmath.rect(g2rad, x2pi)
+                z = pair.real
+                self._spare = pair.imag
+            else:
+                self._spare = None
+            value = self.mean + z * self.jitter
+        minimum = self.minimum
+        return value if value > minimum else minimum
 
     def reseed(self, seed: int) -> None:
         """Reset the jitter stream (used to make experiments reproducible)."""
         self._rng = random.Random(seed)
+        self._spare = None
 
 
 @dataclass

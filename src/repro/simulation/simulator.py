@@ -53,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 _NET_STAGE = {"client": "net.client", "cdn": "net.cdn", "origin": "net.origin"}
 #: History text of each operation type (``.value`` is a property call).
 _OPERATION_NAMES = {kind: kind.value for kind in OperationType}
+_READ = OperationType.READ
+_QUERY = OperationType.QUERY
 
 
 class CachingMode(str, enum.Enum):
@@ -409,7 +411,23 @@ class Simulator:
             partial(self._execute_operation, index) for index in range(config.num_clients)
         ]
         self._origin_next_slot: Dict[object, float] = {}
+        self._origin_interval = 1.0 / config.origin_capacity
         self._extra_fetch_rr = 0
+        #: Per-level read pricers of the cache levels, resolved once for a
+        #: single server without a tracer (the origin is priced inline);
+        #: otherwise ``None``: :meth:`_read_path_latency` prices.
+        self._read_pricers = None
+        if self.cluster is None and self.tracer is None:
+            topology = config.topology
+            self._rtt_sample = topology.origin_round_trip.sample
+            self._processing_sample = topology.server_processing.sample
+            self._read_pricers = {
+                "client": topology.client_cache_hit.sample,
+                "cdn": topology.cdn_hit.sample,
+                SESSION_LEVEL: lambda: 0.0,  # served from session state: no network
+                ERROR_LEVEL: self._rtt_sample,
+                DEGRADED_LEVEL: self._rtt_sample,
+            }
 
         # --- metrics. ---
         self.read_latency = Histogram("read")
@@ -457,9 +475,7 @@ class Simulator:
         if self.cdn is None:
             return
         delay = self.config.topology.invalidation_delay.sample()
-        self.events.schedule(
-            self.clock.now() + delay, lambda: self.cdn.purge(key), label=f"purge:{key[:30]}"
-        )
+        self.events.push(self.clock.now() + delay, partial(self.cdn.purge, key))
 
     # -- main loop ----------------------------------------------------------------------------
 
@@ -484,11 +500,11 @@ class Simulator:
         stop_time = self.config.duration
         max_operations = self.config.max_operations
         while self._total_operations < max_operations:
-            event = pop_if_before(stop_time)
-            if event is None:
+            entry = pop_if_before(stop_time)
+            if entry is None:
                 break
-            advance_to(event.timestamp)
-            event.action()
+            advance_to(entry[0])
+            entry[2]()
         if self.metrics_registry is not None:
             # Closing snapshot at the (deterministic) stop time so the
             # series always covers the whole run.
@@ -562,7 +578,35 @@ class Simulator:
         if recording:
             self._op_markers = (False, False, False)
         registry = self.metrics_registry
-        latency, op_class, key, etag, level, result = self._perform(client, operation)
+        operation_type = operation.type
+        if operation_type is _READ or operation_type is _QUERY:
+            if operation_type is _READ:
+                op_class = "read"
+                result = client.read(operation.collection, operation.document_id)
+            else:
+                op_class = "query"
+                result = client.query(operation.query)
+            level = result.level
+            key = result.key
+            etag = result.etag
+            pricers = self._read_pricers
+            if pricers is None:
+                latency = self._read_path_latency(level, key)
+            elif level == "origin":
+                # Round trip + processing + the queue wait on token 0, as
+                # _read_path_latency charges it (a zero wait adds 0.0).
+                latency = self._rtt_sample() + self._processing_sample() + self._origin_wait(0)
+            else:
+                latency = pricers[level]()
+            for extra_level in result.extra_levels:
+                latency += self._read_path_latency(extra_level, None)
+            runtime = self._resilience_runtime
+            if runtime is not None and runtime.touched:
+                latency = self._drain_resilience(latency, level)
+        else:
+            op_class = "write"
+            etag = None
+            latency, key, level, result = self._perform_write(client, operation)
         if self.tracer is not None:
             # Price the completed root (its key and level came with the SDK's
             # ``end``, its cost children from the pricing sites): latency, op class.
@@ -591,11 +635,7 @@ class Simulator:
             if registry is not None:
                 self._operation_counters[op_class, level].inc()
                 self._latency_samples[op_class].append(latency)
-            if (
-                self.config.audit_staleness
-                and etag is not None
-                and (op_class == "read" or op_class == "query")
-            ):
+            if etag is not None and self.config.audit_staleness:  # writes carry no etag
                 staleness = self.auditor.audit_read(key, etag, start_time)
                 stale_counts = self._stale_counts.counts
                 if staleness is not None:
@@ -628,34 +668,16 @@ class Simulator:
                 fast_failed=fast_failed,
             )
 
-        self.events.schedule(completion, self._client_actions[client_index], label="op")
+        self.events.push(completion, self._client_actions[client_index])
 
-    def _perform(self, client: QuaestorClient, operation: Operation):
-        """Execute one operation and derive its latency from the serving level."""
+    def _perform_write(self, client: QuaestorClient, operation: Operation):
+        """Execute one write: ``(latency, key, level, result)``.
+
+        Writes always travel to the origin (the owning shard's primary) and
+        pay its capacity constraint.
+        """
         topology = self.config.topology
         operation_type = operation.type
-        if operation_type == OperationType.QUERY:
-            result = client.query(operation.query)
-            level = result.level
-            latency = self._read_path_latency(level, result.key)
-            for extra_level in result.extra_levels:
-                latency += self._read_path_latency(extra_level, None)
-            runtime = self._resilience_runtime
-            if runtime is not None and runtime.touched:
-                latency = self._drain_resilience(latency, level)
-            return latency, "query", result.key, result.etag, level, result
-
-        if operation_type == OperationType.READ:
-            result = client.read(operation.collection, operation.document_id)
-            level = result.level
-            latency = self._read_path_latency(level, result.key)
-            runtime = self._resilience_runtime
-            if runtime is not None and runtime.touched:
-                latency = self._drain_resilience(latency, level)
-            return latency, "read", result.key, result.etag, level, result
-
-        # Writes always travel to the origin (the owning shard's primary) and
-        # pay its capacity constraint.
         write_token = self._write_token(operation)
         if operation_type == OperationType.UPDATE:
             result = client.update(operation.collection, operation.document_id, operation.payload)
@@ -671,7 +693,7 @@ class Simulator:
             if tracer is not None:
                 tracer.cost("net.probe", probe)
             latency = self._drain_resilience(probe, ERROR_LEVEL)
-            return latency, "write", result.key, None, ERROR_LEVEL, result
+            return latency, result.key, ERROR_LEVEL, result
         base = topology.write_latency()
         wait = self._origin_wait(write_token)
         if tracer is not None:
@@ -683,7 +705,7 @@ class Simulator:
         if tracer is not None and inflated != latency:
             tracer.cost("gray.slow", inflated - latency)
         latency = self._drain_resilience(inflated, "origin")
-        return latency, "write", result.key, None, "origin", result
+        return latency, result.key, "origin", result
 
     def _read_path_latency(self, level: str, key: Optional[str]) -> float:
         """Latency of a read/query answered at ``level`` plus origin queueing."""
@@ -894,10 +916,13 @@ class Simulator:
     def _origin_wait(self, token: object) -> float:
         """Queueing delay at one origin node: requests spaced by its capacity."""
         now = self.clock.now()
-        slot = self._origin_next_slot.get(token, 0.0)
-        wait = max(0.0, slot - now)
-        self._origin_next_slot[token] = max(now, slot) + 1.0 / self.config.origin_capacity
-        return wait
+        slots = self._origin_next_slot
+        slot = slots[token] if token in slots else 0.0
+        if slot > now:
+            slots[token] = slot + self._origin_interval
+            return slot - now
+        slots[token] = now + self._origin_interval
+        return 0.0
 
     # -- result aggregation -------------------------------------------------------------------------
 

@@ -27,8 +27,8 @@ class StalenessAuditor:
     """Tracks authoritative versions and audits reads against them."""
 
     def __init__(self, recorder: Optional["HistoryRecorder"] = None) -> None:
-        #: Per key: ``(commit_timestamp, version_token)``, append-only, with no
-        #: consecutive repeats.  Read-only outside this class.
+        #: Per key: ``(commit_timestamp, version_token)``, append-only, never
+        #: empty, with no consecutive repeats.  Read-only outside this class.
         self.timelines: Dict[str, List[Tuple[float, str]]] = {}
         #: Optional history recorder: every appended timeline entry is
         #: mirrored into it as an install event, so the log carries exactly
@@ -46,10 +46,14 @@ class StalenessAuditor:
         along a key's timeline timestamps never decrease (equal ones are
         fine), which the lookups rely on.
         """
-        timeline = self.timelines.setdefault(key, [])
-        if timeline and timeline[-1][1] == version:
-            return
-        timeline.append((timestamp, version))
+        timelines = self.timelines
+        if key in timelines:
+            timeline = timelines[key]
+            if timeline[-1][1] == version:
+                return
+            timeline.append((timestamp, version))
+        else:
+            timelines[key] = [(timestamp, version)]
         if self.recorder is not None:
             self.recorder.record_install(key, version, timestamp)
 
@@ -66,9 +70,10 @@ class StalenessAuditor:
         content).  A degraded (stale-if-error) serve is measured exactly like
         any other read.
         """
-        timeline = self.timelines.get(key)
-        if not timeline:
+        timelines = self.timelines
+        if key not in timelines:
             return None
+        timeline = timelines[key]
         installed_at, newest = timeline[-1]
         if newest == token and installed_at <= at:
             # The common case, decided without scanning: the read returned

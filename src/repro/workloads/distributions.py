@@ -76,6 +76,8 @@ class ZipfianGenerator:
         self._constant = constant
         self._rng = rng if rng is not None else random.Random(0)
         self._scrambled = scrambled
+        #: Scrambled index per rank, filled on a rank's first draw.
+        self._scramble: List[Optional[int]] = [None] * item_count if scrambled else []
 
         self._zeta_n = self._zeta(item_count, constant)
         self._theta = constant
@@ -99,26 +101,14 @@ class ZipfianGenerator:
 
     def next_index(self) -> int:
         """Draw the next item index (0 is the most popular unscrambled item)."""
-        u = self._rng.random()
-        uz = u * self._zeta_n
-        if uz < 1.0:
-            rank = 0
-        elif uz < 1.0 + 0.5**self._theta:
-            rank = 1
-        else:
-            rank = int(self._item_count * (self._eta * u - self._eta + 1) ** self._alpha)
-            rank = min(rank, self._item_count - 1)
-        if not self._scrambled:
-            return rank
-        return stable_uint64(f"zipf-{rank}") % self._item_count
+        return self.next_indexes(1)[0]
 
     def next_indexes(self, count: int) -> List[int]:
         """Draw ``count`` indexes in one pass; same stream as single draws.
 
-        The per-draw float arithmetic is identical to :meth:`next_index`
-        (each draw consumes exactly one uniform variate), only the Python
-        dispatch overhead -- attribute lookups, method-call frames -- is
-        hoisted out of the loop.  The YCSB constants are bound once.
+        Each draw consumes exactly one uniform variate; the YCSB constants
+        are bound once, and a rank's scrambled index is hashed on its first
+        draw only.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -129,10 +119,10 @@ class ZipfianGenerator:
         eta = self._eta
         alpha = self._alpha
         scrambled = self._scrambled
+        scramble = self._scramble
         top = item_count - 1
-        indexes: List[int] = []
-        append = indexes.append
-        for _ in range(count):
+        indexes: List[int] = [0] * count
+        for position in range(count):
             u = rng_random()
             uz = u * zeta_n
             if uz < 1.0:
@@ -144,8 +134,11 @@ class ZipfianGenerator:
                 if rank > top:
                     rank = top
             if scrambled:
-                rank = stable_uint64(f"zipf-{rank}") % item_count
-            append(rank)
+                index = scramble[rank]
+                if index is None:
+                    index = scramble[rank] = stable_uint64(f"zipf-{rank}") % item_count
+                rank = index
+            indexes[position] = rank
         return indexes
 
 

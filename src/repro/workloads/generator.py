@@ -164,6 +164,11 @@ class WorkloadGenerator:
             raise ConfigurationError("dataset must contain documents and queries")
         self._document_ids = document_ids
         self._queries = queries
+        #: One read / query operation per target index, built on first use:
+        #: an :class:`Operation` is read-only by convention, so every draw of
+        #: the same target can hand out the same one.
+        self._read_operations: List[Optional[Operation]] = [None] * len(document_ids)
+        self._query_operations: List[Optional[Operation]] = [None] * len(queries)
 
         if spec.uniform:
             self._document_picker = UniformGenerator(len(document_ids), random.Random(spec.seed + 1))
@@ -176,53 +181,29 @@ class WorkloadGenerator:
                 len(queries), spec.zipf_constant, random.Random(spec.seed + 2)
             )
 
-        self._choices = [
+        choices = [
             (OperationType.READ, spec.read_proportion),
             (OperationType.QUERY, spec.query_proportion),
             (OperationType.UPDATE, spec.update_proportion),
             (OperationType.INSERT, spec.insert_proportion),
             (OperationType.DELETE, spec.delete_proportion),
         ]
-        # Cumulative-weight table for ``random.choices``-style type sampling.
-        # Built with the same left-to-right float accumulation as the legacy
-        # linear scan in _sample_type, so bisecting it selects bit-identical
-        # types for the same uniform draw.
-        self._type_order = [operation_type for operation_type, _ in self._choices]
+        # Cumulative-weight table for ``random.choices``-style type sampling,
+        # accumulated left to right: a draw selects the first type whose
+        # cumulative weight exceeds it (the first type if rounding leaves
+        # the total short of the draw).
+        self._type_order = [operation_type for operation_type, _ in choices]
         cumulative = 0.0
         self._cum_weights: List[float] = []
-        for _operation_type, proportion in self._choices:
+        for _operation_type, proportion in choices:
             cumulative += proportion
             self._cum_weights.append(cumulative)
 
     # -- sampling -------------------------------------------------------------------
 
     def next_operation(self) -> Operation:
-        """Sample the next operation (type first, then target)."""
-        operation_type = self._sample_type()
-        if operation_type == OperationType.QUERY:
-            query = self._queries[self._query_picker.next_index()]
-            return Operation(type=OperationType.QUERY, collection=query.collection, query=query)
-
-        table, document_id = self._document_ids[self._document_picker.next_index()]
-        if operation_type == OperationType.READ:
-            return Operation(type=OperationType.READ, collection=table, document_id=document_id)
-        if operation_type == OperationType.UPDATE:
-            return Operation(
-                type=OperationType.UPDATE,
-                collection=table,
-                document_id=document_id,
-                payload=self._partial_update(),
-            )
-        if operation_type == OperationType.DELETE:
-            return Operation(type=OperationType.DELETE, collection=table, document_id=document_id)
-
-        # Insert: a brand-new document in the sampled table.
-        self._insert_counter += 1
-        new_id = f"{table}-new-{self._insert_counter:06d}"
-        document = {"_id": new_id, **self._insert_payload()}
-        return Operation(
-            type=OperationType.INSERT, collection=table, document_id=new_id, payload=document
-        )
+        """Sample the next operation (type first, then target): a batch of one."""
+        return self.next_operations(1)[0]
 
     def next_operations(self, count: int) -> List[Operation]:
         """Sample ``count`` operations in one batch.
@@ -236,7 +217,9 @@ class WorkloadGenerator:
         per-operation Python dispatch: one bisect over a precomputed
         cumulative-weight table per type draw, and one
         :meth:`~repro.workloads.distributions.ZipfianGenerator.next_indexes`
-        call per picker per chunk.
+        call per picker per chunk.  Reads and queries come from the
+        per-target operations (:attr:`_read_operations`), so a repeat draw
+        of a target builds nothing.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -244,55 +227,74 @@ class WorkloadGenerator:
         cum_weights = self._cum_weights
         type_order = self._type_order
         top = len(type_order)
+        read_type = OperationType.READ
         query_type = OperationType.QUERY
         update_type = OperationType.UPDATE
         insert_type = OperationType.INSERT
 
         # Pass 1 -- type and payload sampling.  Types and (for writes) payloads
-        # interleave on the shared spec RNG exactly as in next_operation.
-        plan: List[tuple] = []
+        # interleave on the shared spec RNG, operation by operation.  A read
+        # or query plans as its bare type, a write as a tuple.
+        plan: List[object] = [None] * count
         document_picks = 0
-        query_picks = 0
-        for _ in range(count):
+        for position in range(count):
             draw = rng_random()
             index = bisect_right(cum_weights, draw)
             operation_type = type_order[index] if index < top else type_order[0]
             if operation_type is query_type:
-                query_picks += 1
-                plan.append((operation_type, None, None))
+                plan[position] = operation_type
                 continue
             document_picks += 1
             if operation_type is update_type:
-                plan.append((operation_type, self._partial_update(), None))
+                plan[position] = (operation_type, self._partial_update(), None)
             elif operation_type is insert_type:
                 self._insert_counter += 1
                 # The insert payload's RNG draws happen here, in stream order;
                 # the target table (and thus the new id) is resolved from the
                 # document pick during assembly.
-                plan.append((operation_type, self._insert_payload(), self._insert_counter))
+                plan[position] = (operation_type, self._insert_payload(), self._insert_counter)
+            elif operation_type is read_type:
+                plan[position] = operation_type
             else:
-                plan.append((operation_type, None, None))
+                plan[position] = (operation_type, None, None)
 
         # Pass 2 -- batched target sampling on the pickers' dedicated streams.
         document_indexes = iter(self._document_picker.next_indexes(document_picks))
-        query_indexes = iter(self._query_picker.next_indexes(query_picks))
+        query_indexes = iter(self._query_picker.next_indexes(count - document_picks))
 
         document_ids = self._document_ids
         queries = self._queries
-        operations: List[Operation] = []
-        append = operations.append
-        for operation_type, payload, insert_number in plan:
-            if operation_type is query_type:
-                query = queries[next(query_indexes)]
-                append(Operation(query_type, query.collection, None, query))
+        read_operations = self._read_operations
+        query_operations = self._query_operations
+        for position, entry in enumerate(plan):
+            if entry is query_type:
+                index = next(query_indexes)
+                operation = query_operations[index]
+                if operation is None:
+                    query = queries[index]
+                    operation = Operation(query_type, query.collection, None, query)
+                    query_operations[index] = operation
+                plan[position] = operation
                 continue
-            table, document_id = document_ids[next(document_indexes)]
+            index = next(document_indexes)
+            if entry is read_type:
+                operation = read_operations[index]
+                if operation is None:
+                    table, document_id = document_ids[index]
+                    operation = Operation(read_type, table, document_id)
+                    read_operations[index] = operation
+                plan[position] = operation
+                continue
+            operation_type, payload, insert_number = entry
+            table, document_id = document_ids[index]
             if operation_type is insert_type:
                 new_id = f"{table}-new-{insert_number:06d}"
-                append(Operation(insert_type, table, new_id, None, {"_id": new_id, **payload}))
+                plan[position] = Operation(
+                    insert_type, table, new_id, None, {"_id": new_id, **payload}
+                )
             else:
-                append(Operation(operation_type, table, document_id, None, payload))
-        return operations
+                plan[position] = Operation(operation_type, table, document_id, None, payload)
+        return plan
 
     def stream(self, count: int) -> Iterator[Operation]:
         """Yield ``count`` operations, sampled lazily one at a time.
@@ -337,23 +339,12 @@ class WorkloadGenerator:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _sample_type(self) -> OperationType:
-        draw = self._rng.random()
-        cumulative = 0.0
-        for operation_type, proportion in self._choices:
-            cumulative += proportion
-            if draw < cumulative:
-                return operation_type
-        return self._choices[0][0]
-
     def _insert_payload(self) -> Dict:
         """The body of a freshly inserted document (sans ``_id``).
 
-        One builder for both the sequential and the batched sampler: the RNG
-        draw order (category, then author) is part of the pinned operation
-        stream, so the two paths must never diverge.  Callers bump
-        ``_insert_counter`` first; the ``_id`` is added once the target table
-        is known.
+        Its RNG draw order (category, then author) is part of the pinned
+        operation stream.  Callers bump ``_insert_counter`` first; the
+        ``_id`` is added once the target table is known.
         """
         return {
             "title": f"New post {self._insert_counter}",

@@ -99,6 +99,23 @@ class TestMergeCorrectness:
         with pytest.raises(CollectionNotFoundError):
             ClusterClient(cluster).handle_query(Query("nope", {}))
 
+    def test_repeated_windowed_scatter_reuses_the_shards_memoised_results(self):
+        # Each windowed scatter builds a fresh fetch-window query; it must
+        # share the client query's compiled plan, or every repeat would file
+        # a new, never-hit entry in every shard's result memo.
+        cluster = build_cluster()
+        collections = [shard.database.collection("posts") for shard in cluster.shards]
+        for collection in collections:
+            collection.create_index("category")
+        query = Query("posts", {"category": 2}, sort=(("views", 1),), limit=3, offset=1)
+        facade = ClusterClient(cluster)
+        first = facade.handle_query(query).body["ids"]  # compiles the client query's plan
+        facade.handle_query(query)
+        memoised = [dict(collection._results) for collection in collections]
+        for _ in range(3):
+            assert facade.handle_query(query).body["ids"] == first
+        assert [collection._results for collection in collections] == memoised
+
 
 class TestCacheControlMerging:
     def test_min_ttl_wins_across_shards(self):

@@ -9,16 +9,19 @@ test counts, around one such query on a 10-member result,
 * all calls, Python and C (as ``cProfile`` and the benchmark's
   ``calls_per_op`` do),
 
-once when the server's result-tag memo misses (the first execution) and once
-when it hits (the result is unchanged since the last one).  A covered index
-plan runs no predicate and no per-member sort key, the collection hands the
-versions back with the documents, and an unchanged result reuses its tag --
-so a return to filtering an index bucket, to a Python sort key per member,
-to a separate ``str(_id)`` pass for the versions or the id list, or to
-rendering every tag afresh fails here on any machine, without a wall-clock
-threshold.  Before, this query cost 54 frames / 96 calls on its first
-execution and 54 / 95 on the next (there was no memo); now a miss costs
-27 / 40 and a hit 25 / 31.
+once when the memos miss (the first execution) and once when they hit (the
+result is unchanged since the last one).  A covered index plan runs no
+predicate and no per-member sort key, the collection hands the versions
+back with the documents, an unchanged covered result comes back from the
+collection's stamped memo as the very list and map it handed out before,
+and the server reuses that map's tag without comparing it -- so a return to
+filtering an index bucket, to a Python sort key per member, to a separate
+``str(_id)`` pass for the versions or the id list, to re-executing an
+unchanged query or to rendering every tag afresh fails here on any machine,
+without a wall-clock threshold.  Before, this query cost 54 frames / 96
+calls on its first execution and 54 / 95 on the next (there was no memo);
+with the tag memo a miss cost 27 / 40 and a hit 25 / 31; with the result
+memo a miss costs 24 / 37 and a hit 17 / 19.
 
 Both runs are preceded by one on a twin server: the query's compiled plan
 and the process-wide memo tables then answer the measured runs the same way
@@ -27,6 +30,7 @@ whatever ran earlier in the process, which makes the counts exact.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -37,8 +41,8 @@ from repro.core.config import QuaestorConfig
 from repro.db import Database, Query
 
 #: (frames, all calls) budgets.
-MEMO_MISS = (27, 40)
-MEMO_HIT = (25, 31)
+MEMO_MISS = (24, 37)
+MEMO_HIT = (17, 19)
 
 
 @pytest.fixture(autouse=True)
@@ -58,11 +62,17 @@ def _calls_during(function):
         elif event == "c_call":
             c_calls += 1
 
+    # No collection inside the count: one would run ``gc.callbacks`` (a
+    # hypothesis test earlier in the process installs one) as frames here.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     frames -= 1  # the lambda itself
     return frames, frames + c_calls - 1  # the closing sys.setprofile(None) is seen as a c_call
 

@@ -25,6 +25,7 @@ the counts exact.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -67,11 +68,17 @@ def _calls_during(function):
         elif event == "c_call":
             c_calls += 1
 
+    # No collection inside the count: one would run ``gc.callbacks`` (a
+    # hypothesis test earlier in the process installs one) as frames here.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     frames -= 1  # the lambda itself
     return frames, frames + c_calls - 1  # the closing sys.setprofile(None) is seen as a c_call
 

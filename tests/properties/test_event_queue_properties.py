@@ -22,10 +22,10 @@ schedule_scripts = st.lists(st.tuples(timestamps, st.booleans()), max_size=120)
 def drain(queue, end_time=float("inf")):
     popped = []
     while True:
-        event = queue.pop_if_before(end_time)
-        if event is None:
+        entry = queue.pop_if_before(end_time)
+        if entry is None:
             return popped
-        popped.append(event)
+        popped.append(entry[2])
 
 
 class TestEventQueueProperties:

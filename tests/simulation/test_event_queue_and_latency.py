@@ -148,8 +148,8 @@ class TestEventQueue:
         queue.schedule(2.0, lambda: None, label="mid")
         queue.schedule(9.0, lambda: None, label="tail")
         head.cancel()
-        event = queue.pop_if_before(5.0)
-        assert event is not None and event.label == "mid"
+        entry = queue.pop_if_before(5.0)
+        assert entry is not None and entry[2].label == "mid"
         assert queue.pop_if_before(5.0) is None  # tail is beyond the bound
         assert len(queue) == 1
 

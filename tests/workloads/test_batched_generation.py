@@ -20,6 +20,11 @@ from repro.workloads import DatasetSpec, WorkloadGenerator, WorkloadSpec, genera
 #: produced by the pre-overhaul per-operation sampler.
 GOLDEN_STREAM_SHA256 = "36bd2a78a55819d53432600ff4575645e88ba242028d6fcf95be1ba69227a7e7"
 
+#: The same over the uniform-picker variant of the spec (``uniform=True``),
+#: recorded at commit 2bc23be, the last one whose ``next_operation`` sampled
+#: one operation at a time (type by a linear scan) instead of a batch of one.
+GOLDEN_UNIFORM_STREAM_SHA256 = "21350467cfbc5f473c90e517582a9ce8d5b72f1b35338dd7de1dd20d751c74d7"
+
 GOLDEN_SPEC = dict(
     read_proportion=0.46,
     query_proportion=0.46,
@@ -60,6 +65,10 @@ class TestBatchedGeneration:
         """The seeded stream (all five operation types) is pinned by hash."""
         generator = WorkloadGenerator(WorkloadSpec(**GOLDEN_SPEC), dataset)
         assert fingerprint(generator.next_operations(2_000)) == GOLDEN_STREAM_SHA256
+
+    def test_golden_uniform_stream_fingerprint(self, dataset):
+        generator = WorkloadGenerator(WorkloadSpec(**{**GOLDEN_SPEC, "uniform": True}), dataset)
+        assert fingerprint(generator.next_operations(2_000)) == GOLDEN_UNIFORM_STREAM_SHA256
 
     def test_batched_equals_one_at_a_time(self, dataset):
         batched = WorkloadGenerator(WorkloadSpec(**GOLDEN_SPEC), dataset)
