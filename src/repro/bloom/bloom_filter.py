@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.bloom.hashing import _blake2_pair_cached as _pair
 from repro.bloom.sizing import false_positive_rate, optimal_hash_count
+
+#: Keys one geometry's probe memo holds before it starts over.
+PROBE_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _probe_memo(num_bits: int, num_hashes: int) -> Dict["str | bytes", tuple]:
+    """``key -> ((byte, mask), ...)``: the positions a key probes, in probe
+    order.  A pure function of key and geometry, never of the bits, so every
+    filter of one geometry shares one memo (the last 16 geometries')."""
+    return {}
+
+
+def _memoised_probes(memo: dict, key: "str | bytes", num_bits: int, num_hashes: int) -> tuple:
+    """Compute, memoise and return ``key``'s ``(byte, mask)`` probes."""
+    h1, h2 = _pair(key)
+    h2 |= 1
+    probes: tuple = ()
+    for _ in range(num_hashes):
+        position = h1 % num_bits
+        probes += ((position >> 3, 1 << (position & 7)),)
+        h1 += h2
+    if len(memo) >= PROBE_MEMO_SIZE:
+        memo.clear()
+    memo[key] = probes
+    return probes
 
 
 class BloomFilter:
@@ -18,6 +45,8 @@ class BloomFilter:
     ``(num_bits, num_hashes)`` is the filter's whole geometry: the positions a
     key sets come from the memoised blake2b pair of
     :mod:`repro.bloom.hashing`, and ``to_bytes`` emits the raw bit array.
+    Membership tests read a key's positions from its geometry's probe memo:
+    a repeat key costs ``num_hashes`` byte tests.
     """
 
     def __init__(self, num_bits: int, num_hashes: int) -> None:
@@ -29,6 +58,7 @@ class BloomFilter:
         self.num_hashes = int(num_hashes)
         self._bits = bytearray((self.num_bits + 7) // 8)
         self._count = 0
+        self._probes = _probe_memo(self.num_bits, self.num_hashes)
 
     # -- construction helpers -------------------------------------------------
 
@@ -79,36 +109,19 @@ class BloomFilter:
         One frame: the client SDK probes its EBF copy with this before every
         read and query.
         """
+        try:
+            probes = self._probes[key]
+        except KeyError:
+            probes = _memoised_probes(self._probes, key, self.num_bits, self.num_hashes)
         bits = self._bits
-        num_bits = self.num_bits
-        h1, h2 = _pair(key)
-        h2 |= 1
-        for _ in range(self.num_hashes):
-            position = h1 % num_bits
-            if not bits[position >> 3] & (1 << (position & 7)):
+        for byte, mask in probes:
+            if not bits[byte] & mask:
                 return False
-            h1 += h2
         return True
 
     def contains_all(self, keys: Sequence[str]) -> List[bool]:
         """Batch membership test: one ``bool`` per key, in input order."""
-        bits = self._bits
-        num_bits = self.num_bits
-        hash_range = range(self.num_hashes)
-        results: List[bool] = []
-        append = results.append
-        for key in keys:
-            h1, h2 = _pair(key)
-            h2 |= 1
-            member = True
-            for _ in hash_range:
-                position = h1 % num_bits
-                if not bits[position >> 3] & (1 << (position & 7)):
-                    member = False
-                    break
-                h1 += h2
-            append(member)
-        return results
+        return list(map(self.contains, keys))
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)

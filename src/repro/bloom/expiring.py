@@ -92,13 +92,13 @@ class ExpiringBloomFilter:
         that a later invalidation can decide whether the key has to be added
         to the filter and for how long it has to stay there.
         """
-        if ttl < 0:
+        if not ttl >= 0:  # NaN included
             raise ValueError(f"ttl must be non-negative, got {ttl}")
         timestamp = self.now() if read_time is None else read_time
         cacheable_until = timestamp + ttl
-        previous = self._cacheable_until.get(key, float("-inf"))
-        if cacheable_until > previous:
-            self._cacheable_until[key] = cacheable_until
+        cacheable = self._cacheable_until
+        if key not in cacheable or cacheable_until > cacheable[key]:
+            cacheable[key] = cacheable_until
             heapq.heappush(self._expiry_heap, (cacheable_until, key))
         # If the key is already stale, the newly issued TTL extends the time
         # it must remain in the filter (the highest issued TTL governs).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.caching.entry import CacheEntry
 from repro.caching.stats import CacheStatistics
@@ -15,7 +15,8 @@ class WebCache:
     """A standards-following HTTP cache.
 
     The cache stores responses under their resource URL (cache key), serves
-    them while fresh, and evicts least-recently-used entries when bounded.
+    them while fresh, and evicts least-recently-used entries when bounded
+    (only a bounded cache keeps a recency order: nothing else can observe it).
     Whether the cache is *shared* determines which Cache-Control directive
     governs its TTL (``s-maxage`` for shared caches, ``max-age`` otherwise).
     """
@@ -32,25 +33,29 @@ class WebCache:
         self.name = name
         self.shared = shared
         self._clock = clock
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        # Recency only shows through eviction: an unbounded cache keeps a
+        # plain dict and never reorders it; a bounded one keeps LRU order.
+        self._entries: Dict[str, CacheEntry] = {} if max_entries is None else OrderedDict()
         self._max_entries = max_entries
         self.stats = CacheStatistics()
 
     # -- lookups ---------------------------------------------------------------------
 
-    def lookup(self, key: str) -> Optional[CacheEntry]:
-        """Return the fresh entry for ``key`` or ``None`` (counts hit/miss)."""
+    def lookup(self, key: str, now: float) -> Optional[CacheEntry]:
+        """The fresh entry for ``key`` at the caller's instant ``now``, or
+        ``None``; counts the hit or miss."""
         entries = self._entries
         stats = self.stats
-        entry = entries.get(key)
-        if entry is None:
+        if key not in entries:
             stats.misses += 1
             return None
-        if self._clock.now() >= entry.stored_at + entry.ttl:  # not entry.is_fresh(now)
+        entry = entries[key]
+        if now >= entry.stored_at + entry.ttl:  # not entry.is_fresh(now)
             stats.misses += 1
             stats.stale_hits += 1
             return None
-        entries.move_to_end(key)
+        if self._max_entries is not None:
+            entries.move_to_end(key)
         stats.hits += 1
         return entry
 
@@ -74,7 +79,7 @@ class WebCache:
         if not response.is_cacheable:
             return None
         ttl = response.ttl_for(shared=self.shared)
-        if ttl <= 0:
+        if not ttl > 0:
             return None
         entry = CacheEntry(
             key=key,
@@ -86,37 +91,36 @@ class WebCache:
         self._insert(key, entry)
         return entry
 
-    def restamp(self, entries: Sequence[CacheEntry], ttl: float) -> None:
-        """Re-store a batch of entries this cache owns, fresh for ``ttl`` from now.
+    def restamp(self, entries: Sequence[CacheEntry], ttl: float, now: float) -> None:
+        """Re-store a batch of entries this cache owns, fresh for ``ttl`` from ``now``.
 
         The SDK's object-list side-caching: every serve of a query result
         re-stores its member records, and the entries of one result version
         are built once and restamped here on each re-serve.  The outcome --
         map content, LRU order, evictions, ``stats`` -- is exactly that of
         storing a new entry per member in sequence order, minus the entry
-        construction and a clock read per member.  A non-positive ``ttl``
-        stores nothing, so a negative one never reaches an entry.
+        construction and a clock read per member (``now`` is the caller's
+        instant).  Only a positive ``ttl``
+        stores anything, so a negative or NaN one never reaches an entry.
 
         Ownership: the entries are *mutated* (``stored_at`` / ``ttl``), so
         they must be private to this cache and its caller.  Nothing else may
         hold one: an entry leaves a cache for another only as a
         :meth:`CacheEntry.refreshed` copy.
         """
-        if ttl <= 0:
+        if not ttl > 0:
             return
-        now = self._clock.now()
+        if self._max_entries is not None:
+            for entry in entries:
+                entry.stored_at = now
+                entry.ttl = ttl
+                self._insert(entry.key, entry)  # the LRU touch and eviction, per member
+            return
         store = self._entries
-        move_to_end = store.move_to_end
-        max_entries = self._max_entries
         for entry in entries:
-            key = entry.key
             entry.stored_at = now
             entry.ttl = ttl
-            store[key] = entry
-            move_to_end(key)
-            if max_entries is not None and len(store) > max_entries:
-                store.popitem(last=False)
-                self.stats.evictions += 1
+            store[entry.key] = entry
         self.stats.stores += len(entries)
 
     def store_entry(self, entry: CacheEntry) -> None:
@@ -135,9 +139,9 @@ class WebCache:
 
     def _insert(self, key: str, entry: CacheEntry) -> None:
         self._entries[key] = entry
-        self._entries.move_to_end(key)
         self.stats.stores += 1
         if self._max_entries is not None:
+            self._entries.move_to_end(key)
             while len(self._entries) > self._max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1

@@ -22,7 +22,7 @@ class CacheEntry:
     ttl: float
 
     def __post_init__(self) -> None:
-        if self.ttl < 0:
+        if not self.ttl >= 0:  # also rejects NaN, which would never expire
             raise ValueError("ttl must be non-negative")
 
     @property

@@ -110,6 +110,7 @@ class CacheHierarchy:
     def fetch(
         self,
         key: str,
+        now: float,
         revalidate: bool = False,
         bypass_all_caches: bool = False,
     ) -> FetchResult:
@@ -117,6 +118,8 @@ class CacheHierarchy:
 
         Parameters
         ----------
+        now:
+            The caller's instant, for every level's freshness check.
         revalidate:
             Skip *expiration-based* caches for serving (they cannot be trusted
             for this key); invalidation-based caches may still answer because
@@ -132,7 +135,7 @@ class CacheHierarchy:
                 # Under revalidation, expiration-based caches are bypassed
                 # for serving; the response refreshes them on its way back.
                 if serves_revalidation or not revalidate:
-                    entry = cache.lookup(key)
+                    entry = cache.lookup(key, now)
                     if entry is not None:
                         if index:
                             self._refresh_downstream(self._levels[:index], entry)

@@ -9,6 +9,7 @@ Delta-atomicity guarantee.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 
@@ -16,8 +17,10 @@ class FreshnessPolicy:
     """Controls the age of the client's EBF copy."""
 
     def __init__(self, refresh_interval: float = 10.0) -> None:
-        if refresh_interval <= 0:
-            raise ValueError("refresh_interval must be positive")
+        # A NaN or infinite interval never comes due: refreshes would stop
+        # and staleness would be unbounded.
+        if not (refresh_interval > 0 and math.isfinite(refresh_interval)):
+            raise ValueError("refresh_interval must be positive and finite")
         self.refresh_interval = refresh_interval
         self._last_refresh: Optional[float] = None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bloom.bloom_filter import BloomFilter
@@ -48,6 +49,7 @@ ERROR_LEVEL = "error"
 DEGRADED_LEVEL = "stale-if-error"
 
 _OBJECT_LIST = ResultRepresentation.OBJECT_LIST.value
+_STRONG = ConsistencyLevel.STRONG
 #: Queries whose last served result stays prepared (see _cache_result_records).
 _PREPARED_QUERIES = 1024
 
@@ -104,11 +106,19 @@ class QuaestorClient:
     ) -> None:
         self.server = server
         self.name = name
-        #: Observability (:class:`repro.obs.TraceRecorder`): when attached,
-        #: every operation opens a root span (``sdk.read`` / ``sdk.query`` /
-        #: ``sdk.insert`` / ...) that the layers below hang their spans off.
-        #: ``None`` keeps the hot path span-free.
+        #: Observability (:class:`repro.obs.TraceRecorder`), fixed at
+        #: construction: when attached, every operation opens a root span
+        #: (``sdk.read`` / ``sdk.query`` / ``sdk.insert`` / ...) that the layers
+        #: below hang their spans off.  ``None`` keeps the hot path span-free:
+        #: the operations run unwrapped, with no dispatch frame.
         self.tracer = tracer
+        if tracer is not None:
+            for operation in ("read", "query", "insert", "update", "delete"):
+                setattr(
+                    self,
+                    operation,
+                    partial(self._with_root, f"sdk.{operation}", getattr(self, operation)),
+                )
         self._clock: Clock = clock if clock is not None else server.clock
         self.consistency = consistency
         self.use_client_cache = use_client_cache
@@ -157,13 +167,15 @@ class QuaestorClient:
             level: f"hits_{level}" for level in (*self._hierarchy.level_names, ORIGIN_LEVEL)
         }
         # Prepared member entries per query cache key -> (result etag, served
-        # id list, entries): the etag pins the member ids and versions, the id
-        # list their served order.  The entries are private to this client's
-        # cache and are restamped on every re-serve (see
-        # _cache_result_records).  One version per query -- the one that can
-        # still be re-served -- so a superseded result stops pinning its
-        # entries and documents the moment its successor arrives, and an LRU
-        # over the queries so a long tail of one-off queries ages out.
+        # id list, entries, body, record_ttl): the etag pins the member ids
+        # and versions, the id list their served order, and the body object
+        # (with its record_ttl) is the one a cache hit serves again.  The
+        # entries are private to this client's cache and are restamped on
+        # every re-serve (see _cache_result_records).  One version per query
+        # -- the one that can still be re-served -- so a superseded result
+        # stops pinning its entries and documents the moment its successor
+        # arrives, and an LRU over the queries so a long tail of one-off
+        # queries ages out.
         self._prepared_records: "OrderedDict[str, tuple]" = OrderedDict()
 
     # -- connection / EBF management -----------------------------------------------------
@@ -201,17 +213,17 @@ class QuaestorClient:
 
     # -- reads -------------------------------------------------------------------------------
 
-    def _with_root(self, name: str, impl, *args) -> ClientResult:
+    def _with_root(self, name: str, impl, *args, **kwargs) -> ClientResult:
         """Run ``impl`` under a tracing root span, decorated with the outcome.
 
-        Only called when a tracer is attached; nested operations (the
+        Only installed when a tracer is attached; nested operations (the
         per-member reads assembling an id-list query result) become child
         spans of the enclosing root automatically.
         """
         tracer = self.tracer
         span = tracer.begin(name)
         try:
-            result = impl(*args)
+            result = impl(*args, **kwargs)
         except BaseException:
             tracer.end(span)
             raise
@@ -225,20 +237,14 @@ class QuaestorClient:
         consistency: Optional[ConsistencyLevel] = None,
     ) -> ClientResult:
         """Read a single record with the session's (or an overriding) consistency."""
-        if self.tracer is None:
-            return self._read_impl(collection, document_id, consistency)
-        return self._with_root("sdk.read", self._read_impl, collection, document_id, consistency)
-
-    def _read_impl(
-        self,
-        collection: str,
-        document_id: str,
-        consistency: Optional[ConsistencyLevel] = None,
-    ) -> ClientResult:
         self.counters.counts["reads"] += 1
         key = record_key(collection, document_id)
         level_consistency = consistency if consistency is not None else self.consistency
-        refresh_due = self.use_ebf and self.freshness.needs_refresh(self._clock.now())
+        # One instant per operation: the refresh check and every cache
+        # level's freshness check use it (a direct client needs none).
+        direct = self._direct
+        now = None if direct else self._clock.now()
+        refresh_due = self.use_ebf and self.freshness.needs_refresh(now)
 
         if self._server_replica_reads:
             # Only replicated servers consume the routing hints; keep the
@@ -250,12 +256,12 @@ class QuaestorClient:
                 else None,
             )
         response = None
-        if self._direct:
+        if direct:
             if self._server_replica_reads:
                 response = self._origin_fetch(key)  # routed by the hints above
             else:
                 response = self.server.handle_read(collection, document_id)
-        result = self._fetch(key, level_consistency, refresh_due, response)
+        result = self._fetch(key, level_consistency, refresh_due, response, now)
         document = result.value
         version = None
         if isinstance(document, dict):
@@ -275,9 +281,9 @@ class QuaestorClient:
                 document = result.value = document["document"]
 
         session = self.session
-        if version is not None and session.is_regression(key, version):
+        if version is not None and not session.observe_read(key, version, document):
             # Monotonic reads: never expose a version older than one this
-            # session has already seen.
+            # session has already seen (the session recorded nothing).
             self.counters.increment("monotonic_read_fallbacks")
             version, document = session.monotonic_fallback(key)
             result = ClientResult(
@@ -289,10 +295,8 @@ class QuaestorClient:
             # first so the whitelist entry below survives until the *next*
             # renewal (it is as fresh as the new filter).
             self.refresh_bloom_filter()
-        if not self._direct and (result.revalidated or result.level == ORIGIN_LEVEL):
+        if not direct and (result.revalidated or result.level == ORIGIN_LEVEL):
             self.whitelist.add(key)
-        if version is not None:
-            session.observe_read(key, version, document)
         if level_consistency is ConsistencyLevel.CAUSAL:
             self._update_causal_state(result.level)
         return result
@@ -303,29 +307,21 @@ class QuaestorClient:
         consistency: Optional[ConsistencyLevel] = None,
     ) -> ClientResult:
         """Execute a query, transparently assembling id-list results."""
-        if self.tracer is None:
-            return self._query_impl(query, consistency)
-        return self._with_root("sdk.query", self._query_impl, query, consistency)
-
-    def _query_impl(
-        self,
-        query: Query,
-        consistency: Optional[ConsistencyLevel] = None,
-    ) -> ClientResult:
         counts = self.counters.counts
         counts["queries"] += 1
         key = query.cache_key
         level_consistency = consistency if consistency is not None else self.consistency
-        refresh_due = self.use_ebf and self.freshness.needs_refresh(self._clock.now())
+        direct = self._direct
+        now = None if direct else self._clock.now()  # the operation's one instant
+        refresh_due = self.use_ebf and self.freshness.needs_refresh(now)
 
         # The fetch's result is the query's: only its value (and the markers
         # of a partial answer) are filled in below.
-        direct = self._direct
         if direct:
             result = self._fetch(key, level_consistency, refresh_due, self.server.handle_query(query))
         else:
             self._known_queries[key] = query
-            result = self._fetch(key, level_consistency, refresh_due)
+            result = self._fetch(key, level_consistency, refresh_due, None, now)
         body = result.value if isinstance(result.value, dict) else {}
         if "error" in body and body["error"] == "unavailable":
             # Every shard primary is down: total scatter unavailability.
@@ -344,7 +340,7 @@ class QuaestorClient:
         if body.get("representation", _OBJECT_LIST) == _OBJECT_LIST:
             result.value = body["documents"] if "documents" in body else []
             if not direct:
-                self._cache_result_records(query.collection, body, key, result.etag)
+                self._cache_result_records(query.collection, body, key, result.etag, now)
         else:
             result.value, result.extra_levels = self._assemble_id_list(
                 query.collection, body.get("ids", [])
@@ -380,11 +376,6 @@ class QuaestorClient:
 
     def insert(self, collection: str, document: Document) -> ClientResult:
         """Insert a new record (writes always go to the origin)."""
-        if self.tracer is None:
-            return self._insert_impl(collection, document)
-        return self._with_root("sdk.insert", self._insert_impl, collection, document)
-
-    def _insert_impl(self, collection: str, document: Document) -> ClientResult:
         self.counters.counts["writes"] += 1
         response = self.server.handle_insert(collection, document)
         key = record_key(collection, str(document.get("_id", "")))
@@ -394,11 +385,6 @@ class QuaestorClient:
 
     def update(self, collection: str, document_id: str, update: Document) -> ClientResult:
         """Apply a partial update to a record."""
-        if self.tracer is None:
-            return self._update_impl(collection, document_id, update)
-        return self._with_root("sdk.update", self._update_impl, collection, document_id, update)
-
-    def _update_impl(self, collection: str, document_id: str, update: Document) -> ClientResult:
         self.counters.counts["writes"] += 1
         key = record_key(collection, document_id)
         # Beginning an update invalidates the record in the client's own cache
@@ -409,11 +395,6 @@ class QuaestorClient:
 
     def delete(self, collection: str, document_id: str) -> ClientResult:
         """Delete a record."""
-        if self.tracer is None:
-            return self._delete_impl(collection, document_id)
-        return self._with_root("sdk.delete", self._delete_impl, collection, document_id)
-
-    def _delete_impl(self, collection: str, document_id: str) -> ClientResult:
         self.counters.counts["writes"] += 1
         key = record_key(collection, document_id)
         self.client_cache.remove(key)
@@ -443,6 +424,7 @@ class QuaestorClient:
         consistency: ConsistencyLevel,
         refresh_due: bool,
         response: Optional[Response] = None,
+        now: Optional[float] = None,
     ) -> ClientResult:
         """One request through the cascade: EBF -> client cache -> CDN -> origin.
 
@@ -450,10 +432,11 @@ class QuaestorClient:
         refresh due, causal session that saw newer state, or the EBF flags
         the key and it is not whitelisted), fetches through the hierarchy and
         accounts the serving level.  A direct client passes the origin's
-        ``response`` it already has, and the hierarchy is skipped.
+        ``response`` it already has, and the hierarchy is skipped; any other
+        passes the operation's instant ``now`` on to the cache levels.
         """
         counts = self.counters.counts
-        bypass_all = consistency.always_revalidates
+        bypass_all = consistency is _STRONG  # the level that always revalidates
         if bypass_all:
             revalidate = True
         else:
@@ -464,14 +447,14 @@ class QuaestorClient:
                 or (
                     bloom is not None
                     and self.use_ebf
-                    and key not in self.whitelist
+                    and key not in self.whitelist.fresh_keys
                     and bloom.contains(key)
                 )
             )
             if revalidate:
                 counts["revalidations"] += 1
         if response is None:
-            fetch = self._hierarchy.fetch(key, revalidate, bypass_all)
+            fetch = self._hierarchy.fetch(key, now, revalidate, bypass_all)
             level, body, etag, revalidate = fetch.level, fetch.body, fetch.etag, fetch.revalidated
         else:
             level, body, etag = ORIGIN_LEVEL, response.body, response.etag
@@ -524,7 +507,12 @@ class QuaestorClient:
     # -- internals: record handling ----------------------------------------------------------------------
 
     def _cache_result_records(
-        self, collection: str, body: Dict[str, Any], query_key: str, result_etag: Optional[str]
+        self,
+        collection: str,
+        body: Dict[str, Any],
+        query_key: str,
+        result_etag: Optional[str],
+        now: float,
     ) -> None:
         """Insert all records of an object-list result into the client cache.
 
@@ -543,8 +531,16 @@ class QuaestorClient:
         version of ``query_key`` keeps the entry of every member whose
         version did not change and builds the changed ones.  Observing a kept
         member again would be a no-op: the session already holds it at this
-        version or a newer one.
+        version or a newer one.  A re-serve of the very body object last
+        prepared (a cache hit hands the stored body out) restamps at once:
+        its members, their order and its ``record_ttl`` are the prepared ones.
         """
+        memo = self._prepared_records
+        prepared = memo.get(query_key)
+        if prepared is not None and prepared[3] is body:
+            memo.move_to_end(query_key)
+            self.client_cache.restamp(prepared[2], prepared[4], now)
+            return
         record_ttl = body.get("record_ttl", 0.0) or 0.0
         if not self.use_client_cache or record_ttl <= 0:
             return
@@ -552,10 +548,7 @@ class QuaestorClient:
         if not documents:
             return
         ids = body.get("ids")
-        memo = self._prepared_records
-        prepared = memo.get(query_key)
         if prepared is not None and prepared[0] == result_etag and prepared[1] == ids:
-            memo.move_to_end(query_key)
             entries = prepared[2]
         else:
             # A new result version, or the same members served in another
@@ -586,12 +579,12 @@ class QuaestorClient:
                         record_ttl,
                     )
                     observe_read(key, version, document)
-            if result_etag is not None:
-                memo[query_key] = (result_etag, ids, entries)
-                memo.move_to_end(query_key)
-                if len(memo) > _PREPARED_QUERIES:
-                    memo.popitem(last=False)
-        self.client_cache.restamp(entries, record_ttl)
+        if result_etag is not None:
+            memo[query_key] = (result_etag, ids, entries, body, record_ttl)
+            memo.move_to_end(query_key)
+            if len(memo) > _PREPARED_QUERIES:
+                memo.popitem(last=False)
+        self.client_cache.restamp(entries, record_ttl, now)
 
     def _assemble_id_list(self, collection: str, ids: List[str]) -> tuple:
         """Fetch each member record of an id-list result through the cache chain.

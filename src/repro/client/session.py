@@ -43,20 +43,18 @@ class ClientSession:
 
     # -- monotonic reads ----------------------------------------------------------------
 
-    def observe_read(self, key: str, version: int, document: Optional[Document]) -> None:
-        """Record the version a read returned (keeps the highest one)."""
+    def observe_read(self, key: str, version: int, document: Optional[Document]) -> bool:
+        """Record the version a read returned (keeps the highest one).  A
+        regression -- older than a version this session has already seen --
+        records nothing and returns False."""
         if version < self._seen_versions.get(key, -1):
-            return
+            return False
         self._seen_versions[key] = version
         self._seen_documents[key] = document if document else None
+        return True
 
     def highest_seen_version(self, key: str) -> Optional[int]:
         return self._seen_versions.get(key)
-
-    def is_regression(self, key: str, version: int) -> bool:
-        """Whether ``version`` is older than one this session has already seen."""
-        highest = self._seen_versions.get(key)
-        return highest is not None and version < highest
 
     def monotonic_fallback(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
         """The newest version/document this session has already observed."""

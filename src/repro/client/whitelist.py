@@ -16,22 +16,23 @@ class DifferentialWhitelist:
     """Keys revalidated since the last EBF refresh."""
 
     def __init__(self) -> None:
-        self._fresh_keys: Set[str] = set()
+        #: The whitelisted keys (read-only; hot paths test membership directly).
+        self.fresh_keys: Set[str] = set()
         self.additions = 0
         self.resets = 0
 
     def add(self, key: str) -> None:
         """Mark ``key`` as revalidated (fresh until the next EBF renewal)."""
-        self._fresh_keys.add(key)
+        self.fresh_keys.add(key)
         self.additions += 1
 
     def __contains__(self, key: str) -> bool:
-        return key in self._fresh_keys
+        return key in self.fresh_keys
 
     def reset(self) -> None:
         """Clear the whitelist (called whenever a new EBF copy arrives)."""
-        self._fresh_keys.clear()
+        self.fresh_keys.clear()
         self.resets += 1
 
     def __len__(self) -> int:
-        return len(self._fresh_keys)
+        return len(self.fresh_keys)

@@ -33,10 +33,6 @@ class ConsistencyLevel(str, enum.Enum):
     STRONG = "strong"
 
     @property
-    def always_revalidates(self) -> bool:
-        return self is ConsistencyLevel.STRONG
-
-    @property
     def allows_replica_reads(self) -> bool:
         """Whether a lagging replica may serve reads at this level.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class Histogram:
@@ -30,6 +30,11 @@ class Histogram:
         """Add many samples at once."""
         self._samples.extend(float(value) for value in values)
         self._sorted = None
+
+    def appender(self) -> Callable[[float], None]:
+        """:meth:`record` for a hot loop that passes floats: the samples' own
+        ``append`` (the sorted cache is checked against the sample count)."""
+        return self._samples.append
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's samples into this one."""
@@ -141,9 +146,10 @@ class Histogram:
     # -- internals --------------------------------------------------------------------
 
     def _ordered(self) -> List[float]:
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return self._sorted
+        ordered = self._sorted
+        if ordered is None or len(ordered) != len(self._samples):
+            ordered = self._sorted = sorted(self._samples)
+        return ordered
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -27,9 +27,10 @@ class CacheControl:
     must_revalidate: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_age is not None and self.max_age < 0:
+        # ``not x >= 0`` also rejects NaN, a lifetime that would never end.
+        if self.max_age is not None and not self.max_age >= 0:
             raise ValueError("max-age must be non-negative")
-        if self.s_maxage is not None and self.s_maxage < 0:
+        if self.s_maxage is not None and not self.s_maxage >= 0:
             raise ValueError("s-maxage must be non-negative")
 
     # -- constructors ---------------------------------------------------------

@@ -66,6 +66,7 @@ class LatencyModel:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+            setattr(self, name, float(value))  # every sample is a float
         if self.distribution not in ("gauss", "lognormal"):
             raise ValueError(f"unknown latency distribution {self.distribution!r}")
         if self.distribution == "lognormal" and self.jitter > 0 and self.mean <= 0:

@@ -18,6 +18,7 @@ ordered write history, giving the Delta-atomicity measurements of Figure 10.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -171,6 +172,8 @@ class SimulationConfig:
             raise ConfigurationError("failover_detection_delay must be non-negative")
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if not (self.ebf_refresh_interval > 0 and math.isfinite(self.ebf_refresh_interval)):
+            raise ConfigurationError("ebf_refresh_interval must be positive and finite")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must lie in [0, 1)")
         if self.max_operations <= 0:
@@ -415,19 +418,20 @@ class Simulator:
         self._extra_fetch_rr = 0
         #: Per-level read pricers of the cache levels, resolved once for a
         #: single server without a tracer (the origin is priced inline);
-        #: otherwise ``None``: :meth:`_read_path_latency` prices.
+        #: otherwise ``None``: :meth:`_read_path_latency` prices.  A level
+        #: whose latency has no jitter draws nothing: its price is a constant.
         self._read_pricers = None
+        self._fixed_prices = {SESSION_LEVEL: 0.0}  # session state: no network
         if self.cluster is None and self.tracer is None:
             topology = config.topology
             self._rtt_sample = topology.origin_round_trip.sample
             self._processing_sample = topology.server_processing.sample
-            self._read_pricers = {
-                "client": topology.client_cache_hit.sample,
-                "cdn": topology.cdn_hit.sample,
-                SESSION_LEVEL: lambda: 0.0,  # served from session state: no network
-                ERROR_LEVEL: self._rtt_sample,
-                DEGRADED_LEVEL: self._rtt_sample,
-            }
+            self._read_pricers = {ERROR_LEVEL: self._rtt_sample, DEGRADED_LEVEL: self._rtt_sample}
+            for level, model in (("client", topology.client_cache_hit), ("cdn", topology.cdn_hit)):
+                if model.jitter == 0.0:
+                    self._fixed_prices[level] = model.sample()
+                else:
+                    self._read_pricers[level] = model.sample
 
         # --- metrics. ---
         self.read_latency = Histogram("read")
@@ -444,6 +448,13 @@ class Simulator:
             "write": Counter(),
         }
         self._stale_counts = Counter()
+        #: The measured-op tail, bound once per op class (latency sink, level
+        #: counts, audited / stale counter keys), and the auditor (``None``: off).
+        self._op_tails = {
+            op: (sink.appender(), self.level_counts[op].counts, f"audited_{op}", f"stale_{op}")
+            for op, sink in self._latency_by_class.items()
+        }
+        self._audit = self.auditor.audit_read if config.audit_staleness else None
         #: How long each stale measured read had been superseded, in audit order.
         self._staleness_samples: List[float] = []
         self._hedged_reads = 0
@@ -592,6 +603,8 @@ class Simulator:
             pricers = self._read_pricers
             if pricers is None:
                 latency = self._read_path_latency(level, key)
+            elif level in self._fixed_prices:
+                latency = self._fixed_prices[level]
             elif level == "origin":
                 # Round trip + processing + the queue wait on token 0, as
                 # _read_path_latency charges it (a zero wait adds 0.0).
@@ -630,22 +643,24 @@ class Simulator:
         measured = self._measure_start_time is not None
         if measured:
             self._measured_operations += 1
-            self._latency_by_class[op_class].record(latency)
-            self.level_counts[op_class].counts[level] += 1
+            record, levels, audited, stale = self._op_tails[op_class]
+            record(latency)
+            levels[level] += 1
             if registry is not None:
                 self._operation_counters[op_class, level].inc()
                 self._latency_samples[op_class].append(latency)
-            if etag is not None and self.config.audit_staleness:  # writes carry no etag
-                staleness = self.auditor.audit_read(key, etag, start_time)
+            audit = self._audit
+            if audit is not None and etag is not None:  # writes carry no etag
+                staleness = audit(key, etag, start_time)
                 stale_counts = self._stale_counts.counts
                 if staleness is not None:
-                    stale_counts["stale_read" if op_class == "read" else "stale_query"] += 1
+                    stale_counts[stale] += 1
                     self._staleness_samples.append(staleness)
                     if registry is not None:
                         self._stale_read_counters[op_class].inc()
                 if level == DEGRADED_LEVEL:
                     stale_counts["degraded_served"] += 1
-                stale_counts["audited_read" if op_class == "read" else "audited_query"] += 1
+                stale_counts[audited] += 1
 
         if recording:
             hedged, retried, fast_failed = self._op_markers

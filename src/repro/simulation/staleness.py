@@ -81,13 +81,13 @@ class StalenessAuditor:
             return None
         # Content can return to an earlier state (ABA: a query result reverts
         # to a previous membership), so the relevant occurrence is the latest
-        # one that had already been established when the read started.
-        for index in range(len(timeline) - 1, -1, -1):
-            timestamp, version = timeline[index]
+        # one that had already been established when the read started; the
+        # entry after it (``superseded_at``, ``None`` for the newest) ended it.
+        superseded_at = None
+        for timestamp, version in reversed(timeline):
             if version == token and timestamp <= at:
-                if index + 1 < len(timeline):
-                    superseded_at = timeline[index + 1][0]
-                    if superseded_at <= at:
-                        return at - superseded_at
+                if superseded_at is not None and superseded_at <= at:
+                    return at - superseded_at
                 return None
+            superseded_at = timestamp
         return None

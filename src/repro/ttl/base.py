@@ -21,9 +21,10 @@ class TTLBounds:
     maximum: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.minimum < 0:
+        # Negated comparisons also reject NaN, which clamp() would pass through.
+        if not self.minimum >= 0:
             raise ValueError("minimum TTL must be non-negative")
-        if self.maximum < self.minimum:
+        if not self.maximum >= self.minimum:
             raise ValueError("maximum TTL must not be below the minimum")
 
     def clamp(self, ttl: float) -> float:

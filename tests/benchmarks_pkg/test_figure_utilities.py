@@ -57,10 +57,14 @@ class TestFigure8Summary:
 
 
 class TestConsistencyLevels:
-    def test_strong_level_always_revalidates(self):
-        assert ConsistencyLevel.STRONG.always_revalidates
-        assert not ConsistencyLevel.DELTA_ATOMIC.always_revalidates
-        assert not ConsistencyLevel.CAUSAL.always_revalidates
+    def test_strong_level_always_revalidates(self, deployment):
+        client = deployment["client"]
+        client.read("posts", "p1")  # cached at every level
+        assert client.read("posts", "p1", ConsistencyLevel.DELTA_ATOMIC).level == "client"
+        assert client.read("posts", "p1", ConsistencyLevel.CAUSAL).level == "client"
+        strong = client.read("posts", "p1", ConsistencyLevel.STRONG)
+        assert strong.level == "origin"
+        assert strong.revalidated
 
     def test_levels_are_string_valued(self):
         assert ConsistencyLevel("delta-atomic") is ConsistencyLevel.DELTA_ATOMIC

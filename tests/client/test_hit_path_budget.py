@@ -3,12 +3,15 @@
 Counts Python-level calls (``sys.setprofile`` ``call`` events -- frames, as
 opposed to the C builtins ``tests/db/test_query_plan_budget.py`` also counts)
 around one client-cache hit.  The path is one frame per tier: SDK entry ->
-fetch decision -> EBF probe -> hierarchy -> cache lookup, plus the session
-bookkeeping for a read and one batch restamp for a query -- whatever the
-result's size.  Before the path was flattened a read hit took 35 frames and a
-10-member object-list hit 89, growing by 6 per member, so a return to
-per-member stores or to a frame per helper fails here on any machine,
-without a wall-clock threshold.
+fetch decision -> EBF probe -> hierarchy -> cache lookup, plus one session
+call for a read and one batch restamp for a query -- whatever the result's
+size -- under one clock read per operation.  Before the path was flattened a
+read hit took 35 frames and a 10-member object-list hit 89, growing by 6 per
+member; the flattened path took 15 and 16, and with one instant per
+operation, no dispatch frame, no whitelist or consistency-level frames, one
+session call and a re-served body restamped as prepared it takes 10 and 11.
+A return to per-member stores or to a frame per helper fails here on any
+machine, without a wall-clock threshold.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from repro.clock import VirtualClock
 from repro.core import QuaestorServer
 from repro.db import Database, Query
 
-READ_HIT_CALLS = 18
-QUERY_HIT_CALLS = 24
+READ_HIT_CALLS = 10
+QUERY_HIT_CALLS = 11
 #: A hit of a 10-member result may cost at most this much more than a 3-member one.
 MEMBERSHIP_SLACK = 2
 

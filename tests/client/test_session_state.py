@@ -39,12 +39,15 @@ class TestClientSession:
         session.observe_read("record:posts/p1", 2, {"_id": "p1", "v": 2})
         assert session.highest_seen_version("record:posts/p1") == 3
 
-    def test_is_regression(self):
+    def test_observe_read_refuses_a_regression(self):
         session = ClientSession()
-        assert not session.is_regression("key", 1)
-        session.observe_read("key", 5, None)
-        assert not session.is_regression("key", 5)
-        assert session.is_regression("key", 4)
+        assert session.observe_read("key", 1, {"v": 1})
+        assert session.observe_read("key", 5, {"v": 5})
+        assert session.observe_read("key", 5, {"v": 5})
+        # An older version records nothing: the newest copy stays the fallback.
+        assert not session.observe_read("key", 4, {"v": 4})
+        assert session.highest_seen_version("key") == 5
+        assert session.monotonic_fallback("key") == (5, {"v": 5})
 
     def test_monotonic_fallback_returns_newest_copy(self):
         session = ClientSession()
@@ -137,3 +140,9 @@ class TestFreshnessPolicy:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             FreshnessPolicy(refresh_interval=0.0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_a_non_finite_interval_is_rejected(self, interval):
+        # Either one never comes due: refreshes stop, staleness is unbounded.
+        with pytest.raises(ValueError, match="finite"):
+            FreshnessPolicy(refresh_interval=interval)

@@ -55,6 +55,11 @@ def fleet_config(operations: int, recorders: bool) -> SimulationConfig:
 
 
 def census() -> Counter:
+    # CPython untracks a tuple only once every item is untracked, checking
+    # each tuple once per collection: a nested tuple the first pass reached
+    # before its items stays tracked until the next.  The second pass makes
+    # the count exact instead of dependent on where collections fell.
+    gc.collect()
     gc.collect()
     return Counter(type(item) for item in gc.get_objects())
 

@@ -8,8 +8,9 @@ client's traffic through the shared CDN and clock advances past and short of
 expiry, against a bounded or unbounded client cache, and after every step
 compares the client cache with a reference that does it the long way: a
 *new* entry stored per member, and the member observed into a session, on
-every serve.  Same keys in the same LRU order, same body object, etag and
-expiry per key, same cache statistics, same seen versions.
+every serve.  Same keys (in the same LRU order when the cache is bounded,
+the only place recency is kept), same body object, etag and expiry per key,
+same cache statistics, same seen versions.
 
 It also pins the ownership rule that makes restamping in place safe: an
 entry object lives in exactly one cache (a client restamps only what it
@@ -48,9 +49,9 @@ class ReferenceSession(ClientSession):
         super().__init__()
         self.shadow = ClientSession()
 
-    def observe_read(self, key, version, document) -> None:
+    def observe_read(self, key, version, document) -> bool:
         self.shadow.observe_read(key, version, document)
-        super().observe_read(key, version, document)
+        return super().observe_read(key, version, document)
 
 
 class ReferenceCache(ExpirationCache):
@@ -62,9 +63,9 @@ class ReferenceCache(ExpirationCache):
     shadow: ExpirationCache
     shadow_session: ClientSession
 
-    def lookup(self, key):
-        expected = self.shadow.lookup(key)
-        entry = super().lookup(key)
+    def lookup(self, key, now):
+        expected = self.shadow.lookup(key, self._clock.now())  # its own instant
+        entry = super().lookup(key, now)
         assert (entry is None) == (expected is None)
         return entry
 
@@ -80,28 +81,31 @@ class ReferenceCache(ExpirationCache):
         self.shadow.remove(key)
         return super().remove(key)
 
-    def restamp(self, entries, ttl):
+    def restamp(self, entries, ttl, now):
         if ttl > 0:
-            now = self._clock.now()
+            stored_at = self._clock.now()  # the reference reads the clock itself
             for entry in entries:
-                self.shadow.store_entry(CacheEntry(entry.key, entry.body, entry.etag, now, ttl))
+                self.shadow.store_entry(CacheEntry(entry.key, entry.body, entry.etag, stored_at, ttl))
                 self.shadow_session.observe_read(
                     entry.key, entry.body["version"], entry.body["document"]
                 )
-        super().restamp(entries, ttl)
+        super().restamp(entries, ttl, now)
 
 
-def describe(cache):
-    """Everything observable about a cache: LRU order and, per key, what it serves."""
-    return [
+def describe(cache, bounded):
+    """Everything observable about a cache: per key, what it serves, and the
+    LRU order where the cache is bounded (an unbounded one keeps no order)."""
+    rows = [
         (key, id(entry.body["document"]) if "document" in entry.body else id(entry.body),
          entry.etag, entry.fresh_until)
         for key, entry in cache._entries.items()
     ]
+    return rows if bounded else {key: tuple(served) for key, *served in rows}
 
 
 class Deployment:
     def __init__(self, max_entries):
+        self.bounded = max_entries is not None
         self.clock = VirtualClock()
         database = Database(clock=self.clock)
         posts = database.create_collection("posts")
@@ -159,7 +163,7 @@ class Deployment:
 
     def check(self):
         cache = self.client.client_cache
-        assert describe(cache) == describe(cache.shadow)
+        assert describe(cache, self.bounded) == describe(cache.shadow, self.bounded)
         assert cache.stats.as_dict() == cache.shadow.stats.as_dict()
         session = self.client.session
         assert session._seen_versions == session.shadow._seen_versions

@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from repro.simulation import EventQueue, LatencyModel
+from repro.errors import ConfigurationError
+from repro.simulation import EventQueue, LatencyModel, SimulationConfig
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -35,6 +36,13 @@ def test_a_non_finite_jitter_is_rejected(value):
 def test_a_non_finite_minimum_is_rejected(value):
     with pytest.raises(ValueError, match="minimum must be finite"):
         LatencyModel(0.1, jitter=0.01, minimum=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE + (0.0, -1.0))
+def test_a_non_finite_or_non_positive_ebf_refresh_interval_is_rejected(value):
+    # NaN and inf silently disabled EBF refreshes: staleness became unbounded.
+    with pytest.raises(ConfigurationError, match="ebf_refresh_interval"):
+        SimulationConfig(ebf_refresh_interval=value)
 
 
 def test_the_reported_cases():

@@ -44,20 +44,25 @@ def _workload_config(name: str, seed: int):
     return replace(build_config(name, seed, 0, SMOKE_OPERATIONS), record_history=True)
 
 
-def online_verdicts(config) -> Tuple[Tuple[HistoryEvent, ...], Verdicts]:
-    """Run ``config`` and capture every verdict the simulator's auditor gave."""
-    simulator = Simulator(config)
-    audit_read, history = simulator.auditor.audit_read, simulator.history
+def online_verdicts(config, monkeypatch) -> Tuple[Tuple[HistoryEvent, ...], Verdicts]:
+    """Run ``config`` and capture every verdict the simulator's auditor gave.
+
+    The simulator binds its auditor's ``audit_read`` when it is built, so the
+    capture is in place from construction to the end of the run.
+    """
+    audit_read = StalenessAuditor.audit_read
     verdicts: Verdicts = {}
 
-    def captured(key, token, at):
-        verdict = audit_read(key, token, at)
+    def captured(self, key, token, at):
+        verdict = audit_read(self, key, token, at)
         # The operation row is recorded right after its audit.
-        verdicts[len(history)] = (key, token, at, verdict)
+        verdicts[len(simulator.history)] = (key, token, at, verdict)
         return verdict
 
-    simulator.auditor.audit_read = captured
-    simulator.run()
+    with monkeypatch.context() as patch:
+        patch.setattr(StalenessAuditor, "audit_read", captured)
+        simulator = Simulator(config)
+        simulator.run()
     return simulator.history_events(), verdicts
 
 
@@ -91,7 +96,7 @@ def replayed_verdicts(events: Sequence[HistoryEvent], monkeypatch) -> Verdicts:
 
 def assert_one_verdict(config, monkeypatch) -> int:
     """Online and replayed verdicts agree read for read; returns the reads compared."""
-    events, online = online_verdicts(config)
+    events, online = online_verdicts(config, monkeypatch)
     replayed = replayed_verdicts(events, monkeypatch)
     assert online, "the run audited no reads"
     mismatches = [
