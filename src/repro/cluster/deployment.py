@@ -237,6 +237,13 @@ class QuaestorCluster:
         self._request_counters = (
             None if metrics is None else metrics.counters("cluster_requests_total", "op")
         )
+        #: Where the latest request of each kind ran, recorded once by its
+        #: path: a served read's and an applied write's ``(shard_id,
+        #: node_id)``, and a scatter's pair per live primary it iterated.
+        #: The simulator prices these; nothing re-derives placement.
+        self.read_placement: Optional[Tuple[int, str]] = None
+        self.write_placement: Optional[Tuple[int, str]] = None
+        self.scatter_placement: List[Tuple[int, str]] = []
         if tracer is not None:
             self.router.tracer = tracer
             for shard in self.shards:
@@ -420,6 +427,7 @@ class QuaestorCluster:
                     runtime.record_success(shard_key)
                     if attempt:
                         self.counters.increment("read_retry_successes")
+                self.read_placement = (shard_id, served_by)
                 return response
             self.counters.increment("read_errors")
             return self._unavailable_response(shard_id)
@@ -452,12 +460,6 @@ class QuaestorCluster:
         runtime.trace.backoff_s += backoff
         runtime.trace.extra_round_trips += 1
         return True
-
-    def take_resilience_trace(self):
-        """Drain the per-request resilience trace (``None`` without a runtime)."""
-        if self.resilience_runtime is None:
-            return None
-        return self.resilience_runtime.take_trace()
 
     # -- gray failure surface (driven by the fault injector) ------------------------------
 
@@ -514,6 +516,7 @@ class QuaestorCluster:
         try:
             now = self.clock.now()
             scatter = self._scatter_query(query)
+            placement = self.scatter_placement = []
             prepared = []
             shard_errors: Dict[int, str] = {}
             runtime = self.resilience_runtime
@@ -524,9 +527,11 @@ class QuaestorCluster:
             deadline = runtime.new_deadline() if runtime is not None and gray_active else None
             for shard, group in zip(self.shards, self.groups):
                 shard_id = shard.shard_id
-                if not group.primary_node.alive:
+                primary = group.primary_node
+                if not primary.alive:
                     shard_errors[shard_id] = "primary-unavailable"
                     continue
+                placement.append((shard_id, primary.node_id))
                 if runtime is not None and not runtime.allow(self._shard_keys[shard_id]):
                     self.counters.increment("breaker_fast_fails")
                     shard_errors[shard_id] = "breaker-open"
@@ -774,6 +779,7 @@ class QuaestorCluster:
                         runtime.record_success(shard_key)
                         if attempt:
                             self.counters.increment("write_retry_successes")
+                    self.write_placement = (shard_id, served_by)
                     return response
                 if runtime is None:
                     break

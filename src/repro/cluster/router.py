@@ -68,10 +68,6 @@ class ShardRouter:
 
     # -- placement ------------------------------------------------------------------
 
-    def shard_for_key(self, key: str) -> int:
-        """The shard owning a canonical record cache key."""
-        return self.ring.shard_for(key)
-
     def shard_for_record(self, collection: str, document_id: str) -> int:
         """The shard owning ``collection/document_id``."""
         return self.ring.shard_for(record_key(collection, document_id))

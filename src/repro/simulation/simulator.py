@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.caching.invalidation import InvalidationCache
 from repro.clock import VirtualClock
-from repro.client.sdk import DEGRADED_LEVEL, ERROR_LEVEL, QuaestorClient, SESSION_LEVEL
+from repro.client.sdk import DEGRADED_LEVEL, ERROR_LEVEL, QuaestorClient
 from repro.core.config import QuaestorConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.server import QuaestorServer
@@ -39,6 +39,7 @@ from repro.resilience import ResilienceConfig
 from repro.simulation.aggregate import RunAggregate
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.latency import NetworkTopology
+from repro.simulation.pricing import Pricer
 from repro.simulation.staleness import StalenessAuditor
 from repro.ttl.spec import TTLEstimatorSpec
 from repro.workloads.dataset import Dataset, DatasetSpec, generate_dataset
@@ -46,16 +47,18 @@ from repro.workloads.generator import PhasedWorkloadGenerator, WorkloadGenerator
 from repro.workloads.operations import Operation, OperationType
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.cluster import QuaestorCluster
     from repro.faults.plan import FaultPlan
     from repro.obs import MetricsRegistry, ObservabilityConfig, TraceRecorder
     from repro.verify.history import HistoryRecorder
 
-#: Cost-span name of a read served at each cache level.
-_NET_STAGE = {"client": "net.client", "cdn": "net.cdn", "origin": "net.origin"}
 #: History text of each operation type (``.value`` is a property call).
 _OPERATION_NAMES = {kind: kind.value for kind in OperationType}
 _READ = OperationType.READ
 _QUERY = OperationType.QUERY
+_UPDATE = OperationType.UPDATE
+_INSERT = OperationType.INSERT
+_DELETE = OperationType.DELETE
 
 
 class CachingMode(str, enum.Enum):
@@ -162,15 +165,19 @@ class SimulationConfig:
     observability: Optional["ObservabilityConfig"] = None
 
     def __post_init__(self) -> None:
-        if self.num_clients <= 0 or self.connections_per_client <= 0:
-            raise ConfigurationError("client and connection counts must be positive")
+        # Comparisons are written so that NaN fails them: ``not x > 0``
+        # rejects NaN where ``x <= 0`` would let it through.  ``+inf`` stays
+        # a valid capacity and duration (unbounded).
+        for count in (self.num_clients, self.connections_per_client):
+            if not (isinstance(count, int) and count > 0):
+                raise ConfigurationError("client and connection counts must be positive integers")
         if self.num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
         if self.replication_factor < 1:
             raise ConfigurationError("replication_factor must be at least 1")
-        if self.failover_detection_delay < 0:
-            raise ConfigurationError("failover_detection_delay must be non-negative")
-        if self.duration <= 0:
+        if not 0.0 <= self.failover_detection_delay < math.inf:
+            raise ConfigurationError("failover_detection_delay must be non-negative and finite")
+        if not self.duration > 0:
             raise ConfigurationError("duration must be positive")
         if not (self.ebf_refresh_interval > 0 and math.isfinite(self.ebf_refresh_interval)):
             raise ConfigurationError("ebf_refresh_interval must be positive and finite")
@@ -178,7 +185,7 @@ class SimulationConfig:
             raise ConfigurationError("warmup_fraction must lie in [0, 1)")
         if self.max_operations <= 0:
             raise ConfigurationError("max_operations must be positive")
-        if self.client_instance_capacity <= 0 or self.origin_capacity <= 0:
+        if not (self.client_instance_capacity > 0 and self.origin_capacity > 0):
             raise ConfigurationError("capacities must be positive")
         if self.ttl_estimator is not None and not isinstance(
             self.ttl_estimator, TTLEstimatorSpec
@@ -205,28 +212,40 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Aggregated outcome of one simulation run."""
+    """Aggregated outcome of one simulation run.
+
+    Its rates, counts and throughput are views over :attr:`aggregate`, the
+    raw sums and counts every summary is derived from (the partitioned
+    engine folds those, :meth:`RunAggregate.merge`).
+    """
 
     mode: CachingMode
     connections: int
-    measured_duration: float
-    operations: int
-    throughput: float
     read_latency: Histogram
     query_latency: Histogram
     write_latency: Histogram
-    level_counts: Dict[str, Dict[str, int]]
-    client_query_hit_rate: float
-    client_read_hit_rate: float
-    cdn_query_hit_rate: float
-    cdn_read_hit_rate: float
-    query_stale_rate: float
-    read_stale_rate: float
-    cdn_stale_rate: float
     server_statistics: Dict[str, float]
-    #: The raw sums and counts every rate above was derived from; the
-    #: partitioned engine folds these (:meth:`RunAggregate.merge`).
     aggregate: RunAggregate
+    #: Whether a CDN answered any lookup: CDN staleness is reported only then.
+    cdn_used: bool
+
+    measured_duration = property(lambda self: self.aggregate.measured_duration)
+    operations = property(lambda self: self.aggregate.measured_operations)
+    throughput = property(lambda self: self.aggregate.throughput)
+    level_counts = property(lambda self: self.aggregate.level_counts)
+    client_query_hit_rate = property(lambda self: self.aggregate.hit_rate("query", "client"))
+    client_read_hit_rate = property(lambda self: self.aggregate.hit_rate("read", "client"))
+    cdn_query_hit_rate = property(lambda self: self.aggregate.hit_rate("query", "cdn"))
+    cdn_read_hit_rate = property(lambda self: self.aggregate.hit_rate("read", "cdn"))
+    query_stale_rate = property(lambda self: self.aggregate.stale_rate("query"))
+    read_stale_rate = property(lambda self: self.aggregate.stale_rate("read"))
+
+    @property
+    def cdn_stale_rate(self) -> float:
+        """Upper bound on CDN-served staleness: hits that a purge would have
+        removed but for the invalidation delay are not tracked one by one,
+        so this is the auditor's query rate whenever the CDN was used."""
+        return self.aggregate.stale_rate("query") if self.cdn_used else 0.0
 
     def summary(self) -> Dict[str, float]:
         """Flat summary used by the benchmark reports (:meth:`RunAggregate.summary`)."""
@@ -293,73 +312,10 @@ class Simulator:
         self._replication_active = (
             config.replication_factor > 1 or config.fault_plan is not None
         )
-        if config.num_shards > 1 or self._replication_active:
-            # Sharded (or replicated) deployment: the dataset is routed into
-            # per-shard databases before the shard servers subscribe, and the
-            # cluster facade stands in for the single server everywhere below.
-            from repro.cluster import ClusterClient, QuaestorCluster
-
-            replication = None
-            if self._replication_active:
-                from repro.replication import ReplicationConfig
-
-                # The lag stream was reseeded (with every other topology
-                # model) in reseed() above, so replicated runs are exactly
-                # as reproducible as plain ones.
-                replication = ReplicationConfig(
-                    replication_factor=config.replication_factor,
-                    lag=config.topology.replication_lag,
-                    failover_detection_delay=config.failover_detection_delay,
-                )
-            self.cluster: Optional[QuaestorCluster] = QuaestorCluster(
-                num_shards=config.num_shards,
-                clock=self.clock,
-                config=quaestor_config,
-                matching_nodes=config.matching_nodes,
-                auditor=self.auditor,
-                dataset=self.dataset,
-                replication=replication,
-                resilience=config.resilience,
-                gray_seed=config.seed,
-                tracer=self.tracer,
-                metrics=self.metrics_registry,
-            )
-            self.database: Optional[Database] = None
-            self.server = ClusterClient(self.cluster)
-        else:
-            self.cluster = None
-            # Database pre-loaded before the server subscribes.
-            self.database = Database(clock=self.clock)
-            self.dataset.load_into(self.database)
-            self.server = QuaestorServer(
-                self.database,
-                config=quaestor_config,
-                invalidb=InvaliDBCluster(matching_nodes=config.matching_nodes),
-                auditor=self.auditor,
-            )
-            self.server.tracer = self.tracer
-
-        #: Fault injection: the plan's crash/recover/partition events enter
-        #: the same event queue as the workload, so failures interleave with
-        #: requests deterministically for a fixed seed.
-        self.fault_injector = None
-        if config.fault_plan is not None:
-            from repro.faults import FaultInjector
-
-            self.fault_injector = FaultInjector(
-                self.cluster,
-                self.events,
-                self.clock,
-                config.fault_plan,
-                detection_delay=config.failover_detection_delay,
-            )
-            self.fault_injector.arm()
-
-        #: The cluster's resilience runtime, whose per-request trace is priced
-        #: into latency; ``None`` on single servers and with the layer off.
-        self._resilience_runtime = (
-            self.cluster.resilience_runtime if self.cluster is not None else None
-        )
+        #: The pricer's per-level samplers when the loop prices reads inline
+        #: (a single server without a tracer); ``None``: the pricer prices.
+        self._read_pricers: Optional[Dict[str, object]] = None
+        self._pricer = pricer = self._build_deployment(quaestor_config)
 
         self.cdn: Optional[InvalidationCache] = None
         if config.mode.uses_cdn:
@@ -400,12 +356,8 @@ class Simulator:
         self._op_cursor = 0
         self._op_chunk = min(512, config.max_operations)
 
-        # --- capacity limits (token spacing per client instance and origin). ---
-        # Every *node* is an independent origin server with its own capacity:
-        # one slot per shard primary, plus one per replica when replication is
-        # on (replica reads consume the replica's capacity -- that is the read
-        # scale-out).  Slots are keyed by node id and created on first use;
-        # the single-server deployment uses the one token ``0``.
+        # --- capacity limits: token spacing per client instance; the
+        # pricer spaces requests at each origin node. ---
         self._client_next_slot = [0.0] * config.num_clients
         self._client_issue_interval = 1.0 / config.client_instance_capacity
         # One prebound event action per client instance: every connection of
@@ -413,40 +365,16 @@ class Simulator:
         self._client_actions = [
             partial(self._execute_operation, index) for index in range(config.num_clients)
         ]
-        self._origin_next_slot: Dict[object, float] = {}
-        self._origin_interval = 1.0 / config.origin_capacity
-        self._extra_fetch_rr = 0
-        #: Per-level read pricers of the cache levels, resolved once for a
-        #: single server without a tracer (the origin is priced inline);
-        #: otherwise ``None``: :meth:`_read_path_latency` prices.  A level
-        #: whose latency has no jitter draws nothing: its price is a constant.
-        self._read_pricers = None
-        self._fixed_prices = {SESSION_LEVEL: 0.0}  # session state: no network
-        if self.cluster is None and self.tracer is None:
-            topology = config.topology
-            self._rtt_sample = topology.origin_round_trip.sample
-            self._processing_sample = topology.server_processing.sample
-            self._read_pricers = {ERROR_LEVEL: self._rtt_sample, DEGRADED_LEVEL: self._rtt_sample}
-            for level, model in (("client", topology.client_cache_hit), ("cdn", topology.cdn_hit)):
-                if model.jitter == 0.0:
-                    self._fixed_prices[level] = model.sample()
-                else:
-                    self._read_pricers[level] = model.sample
+        self._fixed_prices = pricer.fixed_prices
+        self._rtt_sample = pricer.rtt
+        self._processing_sample = pricer.processing
+        self._origin_wait = pricer.origin_wait
+        self._price_read = pricer.read
+        self._price_write = pricer.write
 
         # --- metrics. ---
-        self.read_latency = Histogram("read")
-        self.query_latency = Histogram("query")
-        self.write_latency = Histogram("write")
-        self._latency_by_class = {
-            "read": self.read_latency,
-            "query": self.query_latency,
-            "write": self.write_latency,
-        }
-        self.level_counts: Dict[str, Counter] = {
-            "read": Counter(),
-            "query": Counter(),
-            "write": Counter(),
-        }
+        self._latency_by_class = {op: Histogram(op) for op in ("read", "query", "write")}
+        self.level_counts: Dict[str, Counter] = {op: Counter() for op in self._latency_by_class}
         self._stale_counts = Counter()
         #: The measured-op tail, bound once per op class (latency sink, level
         #: counts, audited / stale counter keys), and the auditor (``None``: off).
@@ -457,11 +385,6 @@ class Simulator:
         self._audit = self.auditor.audit_read if config.audit_staleness else None
         #: How long each stale measured read had been superseded, in audit order.
         self._staleness_samples: List[float] = []
-        self._hedged_reads = 0
-        self._hedge_wins = 0
-        #: (hedged, retried, fast_failed) markers of the operation in flight,
-        #: stashed by _drain_resilience for the history recorder.
-        self._op_markers: Tuple[bool, bool, bool] = (False, False, False)
         #: Next sim-time epoch boundary at which the metrics registry
         #: snapshots its time series.  Sampling is lazy -- piggybacked on
         #: operation execution, never scheduled into the event queue, which
@@ -479,12 +402,61 @@ class Simulator:
         self._warmup_operations = int(config.warmup_fraction * config.max_operations)
         self._measure_start_time: Optional[float] = None
 
+    def _build_deployment(self, quaestor_config: QuaestorConfig) -> Pricer:
+        """Build the single server or the sharded fleet; return its pricer.
+
+        In a fleet the cluster facade stands in for the single server
+        everywhere, and the fleet pricer is the only reader of cluster state.
+        A fault plan's events enter the workload's event queue, so failures
+        interleave with requests deterministically for a fixed seed.
+        """
+        config = self.config
+        self.cluster: Optional["QuaestorCluster"] = None
+        self.database: Optional[Database] = None
+        self.fault_injector = None
+        if config.num_shards == 1 and not self._replication_active:
+            # Database pre-loaded before the server subscribes.
+            self.database = Database(clock=self.clock)
+            self.dataset.load_into(self.database)
+            self.server = QuaestorServer(
+                self.database,
+                config=quaestor_config,
+                invalidb=InvaliDBCluster(matching_nodes=config.matching_nodes),
+                auditor=self.auditor,
+            )
+            self.server.tracer = self.tracer
+            pricer = Pricer(config.topology, self.clock, config.origin_capacity, self.tracer)
+            if self.tracer is None:
+                self._read_pricers = pricer.samplers
+            return pricer
+
+        from repro.cluster import ClusterClient
+        from repro.simulation.fleet import FleetPricer, build_cluster
+
+        self.cluster = build_cluster(
+            config, quaestor_config, self.clock, self.auditor, self.dataset,
+            self.tracer, self.metrics_registry,
+        )
+        self.server = ClusterClient(self.cluster)
+        if config.fault_plan is not None:
+            from repro.faults import FaultInjector
+
+            self.fault_injector = FaultInjector(
+                self.cluster,
+                self.events,
+                self.clock,
+                config.fault_plan,
+                detection_delay=config.failover_detection_delay,
+            )
+            self.fault_injector.arm()
+        return FleetPricer(
+            self.cluster, config.topology, self.clock, config.origin_capacity, self.tracer
+        )
+
     # -- purge path -------------------------------------------------------------------------
 
     def _delayed_purge(self, key: str) -> None:
         """Purge the CDN after the configured invalidation delay."""
-        if self.cdn is None:
-            return
         delay = self.config.topology.invalidation_delay.sample()
         self.events.push(self.clock.now() + delay, partial(self.cdn.purge, key))
 
@@ -585,9 +557,6 @@ class Simulator:
             issue_wait = 0.0
             self._client_next_slot[client_index] = start_time + self._client_issue_interval
 
-        recording = self.history is not None
-        if recording:
-            self._op_markers = (False, False, False)
         registry = self.metrics_registry
         operation_type = operation.type
         if operation_type is _READ or operation_type is _QUERY:
@@ -601,25 +570,32 @@ class Simulator:
             key = result.key
             etag = result.etag
             pricers = self._read_pricers
-            if pricers is None:
-                latency = self._read_path_latency(level, key)
+            if pricers is None or result.extra_levels:
+                latency = self._price_read(level, key, result.extra_levels)
             elif level in self._fixed_prices:
                 latency = self._fixed_prices[level]
             elif level == "origin":
                 # Round trip + processing + the queue wait on token 0, as
-                # _read_path_latency charges it (a zero wait adds 0.0).
+                # the pricer charges it (a zero wait adds 0.0).
                 latency = self._rtt_sample() + self._processing_sample() + self._origin_wait(0)
             else:
                 latency = pricers[level]()
-            for extra_level in result.extra_levels:
-                latency += self._read_path_latency(extra_level, None)
-            runtime = self._resilience_runtime
-            if runtime is not None and runtime.touched:
-                latency = self._drain_resilience(latency, level)
         else:
+            # Writes always travel to the origin (the owning shard's
+            # primary) and pay its capacity constraint.
             op_class = "write"
             etag = None
-            latency, key, level, result = self._perform_write(client, operation)
+            if operation_type is _UPDATE:
+                result = client.update(
+                    operation.collection, operation.document_id, operation.payload
+                )
+            elif operation_type is _INSERT:
+                result = client.insert(operation.collection, operation.payload)
+            else:
+                result = client.delete(operation.collection, operation.document_id)
+            key = result.key
+            level = result.level
+            latency = self._price_write(level)
         if self.tracer is not None:
             # Price the completed root (its key and level came with the SDK's
             # ``end``, its cost children from the pricing sites): latency, op class.
@@ -662,14 +638,14 @@ class Simulator:
                     stale_counts["degraded_served"] += 1
                 stale_counts[audited] += 1
 
-        if recording:
-            hedged, retried, fast_failed = self._op_markers
+        if self.history is not None:
+            hedged, retried, fast_failed = self._pricer.markers
             version = result.version
-            if operation.type == OperationType.DELETE and level != ERROR_LEVEL:
+            if operation_type is _DELETE and level != ERROR_LEVEL:
                 version = -1  # tombstone: acknowledged deletes carry no body
             self.history.record_operation(
                 session=client.name,
-                op=_OPERATION_NAMES[operation.type],
+                op=_OPERATION_NAMES[operation_type],
                 key=key,
                 invoked=start_time,
                 completed=completion,
@@ -684,260 +660,6 @@ class Simulator:
             )
 
         self.events.push(completion, self._client_actions[client_index])
-
-    def _perform_write(self, client: QuaestorClient, operation: Operation):
-        """Execute one write: ``(latency, key, level, result)``.
-
-        Writes always travel to the origin (the owning shard's primary) and
-        pay its capacity constraint.
-        """
-        topology = self.config.topology
-        operation_type = operation.type
-        write_token = self._write_token(operation)
-        if operation_type == OperationType.UPDATE:
-            result = client.update(operation.collection, operation.document_id, operation.payload)
-        elif operation_type == OperationType.INSERT:
-            result = client.insert(operation.collection, operation.payload)
-        else:
-            result = client.delete(operation.collection, operation.document_id)
-        tracer = self.tracer
-        if result.level == ERROR_LEVEL:
-            # The primary is down: the write failed after a wide-area round
-            # trip and consumed no origin capacity.
-            probe = topology.write_latency()
-            if tracer is not None:
-                tracer.cost("net.probe", probe)
-            latency = self._drain_resilience(probe, ERROR_LEVEL)
-            return latency, result.key, ERROR_LEVEL, result
-        base = topology.write_latency()
-        wait = self._origin_wait(write_token)
-        if tracer is not None:
-            tracer.cost("net.write", base)
-            if wait > 0.0:
-                tracer.cost("queue.origin", wait)
-        latency = base + wait
-        inflated = self._gray_write_latency(latency, operation)
-        if tracer is not None and inflated != latency:
-            tracer.cost("gray.slow", inflated - latency)
-        latency = self._drain_resilience(inflated, "origin")
-        return latency, result.key, "origin", result
-
-    def _read_path_latency(self, level: str, key: Optional[str]) -> float:
-        """Latency of a read/query answered at ``level`` plus origin queueing."""
-        tracer = self.tracer
-        if level == SESSION_LEVEL:
-            if tracer is not None:
-                tracer.cost("net.session", 0.0)
-            return 0.0
-        if level == ERROR_LEVEL or level == DEGRADED_LEVEL:
-            # A failed request still pays the round trip that discovered the
-            # outage, but no server processed it.  A stale-if-error serve
-            # pays the same discovery round trip before falling back to the
-            # expired cache entry.
-            probe = self.config.topology.origin_round_trip.sample()
-            if tracer is not None:
-                tracer.cost("net.probe", probe)
-            return probe
-        latency = self.config.topology.read_latency(level)
-        if tracer is not None:
-            tracer.cost(_NET_STAGE[level], latency)
-        if level == "origin":
-            wait = self._origin_wait_for_key(key)
-            if tracer is not None and wait > 0.0:
-                tracer.cost("queue.origin", wait)
-            latency += wait
-            inflated = self._gray_origin_latency(latency, key)
-            if tracer is not None and inflated != latency:
-                tracer.cost("gray.slow", inflated - latency)
-            latency = inflated
-        return latency
-
-    def _gray_origin_latency(self, latency: float, key: Optional[str]) -> float:
-        """Inflate an origin-served latency by the serving node's gray slow
-        factor, and price a hedged read when one would have fired.
-
-        Inert (returns ``latency`` unchanged, zero RNG draws) unless a gray
-        slow/flaky condition is currently active on the cluster, so seeded
-        no-fault runs are untouched.  Record reads inflate by the factor of
-        the node that actually served them and may hedge to the next serving
-        replica; scatter queries complete when the slowest live primary
-        answers, so the worst primary factor applies (hedging per-shard
-        sub-queries is not modelled).
-        """
-        cluster = self.cluster
-        if cluster is None or not cluster.gray.active:
-            return latency
-        gray = cluster.gray
-        if key is not None and key.startswith("record:"):
-            shard_id = cluster.router.shard_for_key(key)
-            group = cluster.groups[shard_id]
-            factor = gray.slow_factor(shard_id, group.last_served_node_id)
-            if factor <= 1.0:
-                return latency
-            return self._maybe_hedge(latency * factor, group)
-        factor = 1.0
-        for group in cluster.groups:
-            primary = group.primary_node
-            if primary.alive:
-                node_factor = gray.slow_factor(group.shard_id, primary.node_id)
-                if node_factor > factor:
-                    factor = node_factor
-        return latency * factor if factor > 1.0 else latency
-
-    def _maybe_hedge(self, latency: float, group) -> float:
-        """Price a hedged read: a second copy to the next serving replica.
-
-        The hedge fires after the policy's analytic p-quantile delay; the
-        faster of the slowed original and ``delay + alternative replica's
-        latency`` wins.  Only reached when a gray slow factor is inflating
-        ``group``'s reads, so the extra latency-model draw cannot perturb
-        clean runs.
-        """
-        runtime = self.cluster.resilience_runtime
-        if runtime is None or runtime.config.hedge is None:
-            return latency
-        serving = group.serving_node_ids()
-        if len(serving) < 2:
-            return latency
-        rtt = self.config.topology.origin_round_trip
-        delay = runtime.config.hedge.delay(rtt)
-        if latency <= delay:
-            return latency
-        try:
-            index = serving.index(group.last_served_node_id)
-        except ValueError:
-            index = 0
-        alt_node = serving[(index + 1) % len(serving)]
-        alt_factor = self.cluster.gray.slow_factor(group.shard_id, alt_node)
-        alt_latency = delay + self.config.topology.read_latency("origin") * alt_factor
-        self._hedged_reads += 1
-        runtime.trace.hedged = True
-        if alt_latency < latency:
-            self._hedge_wins += 1
-            return alt_latency
-        return latency
-
-    def _gray_write_latency(self, latency: float, operation: Operation) -> float:
-        """Inflate a write's latency by the owning primary's gray slow factor."""
-        cluster = self.cluster
-        if cluster is None or not cluster.gray.active:
-            return latency
-        shard_id = cluster.router.shard_for_operation(operation)
-        group = cluster.groups[shard_id]
-        factor = cluster.gray.slow_factor(shard_id, group.primary_node.node_id)
-        return latency * factor if factor > 1.0 else latency
-
-    def _drain_resilience(self, latency: float, level: str) -> float:
-        """Convert the cluster's per-request resilience trace into latency.
-
-        Each retry round trip pays a fresh origin round-trip sample, backoff
-        waits are added verbatim, and a request the breaker rejected before
-        any network attempt costs nothing at all (the fast-fail is the whole
-        point of the breaker).  No-op -- zero draws, zero float ops -- when
-        the trace is empty, which it always is on no-fault runs: a trace
-        nothing touched is not even taken.
-        """
-        runtime = self._resilience_runtime
-        if runtime is None or not runtime.touched:
-            return latency
-        trace = runtime.take_trace()
-        if trace.empty:
-            return latency
-        if self.history is not None:
-            self._op_markers = (
-                trace.hedged,
-                trace.extra_round_trips > 0,
-                trace.fast_failed,
-            )
-        tracer = self.tracer
-        if (
-            trace.fast_failed
-            and trace.extra_round_trips == 0
-            and (level == ERROR_LEVEL or level == DEGRADED_LEVEL)
-        ):
-            if tracer is not None and latency != 0.0:
-                # The breaker refused before any network attempt: the
-                # discovery round trip priced above was never paid, so the
-                # attribution carries the compensating negative component.
-                tracer.cost("resilience.fast_fail", -latency)
-            latency = 0.0
-        latency += trace.backoff_s
-        if tracer is not None:
-            if trace.backoff_s:
-                tracer.cost("resilience.backoff", trace.backoff_s)
-            if trace.hedged:
-                tracer.cost("resilience.hedge", 0.0)
-        if trace.extra_round_trips:
-            rtt = self.config.topology.origin_round_trip
-            retry_cost = 0.0
-            for _ in range(trace.extra_round_trips):
-                step = rtt.sample()
-                latency += step
-                retry_cost += step
-            if tracer is not None:
-                tracer.cost("resilience.retry", retry_cost)
-        return latency
-
-    def _write_token(self, operation: Operation) -> object:
-        """The origin node whose capacity a write consumes.
-
-        Delegates to the router's operation placement so capacity accounting
-        always matches where the cluster actually lands the write (inserts
-        route by the payload's ``_id``); writes always hit the shard's
-        *current* primary, including a freshly promoted one.
-        """
-        if self.cluster is None:
-            return 0
-        shard_id = self.cluster.router.shard_for_operation(operation)
-        return self.cluster.groups[shard_id].primary_node.node_id
-
-    def _origin_wait_for_key(self, key: Optional[str]) -> float:
-        """Origin queueing for one request, routed by its cache key.
-
-        Record keys queue at the node that actually served them (the shard's
-        primary, or the replica the group's routing picked -- replica reads
-        spreading over more nodes is exactly the read scale-out replication
-        buys).  Query keys scatter over every live primary in parallel (the
-        fan-out completes when the slowest shard answers, but each shard's
-        capacity is consumed).  Per-record fetches assembling an id-list
-        result carry no key here and are spread round-robin, which matches
-        their uniform hash placement in expectation.
-        """
-        if self.cluster is None:
-            return self._origin_wait(0)
-        groups = self.cluster.groups
-        if key is None:
-            self._extra_fetch_rr += 1
-            group = groups[self._extra_fetch_rr % self.config.num_shards]
-            # Spread anonymous member fetches over the nodes the group's
-            # read rotation actually uses (primary + live replicas), so
-            # replica capacity is modelled for id-list workloads too.  The
-            # node index divides the counter by the shard count so the two
-            # rotations are decorrelated (with a shared factor, shard and
-            # node index would otherwise lock step and starve some nodes).
-            serving = group.serving_node_ids()
-            node_index = (self._extra_fetch_rr // self.config.num_shards) % len(serving)
-            return self._origin_wait(serving[node_index])
-        if key.startswith("record:"):
-            shard_id = self.cluster.router.shard_for_key(key)
-            return self._origin_wait(groups[shard_id].last_served_node_id)
-        waits = [
-            self._origin_wait(group.primary_node.node_id)
-            for group in groups
-            if group.primary_node.alive
-        ]
-        return max(waits) if waits else 0.0
-
-    def _origin_wait(self, token: object) -> float:
-        """Queueing delay at one origin node: requests spaced by its capacity."""
-        now = self.clock.now()
-        slots = self._origin_next_slot
-        slot = slots[token] if token in slots else 0.0
-        if slot > now:
-            slots[token] = slot + self._origin_interval
-            return slot - now
-        slots[token] = now + self._origin_interval
-        return 0.0
 
     # -- result aggregation -------------------------------------------------------------------------
 
@@ -963,8 +685,8 @@ class Simulator:
                 "stale_if_error_serves": sum(
                     client.counters.get("stale_if_error_serves") for client in self.clients
                 ),
-                "hedged_reads": self._hedged_reads,
-                "hedge_wins": self._hedge_wins,
+                "hedged_reads": self._pricer.hedged_reads,
+                "hedge_wins": self._pricer.hedge_wins,
             }
         aggregate = RunAggregate(
             measured_operations=self._measured_operations,
@@ -989,30 +711,16 @@ class Simulator:
             has_fault_injector=injector is not None,
             has_resilience=self.config.resilience is not None,
         )
-        # Upper bound on CDN-served staleness: hits that would have been
-        # purged were it not for the invalidation delay are not tracked
-        # individually, so report the auditor's overall rate for reads that
-        # came from the CDN-backed levels.
-        cdn_active = self.cdn is not None and self.cdn.stats.lookups
+        latency = self._latency_by_class
         return SimulationResult(
             mode=self.config.mode,
             connections=self.config.total_connections,
-            measured_duration=measured_duration,
-            operations=self._measured_operations,
-            throughput=aggregate.throughput,
-            read_latency=self.read_latency,
-            query_latency=self.query_latency,
-            write_latency=self.write_latency,
-            level_counts=aggregate.level_counts,
-            client_query_hit_rate=aggregate.hit_rate("query", "client"),
-            client_read_hit_rate=aggregate.hit_rate("read", "client"),
-            cdn_query_hit_rate=aggregate.hit_rate("query", "cdn"),
-            cdn_read_hit_rate=aggregate.hit_rate("read", "cdn"),
-            query_stale_rate=aggregate.stale_rate("query"),
-            read_stale_rate=aggregate.stale_rate("read"),
-            cdn_stale_rate=aggregate.stale_rate("query") if cdn_active else 0.0,
+            read_latency=latency["read"],
+            query_latency=latency["query"],
+            write_latency=latency["write"],
             server_statistics=statistics,
             aggregate=aggregate,
+            cdn_used=self.cdn is not None and bool(self.cdn.stats.lookups),
         )
 
 

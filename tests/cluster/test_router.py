@@ -10,8 +10,12 @@ from repro.db.sharding import ConsistentHashRing
 from repro.workloads.operations import Operation, OperationType
 
 
+def document_ids(count: int) -> list:
+    return [f"doc-{index}" for index in range(count)]
+
+
 def keys(count: int) -> list:
-    return [record_key("posts", f"doc-{index}") for index in range(count)]
+    return [record_key("posts", document_id) for document_id in document_ids(count)]
 
 
 class TestDistributionUniformity:
@@ -33,8 +37,10 @@ class TestDistributionUniformity:
     def test_placement_is_deterministic(self):
         first = ShardRouter(num_shards=4)
         second = ShardRouter(num_shards=4)
-        for key in keys(500):
-            assert first.shard_for_key(key) == second.shard_for_key(key)
+        for document_id in document_ids(500):
+            assert first.shard_for_record("posts", document_id) == second.shard_for_record(
+                "posts", document_id
+            )
 
 
 class TestRoutingStability:
@@ -177,11 +183,11 @@ class TestRuntimeMembership:
 
     def test_remove_and_readd_moves_only_the_departed_shards_ranges(self):
         router = ShardRouter(num_shards=8)
-        sample = keys(5_000)
-        before = {key: router.shard_for_key(key) for key in sample}
+        sample = document_ids(5_000)
+        before = {key: router.shard_for_record("posts", key) for key in sample}
 
         router.remove_shard(5)
-        during = {key: router.shard_for_key(key) for key in sample}
+        during = {key: router.shard_for_record("posts", key) for key in sample}
         for key in sample:
             if before[key] != 5:
                 assert during[key] == before[key], "only shard 5's keys may move"
@@ -189,7 +195,7 @@ class TestRuntimeMembership:
                 assert during[key] != 5
 
         router.add_shard(5)
-        after = {key: router.shard_for_key(key) for key in sample}
+        after = {key: router.shard_for_record("posts", key) for key in sample}
         # Virtual-node positions are a pure hash of (shard, replica), so a
         # re-added shard reclaims exactly its old ranges: full round trip.
         assert after == before

@@ -118,11 +118,11 @@ class TestReadRetries:
         _, cluster, facade = build_cluster(resilience=resilience)
         cluster.flaky_target("shard:0", 0.9)
         facade.handle_read("posts", "p00")
-        trace = cluster.take_resilience_trace()
+        trace = cluster.resilience_runtime.take_trace()
         assert trace.extra_round_trips > 0
         assert trace.backoff_s > 0.0
         # Draining resets: the next trace is empty again.
-        assert cluster.take_resilience_trace().empty
+        assert cluster.resilience_runtime.take_trace().empty
 
 
 class TestCircuitBreaker:
@@ -271,7 +271,7 @@ class TestNoFaultTransparency:
             "deadline_exhausted",
         ):
             assert name not in counters
-        assert resilient_cluster.take_resilience_trace().empty
+        assert resilient_cluster.resilience_runtime.take_trace().empty
 
     def test_disabled_config_builds_no_runtime(self):
         _, cluster, _ = build_cluster(resilience=ResilienceConfig.off())

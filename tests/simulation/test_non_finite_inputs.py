@@ -2,9 +2,10 @@
 
 A NaN mean used to sample as ``0.0`` (``max(minimum, nan)`` keeps the
 minimum), which made every request on that path free; an infinite mean
-sampled ``inf``; and a NaN timestamp passed ``timestamp < 0`` and popped
-before every finite event, corrupting the heap order.  Each case below
-failed silently before and raises now.
+sampled ``inf``; a NaN timestamp passed ``timestamp < 0`` and popped
+before every finite event, corrupting the heap order; and a NaN capacity,
+duration or failover delay passed ``SimulationConfig``'s ``<= 0`` checks.
+Each case below failed silently (or late) before and raises now.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation import EventQueue, LatencyModel, SimulationConfig
+from repro.simulation import CachingMode, EventQueue, LatencyModel, SimulationConfig, Simulator
+from repro.workloads.dataset import DatasetSpec
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -43,6 +45,49 @@ def test_a_non_finite_or_non_positive_ebf_refresh_interval_is_rejected(value):
     # NaN and inf silently disabled EBF refreshes: staleness became unbounded.
     with pytest.raises(ConfigurationError, match="ebf_refresh_interval"):
         SimulationConfig(ebf_refresh_interval=value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # NaN passed the old ``<= 0`` checks: the capacity limit was silently
+        # switched off, a NaN duration ran no operation and reported a
+        # throughput of 0.0, and a NaN detection delay failed mid-run when
+        # the failover was scheduled.
+        ("origin_capacity", math.nan),
+        ("client_instance_capacity", math.nan),
+        ("duration", math.nan),
+        ("failover_detection_delay", math.nan),
+        ("failover_detection_delay", math.inf),
+        ("failover_detection_delay", -1.0),
+        # A fractional count failed as a bare TypeError inside run().
+        ("connections_per_client", 2.5),
+        ("num_clients", 2.5),
+    ],
+)
+def test_a_hostile_simulation_config_is_rejected_at_construction(field, value):
+    with pytest.raises(ConfigurationError):
+        SimulationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["origin_capacity", "client_instance_capacity", "duration"])
+def test_an_infinite_capacity_or_duration_stays_accepted_as_unbounded(field):
+    # +inf is accepted on purpose: an infinite capacity spaces requests by
+    # 1/inf = 0 s (no queueing at that tier), and an infinite duration
+    # leaves max_operations as the only bound.  Both are meaningful limits,
+    # unlike NaN, so the run completes its whole operation budget.
+    config = SimulationConfig(
+        **{field: math.inf},
+        mode=CachingMode.UNCACHED,
+        dataset=DatasetSpec(num_tables=1, documents_per_table=40, queries_per_table=4),
+        num_clients=1,
+        connections_per_client=2,
+        max_operations=40,
+    )
+    simulator = Simulator(config)
+    result = simulator.run()
+    assert simulator.total_operations == 40
+    assert math.isfinite(result.throughput) and result.throughput > 0
 
 
 def test_the_reported_cases():
