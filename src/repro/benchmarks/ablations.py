@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
 from repro.core.config import QuaestorConfig
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
 from repro.ttl.alex import AlexTTLEstimator
 from repro.ttl.base import TTLBounds

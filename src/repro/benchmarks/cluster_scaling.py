@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode, SimulationConfig, SimulationResult, Simulator
 from repro.workloads.generator import WorkloadSpec
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.latency import REGION_RTT_SECONDS
 
 

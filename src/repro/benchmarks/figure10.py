@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
 from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
 from repro.workloads.generator import WorkloadSpec

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
 from repro.metrics.histogram import Histogram
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
 from repro.ttl.base import TTLBounds, TTLEstimator
 from repro.workloads.generator import WorkloadSpec

@@ -27,7 +27,7 @@ from repro.clock import VirtualClock
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.query import Query
 from repro.invalidb.cluster import InvaliDBCluster
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 
 #: Latency bounds (seconds) reported in the paper's figure.
 LATENCY_BOUNDS = (0.015, 0.020, 0.025)

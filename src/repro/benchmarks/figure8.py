@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.benchmarks.harness import ALL_MODES, BenchmarkScale, SMALL_SCALE, run_mode
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode, SimulationResult
 from repro.workloads.generator import WorkloadSpec
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE, run_mode
-from repro.metrics.reporter import ExperimentReport
+from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode
 from repro.workloads.generator import WorkloadSpec
 

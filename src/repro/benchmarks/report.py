@@ -1,6 +1,6 @@
 """Experiment reports: the rows/series the benchmark harness prints.
 
-Each benchmark in :mod:`repro.benchmarks` produces an :class:`ExperimentReport`
+Each harness in this package produces an :class:`ExperimentReport`
 containing the same columns the corresponding paper table or figure reports,
 so running a bench target regenerates the paper's data series.
 """

@@ -17,22 +17,22 @@ behind a consistent-hash :class:`ShardRouter`:
 
 :class:`ClusterClient` wraps the cluster in the single-server protocol, so an
 unmodified :class:`~repro.client.QuaestorClient` (and the simulator) can talk
-to a sharded fleet.  :class:`ClusterMetrics` aggregates per-shard statistics
-into one cluster-wide snapshot.
+to a sharded fleet.  :func:`cluster_statistics` aggregates per-shard
+statistics into one cluster-wide snapshot.
 """
 
 from __future__ import annotations
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.deployment import QuaestorCluster, QuaestorShard
-from repro.cluster.metrics import ClusterMetrics, aggregate_statistics
+from repro.cluster.metrics import aggregate_statistics, cluster_statistics
 from repro.cluster.router import ShardRouter
 
 __all__ = [
     "ClusterClient",
     "QuaestorCluster",
     "QuaestorShard",
-    "ClusterMetrics",
     "aggregate_statistics",
+    "cluster_statistics",
     "ShardRouter",
 ]

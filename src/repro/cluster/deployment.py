@@ -90,7 +90,7 @@ from repro.faults.gray import GrayFailureState
 from repro.resilience import ResilienceConfig, ResilienceRuntime
 from repro.invalidb.cluster import InvaliDBCluster
 from repro.metrics.counters import Counter
-from repro.cluster.metrics import ClusterMetrics
+from repro.cluster.metrics import cluster_statistics
 from repro.cluster.router import ShardRouter
 from repro.replication.config import ReplicationConfig
 from repro.replication.group import ReplicaGroup
@@ -152,7 +152,6 @@ class QuaestorCluster:
         resilience: Optional[ResilienceConfig] = None,
         gray_seed: int = 0,
         tracer=None,
-        metrics=None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -228,15 +227,8 @@ class QuaestorCluster:
         #: When each shard's primary went down (cleared when service
         #: resumes); lets recovery paths honour the failure-detection delay.
         self._primary_down_at: Dict[int, float] = {}
-        self.metrics = ClusterMetrics(self)
-        #: Observability (``repro.obs``): request tracer and labeled metrics
-        #: registry, both optional and draw-free.  ``self.metrics`` is the
-        #: statistics facade above, so the registry lives on ``obs_metrics``.
+        #: Observability (``repro.obs``): the optional, draw-free request tracer.
         self.tracer = tracer
-        self.obs_metrics = metrics
-        self._request_counters = (
-            None if metrics is None else metrics.counters("cluster_requests_total", "op")
-        )
         #: Where the latest request of each kind ran, recorded once by its
         #: path: a served read's and an applied write's ``(shard_id,
         #: node_id)``, and a scatter's pair per live primary it iterated.
@@ -250,10 +242,6 @@ class QuaestorCluster:
                 shard.server.tracer = tracer
             for group in self.groups:
                 group.tracer = tracer
-        if self.resilience_runtime is not None and metrics is not None:
-            self.resilience_runtime.attempt_counters = metrics.counters(
-                "resilience_attempts_total", "kind"
-            )
 
     def _build_server(self, database: Database, ebf, ttl_estimator) -> QuaestorServer:
         """Server factory for promoted replicas.
@@ -370,8 +358,6 @@ class QuaestorCluster:
         makes no policy call at all.
         """
         self.counters.counts["reads"] += 1
-        if self._request_counters is not None:
-            self._request_counters["read"].inc()
         shard_id = self.router.record_read(collection, document_id)
         tracer = self.tracer
         span = tracer.begin("cluster.read") if tracer is not None and tracer.recording else None
@@ -509,8 +495,6 @@ class QuaestorCluster:
         never created raises from the first shard, like on a single server.
         """
         self.counters.counts["scatter_queries"] += 1
-        if self._request_counters is not None:
-            self._request_counters["query"].inc()
         tracer = self.tracer if self.tracer is not None and self.tracer.recording else None
         span = tracer.begin("cluster.scatter") if tracer is not None else None
         try:
@@ -545,8 +529,6 @@ class QuaestorCluster:
             if shard_errors:
                 self.counters.increment("scatter_queries_degraded")
                 self.counters.increment("scatter_shard_errors", len(shard_errors))
-                if self.obs_metrics is not None:
-                    self.obs_metrics.counter("cluster_shard_errors_total").inc(len(shard_errors))
                 if tracer is not None:
                     for failed_shard, reason in sorted(shard_errors.items()):
                         tracer.event("cluster.shard_error", "shard", failed_shard, "reason", reason)
@@ -744,8 +726,6 @@ class QuaestorCluster:
         gray condition in force the loop makes no policy call: the write
         applies, or a down primary answers with the structured 503.
         """
-        if self._request_counters is not None:
-            self._request_counters["write"].inc()
         tracer = self.tracer
         span = tracer.begin("cluster.write") if tracer is not None and tracer.recording else None
         runtime = self.resilience_runtime
@@ -973,8 +953,8 @@ class QuaestorCluster:
     # -- statistics -----------------------------------------------------------------------
 
     def statistics(self) -> Dict[str, float]:
-        """Cluster-wide aggregated statistics (see :class:`ClusterMetrics`)."""
-        return self.metrics.statistics()
+        """Cluster-wide aggregated statistics (see :func:`cluster_statistics`)."""
+        return cluster_statistics(self)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,11 @@
-"""Measurement utilities: histograms, counters and experiment reporters."""
+"""Measurement utilities: the counters and histograms everything is counted in."""
 
 from __future__ import annotations
 
-from repro.metrics.counters import Counter, ThroughputWindow
+from repro.metrics.counters import Counter
 from repro.metrics.histogram import Histogram
-from repro.metrics.reporter import ExperimentReport, format_table
 
 __all__ = [
     "Counter",
-    "ThroughputWindow",
     "Histogram",
-    "ExperimentReport",
-    "format_table",
 ]

@@ -17,8 +17,8 @@ Entry points:
 
 * ``ObservabilityConfig`` — the ``SimulationConfig.observability`` knob.
 * ``TraceRecorder`` / ``Span`` — the tracing subsystem.
-* ``MetricsRegistry`` / ``Gauge`` — labeled counters/gauges/histograms,
-  published through children bound once per label set.
+* ``MetricsRegistry`` — labeled rows read from the run's own counters
+  (``repro.metrics``), with a sim-time series; it has no write path.
 * ``repro.obs.analyze`` — critical path, attribution, waterfall, flamegraph.
 * ``python -m repro.obs`` — seeded scenario + artifacts + attribution report.
 """
@@ -37,7 +37,7 @@ from .analyze import (
 )
 from .config import ObservabilityConfig
 from .export import json_artifact, prometheus_text, write_artifacts
-from .registry import Gauge, MetricsRegistry, canonical_metrics_bytes, merge_states
+from .registry import MetricsRegistry, canonical_metrics_bytes, merge_states
 from .trace import (
     Span,
     TraceRecorder,
@@ -53,7 +53,6 @@ __all__ = [
     "spans_from_tuples",
     "merge_trace_tuples",
     "canonical_trace_bytes",
-    "Gauge",
     "MetricsRegistry",
     "merge_states",
     "canonical_metrics_bytes",

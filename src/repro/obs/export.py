@@ -38,12 +38,12 @@ def _format_labels(labels: tuple, extra: Tuple[Tuple[str, object], ...] = ()) ->
 def prometheus_text(state: tuple) -> str:
     """Render a registry state in the Prometheus text exposition format.
 
-    Counters and gauges map directly; histograms are rendered summary-style
+    Counters map directly; histograms are rendered summary-style
     (``_count``/``_sum`` plus ``quantile=`` samples derived from the raw
     sample lists).  Rows are emitted in sorted order so the text is as
     deterministic as the state it came from.
     """
-    counters, gauges, histograms, _series = state
+    counters, _gauges, histograms, _series = state
     lines = []
 
     seen_types = set()
@@ -55,9 +55,6 @@ def prometheus_text(state: tuple) -> str:
 
     for name, labels, value in counters:
         type_line(name, "counter")
-        lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
-    for name, labels, value in gauges:
-        type_line(name, "gauge")
         lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
     for name, labels, samples in histograms:
         type_line(name, "summary")
@@ -82,16 +79,13 @@ def json_artifact(
     """A single JSON-serializable document with metrics, series and spans."""
     document = {"meta": dict(meta or {})}
     if state is not None:
-        counters, gauges, histograms, series = state
+        counters, _gauges, histograms, series = state
         document["metrics"] = {
             "counters": [
                 {"name": name, "labels": dict(labels), "value": value}
                 for name, labels, value in counters
             ],
-            "gauges": [
-                {"name": name, "labels": dict(labels), "value": value}
-                for name, labels, value in gauges
-            ],
+            "gauges": [],
             "histograms": [
                 {
                     "name": name,
@@ -109,12 +103,9 @@ def json_artifact(
                         {"name": name, "labels": dict(labels), "value": value}
                         for name, labels, value in snap_counters
                     ],
-                    "gauges": [
-                        {"name": name, "labels": dict(labels), "value": value}
-                        for name, labels, value in snap_gauges
-                    ],
+                    "gauges": [],
                 }
-                for timestamp, snap_counters, snap_gauges in series
+                for timestamp, snap_counters, _snap_gauges in series
             ],
         }
     document["trace"] = {

@@ -40,6 +40,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .config import check_sample_every
+
 __all__ = [
     "Span",
     "TraceRecorder",
@@ -114,10 +116,8 @@ class TraceRecorder:
     )
 
     def __init__(self, clock, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.clock = clock
-        self.sample_every = sample_every
+        self.sample_every = check_sample_every(sample_every)
         #: Whether a request is on the stack *and* being sampled.
         self.recording = False
         self._log: list = []

@@ -9,7 +9,9 @@ the :class:`~repro.cluster.QuaestorCluster` and owns
   (``"sN:nM"``) :class:`~repro.resilience.policies.CircuitBreaker`\\ s, and
 * the :class:`RequestTrace` the simulator drains after every operation to
   convert retries/backoff into latency samples (the cluster itself is
-  synchronous; virtual time only moves in the simulator).
+  synchronous; virtual time only moves in the simulator), and
+* ``attempts``, the drained traces' tally by kind (``retry``,
+  ``fast_fail``, ``hedge``).
 
 Nothing here draws randomness or mutates state unless a failure actually
 happens, which is the load-bearing property behind the golden-summary
@@ -22,6 +24,7 @@ import random
 from typing import Dict, Optional
 
 from repro.clock import Clock
+from repro.metrics.counters import Counter
 from repro.resilience.policies import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -81,7 +84,7 @@ class ResilienceRuntime:
         "_breakers",
         "_trace",
         "touched",
-        "attempt_counters",
+        "attempts",
     )
 
     def __init__(self, config: ResilienceConfig, clock: Clock) -> None:
@@ -100,10 +103,10 @@ class ResilienceRuntime:
         #: :meth:`take_trace`; an untouched trace is empty, so a request
         #: the layer did nothing for drains without looking at it.
         self.touched = False
-        #: Optional ``resilience_attempts_total`` counters by ``kind``
-        #: (``repro.obs.MetricsRegistry.counters``); drained traces publish
-        #: into them.
-        self.attempt_counters = None
+        #: What drained traces did, by kind: extra round trips (``retry``),
+        #: fast-failed and hedged requests.  Counted once per drained request,
+        #: so they differ from the cluster's per-shard, per-attempt counters.
+        self.attempts = Counter()
 
     # -- retry / deadline ---------------------------------------------------------------
 
@@ -154,7 +157,7 @@ class ResilienceRuntime:
             breaker.record_failure()
 
     def breaker_state_counts(self) -> Dict[str, float]:
-        """Gauges for :class:`~repro.cluster.metrics.ClusterMetrics`."""
+        """Breaker-state levels for :func:`repro.cluster.metrics.cluster_statistics`."""
         counts = {BREAKER_CLOSED: 0, BREAKER_OPEN: 0, BREAKER_HALF_OPEN: 0}
         for breaker in self._breakers.values():
             counts[breaker.state] += 1
@@ -179,12 +182,11 @@ class ResilienceRuntime:
         trace = self._trace
         if not trace.empty:
             self._trace = RequestTrace()
-            counters = self.attempt_counters
-            if counters is not None:
-                if trace.extra_round_trips:
-                    counters["retry"].inc(trace.extra_round_trips)
-                if trace.fast_failed:
-                    counters["fast_fail"].inc()
-                if trace.hedged:
-                    counters["hedge"].inc()
+            attempts = self.attempts.counts
+            if trace.extra_round_trips:
+                attempts["retry"] += trace.extra_round_trips
+            if trace.fast_failed:
+                attempts["fast_fail"] += 1
+            if trace.hedged:
+                attempts["hedge"] += 1
         return trace

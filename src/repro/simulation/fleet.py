@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 def build_cluster(
-    config: "SimulationConfig", quaestor_config, clock, auditor, dataset, tracer, metrics
+    config: "SimulationConfig", quaestor_config, clock, auditor, dataset, tracer
 ) -> "QuaestorCluster":
     """The sharded (or replicated) deployment a config asks for.
 
@@ -54,7 +54,6 @@ def build_cluster(
         resilience=config.resilience,
         gray_seed=config.seed,
         tracer=tracer,
-        metrics=metrics,
     )
 
 

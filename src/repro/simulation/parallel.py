@@ -260,7 +260,7 @@ def merge_outcomes(
 
     # History, trace and metrics follow the same partition-order discipline:
     # histories concatenate with globally renumbered sequence numbers,
-    # span/parent ids are offset into one global id space, counters/gauges
+    # span/parent ids are offset into one global id space, counters
     # sum, histogram samples concatenate, series group by sample time.
     history: List[tuple] = []
     for outcome in ordered:

@@ -288,24 +288,16 @@ class Simulator:
 
             self.history = HistoryRecorder()
         self.auditor = StalenessAuditor(recorder=self.history)
-        #: Observability: the trace recorder and metrics registry shared by
-        #: every layer of the deployment.  ``None`` (the default) keeps the
-        #: request path instrumentation-free beyond one ``is None`` check
-        #: per site; when on, recording draws no RNG and only reads the
-        #: clock, so seeded results are value-identical either way.
+        #: Observability: the trace recorder shared by every layer of the
+        #: deployment.  ``None`` (the default) keeps the request path
+        #: instrumentation-free beyond one ``is None`` check per site; when
+        #: on, recording draws no RNG and only reads the clock, so seeded
+        #: results are value-identical either way.
         self.tracer: Optional["TraceRecorder"] = None
-        self.metrics_registry: Optional["MetricsRegistry"] = None
-        if config.observability is not None:
-            from repro.obs import MetricsRegistry, TraceRecorder
+        if config.observability is not None and config.observability.trace:
+            from repro.obs import TraceRecorder
 
-            if config.observability.trace:
-                self.tracer = TraceRecorder(
-                    self.clock, sample_every=config.observability.sample_every
-                )
-            if config.observability.metrics:
-                self.metrics_registry = MetricsRegistry(
-                    interval=config.observability.metrics_interval
-                )
+            self.tracer = TraceRecorder(self.clock, sample_every=config.observability.sample_every)
         #: Replication is "active" when it can change behaviour at all: a
         #: replication factor above one, or faults to inject.  Only then does
         #: the summary grow availability metrics.
@@ -385,18 +377,21 @@ class Simulator:
         self._audit = self.auditor.audit_read if config.audit_staleness else None
         #: How long each stale measured read had been superseded, in audit order.
         self._staleness_samples: List[float] = []
-        #: Next sim-time epoch boundary at which the metrics registry
+        #: The metrics registry, a view over the counters above (and the
+        #: fleet's), and the next sim-time epoch boundary at which it
         #: snapshots its time series.  Sampling is lazy -- piggybacked on
         #: operation execution, never scheduled into the event queue, which
         #: would advance the clock past the last workload event and change
-        #: the measured duration.
+        #: the measured duration -- and is all the registry adds to an op.
         self._next_metrics_sample: Optional[float] = None
-        registry = self.metrics_registry
-        if registry is not None:
-            self._next_metrics_sample = registry.interval
-            self._operation_counters = registry.counters("sim_operations_total", "op", "level")
-            self._stale_read_counters = registry.counters("sim_stale_reads_total", "op")
-            self._latency_samples = registry.histograms("sim_request_latency_seconds", "op")
+        self.metrics_registry: Optional["MetricsRegistry"] = None
+        if config.observability is not None and config.observability.metrics:
+            from repro.obs import MetricsRegistry
+
+            self.metrics_registry = MetricsRegistry(
+                self._metric_rows, interval=config.observability.metrics_interval
+            )
+            self._next_metrics_sample = self.metrics_registry.interval
         self._measured_operations = 0
         self._total_operations = 0
         self._warmup_operations = int(config.warmup_fraction * config.max_operations)
@@ -425,19 +420,21 @@ class Simulator:
                 auditor=self.auditor,
             )
             self.server.tracer = self.tracer
+            self._deployment_rows = tuple
             pricer = Pricer(config.topology, self.clock, config.origin_capacity, self.tracer)
             if self.tracer is None:
                 self._read_pricers = pricer.samplers
             return pricer
 
         from repro.cluster import ClusterClient
+        from repro.cluster.metrics import metric_rows
         from repro.simulation.fleet import FleetPricer, build_cluster
 
         self.cluster = build_cluster(
-            config, quaestor_config, self.clock, self.auditor, self.dataset,
-            self.tracer, self.metrics_registry,
+            config, quaestor_config, self.clock, self.auditor, self.dataset, self.tracer
         )
         self.server = ClusterClient(self.cluster)
+        self._deployment_rows = partial(metric_rows, self.cluster)
         if config.fault_plan is not None:
             from repro.faults import FaultInjector
 
@@ -527,6 +524,20 @@ class Simulator:
             return ()
         return self.tracer.span_tuples()
 
+    def _metric_rows(self) -> List[tuple]:
+        """The registry's rows: the measured counters, then the deployment's."""
+        stale = self._stale_counts.counts
+        rows = [
+            ("sim_operations_total", (("level", level), ("op", op)), count)
+            for op, counter in self.level_counts.items()
+            for level, count in counter.counts.items()
+        ]
+        for op, histogram in self._latency_by_class.items():
+            rows.append(("sim_stale_reads_total", (("op", op),), stale.get(f"stale_{op}", 0)))
+            rows.append(("sim_request_latency_seconds", (("op", op),), histogram))
+        rows.extend(self._deployment_rows())
+        return rows
+
     def metrics_state(self) -> Optional[tuple]:
         """The metrics registry state (parallel-merge surface), or ``None``."""
         if self.metrics_registry is None:
@@ -557,7 +568,6 @@ class Simulator:
             issue_wait = 0.0
             self._client_next_slot[client_index] = start_time + self._client_issue_interval
 
-        registry = self.metrics_registry
         operation_type = operation.type
         if operation_type is _READ or operation_type is _QUERY:
             if operation_type is _READ:
@@ -600,6 +610,7 @@ class Simulator:
             # Price the completed root (its key and level came with the SDK's
             # ``end``, its cost children from the pricing sites): latency, op class.
             self.tracer.finish_root(start_time + latency, latency, "op", op_class)
+        registry = self.metrics_registry
         if registry is not None:
             # Lazy epoch sampling: snapshot the time series at every grid
             # boundary this operation's start time has crossed.  The grid is
@@ -622,9 +633,6 @@ class Simulator:
             record, levels, audited, stale = self._op_tails[op_class]
             record(latency)
             levels[level] += 1
-            if registry is not None:
-                self._operation_counters[op_class, level].inc()
-                self._latency_samples[op_class].append(latency)
             audit = self._audit
             if audit is not None and etag is not None:  # writes carry no etag
                 staleness = audit(key, etag, start_time)
@@ -632,8 +640,6 @@ class Simulator:
                 if staleness is not None:
                     stale_counts[stale] += 1
                     self._staleness_samples.append(staleness)
-                    if registry is not None:
-                        self._stale_read_counters[op_class].inc()
                 if level == DEGRADED_LEVEL:
                     stale_counts["degraded_served"] += 1
                 stale_counts[audited] += 1

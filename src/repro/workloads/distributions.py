@@ -83,8 +83,13 @@ class ZipfianGenerator:
         self._theta = constant
         self._alpha = 1.0 / (1.0 - self._theta)
         self._zeta2 = self._zeta(2, constant)
-        self._eta = (1 - (2.0 / item_count) ** (1 - self._theta)) / (
-            1 - self._zeta2 / self._zeta_n
+        # With two items or fewer every draw lands on rank 0 or 1 before the
+        # eta branch (zeta_n is the rank-1 threshold), and zeta_n == zeta2
+        # would divide by zero; 0.0 clamps a stray draw to the top rank.
+        self._eta = (
+            (1 - (2.0 / item_count) ** (1 - self._theta)) / (1 - self._zeta2 / self._zeta_n)
+            if item_count > 2
+            else 0.0
         )
 
     @staticmethod

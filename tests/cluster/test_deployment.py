@@ -8,6 +8,7 @@ from repro.caching import InvalidationCache
 from repro.clock import VirtualClock
 from repro.client import QuaestorClient
 from repro.cluster import ClusterClient, QuaestorCluster, aggregate_statistics
+from repro.cluster.metrics import per_shard_statistics
 from repro.db import Query
 from repro.errors import UnsupportedOperationError
 from repro.workloads.operations import Operation, OperationType
@@ -210,7 +211,7 @@ class TestBatchedWritePropagation:
 class TestClusterMetrics:
     def test_aggregate_sums_per_shard_counters(self, sharded_deployment):
         cluster = sharded_deployment["cluster"]
-        per_shard = cluster.metrics.per_shard_statistics()
+        per_shard = per_shard_statistics(cluster)
         aggregated = aggregate_statistics(list(per_shard.values()))
         assert aggregated["writes"] == sum(stats.get("writes", 0) for stats in per_shard.values())
         assert aggregated["writes"] == 40  # one insert per seeded document

@@ -83,7 +83,6 @@ class TestScatterAbortInvariant:
         # Every shard that probed successfully recorded the wasted probe.
         assert snapshot["admission_aborts"] == cluster.num_shards - 1
         assert snapshot["shard_queries_aborted"] == cluster.num_shards - 1
-        assert cluster.metrics.scatter_abort_rate() == pytest.approx(1.0)
 
     def test_all_admitting_shards_commit_and_cache(self):
         cluster = build_cluster()

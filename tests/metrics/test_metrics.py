@@ -1,10 +1,10 @@
-"""Tests for histograms, counters, throughput windows and reports."""
+"""Tests for histograms and counters."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import Counter, ExperimentReport, Histogram, ThroughputWindow, format_table
+from repro.metrics import Counter, Histogram
 
 
 class TestHistogram:
@@ -115,7 +115,7 @@ class TestHistogram:
         assert first.mean == 2.0
 
 
-class TestCounterAndThroughput:
+class TestCounter:
     def test_counter_increment_and_get(self):
         counter = Counter()
         counter.increment("hits")
@@ -129,29 +129,6 @@ class TestCounterAndThroughput:
         counter.increment("hits")
         counter.reset()
         assert counter.get("hits") == 0
-
-    def test_throughput_window(self):
-        window = ThroughputWindow()
-        window.record(10.0)
-        window.record(12.0)
-        window.record(14.0, operations=2)
-        assert window.operations == 4
-        assert window.duration == 4.0
-        assert window.throughput() == pytest.approx(1.0)
-
-    def test_throughput_with_explicit_window(self):
-        window = ThroughputWindow()
-        window.record(0.0, operations=100)
-        assert window.throughput(window=10.0) == 10.0
-
-    def test_empty_window(self):
-        window = ThroughputWindow()
-        assert window.throughput() == 0.0
-        assert window.duration == 0.0
-
-    def test_negative_operations_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputWindow().record(0.0, operations=-1)
 
     def test_counter_rejects_going_below_zero(self):
         """Counters are monotone tallies: a decrement below zero is a
@@ -168,56 +145,3 @@ class TestCounterAndThroughput:
     def test_counter_rejects_initial_decrement(self):
         with pytest.raises(ValueError, match="below zero"):
             Counter().increment("fresh", -1)
-
-    def test_throughput_single_sample_spans_zero_seconds(self):
-        """Contract: one recorded timestamp means a zero-length window --
-        duration 0.0 and throughput 0.0 (no elapsed time to divide by)."""
-        window = ThroughputWindow()
-        window.record(42.0, operations=5)
-        assert window.operations == 5
-        assert window.duration == 0.0
-        assert window.throughput() == 0.0
-
-    def test_throughput_out_of_order_timestamps_clamp_to_zero(self):
-        """Contract: a last timestamp behind the first clamps the duration
-        to zero (never negative), so throughput degrades to 0.0 instead of
-        returning a negative rate."""
-        window = ThroughputWindow()
-        window.record(10.0)
-        window.record(4.0)
-        assert window.duration == 0.0
-        assert window.throughput() == 0.0
-        # An explicit window still works on the recorded operation count.
-        assert window.throughput(window=2.0) == 1.0
-
-
-class TestExperimentReport:
-    def test_add_row_validates_columns(self):
-        report = ExperimentReport("X", "desc", columns=["a", "b"])
-        report.add_row(a=1, b=2)
-        with pytest.raises(ValueError):
-            report.add_row(a=1, c=3)
-
-    def test_column_extraction(self):
-        report = ExperimentReport("X", "desc", columns=["a", "b"])
-        report.add_row(a=1, b=2)
-        report.add_row(a=3, b=4)
-        assert report.column("a") == [1, 3]
-        with pytest.raises(KeyError):
-            report.column("missing")
-
-    def test_text_rendering_contains_data_and_notes(self):
-        report = ExperimentReport("Figure X", "A description.", columns=["metric", "value"])
-        report.add_row(metric="throughput", value=123.456)
-        report.add_note("shape holds")
-        text = report.to_text()
-        assert "Figure X" in text
-        assert "throughput" in text
-        assert "123.456" in text
-        assert "shape holds" in text
-
-    def test_format_table_alignment(self):
-        table = format_table(["col"], [{"col": "x"}, {"col": "longer"}])
-        lines = table.splitlines()
-        assert len(lines) == 4  # header, separator, two rows
-        assert len(set(len(line) for line in lines)) == 1

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.metrics import Counter, Histogram
 from repro.obs import (
-    Gauge,
     MetricsRegistry,
     ObservabilityConfig,
     Span,
@@ -55,7 +55,11 @@ class TestObservabilityConfig:
         with pytest.raises(ValueError):
             ObservabilityConfig(sample_every=0)
         with pytest.raises(ValueError):
+            ObservabilityConfig(sample_every=-2)
+        with pytest.raises(ValueError):
             ObservabilityConfig(metrics_interval=0.0)
+        with pytest.raises(ValueError):
+            ObservabilityConfig(metrics_interval=-1.0)
 
     def test_simulation_config_rejects_wrong_type(self):
         with pytest.raises(ConfigurationError):
@@ -190,57 +194,47 @@ class TestTraceRecorder:
 
 
 class TestMetricsRegistry:
-    def test_counters_are_monotone(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests_total", op="read")
-        counter.inc()
-        counter.inc(2)
-        assert registry.counter("requests_total", op="read") is counter
-        assert counter.value == 3
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_children_bound_by_label_values_on_first_use(self):
-        registry = MetricsRegistry()
-        by_op_level = registry.counters("ops_total", "op", "level")
-        by_op = registry.histograms("latency", "op")
-        assert registry.state()[0] == ()  # nothing exists until it is used
-        by_op_level["read", "cdn"].inc()
-        by_op_level["read", "cdn"].inc()
-        by_op["read"].append(0.5)
-        assert by_op_level["read", "cdn"] is registry.counter("ops_total", level="cdn", op="read")
-        assert registry.counter("ops_total", op="read", level="cdn").value == 2
-        assert registry.histogram("latency", op="read") == [0.5]
-        counters, _gauges, histograms, _series = registry.state()
+    def test_rows_are_read_from_live_counters(self):
+        counter = Counter()
+        latency = Histogram()
+        registry = MetricsRegistry(
+            lambda: [
+                ("ops_total", (("level", "cdn"), ("op", "read")), counter.get("cdn_read")),
+                ("latency", (("op", "read"),), latency),
+            ]
+        )
+        assert registry.state()[:3] == ((), (), ())  # zero rows are not exported
+        counter.counts["cdn_read"] += 2
+        latency.record(0.5)
+        counters, gauges, histograms, _series = registry.state()
         assert counters == (("ops_total", (("level", "cdn"), ("op", "read")), 2),)
+        assert gauges == ()
         assert histograms == (("latency", (("op", "read"),), (0.5,)),)
 
-    def test_gauges_move_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("inflight")
-        gauge.add(3)
-        assert gauge.add(-2) == 1
-        assert registry.gauge("inflight").value == 1
-        standalone = Gauge(5.0)
-        standalone.set(1.0)
-        assert standalone.value == 1.0
-
     def test_series_snapshots(self):
-        registry = MetricsRegistry(interval=1.0)
-        registry.counter("ops").inc()
+        counter = Counter()
+        registry = MetricsRegistry(lambda: [("ops", (), counter.get("ops"))], interval=1.0)
+        counter.counts["ops"] += 1
         registry.sample(1.0)
-        registry.counter("ops").inc()
+        counter.counts["ops"] += 1
         registry.sample(2.0)
         series = registry.series()
         assert [point[0] for point in series] == [1.0, 2.0]
         assert series[0][1] == (("ops", (), 1),)
         assert series[1][1] == (("ops", (), 2),)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_a_non_positive_or_nan_interval_is_rejected(self, interval):
+        with pytest.raises(ValueError):
+            MetricsRegistry(tuple, interval=interval)
+
     def test_merge_states_sums_and_concatenates(self):
         def one(value, sample):
-            registry = MetricsRegistry()
-            registry.counter("ops", op="read").inc(value)
-            registry.histogram("lat", op="read").append(sample)
+            latency = Histogram()
+            latency.record(sample)
+            registry = MetricsRegistry(
+                lambda: [("ops", (("op", "read"),), value), ("lat", (("op", "read"),), latency)]
+            )
             registry.sample(1.0)
             return registry.state()
 
@@ -254,11 +248,14 @@ class TestMetricsRegistry:
 
 class TestExport:
     def _state(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total", op="read").inc(7)
-        registry.gauge("inflight").add(2)
-        registry.histogram("latency_seconds", op="read").append(0.25)
-        registry.histogram("latency_seconds", op="read").append(0.75)
+        latency = Histogram()
+        latency.record_many([0.25, 0.75])
+        registry = MetricsRegistry(
+            lambda: [
+                ("requests_total", (("op", "read"),), 7),
+                ("latency_seconds", (("op", "read"),), latency),
+            ]
+        )
         registry.sample(1.0)
         return registry.state()
 
@@ -266,7 +263,6 @@ class TestExport:
         text = prometheus_text(self._state())
         assert '# TYPE requests_total counter' in text
         assert 'requests_total{op="read"} 7' in text
-        assert 'inflight 2' in text.replace(".0", "")
         assert 'latency_seconds_count{op="read"} 2' in text
         assert 'latency_seconds_sum{op="read"} 1' in text.replace(".0", "")
 

@@ -4,8 +4,10 @@ A NaN mean used to sample as ``0.0`` (``max(minimum, nan)`` keeps the
 minimum), which made every request on that path free; an infinite mean
 sampled ``inf``; a NaN timestamp passed ``timestamp < 0`` and popped
 before every finite event, corrupting the heap order; and a NaN capacity,
-duration or failover delay passed ``SimulationConfig``'s ``<= 0`` checks.
-Each case below failed silently (or late) before and raises now.
+duration or failover delay passed ``SimulationConfig``'s ``<= 0`` checks;
+a NaN metrics interval never sampled and a fractional or NaN
+``sample_every`` traced every third request or none.  Each case below
+failed silently (or late) before and raises now.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, ObservabilityConfig, TraceRecorder
 from repro.simulation import CachingMode, EventQueue, LatencyModel, SimulationConfig, Simulator
 from repro.workloads.dataset import DatasetSpec
 
@@ -123,3 +127,41 @@ def test_a_nan_timestamp_cannot_jump_the_queue():
     with pytest.raises(ValueError):
         queue.schedule(float("nan"), lambda: None)
     assert [queue.pop().timestamp for _ in range(2)] == [0.5, 1.0]
+
+
+def test_a_nan_metrics_interval_is_rejected():
+    # A NaN interval was accepted and then never sampled: ``start >= nan``
+    # is always false, so the series silently kept only the closing point.
+    with pytest.raises(ValueError, match="interval"):
+        ObservabilityConfig(metrics_interval=math.nan)
+    with pytest.raises(ValueError, match="interval"):
+        MetricsRegistry(tuple, interval=math.nan)
+
+
+@pytest.mark.parametrize("sample_every", [1.5, math.nan, True])
+def test_a_sample_every_that_is_not_an_int_of_at_least_one_is_rejected(sample_every):
+    # 1.5 traced every 3rd root (``index % 1.5 == 0``) and NaN traced none.
+    with pytest.raises(ValueError, match="sample_every"):
+        ObservabilityConfig(sample_every=sample_every)
+    with pytest.raises(ValueError, match="sample_every"):
+        TraceRecorder(VirtualClock(), sample_every=sample_every)
+
+
+def test_an_infinite_metrics_interval_keeps_only_the_closing_snapshot():
+    config = SimulationConfig(
+        mode=CachingMode.UNCACHED,
+        dataset=DatasetSpec(num_tables=1, documents_per_table=40, queries_per_table=4),
+        num_clients=1,
+        connections_per_client=2,
+        max_operations=40,
+        warmup_fraction=0.0,
+        observability=ObservabilityConfig(trace=False, metrics_interval=math.inf),
+    )
+    simulator = Simulator(config)
+    simulator.run()
+    counters, _gauges, _histograms, series = simulator.metrics_state()
+    assert len(series) == 1
+    timestamp, snapshot, _ = series[0]
+    assert timestamp == simulator.clock.now()
+    assert snapshot == counters
+    assert sum(value for name, _labels, value in counters if name == "sim_operations_total") == 40

@@ -59,6 +59,29 @@ class TestZipfianGenerator:
         generator = ZipfianGenerator(100, constant=1.0, rng=random.Random(7))
         assert 0 <= generator.next_index() < 100
 
+    @pytest.mark.parametrize("item_count", [1, 2])
+    def test_one_or_two_items_draw_the_rank_thresholds_only(self, item_count):
+        # Two items used to raise ZeroDivisionError: zeta(n) == zeta(2).
+        for scrambled in (True, False):
+            generator = ZipfianGenerator(item_count, rng=random.Random(5), scrambled=scrambled)
+            draws = Counter(generator.next_indexes(2_000))
+            assert set(draws) == set(range(item_count))
+        if item_count == 2:
+            assert draws[0] > draws[1]  # rank 0 is the popular one, unscrambled
+
+    def test_a_two_query_dataset_runs(self):
+        from repro.simulation import SimulationConfig, Simulator
+        from repro.workloads import DatasetSpec
+
+        config = SimulationConfig(
+            dataset=DatasetSpec(num_tables=1, documents_per_table=20, queries_per_table=2),
+            num_clients=1,
+            connections_per_client=2,
+            max_operations=200,
+        )
+        result = Simulator(config).run()
+        assert result.query_latency.count > 0
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ZipfianGenerator(0)
