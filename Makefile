@@ -55,11 +55,14 @@
 #   make budgets         - the machine-independent cost guards: frames and calls
 #                          of every tests/*/test_*budget*.py path (seconds)
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files
-#   make unused-functions - report-only census: every def under src/repro that
-#                          no non-test entry point (benchmark workloads, verify
-#                          and obs smokes, fast examples, figure harnesses, a
-#                          4-partition run) calls, listed by name and body
-#                          lines under its module
+#   make unused-functions - function census gate (~60 s on two cores): fails on
+#                          any def under src/repro that no entry point reaches
+#                          (benchmark workloads, verify and obs smokes, fast
+#                          examples, figure harnesses, behaviour pins, parity
+#                          harness, a 4-partition faulted run, a causal audit
+#                          cell) unless it is a dunder or declaration or is
+#                          named in scripts/unused_allowlist.txt, and on any
+#                          allowlist entry that covers nothing unreached
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest

@@ -18,8 +18,13 @@ It additionally enforces *coverage*: every subsystem package listed in
 scanned documentation, so a new subsystem cannot land undocumented (and a
 removed one cannot leave its docs behind).
 
-Finally it flags *orphan modules*: a module under ``src/repro/`` that no
-non-test file imports (see ``check_orphan_modules``) is code nothing runs.
+It flags *orphan modules*: a module under ``src/repro/`` that no non-test
+file imports (see ``check_orphan_modules``) is code nothing runs.
+
+Finally, in ``README.md`` and ``docs/architecture.md`` (``MEMBER_DOCS``),
+every backticked ``Class.member`` whose ``Class`` is defined under
+``src/repro`` must name a member of it (``check_class_members``), so a
+deleted method cannot leave its mention behind.
 
 Exits non-zero listing every reference that does not resolve, so stale docs
 fail CI instead of silently rotting.
@@ -41,6 +46,13 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PATH_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/", "scripts/")
 #: A dotted reference into the reproduction package.
 MODULE_REFERENCE = re.compile(r"^repro(\.\w+)+$")
+#: ``Class.member`` (optionally called): the class name is capitalised.
+MEMBER_REFERENCE = re.compile(r"^([A-Z]\w*)\.(\w+)(?:\(.*\))?$")
+#: The documents whose ``Class.member`` references are checked; the benchmark
+#: ledger (``docs/benchmarks.md``) is a history and names deleted code.
+MEMBER_DOCS = ("README.md", "docs/architecture.md")
+#: What every ``typing.NamedTuple`` subclass inherits.
+NAMED_TUPLE_MEMBERS = ("_make", "_asdict", "_replace", "_fields")
 
 #: A file named in a docstring: a bare or slash-separated name ending in a
 #: document, data or source suffix (``<placeholder>`` names never match).
@@ -196,6 +208,64 @@ def check_orphan_modules() -> list:
     return orphans
 
 
+def class_members() -> dict:
+    """``{class name: member names}`` for every class defined under
+    ``src/repro`` -- methods, class attributes, dataclass fields and
+    ``self.<name>`` assignments, plus everything its ``src/repro`` bases
+    define.  Same-named classes pool their members."""
+    members: dict = {}
+    bases: dict = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = members.setdefault(node.name, set())
+            bases.setdefault(node.name, set()).update(
+                base.id for base in node.bases if isinstance(base, ast.Name)
+            )
+            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+                names.update(NAMED_TUPLE_MEMBERS)
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    names.add(sub.attr)
+
+    def inherited(name: str, seen: set) -> set:
+        found = set(members.get(name, ()))
+        for base in bases.get(name, ()):
+            if base in members and base not in seen:
+                found |= inherited(base, seen | {base})
+        return found
+
+    return {name: inherited(name, {name}) for name in members}
+
+
+def check_class_members() -> list:
+    """``Class.member`` spans in ``MEMBER_DOCS`` naming no member of a
+    ``src/repro`` class, as (path, line, reference)."""
+    members = class_members()
+    broken = []
+    for relative in MEMBER_DOCS:
+        path = REPO_ROOT / relative
+        for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for span in CODE_SPAN.findall(line):
+                match = MEMBER_REFERENCE.match(span.strip())
+                if match and match.group(2) not in members.get(match.group(1), (match.group(2),)):
+                    broken.append((path, line_number, span.strip()))
+    return broken
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures = 0
@@ -217,6 +287,10 @@ def main() -> int:
     for module in check_orphan_modules():
         failures += 1
         print(f"orphan: no non-test file imports module {module}")
+    for path, line_number, reference in check_class_members():
+        failures += 1
+        relative = path.relative_to(REPO_ROOT)
+        print(f"{relative}:{line_number}: names no member of its class: {reference}")
     if failures:
         print(f"docs-check: {failures} broken reference(s) in {checked} file(s)")
         return 1

@@ -1,28 +1,44 @@
 #!/usr/bin/env python3
-"""Function-level census: which defs under ``src/repro`` does no entry point call?
+"""Function census gate: every def under ``src/repro`` must earn its place.
 
-A report, not a gate.  ``sys.setprofile`` records the code object of every
-Python frame entered while the repository's non-test entry points run in
-this process:
+A profiler records the code object of every Python frame entered while the
+repository's entry points run in this process:
 
 * the four benchmark workloads at smoke size (``bench.child.run_workload``);
 * ``python -m repro.verify --smoke`` and ``python -m repro.obs --smoke``;
 * the fast examples the test suite runs (``FAST_EXAMPLES`` in
   ``tests/test_examples.py``);
 * every figure harness in ``repro.benchmarks`` at a toy scale;
-* a four-partition ``ParallelSimulator`` run.
+* the behaviour pins (``PIN_TESTS``: the golden and byte-identity tests);
+* the parity harness CI runs (``run_parity_harness``);
+* a four-partition ``ParallelSimulator`` run with a crash/recover fault plan
+  and every recorder on, as ``make sim-parallel-smoke`` runs it;
+* one causal cell of the full consistency matrix (``python -m repro.verify``
+  without ``--smoke``, its own CI job).
 
-Every ``def`` under ``src/repro`` (found by parsing the source) whose code
-was never entered is then listed under its module with the lines of its
-body, modules ordered by uncalled body lines.  A
-function only the tests call shows up here; so do protocol hooks no run
-exercises (``__repr__``, ``__getstate__``) -- read the list, do not trust it.
+Every ``def`` under ``src/repro`` (found by parsing the source) then falls
+into one of three classes:
 
-**Blind spot.**  Code that runs in a spawned worker process is invisible to
-this process's profiler.  The census pins itself to one CPU, so every
-process pool in the repository (``repro.simulation.pool.map_in_processes``)
-maps its jobs in this process instead; what remains unseen is only the pool's
-own multi-worker branch.
+* *reached*: an entry point entered its code;
+* *exempt*: a declaration with no behaviour of its own -- a dunder protocol
+  hook (``__repr__``, ``__len__``, ...), an ``abstractmethod`` or a member
+  of a ``Protocol`` class;
+* *allowlisted*: ``scripts/unused_allowlist.txt`` names it, its class or its
+  module, with one reason from ``REASONS``.
+
+Anything else fails the gate, listed as ``module:qualname`` with its body
+lines; so does a *stale* allowlist entry, one that covers no unreached def (it is
+reached now, or it no longer exists).  Exits 0 only when both lists are
+empty.
+
+The entry points run in up to two spawned census processes, each pinned to
+one CPU, and the sets of entered code objects are merged.
+
+**Blind spot.**  Code that runs in a process the repository itself spawns is
+invisible to the census.  A census process has one CPU, so every process
+pool in the repository (``repro.simulation.pool.map_in_processes``) maps its
+jobs in that process instead; what remains unseen is only the pool's own
+multi-worker branch.
 
 Run: ``PYTHONPATH=src python scripts/unused_functions.py`` (``make
 unused-functions``).
@@ -32,7 +48,9 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import cProfile
 import io
+import multiprocessing
 import os
 import runpy
 import sys
@@ -42,14 +60,32 @@ import traceback
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
+ALLOWLIST = ROOT / "scripts" / "unused_allowlist.txt"
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-#: ``(file, first line)`` of every code object entered while profiling.
-Seen = Set[Tuple[str, int]]
+#: The closed set of reasons an allowlist entry may give.
+REASONS = {
+    "bench": "the frozen bench/ names it",
+    "producer": "only a benchmarks/bench_*.py CI guard drives it",
+    "safety": "a recovery, validation or failure-report path no smoke reaches",
+    "language": "a Mongo-style operator, checked against tests/db/reference_predicates.py",
+    "worker": "runs only in spawned workers or in the parallel merge",
+}
+
+#: The behaviour pins: tests whose goldens fix bytes, responses or summaries.
+PIN_TESTS = (
+    "tests/bloom/test_golden_vectors.py",
+    "tests/cluster/test_fleet_path_golden.py",
+    "tests/core/test_read_path.py::TestGoldenEquivalence",
+    "tests/obs/test_recorder_goldens.py",
+    "tests/obs/test_statistics_golden.py",
+    "tests/simulation/test_golden_summary.py",
+    "tests/ttl/test_ttl_golden_vectors.py",
+)
 
 
 def _fast_examples() -> List[str]:
@@ -136,106 +172,258 @@ def _figures() -> List[Tuple[str, Callable[[], None]]]:
     ]
 
 
+def _pins() -> None:
+    import pytest
+
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(ROOT / pin) for pin in PIN_TESTS)])
+    if code != 0:
+        raise RuntimeError(f"the behaviour pins failed (pytest exit {code})")
+
+
+def _parity() -> None:
+    from repro.simulation.parallel import run_parity_harness
+
+    run_parity_harness(workers=(1,))  # one worker: the partitions run in this process
+
+
 def _parallel() -> None:
+    from repro.faults import FaultAction, FaultEvent, FaultPlan
+    from repro.obs import ObservabilityConfig
     from repro.simulation import ParallelSimulator
     from repro.simulation.parallel import parity_config
     from repro.simulation.simulator import CachingMode
 
-    config = replace(parity_config(CachingMode.QUAESTOR, 3, num_partitions=4), record_history=True)
-    ParallelSimulator(config, num_partitions=4).run()
+    plan = FaultPlan(
+        events=[
+            FaultEvent(0.02, FaultAction.CRASH, "shard:0"),
+            FaultEvent(0.03, FaultAction.CRASH, "s3:n1"),
+            FaultEvent(0.12, FaultAction.RECOVER, "shard:0"),
+            FaultEvent(0.13, FaultAction.RECOVER, "s3:n1"),
+        ],
+        name="census-faults",
+    )
+    config = replace(
+        parity_config(CachingMode.QUAESTOR, 3, num_partitions=4),
+        record_history=True,
+        observability=ObservabilityConfig.full(),
+        fault_plan=plan,
+    )
+    ParallelSimulator(config, num_partitions=4).run().history_events()
+
+
+def _causal_cell() -> None:
+    from repro.core.consistency import ConsistencyLevel
+    from repro.verify.scenarios import run_scenario, scenario_matrix
+
+    spec = next(
+        spec
+        for spec in scenario_matrix()
+        if spec.consistency is ConsistencyLevel.CAUSAL and spec.replication_factor == 3
+    )
+    result = run_scenario(spec, with_mutations=False)
+    if not result.checkers_ok:
+        raise RuntimeError(f"the consistency cell {spec.name} found violations")
 
 
 def entry_points() -> List[Tuple[str, Callable[[], None]]]:
+    """Every entry point, the longest first (the census hands them out in order)."""
     return [
-        ("benchmark workloads (smoke)", _workloads),
         ("python -m repro.verify --smoke", _verify),
+        ("benchmark workloads (smoke)", _workloads),
         ("python -m repro.obs --smoke", _obs),
         ("FAST_EXAMPLES", _examples),
         *_figures(),
-        ("ParallelSimulator, 4 partitions", _parallel),
+        ("behaviour pins", _pins),
+        ("run_parity_harness", _parity),
+        ("ParallelSimulator, 4 partitions + faults", _parallel),
+        ("causal consistency cell", _causal_cell),
     ]
 
 
-def census() -> Tuple[Seen, List[Tuple[str, float, str]]]:
-    """Run every entry point under the profiler; returns what ran and how each went."""
-    seen: Seen = set()
+def _pin_to_one_cpu(cpus) -> None:
+    """Pool initializer: one CPU per census process, so that every process
+    pool in the repository (``repro.simulation.pool``) maps in-process."""
+    cpu = cpus.get()
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+
+
+def _profile(index: int) -> Tuple[Set[Tuple[str, int]], Tuple[str, float, str]]:
+    """Run entry point ``index`` under the profiler: the ``(file, first line)``
+    of every code object under ``src/repro`` it entered, and how it went."""
+    name, entry_point = entry_points()[index]
+    # cProfile's C hook, without builtin calls or caller edges: the cheapest
+    # way to learn every code object entered.
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    start = time.perf_counter()
+    outcome = "ok"
+    profiler.enable()
+    try:
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            entry_point()
+    except Exception as error:  # a crashed entry point is reported, and fails the gate
+        where = traceback.extract_tb(error.__traceback__)[-1]
+        outcome = f"crashed at {where.filename}:{where.lineno}: {error!r}"
+    finally:
+        profiler.disable()
     prefix = str(SOURCE)
+    seen = {
+        (entry.code.co_filename, entry.code.co_firstlineno)
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str) and entry.code.co_filename.startswith(prefix)
+    }
+    return seen, (name, time.perf_counter() - start, outcome)
 
-    def profile(frame, event, _arg) -> None:
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(prefix):
-                seen.add((code.co_filename, code.co_firstlineno))
 
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def census() -> Tuple[Set[Tuple[str, int]], List[Tuple[str, float, str]]]:
+    """Run every entry point under the profiler, in up to two processes of
+    one CPU each; returns the ``(file, first line)`` of every code object
+    under ``src/repro`` entered, and how each entry point went."""
+    cpus = sorted(os.sched_getaffinity(0))[:2] if hasattr(os, "sched_setaffinity") else [None]
+    context = multiprocessing.get_context("spawn")
+    queue = context.Queue()
+    for cpu in cpus:
+        queue.put(cpu)
+    seen: Set[Tuple[str, int]] = set()
     runs = []
-    for name, entry_point in entry_points():
-        start = time.perf_counter()
-        outcome = "ok"
-        sys.setprofile(profile)
-        try:
-            quiet = io.StringIO()
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                entry_point()
-        except Exception as error:  # a crashed entry point is reported, not fatal
-            where = traceback.extract_tb(error.__traceback__)[-1]
-            outcome = f"crashed at {where.filename}:{where.lineno}: {error!r}"
-        finally:
-            sys.setprofile(None)
-        runs.append((name, time.perf_counter() - start, outcome))
+    with context.Pool(len(cpus), initializer=_pin_to_one_cpu, initargs=(queue,)) as pool:
+        for entered, run in pool.imap(_profile, range(len(entry_points())), chunksize=1):
+            seen |= entered
+            runs.append(run)
     return seen, runs
 
 
-def defs(path: Path) -> List[Tuple[str, int, int]]:
-    """``(qualified name, code first line, body lines)`` of every def in ``path``."""
-    found: List[Tuple[str, int, int]] = []
+def _named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` spells ``name`` or ``<module>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
 
-    def visit(node: ast.AST, scope: str) -> None:
+
+def defs(source: str) -> List[Tuple[str, int, int, bool]]:
+    """``(qualified name, code first line, body lines, exempt)`` of every def
+    in ``source``; ``exempt`` marks the declarations the gate never asks about."""
+    found: List[Tuple[str, int, int, bool]] = []
+
+    def visit(node: ast.AST, scope: str, in_protocol: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{scope}{child.name}"
                 # A decorated function's code starts at its first decorator.
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found.append((name, first, child.end_lineno - child.lineno + 1))
-                visit(child, f"{name}.")
+                exempt = (
+                    is_dunder(name)
+                    or in_protocol
+                    or any(_named(d, "abstractmethod") for d in child.decorator_list)
+                )
+                found.append((name, first, child.end_lineno - child.lineno + 1, exempt))
+                visit(child, f"{name}.", False)
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{scope}{child.name}.")
+                protocol = any(_named(base, "Protocol") for base in child.bases)
+                visit(child, f"{scope}{child.name}.", protocol)
             else:
-                visit(child, scope)
+                visit(child, scope, in_protocol)
 
-    visit(ast.parse(path.read_text()), "")
+    visit(ast.parse(source), "", False)
     return found
 
 
+def read_allowlist(text: str) -> Dict[str, str]:
+    """``{target: reason}`` from the allowlist's ``<target> <reason>`` lines
+    (``#`` starts a comment).  A target is a module (``repro.ttl.bakeoff``),
+    a class or a def (``repro.replication.group:ReplicaGroup.partition``)."""
+    entries: Dict[str, str] = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 2 or fields[1] not in REASONS or fields[0] in entries:
+            raise SystemExit(
+                f"{ALLOWLIST.name}:{number}: expected '<target> <reason>' with one "
+                f"reason from {sorted(REASONS)}, each target once; got {line.strip()!r}"
+            )
+        entries[fields[0]] = fields[1]
+    return entries
+
+
+def is_dunder(qualified_name: str) -> bool:
+    name = qualified_name.rpartition(".")[2]
+    return name.startswith("__") and name.endswith("__")
+
+
+def _covers(entry: str, target: str) -> bool:
+    """Whether allowlist ``entry`` names ``target`` (``module:qualname``)."""
+    if ":" not in entry:
+        return target.partition(":")[0] == entry
+    return target == entry or target.startswith(entry + ".")
+
+
+def classify(
+    modules: Dict[str, Iterable[Tuple[str, int, int, bool]]],
+    reached: Set[str],
+    allowlist: Dict[str, str],
+) -> Tuple[List[Tuple[str, int]], List[str]]:
+    """The gate's verdict.
+
+    ``modules`` maps a module to its :func:`defs`, ``reached`` holds the
+    ``module:qualname`` of every def an entry point entered.  Returns the
+    unreached defs that are neither exempt nor allowlisted, as
+    ``(module:qualname, body lines)``, and the stale allowlist entries:
+    those that cover no unreached, non-exempt def.
+    """
+    unlisted: List[Tuple[str, int]] = []
+    used: Set[str] = set()
+    for module, found in modules.items():
+        for name, _first, lines, exempt in found:
+            target = f"{module}:{name}"
+            if exempt or target in reached:
+                continue
+            covering = [entry for entry in allowlist if _covers(entry, target)]
+            if covering:
+                used.update(covering)
+            else:
+                unlisted.append((target, lines))
+    return unlisted, [entry for entry in allowlist if entry not in used]
+
+
 def main() -> int:
+    allowlist = read_allowlist(ALLOWLIST.read_text())
     started = time.perf_counter()
     seen, runs = census()
     for name, seconds, outcome in runs:
-        print(f"{name:<34} {seconds:7.1f} s  {outcome}")
-    print(f"{'census total':<34} {time.perf_counter() - started:7.1f} s")
+        print(f"{name:<40} {seconds:7.1f} s  {outcome}")
+    print(f"{'census total':<40} {time.perf_counter() - started:7.1f} s")
     print()
 
-    rows = []
-    total_defs = total_uncalled = total_lines = 0
+    modules: Dict[str, List[Tuple[str, int, int, bool]]] = {}
+    reached: Set[str] = set()
     for path in sorted(SOURCE.rglob("*.py")):
         module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
-        found = defs(path)
-        uncalled = [(name, lines) for name, first, lines in found if (str(path), first) not in seen]
-        total_defs += len(found)
-        total_uncalled += len(uncalled)
-        total_lines += sum(lines for _, lines in uncalled)
-        if uncalled:
-            rows.append((sum(lines for _, lines in uncalled), module, len(found), uncalled))
-    print(f"{'module':<44} {'uncalled defs':>14} {'body lines':>11}")
-    for lines, module, count, uncalled in sorted(rows, key=lambda row: (-row[0], row[1])):
-        print(f"{module:<44} {len(uncalled):>6} / {count:<5} {lines:>11}")
-        for name, body in uncalled:
-            print(f"    {name} ({body})")
+        modules[module] = defs(path.read_text())
+        reached.update(
+            f"{module}:{name}"
+            for name, first, _lines, _exempt in modules[module]
+            if (str(path), first) in seen
+        )
+    unlisted, stale = classify(modules, reached, allowlist)
+    total = sum(len(found) for found in modules.values())
     print(
-        f"\n{total_uncalled} of {total_defs} defs under src/repro never called "
-        f"({total_lines} body lines); blind spot: code that only runs in a spawned worker"
+        f"{len(reached)} of {total} defs under src/repro reached; "
+        f"{len(allowlist)} allowlist entries"
     )
+    for target, lines in unlisted:
+        print(f"unreached and not allowlisted: {target} ({lines} lines)")
+    for entry in stale:
+        print(f"stale allowlist entry (reached, or gone): {entry} {allowlist[entry]}")
+    crashed = [name for name, _seconds, outcome in runs if outcome != "ok"]
+    if unlisted or stale or crashed:
+        print(
+            f"unused-functions: FAIL ({len(unlisted)} unlisted, {len(stale)} stale, "
+            f"{len(crashed)} crashed entry points)"
+        )
+        return 1
+    print("unused-functions: OK")
     return 0
 
 

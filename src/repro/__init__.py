@@ -24,7 +24,7 @@ The most convenient entry points are:
 
 from __future__ import annotations
 
-from repro.clock import SystemClock, VirtualClock
+from repro.clock import VirtualClock
 from repro.errors import (
     CapacityExceededError,
     DocumentNotFoundError,
@@ -37,7 +37,6 @@ from repro.errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "SystemClock",
     "VirtualClock",
     "QuaestorError",
     "InvalidQueryError",

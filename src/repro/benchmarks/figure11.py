@@ -56,9 +56,6 @@ class RecordingTTLEstimator(TTLEstimator):
             self.true_ttls.append(actual_ttl)
         self.inner.observe_query_invalidation(query_key, actual_ttl, timestamp)
 
-    def observe_query_read(self, query_key: str, timestamp: float) -> None:
-        self.inner.observe_query_read(query_key, timestamp)
-
 
 def run_figure11(
     scale: BenchmarkScale = SMALL_SCALE,

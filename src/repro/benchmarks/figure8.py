@@ -16,11 +16,11 @@ All six share the read-heavy workload of Section 6.2 (99 % reads+queries,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.benchmarks.harness import ALL_MODES, BenchmarkScale, SMALL_SCALE, run_mode
 from repro.benchmarks.report import ExperimentReport
-from repro.simulation.simulator import CachingMode, SimulationResult
+from repro.simulation.simulator import CachingMode
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -203,13 +203,3 @@ def run_figure8_histogram(
         f"origin={counts.get('origin', 0)}"
     )
     return report
-
-
-def figure8_summary(results: Dict[str, SimulationResult]) -> Dict[str, float]:
-    """Convenience: speed-up factors between modes at one connection count."""
-    quaestor = results[CachingMode.QUAESTOR.value].throughput
-    return {
-        "speedup_vs_uncached": quaestor / max(1e-9, results[CachingMode.UNCACHED.value].throughput),
-        "speedup_vs_ebf_only": quaestor / max(1e-9, results[CachingMode.EBF_ONLY.value].throughput),
-        "speedup_vs_cdn_only": quaestor / max(1e-9, results[CachingMode.CDN_ONLY.value].throughput),
-    }

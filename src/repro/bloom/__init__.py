@@ -17,7 +17,7 @@ Modules
     The blake2b double-hashing scheme producing *k* bit positions, and the
     FNV-based placement hashes of the sharding layer.
 ``sizing``
-    False-positive-rate arithmetic: optimal bit count and hash count.
+    The paper's default filter size (one TCP congestion window).
 ``bloom_filter``
     Plain immutable-ish Bloom filter (the flat client copy).
 ``counting``
@@ -31,17 +31,9 @@ from __future__ import annotations
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.expiring import ExpiringBloomFilter
-from repro.bloom.sizing import (
-    false_positive_rate,
-    optimal_bit_count,
-    optimal_hash_count,
-)
 
 __all__ = [
     "BloomFilter",
     "CountingBloomFilter",
     "ExpiringBloomFilter",
-    "false_positive_rate",
-    "optimal_bit_count",
-    "optimal_hash_count",
 ]

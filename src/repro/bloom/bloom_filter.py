@@ -6,7 +6,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.bloom.hashing import _blake2_pair_cached as _pair
-from repro.bloom.sizing import false_positive_rate, optimal_hash_count
 
 #: Keys one geometry's probe memo holds before it starts over.
 PROBE_MEMO_SIZE = 1 << 16
@@ -39,8 +38,8 @@ class BloomFilter:
     """A standard bit-array Bloom filter.
 
     Clients receive this flat representation of the server-side Expiring Bloom
-    Filter; it supports membership tests, insertion, bitwise union (used to
-    aggregate per-shard EBFs) and compact serialisation.
+    Filter; it supports membership tests, insertion, bitwise union of many
+    filters (used to aggregate per-shard EBFs) and compact serialisation.
 
     ``(num_bits, num_hashes)`` is the filter's whole geometry: the positions a
     key sets come from the memoised blake2b pair of
@@ -59,24 +58,6 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self._count = 0
         self._probes = _probe_memo(self.num_bits, self.num_hashes)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def with_capacity(cls, expected_items: int, target_fp_rate: float = 0.05) -> "BloomFilter":
-        """Create a filter sized for ``expected_items`` at ``target_fp_rate``."""
-        from repro.bloom.sizing import optimal_bit_count
-
-        bits = optimal_bit_count(expected_items, target_fp_rate)
-        hashes = optimal_hash_count(bits, expected_items)
-        return cls(bits, hashes)
-
-    @classmethod
-    def from_keys(cls, keys: Iterable[str], num_bits: int, num_hashes: int) -> "BloomFilter":
-        """Create a filter of fixed geometry containing ``keys``."""
-        instance = cls(num_bits, num_hashes)
-        instance.add_all(keys)
-        return instance
 
     # -- public API -----------------------------------------------------------
 
@@ -130,30 +111,12 @@ class BloomFilter:
         """Number of insertions performed (not distinct keys)."""
         return self._count
 
-    def clear(self) -> None:
-        """Reset the filter to the empty state."""
-        self._bits = bytearray(len(self._bits))
-        self._count = 0
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise OR of two filters with identical geometry.
-
-        The OR runs as a single whole-array integer operation instead of a
-        per-byte Python loop.
-        """
-        self._require_same_geometry(other)
-        merged = BloomFilter(self.num_bits, self.num_hashes)
-        combined = int.from_bytes(self._bits, "little") | int.from_bytes(other._bits, "little")
-        merged._bits = bytearray(combined.to_bytes(len(self._bits), "little"))
-        merged._count = self._count + other._count
-        return merged
-
     @classmethod
     def union_all(cls, filters: Sequence["BloomFilter"]) -> "BloomFilter":
         """OR an arbitrary number of same-geometry filters in one pass.
 
         Accumulates into a single integer, avoiding the intermediate filter
-        copy per pairwise :meth:`union` (the cluster unions one flat filter
+        copy a pairwise union would build (the cluster unions one flat filter
         per shard on every EBF download).
         """
         if not filters:
@@ -169,17 +132,6 @@ class BloomFilter:
         merged._bits = bytearray(combined.to_bytes(len(first._bits), "little"))
         merged._count = count
         return merged
-
-    def __or__(self, other: "BloomFilter") -> "BloomFilter":
-        return self.union(other)
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set to one (one popcount over the whole array)."""
-        return int.from_bytes(self._bits, "little").bit_count() / self.num_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        """Expected false positive rate given the number of insertions."""
-        return false_positive_rate(self.num_bits, self.num_hashes, self._count)
 
     # -- serialisation --------------------------------------------------------
 
@@ -237,6 +189,5 @@ class BloomFilter:
     def __repr__(self) -> str:
         return (
             f"BloomFilter(bits={self.num_bits}, hashes={self.num_hashes}, "
-            f"insertions={self._count}, "
-            f"fill={self.fill_ratio():.4f})"
+            f"insertions={self._count})"
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.hashing import _blake2_pair_cached as _pair
@@ -83,28 +83,7 @@ class CountingBloomFilter:
         self._item_count = max(0, self._item_count - 1)
         return True
 
-    def clear(self) -> None:
-        """Reset all counters and the flat snapshot."""
-        self._counters.clear()
-        self._flat.clear()
-        self._item_count = 0
-
     # -- queries --------------------------------------------------------------
-
-    def contains(self, key: str) -> bool:
-        """Membership test with the usual one-sided (false positive) error."""
-        return all(self._counters.get(position, 0) > 0 for position in self._slots(key))
-
-    def contains_all(self, keys: Sequence[str]) -> List[bool]:
-        """Batch membership test: one ``bool`` per key, in input order.
-
-        Delegates to the incrementally maintained flat snapshot, whose
-        membership is identical (a bit is set iff its counter is non-zero).
-        """
-        return self._flat.contains_all(keys)
-
-    def __contains__(self, key: str) -> bool:
-        return self.contains(key)
 
     def __len__(self) -> int:
         """Number of logically contained items (adds minus successful removes)."""

@@ -19,25 +19,12 @@ Delta equal to the age of their snapshot (Theorem 1 in the paper).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.sizing import PAPER_DEFAULT_BITS
 from repro.clock import Clock, VirtualClock
-
-
-@dataclass(frozen=True)
-class EBFStatistics:
-    """Point-in-time statistics of an Expiring Bloom Filter."""
-
-    tracked_keys: int
-    stale_keys: int
-    reads_reported: int
-    invalidations_reported: int
-    expirations_processed: int
-    false_positive_rate: float
 
 
 class ExpiringBloomFilter:
@@ -70,15 +57,8 @@ class ExpiringBloomFilter:
         # Min-heap of (expiry, key) for both maps; entries may be outdated and
         # are validated lazily against the maps when popped.
         self._expiry_heap: List[Tuple[float, str]] = []
-        self._reads_reported = 0
-        self._invalidations_reported = 0
-        self._expirations_processed = 0
 
     # -- time -----------------------------------------------------------------
-
-    @property
-    def clock(self) -> Clock:
-        return self._clock
 
     def now(self) -> float:
         return self._clock.now()
@@ -104,7 +84,6 @@ class ExpiringBloomFilter:
         # it must remain in the filter (the highest issued TTL governs).
         if key in self._stale_until and cacheable_until > self._stale_until[key]:
             self._stale_until[key] = cacheable_until
-        self._reads_reported += 1
 
     def report_read_many(
         self, keys: Iterable[str], ttl: float, read_time: Optional[float] = None
@@ -131,7 +110,6 @@ class ExpiringBloomFilter:
         timestamp = self.now() if invalidation_time is None else invalidation_time
         self.expire(timestamp)
         cacheable_until = self._cacheable_until.get(key)
-        self._invalidations_reported += 1
         if cacheable_until is None or cacheable_until <= timestamp:
             return False
         if key not in self._stale_until:
@@ -161,34 +139,18 @@ class ExpiringBloomFilter:
             cacheable_deadline = self._cacheable_until.get(key)
             if cacheable_deadline is not None and cacheable_deadline <= timestamp:
                 del self._cacheable_until[key]
-        self._expirations_processed += removed
         return removed
 
     # -- queries ---------------------------------------------------------------
-
-    def is_stale(self, key: str, now: Optional[float] = None) -> bool:
-        """Exact staleness check against the tracked stale set (server side)."""
-        timestamp = self.now() if now is None else now
-        self.expire(timestamp)
-        return key in self._stale_until
 
     def contains(self, key: str, now: Optional[float] = None) -> bool:
         """Probabilistic membership test on the underlying Bloom filter."""
         timestamp = self.now() if now is None else now
         self.expire(timestamp)
-        return self._filter.contains(key)
+        return self._filter._flat.contains(key)
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
-
-    def stale_keys(self) -> Iterable[str]:
-        """The exact set of currently stale keys (diagnostics / simulation)."""
-        self.expire()
-        return tuple(self._stale_until)
-
-    def cacheable_until(self, key: str) -> Optional[float]:
-        """The latest instant until which caches may hold ``key`` (or ``None``)."""
-        return self._cacheable_until.get(key)
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -201,18 +163,6 @@ class ExpiringBloomFilter:
         """Fraction of filter slots currently occupied (no snapshot copy)."""
         self.expire()
         return self._filter.fill_ratio()
-
-    def statistics(self) -> EBFStatistics:
-        """Return a statistics snapshot for monitoring and benchmarks."""
-        self.expire()
-        return EBFStatistics(
-            tracked_keys=len(self._cacheable_until),
-            stale_keys=len(self._stale_until),
-            reads_reported=self._reads_reported,
-            invalidations_reported=self._invalidations_reported,
-            expirations_processed=self._expirations_processed,
-            false_positive_rate=self._filter.to_flat().estimated_false_positive_rate(),
-        )
 
     def __len__(self) -> int:
         """Number of currently stale keys."""

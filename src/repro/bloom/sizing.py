@@ -1,64 +1,13 @@
-"""False-positive arithmetic and sizing helpers for Bloom filters.
+"""Sizing of the client-facing Bloom filter.
 
 The paper sizes the client-facing Bloom filter so that it fits into the
 initial TCP congestion window (about 14.6 KB), which at 20,000 contained
-stale queries yields a false positive rate of roughly 6 %.  These helpers
-reproduce that arithmetic and are used by the benchmarks and by
-:class:`repro.bloom.ExpiringBloomFilter` defaults.
+stale queries yields a false positive rate of roughly 6 %.
+:class:`repro.bloom.ExpiringBloomFilter` and the server configuration take
+their default geometry from here.
 """
 
 from __future__ import annotations
 
-import math
-
 #: Default filter size used by the paper: ten 1460-byte TCP segments.
 PAPER_DEFAULT_BITS = 10 * 1460 * 8
-
-
-def false_positive_rate(num_bits: int, num_hashes: int, num_items: int) -> float:
-    """Expected false positive rate of a Bloom filter.
-
-    Uses the standard approximation ``(1 - e^(-k*n/m))^k`` for a filter with
-    ``m`` bits, ``k`` hash functions and ``n`` inserted items.
-    """
-    if num_bits <= 0:
-        raise ValueError("num_bits must be positive")
-    if num_hashes <= 0:
-        raise ValueError("num_hashes must be positive")
-    if num_items < 0:
-        raise ValueError("num_items cannot be negative")
-    if num_items == 0:
-        return 0.0
-    exponent = -num_hashes * num_items / num_bits
-    return (1.0 - math.exp(exponent)) ** num_hashes
-
-
-def optimal_bit_count(num_items: int, target_fp_rate: float) -> int:
-    """Number of bits needed to hold ``num_items`` at ``target_fp_rate``.
-
-    ``m = -n * ln(p) / (ln 2)^2`` -- the space-optimal sizing (within the
-    factor of ~1.44 of the information-theoretic lower bound the paper cites).
-    """
-    if num_items <= 0:
-        raise ValueError("num_items must be positive")
-    if not 0.0 < target_fp_rate < 1.0:
-        raise ValueError("target_fp_rate must lie strictly between 0 and 1")
-    bits = -num_items * math.log(target_fp_rate) / (math.log(2) ** 2)
-    return max(8, int(math.ceil(bits)))
-
-
-def optimal_hash_count(num_bits: int, num_items: int) -> int:
-    """Optimal number of hash functions ``k = (m/n) * ln 2`` (at least 1)."""
-    if num_bits <= 0:
-        raise ValueError("num_bits must be positive")
-    if num_items <= 0:
-        raise ValueError("num_items must be positive")
-    k = (num_bits / num_items) * math.log(2)
-    return max(1, int(round(k)))
-
-
-def transfer_size_bytes(num_bits: int) -> int:
-    """Wire size in bytes of a flat filter of ``num_bits`` bits (uncompressed)."""
-    if num_bits <= 0:
-        raise ValueError("num_bits must be positive")
-    return (num_bits + 7) // 8

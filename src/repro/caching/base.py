@@ -67,11 +67,6 @@ class WebCache:
         """
         return self._entries.get(key)
 
-    def contains_fresh(self, key: str) -> bool:
-        """Whether a fresh copy of ``key`` is currently stored (no accounting)."""
-        entry = self._entries.get(key)
-        return entry is not None and entry.is_fresh(self._clock.now())
-
     # -- stores ------------------------------------------------------------------------
 
     def store(self, key: str, response: Response) -> Optional[CacheEntry]:
@@ -127,16 +122,6 @@ class WebCache:
         """Store a pre-built entry (used by 304 refresh paths)."""
         self._insert(entry.key, entry)
 
-    def refresh(self, key: str, ttl: Optional[float] = None) -> Optional[CacheEntry]:
-        """Re-stamp an existing (possibly stale) entry after a 304 revalidation."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        refreshed = entry.refreshed(self._clock.now(), ttl)
-        self._insert(key, refreshed)
-        self.stats.revalidations += 1
-        return refreshed
-
     def _insert(self, key: str, entry: CacheEntry) -> None:
         self._entries[key] = entry
         self.stats.stores += 1
@@ -151,19 +136,6 @@ class WebCache:
     def remove(self, key: str) -> bool:
         """Drop ``key`` from the cache (not counted as a purge)."""
         return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Empty the cache (cold-cache experiment setup)."""
-        self._entries.clear()
-
-    def expire_now(self) -> int:
-        """Eagerly drop every stale entry; returns the number removed."""
-        now = self._clock.now()
-        doomed = [key for key, entry in self._entries.items() if not entry.is_fresh(now)]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.evictions += len(doomed)
-        return len(doomed)
 
     # -- introspection ----------------------------------------------------------------------
 

@@ -30,18 +30,6 @@ class CacheEntry:
         """Instant at which the entry expires."""
         return self.stored_at + self.ttl
 
-    def is_fresh(self, now: float) -> bool:
-        """Whether the entry may still be served without revalidation."""
-        return now < self.fresh_until
-
-    def age(self, now: float) -> float:
-        """Seconds since the entry was stored (never negative)."""
-        return max(0.0, now - self.stored_at)
-
-    def remaining_ttl(self, now: float) -> float:
-        """Seconds of freshness left (zero when already expired)."""
-        return max(0.0, self.fresh_until - now)
-
     def refreshed(self, now: float, ttl: Optional[float] = None) -> "CacheEntry":
         """A copy of the entry re-stamped at ``now`` (after a 304 revalidation)."""
         return CacheEntry(

@@ -17,8 +17,6 @@ Public entry points
 * :meth:`CacheHierarchy.fetch` -- resolve a cache key through the chain
   (optionally as a revalidation or a bypass-all strong read); responses
   populate every consulted cache on the way back.
-* :meth:`CacheHierarchy.purge` -- remove a key from every invalidation-based
-  cache in the chain (what the server's purge fan-out calls).
 * :class:`FetchResult` -- where a fetch was answered (``level``), which the
   simulator maps to a network latency.
 
@@ -40,7 +38,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.caching.base import WebCache
 from repro.caching.entry import CacheEntry
-from repro.caching.invalidation import InvalidationCache
 from repro.rest.messages import Response
 
 #: The origin resolves a cache key to a full response (body + TTLs + Etag).
@@ -66,10 +63,6 @@ class FetchResult:
     level: str
     revalidated: bool
 
-    @property
-    def served_by_cache(self) -> bool:
-        return self.level != ORIGIN_LEVEL
-
 
 class CacheHierarchy:
     """An ordered chain of web caches in front of an origin."""
@@ -80,11 +73,9 @@ class CacheHierarchy:
             raise ValueError(f"cache level names must be unique, got {names}")
         self._levels: List[Tuple[str, WebCache]] = list(levels)
         self._origin = origin
-        # Fast-path bindings, fixed for the hierarchy's lifetime: name-indexed
-        # lookup (names validated unique above) and a prebound (name, cache,
-        # may-serve-revalidation) list so fetch() does not re-dispatch the
-        # ``supports_purge`` property per level per request.
-        self._by_name = dict(self._levels)
+        # Fast-path binding, fixed for the hierarchy's lifetime: a prebound
+        # (name, cache, may-serve-revalidation) list so fetch() does not
+        # re-dispatch the ``supports_purge`` property per level per request.
         self._serve_plan: List[Tuple[str, WebCache, bool]] = [
             (name, cache, self._may_serve_revalidation(cache)) for name, cache in self._levels
         ]
@@ -94,16 +85,6 @@ class CacheHierarchy:
     @property
     def level_names(self) -> List[str]:
         return [name for name, _cache in self._levels]
-
-    def cache(self, name: str) -> WebCache:
-        """Return the cache registered under ``name``."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no cache level named {name!r}") from None
-
-    def caches(self) -> List[WebCache]:
-        return [cache for _name, cache in self._levels]
 
     # -- request path ------------------------------------------------------------------
 
@@ -146,17 +127,6 @@ class CacheHierarchy:
         return FetchResult(
             key, response.body, response.etag, ORIGIN_LEVEL, revalidate or bypass_all_caches
         )
-
-    # -- purging -----------------------------------------------------------------------
-
-    def purge(self, key: str) -> int:
-        """Purge ``key`` from every invalidation-based cache in the chain."""
-        purged = 0
-        for _name, cache in self._levels:
-            if isinstance(cache, InvalidationCache):
-                if cache.purge(key):
-                    purged += 1
-        return purged
 
     # -- internals ----------------------------------------------------------------------
 

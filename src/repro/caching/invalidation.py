@@ -8,7 +8,7 @@ low (below 0.1 % in the paper's experiments).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.caching.base import WebCache
 from repro.clock import Clock
@@ -34,7 +34,3 @@ class InvalidationCache(WebCache):
         removed = self.remove(key)
         self.stats.purges += 1
         return removed
-
-    def purge_many(self, keys: Iterable[str]) -> int:
-        """Purge several keys; returns how many entries were actually removed."""
-        return sum(1 for key in keys if self.purge(key))

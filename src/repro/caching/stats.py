@@ -40,13 +40,3 @@ class CacheStatistics:
             "revalidations": self.revalidations,
             "hit_rate": self.hit_rate,
         }
-
-    def reset(self) -> None:
-        """Zero all counters (used between benchmark phases)."""
-        self.hits = 0
-        self.misses = 0
-        self.stale_hits = 0
-        self.stores = 0
-        self.purges = 0
-        self.evictions = 0
-        self.revalidations = 0

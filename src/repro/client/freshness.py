@@ -24,11 +24,6 @@ class FreshnessPolicy:
         self.refresh_interval = refresh_interval
         self._last_refresh: Optional[float] = None
 
-    @property
-    def delta(self) -> float:
-        """The staleness bound this policy provides (the refresh interval)."""
-        return self.refresh_interval
-
     def mark_refreshed(self, timestamp: float) -> None:
         """Record that a fresh EBF copy was obtained at ``timestamp``."""
         self._last_refresh = timestamp
@@ -38,12 +33,6 @@ class FreshnessPolicy:
         if self._last_refresh is None:
             return True
         return (now - self._last_refresh) >= self.refresh_interval
-
-    def age(self, now: float) -> float:
-        """Age of the current EBF copy in seconds (infinite when never fetched)."""
-        if self._last_refresh is None:
-            return float("inf")
-        return max(0.0, now - self._last_refresh)
 
     def __repr__(self) -> str:
         return f"FreshnessPolicy(refresh_interval={self.refresh_interval})"

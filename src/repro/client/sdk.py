@@ -28,7 +28,6 @@ from repro.core.representation import ResultRepresentation
 from repro.db.documents import Document
 from repro.db.query import Query, record_key
 from repro.metrics.counters import Counter
-from repro.rest.cache_control import CacheControl
 from repro.rest.etags import etag_for_version
 from repro.rest.messages import Response, StatusCode
 
@@ -193,10 +192,6 @@ class QuaestorClient:
         self.whitelist.reset()
         self._causal_revalidate = False
         self.counters.increment("ebf_refreshes")
-
-    @property
-    def bloom_filter(self) -> Optional[BloomFilter]:
-        return self._bloom
 
     def now(self) -> float:
         return self._clock.now()
@@ -464,24 +459,6 @@ class QuaestorClient:
             tracer.event("sdk.fetch", "level", level, "revalidated", revalidate)
         return ClientResult(key, body, level, etag, None, revalidate)
 
-    def potentially_stale(self, keys: Sequence[str]) -> List[bool]:
-        """Batch staleness precheck: one flag per key, in input order.
-
-        Uses the Bloom filter's batch membership test
-        (:meth:`~repro.bloom.BloomFilter.contains_all`) so bulk flows --
-        prefetchers, subscription reconciliation, benchmark drivers --
-        can triage many keys against one filter snapshot without paying the
-        per-call hashing overhead of :meth:`read`.  Whitelisted keys (read
-        or written since the last EBF refresh) report fresh, exactly like
-        the single-key path on :meth:`read` / :meth:`query`.
-        """
-        if not self.use_ebf or self._bloom is None:
-            return [False] * len(keys)
-        flags = self._bloom.contains_all(keys)
-        return [
-            flag and key not in self.whitelist for key, flag in zip(keys, flags)
-        ]
-
     def _origin_fetch(self, key: str) -> Response:
         """Resolve a cache key at the origin (the hierarchy's origin hook)."""
         if key.startswith("record:"):
@@ -682,12 +659,6 @@ class QuaestorClient:
             self._causal_frontier = self._clock.now()
 
     # -- statistics -----------------------------------------------------------------------------------------
-
-    def cache_statistics(self) -> Dict[str, Any]:
-        """Hit/miss statistics of the client cache plus SDK counters."""
-        stats = dict(self.counters.as_dict())
-        stats["client_cache"] = self.client_cache.stats.as_dict()
-        return stats
 
     def __repr__(self) -> str:
         return f"QuaestorClient(name={self.name!r}, consistency={self.consistency.value})"

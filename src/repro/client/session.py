@@ -37,10 +37,6 @@ class ClientSession:
         self._own_writes[key] = (version, document if document else None)
         self.observe_read(key, version, document)
 
-    def own_write(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
-        """The session's own latest write to ``key`` (or ``None``)."""
-        return self._own_writes.get(key)
-
     # -- monotonic reads ----------------------------------------------------------------
 
     def observe_read(self, key: str, version: int, document: Optional[Document]) -> bool:
@@ -52,9 +48,6 @@ class ClientSession:
         self._seen_versions[key] = version
         self._seen_documents[key] = document if document else None
         return True
-
-    def highest_seen_version(self, key: str) -> Optional[int]:
-        return self._seen_versions.get(key)
 
     def monotonic_fallback(self, key: str) -> Optional[Tuple[int, Optional[Document]]]:
         """The newest version/document this session has already observed."""

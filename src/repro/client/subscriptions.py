@@ -117,24 +117,12 @@ class SubscriptionManager:
         self._subscriptions[query.cache_key] = subscription
         return subscription
 
-    def unsubscribe(self, query: Query) -> bool:
-        """Stop maintaining ``query``; returns whether it was subscribed."""
-        subscription = self._subscriptions.pop(query.cache_key, None)
-        if subscription is None:
-            return False
-        subscription.active = False
-        return True
-
     def close(self) -> None:
         """Drop every subscription and detach from the notification stream."""
         for subscription in self._subscriptions.values():
             subscription.active = False
         self._subscriptions.clear()
         self._unsubscribe()
-
-    @property
-    def active_subscriptions(self) -> int:
-        return len(self._subscriptions)
 
     # -- notification handling -------------------------------------------------------------------
 

@@ -2,18 +2,13 @@
 
 All latency-, TTL- and staleness-related logic in the reproduction is driven
 by an explicit clock object instead of ``time.time()``.  Components accept a
-:class:`Clock` so that:
-
-* the Monte Carlo simulator (:mod:`repro.simulation`) can advance a
-  :class:`VirtualClock` deterministically and audit staleness against a
-  globally ordered history, exactly as the paper's simulation does, and
-* the same component code can run against :class:`SystemClock` (wall clock)
-  outside the simulator.
+:class:`Clock` so that the Monte Carlo simulator (:mod:`repro.simulation`)
+can advance a :class:`VirtualClock` deterministically and audit staleness
+against a globally ordered history, exactly as the paper's simulation does.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, runtime_checkable
 
 
@@ -24,16 +19,6 @@ class Clock(Protocol):
     def now(self) -> float:
         """Return the current time in seconds."""
         ...
-
-
-class SystemClock:
-    """Wall-clock backed implementation of :class:`Clock`."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "SystemClock()"
 
 
 class VirtualClock:

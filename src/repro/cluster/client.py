@@ -3,8 +3,8 @@
 :class:`ClusterClient` exposes exactly the surface a
 :class:`~repro.client.QuaestorClient` (and the simulator) expects from a
 :class:`~repro.core.QuaestorServer` -- ``handle_read``, ``handle_query``, the
-write handlers, ``get_bloom_filter``, ``register_purge_target``,
-``statistics`` and the ``clock`` property -- each one the corresponding
+write handlers, ``get_bloom_filter``, ``register_purge_target``
+and ``statistics`` -- each one the corresponding
 :class:`~repro.cluster.deployment.QuaestorCluster` method, bound to the
 cluster.  An unmodified ``QuaestorClient`` therefore works against a sharded
 fleet:
@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.clock import Clock
 from repro.cluster.deployment import QuaestorCluster
 from repro.errors import UnsupportedOperationError
-from repro.rest.messages import Response
-from repro.workloads.operations import Operation, dispatch_operation
 
 
 class ClusterClient:
@@ -49,7 +46,6 @@ class ClusterClient:
         self.handle_write_batch = cluster.write_batch
         self.get_bloom_filter = cluster.bloom_filter
         self.register_purge_target = cluster.register_purge_target
-        self.add_invalidation_hook = cluster.add_invalidation_hook
 
     # -- protocol --------------------------------------------------------------------
     # Every instance binds these names to its cluster in ``__init__``.  The
@@ -68,18 +64,6 @@ class ClusterClient:
     handle_write_batch = QuaestorCluster.write_batch
     get_bloom_filter = QuaestorCluster.bloom_filter
     register_purge_target = QuaestorCluster.register_purge_target
-    add_invalidation_hook = QuaestorCluster.add_invalidation_hook
-
-    @property
-    def clock(self) -> Clock:
-        return self.cluster.clock
-
-    def now(self) -> float:
-        return self.cluster.clock.now()
-
-    def execute(self, operation: Operation) -> Response:
-        """Execute a workload operation (same dispatch as the single server)."""
-        return dispatch_operation(self, operation)
 
     # -- protocol: transactions ---------------------------------------------------------
 

@@ -81,7 +81,7 @@ from repro.core.representation import (
     object_list_body,
     query_result_body,
 )
-from repro.core.server import PurgeTarget, InvalidationHook, QuaestorServer
+from repro.core.server import PurgeTarget, QuaestorServer
 from repro.db.database import Database
 from repro.db.documents import Document
 from repro.db.query import Query, window_ids
@@ -219,7 +219,6 @@ class QuaestorCluster:
         #: so a server installed by failover is wired identically to the one
         #: it replaces (otherwise CDN purges would silently stop post-crash).
         self._purge_targets: List[PurgeTarget] = []
-        self._invalidation_hooks: List[InvalidationHook] = []
         #: Counter snapshots of servers retired by failover, per shard, so
         #: cluster statistics keep covering the whole run (gauges excluded --
         #: only the live server's gauges are meaningful).
@@ -286,10 +285,6 @@ class QuaestorCluster:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def shard_for_record(self, collection: str, document_id: str) -> QuaestorShard:
-        """The shard owning ``collection/document_id``."""
-        return self.shards[self.router.shard_for_record(collection, document_id)]
-
     # -- fleet-wide wiring --------------------------------------------------------------
 
     def register_purge_target(self, target: PurgeTarget) -> None:
@@ -301,11 +296,6 @@ class QuaestorCluster:
         self._purge_targets.append(target)
         for shard in self.shards:
             shard.server.register_purge_target(target)
-
-    def add_invalidation_hook(self, hook: InvalidationHook) -> None:
-        self._invalidation_hooks.append(hook)
-        for shard in self.shards:
-            shard.server.add_invalidation_hook(hook)
 
     def bloom_filter(self) -> BloomFilter:
         """Union of every shard's flat EBF snapshot (one client-facing filter).
@@ -937,8 +927,6 @@ class QuaestorCluster:
         # Wire the promoted server exactly like the one it replaces.
         for target in self._purge_targets:
             server.register_purge_target(target)
-        for hook in self._invalidation_hooks:
-            server.add_invalidation_hook(hook)
         for query_key, query in self._registered_queries.items():
             prepared = server.prepare_shard_query(query, self._scatter_query(query))
             if prepared.admitted:

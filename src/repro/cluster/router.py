@@ -19,7 +19,7 @@ scatter/gathers them over every shard instead (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.db.query import record_key
 from repro.db.sharding import ConsistentHashRing, ShardStatistics, ShardStatisticsTable
@@ -43,28 +43,8 @@ class ShardRouter:
 
     # -- membership ----------------------------------------------------------------
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.ring)
-
     def shard_ids(self) -> List[int]:
         return self.ring.shard_ids()
-
-    def add_shard(self, shard_id: int) -> None:
-        """Add a shard to the ring (placement only; deployment scaling is external).
-
-        A re-added shard starts with fresh counters; inheriting pre-removal
-        traffic would skew the imbalance ratio.
-        """
-        if shard_id in self.ring:
-            return
-        self.ring.add_shard(shard_id)
-        self._statistics.add_shard(shard_id)
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Remove a shard from the ring; its keys move to ring successors."""
-        self.ring.remove_shard(shard_id)
-        self._statistics.remove_shard(shard_id)
 
     # -- placement ------------------------------------------------------------------
 
@@ -124,17 +104,9 @@ class ShardRouter:
         """Account ``count`` writes against an already-resolved shard."""
         self._statistics.record_write(shard_id, count=count)
 
-    def statistics(self) -> List[ShardStatistics]:
-        """Per-shard routing counters for shards currently on the ring."""
-        return self._statistics.statistics(self.shard_ids())
-
-    def distribution(self, keys: Iterable[str]) -> Dict[int, int]:
-        """Key counts per shard (uniformity diagnostics)."""
-        return self.ring.distribution(keys)
-
     def imbalance(self) -> float:
         """Max/mean routed-operation ratio across shards (1.0 = balanced)."""
         return self._statistics.imbalance(self.shard_ids())
 
     def __repr__(self) -> str:
-        return f"ShardRouter(num_shards={self.num_shards}, imbalance={self.imbalance():.3f})"
+        return f"ShardRouter(num_shards={len(self.ring)}, imbalance={self.imbalance():.3f})"

@@ -10,8 +10,8 @@ same interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.representation import ResultRepresentation
 from repro.db.query import Query
@@ -82,15 +82,6 @@ class ActiveList:
 
     def get(self, query_key: str) -> Optional[ActiveQueryEntry]:
         return self._entries.get(query_key)
-
-    def remove(self, query_key: str) -> bool:
-        return self._entries.pop(query_key, None) is not None
-
-    def contains(self, query_key: str) -> bool:
-        return query_key in self._entries
-
-    def entries(self) -> List[ActiveQueryEntry]:
-        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -86,8 +86,3 @@ class QuaestorConfig:
     def uncached(cls) -> "QuaestorConfig":
         """Baseline configuration: Quaestor passes everything through uncached."""
         return cls(cache_records=False, cache_queries=False)
-
-    @classmethod
-    def records_only(cls) -> "QuaestorConfig":
-        """Cache Sketch-style configuration: records cached, queries not."""
-        return cls(cache_records=True, cache_queries=False)

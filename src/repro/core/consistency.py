@@ -31,15 +31,3 @@ class ConsistencyLevel(str, enum.Enum):
     CAUSAL = "causal"
     #: Linearizable reads: every read bypasses all caches.
     STRONG = "strong"
-
-    @property
-    def allows_replica_reads(self) -> bool:
-        """Whether a lagging replica may serve reads at this level.
-
-        STRONG must observe the primary's latest state, so it never uses a
-        replica.  DELTA_ATOMIC accepts bounded staleness by definition, and
-        CAUSAL may use a replica whose apply watermark has caught up to the
-        session's causal frontier (the replication layer checks the
-        watermark; this property only rules the level in or out).
-        """
-        return self is not ConsistencyLevel.STRONG

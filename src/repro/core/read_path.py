@@ -11,9 +11,9 @@ points are thin orchestrations over them:
 * :meth:`ReadPipeline.run_query` -- the single-server query path
   (``handle_query``): all stages, admission probed and committed in one go.
 * :meth:`ReadPipeline.prepare_shard_query` -- the cluster integration point
-  (``handle_shard_query`` and the scatter/gather in
-  :mod:`repro.cluster.deployment`).  It runs the side-effect-free prefix
-  (execute + admission *probe*) and returns a :class:`PreparedShardRead`
+  (the scatter/gather in :mod:`repro.cluster.deployment`).  It runs the
+  side-effect-free prefix (execute + admission *probe*) and returns a
+  :class:`PreparedShardRead`
   whose :meth:`~PreparedShardRead.commit` performs every stateful stage
   (slot commit, InvaliDB registration, active list, EBF) and whose
   :meth:`~PreparedShardRead.abort` performs none of them.  The cluster

@@ -17,8 +17,6 @@ Public entry points
   write flows through the change stream into the invalidation machinery.
 * :meth:`QuaestorServer.get_bloom_filter` -- the flat EBF snapshot
   piggybacked to connecting clients.
-* :meth:`QuaestorServer.execute` -- dispatch of workload operations
-  (simulators, examples).
 
 Cluster integration points
 --------------------------
@@ -35,8 +33,6 @@ shard and talks to it through these additional entry points:
   *original* query's cache key); otherwise it ``abort()``-s them all, so one
   rejecting shard leaves zero new registrations anywhere (keys committed by
   an earlier scatter keep theirs, so still-cached merges stay invalidatable).
-* :meth:`QuaestorServer.handle_shard_query` -- the single-call form
-  (prepare + immediate commit/abort) for direct callers.
 * :meth:`QuaestorServer.handle_write_batch` -- applies a batch of routed
   writes, pumping the InvaliDB notification queues once per batch instead of
   once per write (batched write propagation).
@@ -70,15 +66,12 @@ from repro.metrics.counters import Counter
 from repro.rest.etags import etag_for_version
 from repro.rest.messages import Response, StatusCode
 from repro.ttl.base import TTLEstimator
-from repro.workloads.operations import Operation, dispatch_operation
+from repro.workloads.operations import Operation
 from repro.workloads.operations import OperationType as WorkloadOperationType
 
 #: A purge target is either an invalidation-based cache or a callable taking
 #: the purged key (e.g. a simulator hook that applies the purge after a delay).
 PurgeTarget = Union[InvalidationCache, Callable[[str], None]]
-
-#: Invalidation hooks receive (key, timestamp) whenever a key becomes stale.
-InvalidationHook = Callable[[str, float], None]
 
 
 class QuaestorServer:
@@ -136,7 +129,6 @@ class QuaestorServer:
 
         #: One ``purge(key)`` callable per registered target.
         self._purges: List[Callable[[str], None]] = []
-        self._invalidation_hooks: List[InvalidationHook] = []
         self._defer_pump = False
         #: The newest change event: write handlers read their assigned version off it.
         self._last_change: Optional[ChangeEvent] = None
@@ -147,20 +139,12 @@ class QuaestorServer:
 
     # -- wiring -----------------------------------------------------------------------
 
-    @property
-    def clock(self) -> Clock:
-        return self._clock
-
     def now(self) -> float:
         return self._clock.now()
 
     def register_purge_target(self, target: PurgeTarget) -> None:
         """Register an invalidation-based cache (or purge callback) to purge."""
         self._purges.append(target.purge if isinstance(target, InvalidationCache) else target)
-
-    def add_invalidation_hook(self, hook: InvalidationHook) -> None:
-        """Register a hook invoked whenever a key is marked stale."""
-        self._invalidation_hooks.append(hook)
 
     def close(self) -> None:
         """Detach this server from its database's change stream.
@@ -237,18 +221,6 @@ class QuaestorServer:
         self.counters.increment("shard_queries")
         return self.pipeline.prepare_shard_query(query, scatter_query, deadline=deadline)
 
-    def handle_shard_query(self, query: Query, scatter_query: Optional[Query] = None) -> Response:
-        """Single-call shard query: :meth:`prepare_shard_query` + commit/abort.
-
-        The response body always carries the full local documents (plus their
-        versions); the cluster merges shard results, applies the global
-        sort/window and only then chooses the client-facing representation.
-        """
-        prepared = self.prepare_shard_query(query, scatter_query)
-        if prepared.admitted:
-            return prepared.commit()
-        return prepared.abort()
-
     # -- write path --------------------------------------------------------------------------
 
     def handle_insert(self, collection: str, document: Document) -> Response:
@@ -290,10 +262,6 @@ class QuaestorServer:
         # Detached from the change stream (closed): ask the collection.
         return self.database.collection(collection).version(document_id)
 
-    def execute(self, operation: Operation) -> Response:
-        """Execute a workload operation (dispatch helper for simulators/examples)."""
-        return dispatch_operation(self, operation)
-
     def handle_write_batch(self, operations: Sequence[Operation]) -> List[Response]:
         """Cluster integration point: apply routed writes with one invalidation pump.
 
@@ -314,7 +282,18 @@ class QuaestorServer:
         self._counts["write_batches"] += 1
         self._defer_pump = True  # suspend notification pumping, pump once on exit
         try:
-            return [self.execute(operation) for operation in operations]
+            responses = []
+            for operation in operations:
+                if operation.type is WorkloadOperationType.INSERT:
+                    response = self.handle_insert(operation.collection, operation.payload)
+                elif operation.type is WorkloadOperationType.UPDATE:
+                    response = self.handle_update(
+                        operation.collection, operation.document_id, operation.payload
+                    )
+                else:
+                    response = self.handle_delete(operation.collection, operation.document_id)
+                responses.append(response)
+            return responses
         finally:
             self._defer_pump = False
             self._process_invalidations()
@@ -396,8 +375,6 @@ class QuaestorServer:
         counts["purges_sent"] += 1
         for purge in self._purges:
             purge(key)
-        for hook in self._invalidation_hooks:
-            hook(key, timestamp)
 
     # -- helpers -------------------------------------------------------------------------------------
 

@@ -11,24 +11,13 @@ clients (Section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.db.documents import Document
-from repro.db.query import Query, record_key
+from repro.db.query import record_key
 from repro.errors import TransactionAbortedError
-from repro.rest.etags import etag_for_result, etag_for_version
+from repro.rest.etags import etag_for_version
 from repro.rest.messages import StatusCode
-
-
-@dataclass
-class _BufferedWrite:
-    """A write staged inside a transaction, applied only at commit."""
-
-    kind: str  # "insert" | "update" | "delete"
-    collection: str
-    document_id: str
-    payload: Optional[Document] = None
 
 
 class Transaction:
@@ -37,8 +26,8 @@ class Transaction:
     def __init__(self, server) -> None:
         self._server = server
         self._read_set: Dict[str, str] = {}
-        self._query_read_set: Dict[str, Tuple[Query, str]] = {}
-        self._writes: List[_BufferedWrite] = []
+        #: Buffered ``(collection, document_id, update)`` writes, applied only at commit.
+        self._writes: List[Tuple[str, str, Document]] = []
         self._committed = False
         self._aborted = False
 
@@ -57,30 +46,11 @@ class Transaction:
         self._read_set[record_key(collection, document_id)] = observed
         return response.body["document"]
 
-    def query(self, query: Query) -> List[Document]:
-        """Execute a query, recording the result fingerprint in the read set."""
-        self._ensure_open()
-        response = self._server.handle_query(query)
-        body = response.body
-        documents = body.get("documents", [])
-        self._query_read_set[query.cache_key] = (query, response.etag or "")
-        return documents
-
     # -- buffered writes ------------------------------------------------------------------
-
-    def insert(self, collection: str, document: Document) -> None:
-        self._ensure_open()
-        self._writes.append(
-            _BufferedWrite("insert", collection, str(document.get("_id", "")), document)
-        )
 
     def update(self, collection: str, document_id: str, update: Document) -> None:
         self._ensure_open()
-        self._writes.append(_BufferedWrite("update", collection, document_id, update))
-
-    def delete(self, collection: str, document_id: str) -> None:
-        self._ensure_open()
-        self._writes.append(_BufferedWrite("delete", collection, document_id))
+        self._writes.append((collection, document_id, update))
 
     # -- lifecycle ------------------------------------------------------------------------------
 
@@ -92,28 +62,9 @@ class Transaction:
         """
         self._ensure_open()
         self._validate()
-        for write in self._writes:
-            if write.kind == "insert":
-                self._server.handle_insert(write.collection, write.payload)
-            elif write.kind == "update":
-                self._server.handle_update(write.collection, write.document_id, write.payload)
-            else:
-                self._server.handle_delete(write.collection, write.document_id)
+        for collection, document_id, update in self._writes:
+            self._server.handle_update(collection, document_id, update)
         self._committed = True
-
-    def abort(self) -> None:
-        """Discard the transaction without applying any write."""
-        self._ensure_open()
-        self._aborted = True
-        self._writes.clear()
-
-    @property
-    def is_committed(self) -> bool:
-        return self._committed
-
-    @property
-    def is_aborted(self) -> bool:
-        return self._aborted
 
     # -- internals ----------------------------------------------------------------------------------
 
@@ -133,13 +84,6 @@ class Transaction:
                     f"read-set validation failed for {key}: observed {observed_etag}, "
                     f"current {current}"
                 )
-        for query_key, (query, observed_etag) in self._query_read_set.items():
-            current = self._current_query_etag(query)
-            if current != observed_etag:
-                self._aborted = True
-                raise TransactionAbortedError(
-                    f"read-set validation failed for query {query_key}"
-                )
 
     def _current_record_etag(self, key: str) -> str:
         # Keys look like "record:<collection>/<id>".
@@ -150,7 +94,3 @@ class Transaction:
         except Exception:
             return "missing"
         return etag_for_version(collection, document_id, version)
-
-    def _current_query_etag(self, query: Query) -> str:
-        collection = self._server.database.collection(query.collection)
-        return etag_for_result(collection.find_versioned(query)[1])

@@ -67,11 +67,6 @@ class ChangeEvent:
     timestamp: float
     version: int = 0
 
-    @property
-    def after_image(self) -> Optional[Document]:
-        """Alias matching the paper's terminology."""
-        return self.after
-
 
 ChangeListener = Callable[[ChangeEvent], None]
 
@@ -140,11 +135,6 @@ class ChangeStream:
         if not self._history:
             return False
         return self._history[0].sequence <= sequence + 1
-
-    @property
-    def history(self) -> List[ChangeEvent]:
-        """The retained event history (oldest first)."""
-        return list(self._history)
 
     @property
     def last_sequence(self) -> int:

@@ -99,14 +99,6 @@ class Collection:
             raise DocumentNotFoundError(f"{self.name}/{document_id} does not exist")
         return document, self._versions[document_id]
 
-    def get_or_none(self, document_id: str) -> Optional[Document]:
-        """Like :meth:`get` but returns ``None`` instead of raising."""
-        self.reads += 1
-        return self._documents.get(str(document_id))
-
-    def exists(self, document_id: str) -> bool:
-        return str(document_id) in self._documents
-
     def version(self, document_id: str) -> int:
         """Monotonic per-document version counter (used for Etags)."""
         version = self._versions.get(str(document_id))
@@ -140,11 +132,6 @@ class Collection:
         after = apply_update(current, update)
         after["_id"] = current.get("_id", document_id)
         return self._install(document_id, after, self.next_version(document_id))
-
-    def replace(self, document_id: str, document: Document) -> Document:
-        """Replace the document entirely (keeping its ``_id``)."""
-        replacement = {key: value for key, value in document.items() if key != "_id"}
-        return self.update(document_id, replacement)
 
     def delete(self, document_id: str) -> Document:
         """Delete a document, returning its final snapshot."""
@@ -212,13 +199,6 @@ class Collection:
             memo[plan] = (query.limit, query.offset, guards, documents, versions)
         return documents, versions
 
-    def count(self, query: Optional[Query] = None) -> int:
-        """Number of documents (matching ``query`` if given, ignoring windowing)."""
-        if query is None:
-            return len(self._documents)
-        ids, covered = self._candidates(query)
-        return len(ids if covered else self._filtered(ids, query.plan))
-
     def ids(self) -> List[str]:
         """All document ids in the collection."""
         return sorted(self._documents)
@@ -232,11 +212,10 @@ class Collection:
         tombstoned one -- and when a restored (failover) floor exceeds the
         live version, the floor wins: the floor records numbers a deposed
         primary already issued, and masking it here would let a snapshot
-        resync or a later promotion silently drop the protection.
-        :class:`~repro.db.database.Database` stashes this on
-        ``drop_collection`` and replays it into a re-created collection via
+        resync or a later promotion silently drop the protection.  The
+        replication layer replays it into a replica's collection via
         :meth:`restore_version_floors`, so versions stay unique per content
-        across the drop.
+        across a failover.
         """
         floors = dict(self._deleted_versions)
         for document_id, version in self._versions.items():
@@ -329,7 +308,7 @@ class Collection:
         return len(self._documents)
 
     def __contains__(self, document_id: str) -> bool:
-        return self.exists(document_id)
+        return str(document_id) in self._documents
 
     def __repr__(self) -> str:
         return f"Collection(name={self.name!r}, documents={len(self._documents)})"

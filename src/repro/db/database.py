@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.clock import Clock, VirtualClock
-from repro.db.changestream import ChangeEvent, ChangeStream
+from repro.db.changestream import ChangeStream
 from repro.db.collection import Collection
 from repro.db.documents import Document
 from repro.db.query import Query
@@ -27,11 +27,6 @@ class Database:
     ) -> None:
         self._clock: Clock = clock if clock is not None else VirtualClock()
         self._collections: Dict[str, Collection] = {}
-        #: Version floors of dropped collections, keyed by collection name:
-        #: a re-created collection continues every id's version sequence, so
-        #: a version never aliases two contents even across drop/re-create
-        #: (ETags and the client-side version-keyed caches depend on that).
-        self._version_floors: Dict[str, Dict[str, int]] = {}
         self.change_stream = ChangeStream(history_limit=change_history_limit)
 
     # -- collection management ------------------------------------------------------
@@ -45,9 +40,6 @@ class Database:
         collection = self._collections.get(name)
         if collection is None:
             collection = Collection(name, self._clock, self.change_stream)
-            floors = self._version_floors.pop(name, None)
-            if floors:
-                collection.restore_version_floors(floors)
             self._collections[name] = collection
         return collection
 
@@ -58,24 +50,8 @@ class Database:
             raise CollectionNotFoundError(f"collection {name!r} does not exist")
         return collection
 
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
     def collection_names(self) -> List[str]:
         return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> bool:
-        """Remove a collection and its documents; returns whether it existed.
-
-        The collection's version floors are retained so a later re-creation
-        continues every id's version sequence instead of recycling versions.
-        """
-        collection = self._collections.pop(name, None)
-        if collection is None:
-            return False
-        floors = self._version_floors.setdefault(name, {})
-        floors.update(collection.version_floors())
-        return True
 
     # -- convenience CRUD (delegates to collections) ----------------------------------
 
@@ -94,27 +70,14 @@ class Database:
     def find(self, query: Query) -> List[Document]:
         return self.collection(query.collection).find(query)
 
-    # -- statistics --------------------------------------------------------------------
-
-    def total_documents(self) -> int:
-        return sum(len(collection) for collection in self._collections.values())
-
-    def total_reads(self) -> int:
-        return sum(collection.reads for collection in self._collections.values())
-
-    def total_writes(self) -> int:
-        return sum(collection.writes for collection in self._collections.values())
+    # -- change stream -----------------------------------------------------------------
 
     def subscribe(self, listener) -> callable:
         """Subscribe to the global change stream (all collections)."""
         return self.change_stream.subscribe(listener)
 
-    def replay_since(self, sequence: int) -> List[ChangeEvent]:
-        """Replay change events newer than ``sequence`` (query activation)."""
-        return self.change_stream.replay_since(sequence)
-
     def __repr__(self) -> str:
         return (
             f"Database(collections={len(self._collections)}, "
-            f"documents={self.total_documents()}, writes={self.total_writes()})"
+            f"documents={sum(len(collection) for collection in self._collections.values())})"
         )

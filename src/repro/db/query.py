@@ -132,10 +132,6 @@ class Query:
             object.__setattr__(self, "_plan", plan)
         return plan
 
-    def matches(self, document: Document) -> bool:
-        """Whether ``document`` satisfies this query's predicate (ignores windowing)."""
-        return self.plan.matches(document)
-
     @property
     def is_stateful(self) -> bool:
         """True when the query carries ORDER BY / LIMIT / OFFSET clauses.
@@ -184,18 +180,6 @@ class Query:
         object.__setattr__(copy, "_cache_key", cache_key)
         object.__setattr__(copy, "_plan", self._plan)
         return copy
-
-    def to_url(self) -> str:
-        """REST resource path for this query (what web caches key on)."""
-        encoded = json.dumps(_canonical(self.criteria), sort_keys=True, separators=(",", ":"))
-        parts = [f"/db/{self.collection}/query?q={encoded}"]
-        if self.sort:
-            parts.append(f"&sort={json.dumps([list(pair) for pair in self.sort])}")
-        if self.limit is not None:
-            parts.append(f"&limit={self.limit}")
-        if self.offset:
-            parts.append(f"&offset={self.offset}")
-        return "".join(parts)
 
     # -- dunder methods --------------------------------------------------------------------
 

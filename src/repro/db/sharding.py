@@ -56,12 +56,6 @@ class ShardStatisticsTable:
         """
         self._statistics[shard_id] = ShardStatistics(shard_id)
 
-    def remove_shard(self, shard_id: int) -> None:
-        self._statistics.pop(shard_id, None)
-
-    def get(self, shard_id: int) -> ShardStatistics:
-        return self._statistics[shard_id]
-
     def record_read(self, shard_id: int, count: int = 1) -> None:
         self._statistics[shard_id].reads += count
 
@@ -133,14 +127,6 @@ class ConsistentHashRing:
             position = mixed_uint64(f"shard:{shard_id}:vnode:{replica}")
             bisect.insort(self._ring, (position, shard_id))
 
-    def remove_shard(self, shard_id: int) -> None:
-        """Remove ``shard_id`` from the ring; its keys move to the successors."""
-        if shard_id not in self._shards:
-            raise KeyError(f"shard {shard_id} is not on the ring")
-        self._shards.discard(shard_id)
-        self._placements.clear()
-        self._ring = [(position, sid) for position, sid in self._ring if sid != shard_id]
-
     def shard_ids(self) -> List[int]:
         """All shard ids on the ring, sorted."""
         return sorted(self._shards)
@@ -168,13 +154,6 @@ class ConsistentHashRing:
             placements.clear()
         placements[key] = shard_id
         return shard_id
-
-    def distribution(self, keys: Iterable[str]) -> Dict[int, int]:
-        """Key counts per shard for ``keys`` (diagnostics and tests)."""
-        counts: Dict[int, int] = {shard_id: 0 for shard_id in self._shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
 
     def __repr__(self) -> str:
         return f"ConsistentHashRing(shards={len(self._shards)}, replicas={self.replicas})"

@@ -5,8 +5,7 @@ this package makes failure one of them.  A
 :class:`~repro.faults.plan.FaultPlan` is a deterministic schedule of
 :class:`~repro.faults.plan.FaultEvent`\\ s -- scripted
 (:meth:`FaultPlan.primary_crash`, :meth:`FaultPlan.replica_partition`,
-:meth:`FaultPlan.rolling_primary_crashes`) or rate-based chaos drawn from a
-seeded RNG (:meth:`FaultPlan.chaos`).  The
+:meth:`FaultPlan.rolling_primary_crashes`, or event by event).  The
 :class:`~repro.faults.injector.FaultInjector` replays the plan through the
 simulator's event queue against a replicated
 :class:`~repro.cluster.QuaestorCluster`, driving the failover machinery of

@@ -121,12 +121,5 @@ class GrayFailureState:
             self._rngs[target] = rng
         return rng
 
-    def summary(self) -> Dict[str, float]:
-        """Gauge snapshot (count of live conditions per kind)."""
-        return {
-            "gray_slow_targets": float(len(self._slow)),
-            "gray_flaky_targets": float(len(self._flaky)),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GrayFailureState(slow={self._slow!r}, flaky={self._flaky!r})"

@@ -67,9 +67,7 @@ class FaultInjector:
             raise RuntimeError("fault plan already armed")
         self._armed = True
         for event in self.plan.events:
-            self.events.schedule(
-                event.time, partial(self._fire, event), label=f"fault:{event.action.value}"
-            )
+            self.events.schedule(event.time, partial(self._fire, event))
         return len(self.plan.events)
 
     # -- event execution -----------------------------------------------------------------
@@ -113,11 +111,7 @@ class FaultInjector:
             return
         group = self.cluster.groups[shard_id]
         if group.alive_replicas():
-            self.events.schedule(
-                now + self.detection_delay,
-                partial(self._failover, shard_id),
-                label=f"fault:failover:s{shard_id}",
-            )
+            self.events.schedule(now + self.detection_delay, partial(self._failover, shard_id))
 
     def _failover(self, shard_id: int) -> None:
         # The cluster's tracker is the single source for the crash instant;

@@ -1,4 +1,4 @@
-"""Fault plans: scripted and rate-based (chaos) failure schedules.
+"""Fault plans: scripted failure schedules.
 
 A :class:`FaultPlan` is a time-ordered list of :class:`FaultEvent`\\ s the
 :class:`~repro.faults.injector.FaultInjector` schedules into the simulator's
@@ -24,16 +24,11 @@ inflates a target's latency by ``magnitude`` (a multiplier >= 1),
 :class:`~repro.faults.gray.GrayFailureState` for the exact drop/inflation
 semantics and :meth:`FaultPlan.brownout` / :meth:`FaultPlan.flaky` for
 canned scenarios.
-
-:meth:`FaultPlan.chaos` generates a plan from a seeded random process
-(exponential crash inter-arrivals, fixed downtime), so "rate-based chaos" is
-still perfectly reproducible: the same seed always yields the same schedule.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -133,18 +128,6 @@ class FaultEvent:
         elif self.magnitude is not None:
             raise ConfigurationError(f"{self.action.value} does not take a magnitude")
 
-    def describe(self) -> str:
-        """One legible timeline line, e.g. ``t=5.00s slow_shard shard:0 x4``."""
-        parts = [f"t={self.time:.2f}s", self.action.value, self.target]
-        if self.peer is not None:
-            parts.append(f"peer={self.peer}")
-        if self.magnitude is not None:
-            if self.action is FaultAction.SLOW_SHARD:
-                parts.append(f"x{self.magnitude:g}")
-            else:
-                parts.append(f"p={self.magnitude:g}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -172,13 +155,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def __repr__(self) -> str:
-        """The plan's timeline, one event per line -- chaos plans print legibly."""
-        if not self.events:
-            return f"FaultPlan(name={self.name!r}, events=0)"
-        timeline = "\n".join(f"  {event.describe()}" for event in self.events)
-        return f"FaultPlan(name={self.name!r}, events={len(self.events)})\n{timeline}"
 
     # -- shard routing (process-parallel simulation) -----------------------------------
 
@@ -328,41 +304,3 @@ class FaultPlan:
             ],
             name=f"flaky/shard={shard}",
         )
-
-    @classmethod
-    def chaos(
-        cls,
-        duration: float,
-        seed: int = 7,
-        mean_interval: float = 20.0,
-        downtime: float = 5.0,
-        num_shards: int = 1,
-        replication_factor: int = 2,
-    ) -> "FaultPlan":
-        """Rate-based chaos: seeded exponential crash arrivals with recovery.
-
-        Crashes arrive as a Poisson process with the given mean interval and
-        alternate over shards and node indexes; every crash is followed by a
-        recovery after ``downtime`` seconds.  The schedule is drawn once from
-        a private seeded RNG, so a chaos run is exactly as reproducible as a
-        scripted one.
-        """
-        if duration <= 0 or mean_interval <= 0 or downtime <= 0:
-            raise ConfigurationError("duration, mean_interval and downtime must be positive")
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        time = 0.0
-        victim = 0
-        while True:
-            time += rng.expovariate(1.0 / mean_interval)
-            if time >= duration:
-                break
-            shard = victim % num_shards
-            node_index = (victim // num_shards) % replication_factor
-            target = f"s{shard}:n{node_index}"
-            events.append(FaultEvent(time, FaultAction.CRASH, target))
-            recover_at = time + downtime
-            if recover_at < duration:
-                events.append(FaultEvent(recover_at, FaultAction.RECOVER, target))
-            victim += 1
-        return cls(events=events, name=f"chaos/seed={seed}")

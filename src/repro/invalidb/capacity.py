@@ -14,14 +14,13 @@ query *would* be admitted without mutating the admitted set and returns an
 discards it.  A sharded deployment probes every shard first and only commits
 when all shards admit, so one rejecting shard no longer makes the others
 occupy slots and InvaliDB registrations for a merged result that is never
-cached.  The single-phase :meth:`CapacityManager.admit` remains as
-``probe`` + immediate ``commit``.
+cached.  A single server probes and commits in one go.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.invalidb.cluster import InvaliDBCluster
 
@@ -132,9 +131,6 @@ class CapacityManager:
         )
         return per_node_queries * self.cluster.scheme.query_partitions
 
-    def is_admitted(self, query_key: str) -> bool:
-        return query_key in self._admitted
-
     def probe(self, query_key: str, result_size: int = 0) -> AdmissionTicket:
         """Phase one: decide whether ``query_key`` *would* be admitted.
 
@@ -186,7 +182,7 @@ class CapacityManager:
             return True
         record = self.cost(ticket.query_key)
         if ticket.victim_key is not None and ticket.victim_key in self._admitted:
-            self.release(ticket.victim_key)
+            del self._admitted[ticket.victim_key]
             self._admitted[ticket.query_key] = record
             return True
         if len(self._admitted) < self._effective_limit():
@@ -194,7 +190,7 @@ class CapacityManager:
             return True
         victim_key = self._lowest_scoring_admitted()
         if victim_key is not None and self._costs[victim_key].score < record.score:
-            self.release(victim_key)
+            del self._admitted[victim_key]
             self._admitted[ticket.query_key] = record
             return True
         self.rejections += 1
@@ -210,30 +206,11 @@ class CapacityManager:
         if ticket.admitted and not ticket.already_admitted:
             self.aborts += 1
 
-    def admit(self, query_key: str, result_size: int = 0) -> bool:
-        """Single-phase admission: probe and immediately commit.
-
-        The single-server read path (and every pre-two-phase caller) keeps
-        this exact semantics; the cluster scatter path uses probe/commit
-        directly so it can abort between the phases.
-        """
-        ticket = self.probe(query_key, result_size=result_size)
-        if not ticket.admitted:
-            return False
-        return self.commit(ticket)
-
     def _effective_limit(self) -> float:
         limit = self.capacity_limit()
         if self.max_active_queries is not None:
             limit = min(limit, self.max_active_queries)
         return limit
-
-    def release(self, query_key: str) -> bool:
-        """Remove a query from the admitted set (its cost history is kept)."""
-        return self._admitted.pop(query_key, None) is not None
-
-    def admitted_queries(self) -> List[str]:
-        return sorted(self._admitted)
 
     def _lowest_scoring_admitted(self) -> Optional[str]:
         if not self._admitted:

@@ -33,23 +33,6 @@ class NodeCapacityModel:
     #: Queueing sensitivity: how quickly latency grows with utilisation.
     latency_spread: float = 0.0025
 
-    def utilisation(self, offered_ops_per_second: float) -> float:
-        """Offered load as a fraction of capacity (may exceed 1.0)."""
-        if offered_ops_per_second < 0:
-            raise ValueError("offered load must be non-negative")
-        return offered_ops_per_second / self.max_ops_per_second
-
-    def p99_latency(self, offered_ops_per_second: float) -> float:
-        """99th-percentile notification latency at the given offered load.
-
-        Modelled as ``base + spread * u / (1 - u)``; saturated nodes return a
-        large spike value (operations queue up without bound).
-        """
-        utilisation = self.utilisation(offered_ops_per_second)
-        if utilisation >= 1.0:
-            return 10.0
-        return self.base_latency + self.latency_spread * utilisation / (1.0 - utilisation)
-
     def sustainable_ops(self, latency_bound: float) -> float:
         """Maximum per-node ops/s whose p99 latency stays within ``latency_bound``."""
         if latency_bound <= self.base_latency:
@@ -89,13 +72,6 @@ class InvaliDBNode:
         self._index.register(query, state)
         return state
 
-    def deregister(self, query_key: str) -> bool:
-        return self._index.deregister(query_key)
-
-    @property
-    def active_queries(self) -> int:
-        return len(self._index)
-
     # -- matching ----------------------------------------------------------------------
 
     def process(self, event: ChangeEvent) -> List[Notification]:
@@ -117,13 +93,10 @@ class InvaliDBNode:
             notifications += state.process(event)
         return notifications
 
-    def state(self, query_key: str) -> Optional[QueryMatchState]:
-        return self._index.get(query_key)
-
     def __repr__(self) -> str:
         return (
             f"InvaliDBNode(index={self.node_index}, qp={self.query_partition}, "
-            f"op={self.object_partition}, queries={self.active_queries})"
+            f"op={self.object_partition}, queries={len(self._index)})"
         )
 
 
@@ -191,9 +164,8 @@ class InvaliDBCluster:
         seeds the matching state so the very first relevant update already
         produces the correct notification type.
         """
-        if query.cache_key in self._registered:
-            # Re-registration refreshes the initial state (idempotent).
-            self.deregister_query(query.cache_key)
+        # Re-registration refreshes the initial state: the indexes replace a
+        # registered key's state in place.
         self._registered[query.cache_key] = query
         if query.is_stateful:
             state = QueryMatchState(query)
@@ -207,15 +179,6 @@ class InvaliDBCluster:
             return
         for node_index in self.scheme.nodes_for_query(query.cache_key):
             self.nodes[node_index].register(query, initial_result)
-
-    def deregister_query(self, query_key: str) -> bool:
-        """Deactivate a query (e.g. when it is evicted from the active list)."""
-        existed = self._registered.pop(query_key, None) is not None
-        self._stateful_states.deregister(query_key)
-        self._stateful_home_node.pop(query_key, None)
-        for node in self.nodes:
-            node.deregister(query_key)
-        return existed
 
     def is_registered(self, query_key: str) -> bool:
         return query_key in self._registered
@@ -249,34 +212,6 @@ class InvaliDBCluster:
         return notifications
 
     # -- capacity and latency ----------------------------------------------------------------
-
-    def queries_per_node(self) -> List[int]:
-        """Number of active queries each node is responsible for."""
-        counts = [node.active_queries for node in self.nodes]
-        for query_key, home in self._stateful_home_node.items():
-            counts[home] += 1
-        return counts
-
-    def offered_load_per_node(self, update_rate: float) -> List[float]:
-        """Matching ops/s per node for a cluster-wide update rate.
-
-        Each node sees the fraction of the change stream belonging to its
-        object partition and evaluates it against every query it hosts.
-        """
-        if update_rate < 0:
-            raise ValueError("update_rate must be non-negative")
-        per_partition_rate = update_rate / self.scheme.object_partitions
-        loads = []
-        for node, queries in zip(self.nodes, self.queries_per_node()):
-            loads.append(per_partition_rate * queries)
-        return loads
-
-    def estimated_p99_latency(self, update_rate: float) -> float:
-        """99th-percentile notification latency of the busiest node."""
-        loads = self.offered_load_per_node(update_rate)
-        if not loads:
-            return self.capacity_model.base_latency
-        return max(self.capacity_model.p99_latency(load) for load in loads)
 
     def sustainable_throughput(self, latency_bound: float) -> float:
         """Cluster-wide matching ops/s sustainable under ``latency_bound``.

@@ -46,7 +46,3 @@ class Notification:
             NotificationType.REMOVE,
             NotificationType.CHANGE_INDEX,
         )
-
-    def invalidates_object_list(self) -> bool:
-        """Whether an object-list (full result) representation becomes stale."""
-        return True

@@ -93,7 +93,7 @@ class QueryStateIndex:
     """Registration-ordered registry of query states with candidate pruning.
 
     Maintains the same mapping the old ``Dict[str, QueryMatchState]`` held,
-    plus two secondary structures kept in sync on register/deregister:
+    plus two secondary structures kept in sync on register:
 
     * ``collection -> states`` for queries without an indexable equality
       predicate (always scanned for events of that collection), and
@@ -108,7 +108,7 @@ class QueryStateIndex:
         self._scan_bucket: Dict[str, Dict[str, QueryMatchState]] = {}
         #: collection -> field -> value -> {query_key: state}.
         self._eq_index: Dict[str, Dict[str, Dict[Any, Dict[str, QueryMatchState]]]] = {}
-        #: query_key -> (collection, field, value) placement for deregister.
+        #: query_key -> (collection, field, value) placement for re-registration.
         self._placement: Dict[str, Tuple[str, Optional[str], Any]] = {}
 
     # -- registry ------------------------------------------------------------------
@@ -146,38 +146,6 @@ class QueryStateIndex:
             by_field.setdefault(field, {}).setdefault(value, {})[key] = state
             self._placement[key] = (collection, field, value)
 
-    def deregister(self, query_key: str) -> bool:
-        """Remove a state and all its index entries; ``True`` if it existed."""
-        state = self._states.pop(query_key, None)
-        if state is None:
-            return False
-        del self._order[query_key]
-        collection, field, value = self._placement.pop(query_key)
-        if field is None:
-            bucket = self._scan_bucket[collection]
-            del bucket[query_key]
-            if not bucket:
-                del self._scan_bucket[collection]
-        else:
-            by_field = self._eq_index[collection]
-            by_value = by_field[field]
-            bucket = by_value[value]
-            del bucket[query_key]
-            if not bucket:
-                del by_value[value]
-                if not by_value:
-                    del by_field[field]
-                    if not by_field:
-                        del self._eq_index[collection]
-        return True
-
-    def get(self, query_key: str) -> Optional[QueryMatchState]:
-        return self._states.get(query_key)
-
-    def states(self) -> List[QueryMatchState]:
-        """All registered states in registration order."""
-        return list(self._states.values())
-
     def __contains__(self, query_key: str) -> bool:
         return query_key in self._states
 
@@ -189,8 +157,8 @@ class QueryStateIndex:
     def candidates(self, event: ChangeEvent) -> List[QueryMatchState]:
         """The states that could possibly emit a notification for ``event``.
 
-        Returned in registration order -- the order a full scan over
-        :meth:`states` evaluates them in -- so downstream notification
+        Returned in registration order -- the order a full scan over every
+        registered state evaluates them in -- so downstream notification
         streams are unchanged.
         """
         collection = event.collection

@@ -1,8 +1,8 @@
 """Ingestion tasks: pulling query activations and after-images from queues.
 
 The paper connects Quaestor servers and the InvaliDB cluster through message
-queues (hosted on Redis): *query ingestion* pulls new query activations and
-deactivations, *changestream ingestion* pulls write operations with their
+queues (hosted on Redis): *query ingestion* pulls new query activations,
+*changestream ingestion* pulls write operations with their
 after-images.  Both tasks forward what they pull according to the grid's
 partitioning scheme; here they forward into an :class:`InvaliDBCluster`.
 """
@@ -28,21 +28,13 @@ class QueryActivation:
     initial_result: List[Document]
 
 
-@dataclass(frozen=True)
-class QueryDeactivation:
-    """A request to stop matching a query."""
-
-    query_key: str
-
-
 class QueryIngestionTask:
-    """Drains the query activation/deactivation queue into the cluster."""
+    """Drains the query activation queue into the cluster."""
 
     def __init__(self, queue: MessageQueue, cluster: InvaliDBCluster) -> None:
         self.queue = queue
         self.cluster = cluster
         self.activations = 0
-        self.deactivations = 0
 
     def run_once(self, max_items: Optional[int] = None) -> int:
         """Process up to ``max_items`` queued items; returns how many were handled."""
@@ -51,9 +43,6 @@ class QueryIngestionTask:
             if isinstance(item, QueryActivation):
                 self.cluster.register_query(item.query, item.initial_result)
                 self.activations += 1
-            elif isinstance(item, QueryDeactivation):
-                self.cluster.deregister_query(item.query_key)
-                self.deactivations += 1
             else:
                 raise TypeError(f"unexpected item on query queue: {type(item).__name__}")
         return len(items)
@@ -103,9 +92,6 @@ class InvaliDBFrontend:
     def submit_activation(self, query: Query, initial_result: List[Document]) -> bool:
         return self.query_queue.offer(QueryActivation(query, initial_result))
 
-    def submit_deactivation(self, query_key: str) -> bool:
-        return self.query_queue.offer(QueryDeactivation(query_key))
-
     # -- consumer side (the cluster's workers) -------------------------------------------
 
     def pump(self, max_items: Optional[int] = None) -> List[Notification]:
@@ -113,8 +99,3 @@ class InvaliDBFrontend:
         if self.query_queue:
             self._query_task.run_once(max_items)
         return self._change_task.run_once(max_items)
-
-    @property
-    def backlog(self) -> int:
-        """Number of items waiting in either queue."""
-        return len(self.query_queue) + len(self.change_queue)

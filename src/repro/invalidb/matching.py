@@ -9,47 +9,13 @@ result via :class:`repro.invalidb.stateful.OrderedResultState`.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Iterator, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.documents import Document
 from repro.db.query import Query
 from repro.invalidb.events import Notification, NotificationType
 from repro.invalidb.stateful import OrderedResultState, window_diff
-
-
-class SetView(AbstractSet):
-    """A read-only, zero-copy view of a live ``set``.
-
-    Supports the whole :class:`collections.abc.Set` protocol (membership,
-    iteration, comparisons, ``&``/``|``/``-``) but no mutation; it tracks the
-    underlying set as it changes.  Callers that need a frozen snapshot take
-    ``set(view)`` explicitly.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Set[str]) -> None:
-        self._data = data
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> Set[str]:
-        # Set-operator results (&, |, -, ^) materialise as plain sets; the
-        # default would wrap the one-shot generator the mixin passes in.
-        return set(iterable)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._data
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __repr__(self) -> str:
-        return f"SetView({set(self._data)!r})"
 
 
 class QueryMatchState:
@@ -206,21 +172,6 @@ class QueryMatchState:
         )
 
     # -- introspection -----------------------------------------------------------------------
-
-    @property
-    def matching_ids(self) -> AbstractSet:
-        """The ids this instance currently considers part of the result.
-
-        Returned as a read-only :class:`SetView` over the live matching set
-        -- no per-access copy of a potentially large result membership.
-        """
-        return SetView(self._matching_ids)
-
-    def result_window(self) -> Optional[List[str]]:
-        """Visible window for stateful queries (``None`` for stateless ones)."""
-        if self._ordered is None:
-            return None
-        return self._ordered.window_ids()
 
     def __repr__(self) -> str:
         return (

@@ -58,10 +58,6 @@ class PartitioningScheme:
 
     # -- placement -----------------------------------------------------------------
 
-    @property
-    def total_nodes(self) -> int:
-        return self.query_partitions * self.object_partitions
-
     def query_partition(self, query_key: str) -> int:
         """Query partition responsible for ``query_key``."""
         return stable_uint64(query_key) % self.query_partitions
@@ -86,14 +82,6 @@ class PartitioningScheme:
         return [
             self.node_index(query_partition, object_partition)
             for object_partition in range(self.object_partitions)
-        ]
-
-    def nodes_for_document(self, document_id: str) -> List[int]:
-        """All node indexes an incoming after-image is forwarded to."""
-        object_partition = self.object_partition(document_id)
-        return [
-            self.node_index(query_partition, object_partition)
-            for query_partition in range(self.query_partitions)
         ]
 
     def member_filter(self, object_partition: int):

@@ -9,7 +9,7 @@ derives window membership and positional changes from it, emitting
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.db.documents import Document
 from repro.db.query import Query
@@ -50,22 +50,6 @@ class OrderedResultState:
         start = self.query.offset
         end = None if self.query.limit is None else start + self.query.limit
         return self._ordered_ids[start:end]
-
-    def position_of(self, document_id: str) -> Optional[int]:
-        """Zero-based position of the document within the visible window."""
-        window = self.window_ids()
-        try:
-            return window.index(document_id)
-        except ValueError:
-            return None
-
-    def full_order(self) -> List[str]:
-        """The complete ordered matching set (diagnostics and tests)."""
-        return list(self._ordered_ids)
-
-    def contains(self, document_id: str) -> bool:
-        """Whether the document currently matches the predicate at all."""
-        return document_id in self._documents
 
     def __len__(self) -> int:
         return len(self._documents)

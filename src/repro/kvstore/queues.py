@@ -9,7 +9,7 @@ up once a cluster is overloaded, Section 6.3) can be observed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterable, List, Optional
+from typing import Any, Deque, List, Optional
 
 
 class MessageQueue:
@@ -36,17 +36,6 @@ class MessageQueue:
         self.accepted += 1
         return True
 
-    def offer_all(self, items: Iterable[Any]) -> int:
-        """Enqueue many items; returns how many were accepted."""
-        return sum(1 for item in items if self.offer(item))
-
-    def poll(self) -> Optional[Any]:
-        """Dequeue the oldest item, or ``None`` when empty."""
-        if not self._items:
-            return None
-        self.consumed += 1
-        return self._items.popleft()
-
     def drain(self, max_items: Optional[int] = None) -> List[Any]:
         """Dequeue up to ``max_items`` items (all of them when ``None``)."""
         items = self._items
@@ -57,13 +46,6 @@ class MessageQueue:
             drained = [items.popleft() for _ in range(max_items)]
         self.consumed += len(drained)
         return drained
-
-    def peek(self) -> Optional[Any]:
-        """Look at the oldest item without removing it."""
-        return self._items[0] if self._items else None
-
-    def clear(self) -> None:
-        self._items.clear()
 
     def __len__(self) -> int:
         return len(self._items)

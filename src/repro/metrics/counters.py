@@ -48,9 +48,6 @@ class Counter:
     def as_dict(self) -> Dict[str, int]:
         return dict(self.counts)
 
-    def reset(self) -> None:
-        self.counts.clear()
-
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 

@@ -21,28 +21,19 @@ class Histogram:
 
     # -- recording ---------------------------------------------------------------
 
-    def record(self, value: float) -> None:
-        """Add a single sample."""
-        self._samples.append(float(value))
-        self._sorted = None
-
     def record_many(self, values: Iterable[float]) -> None:
         """Add many samples at once."""
         self._samples.extend(float(value) for value in values)
         self._sorted = None
 
     def appender(self) -> Callable[[float], None]:
-        """:meth:`record` for a hot loop that passes floats: the samples' own
-        ``append`` (the sorted cache is checked against the sample count)."""
+        """One-sample recording for a hot loop that passes floats: the samples'
+        own ``append`` (the sorted cache is checked against the sample count)."""
         return self._samples.append
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's samples into this one."""
         self._samples.extend(other._samples)
-        self._sorted = None
-
-    def clear(self) -> None:
-        self._samples.clear()
         self._sorted = None
 
     # -- statistics ---------------------------------------------------------------
@@ -59,21 +50,8 @@ class Histogram:
         return sum(self._samples) / len(self._samples)
 
     @property
-    def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-    @property
     def maximum(self) -> float:
         return max(self._samples) if self._samples else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        if len(self._samples) < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((value - mean) ** 2 for value in self._samples) / len(self._samples)
-        return math.sqrt(variance)
 
     def percentile(self, fraction: float) -> float:
         """Exact percentile using linear interpolation between order statistics."""

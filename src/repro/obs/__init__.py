@@ -19,14 +19,13 @@ Entry points:
 * ``TraceRecorder`` / ``Span`` — the tracing subsystem.
 * ``MetricsRegistry`` — labeled rows read from the run's own counters
   (``repro.metrics``), with a sim-time series; it has no write path.
-* ``repro.obs.analyze`` — critical path, attribution, waterfall, flamegraph.
+* ``repro.obs.analyze`` — critical path, attribution, waterfall.
 * ``python -m repro.obs`` — seeded scenario + artifacts + attribution report.
 """
 
 from .analyze import (
     coverage,
     critical_path,
-    folded_stacks,
     index_spans,
     latency_attribution,
     percentile_root,
@@ -67,6 +66,5 @@ __all__ = [
     "percentile_root",
     "latency_attribution",
     "render_waterfall",
-    "folded_stacks",
     "render_report",
 ]

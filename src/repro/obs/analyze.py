@@ -1,4 +1,4 @@
-"""Trace analysis: critical path, latency attribution, waterfall, flamegraph.
+"""Trace analysis: critical path, latency attribution and waterfall.
 
 The virtual clock does not advance inside a synchronous request, so span
 timestamps carry structure while the modelled seconds live in each span's
@@ -11,7 +11,7 @@ rounding).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .trace import Span, spans_from_tuples
 
@@ -25,7 +25,6 @@ __all__ = [
     "percentile_root",
     "latency_attribution",
     "render_waterfall",
-    "folded_stacks",
     "render_report",
 ]
 
@@ -41,7 +40,7 @@ def _as_spans(spans_or_rows) -> List[Span]:
 
 
 def index_spans(spans_or_rows) -> Tuple[Dict[int, Span], Dict[Optional[int], List[Span]]]:
-    """``(by_id, children)`` maps for a span list (or ``to_tuple`` rows)."""
+    """``(by_id, children)`` maps for a span list (or ``span_tuples`` rows)."""
     spans = _as_spans(spans_or_rows)
     by_id: Dict[int, Span] = {}
     children: Dict[Optional[int], List[Span]] = {}
@@ -170,30 +169,6 @@ def render_waterfall(
     for child in children.get(root.span_id, ()):
         walk(child, 0)
     return "\n".join(lines)
-
-
-def folded_stacks(spans_or_rows) -> List[str]:
-    """Flamegraph collapsed-stack lines (``a;b;c <microseconds>``).
-
-    Weights are the cost-bearing spans' modelled microseconds (minimum 1 so
-    zero-cost-but-present stages still show up), aggregated per path and
-    emitted in sorted order.
-    """
-    spans = _as_spans(spans_or_rows)
-    by_id, _children = index_spans(spans)
-    weights: Dict[str, int] = {}
-    for span in spans:
-        if span.cost <= 0.0:
-            continue
-        path = [span.name]
-        parent_id = span.parent_id
-        while parent_id is not None:
-            parent = by_id[parent_id]
-            path.append(parent.name)
-            parent_id = parent.parent_id
-        stack = ";".join(reversed(path))
-        weights[stack] = weights.get(stack, 0) + max(1, round(span.cost * 1e6))
-    return [f"{stack} {weight}" for stack, weight in sorted(weights.items())]
 
 
 def render_report(spans_or_rows, top: int = 3) -> str:

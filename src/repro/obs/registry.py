@@ -68,9 +68,6 @@ class MetricsRegistry:
         """
         self._series.append((timestamp, self._counters(), ()))
 
-    def series(self) -> Tuple[tuple, ...]:
-        return tuple(self._series)
-
     def state(self) -> tuple:
         """Picklable, canonically-sorted snapshot of the whole registry.
 

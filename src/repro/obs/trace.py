@@ -61,7 +61,8 @@ class Span:
     """One node of a request's trace tree (read side only).
 
     Built from the recorder's log by :meth:`TraceRecorder.spans` or from
-    ``to_tuple`` rows by :func:`spans_from_tuples`; editing one does not
+    ``(span_id, parent_id, name, start, end, cost, attrs)`` rows (attributes
+    as key-sorted pairs) by :func:`spans_from_tuples`; editing one does not
     write back to the log.
     """
 
@@ -72,22 +73,6 @@ class Span:
     end: float
     cost: float
     attrs: dict
-
-    def to_tuple(self) -> tuple:
-        """Picklable row: ``(span_id, parent_id, name, start, end, cost, attrs)``.
-
-        Attributes are sorted by key so the row is order-independent of how
-        the instrumentation filled them in.
-        """
-        return (
-            self.span_id,
-            self.parent_id,
-            self.name,
-            self.start,
-            self.end,
-            self.cost,
-            tuple(sorted(self.attrs.items())),
-        )
 
 
 class TraceRecorder:
@@ -238,7 +223,7 @@ class TraceRecorder:
         return tuple(Span(*row) for row in self._rows())
 
     def span_tuples(self) -> Tuple[tuple, ...]:
-        """All spans as picklable ``Span.to_tuple`` rows (the parallel-merge surface)."""
+        """All spans as picklable rows, attributes sorted by key (the parallel-merge surface)."""
         return tuple(row[:6] + (tuple(sorted(row[6].items())),) for row in self._rows())
 
     def __len__(self) -> int:
@@ -246,7 +231,7 @@ class TraceRecorder:
 
 
 def spans_from_tuples(rows: Iterable[tuple]) -> List[Span]:
-    """Rebuild :class:`Span` objects from :meth:`Span.to_tuple` rows."""
+    """Rebuild :class:`Span` objects from :meth:`TraceRecorder.span_tuples` rows."""
     return [
         Span(span_id, parent_id, name, start, end, cost, dict(attrs))
         for span_id, parent_id, name, start, end, cost, attrs in rows

@@ -63,11 +63,6 @@ class ReplicationConfig:
         if self.max_replica_staleness < 0:
             raise ConfigurationError("max_replica_staleness must be non-negative")
 
-    @property
-    def num_replicas(self) -> int:
-        """Replicas per shard (the copies beyond the primary)."""
-        return self.replication_factor - 1
-
     def reseed(self, seed: int) -> None:
         """Reseed the lag jitter stream (deterministic experiments)."""
         self.lag.reseed(seed)

@@ -80,10 +80,6 @@ class DeadlineBudget:
         self.spent = 0.0
 
     @property
-    def remaining(self) -> float:
-        return max(0.0, self.deadline - self.spent)
-
-    @property
     def exhausted(self) -> bool:
         return self.spent >= self.deadline
 

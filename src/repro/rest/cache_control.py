@@ -43,11 +43,6 @@ class CacheControl:
         """
         return cls(max_age=ttl, s_maxage=shared_ttl if shared_ttl is not None else ttl)
 
-    @classmethod
-    def uncacheable(cls) -> "CacheControl":
-        """A response no cache may store (instances are immutable: one is shared)."""
-        return UNCACHEABLE
-
     # -- queries -----------------------------------------------------------------
 
     @property
@@ -61,53 +56,6 @@ class CacheControl:
         if shared and self.s_maxage is not None:
             return self.s_maxage
         return self.max_age if self.max_age is not None else 0.0
-
-    # -- (de)serialisation ----------------------------------------------------------
-
-    def to_header(self) -> str:
-        """Serialise to a Cache-Control header value."""
-        parts = []
-        if self.no_store:
-            parts.append("no-store")
-        if self.no_cache:
-            parts.append("no-cache")
-        if self.max_age is not None:
-            parts.append(f"max-age={int(self.max_age)}")
-        if self.s_maxage is not None:
-            parts.append(f"s-maxage={int(self.s_maxage)}")
-        if self.must_revalidate:
-            parts.append("must-revalidate")
-        return ", ".join(parts) if parts else "no-cache"
-
-    @classmethod
-    def from_header(cls, header: str) -> "CacheControl":
-        """Parse a Cache-Control header value (unknown directives are ignored)."""
-        max_age: Optional[float] = None
-        s_maxage: Optional[float] = None
-        no_cache = False
-        no_store = False
-        must_revalidate = False
-        for raw in header.split(","):
-            directive = raw.strip().lower()
-            if not directive:
-                continue
-            if directive == "no-cache":
-                no_cache = True
-            elif directive == "no-store":
-                no_store = True
-            elif directive == "must-revalidate":
-                must_revalidate = True
-            elif directive.startswith("max-age="):
-                max_age = float(directive.split("=", 1)[1])
-            elif directive.startswith("s-maxage="):
-                s_maxage = float(directive.split("=", 1)[1])
-        return cls(
-            max_age=max_age,
-            s_maxage=s_maxage,
-            no_cache=no_cache,
-            no_store=no_store,
-            must_revalidate=must_revalidate,
-        )
 
 
 #: ``no-cache, no-store``: what every write acknowledgement and error carries.

@@ -23,20 +23,14 @@ are memoised, result tags per owner
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Any, Dict
+from typing import Dict
 
 
 def _tag(text: str) -> str:
     """The quoted digest of an ASCII ``text`` -- the one tag rendering."""
     return f'"{blake2b(text.encode("ascii"), digest_size=8).hexdigest()}"'
-
-
-def etag_for(payload: Any) -> str:
-    """A strong Etag derived deterministically from a JSON-like ``payload``."""
-    return _tag(json.dumps(payload, sort_keys=True, default=str, separators=(",", ":")))
 
 
 @lru_cache(maxsize=65_536)
@@ -52,8 +46,3 @@ def etag_for_result(versions: Dict[str, int]) -> str:
     unique, so versions are never compared with each other).
     """
     return _tag(ascii(sorted(versions.items())))
-
-
-def weak_compare(left: str, right: str) -> bool:
-    """Weak comparison: equal ignoring the ``W/`` prefix."""
-    return left.removeprefix("W/") == right.removeprefix("W/")

@@ -12,7 +12,7 @@ clients against a full Quaestor deployment.
 from __future__ import annotations
 
 from repro.simulation.aggregate import RunAggregate
-from repro.simulation.event_queue import EventQueue, ScheduledEvent
+from repro.simulation.event_queue import EventQueue
 from repro.simulation.latency import LatencyModel, NetworkTopology, REGION_RTT_SECONDS
 from repro.simulation.staleness import StalenessAuditor
 from repro.simulation.simulator import (
@@ -36,7 +36,6 @@ from repro.simulation.parallel import (
 
 __all__ = [
     "EventQueue",
-    "ScheduledEvent",
     "LatencyModel",
     "NetworkTopology",
     "REGION_RTT_SECONDS",

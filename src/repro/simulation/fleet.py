@@ -121,7 +121,15 @@ class FleetPricer(Pricer):
             shard_id, node_id = self._cluster.read_placement
             wait = self.origin_wait(node_id)
         elif key is None:
-            wait = self._member_fetch_wait()
+            # A member fetch queues round-robin over the shards' serving
+            # nodes, matching the fetches' uniform hash placement in
+            # expectation.  The node index divides the counter by the shard
+            # count so that shard and node rotations do not lock step and
+            # starve some nodes.
+            self._member_fetches += 1
+            num_shards = len(self._groups)
+            serving = self._groups[self._member_fetches % num_shards].serving_node_ids()
+            wait = self.origin_wait(serving[(self._member_fetches // num_shards) % len(serving)])
         else:
             wait = 0.0
             for _shard_id, primary_id in self._cluster.scatter_placement:
@@ -158,19 +166,6 @@ class FleetPricer(Pricer):
         if tracer is not None and inflated != latency:
             tracer.cost("gray.slow", inflated - latency)
         return inflated
-
-    def _member_fetch_wait(self) -> float:
-        """Queue one member fetch round-robin over the shards' serving nodes.
-
-        That matches the fetches' uniform hash placement in expectation.  The
-        node index divides the counter by the shard count so that shard and
-        node rotations do not lock step and starve some nodes.
-        """
-        self._member_fetches += 1
-        num_shards = len(self._groups)
-        serving = self._groups[self._member_fetches % num_shards].serving_node_ids()
-        node_index = (self._member_fetches // num_shards) % len(serving)
-        return self.origin_wait(serving[node_index])
 
     def _hedge(self, latency: float, shard_id: int, node_id: str) -> float:
         """Price a hedged read: a second copy to the next serving replica.

@@ -142,10 +142,6 @@ class NetworkTopology:
             return self.origin_round_trip.sample() + self.server_processing.sample()
         raise ValueError(f"unknown cache level {level!r}")
 
-    def write_latency(self) -> float:
-        """Latency of a write operation (always served by the origin)."""
-        return self.origin_round_trip.sample() + self.write_processing.sample()
-
     def reseed(self, seed: int) -> None:
         """Reseed all jitter streams deterministically.
 
@@ -165,16 +161,3 @@ class NetworkTopology:
             )
         ):
             model.reseed(seed + offset)
-
-    @classmethod
-    def no_jitter(cls) -> "NetworkTopology":
-        """A deterministic topology (used in unit tests)."""
-        return cls(
-            client_cache_hit=LatencyModel(0.0),
-            cdn_hit=LatencyModel(0.004),
-            origin_round_trip=LatencyModel(0.145),
-            server_processing=LatencyModel(0.005),
-            write_processing=LatencyModel(0.008),
-            invalidation_delay=LatencyModel(0.050),
-            replication_lag=LatencyModel(0.020),
-        )

@@ -11,7 +11,7 @@ shard group).  Partition ``p`` owns a contiguous block of shard groups, the
 (:meth:`~repro.workloads.Dataset.partition`), a near-even share of the
 client population and operation budget, and RNG streams split from the
 master seed via :func:`~repro.workloads.derive_substream_seed` -- the same
-substream derivation :meth:`~repro.workloads.WorkloadGenerator.split` uses,
+substream derivation :func:`~repro.workloads.split_workload_spec` uses,
 so the workload layer and the simulator layer can never drift apart.  Every
 cross-shard interaction named by the model -- scatter/gather query fan-out,
 InvaliDB notifications, replication log shipping -- happens *inside* a
@@ -223,11 +223,6 @@ class ParallelSimulationResult:
     #: ``None`` unless the config enabled ``observability`` metrics.
     metrics: Optional[tuple] = None
 
-    @property
-    def operations(self) -> int:
-        """Operations inside the measured windows (warm-up excluded)."""
-        return self.aggregate.measured_operations
-
     def summary(self) -> Dict[str, float]:
         """Merged flat summary; same keys as the serial simulator's."""
         return self.aggregate.summary()
@@ -237,12 +232,6 @@ class ParallelSimulationResult:
         from repro.verify.history import events_from_tuples
 
         return events_from_tuples(self.history)
-
-    def trace_spans(self) -> Tuple:
-        """The merged trace as :class:`~repro.obs.Span` objects."""
-        from repro.obs import spans_from_tuples
-
-        return tuple(spans_from_tuples(self.trace))
 
 
 def merge_outcomes(
@@ -317,10 +306,6 @@ class ParallelSimulator:
         if requested <= 0:
             raise ConfigurationError("num_workers must be positive")
         self.num_workers = min(requested, len(self.jobs))
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.jobs)
 
     def run(self) -> ParallelSimulationResult:
         """Execute every partition and return the deterministically merged result."""

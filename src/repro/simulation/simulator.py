@@ -52,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs import MetricsRegistry, ObservabilityConfig, TraceRecorder
     from repro.verify.history import HistoryRecorder
 
+#: Requests per second one client instance can issue (client-tier limit).
+CLIENT_INSTANCE_CAPACITY = 15_000.0
+
 #: History text of each operation type (``.value`` is a property call).
 _OPERATION_NAMES = {kind: kind.value for kind in OperationType}
 _READ = OperationType.READ
@@ -105,8 +108,6 @@ class SimulationConfig:
     seed: int = 42
     topology: NetworkTopology = field(default_factory=NetworkTopology)
     quaestor: QuaestorConfig = field(default_factory=QuaestorConfig)
-    #: Requests per second one client instance can issue (client-tier limit).
-    client_instance_capacity: float = 15_000.0
     #: Requests per second the origin (DBaaS + database) can absorb.  In a
     #: sharded deployment this is *per shard*: every shard is an independent
     #: origin server with its own capacity.
@@ -168,13 +169,14 @@ class SimulationConfig:
         # Comparisons are written so that NaN fails them: ``not x > 0``
         # rejects NaN where ``x <= 0`` would let it through.  ``+inf`` stays
         # a valid capacity and duration (unbounded).
-        for count in (self.num_clients, self.connections_per_client):
-            if not (isinstance(count, int) and count > 0):
-                raise ConfigurationError("client and connection counts must be positive integers")
-        if self.num_shards <= 0:
-            raise ConfigurationError("num_shards must be positive")
-        if self.replication_factor < 1:
-            raise ConfigurationError("replication_factor must be at least 1")
+        # ``bool`` is an ``int`` subclass: ``True`` would pass as a count of one.
+        for name in (
+            "num_clients", "connections_per_client", "num_shards", "replication_factor",
+            "matching_nodes", "max_operations",
+        ):
+            count = getattr(self, name)
+            if not (isinstance(count, int) and not isinstance(count, bool) and count > 0):
+                raise ConfigurationError(f"{name} must be a positive integer, got {count!r}")
         if not 0.0 <= self.failover_detection_delay < math.inf:
             raise ConfigurationError("failover_detection_delay must be non-negative and finite")
         if not self.duration > 0:
@@ -183,10 +185,8 @@ class SimulationConfig:
             raise ConfigurationError("ebf_refresh_interval must be positive and finite")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must lie in [0, 1)")
-        if self.max_operations <= 0:
-            raise ConfigurationError("max_operations must be positive")
-        if not (self.client_instance_capacity > 0 and self.origin_capacity > 0):
-            raise ConfigurationError("capacities must be positive")
+        if not self.origin_capacity > 0:
+            raise ConfigurationError("origin_capacity must be positive")
         if self.ttl_estimator is not None and not isinstance(
             self.ttl_estimator, TTLEstimatorSpec
         ):
@@ -351,7 +351,7 @@ class Simulator:
         # --- capacity limits: token spacing per client instance; the
         # pricer spaces requests at each origin node. ---
         self._client_next_slot = [0.0] * config.num_clients
-        self._client_issue_interval = 1.0 / config.client_instance_capacity
+        self._client_issue_interval = 1.0 / CLIENT_INSTANCE_CAPACITY
         # One prebound event action per client instance: every connection of
         # a client reschedules the same callable.
         self._client_actions = [
@@ -469,8 +469,7 @@ class Simulator:
                 (uniform(0.0, 0.01), action)
                 for action in self._client_actions
                 for _ in range(self.config.connections_per_client)
-            ),
-            label="op",
+            )
         )
         # Main loop: a single heap inspection per iteration (pop_if_before),
         # with the loop-invariant lookups hoisted out.  The clock only ever
@@ -728,8 +727,3 @@ class Simulator:
             aggregate=aggregate,
             cdn_used=self.cdn is not None and bool(self.cdn.stats.lookups),
         )
-
-
-def run_simulation(config: SimulationConfig, dataset: Optional[Dataset] = None) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(config, dataset=dataset).run()

@@ -34,7 +34,6 @@ from repro.ttl.spec import (
     DEFAULT_ESTIMATOR,
     ESTIMATOR_NAMES,
     TTLEstimatorSpec,
-    build_estimator,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "AlexTTLEstimator",
     "AdaptiveTTLEstimator",
     "TTLEstimatorSpec",
-    "build_estimator",
     "DEFAULT_ESTIMATOR",
     "ESTIMATOR_NAMES",
 ]

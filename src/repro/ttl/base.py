@@ -65,6 +65,3 @@ class TTLEstimator(abc.ABC):
         self, query_key: str, actual_ttl: float, timestamp: float
     ) -> None:
         """A cached query result was invalidated ``actual_ttl`` seconds after being read."""
-
-    def observe_query_read(self, query_key: str, timestamp: float) -> None:
-        """A query result was (re-)read and cached at ``timestamp``."""

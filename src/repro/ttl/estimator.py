@@ -89,7 +89,3 @@ class QuaestorTTLEstimator(TTLEstimator):
         if self.use_expected_value:
             return 1.0 / rate
         return poisson_quantile_ttl(rate, self.quantile)
-
-    def current_query_estimate(self, query_key: str) -> Optional[float]:
-        """The refined estimate for ``query_key`` (diagnostics / Figure 11)."""
-        return self._query_ewma.get(query_key)

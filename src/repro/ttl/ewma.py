@@ -41,10 +41,6 @@ class EwmaTracker:
         """Current average for ``key``, or ``None`` if never observed."""
         return self._values.get(key)
 
-    def forget(self, key: str) -> None:
-        """Drop the state for ``key`` (e.g. when the query leaves the active list)."""
-        self._values.pop(key, None)
-
     def __contains__(self, key: str) -> bool:
         return key in self._values
 

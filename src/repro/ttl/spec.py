@@ -159,16 +159,3 @@ class TTLEstimatorSpec:
     ) -> TTLEstimator:
         """Instantiate the selected estimator."""
         return _BUILDERS[self.name](self.param_dict(), bounds, ttl_quantile, ewma_alpha)
-
-
-def build_estimator(
-    name: str,
-    bounds: Optional[TTLBounds] = None,
-    ttl_quantile: float = 0.5,
-    ewma_alpha: float = 0.7,
-    **params: float,
-) -> TTLEstimator:
-    """Convenience wrapper: build a registered estimator by name."""
-    return TTLEstimatorSpec.of(name, **params).build(
-        bounds=bounds, ttl_quantile=ttl_quantile, ewma_alpha=ewma_alpha
-    )

@@ -73,10 +73,6 @@ class HistoryEvent(NamedTuple):
     retried: bool
     fast_failed: bool
 
-    def to_tuple(self) -> tuple:
-        """Picklable, order-preserving flat form (used across processes)."""
-        return tuple(self)
-
     def describe(self) -> str:
         """One legible timeline line (used by violation reports)."""
         span = f"[{self.invoked:.4f}, {self.completed:.4f}]"
@@ -100,7 +96,7 @@ _STRIDE = len(HistoryEvent._fields)
 
 
 def events_from_tuples(rows: Iterable[tuple]) -> Tuple[HistoryEvent, ...]:
-    """Rebuild events from :meth:`HistoryEvent.to_tuple` rows."""
+    """Rebuild events from plain-tuple rows (``tuple(event)``)."""
     return tuple(map(HistoryEvent._make, rows))
 
 
@@ -174,7 +170,7 @@ class HistoryRecorder:
         ))
 
     def event_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable ``HistoryEvent.to_tuple`` rows for cross-process merging."""
+        """Flat picklable ``tuple(event)`` rows for cross-process merging."""
         return tuple(zip(*[iter(self._log)] * _STRIDE))
 
     def events(self) -> Tuple[HistoryEvent, ...]:

@@ -9,12 +9,7 @@ This package reproduces that setup: request distributions, dataset generation
 
 from __future__ import annotations
 
-from repro.workloads.distributions import (
-    HotspotGenerator,
-    KeyDistribution,
-    UniformGenerator,
-    ZipfianGenerator,
-)
+from repro.workloads.distributions import ZipfianGenerator
 from repro.workloads.dataset import Dataset, DatasetSpec, generate_dataset
 from repro.workloads.operations import Operation, OperationType
 from repro.workloads.generator import (
@@ -28,10 +23,7 @@ from repro.workloads.generator import (
 )
 
 __all__ = [
-    "KeyDistribution",
     "ZipfianGenerator",
-    "UniformGenerator",
-    "HotspotGenerator",
     "Dataset",
     "DatasetSpec",
     "generate_dataset",

@@ -63,14 +63,6 @@ class DatasetSpec:
             self.documents_per_table // self.average_result_size,
         )
 
-    @property
-    def total_documents(self) -> int:
-        return self.num_tables * self.documents_per_table
-
-    @property
-    def total_queries(self) -> int:
-        return self.num_tables * self.queries_per_table
-
 
 @dataclass
 class Dataset:
@@ -133,14 +125,6 @@ class Dataset:
             documents={table: self.documents[table] for table in tables},
             queries={table: self.queries[table] for table in tables},
         )
-
-    @property
-    def document_count(self) -> int:
-        return sum(len(docs) for docs in self.documents.values())
-
-    @property
-    def query_count(self) -> int:
-        return sum(len(queries) for queries in self.queries.values())
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:

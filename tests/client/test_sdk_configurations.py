@@ -47,7 +47,7 @@ class TestBaselineConfigurations:
     def test_client_without_ebf_never_downloads_filter(self, server, cdn, clock):
         client = QuaestorClient(server, cdn=cdn, clock=clock, use_ebf=False)
         client.connect()
-        assert client.bloom_filter is None
+        assert client._bloom is None
         assert server.counters.get("ebf_downloads") == 0
 
     def test_bounded_client_cache_evicts(self, server, cdn, clock):

@@ -37,7 +37,7 @@ class TestClientSession:
         session.observe_read("record:posts/p1", 1, {"_id": "p1", "v": 1})
         session.observe_read("record:posts/p1", 3, {"_id": "p1", "v": 3})
         session.observe_read("record:posts/p1", 2, {"_id": "p1", "v": 2})
-        assert session.highest_seen_version("record:posts/p1") == 3
+        assert session._seen_versions.get("record:posts/p1") == 3
 
     def test_observe_read_refuses_a_regression(self):
         session = ClientSession()
@@ -46,7 +46,7 @@ class TestClientSession:
         assert session.observe_read("key", 5, {"v": 5})
         # An older version records nothing: the newest copy stays the fallback.
         assert not session.observe_read("key", 4, {"v": 4})
-        assert session.highest_seen_version("key") == 5
+        assert session._seen_versions.get("key") == 5
         assert session.monotonic_fallback("key") == (5, {"v": 5})
 
     def test_monotonic_fallback_returns_newest_copy(self):
@@ -98,8 +98,8 @@ class TestClientSession:
     def test_own_writes_recorded(self):
         session = ClientSession()
         session.record_own_write("key", 4, {"_id": "x"})
-        assert session.own_write("key") == (4, {"_id": "x"})
-        assert session.highest_seen_version("key") == 4
+        assert session._own_writes.get("key") == (4, {"_id": "x"})
+        assert session._seen_versions.get("key") == 4
 
     def test_own_write_copies_document(self, deployment):
         """Ingress isolation end to end: the session's own-write snapshot is the
@@ -109,14 +109,14 @@ class TestClientSession:
         document = {"_id": "fresh", "tags": ["a"]}
         client.insert("posts", document)
         document["tags"].append("b")
-        version, remembered = client.session.own_write("record:posts/fresh")
+        version, remembered = client.session._own_writes.get("record:posts/fresh")
         assert (version, remembered) == (1, {"_id": "fresh", "tags": ["a"]})
         assert remembered is database.collection("posts").get("fresh")
 
         update = {"$set": {"meta": {"k": ["v"]}}}
         client.update("posts", "fresh", update)
         update["$set"]["meta"]["k"].append("edited")
-        version, remembered = client.session.own_write("record:posts/fresh")
+        version, remembered = client.session._own_writes.get("record:posts/fresh")
         assert (version, remembered["meta"]) == (2, {"k": ["v"]})
         assert remembered is database.collection("posts").get("fresh")
 
@@ -125,17 +125,12 @@ class TestFreshnessPolicy:
     def test_needs_refresh_initially(self):
         policy = FreshnessPolicy(refresh_interval=10.0)
         assert policy.needs_refresh(0.0)
-        assert policy.age(0.0) == float("inf")
 
     def test_refresh_cycle(self):
         policy = FreshnessPolicy(refresh_interval=10.0)
         policy.mark_refreshed(100.0)
         assert not policy.needs_refresh(105.0)
         assert policy.needs_refresh(110.0)
-        assert policy.age(105.0) == 5.0
-
-    def test_delta_equals_refresh_interval(self):
-        assert FreshnessPolicy(refresh_interval=7.5).delta == 7.5
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -26,17 +26,11 @@ class TestSubscriptionLifecycle:
     def test_subscription_starts_with_current_result(self, manager, example_query):
         subscription = manager.subscribe(example_query)
         assert len(subscription) == 10
-        assert manager.active_subscriptions == 1
+        assert len(manager._subscriptions) == 1
 
     def test_resubscribing_returns_same_handle(self, manager, example_query):
         assert manager.subscribe(example_query) is manager.subscribe(example_query)
-        assert manager.active_subscriptions == 1
-
-    def test_unsubscribe(self, manager, example_query):
-        manager.subscribe(example_query)
-        assert manager.unsubscribe(example_query) is True
-        assert manager.unsubscribe(example_query) is False
-        assert manager.active_subscriptions == 0
+        assert len(manager._subscriptions) == 1
 
     def test_close_detaches_everything(self, manager, server, example_query):
         subscription = manager.subscribe(example_query)

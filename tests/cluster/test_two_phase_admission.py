@@ -41,7 +41,7 @@ def build_cluster(num_shards: int = 4, **config_kwargs) -> QuaestorCluster:
 def saturate_shard(cluster: QuaestorCluster, shard_id: int) -> None:
     """Fill one shard's single admission slot with an undisplaceable query."""
     capacity = cluster.shards[shard_id].server.capacity
-    capacity.admit("hot-query")
+    capacity.commit(capacity.probe("hot-query"))
     for _ in range(100):
         capacity.record_read("hot-query", result_size=0)
 
@@ -50,7 +50,7 @@ def assert_no_bookkeeping(cluster: QuaestorCluster, cache_key: str) -> None:
     for shard in cluster.shards:
         server = shard.server
         assert not server.invalidb.is_registered(cache_key), shard.shard_id
-        assert not server.capacity.is_admitted(cache_key), shard.shard_id
+        assert cache_key not in server.capacity._admitted, shard.shard_id
         assert server.active_list.get(cache_key) is None, shard.shard_id
 
 
@@ -68,7 +68,7 @@ class TestScatterAbortInvariant:
         assert not response.is_cacheable
         assert_no_bookkeeping(cluster, query.cache_key)
         # The saturated shard keeps its original occupant untouched.
-        assert cluster.shards[rejecting_shard].server.capacity.is_admitted("hot-query")
+        assert "hot-query" in cluster.shards[rejecting_shard].server.capacity._admitted
 
     def test_abort_is_observable_in_metrics(self):
         cluster = build_cluster(max_active_queries=1)
@@ -93,7 +93,7 @@ class TestScatterAbortInvariant:
         for shard in cluster.shards:
             server = shard.server
             assert server.invalidb.is_registered(query.cache_key)
-            assert server.capacity.is_admitted(query.cache_key)
+            assert query.cache_key in server.capacity._admitted
             assert server.active_list.get(query.cache_key) is not None
         assert cluster.counters.get("scatter_queries_aborted") == 0
         assert cluster.statistics()["scatter_abort_rate"] == 0.0
@@ -114,7 +114,7 @@ class TestScatterAbortInvariant:
         query = QUERIES[0]
         assert not cluster.query(query).is_cacheable
 
-        cluster.shards[0].server.capacity.release("hot-query")
+        del cluster.shards[0].server.capacity._admitted["hot-query"]
         assert cluster.query(query).is_cacheable
         assert_registered_everywhere = all(
             shard.server.invalidb.is_registered(query.cache_key)
@@ -138,7 +138,7 @@ class TestScatterAbortInvariant:
 
         # Shard 0 later loses the slot to a hotter query.
         capacity = cluster.shards[0].server.capacity
-        capacity.release(query.cache_key)
+        del capacity._admitted[query.cache_key]
         saturate_shard(cluster, 0)
 
         rescatter = cluster.query(query)
@@ -147,8 +147,8 @@ class TestScatterAbortInvariant:
         for shard in cluster.shards[1:]:
             # Deliberate retention: the earlier merge may still be cached.
             assert shard.server.invalidb.is_registered(query.cache_key)
-            assert shard.server.capacity.is_admitted(query.cache_key)
-        assert not cluster.shards[0].server.capacity.is_admitted(query.cache_key)
+            assert query.cache_key in shard.server.capacity._admitted
+        assert query.cache_key not in cluster.shards[0].server.capacity._admitted
         # Retained probes of already-admitted keys are not wasted work.
         assert cluster.statistics()["admission_aborts"] == 0
 

@@ -20,11 +20,6 @@ class TestQuaestorConfig:
         assert not config.cache_records
         assert not config.cache_queries
 
-    def test_records_only_profile(self):
-        config = QuaestorConfig.records_only()
-        assert config.cache_records
-        assert not config.cache_queries
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             QuaestorConfig(ebf_bits=0)
@@ -45,7 +40,7 @@ class TestActiveList:
         entry = active.record_read(query, timestamp=10.0, ttl=30.0, result_size=5,
                                    representation=ResultRepresentation.OBJECT_LIST)
         assert entry.query_key == query.cache_key
-        assert active.contains(query.cache_key)
+        assert active.get(query.cache_key) is entry
         assert len(active) == 1
 
     def test_repeated_reads_update_entry(self):
@@ -69,14 +64,6 @@ class TestActiveList:
 
     def test_invalidation_of_unknown_query_returns_none(self):
         assert ActiveList().record_invalidation("query:unknown", 5.0) is None
-
-    def test_remove(self):
-        active = ActiveList()
-        query = Query("posts", {"a": 1})
-        active.record_read(query, 10.0, 30.0, 5, ResultRepresentation.OBJECT_LIST)
-        assert active.remove(query.cache_key) is True
-        assert active.remove(query.cache_key) is False
-        assert not active.contains(query.cache_key)
 
 
 class TestRepresentationChoice:

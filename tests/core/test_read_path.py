@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core import QuaestorConfig, QuaestorServer, ResultRepresentation
+from repro.core import QuaestorConfig, QuaestorServer
 from repro.core.read_path import PreparedShardRead, ReadContext, ReadPipeline
 from repro.db import Database, Query
 from repro.invalidb import InvaliDBCluster
@@ -83,29 +83,6 @@ class TestSharedPipeline:
         assert isinstance(server.pipeline, ReadPipeline)
         assert server.pipeline.server is server
 
-    def test_shard_query_matches_single_call_bookkeeping(self):
-        """prepare+commit leaves the same state the one-shot entry point does."""
-        clock = VirtualClock()
-        one_shot, _ = build_server(clock=clock)
-        two_phase, _ = build_server(clock=clock)
-        for server in (one_shot, two_phase):
-            for index in range(10):
-                server.handle_insert("posts", {"_id": f"p{index}", "category": index % 2})
-
-        query = Query("posts", {"category": 1})
-        direct = one_shot.handle_shard_query(query)
-        prepared = two_phase.prepare_shard_query(query)
-        assert prepared.admitted
-        committed = prepared.commit()
-
-        assert serialize(direct) == serialize(committed)
-        for server in (one_shot, two_phase):
-            assert server.invalidb.is_registered(query.cache_key)
-            assert server.capacity.is_admitted(query.cache_key)
-            assert server.active_list.get(query.cache_key) is not None
-            entry = server.active_list.get(query.cache_key)
-            assert entry.representation is ResultRepresentation.OBJECT_LIST
-
 
 class TestPreparedShardRead:
     def test_abort_leaves_no_bookkeeping(self):
@@ -121,7 +98,7 @@ class TestPreparedShardRead:
         assert not response.is_cacheable
         assert response.body["documents"]
         assert not server.invalidb.is_registered(query.cache_key)
-        assert not server.capacity.is_admitted(query.cache_key)
+        assert query.cache_key not in server.capacity._admitted
         assert server.active_list.get(query.cache_key) is None
         assert server.counters.get("shard_queries_aborted") == 1
 
@@ -139,7 +116,7 @@ class TestPreparedShardRead:
         server, _ = build_server(config=QuaestorConfig(max_active_queries=1))
         server.handle_insert("posts", {"_id": "p0", "category": 0})
         # Saturate the single slot with a high-scoring query.
-        server.capacity.admit("hot")
+        server.capacity.commit(server.capacity.probe("hot"))
         for _ in range(50):
             server.capacity.record_read("hot", result_size=0)
 
@@ -168,7 +145,7 @@ class TestPreparedShardRead:
         response = prepared.commit()
         assert not response.is_cacheable
         assert response.body["documents"]
-        assert server.capacity.admitted_queries() == [interleaved.cache_key]
+        assert sorted(server.capacity._admitted) == [interleaved.cache_key]
         assert not server.invalidb.is_registered(scatter.cache_key)
         assert server.active_list.get(scatter.cache_key) is None
 

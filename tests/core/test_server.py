@@ -44,7 +44,7 @@ class TestReadPath:
     def test_read_reports_to_ebf(self, server, clock):
         server.handle_read("posts", "p0")
         key = record_key("posts", "p0")
-        assert server.ebf.cacheable_until(key) is not None
+        assert key in server.ebf._cacheable_until
 
     def test_uncached_config_returns_uncacheable(self, database, posts):
         server = QuaestorServer(database, config=QuaestorConfig.uncached())
@@ -69,7 +69,7 @@ class TestQueryPath:
     def test_query_registers_in_invalidb_and_active_list(self, server, example_query):
         server.handle_query(example_query)
         assert server.invalidb.is_registered(example_query.cache_key)
-        assert server.active_list.contains(example_query.cache_key)
+        assert server.active_list.get(example_query.cache_key) is not None
 
     def test_query_registration_is_idempotent(self, server, example_query):
         server.handle_query(example_query)
@@ -78,7 +78,7 @@ class TestQueryPath:
 
     def test_query_reports_members_to_ebf(self, server, example_query):
         server.handle_query(example_query)
-        assert server.ebf.cacheable_until(record_key("posts", "p0")) is not None
+        assert record_key("posts", "p0") in server.ebf._cacheable_until
 
     def test_queries_uncacheable_when_disabled(self, database, posts, example_query):
         server = QuaestorServer(database, config=QuaestorConfig(cache_queries=False))
@@ -106,7 +106,7 @@ class TestWritePathAndInvalidation:
         cdn.store(example_query.cache_key, query_response)
         # p1 (tagged 'other') gains the 'example' tag -> result set changes.
         server.handle_update("posts", "p1", {"$set": {"tags": ["example"]}})
-        assert server.ebf.is_stale(example_query.cache_key)
+        assert server.ebf.contains(example_query.cache_key)
         assert example_query.cache_key not in cdn
         assert server.counters.get("query_invalidations") >= 1
 
@@ -114,7 +114,7 @@ class TestWritePathAndInvalidation:
         read_response = server.handle_read("posts", "p0")
         cdn.store(record_key("posts", "p0"), read_response)
         server.handle_update("posts", "p0", {"$inc": {"views": 1}})
-        assert server.ebf.is_stale(record_key("posts", "p0"))
+        assert server.ebf.contains(record_key("posts", "p0"))
         assert record_key("posts", "p0") not in cdn
 
     def test_change_event_does_not_invalidate_id_list(self, database, posts, clock):
@@ -125,24 +125,24 @@ class TestWritePathAndInvalidation:
         server.handle_query(query)
         # A views increment keeps the matching status: change event only.
         server.handle_update("posts", "p0", {"$inc": {"views": 1}})
-        assert not server.ebf.is_stale(query.cache_key)
+        assert not server.ebf.contains(query.cache_key)
         assert server.counters.get("notifications_ignored_id_list") >= 1
 
     def test_irrelevant_write_does_not_invalidate(self, server, example_query):
         server.handle_query(example_query)
         # p1 is not in the result; changing its views does not affect the query.
         server.handle_update("posts", "p1", {"$inc": {"views": 1}})
-        assert not server.ebf.is_stale(example_query.cache_key)
+        assert not server.ebf.contains(example_query.cache_key)
 
     def test_insert_matching_document_invalidates(self, server, example_query):
         server.handle_query(example_query)
         server.handle_insert("posts", {"_id": "p-new", "tags": ["example"], "views": 0})
-        assert server.ebf.is_stale(example_query.cache_key)
+        assert server.ebf.contains(example_query.cache_key)
 
     def test_delete_of_member_invalidates(self, server, example_query):
         server.handle_query(example_query)
         server.handle_delete("posts", "p0")
-        assert server.ebf.is_stale(example_query.cache_key)
+        assert server.ebf.contains(example_query.cache_key)
 
     def test_write_responses_are_uncacheable(self, server):
         insert = server.handle_insert("posts", {"_id": "x1", "tags": []})
@@ -157,9 +157,9 @@ class TestWritePathAndInvalidation:
         assert server.handle_update("posts", "ghost", {"$set": {"a": 1}}).status == StatusCode.NOT_FOUND
         assert server.handle_delete("posts", "ghost").status == StatusCode.NOT_FOUND
 
-    def test_invalidation_hooks_invoked(self, server, example_query):
+    def test_purge_targets_receive_invalidated_keys(self, server, example_query):
         invalidated = []
-        server.add_invalidation_hook(lambda key, timestamp: invalidated.append(key))
+        server.register_purge_target(invalidated.append)
         server.handle_query(example_query)
         server.handle_update("posts", "p0", {"$set": {"tags": ["other"]}})
         assert example_query.cache_key in invalidated
@@ -169,7 +169,7 @@ class TestWritePathAndInvalidation:
         server.handle_query(example_query)
         clock.advance(5.0)
         server.handle_update("posts", "p0", {"$set": {"tags": ["other"]}})
-        refined = server.ttl_estimator.current_query_estimate(example_query.cache_key)
+        refined = server.ttl_estimator._query_ewma.get(example_query.cache_key)
         assert refined is not None
 
 
@@ -189,15 +189,3 @@ class TestBloomFilterEndpoint:
         assert stats["queries"] == 1
         assert stats["reads"] == 1
         assert stats["active_queries"] == 1
-
-    def test_execute_dispatches_workload_operations(self, server, example_query):
-        from repro.workloads import Operation, OperationType
-
-        read = Operation(OperationType.READ, "posts", document_id="p0")
-        query = Operation(OperationType.QUERY, "posts", query=example_query)
-        update = Operation(
-            OperationType.UPDATE, "posts", document_id="p0", payload={"$inc": {"views": 1}}
-        )
-        assert server.execute(read).status == StatusCode.OK
-        assert server.execute(query).status == StatusCode.OK
-        assert server.execute(update).status == StatusCode.OK

@@ -184,7 +184,7 @@ def test_the_count_sees_what_it_claims_to():
         client = _client(foreign_queries)
         for node in client.server.invalidb.nodes:
             index = node._index
-            index.candidates = lambda event, states=index.states: states()
+            index.candidates = lambda event, states=index._states: list(states.values())
         return _calls_during(lambda: _plain_update(client))
 
     few, many = scanning_cost(FEW_FOREIGN_QUERIES), scanning_cost(MANY_FOREIGN_QUERIES)

@@ -31,7 +31,7 @@ class TestCrud:
         posts = database.create_collection("posts")
         with pytest.raises(DocumentNotFoundError):
             posts.get("nope")
-        assert posts.get_or_none("nope") is None
+        assert posts._documents.get("nope") is None
 
     def test_returned_documents_are_copies(self, database):
         """The ownership contract: one copy at write ingress, shared snapshots after."""
@@ -42,7 +42,7 @@ class TestCrud:
         assert inserted == {"_id": "p1", "tags": ["a"]}
         # Reads, queries and write results hand out the stored object itself.
         assert posts.get("p1") is inserted
-        assert posts.get_or_none("p1") is inserted
+        assert posts._documents.get("p1") is inserted
         assert posts.find(Query("posts", {"tags": "a"})) == [inserted]
         assert posts.find(Query("posts", {"tags": "a"}))[0] is inserted
 
@@ -55,7 +55,7 @@ class TestCrud:
         assert inserted == {"_id": "p1", "tags": ["a"]}
 
         replacement = {"tags": ["c"]}
-        replaced = posts.replace("p1", replacement)
+        replaced = posts.update("p1", replacement)
         replacement["tags"].append("caller-side edit")
         assert posts.get("p1") is replaced and replaced["tags"] == ["c"]
         assert posts.delete("p1") is replaced
@@ -71,12 +71,6 @@ class TestCrud:
         posts = database.create_collection("posts")
         with pytest.raises(DocumentNotFoundError):
             posts.update("nope", {"$set": {"a": 1}})
-
-    def test_replace_keeps_id(self, database):
-        posts = database.create_collection("posts")
-        posts.insert({"_id": "p1", "title": "Old", "views": 3})
-        replaced = posts.replace("p1", {"title": "New"})
-        assert replaced == {"_id": "p1", "title": "New"}
 
     def test_delete(self, database):
         posts = database.create_collection("posts")
@@ -111,21 +105,6 @@ class TestCrud:
         new_version = posts.version("p1")
         assert new_version == old_version + 1
         assert etag_for_version("posts", "p1", new_version) != old_etag
-
-    def test_versions_never_recycle_across_drop_and_recreate(self, database):
-        posts = database.create_collection("posts")
-        posts.insert({"_id": "p1"})
-        posts.update("p1", {"$set": {"x": 1}})
-        posts.insert({"_id": "p2"})
-        posts.delete("p2")
-        database.drop_collection("posts")
-        recreated = database.create_collection("posts")
-        recreated.insert({"_id": "p1"})
-        recreated.insert({"_id": "p2"})
-        assert recreated.version("p1") == 3  # continued past the dropped v2
-        assert recreated.version("p2") == 2  # continued past the tombstoned v1
-        assert database.create_collection("fresh").insert({"_id": "p1"}) is not None
-        assert database.collection("fresh").version("p1") == 1  # other names unaffected
 
 
 class TestChangeEvents:
@@ -178,13 +157,12 @@ class TestChangeEvents:
         posts.update("p1", {"$push": {"tags": "b"}})
         assert events[0].after["tags"] == ["a"]
 
-
     def test_change_events_carry_the_stored_snapshots(self, database):
         posts = database.create_collection("posts")
         first = posts.insert({"_id": "p1", "views": 1})
         second = posts.update("p1", {"$inc": {"views": 1}})
         posts.delete("p1")
-        inserted, updated, deleted = database.change_stream.history
+        inserted, updated, deleted = database.change_stream.replay_since(0)
         assert inserted.before is None and inserted.after is first
         assert updated.before is first and updated.after is second
         assert deleted.before is second and deleted.after is None
@@ -220,19 +198,8 @@ class TestFind:
         assert len(result) == 10
         assert all(doc["category"] == 3 for doc in result)
 
-    def test_count(self, posts):
-        assert posts.count() == 20
-        assert posts.count(Query("posts", {"tags": "example"})) == 10
-
-    def test_count_ignores_windowing(self, posts):
-        assert posts.count(Query("posts", {"tags": "example"}, limit=3, offset=2)) == 10
-
-    def test_count_wrong_collection_rejected(self, posts):
-        with pytest.raises(InvalidQueryError):
-            posts.count(Query("users", {}))
-
-    def test_count_and_find_narrow_by_index(self, posts):
-        """Both evaluate the plan's matcher on the index's candidates only."""
+    def test_find_narrows_by_index(self, posts):
+        """Find evaluates the plan's matcher on the index's candidates only."""
         evaluated = []
 
         def counting(query):
@@ -244,13 +211,10 @@ class TestFind:
             return query
 
         indexed = counting(Query("posts", {"tags": "example", "views": {"$gte": 10}}))
-        assert posts.count(indexed) == 5
+        assert len(posts.find(indexed)) == 5
         assert len(evaluated) == 10  # the "example" bucket, not all 20
         del evaluated[:]
-        assert len(posts.find(indexed)) == 5
-        assert len(evaluated) == 10
-        del evaluated[:]
-        assert posts.count(counting(Query("posts", {"views": {"$gte": 10}}))) == 10
+        assert len(posts.find(counting(Query("posts", {"views": {"$gte": 10}})))) == 10
         assert len(evaluated) == 20  # no indexed equality: full scan
 
     def test_ids_sorted(self, database):

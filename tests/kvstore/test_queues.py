@@ -12,9 +12,9 @@ class TestMessageQueue:
         queue = MessageQueue("test")
         queue.offer("a")
         queue.offer("b")
-        assert queue.poll() == "a"
-        assert queue.poll() == "b"
-        assert queue.poll() is None
+        assert queue.drain(1) == ["a"]
+        assert queue.drain(1) == ["b"]
+        assert queue.drain(1) == []
 
     def test_bounded_queue_drops_overflow(self):
         queue = MessageQueue("bounded", capacity=2)
@@ -30,79 +30,62 @@ class TestMessageQueue:
 
     def test_drain_all(self):
         queue = MessageQueue("test")
-        queue.offer_all(range(5))
+        for item in range(5):
+            queue.offer(item)
         assert queue.drain() == [0, 1, 2, 3, 4]
         assert len(queue) == 0
 
     def test_drain_limited(self):
         queue = MessageQueue("test")
-        queue.offer_all(range(5))
+        for item in range(5):
+            queue.offer(item)
         assert queue.drain(2) == [0, 1]
         assert len(queue) == 3
-
-    def test_peek_does_not_remove(self):
-        queue = MessageQueue("test")
-        queue.offer("item")
-        assert queue.peek() == "item"
-        assert len(queue) == 1
 
     def test_counters(self):
         queue = MessageQueue("test", capacity=1)
         queue.offer("a")
         queue.offer("b")
-        queue.poll()
+        queue.drain(1)
         assert queue.offered == 2
         assert queue.accepted == 1
         assert queue.dropped == 1
         assert queue.consumed == 1
 
-    def test_offer_all_returns_accepted_count(self):
+    def test_offer_counts_accepted_and_dropped(self):
         queue = MessageQueue("bounded", capacity=3)
-        assert queue.offer_all(range(5)) == 3
+        assert [queue.offer(item) for item in range(5)] == [True] * 3 + [False] * 2
         assert (queue.offered, queue.accepted, queue.dropped) == (5, 3, 2)
         assert queue.drain() == [0, 1, 2]
 
     def test_unbounded_queue_never_drops(self):
         queue = MessageQueue("unbounded")
-        assert queue.offer_all(range(1000)) == 1000
+        assert all(queue.offer(item) for item in range(1000))
         assert queue.dropped == 0
         assert len(queue) == 1000
 
     def test_drain_counts_consumed(self):
         queue = MessageQueue("test")
-        queue.offer_all(range(5))
+        for item in range(5):
+            queue.offer(item)
         queue.drain(2)
         queue.drain(10)
         assert queue.consumed == 5
         assert queue.drain() == []
         assert queue.consumed == 5
 
-    def test_empty_poll_and_peek(self):
-        queue = MessageQueue("test")
-        assert queue.poll() is None
-        assert queue.peek() is None
-        assert queue.consumed == 0
-
-    def test_space_frees_after_poll(self):
+    def test_space_frees_after_drain(self):
         queue = MessageQueue("bounded", capacity=1)
         assert queue.offer("a")
         assert not queue.offer("b")
-        assert queue.poll() == "a"
+        assert queue.drain(1) == ["a"]
         assert queue.offer("c")
         assert queue.drain() == ["c"]
 
-    def test_clear_discards_without_consuming(self):
-        queue = MessageQueue("test")
-        queue.offer_all(range(3))
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.consumed == 0
-        assert queue.accepted == 3
-
-    def test_clear_and_bool(self):
+    def test_bool(self):
         queue = MessageQueue("test")
         assert not queue
         queue.offer("item")
         assert queue
-        queue.clear()
+        queue.drain()
         assert not queue

@@ -22,6 +22,7 @@ from repro.obs import (
     canonical_metrics_bytes,
     canonical_trace_bytes,
     latency_attribution,
+    spans_from_tuples,
 )
 from repro.obs.__main__ import main as obs_main, scenario_config
 from repro.simulation import CachingMode, SimulationConfig, Simulator
@@ -147,7 +148,7 @@ class TestParallelMergeParity:
         assert oracle.trace and oracle.metrics is not None
         # Root spans from later partitions keep pointing at their own
         # children after the id offset (no cross-partition edges).
-        spans = oracle.trace_spans()
+        spans = spans_from_tuples(oracle.trace)
         by_id = {span.span_id: span for span in spans}
         for span in spans:
             if span.parent_id is not None:

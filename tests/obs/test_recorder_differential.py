@@ -33,6 +33,14 @@ from repro.verify.history import (
 )
 
 
+def row(span) -> tuple:
+    """A span as its picklable row (what ``TraceRecorder.span_tuples`` emits)."""
+    return (
+        span.span_id, span.parent_id, span.name, span.start, span.end, span.cost,
+        tuple(sorted(span.attrs.items())),
+    )
+
+
 class FakeClock:
     def __init__(self) -> None:
         self.time = 0.0
@@ -53,12 +61,6 @@ class RefSpan:
         self.end = start if end is None else end
         self.cost = cost
         self.attrs = {} if attrs is None else attrs
-
-    def to_tuple(self) -> tuple:
-        return (
-            self.span_id, self.parent_id, self.name, self.start, self.end, self.cost,
-            tuple(sorted(self.attrs.items())),
-        )
 
 
 class RefTraceRecorder:
@@ -122,7 +124,7 @@ class RefTraceRecorder:
         return root
 
     def span_tuples(self):
-        return tuple(span.to_tuple() for span in self._spans)
+        return tuple(row(span) for span in self._spans)
 
 
 class RefDriver:
@@ -234,8 +236,8 @@ def test_trace_log_matches_the_object_recorder(sample_every, program):
     assert rows == reference.span_tuples()
     assert len(tracer) == len(rows)
     # The read-side objects are the same rows again.
-    assert tuple(span.to_tuple() for span in tracer.spans()) == rows
-    assert [span.to_tuple() for span in spans_from_tuples(rows)] == list(rows)
+    assert tuple(row(span) for span in tracer.spans()) == rows
+    assert [row(span) for span in spans_from_tuples(rows)] == list(rows)
 
 
 # -- history -----------------------------------------------------------------------------
@@ -318,6 +320,6 @@ def test_history_log_matches_the_object_recorder(program):
             reference.record_operation(**args[0])
     expected = reference.events()
     assert recorder.events() == expected
-    assert recorder.event_tuples() == tuple(event.to_tuple() for event in expected)
+    assert recorder.event_tuples() == tuple(tuple(event) for event in expected)
     assert events_from_tuples(recorder.event_tuples()) == expected
     assert len(recorder) == len(expected)

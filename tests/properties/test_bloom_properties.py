@@ -29,7 +29,7 @@ class TestBloomFilterProperties:
             left.add(key)
         for key in right_keys:
             right.add(key)
-        merged = left | right
+        merged = BloomFilter.union_all([left, right])
         assert all(merged.contains(key) for key in left_keys + right_keys)
 
     @given(key_lists)
@@ -47,7 +47,8 @@ class TestBloomFilterProperties:
         counting = CountingBloomFilter(1024, 4)
         for key in members:
             counting.add(key)
-        rebuilt = BloomFilter.from_keys(members, 1024, 4)
+        rebuilt = BloomFilter(1024, 4)
+        rebuilt.add_all(members)
         assert counting.to_flat().to_bytes() == rebuilt.to_bytes()
 
 
@@ -68,7 +69,8 @@ class TestCountingFilterProperties:
         for key in to_remove:
             assert counting.remove(key)
         remaining = [key for key in distinct if key not in set(to_remove)]
-        assert all(counting.contains(key) for key in remaining)
+        flat = counting.to_flat()
+        assert all(flat.contains(key) for key in remaining)
 
     @given(key_lists)
     @settings(max_examples=40)
@@ -101,7 +103,7 @@ class TestExpiringBloomFilterProperties:
             ebf.report_read(key, ttl)
             clock.advance(gap)
             if ebf.report_invalidation(key):
-                deadline = ebf.cacheable_until(key)
+                deadline = ebf._cacheable_until.get(key)
                 if deadline is not None and deadline > clock.now():
                     truly_stale[key] = deadline
         now = clock.now()

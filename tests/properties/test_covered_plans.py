@@ -64,7 +64,6 @@ def _assert_covered_plans_are_exact(collection, criteria_list):
             covered += 1
             assert set(ids) == matched, criteria
         assert {str(document["_id"]) for document in collection.find(query)} == matched, criteria
-        assert collection.count(query) == len(matched), criteria
     return covered
 
 
@@ -89,7 +88,9 @@ def test_a_covered_plans_bucket_is_exactly_its_match_set(
         document_id = str(document["_id"])
         if document_id in collection:
             if len(document) > 1:
-                collection.replace(document_id, document)
+                collection.update(
+                    document_id, {key: value for key, value in document.items() if key != "_id"}
+                )
             else:
                 collection.delete(document_id)
 
@@ -127,7 +128,7 @@ def test_a_nan_operand_is_never_covered():
     assert set(ids) == {"1"}  # the same NaN object, found by identity
     assert not query.plan.matches(collection.get("1"))
     assert not covered
-    assert collection.find(query) == [] and collection.count(query) == 0
+    assert collection.find(query) == []
     assert not collection._candidates(Query("c", {"score": {"$eq": NAN}}))[1]
 
 

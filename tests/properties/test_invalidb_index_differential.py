@@ -89,7 +89,7 @@ writes = st.tuples(
 
 def scan_candidates(index, event):
     """The reference full scan: every registered state, in registration order."""
-    return index.states()
+    return list(index._states.values())
 
 
 def use_full_scan(cluster):

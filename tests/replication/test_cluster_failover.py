@@ -88,7 +88,7 @@ class TestScatterDegradation:
         client.update("posts", member, {"$set": {"title": "new"}})
         clock.advance(0.6)
         client.refresh_bloom_filter()
-        assert client.potentially_stale([query.cache_key]) == [True]
+        assert client._bloom.contains(query.cache_key)
 
         # Outage: the revalidation yields a degraded partial merge.
         cluster.crash_node(cluster.groups[0].primary_node_id)
@@ -97,7 +97,8 @@ class TestScatterDegradation:
             "a partial merge must not whitelist the key as fresh"
         )
         # The next query still revalidates rather than trusting stale cache.
-        assert client.potentially_stale([query.cache_key]) == [True]
+        assert client._bloom.contains(query.cache_key)
+        assert query.cache_key not in client.whitelist
 
     def test_partial_id_list_assembly_is_marked_degraded(self):
         # Regression: a cached id-list shell whose member fetches hit a dead

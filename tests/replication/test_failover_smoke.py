@@ -89,23 +89,6 @@ class TestCrashRecoverScenario:
         assert result.operations > 0
         assert result.summary()["request_error_rate"] < 0.05
 
-    def test_chaos_plan_is_reproducible_and_survivable(self):
-        plan_a = FaultPlan.chaos(
-            duration=0.5, seed=7, mean_interval=0.1, downtime=0.05,
-            num_shards=2, replication_factor=2,
-        )
-        plan_b = FaultPlan.chaos(
-            duration=0.5, seed=7, mean_interval=0.1, downtime=0.05,
-            num_shards=2, replication_factor=2,
-        )
-        assert plan_a.events == plan_b.events
-        assert len(plan_a) > 0
-
-        config = crash_recover_config()
-        config.fault_plan = plan_a
-        result = Simulator(config).run()
-        assert result.operations > 0
-
 
 class TestFaultPlanConstruction:
     def test_events_are_sorted_by_time(self):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.faults import FaultAction, FaultEvent, FaultPlan
 from repro.resilience import ResilienceConfig
-from repro.simulation.simulator import SimulationConfig, run_simulation
+from repro.simulation.simulator import SimulationConfig, Simulator
 
 
 def chaos_config(fault_plan, resilience, seed=42, max_operations=3000):
@@ -38,7 +38,7 @@ _SUMMARIES = {}
 def summarize(plan, resilience):
     cache_key = (plan.name, resilience.enabled)
     if cache_key not in _SUMMARIES:
-        _SUMMARIES[cache_key] = run_simulation(chaos_config(plan, resilience)).summary()
+        _SUMMARIES[cache_key] = Simulator(chaos_config(plan, resilience)).run().summary()
     return dict(_SUMMARIES[cache_key])
 
 
@@ -88,7 +88,7 @@ class TestChaosScenarios:
 
     def test_seeded_chaos_runs_are_exactly_reproducible(self):
         first = summarize(BROWNOUT, ResilienceConfig())
-        second = run_simulation(chaos_config(BROWNOUT, ResilienceConfig())).summary()
+        second = Simulator(chaos_config(BROWNOUT, ResilienceConfig())).run().summary()
         assert first == second
 
     def test_crash_scenarios_still_run_with_resilience_attached(self):
@@ -99,6 +99,6 @@ class TestChaosScenarios:
             ],
             name="rolling-crash",
         )
-        summary = run_simulation(chaos_config(plan, ResilienceConfig())).summary()
+        summary = Simulator(chaos_config(plan, ResilienceConfig())).run().summary()
         assert summary["faults_injected"] >= 1.0
         assert 0.0 <= summary["request_error_rate"] <= 1.0

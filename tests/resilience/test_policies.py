@@ -25,12 +25,11 @@ from repro.simulation.latency import LatencyModel
 
 
 class TestDeadlineBudget:
-    def test_charge_and_remaining(self):
+    def test_charge(self):
         budget = DeadlineBudget(1.0)
-        assert budget.remaining == pytest.approx(1.0)
         assert budget.allows(0.4)
         budget.charge(0.4)
-        assert budget.remaining == pytest.approx(0.6)
+        assert budget.spent == pytest.approx(0.4)
         assert not budget.exhausted
 
     def test_exhaustion(self):
@@ -38,13 +37,12 @@ class TestDeadlineBudget:
         budget.charge(0.5)
         assert budget.exhausted
         assert not budget.allows(0.01)
-        assert budget.remaining == 0.0
 
     def test_allows_is_a_preflight_check_not_a_charge(self):
         budget = DeadlineBudget(1.0)
         assert budget.allows(0.9)
         assert budget.allows(0.9)  # repeated checks do not consume budget
-        assert budget.remaining == pytest.approx(1.0)
+        assert budget.spent == 0.0
 
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ConfigurationError):

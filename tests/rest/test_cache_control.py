@@ -1,10 +1,11 @@
-"""Tests for Cache-Control parsing, formatting and TTL selection."""
+"""Tests for Cache-Control construction and TTL selection."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.rest import CacheControl
+from repro.rest.cache_control import UNCACHEABLE
 
 
 class TestConstruction:
@@ -19,7 +20,7 @@ class TestConstruction:
         assert directives.ttl_for(shared=True) == 90.0
 
     def test_uncacheable(self):
-        directives = CacheControl.uncacheable()
+        directives = UNCACHEABLE
         assert not directives.is_cacheable
         assert directives.ttl_for(shared=True) == 0.0
 
@@ -42,27 +43,3 @@ class TestTtlSelection:
 
     def test_no_directives_means_zero_ttl(self):
         assert CacheControl().ttl_for(shared=False) == 0.0
-
-
-class TestSerialisation:
-    def test_header_round_trip(self):
-        original = CacheControl(max_age=30, s_maxage=90, must_revalidate=True)
-        parsed = CacheControl.from_header(original.to_header())
-        assert parsed.max_age == 30
-        assert parsed.s_maxage == 90
-        assert parsed.must_revalidate
-
-    def test_uncacheable_header(self):
-        header = CacheControl.uncacheable().to_header()
-        assert "no-store" in header
-        assert "no-cache" in header
-
-    def test_parse_ignores_unknown_directives(self):
-        parsed = CacheControl.from_header("public, max-age=15, immutable")
-        assert parsed.max_age == 15
-        assert parsed.is_cacheable
-
-    def test_parse_empty_header(self):
-        parsed = CacheControl.from_header("")
-        assert parsed.max_age is None
-        assert not parsed.no_cache

@@ -30,6 +30,7 @@ from repro.simulation import (
     pool,
 )
 from repro.simulation.parallel import parity_config
+from repro.ttl import TTLEstimatorSpec
 from repro.verify.history import canonical_bytes
 
 PARTITIONS = 4
@@ -125,7 +126,7 @@ class TestEngineConfiguration:
     def test_worker_count_clamps_to_partitions(self):
         engine = ParallelSimulator(CASES["quaestor/rf1"], num_partitions=4, num_workers=16)
         assert engine.num_workers == 4
-        assert engine.num_partitions == 4
+        assert len(engine.jobs) == 4
 
     def test_default_worker_count_is_the_usable_cpus(self):
         engine = ParallelSimulator(CASES["quaestor/rf1"], num_partitions=4)
@@ -147,22 +148,26 @@ class TestEngineConfiguration:
             ParallelSimulator(CASES["quaestor/rf1"], num_partitions=4, num_workers=0)
 
 
+#: Valid as a config; its estimator only fails to build inside a partition.
+BROKEN_IN_THE_WORKER = replace(
+    CASES["quaestor/rf1"], ttl_estimator=TTLEstimatorSpec.of("static", ttl=-1.0)
+)
+
+
 class TestWorkerFailures:
     def test_a_job_raising_in_its_worker_carries_the_worker_traceback(self):
-        # matching_nodes=0 only fails once the worker builds the deployment.
-        broken = replace(CASES["quaestor/rf1"], matching_nodes=0)
-        engine = ParallelSimulator(broken, num_partitions=4, num_workers=2)
+        # A negative static TTL only fails once the worker builds its estimator.
+        engine = ParallelSimulator(BROKEN_IN_THE_WORKER, num_partitions=4, num_workers=2)
         with pytest.raises(ParallelSimulationError) as failure:
             engine.run()
         message = str(failure.value)
-        assert "matching_nodes must be positive" in message
+        assert "ttl must be non-negative" in message
         assert "Traceback (most recent call last)" in message
         assert "run_partition" in message  # a frame only the worker executed
 
     def test_the_same_job_raises_plainly_in_process(self):
-        broken = replace(CASES["quaestor/rf1"], matching_nodes=0)
-        with pytest.raises(ConfigurationError):
-            ParallelSimulator(broken, num_partitions=4, num_workers=1).run()
+        with pytest.raises(ValueError, match="ttl must be non-negative"):
+            ParallelSimulator(BROKEN_IN_THE_WORKER, num_partitions=4, num_workers=1).run()
 
     def test_a_dead_worker_is_an_error_not_a_hang(self):
         with pytest.raises(ParallelSimulationError, match="died"):

@@ -154,7 +154,7 @@ class TestOracleParity:
         engine = ParallelSimulator(config, num_partitions=2, num_workers=2)
         parallel = engine.run()
         assert canonical(parallel.summary()) == canonical(oracle.summary())
-        assert parallel.operations == oracle.operations
+        assert parallel.aggregate.measured_operations == oracle.aggregate.measured_operations
         assert parallel.total_operations == oracle.total_operations
         assert parallel.events_processed == oracle.events_processed
 

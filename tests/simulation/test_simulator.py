@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulation import CachingMode, SimulationConfig, Simulator
-from repro.simulation.simulator import run_simulation
 from repro.workloads import DatasetSpec, WorkloadSpec
 
 
@@ -57,10 +56,6 @@ class TestSimulationMechanics:
     def test_summary_keys(self, quaestor_result):
         summary = quaestor_result.summary()
         assert {"throughput", "mean_read_latency_ms", "client_query_hit_rate"} <= set(summary)
-
-    def test_run_simulation_wrapper(self):
-        result = run_simulation(small_config(CachingMode.QUAESTOR, max_operations=800))
-        assert result.operations > 0
 
     def test_deterministic_given_seed(self):
         first = Simulator(small_config(CachingMode.QUAESTOR, max_operations=1_000)).run()

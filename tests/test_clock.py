@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clock import Clock, SystemClock, VirtualClock
+from repro.clock import Clock, VirtualClock
 
 
 class TestVirtualClock:
@@ -42,14 +42,3 @@ class TestVirtualClock:
 
     def test_satisfies_clock_protocol(self):
         assert isinstance(VirtualClock(), Clock)
-
-
-class TestSystemClock:
-    def test_is_monotonic_non_decreasing(self):
-        clock = SystemClock()
-        first = clock.now()
-        second = clock.now()
-        assert second >= first
-
-    def test_satisfies_clock_protocol(self):
-        assert isinstance(SystemClock(), Clock)

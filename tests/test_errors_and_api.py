@@ -42,7 +42,6 @@ class TestTopLevelApi:
 
     def test_clocks_re_exported(self):
         assert repro.VirtualClock is not None
-        assert repro.SystemClock is not None
         clock = repro.VirtualClock()
         clock.advance(1.0)
         assert clock.now() == 1.0

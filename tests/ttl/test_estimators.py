@@ -45,13 +45,6 @@ class TestEwmaTracker:
         tracker.seed("q", 10.0)
         assert tracker.get("q") == 50.0
 
-    def test_forget(self):
-        tracker = EwmaTracker()
-        tracker.update("q", 1.0)
-        tracker.forget("q")
-        assert tracker.get("q") is None
-        assert "q" not in tracker
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             EwmaTracker(alpha=1.0)
@@ -101,12 +94,6 @@ class TestQuaestorEstimator:
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
             QuaestorTTLEstimator(quantile=0.0)
-
-    def test_current_query_estimate_exposed(self):
-        estimator = QuaestorTTLEstimator()
-        assert estimator.current_query_estimate("query:q") is None
-        estimator.estimate_query("query:q", [], now=0.0)
-        assert estimator.current_query_estimate("query:q") is not None
 
 
 class TestBaselines:

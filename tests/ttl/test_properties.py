@@ -231,7 +231,7 @@ class TestFamilyContracts:
         # stay the clamped EWMA of what was fed in (Equation 2).
         estimator.estimate_query("q", [], 0.0)
         alpha = 0.7
-        ewma = estimator.current_query_estimate("q")
+        ewma = estimator._query_ewma.get("q")
         for actual in actuals:
             estimator.observe_query_invalidation("q", actual, 0.0)
             ewma = alpha * ewma + (1.0 - alpha) * max(0.0, actual)

@@ -21,7 +21,6 @@ from repro.ttl import (
     QuaestorTTLEstimator,
     StaticTTLEstimator,
     TTLEstimatorSpec,
-    build_estimator,
 )
 from repro.ttl.bakeoff import (
     BakeoffScenario,
@@ -72,10 +71,6 @@ class TestTTLEstimatorSpec:
         estimator = TTLEstimatorSpec().build()
         assert isinstance(estimator, QuaestorTTLEstimator)
         assert estimator.sampler.estimation == "span"
-
-    def test_build_estimator_convenience_wrapper(self):
-        estimator = build_estimator("poisson", ttl_quantile=0.8)
-        assert estimator.quantile == 0.8
 
 
 class TestConfigIntegration:
@@ -163,6 +158,14 @@ def fingerprint(operation):
     return (operation.type, operation.collection, operation.document_id, query_key)
 
 
+def draw(generator, count):
+    """``count`` operations, refilling across phase boundaries."""
+    batch = []
+    while len(batch) < count:
+        batch.extend(generator.next_operations(count - len(batch)))
+    return batch
+
+
 class TestPhasedWorkloadGenerator:
     @pytest.fixture()
     def dataset(self):
@@ -175,8 +178,8 @@ class TestPhasedWorkloadGenerator:
             (50, WorkloadSpec.with_update_rate(0.1, seed=3)),
             (50, WorkloadSpec.with_update_rate(0.5, seed=4)),
         ]
-        first = PhasedWorkloadGenerator(phases, dataset).operations(150)
-        second = PhasedWorkloadGenerator(phases, dataset).operations(150)
+        first = draw(PhasedWorkloadGenerator(phases, dataset), 150)
+        second = draw(PhasedWorkloadGenerator(phases, dataset), 150)
         assert [fingerprint(op) for op in first] == [fingerprint(op) for op in second]
 
     def test_chunked_and_single_sampling_agree(self, dataset):
@@ -184,9 +187,9 @@ class TestPhasedWorkloadGenerator:
             (30, WorkloadSpec.with_update_rate(0.1, seed=3)),
             (45, WorkloadSpec.with_update_rate(0.5, seed=4)),
         ]
-        chunked = PhasedWorkloadGenerator(phases, dataset).operations(100)
+        chunked = draw(PhasedWorkloadGenerator(phases, dataset), 100)
         generator = PhasedWorkloadGenerator(phases, dataset)
-        one_by_one = [generator.next_operation() for _ in range(100)]
+        one_by_one = [generator.next_operations(1)[0] for _ in range(100)]
         # Both paths must respect the same phase boundaries and RNG streams.
         assert [fingerprint(op) for op in chunked] == [fingerprint(op) for op in one_by_one]
 
@@ -206,7 +209,7 @@ class TestPhasedWorkloadGenerator:
         generator = PhasedWorkloadGenerator(
             [(5, WorkloadSpec.with_update_rate(0.1, seed=3))], dataset
         )
-        assert len(generator.operations(40)) == 40
+        assert len(draw(generator, 40)) == 40
         assert generator.phase_index == 0
 
     def test_write_mix_shifts_across_phases(self, dataset):
@@ -217,8 +220,8 @@ class TestPhasedWorkloadGenerator:
             (400, WorkloadSpec.with_update_rate(0.5, seed=3)),
         ]
         generator = PhasedWorkloadGenerator(phases, dataset)
-        first = generator.operations(400)
-        second = generator.operations(400)
+        first = draw(generator, 400)
+        second = draw(generator, 400)
 
         def update_share(batch):
             return sum(1 for op in batch if op.type is OperationType.UPDATE) / len(batch)

@@ -74,7 +74,7 @@ class TestWireFormat:
             degraded=True, hedged=True, retried=False, fast_failed=True,
         )
         events = recorder.events()
-        rebuilt = events_from_tuples(e.to_tuple() for e in events)
+        rebuilt = events_from_tuples(tuple(e) for e in events)
         assert rebuilt == events
 
     def test_canonical_bytes_is_order_sensitive(self):

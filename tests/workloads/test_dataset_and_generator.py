@@ -26,8 +26,8 @@ def small_dataset():
 class TestDatasetGeneration:
     def test_shape_matches_spec(self, small_dataset):
         assert len(small_dataset.tables) == 2
-        assert small_dataset.document_count == 600
-        assert small_dataset.query_count == 40
+        assert sum(len(documents) for documents in small_dataset.documents.values()) == 600
+        assert sum(len(queries) for queries in small_dataset.queries.values()) == 40
 
     def test_documents_have_required_fields(self, small_dataset):
         document = small_dataset.documents[small_dataset.tables[0]][0]
@@ -54,11 +54,6 @@ class TestDatasetGeneration:
             DatasetSpec(num_tables=0)
         with pytest.raises(ValueError):
             DatasetSpec(average_result_size=0)
-
-    def test_total_counts(self):
-        spec = DatasetSpec(num_tables=10, documents_per_table=10_000, queries_per_table=100)
-        assert spec.total_documents == 100_000
-        assert spec.total_queries == 1_000
 
 
 class TestWorkloadSpec:
@@ -89,14 +84,14 @@ class TestWorkloadGenerator:
             read_proportion=0.6, query_proportion=0.3, update_proportion=0.1, seed=1
         )
         generator = WorkloadGenerator(spec, small_dataset)
-        counts = Counter(operation.type for operation in generator.stream(5_000))
+        counts = Counter(operation.type for operation in generator.next_operations(5_000))
         assert counts[OperationType.READ] / 5_000 == pytest.approx(0.6, abs=0.05)
         assert counts[OperationType.QUERY] / 5_000 == pytest.approx(0.3, abs=0.05)
         assert counts[OperationType.UPDATE] / 5_000 == pytest.approx(0.1, abs=0.03)
 
     def test_operations_are_well_formed(self, small_dataset):
         generator = WorkloadGenerator(WorkloadSpec.read_heavy(), small_dataset)
-        for operation in generator.stream(500):
+        for operation in generator.next_operations(500):
             if operation.type == OperationType.QUERY:
                 assert operation.query is not None
             else:
@@ -110,7 +105,7 @@ class TestWorkloadGenerator:
             insert_proportion=1.0, seed=5,
         )
         generator = WorkloadGenerator(spec, small_dataset)
-        ids = [operation.document_id for operation in generator.stream(100)]
+        ids = [operation.document_id for operation in generator.next_operations(100)]
         assert len(set(ids)) == 100
 
     def test_updates_touch_category_sometimes(self, small_dataset):
@@ -118,7 +113,7 @@ class TestWorkloadGenerator:
             read_proportion=0.0, query_proportion=0.0, update_proportion=1.0, seed=2
         )
         generator = WorkloadGenerator(spec, small_dataset)
-        payload_keys = [next(iter(op.payload)) for op in generator.stream(500)]
+        payload_keys = [next(iter(op.payload)) for op in generator.next_operations(500)]
         assert "$set" in payload_keys and "$inc" in payload_keys
 
     def test_zipfian_targets_are_skewed(self, small_dataset):
@@ -127,20 +122,20 @@ class TestWorkloadGenerator:
             zipf_constant=0.99, seed=3,
         )
         generator = WorkloadGenerator(spec, small_dataset)
-        counts = Counter(operation.document_id for operation in generator.stream(5_000))
+        counts = Counter(operation.document_id for operation in generator.next_operations(5_000))
         top_share = sum(count for _key, count in counts.most_common(30)) / 5_000
         assert top_share > 0.2
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = WorkloadSpec.read_heavy(seed=9)
-        first = WorkloadGenerator(spec, small_dataset).operations(100)
-        second = WorkloadGenerator(spec, small_dataset).operations(100)
+        first = WorkloadGenerator(spec, small_dataset).next_operations(100)
+        second = WorkloadGenerator(spec, small_dataset).next_operations(100)
         assert [op.type for op in first] == [op.type for op in second]
 
-    def test_stream_count_validation(self, small_dataset):
+    def test_negative_count_rejected(self, small_dataset):
         generator = WorkloadGenerator(WorkloadSpec.read_heavy(), small_dataset)
         with pytest.raises(ValueError):
-            list(generator.stream(-1))
+            generator.next_operations(-1)
 
 
 class TestOperationValidation:
@@ -155,11 +150,3 @@ class TestOperationValidation:
     def test_update_requires_payload(self):
         with pytest.raises(ValueError):
             Operation(OperationType.UPDATE, "posts", document_id="p1")
-
-    def test_is_write_classification(self):
-        read = Operation(OperationType.READ, "posts", document_id="p1")
-        update = Operation(
-            OperationType.UPDATE, "posts", document_id="p1", payload={"$set": {"a": 1}}
-        )
-        assert not read.is_write
-        assert update.is_write

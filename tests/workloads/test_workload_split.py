@@ -1,7 +1,8 @@
 """Workload substream splitting for the process-parallel simulator.
 
-``WorkloadGenerator.split`` / ``PhasedWorkloadGenerator.split`` derive
-independent per-partition substreams from one master seed.  The substream
+``split_workload_spec`` / ``split_workload_phases`` plus
+``Dataset.partition`` derive independent per-partition substreams from one
+master seed, exactly as ``ParallelSimulator`` builds its partitions.  The substream
 seed mapping and the resulting operation streams are pinned by hash: they
 are part of the reproducibility contract of every partitioned experiment.
 """
@@ -117,17 +118,27 @@ class TestPartitionShare:
             partition_share(10, 2, 2)
 
 
+def substreams(spec, dataset, partitions):
+    """One generator per partition, built the way the partitioned engine does."""
+    return [
+        WorkloadGenerator(
+            split_workload_spec(spec, partition_id, partitions),
+            dataset.partition(partition_id, partitions),
+        )
+        for partition_id in range(partitions)
+    ]
+
+
 class TestGeneratorSplit:
     def test_substreams_are_pinned(self, dataset):
-        generator = WorkloadGenerator(WorkloadSpec(**SPEC), dataset)
         fingerprints = tuple(
-            fingerprint(sub.next_operations(500)) for sub in generator.split(2)
+            fingerprint(sub.next_operations(500))
+            for sub in substreams(WorkloadSpec(**SPEC), dataset, 2)
         )
         assert fingerprints == GOLDEN_SUBSTREAMS
 
     def test_substreams_stay_inside_their_table_slice(self, dataset):
-        generator = WorkloadGenerator(WorkloadSpec(**SPEC), dataset)
-        for partition_id, sub in enumerate(generator.split(2)):
+        for partition_id, sub in enumerate(substreams(WorkloadSpec(**SPEC), dataset, 2)):
             allowed = set(sub.dataset.tables)
             assert allowed == {
                 table
@@ -137,18 +148,6 @@ class TestGeneratorSplit:
             assert all(
                 operation.collection in allowed for operation in sub.next_operations(300)
             )
-
-    def test_split_does_not_disturb_the_parent_stream(self, dataset):
-        reference = WorkloadGenerator(WorkloadSpec(**SPEC), dataset)
-        want = serialise(reference.next_operations(200))
-        split_then_sample = WorkloadGenerator(WorkloadSpec(**SPEC), dataset)
-        split_then_sample.split(2)
-        assert serialise(split_then_sample.next_operations(200)) == want
-
-    def test_split_validates_worker_count(self, dataset):
-        generator = WorkloadGenerator(WorkloadSpec(**SPEC), dataset)
-        with pytest.raises(ConfigurationError):
-            generator.split(0)
 
 
 class TestPhasedSplit:
@@ -177,13 +176,16 @@ class TestPhasedSplit:
             split_workload_phases(((1, WorkloadSpec.read_heavy()),), 0, 2)
 
     def test_phased_generator_split_crosses_boundaries_consistently(self, dataset):
-        generator = PhasedWorkloadGenerator(self.phases(), dataset)
-        for sub in generator.split(2):
+        for partition_id in range(2):
+            sub = PhasedWorkloadGenerator(
+                split_workload_phases(self.phases(), partition_id, 2),
+                dataset.partition(partition_id, 2),
+            )
             budget = sub.phases[0][0]
             for _ in range(budget):
-                sub.next_operation()
+                sub.next_operations(1)
             assert sub.phase_index == 0  # boundary crossed lazily
-            sub.next_operation()
+            sub.next_operations(1)
             assert sub.phase_index == 1
 
 
