@@ -62,7 +62,11 @@ def layer_of(module: str) -> str:
 class StackSampler:
     """Self and inclusive sample counts per function and per layer."""
 
-    def __init__(self) -> None:
+    def __init__(self, root) -> None:
+        #: A sample counts only while this code object is on the stack: the
+        #: timer is armed just before the profiled call and disarmed just
+        #: after it, and a signal in between belongs to neither.
+        self._root = root
         self.samples = 0
         self.function_self: Counter = Counter()
         self.function_inclusive: Counter = Counter()
@@ -99,14 +103,18 @@ class StackSampler:
     def _record(self, frame) -> None:
         if frame.f_lasti == self._describe(frame)[2] and frame.f_back is not None:
             frame = frame.f_back  # noticed on entry: the time was the caller's
-        self.samples += 1
         name, layer, _entry = self._describe(frame)
-        self.function_self[name] += 1
-        self.layer_self[layer] += 1
         described = set()
+        inside = False
         while frame is not None:
             described.add(self._describe(frame))
+            inside = inside or frame.f_code is self._root
             frame = frame.f_back
+        if not inside:
+            return
+        self.samples += 1
+        self.function_self[name] += 1
+        self.layer_self[layer] += 1
         self.function_inclusive.update(name for name, _layer, _entry in described)
         self.layer_inclusive.update({layer for _name, layer, _entry in described})
 
@@ -132,7 +140,7 @@ def profile(workload: str, seed: int, operations: int) -> StackSampler:
     from repro.simulation import Simulator
 
     simulator = Simulator(build_config(workload, seed, 0, operations))
-    sampler = StackSampler()
+    sampler = StackSampler(Simulator.run.__code__)
     interval = INTERVAL_US / 1e6
     previous = signal.signal(signal.SIGALRM, sampler.sample)
     signal.setitimer(signal.ITIMER_REAL, interval, interval)

@@ -33,6 +33,41 @@ class TestQuaestorConfig:
             QuaestorConfig(assumed_record_hit_rate=2.0)
 
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"ebf_bits": -8}, "EBF geometry"),
+            ({"ebf_hashes": 0}, "EBF geometry"),
+            ({"ttl_estimator": "ewma"}, "ttl_estimator"),
+            ({"ttl_quantile": 0.0}, "ttl_quantile"),
+            ({"ttl_quantile": 1.0}, "ttl_quantile"),
+            ({"ewma_alpha": -0.01}, "ewma_alpha"),
+            ({"cdn_ttl_factor": 0.99}, "cdn_ttl_factor"),
+            ({"object_list_max_size": -1}, "object_list_max_size"),
+            ({"assumed_record_hit_rate": -0.01}, "assumed_record_hit_rate"),
+        ],
+    )
+    def test_each_bound_names_the_setting_it_rejects(self, setting, message):
+        with pytest.raises(ConfigurationError, match=message):
+            QuaestorConfig(**setting)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"ebf_bits": 1, "ebf_hashes": 1},
+            {"ttl_quantile": 0.001},
+            {"ttl_quantile": 0.999},
+            {"ewma_alpha": 0.0},
+            {"cdn_ttl_factor": 1.0},
+            {"object_list_max_size": 0},
+            {"assumed_record_hit_rate": 0.0},
+            {"assumed_record_hit_rate": 1.0},
+        ],
+    )
+    def test_each_bound_admits_its_edge(self, setting):
+        config = QuaestorConfig(**setting)
+        assert all(getattr(config, name) == value for name, value in setting.items())
+
 class TestActiveList:
     def test_record_read_creates_entry(self):
         active = ActiveList()

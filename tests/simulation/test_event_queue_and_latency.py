@@ -110,6 +110,71 @@ class TestEventQueue:
         assert len(queue) == 1
 
 
+    def test_an_event_exactly_at_the_bound_is_due(self):
+        queue = EventQueue()
+        queue.schedule(5.0, lambda: None)
+        assert queue.pop_if_before(4.999) is None
+        assert queue.pop_if_before(5.0)[0] == 5.0
+
+    def test_schedule_accepts_time_zero(self):
+        queue = EventQueue()
+        queue.schedule(0.0, lambda: None)
+        assert queue.pop_if_before(0.0)[0] == 0.0
+
+    def test_the_clock_reads_each_event_time_while_it_runs(self):
+        queue = EventQueue()
+        clock = VirtualClock()
+        seen = []
+        for timestamp in (0.25, 1.5, 4.0):
+            queue.schedule(timestamp, lambda: seen.append(clock.now()))
+        queue.run_until(clock, 6.0)
+        assert seen == [0.25, 1.5, 4.0]
+        assert clock.now() == 6.0
+
+    def test_events_scheduled_while_running_run_in_the_same_pass_when_due(self):
+        queue = EventQueue()
+        clock = VirtualClock()
+        executed = []
+
+        def first():
+            executed.append("first")
+            queue.schedule(clock.now() + 1.0, lambda: executed.append("follow-up"))
+            queue.schedule(clock.now() + 10.0, lambda: executed.append("too late"))
+
+        queue.schedule(1.0, first)
+        assert queue.run_until(clock, 5.0) == 2
+        assert executed == ["first", "follow-up"]
+        assert len(queue) == 1
+
+    def test_a_small_batch_onto_a_large_heap_keeps_time_and_tie_order(self):
+        # A batch under a quarter of the heap is pushed entry by entry rather
+        # than re-heapified; the order contract is the same.
+        queue = EventQueue()
+        executed = []
+        for index in range(20):
+            queue.schedule(float(index), lambda i=index: executed.append(("single", i)))
+        queue.schedule_many(
+            [(3.0, lambda: executed.append(("bulk", 3))), (0.5, lambda: executed.append(("bulk", 0)))]
+        )
+        queue.run_until(VirtualClock(), 30.0)
+        assert executed.index(("bulk", 0)) == 1  # after single 0.0, before single 1.0
+        assert executed.index(("bulk", 3)) == executed.index(("single", 3)) + 1
+
+    def test_sequences_continue_across_schedule_push_and_schedule_many(self):
+        queue = EventQueue()
+        queue.schedule(1.0, lambda: None)
+        queue.schedule_many([(1.0, lambda: None), (1.0, lambda: None)])
+        queue.push(1.0, lambda: None)
+        assert [queue.pop_if_before(1.0)[1] for _ in range(4)] == [0, 1, 2, 3]
+
+    def test_processed_counts_every_pop_across_runs(self):
+        queue = EventQueue()
+        queue.schedule_many((float(index), lambda: None) for index in range(6))
+        clock = VirtualClock()
+        assert queue.run_until(clock, 2.0) == 3
+        assert queue.run_until(clock, 10.0) == 3
+        assert queue.processed == 6 and len(queue) == 0
+
 class TestLatencyModel:
     def test_zero_jitter_returns_mean(self):
         model = LatencyModel(mean=0.1)

@@ -81,6 +81,27 @@ def test_a_hostile_simulation_config_is_rejected_at_construction(field, value):
         SimulationConfig(**{field: value})
 
 
+COUNT_FIELDS = (
+    "num_clients", "connections_per_client", "num_shards", "replication_factor",
+    "matching_nodes", "max_operations",
+)
+
+
+@pytest.mark.parametrize("value", [0, -2, 3.0, False, "2"])
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_every_count_field_takes_only_a_positive_int(field, value):
+    # An integral float (3.0) still fails later in range(); False counts as
+    # zero; a numeric string never compares; each is refused by name.
+    with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer"):
+        SimulationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_every_count_field_accepts_a_positive_int(field):
+    config = SimulationConfig(**{field: 2})
+    assert getattr(config, field) == 2
+
+
 @pytest.mark.parametrize("field", ["origin_capacity", "duration"])
 def test_an_infinite_capacity_or_duration_stays_accepted_as_unbounded(field):
     # +inf is accepted on purpose: an infinite capacity spaces requests by

@@ -122,3 +122,86 @@ def test_the_committed_allowlist_parses(census):
     entries = census.read_allowlist(census.ALLOWLIST.read_text())
     assert 0 < len(entries) <= 40
     assert set(entries.values()) <= set(census.REASONS)
+
+
+@pytest.mark.parametrize("reason", ["bench", "producer", "safety", "language", "worker"])
+def test_every_reason_of_the_closed_set_is_accepted(census, reason):
+    assert census.read_allowlist(f"repro.toy:forgotten {reason}") == {
+        "repro.toy:forgotten": reason
+    }
+
+
+def test_comments_and_blank_lines_are_ignored(census):
+    text = "# header\n\nrepro.toy:forgotten safety  # why it stays\n   \n# trailer\n"
+    assert census.read_allowlist(text) == {"repro.toy:forgotten": "safety"}
+
+
+def test_a_target_listed_twice_is_rejected(census):
+    with pytest.raises(SystemExit):
+        census.read_allowlist("repro.toy:forgotten safety\nrepro.toy:forgotten bench\n")
+
+
+def test_a_module_entry_covers_no_module_that_merely_shares_its_prefix(census):
+    modules = {
+        "repro.toy": census.defs("def forgotten():\n    pass\n"),
+        "repro.toy_extra": census.defs("def spare():\n    pass\n"),
+    }
+    unlisted, stale = census.classify(modules, set(), {"repro.toy": "language"})
+    assert [target for target, _lines in unlisted] == ["repro.toy_extra:spare"]
+    assert stale == []
+
+
+def test_a_class_entry_covers_no_sibling_that_merely_shares_its_prefix(census):
+    unlisted, stale = verdict(
+        census, {"repro.toy:reached", "repro.toy:forgotten"}, {"repro.toy:Widg": "producer"}
+    )
+    assert [target for target, _lines in unlisted] == [
+        "repro.toy:Widget.spare", "repro.toy:Widget.spare.helper",
+    ]
+    assert stale == ["repro.toy:Widg"]
+
+
+def test_a_class_entry_goes_stale_once_every_method_is_reached(census):
+    reached = {
+        "repro.toy:reached", "repro.toy:forgotten",
+        "repro.toy:Widget.spare", "repro.toy:Widget.spare.helper",
+    }
+    assert verdict(census, reached, {"repro.toy:Widget": "producer"}) == (
+        [], ["repro.toy:Widget"]
+    )
+
+
+def test_a_decorated_def_starts_at_its_first_decorator(census):
+    source = "import functools\n\n\n@functools.lru_cache()\n@staticmethod\ndef cached():\n    pass\n"
+    [(name, first, lines, exempt)] = census.defs(source)
+    # cProfile reports a decorated function at its first decorator's line.
+    assert (name, first, lines, exempt) == ("cached", 4, 2, False)
+
+
+def test_body_lines_count_the_whole_def(census):
+    source = "def long():\n    a = 1\n    b = 2\n\n    return a + b\n"
+    assert census.defs(source) == [("long", 1, 5, False)]
+
+
+def test_defs_inside_functions_and_async_defs_are_qualified(census):
+    source = (
+        "def outer():\n"
+        "    class Local:\n"
+        "        def method(self):\n"
+        "            pass\n"
+        "    return Local\n"
+        "\n"
+        "\n"
+        "async def fetch():\n"
+        "    pass\n"
+    )
+    assert [name for name, _first, _lines, _exempt in census.defs(source)] == [
+        "outer", "outer.Local.method", "fetch",
+    ]
+
+
+def test_every_pin_test_the_census_runs_exists(census):
+    for pin in census.PIN_TESTS:
+        path, _, node = pin.partition("::")
+        source = (census.ROOT / path).read_text()
+        assert not node or f"class {node}" in source, pin

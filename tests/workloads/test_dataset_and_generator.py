@@ -56,6 +56,13 @@ class TestDatasetGeneration:
             DatasetSpec(average_result_size=0)
 
 
+    @pytest.mark.parametrize(
+        "field", ["num_tables", "documents_per_table", "queries_per_table", "average_result_size"]
+    )
+    def test_each_shape_field_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            DatasetSpec(**{field: -1})
+
 class TestWorkloadSpec:
     def test_proportions_must_sum_to_one(self):
         with pytest.raises(ConfigurationError):
@@ -77,6 +84,28 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(read_proportion=-0.1, query_proportion=1.1, update_proportion=0.0)
 
+
+    @pytest.mark.parametrize(
+        "field",
+        ["read_proportion", "query_proportion", "update_proportion",
+         "insert_proportion", "delete_proportion"],
+    )
+    def test_each_negative_proportion_is_named(self, field):
+        # The shares still sum to 1: only the sign is wrong.
+        shares = dict.fromkeys(
+            ["read_proportion", "query_proportion", "update_proportion",
+             "insert_proportion", "delete_proportion"], 0.0
+        )
+        other = "read_proportion" if field != "read_proportion" else "query_proportion"
+        shares[field] = -0.25
+        shares[other] = 1.25
+        with pytest.raises(ConfigurationError, match=f"{field} must be non-negative"):
+            WorkloadSpec(**shares)
+
+    @pytest.mark.parametrize("update_rate", [-0.01, 1.0])
+    def test_update_rate_outside_the_half_open_unit_interval_is_rejected(self, update_rate):
+        with pytest.raises(ConfigurationError, match="update_rate"):
+            WorkloadSpec.with_update_rate(update_rate)
 
 class TestWorkloadGenerator:
     def test_operation_mix_matches_proportions(self, small_dataset):
@@ -150,3 +179,13 @@ class TestOperationValidation:
     def test_update_requires_payload(self):
         with pytest.raises(ValueError):
             Operation(OperationType.UPDATE, "posts", document_id="p1")
+
+    def test_insert_requires_payload(self):
+        with pytest.raises(ValueError, match="insert operations require a payload"):
+            Operation(OperationType.INSERT, "posts", document_id="p1")
+
+    def test_delete_needs_only_an_id(self):
+        operation = Operation(OperationType.DELETE, "posts", document_id="p1")
+        assert operation.document_id == "p1" and operation.payload is None
+        with pytest.raises(ValueError, match="delete operations require a document_id"):
+            Operation(OperationType.DELETE, "posts")
