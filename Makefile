@@ -54,7 +54,10 @@
 #                          generation, GC-tracked objects retained per op by type
 #   make budgets         - the machine-independent cost guards: frames and calls
 #                          of every tests/*/test_*budget*.py path (seconds)
-#   make docs-check      - fail if README.md or docs/ reference missing modules/files
+#   make docs-check      - fail if README.md or docs/ reference missing modules/files,
+#                          if a src/repro module is an orphan, or if a backticked
+#                          `Class.member` in README.md or docs/architecture.md
+#                          names no member of its class
 #   make unused-functions - function census gate (~60 s on two cores): fails on
 #                          any def under src/repro that no entry point reaches
 #                          (benchmark workloads, verify and obs smokes, fast

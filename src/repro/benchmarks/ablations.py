@@ -19,10 +19,7 @@ from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
 from repro.core.config import QuaestorConfig
 from repro.benchmarks.report import ExperimentReport
 from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
-from repro.ttl.alex import AlexTTLEstimator
-from repro.ttl.base import TTLBounds
-from repro.ttl.estimator import QuaestorTTLEstimator
-from repro.ttl.static import StaticTTLEstimator
+from repro.ttl.spec import TTLEstimatorSpec
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -46,12 +43,11 @@ def run_ttl_estimator_ablation(
 ) -> ExperimentReport:
     """Compare TTL estimation strategies under the read-heavy workload."""
     connections = connections if connections is not None else scale.connection_steps[2]
-    bounds = TTLBounds(minimum=1.0, maximum=600.0)
     estimators = {
-        "static-10s": StaticTTLEstimator(ttl=10.0, bounds=bounds),
-        "static-120s": StaticTTLEstimator(ttl=120.0, bounds=bounds),
-        "alex": AlexTTLEstimator(bounds=bounds),
-        "quaestor": QuaestorTTLEstimator(bounds=bounds),
+        "static-10s": TTLEstimatorSpec.of("static", ttl=10.0),
+        "static-120s": TTLEstimatorSpec.of("static", ttl=120.0),
+        "alex": TTLEstimatorSpec.of("alex"),
+        "quaestor": TTLEstimatorSpec.of("quaestor"),
     }
     report = ExperimentReport(
         experiment="Ablation: TTL estimation",
@@ -65,9 +61,9 @@ def run_ttl_estimator_ablation(
         ],
     )
     for name, estimator in estimators.items():
-        simulator = Simulator(_base_config(scale, connections))
-        simulator.server.ttl_estimator = estimator
-        result = simulator.run()
+        config = _base_config(scale, connections)
+        config.quaestor = QuaestorConfig(ttl_estimator=estimator)
+        result = Simulator(config).run()
         report.add_row(
             estimator=name,
             client_query_hit_rate=result.client_query_hit_rate,

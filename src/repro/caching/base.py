@@ -1,8 +1,7 @@
-"""Common behaviour of HTTP caches (storage, freshness, LRU bounding)."""
+"""Common behaviour of HTTP caches (storage and freshness)."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Sequence
 
 from repro.caching.entry import CacheEntry
@@ -14,29 +13,17 @@ from repro.rest.messages import Response
 class WebCache:
     """A standards-following HTTP cache.
 
-    The cache stores responses under their resource URL (cache key), serves
-    them while fresh, and evicts least-recently-used entries when bounded
-    (only a bounded cache keeps a recency order: nothing else can observe it).
+    The cache stores responses under their resource URL (cache key) and
+    serves them while fresh; it is unbounded, so nothing is ever evicted.
     Whether the cache is *shared* determines which Cache-Control directive
     governs its TTL (``s-maxage`` for shared caches, ``max-age`` otherwise).
     """
 
-    def __init__(
-        self,
-        name: str,
-        clock: Clock,
-        shared: bool,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive when given")
+    def __init__(self, name: str, clock: Clock, shared: bool) -> None:
         self.name = name
         self.shared = shared
         self._clock = clock
-        # Recency only shows through eviction: an unbounded cache keeps a
-        # plain dict and never reorders it; a bounded one keeps LRU order.
-        self._entries: Dict[str, CacheEntry] = {} if max_entries is None else OrderedDict()
-        self._max_entries = max_entries
+        self._entries: Dict[str, CacheEntry] = {}
         self.stats = CacheStatistics()
 
     # -- lookups ---------------------------------------------------------------------
@@ -54,8 +41,6 @@ class WebCache:
             stats.misses += 1
             stats.stale_hits += 1
             return None
-        if self._max_entries is not None:
-            entries.move_to_end(key)
         stats.hits += 1
         return entry
 
@@ -92,11 +77,11 @@ class WebCache:
         The SDK's object-list side-caching: every serve of a query result
         re-stores its member records, and the entries of one result version
         are built once and restamped here on each re-serve.  The outcome --
-        map content, LRU order, evictions, ``stats`` -- is exactly that of
-        storing a new entry per member in sequence order, minus the entry
-        construction and a clock read per member (``now`` is the caller's
-        instant).  Only a positive ``ttl``
-        stores anything, so a negative or NaN one never reaches an entry.
+        map content and ``stats`` -- is exactly that of storing a new entry
+        per member in sequence order, minus the entry construction and a
+        clock read per member (``now`` is the caller's instant).  Only a
+        positive ``ttl`` stores anything, so a negative or NaN one never
+        reaches an entry.
 
         Ownership: the entries are *mutated* (``stored_at`` / ``ttl``), so
         they must be private to this cache and its caller.  Nothing else may
@@ -104,12 +89,6 @@ class WebCache:
         :meth:`CacheEntry.refreshed` copy.
         """
         if not ttl > 0:
-            return
-        if self._max_entries is not None:
-            for entry in entries:
-                entry.stored_at = now
-                entry.ttl = ttl
-                self._insert(entry.key, entry)  # the LRU touch and eviction, per member
             return
         store = self._entries
         for entry in entries:
@@ -125,11 +104,6 @@ class WebCache:
     def _insert(self, key: str, entry: CacheEntry) -> None:
         self._entries[key] = entry
         self.stats.stores += 1
-        if self._max_entries is not None:
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
 
     # -- removal ------------------------------------------------------------------------
 

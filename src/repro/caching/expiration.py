@@ -1,4 +1,4 @@
-"""Expiration-based caches (browser caches, forward and ISP proxies).
+"""Expiration-based caches (the client's browser cache).
 
 These caches honour TTLs but expose *no* interface through which the server
 could remove stale content -- which is exactly why Quaestor needs the Expiring
@@ -8,23 +8,16 @@ revalidate instead of reading from such a cache.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.caching.base import WebCache
 from repro.clock import Clock
 
 
 class ExpirationCache(WebCache):
-    """A purely TTL-driven HTTP cache that cannot be invalidated remotely."""
+    """A private, purely TTL-driven HTTP cache that cannot be invalidated
+    remotely; it reads ``max-age``."""
 
-    def __init__(
-        self,
-        name: str,
-        clock: Clock,
-        shared: bool = False,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        super().__init__(name=name, clock=clock, shared=shared, max_entries=max_entries)
+    def __init__(self, name: str, clock: Clock) -> None:
+        super().__init__(name=name, clock=clock, shared=False)
 
     @property
     def supports_purge(self) -> bool:

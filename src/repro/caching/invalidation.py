@@ -8,8 +8,6 @@ low (below 0.1 % in the paper's experiments).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.caching.base import WebCache
 from repro.clock import Clock
 
@@ -17,13 +15,8 @@ from repro.clock import Clock
 class InvalidationCache(WebCache):
     """A shared HTTP cache supporting server-initiated purges."""
 
-    def __init__(
-        self,
-        name: str,
-        clock: Clock,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        super().__init__(name=name, clock=clock, shared=True, max_entries=max_entries)
+    def __init__(self, name: str, clock: Clock) -> None:
+        super().__init__(name=name, clock=clock, shared=True)
 
     @property
     def supports_purge(self) -> bool:

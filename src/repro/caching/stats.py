@@ -15,7 +15,6 @@ class CacheStatistics:
     stale_hits: int = 0
     stores: int = 0
     purges: int = 0
-    evictions: int = 0
     revalidations: int = 0
 
     @property
@@ -36,7 +35,6 @@ class CacheStatistics:
             "stale_hits": self.stale_hits,
             "stores": self.stores,
             "purges": self.purges,
-            "evictions": self.evictions,
             "revalidations": self.revalidations,
             "hit_rate": self.hit_rate,
         }

@@ -98,7 +98,6 @@ class QuaestorClient:
         consistency: ConsistencyLevel = ConsistencyLevel.DELTA_ATOMIC,
         use_client_cache: bool = True,
         use_ebf: bool = True,
-        client_cache_max_entries: Optional[int] = None,
         name: str = "client",
         resilience=None,
         tracer=None,
@@ -131,9 +130,7 @@ class QuaestorClient:
             else None
         )
 
-        self.client_cache = ExpirationCache(
-            f"{name}-cache", self._clock, shared=False, max_entries=client_cache_max_entries
-        )
+        self.client_cache = ExpirationCache(f"{name}-cache", self._clock)
         levels = []
         if use_client_cache:
             levels.append(("client", self.client_cache))
@@ -498,9 +495,9 @@ class QuaestorClient:
         hits as well.
 
         Every serving of the result re-stores its member records, in served
-        document order (it drives LRU recency in a bounded client cache), for
-        the ``record_ttl`` this serving carries.  What a store *is* -- record
-        key, etag, body, and the version the session observes -- is a pure
+        document order, for the ``record_ttl`` this serving carries.  What a
+        store *is* -- record key, etag, body, and the version the session
+        observes -- is a pure
         function of the member's version.  So a member's entry is built, and
         observed into the session, once per *member version*: a re-serve of
         the same result only restamps its entries in one batch

@@ -146,8 +146,6 @@ class QuaestorCluster:
         matching_nodes: int = 1,
         auditor: Optional[StalenessAuditor] = None,
         dataset: Optional[Dataset] = None,
-        replicas: int = 64,
-        create_indexes: bool = True,
         replication: Optional[ReplicationConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         gray_seed: int = 0,
@@ -157,7 +155,7 @@ class QuaestorCluster:
             raise ValueError("num_shards must be positive")
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self.config = config if config is not None else QuaestorConfig()
-        self.router = ShardRouter(num_shards, replicas=replicas)
+        self.router = ShardRouter(num_shards)
         #: ``"shard:N"`` per shard: the key of its circuit breaker (and of
         #: its shard-level gray conditions), built once.
         self._shard_keys = tuple(f"shard:{shard_id}" for shard_id in range(num_shards))
@@ -176,7 +174,7 @@ class QuaestorCluster:
 
         databases = [Database(clock=self.clock) for _ in range(num_shards)]
         if dataset is not None:
-            self._load_dataset(databases, dataset, create_indexes)
+            self._load_dataset(databases, dataset)
 
         self.shards: List[QuaestorShard] = [
             QuaestorShard(
@@ -266,17 +264,13 @@ class QuaestorCluster:
 
     # -- construction helpers ---------------------------------------------------------
 
-    def _load_dataset(
-        self, databases: List[Database], dataset: Dataset, create_indexes: bool
-    ) -> None:
+    def _load_dataset(self, databases: List[Database], dataset: Dataset) -> None:
         """Pre-load ``dataset``, routing every document to its owning shard."""
         for table in dataset.tables:
             # Every shard materialises every collection so scatter queries and
             # later inserts never hit a missing-collection error.
             for database in databases:
-                collection = database.create_collection(table)
-                if create_indexes:
-                    collection.create_index(INDEXED_QUERY_FIELD)
+                database.create_collection(table).create_index(INDEXED_QUERY_FIELD)
             for document in dataset.documents[table]:
                 shard_id = self.router.shard_for_record(table, str(document["_id"]))
                 databases[shard_id].collection(table).insert(document)

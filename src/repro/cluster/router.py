@@ -32,10 +32,10 @@ WRITE_TYPES = (OperationType.INSERT, OperationType.UPDATE, OperationType.DELETE)
 class ShardRouter:
     """Consistent-hash placement of record keys onto cluster shards."""
 
-    def __init__(self, num_shards: int, replicas: int = 64) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        self.ring = ConsistentHashRing(range(num_shards), replicas=replicas)
+        self.ring = ConsistentHashRing(range(num_shards))
         self._statistics = ShardStatisticsTable(range(num_shards))
         #: Optional :class:`repro.obs.TraceRecorder`; when attached, routing
         #: decisions become ``router.route`` events on the open request span.

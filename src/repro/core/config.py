@@ -24,12 +24,11 @@ class QuaestorConfig:
 
     # -- Expiring Bloom Filter ------------------------------------------------------
     ebf_bits: int = PAPER_DEFAULT_BITS
-    ebf_hashes: int = 4
 
     # -- TTL estimation --------------------------------------------------------------
     #: Which TTL estimator family serves this deployment, selected by name
     #: from the :mod:`repro.ttl.spec` registry.  The default is the bake-off
-    #: winner (``BENCH_ttl.json``).
+    #: winner (``BENCH_ttl.json``).  This is the one way to choose it.
     ttl_estimator: TTLEstimatorSpec = field(default_factory=TTLEstimatorSpec)
     ttl_quantile: float = 0.5
     ewma_alpha: float = 0.7
@@ -38,9 +37,11 @@ class QuaestorConfig:
     #: (they can be purged, so a longer s-maxage is safe and raises hit rates).
     cdn_ttl_factor: float = 3.0
 
-    # -- caching switches ---------------------------------------------------------------
-    cache_records: bool = True
-    cache_queries: bool = True
+    # -- caching switch -----------------------------------------------------------------
+    #: Whether records and query results are served cacheable.  ``False`` is
+    #: the uncached baseline (``CachingMode.UNCACHED``): every response goes
+    #: out uncacheable and no query is admitted for invalidation matching.
+    caching: bool = True
 
     # -- representation cost model --------------------------------------------------------
     #: Result sizes up to this threshold are served as object-lists by default.
@@ -50,12 +51,10 @@ class QuaestorConfig:
     assumed_record_hit_rate: float = 0.6
 
     # -- capacity management ----------------------------------------------------------------
-    expected_update_rate: float = 100.0
-    capacity_headroom: float = 0.8
     max_active_queries: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.ebf_bits <= 0 or self.ebf_hashes <= 0:
+        if self.ebf_bits <= 0:
             raise ConfigurationError("EBF geometry must be positive")
         if not isinstance(self.ttl_estimator, TTLEstimatorSpec):
             raise ConfigurationError("ttl_estimator must be a TTLEstimatorSpec")
@@ -79,10 +78,3 @@ class QuaestorConfig:
             ttl_quantile=self.ttl_quantile,
             ewma_alpha=self.ewma_alpha,
         )
-
-    # -- convenience constructors ----------------------------------------------------------
-
-    @classmethod
-    def uncached(cls) -> "QuaestorConfig":
-        """Baseline configuration: Quaestor passes everything through uncached."""
-        return cls(cache_records=False, cache_queries=False)

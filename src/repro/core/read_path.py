@@ -99,7 +99,7 @@ def render_record_read(
     """
     etag = etag_for_version(collection, document_id, version)
     body = {"document": document, "version": version}
-    if not config.cache_records:
+    if not config.caching:
         return Response.uncacheable(body, etag=etag)
     key = record_key(collection, document_id)
     ttl = ttl_estimator.estimate_record(key, now)
@@ -239,7 +239,7 @@ class ReadPipeline:
         self.execute(ctx)
         self.fingerprint(ctx)
 
-        if not server.config.cache_queries:
+        if not server.config.caching:
             return self._uncacheable_client_response(ctx)
         admitted = self.probe_admission(ctx)
         if server.tracer is not None:
@@ -289,7 +289,7 @@ class ReadPipeline:
         )
         self.execute(ctx)
         body = {"documents": ctx.documents, "record_versions": ctx.versions}
-        if server.config.cache_queries:
+        if server.config.caching:
             if deadline is not None and deadline.exhausted:
                 server.counters.increment("deadline_skipped_probes")
             else:

@@ -93,11 +93,7 @@ class QuaestorServer:
         self.ebf = (
             ebf
             if ebf is not None
-            else ExpiringBloomFilter(
-                num_bits=self.config.ebf_bits,
-                num_hashes=self.config.ebf_hashes,
-                clock=self._clock,
-            )
+            else ExpiringBloomFilter(num_bits=self.config.ebf_bits, clock=self._clock)
         )
         self.ttl_estimator: TTLEstimator = (
             ttl_estimator
@@ -107,10 +103,7 @@ class QuaestorServer:
         self.invalidb = invalidb if invalidb is not None else InvaliDBCluster(matching_nodes=1)
         self.frontend = InvaliDBFrontend(self.invalidb)
         self.capacity = CapacityManager(
-            self.invalidb,
-            expected_update_rate=self.config.expected_update_rate,
-            headroom=self.config.capacity_headroom,
-            max_active_queries=self.config.max_active_queries,
+            self.invalidb, max_active_queries=self.config.max_active_queries
         )
         self.active_list = ActiveList()
         # Imported lazily: the staleness auditor lives in the simulation

@@ -11,6 +11,9 @@ from repro.db.documents import Document
 from repro.db.query import Query
 from repro.errors import CollectionNotFoundError
 
+#: Change events the change stream keeps in its history.
+CHANGE_HISTORY_LIMIT = 100_000
+
 
 class Database:
     """Aggregate-oriented document database with a global change stream.
@@ -20,14 +23,10 @@ class Database:
     :mod:`repro.core` and :mod:`repro.caching`.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        change_history_limit: Optional[int] = 100_000,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock: Clock = clock if clock is not None else VirtualClock()
         self._collections: Dict[str, Collection] = {}
-        self.change_stream = ChangeStream(history_limit=change_history_limit)
+        self.change_stream = ChangeStream(history_limit=CHANGE_HISTORY_LIMIT)
 
     # -- collection management ------------------------------------------------------
 

@@ -21,6 +21,8 @@ from repro.bloom.hashing import mixed_uint64
 
 #: Keys the ring's placement memo holds before it starts over.
 PLACEMENT_MEMO_SIZE = 1 << 16
+#: Virtual nodes (ring points) per shard.
+VIRTUAL_NODES = 64
 
 
 @dataclass
@@ -89,8 +91,8 @@ class ShardStatisticsTable:
 class ConsistentHashRing:
     """A consistent-hash ring mapping string keys onto shard ids.
 
-    Each shard is represented by ``replicas`` virtual nodes (points on the
-    ring), which evens out the arc lengths owned by each shard.  A key is
+    Each shard is represented by :data:`VIRTUAL_NODES` virtual nodes (points
+    on the ring), which evens out the arc lengths owned by each shard.  A key is
     placed on the first virtual node at or after its own hash position
     (wrapping around), so adding or removing one shard only moves the keys
     whose arcs that shard owned -- roughly ``1/num_shards`` of them -- while
@@ -104,10 +106,7 @@ class ConsistentHashRing:
     ring that no longer exists and never grows without bound.
     """
 
-    def __init__(self, shard_ids: Iterable[int] = (), replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = int(replicas)
+    def __init__(self, shard_ids: Iterable[int] = ()) -> None:
         self._shards: set = set()
         #: Sorted ring points as ``(position, shard_id)`` pairs.
         self._ring: List[Tuple[int, int]] = []
@@ -123,7 +122,7 @@ class ConsistentHashRing:
             return
         self._shards.add(shard_id)
         self._placements.clear()
-        for replica in range(self.replicas):
+        for replica in range(VIRTUAL_NODES):
             position = mixed_uint64(f"shard:{shard_id}:vnode:{replica}")
             bisect.insort(self._ring, (position, shard_id))
 
@@ -156,4 +155,4 @@ class ConsistentHashRing:
         return shard_id
 
     def __repr__(self) -> str:
-        return f"ConsistentHashRing(shards={len(self._shards)}, replicas={self.replicas})"
+        return f"ConsistentHashRing(shards={len(self._shards)})"

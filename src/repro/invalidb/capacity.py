@@ -24,6 +24,11 @@ from typing import Dict, Optional
 
 from repro.invalidb.cluster import InvaliDBCluster
 
+#: Updates per second the admission model budgets matching capacity for.
+EXPECTED_UPDATE_RATE = 100.0
+#: Share of a matching node's capacity the admitted queries may use.
+CAPACITY_HEADROOM = 0.8
+
 
 @dataclass(frozen=True)
 class AdmissionTicket:
@@ -74,19 +79,9 @@ class CapacityManager:
     """Admission control for the set of actively matched queries."""
 
     def __init__(
-        self,
-        cluster: InvaliDBCluster,
-        expected_update_rate: float = 100.0,
-        headroom: float = 0.8,
-        max_active_queries: Optional[int] = None,
+        self, cluster: InvaliDBCluster, max_active_queries: Optional[int] = None
     ) -> None:
-        if not 0 < headroom <= 1:
-            raise ValueError("headroom must lie in (0, 1]")
-        if expected_update_rate < 0:
-            raise ValueError("expected_update_rate must be non-negative")
         self.cluster = cluster
-        self.expected_update_rate = expected_update_rate
-        self.headroom = headroom
         self.max_active_queries = max_active_queries
         self._costs: Dict[str, QueryCost] = {}
         self._admitted: Dict[str, QueryCost] = {}
@@ -123,11 +118,9 @@ class CapacityManager:
         expected update rate split over the object partitions, the number of
         queries each node can host follows directly.
         """
-        per_node_updates = self.expected_update_rate / self.cluster.scheme.object_partitions
-        if per_node_updates <= 0:
-            return float("inf")
+        per_node_updates = EXPECTED_UPDATE_RATE / self.cluster.scheme.object_partitions
         per_node_queries = (
-            self.cluster.capacity_model.max_ops_per_second * self.headroom / per_node_updates
+            self.cluster.capacity_model.max_ops_per_second * CAPACITY_HEADROOM / per_node_updates
         )
         return per_node_queries * self.cluster.scheme.query_partitions
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.db.changestream import ChangeEvent
 from repro.db.documents import Document
@@ -109,14 +109,9 @@ class InvaliDBCluster:
     the object dimension (Section 4.1, "Managing Query State").
     """
 
-    def __init__(
-        self,
-        matching_nodes: int = 1,
-        scheme: Optional[PartitioningScheme] = None,
-        capacity_model: Optional[NodeCapacityModel] = None,
-    ) -> None:
-        self.scheme = scheme if scheme is not None else PartitioningScheme.for_nodes(matching_nodes)
-        self.capacity_model = capacity_model if capacity_model is not None else NodeCapacityModel()
+    def __init__(self, matching_nodes: int = 1) -> None:
+        self.scheme = PartitioningScheme.for_nodes(matching_nodes)
+        self.capacity_model = NodeCapacityModel()
         self.nodes: List[InvaliDBNode] = []
         for query_partition in range(self.scheme.query_partitions):
             for object_partition in range(self.scheme.object_partitions):

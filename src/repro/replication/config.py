@@ -16,6 +16,14 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.simulation.latency import LatencyModel
 
+#: Upper bound on how far behind (seconds of unapplied backlog) a replica may
+#: be and still serve Delta-atomic reads.  Delta-atomicity budgets for
+#: *bounded* staleness; a partitioned or deeply backlogged replica would
+#: otherwise serve arbitrarily old state to an EBF-triggered revalidation and
+#: have it whitelisted as fresh.  When the primary is down, over-bound
+#: replicas still serve (fail-stale availability beats refusing entirely).
+MAX_REPLICA_STALENESS = 1.0
+
 
 def default_replication_lag() -> LatencyModel:
     """Intra-region asynchronous replication: ~20 ms with mild jitter."""
@@ -40,28 +48,17 @@ class ReplicationConfig:
         replica (failure detection + election).  During this window the shard
         accepts no writes or strong reads; Delta-atomic and causal reads keep
         being served fail-stale by the surviving replicas.
-    max_replica_staleness:
-        Upper bound on how far behind (seconds of unapplied backlog) a
-        replica may be and still serve Delta-atomic reads.  Delta-atomicity
-        budgets for *bounded* staleness; a partitioned or deeply backlogged
-        replica would otherwise serve arbitrarily old state to an
-        EBF-triggered revalidation and have it whitelisted as fresh.  When
-        the primary is down, over-bound replicas still serve (fail-stale
-        availability beats refusing entirely).
     """
 
     replication_factor: int = 1
     lag: LatencyModel = field(default_factory=default_replication_lag)
     failover_detection_delay: float = 0.5
-    max_replica_staleness: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
             raise ConfigurationError("replication_factor must be at least 1")
         if self.failover_detection_delay < 0:
             raise ConfigurationError("failover_detection_delay must be non-negative")
-        if self.max_replica_staleness < 0:
-            raise ConfigurationError("max_replica_staleness must be non-negative")
 
     def reseed(self, seed: int) -> None:
         """Reseed the lag jitter stream (deterministic experiments)."""

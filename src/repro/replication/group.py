@@ -45,7 +45,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.metrics.counters import Counter
-from repro.replication.config import ReplicationConfig
+from repro.replication.config import MAX_REPLICA_STALENESS, ReplicationConfig
 from repro.replication.log_shipping import LogRecord
 from repro.replication.replica import ReplicaNode
 from repro.rest.messages import Response, StatusCode
@@ -261,7 +261,6 @@ class ReplicaGroup:
         candidates: List[ReplicaNode] = [primary] if primary.alive else []
         stale_candidates: Optional[List[ReplicaNode]] = None
         breaker_gate = self.breaker_gate
-        max_staleness = self.config.max_replica_staleness
         for node in self.nodes:
             if node is primary or not node.alive:
                 continue
@@ -274,7 +273,7 @@ class ReplicaGroup:
             if level is ConsistencyLevel.CAUSAL and not node.caught_up_to(min_timestamp):
                 self.counters.increment("causal_replica_skips")
                 continue
-            if node.staleness_at(now) > max_staleness:
+            if node.staleness_at(now) > MAX_REPLICA_STALENESS:
                 # Beyond the Delta budget (partitioned or deeply backlogged):
                 # not eligible while fresher nodes exist, but kept as the
                 # fail-stale last resort when the primary is down.

@@ -4,8 +4,7 @@ The EC2 experiments in the paper place the workload generators in Northern
 California and the Quaestor/MongoDB/InvaliDB deployment in Ireland, giving a
 mean wide-area round-trip of ~145 ms; the Fastly CDN edge answers in ~4 ms and
 client-cache hits are effectively free.  These constants are the defaults of
-:class:`NetworkTopology`; every latency can also be drawn from a distribution
-to model jitter.
+:class:`NetworkTopology`; every latency can also carry Gaussian jitter.
 """
 
 from __future__ import annotations
@@ -34,29 +33,18 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass
 class LatencyModel:
-    """A latency source: a mean with optional jitter around it.
+    """A latency source: a mean with optional Gaussian jitter around it.
 
-    The default jitter is *Gaussian* (``random.gauss(mean, jitter)``,
-    clamped at ``minimum``) -- symmetric, which is what every pinned golden
-    summary was produced with.  Real network latency is right-skewed, so an
-    opt-in ``distribution="lognormal"`` mode draws from a lognormal with
-    the same mean and standard deviation (moment-matched: for
-    ``cv = jitter/mean``, ``sigma^2 = ln(1 + cv^2)`` and
-    ``mu = ln(mean) - sigma^2/2``), producing the heavy upper tail without
-    moving the average.  The default stays ``"gauss"`` so existing seeded
-    experiments reproduce value-identically.
-
+    A sample is ``random.gauss(mean, jitter)`` clamped at ``minimum``.
     :meth:`sample` runs ``random.gauss``'s Box--Muller steps itself (no
     ``gauss`` frame), keeping the pair's spare on the model -- it is pickled
     with it and dropped by :meth:`reseed` -- so the stream is exactly
-    ``max(minimum, Random(seed).gauss(mean, jitter))``.  The lognormal
-    parameters are computed once.
+    ``max(minimum, Random(seed).gauss(mean, jitter))``.
     """
 
     mean: float
     jitter: float = 0.0
     minimum: float = 0.0
-    distribution: str = "gauss"
     _rng: random.Random = field(default_factory=lambda: random.Random(17), repr=False)
 
     def __post_init__(self) -> None:
@@ -67,38 +55,26 @@ class LatencyModel:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative")
             setattr(self, name, float(value))  # every sample is a float
-        if self.distribution not in ("gauss", "lognormal"):
-            raise ValueError(f"unknown latency distribution {self.distribution!r}")
-        if self.distribution == "lognormal" and self.jitter > 0 and self.mean <= 0:
-            raise ValueError("lognormal jitter requires a positive mean")
         self._fixed = max(self.minimum, self.mean)
         self._spare: Optional[float] = None
-        if self.distribution == "lognormal" and self.jitter > 0:
-            cv_squared = (self.jitter / self.mean) ** 2
-            sigma_squared = math.log(1.0 + cv_squared)
-            self._mu = math.log(self.mean) - sigma_squared / 2.0
-            self._sigma = math.sqrt(sigma_squared)
 
     def sample(self) -> float:
         """Draw one latency sample (mean when jitter is zero)."""
         if self.jitter == 0.0:
             return self._fixed
-        if self.distribution == "lognormal":
-            value = self._rng.lognormvariate(self._mu, self._sigma)
+        z = self._spare
+        if z is None:
+            uniform = self._rng.random
+            x2pi = uniform() * _TWO_PI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            # The pair (cos * g2rad, sin * g2rad) is the point at radius
+            # g2rad and angle x2pi: one rect() call, the same products.
+            pair = cmath.rect(g2rad, x2pi)
+            z = pair.real
+            self._spare = pair.imag
         else:
-            z = self._spare
-            if z is None:
-                uniform = self._rng.random
-                x2pi = uniform() * _TWO_PI
-                g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
-                # The pair (cos * g2rad, sin * g2rad) is the point at radius
-                # g2rad and angle x2pi: one rect() call, the same products.
-                pair = cmath.rect(g2rad, x2pi)
-                z = pair.real
-                self._spare = pair.imag
-            else:
-                self._spare = None
-            value = self.mean + z * self.jitter
+            self._spare = None
+        value = self.mean + z * self.jitter
         minimum = self.minimum
         return value if value > minimum else minimum
 

@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.simulation.aggregate import RunAggregate
 from repro.simulation.pool import map_in_processes, usable_cpus
-from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
+from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator, require_count
 from repro.workloads.dataset import Dataset, generate_dataset
 from repro.workloads.generator import (
     derive_substream_seed,
@@ -99,8 +99,7 @@ def partition_simulation(
     worker-count invariant.
     """
     total = num_partitions if num_partitions is not None else config.num_shards
-    if total <= 0:
-        raise ConfigurationError("num_partitions must be positive")
+    require_count("num_partitions", total)
     parent = dataset if dataset is not None else generate_dataset(config.dataset)
     if total == 1:
         return [PartitionJob(partition_id=0, config=config, dataset=parent)]
@@ -303,8 +302,7 @@ class ParallelSimulator:
         self.config = config
         self.jobs = partition_simulation(config, num_partitions, dataset=dataset)
         requested = num_workers if num_workers is not None else usable_cpus()
-        if requested <= 0:
-            raise ConfigurationError("num_workers must be positive")
+        require_count("num_workers", requested)
         self.num_workers = min(requested, len(self.jobs))
 
     def run(self) -> ParallelSimulationResult:

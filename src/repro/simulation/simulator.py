@@ -41,7 +41,6 @@ from repro.simulation.event_queue import EventQueue
 from repro.simulation.latency import NetworkTopology
 from repro.simulation.pricing import Pricer
 from repro.simulation.staleness import StalenessAuditor
-from repro.ttl.spec import TTLEstimatorSpec
 from repro.workloads.dataset import Dataset, DatasetSpec, generate_dataset
 from repro.workloads.generator import PhasedWorkloadGenerator, WorkloadGenerator, WorkloadSpec
 from repro.workloads.operations import Operation, OperationType
@@ -62,6 +61,14 @@ _QUERY = OperationType.QUERY
 _UPDATE = OperationType.UPDATE
 _INSERT = OperationType.INSERT
 _DELETE = OperationType.DELETE
+
+
+def require_count(name: str, value) -> None:
+    """Reject ``value`` unless it is a positive ``int`` (``bool`` excluded:
+    ``True`` would pass as a count of one; NaN, infinities and fractions are
+    not ``int``)."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value > 0):
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 
 class CachingMode(str, enum.Enum):
@@ -107,6 +114,9 @@ class SimulationConfig:
     max_operations: int = 20_000
     seed: int = 42
     topology: NetworkTopology = field(default_factory=NetworkTopology)
+    #: The Quaestor server config, TTL estimator choice included.
+    #: ``CachingMode.UNCACHED`` runs it with ``caching`` switched off and
+    #: every other field as given.
     quaestor: QuaestorConfig = field(default_factory=QuaestorConfig)
     #: Requests per second the origin (DBaaS + database) can absorb.  In a
     #: sharded deployment this is *per shard*: every shard is an independent
@@ -131,11 +141,6 @@ class SimulationConfig:
     #: Seconds between a primary crash and the promotion of a replica
     #: (failure detection + election).
     failover_detection_delay: float = 0.5
-    #: Select a TTL estimator by name (:mod:`repro.ttl.spec` registry).  When
-    #: set, it overrides ``quaestor.ttl_estimator`` -- including for modes
-    #: that replace the Quaestor config (e.g. ``UNCACHED``) -- so a sweep can
-    #: swap estimators without touching the rest of the server config.
-    ttl_estimator: Optional[TTLEstimatorSpec] = None
     #: Non-stationary workloads: ``(operations, spec)`` phases concatenated
     #: by a :class:`~repro.workloads.PhasedWorkloadGenerator` (the final
     #: phase is open-ended).  ``None`` keeps the single stationary
@@ -169,14 +174,11 @@ class SimulationConfig:
         # Comparisons are written so that NaN fails them: ``not x > 0``
         # rejects NaN where ``x <= 0`` would let it through.  ``+inf`` stays
         # a valid capacity and duration (unbounded).
-        # ``bool`` is an ``int`` subclass: ``True`` would pass as a count of one.
         for name in (
             "num_clients", "connections_per_client", "num_shards", "replication_factor",
             "matching_nodes", "max_operations",
         ):
-            count = getattr(self, name)
-            if not (isinstance(count, int) and not isinstance(count, bool) and count > 0):
-                raise ConfigurationError(f"{name} must be a positive integer, got {count!r}")
+            require_count(name, getattr(self, name))
         if not 0.0 <= self.failover_detection_delay < math.inf:
             raise ConfigurationError("failover_detection_delay must be non-negative and finite")
         if not self.duration > 0:
@@ -187,10 +189,6 @@ class SimulationConfig:
             raise ConfigurationError("warmup_fraction must lie in [0, 1)")
         if not self.origin_capacity > 0:
             raise ConfigurationError("origin_capacity must be positive")
-        if self.ttl_estimator is not None and not isinstance(
-            self.ttl_estimator, TTLEstimatorSpec
-        ):
-            raise ConfigurationError("ttl_estimator must be a TTLEstimatorSpec")
         if self.consistency is not None and not isinstance(self.consistency, ConsistencyLevel):
             raise ConfigurationError("consistency must be a ConsistencyLevel")
         if self.observability is not None:
@@ -202,8 +200,7 @@ class SimulationConfig:
             if not self.workload_phases:
                 raise ConfigurationError("workload_phases must contain at least one phase")
             for operations, _spec in self.workload_phases:
-                if operations <= 0:
-                    raise ConfigurationError("every workload phase budget must be positive")
+                require_count("workload_phases budget", operations)
 
     @property
     def total_connections(self) -> int:
@@ -275,10 +272,7 @@ class Simulator:
         self.dataset = dataset if dataset is not None else generate_dataset(config.dataset)
         quaestor_config = config.quaestor
         if config.mode is CachingMode.UNCACHED:
-            quaestor_config = QuaestorConfig.uncached()
-        if config.ttl_estimator is not None:
-            # Applied after any mode substitution so the knob always wins.
-            quaestor_config = replace(quaestor_config, ttl_estimator=config.ttl_estimator)
+            quaestor_config = replace(quaestor_config, caching=False)
         #: Offline-verification history: installs enter it through the
         #: auditor, operations through this simulator.  ``None`` (the
         #: default) keeps every path recording-free.

@@ -140,8 +140,7 @@ def scenario_config(
         duration=60.0,
         max_operations=max_operations,
         seed=seed,
-        quaestor=QuaestorConfig(ttl_bounds=BAKEOFF_BOUNDS),
-        ttl_estimator=estimator,
+        quaestor=QuaestorConfig(ttl_estimator=estimator, ttl_bounds=BAKEOFF_BOUNDS),
     )
 
 

@@ -28,9 +28,6 @@ class QuaestorTTLEstimator(TTLEstimator):
         invalidations); a lower quantile yields conservative TTLs.
     alpha:
         EWMA smoothing factor for query TTL refinement.
-    use_expected_value:
-        When ``True``, the expected time to the next write (``1 / lambda``) is
-        used instead of the quantile, i.e. the observed mean TTL.
     """
 
     def __init__(
@@ -39,13 +36,11 @@ class QuaestorTTLEstimator(TTLEstimator):
         alpha: float = 0.7,
         bounds: Optional[TTLBounds] = None,
         sampler: Optional[WriteRateSampler] = None,
-        use_expected_value: bool = False,
     ) -> None:
         super().__init__(bounds)
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must lie strictly between 0 and 1")
         self.quantile = quantile
-        self.use_expected_value = use_expected_value
         self.sampler = sampler if sampler is not None else WriteRateSampler()
         self._query_ewma = EwmaTracker(alpha)
 
@@ -53,7 +48,7 @@ class QuaestorTTLEstimator(TTLEstimator):
 
     def estimate_record(self, record_key: str, now: float) -> float:
         rate = self.sampler.write_rate(record_key, now)
-        return self.bounds.clamp(self._poisson_ttl(rate))
+        return self.bounds.clamp(poisson_quantile_ttl(rate, self.quantile))
 
     def estimate_query(
         self, query_key: str, member_record_keys: Sequence[str], now: float
@@ -63,11 +58,11 @@ class QuaestorTTLEstimator(TTLEstimator):
             return self.bounds.clamp(refined)
         if member_record_keys:
             rates = [self.sampler.write_rate(key, now) for key in member_record_keys]
-            estimate = self._poisson_ttl(combined_write_rate(rates))
+            estimate = poisson_quantile_ttl(combined_write_rate(rates), self.quantile)
         else:
             # Empty results change when a matching record is inserted; without
             # member rates the sampler's default rate is the best prior.
-            estimate = self._poisson_ttl(self.sampler.default_rate)
+            estimate = poisson_quantile_ttl(self.sampler.default_rate, self.quantile)
         clamped = self.bounds.clamp(estimate)
         self._query_ewma.seed(query_key, clamped)
         return clamped
@@ -82,10 +77,3 @@ class QuaestorTTLEstimator(TTLEstimator):
     ) -> None:
         """Blend the actual cacheable duration into the query's estimate."""
         self._query_ewma.update(query_key, max(0.0, actual_ttl))
-
-    # -- internals -------------------------------------------------------------------------
-
-    def _poisson_ttl(self, rate: float) -> float:
-        if self.use_expected_value:
-            return 1.0 / rate
-        return poisson_quantile_ttl(rate, self.quantile)

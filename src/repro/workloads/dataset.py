@@ -73,12 +73,11 @@ class Dataset:
     documents: Dict[str, List[Document]] = field(default_factory=dict)
     queries: Dict[str, List[Query]] = field(default_factory=dict)
 
-    def load_into(self, database: Database, create_indexes: bool = True) -> None:
+    def load_into(self, database: Database) -> None:
         """Insert every document into ``database`` (and index the query field)."""
         for table in self.tables:
             collection = database.create_collection(table)
-            if create_indexes:
-                collection.create_index(INDEXED_QUERY_FIELD)
+            collection.create_index(INDEXED_QUERY_FIELD)
             for document in self.documents[table]:
                 collection.insert(document)
 

@@ -2,9 +2,9 @@
 
 The Zipfian generator follows the standard YCSB construction (Gray et al.'s
 rejection-free algorithm) so that popularity skew matches what the paper's
-workload generator produces.  A scrambled variant spreads the popular items
-across the keyspace, avoiding accidental correlation between key id and
-popularity.
+workload generator produces.  Ranks are scrambled: the popular items are
+spread across the keyspace, avoiding accidental correlation between key id
+and popularity.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from repro.bloom.hashing import stable_uint64
 
 
 class ZipfianGenerator:
-    """Zipfian selection with configurable skew constant (YCSB algorithm)."""
+    """Scrambled Zipfian selection with configurable skew constant (YCSB algorithm)."""
 
     def __init__(
         self,
         item_count: int,
         constant: float = 0.99,
         rng: Optional[random.Random] = None,
-        scrambled: bool = True,
     ) -> None:
         if item_count <= 0:
             raise ValueError("item_count must be positive")
@@ -35,9 +34,8 @@ class ZipfianGenerator:
         self._item_count = item_count
         self._constant = constant
         self._rng = rng if rng is not None else random.Random(0)
-        self._scrambled = scrambled
         #: Scrambled index per rank, filled on a rank's first draw.
-        self._scramble: List[Optional[int]] = [None] * item_count if scrambled else []
+        self._scramble: List[Optional[int]] = [None] * item_count
 
         self._zeta_n = self._zeta(item_count, constant)
         self._theta = constant
@@ -71,7 +69,6 @@ class ZipfianGenerator:
         item_count = self._item_count
         eta = self._eta
         alpha = self._alpha
-        scrambled = self._scrambled
         scramble = self._scramble
         top = item_count - 1
         indexes: List[int] = [0] * count
@@ -86,10 +83,8 @@ class ZipfianGenerator:
                 rank = int(item_count * (eta * u - eta + 1) ** alpha)
                 if rank > top:
                     rank = top
-            if scrambled:
-                index = scramble[rank]
-                if index is None:
-                    index = scramble[rank] = stable_uint64(f"zipf-{rank}") % item_count
-                rank = index
-            indexes[position] = rank
+            index = scramble[rank]
+            if index is None:
+                index = scramble[rank] = stable_uint64(f"zipf-{rank}") % item_count
+            indexes[position] = index
         return indexes

@@ -52,29 +52,13 @@ class TestExpirationCache:
         assert "key" not in cache
 
     def test_private_cache_uses_max_age_not_smaxage(self, clock):
-        cache = ExpirationCache("browser", clock, shared=False)
+        cache = ExpirationCache("browser", clock)
         cache.store("key", Response.ok("body", ttl=2.0, shared_ttl=100.0))
         clock.advance(3.0)
         assert cache.lookup("key", clock.now()) is None
 
-    def test_shared_cache_uses_smaxage(self, clock):
-        cache = ExpirationCache("isp-proxy", clock, shared=True)
-        cache.store("key", Response.ok("body", ttl=2.0, shared_ttl=100.0))
-        clock.advance(3.0)
-        assert cache.lookup("key", clock.now()) is not None
-
     def test_no_purge_support(self, clock):
         assert ExpirationCache("browser", clock).supports_purge is False
-
-    def test_lru_eviction(self, clock):
-        cache = ExpirationCache("browser", clock, max_entries=2)
-        cache.store("a", Response.ok(1, ttl=100))
-        cache.store("b", Response.ok(2, ttl=100))
-        cache.lookup("a", clock.now())  # a becomes most recently used
-        cache.store("c", Response.ok(3, ttl=100))
-        assert "a" in cache
-        assert "b" not in cache
-        assert cache.stats.evictions == 1
 
     def test_peek_does_not_count(self, clock):
         cache = ExpirationCache("browser", clock)
@@ -112,17 +96,12 @@ class TestRestamp:
         # A negative TTL never reaches the entry either.
         assert entry.ttl == 1.0
 
-    def test_restamp_respects_lru_bound_like_single_stores(self, clock):
-        cache = ExpirationCache("c", clock, max_entries=2)
+    def test_restamp_counts_a_store_per_member_like_single_stores(self, clock):
+        cache = ExpirationCache("c", clock)
         cache.restamp([_entry("a"), _entry("b"), _entry("c")], 10.0, clock.now())
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.stats.evictions == 1
-        # Re-storing an evicted key mid-batch evicts again, exactly as three
-        # single stores would: b, c | a -> c, a | b -> a, b | c -> b, c.
+        # Re-storing held keys replaces their entries, as single stores would.
         cache.restamp([_entry("a"), _entry("b"), _entry("c")], 10.0, clock.now())
-        assert list(cache._entries) == ["b", "c"]
-        assert cache.stats.evictions == 4
+        assert len(cache) == 3
         assert cache.stats.stores == 6
 
     def test_restamp_applies_the_ttl_of_each_call(self, clock):
@@ -135,15 +114,14 @@ class TestRestamp:
         clock.advance(2.5)
         assert cache.lookup("a", clock.now()) is None
 
-    def test_restamp_moves_existing_keys_to_the_recent_end(self, clock):
-        # Recency is observable only where something evicts: a bounded cache.
-        cache = ExpirationCache("c", clock, max_entries=2)
+    def test_restamp_of_a_held_key_keeps_the_other_entries(self, clock):
+        cache = ExpirationCache("c", clock)
         first, second = _entry("a"), _entry("b")
         cache.restamp([first, second], 10.0, clock.now())
-        cache.restamp([first], 10.0, clock.now())
-        cache.restamp([_entry("c")], 10.0, clock.now())  # evicts the least recent key
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
+        clock.advance(1.0)
+        cache.restamp([first], 5.0, clock.now())
+        assert cache.peek("a") is first and first.fresh_until == 6.0
+        assert cache.peek("b") is second and second.fresh_until == 10.0
 
 
 class TestInvalidationCache:

@@ -50,16 +50,6 @@ class TestBaselineConfigurations:
         assert client._bloom is None
         assert server.counters.get("ebf_downloads") == 0
 
-    def test_bounded_client_cache_evicts(self, server, cdn, clock):
-        client = QuaestorClient(
-            server, cdn=cdn, clock=clock, client_cache_max_entries=5
-        )
-        client.connect()
-        for index in range(10):
-            client.read("posts", f"p{index}")
-        assert len(client.client_cache) <= 5
-        assert client.client_cache.stats.evictions >= 5
-
 
 class TestSdkInternals:
     def test_unknown_query_key_in_origin_fetch_rejected(self, server, cdn, clock):

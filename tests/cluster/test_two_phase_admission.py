@@ -153,7 +153,7 @@ class TestScatterAbortInvariant:
         assert cluster.statistics()["admission_aborts"] == 0
 
     def test_caching_disabled_scatter_is_not_counted_as_abort(self):
-        cluster = build_cluster(cache_queries=False)
+        cluster = build_cluster(caching=False)
         response = cluster.query(QUERIES[0])
         assert not response.is_cacheable
         assert cluster.counters.get("scatter_queries_aborted") == 0

@@ -12,13 +12,8 @@ from repro.errors import ConfigurationError
 class TestQuaestorConfig:
     def test_defaults_are_valid(self):
         config = QuaestorConfig()
-        assert config.cache_records and config.cache_queries
+        assert config.caching
         assert config.cdn_ttl_factor >= 1.0
-
-    def test_uncached_profile(self):
-        config = QuaestorConfig.uncached()
-        assert not config.cache_records
-        assert not config.cache_queries
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -37,7 +32,7 @@ class TestQuaestorConfig:
         "setting, message",
         [
             ({"ebf_bits": -8}, "EBF geometry"),
-            ({"ebf_hashes": 0}, "EBF geometry"),
+            ({"ebf_bits": 0}, "EBF geometry"),
             ({"ttl_estimator": "ewma"}, "ttl_estimator"),
             ({"ttl_quantile": 0.0}, "ttl_quantile"),
             ({"ttl_quantile": 1.0}, "ttl_quantile"),
@@ -54,7 +49,7 @@ class TestQuaestorConfig:
     @pytest.mark.parametrize(
         "setting",
         [
-            {"ebf_bits": 1, "ebf_hashes": 1},
+            {"ebf_bits": 1},
             {"ttl_quantile": 0.001},
             {"ttl_quantile": 0.999},
             {"ewma_alpha": 0.0},

@@ -84,7 +84,7 @@ def _server() -> QuaestorServer:
     posts.create_index("category")
     for number in range(40):
         posts.insert({"_id": f"d{number:03d}", "category": number % 4, "views": number})
-    return QuaestorServer(database, config=QuaestorConfig.uncached())
+    return QuaestorServer(database, config=QuaestorConfig(caching=False))
 
 
 QUERY = Query("posts", {"category": 2})

@@ -150,7 +150,7 @@ class TestPreparedShardRead:
         assert server.active_list.get(scatter.cache_key) is None
 
     def test_caching_disabled_prepared_read_aborts_cleanly(self):
-        server, _ = build_server(config=QuaestorConfig(cache_queries=False))
+        server, _ = build_server(config=QuaestorConfig(caching=False))
         server.handle_insert("posts", {"_id": "p0", "category": 0})
         prepared = server.prepare_shard_query(Query("posts", {"category": 0}))
         assert not prepared.admitted

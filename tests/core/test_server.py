@@ -47,7 +47,7 @@ class TestReadPath:
         assert key in server.ebf._cacheable_until
 
     def test_uncached_config_returns_uncacheable(self, database, posts):
-        server = QuaestorServer(database, config=QuaestorConfig.uncached())
+        server = QuaestorServer(database, config=QuaestorConfig(caching=False))
         response = server.handle_read("posts", "p0")
         assert not response.is_cacheable
         assert response.body["document"]["_id"] == "p0"
@@ -81,7 +81,7 @@ class TestQueryPath:
         assert record_key("posts", "p0") in server.ebf._cacheable_until
 
     def test_queries_uncacheable_when_disabled(self, database, posts, example_query):
-        server = QuaestorServer(database, config=QuaestorConfig(cache_queries=False))
+        server = QuaestorServer(database, config=QuaestorConfig(caching=False))
         response = server.handle_query(example_query)
         assert not response.is_cacheable
         assert len(response.body["documents"]) == 10

@@ -10,7 +10,6 @@ from repro.invalidb import (
     InvaliDBCluster,
     NodeCapacityModel,
     NotificationType,
-    PartitioningScheme,
 )
 
 
@@ -93,13 +92,16 @@ class TestDistributedMatching:
 
     def test_initial_result_outside_object_partition_is_filtered(self):
         """Each node only keeps the members of its own object partition."""
-        cluster = InvaliDBCluster(scheme=PartitioningScheme(1, 4))
+        cluster = InvaliDBCluster(matching_nodes=4)  # 2 query x 2 object partitions
         query = Query("posts", {"category": 1})
         initial = [{"_id": f"d{index}", "category": 1} for index in range(20)]
         cluster.register_query(query, initial)
         per_node_members = [
-            len(node._index._states[query.cache_key]._matching_ids) for node in cluster.nodes
+            len(node._index._states[query.cache_key]._matching_ids)
+            for node in cluster.nodes
+            if query.cache_key in node._index._states
         ]
+        assert len(per_node_members) == cluster.scheme.object_partitions == 2
         assert sum(per_node_members) == 20
         assert max(per_node_members) < 20
 

@@ -86,7 +86,7 @@ class TestIngestionTasks:
 
 class TestCapacityManager:
     def test_admits_within_capacity(self):
-        manager = CapacityManager(InvaliDBCluster(), expected_update_rate=100.0)
+        manager = CapacityManager(InvaliDBCluster())
         assert admit(manager, "query:a", result_size=10) is True
         assert "query:a" in manager._admitted
 
@@ -115,13 +115,9 @@ class TestCapacityManager:
         assert "cold-query" not in manager._admitted
 
     def test_capacity_limit_scales_with_cluster_size(self):
-        small = CapacityManager(InvaliDBCluster(matching_nodes=1), expected_update_rate=1000.0)
-        large = CapacityManager(InvaliDBCluster(matching_nodes=4), expected_update_rate=1000.0)
+        small = CapacityManager(InvaliDBCluster(matching_nodes=1))
+        large = CapacityManager(InvaliDBCluster(matching_nodes=4))
         assert large.capacity_limit() > small.capacity_limit()
-
-    def test_zero_update_rate_means_unbounded(self):
-        manager = CapacityManager(InvaliDBCluster(), expected_update_rate=0.0)
-        assert manager.capacity_limit() == float("inf")
 
     def test_score_prefers_read_heavy_low_churn_queries(self):
         manager = CapacityManager(InvaliDBCluster())
@@ -131,12 +127,6 @@ class TestCapacityManager:
         for _ in range(5):
             manager.record_invalidation("churny")
         assert manager.cost("popular").score > manager.cost("churny").score
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            CapacityManager(InvaliDBCluster(), headroom=0.0)
-        with pytest.raises(ValueError):
-            CapacityManager(InvaliDBCluster(), expected_update_rate=-1.0)
 
 
 class TestTwoPhaseAdmission:

@@ -7,11 +7,9 @@ the SDK as it stood before -- frozen here as the reference: a new result
 version rebuilds, and observes into the session, every member.  Two
 identical deployments, one per client class, run the same generated
 sequence of overlapping query serves, direct reads, own and foreign writes
-and clock advances, against a bounded or unbounded client cache; after every
-step the two client caches must hold equal entries (field by field) with
-equal statistics -- in the same LRU order when the cache is bounded, the
-only place recency is kept -- and the two sessions equal seen versions and
-documents.
+and clock advances; after every step the two client caches must hold equal
+entries (field by field) with equal statistics, and the two sessions equal
+seen versions and documents.
 """
 
 from __future__ import annotations
@@ -82,8 +80,7 @@ class RebuildingClient(QuaestorClient):
 
 
 class Deployment:
-    def __init__(self, client_class, max_entries):
-        self.bounded = max_entries is not None
+    def __init__(self, client_class):
         self.clock = VirtualClock()
         database = Database(clock=self.clock)
         posts = database.create_collection("posts")
@@ -92,10 +89,7 @@ class Deployment:
         self.server = QuaestorServer(database)
         cdn = InvalidationCache("cdn", self.clock)
         self.server.register_purge_target(cdn)
-        self.client = client_class(
-            self.server, cdn=cdn, clock=self.clock, refresh_interval=1.0,
-            client_cache_max_entries=max_entries,
-        )
+        self.client = client_class(self.server, cdn=cdn, clock=self.clock, refresh_interval=1.0)
         self.client.connect()
 
     def run(self, kind, index, amount):
@@ -120,13 +114,11 @@ class Deployment:
 
     def observable(self):
         cache, session = self.client.client_cache, self.client.session
-        entries = [
-            (entry.key, entry.body, entry.etag, entry.stored_at, entry.ttl)
-            for entry in cache._entries.values()
-        ]
         return {
-            # LRU order where the cache is bounded; an unbounded one keeps none.
-            "entries": entries if self.bounded else {key: rest for key, *rest in entries},
+            "entries": {
+                key: (entry.body, entry.etag, entry.stored_at, entry.ttl)
+                for key, entry in cache._entries.items()
+            },
             "stats": cache.stats.as_dict(),
             "seen_versions": session._seen_versions,
             "seen_documents": session._seen_documents,
@@ -148,34 +140,31 @@ STEPS = st.tuples(
 )
 
 
-@given(st.sampled_from((None, 3, 8)), st.lists(STEPS, max_size=40))
+@given(st.lists(STEPS, max_size=40))
 @settings(deadline=None)
-def test_kept_member_entries_equal_a_full_rebuild(max_entries, steps):
-    subject = Deployment(QuaestorClient, max_entries)
-    reference = Deployment(RebuildingClient, max_entries)
+def test_kept_member_entries_equal_a_full_rebuild(steps):
+    subject = Deployment(QuaestorClient)
+    reference = Deployment(RebuildingClient)
     for step in steps:
         subject.run(*step)
         reference.run(*step)
         assert subject.observable() == reference.observable()
 
 
-def test_only_the_changed_member_is_rebuilt_and_an_evicted_one_is_restored():
-    """A one-member change keeps every other member's entry *object*; a kept
-    entry the bounded cache evicted meanwhile is stored again by the re-serve,
-    exactly as a rebuilt one would be."""
-    subject = Deployment(QuaestorClient, max_entries=4)
-    reference = Deployment(RebuildingClient, max_entries=4)
-    query = QUERIES[0]  # d0 d2 d4 d6 d8: one more member than the cache holds
+def test_only_the_changed_member_is_rebuilt():
+    """A one-member change keeps every other member's entry *object*, and
+    the re-served result stores exactly what a full rebuild would."""
+    subject = Deployment(QuaestorClient)
+    reference = Deployment(RebuildingClient)
+    query = QUERIES[0]  # d0 d2 d4 d6 d8
     for deployment in (subject, reference):
         deployment.client.query(query)
     before = dict(zip(*subject.client._prepared_records[query.cache_key][1:3]))
     reference_before = dict(zip(*reference.client._prepared_records[query.cache_key][1:3]))
-    assert "record:posts/d0" not in subject.client.client_cache._entries  # evicted
     for deployment in (subject, reference):
         deployment.server.handle_update("posts", "d4", {"$inc": {"views": 1}})
         deployment.clock.advance(1.5)  # past the refresh interval: the EBF flags the query
         assert deployment.client.query(query).level != "client"
-        assert deployment.client.read("posts", "d0").level != "client"  # evicted again by d8
     after = dict(zip(*subject.client._prepared_records[query.cache_key][1:3]))
     assert list(after) == list(before)
     assert [after[member] is before[member] for member in after] == [True, True, False, True, True]
@@ -186,8 +175,8 @@ def test_only_the_changed_member_is_rebuilt_and_an_evicted_one_is_restored():
 
 
 def test_the_memo_stays_bounded_past_its_limit_and_still_equals_the_reference():
-    subject = Deployment(QuaestorClient, max_entries=8)
-    reference = Deployment(RebuildingClient, max_entries=8)
+    subject = Deployment(QuaestorClient)
+    reference = Deployment(RebuildingClient)
     hot = QUERIES[1]
     for bound in range(sdk_module._PREPARED_QUERIES + 60):
         for deployment in (subject, reference):

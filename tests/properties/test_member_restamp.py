@@ -5,12 +5,10 @@ client cache.  The SDK builds the member entries once per result version and
 restamps them in one batch (``WebCache.restamp``); this test runs random
 interleavings of overlapping query serves, direct reads, own writes, another
 client's traffic through the shared CDN and clock advances past and short of
-expiry, against a bounded or unbounded client cache, and after every step
-compares the client cache with a reference that does it the long way: a
-*new* entry stored per member, and the member observed into a session, on
-every serve.  Same keys (in the same LRU order when the cache is bounded,
-the only place recency is kept), same body object, etag and expiry per key,
-same cache statistics, same seen versions.
+expiry, and after every step compares the client cache with a reference that
+does it the long way: a *new* entry stored per member, and the member
+observed into a session, on every serve.  Same keys, same body object, etag
+and expiry per key, same cache statistics, same seen versions.
 
 It also pins the ownership rule that makes restamping in place safe: an
 entry object lives in exactly one cache (a client restamps only what it
@@ -92,20 +90,20 @@ class ReferenceCache(ExpirationCache):
         super().restamp(entries, ttl, now)
 
 
-def describe(cache, bounded):
-    """Everything observable about a cache: per key, what it serves, and the
-    LRU order where the cache is bounded (an unbounded one keeps no order)."""
-    rows = [
-        (key, id(entry.body["document"]) if "document" in entry.body else id(entry.body),
-         entry.etag, entry.fresh_until)
+def describe(cache):
+    """Everything observable about a cache: per key, what it serves."""
+    return {
+        key: (
+            id(entry.body["document"]) if "document" in entry.body else id(entry.body),
+            entry.etag,
+            entry.fresh_until,
+        )
         for key, entry in cache._entries.items()
-    ]
-    return rows if bounded else {key: tuple(served) for key, *served in rows}
+    }
 
 
 class Deployment:
-    def __init__(self, max_entries):
-        self.bounded = max_entries is not None
+    def __init__(self):
         self.clock = VirtualClock()
         database = Database(clock=self.clock)
         posts = database.create_collection("posts")
@@ -115,8 +113,7 @@ class Deployment:
         self.cdn = InvalidationCache("cdn", self.clock)
         server.register_purge_target(self.cdn)
         self.client = QuaestorClient(
-            server, cdn=self.cdn, clock=self.clock, refresh_interval=1.0,
-            client_cache_max_entries=max_entries, name="restamping",
+            server, cdn=self.cdn, clock=self.clock, refresh_interval=1.0, name="restamping"
         )
         self.other = QuaestorClient(
             server, cdn=self.cdn, clock=self.clock, refresh_interval=1.0, name="other"
@@ -124,7 +121,7 @@ class Deployment:
         # Swap in the mirroring twins before the first request.
         cache = self.client.client_cache
         cache.__class__ = ReferenceCache
-        cache.shadow = ExpirationCache("reference", self.clock, max_entries=max_entries)
+        cache.shadow = ExpirationCache("reference", self.clock)
         self.client.session = ReferenceSession()
         cache.shadow_session = self.client.session.shadow
         self.client.connect()
@@ -163,7 +160,7 @@ class Deployment:
 
     def check(self):
         cache = self.client.client_cache
-        assert describe(cache, self.bounded) == describe(cache.shadow, self.bounded)
+        assert describe(cache) == describe(cache.shadow)
         assert cache.stats.as_dict() == cache.shadow.stats.as_dict()
         session = self.client.session
         assert session._seen_versions == session.shadow._seen_versions
@@ -197,10 +194,10 @@ STEPS = st.tuples(
 )
 
 
-@given(st.sampled_from((None, 3, 8)), st.lists(STEPS, max_size=40))
+@given(st.lists(STEPS, max_size=40))
 @settings(deadline=None)
-def test_batch_restamp_equals_single_member_stores(max_entries, steps):
-    deployment = Deployment(max_entries)
+def test_batch_restamp_equals_single_member_stores(steps):
+    deployment = Deployment()
     for step in steps:
         deployment.run(step)
         deployment.check()

@@ -1,7 +1,8 @@
-"""LatencyModel distributions: the gauss default and the lognormal opt-in."""
+"""LatencyModel: Gaussian jitter around a mean, clamped at a minimum."""
 
 from __future__ import annotations
 
+import random
 import statistics
 
 import pytest
@@ -9,17 +10,10 @@ import pytest
 from repro.simulation.latency import LatencyModel
 
 
-class TestGaussDefault:
-    def test_default_distribution_is_gauss(self):
-        assert LatencyModel(0.1, jitter=0.01).distribution == "gauss"
-
-    def test_gauss_stream_is_unchanged_by_the_new_field(self):
-        # The distribution knob sits before the private RNG field, so seeded
-        # gauss draws are exactly what they were before the field existed.
+class TestGauss:
+    def test_seeded_stream_is_random_gauss(self):
         model = LatencyModel(0.1, jitter=0.01)
         model.reseed(17)
-        import random
-
         reference = random.Random(17)
         assert model.sample() == pytest.approx(
             max(0.0, reference.gauss(0.1, 0.01)), abs=0.0
@@ -28,52 +22,34 @@ class TestGaussDefault:
     def test_positional_construction_still_works(self):
         model = LatencyModel(0.1, 0.01, 0.05)
         assert model.minimum == pytest.approx(0.05)
-        assert model.distribution == "gauss"
+        assert model.jitter == pytest.approx(0.01)
 
-    def test_zero_jitter_returns_the_mean_for_both_distributions(self):
+    def test_zero_jitter_returns_the_mean(self):
         assert LatencyModel(0.1).sample() == pytest.approx(0.1)
-        assert LatencyModel(0.1, distribution="lognormal").sample() == pytest.approx(0.1)
 
-
-class TestLognormal:
-    def test_moment_matching_preserves_mean_and_spread(self):
-        model = LatencyModel(0.145, jitter=0.03, distribution="lognormal")
+    def test_samples_have_the_configured_mean_and_spread(self):
+        model = LatencyModel(0.145, jitter=0.03)
         model.reseed(23)
         samples = [model.sample() for _ in range(60_000)]
         assert statistics.fmean(samples) == pytest.approx(0.145, rel=0.02)
         assert statistics.stdev(samples) == pytest.approx(0.03, rel=0.05)
 
-    def test_right_skew(self):
-        model = LatencyModel(0.145, jitter=0.05, distribution="lognormal")
-        model.reseed(29)
-        samples = [model.sample() for _ in range(60_000)]
-        mean = statistics.fmean(samples)
-        median = statistics.median(samples)
-        assert mean > median  # heavy upper tail
-        assert min(samples) > 0.0  # lognormal never goes negative
-
     def test_seeded_determinism(self):
-        first = LatencyModel(0.1, jitter=0.02, distribution="lognormal")
-        second = LatencyModel(0.1, jitter=0.02, distribution="lognormal")
+        first = LatencyModel(0.1, jitter=0.02)
+        second = LatencyModel(0.1, jitter=0.02)
         first.reseed(7)
         second.reseed(7)
         assert [first.sample() for _ in range(32)] == [second.sample() for _ in range(32)]
 
     def test_minimum_clamp_applies(self):
-        model = LatencyModel(0.1, jitter=0.08, distribution="lognormal", minimum=0.09)
+        model = LatencyModel(0.1, jitter=0.08, minimum=0.09)
         model.reseed(3)
-        assert all(model.sample() >= 0.09 for _ in range(1000))
+        samples = [model.sample() for _ in range(1000)]
+        assert all(sample >= 0.09 for sample in samples)
+        assert 0.09 in samples  # draws below the minimum are clamped to it
 
 
 class TestValidation:
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(0.1, distribution="pareto")
-
-    def test_lognormal_jitter_requires_positive_mean(self):
-        with pytest.raises(ValueError):
-            LatencyModel(0.0, jitter=0.01, distribution="lognormal")
-
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(-0.1)

@@ -147,10 +147,25 @@ class TestEngineConfiguration:
         with pytest.raises(ConfigurationError):
             ParallelSimulator(CASES["quaestor/rf1"], num_partitions=4, num_workers=0)
 
+    @pytest.mark.parametrize("count", [2.0, True])
+    def test_a_partition_count_must_be_an_int(self, count):
+        # 2.0 used to fail in range() with a bare TypeError; True ran one partition.
+        with pytest.raises(ConfigurationError, match="num_partitions"):
+            partition_simulation(CASES["quaestor/rf1"], count)
+
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_a_worker_count_must_be_an_int(self, count):
+        # Both used to be accepted and stored as given.
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            ParallelSimulator(CASES["quaestor/rf1"], 2, num_workers=count)
+
 
 #: Valid as a config; its estimator only fails to build inside a partition.
 BROKEN_IN_THE_WORKER = replace(
-    CASES["quaestor/rf1"], ttl_estimator=TTLEstimatorSpec.of("static", ttl=-1.0)
+    CASES["quaestor/rf1"],
+    quaestor=replace(
+        CASES["quaestor/rf1"].quaestor, ttl_estimator=TTLEstimatorSpec.of("static", ttl=-1.0)
+    ),
 )
 
 

@@ -10,7 +10,6 @@ while a spare is pending (parallel runs ship models to worker processes).
 
 from __future__ import annotations
 
-import math
 import pickle
 import random
 
@@ -65,18 +64,3 @@ def test_a_pickle_round_trip_keeps_the_pending_spare(consumed):
     expected = [next(reference) for _ in range(1001)]
     assert [copy.sample() for _ in range(1001)] == expected
     assert [model.sample() for _ in range(1001)] == expected
-
-
-def test_the_lognormal_stream_is_unchanged():
-    """The lognormal parameters are computed once now; the draws are the
-    ones recomputing them per sample produced."""
-    mean, jitter, minimum = 0.145, 0.03, 0.05
-    model = LatencyModel(mean, jitter, minimum, distribution="lognormal")
-    model.reseed(5)
-    rng = random.Random(5)
-    for _ in range(DRAWS):
-        cv_squared = (jitter / mean) ** 2
-        sigma_squared = math.log(1.0 + cv_squared)
-        mu = math.log(mean) - sigma_squared / 2.0
-        expected = max(minimum, rng.lognormvariate(mu, math.sqrt(sigma_squared)))
-        assert model.sample() == expected

@@ -86,11 +86,6 @@ class TestQuaestorEstimator:
         assert estimator.estimate_record("record:veryhot", now=10.0) >= 2.0
         assert estimator.estimate_record("record:nevertouched", now=10.0) <= 30.0
 
-    def test_expected_value_mode(self):
-        quantile_based = QuaestorTTLEstimator(quantile=0.9)
-        mean_based = QuaestorTTLEstimator(use_expected_value=True)
-        assert mean_based.estimate_record("r", 0.0) != quantile_based.estimate_record("r", 0.0)
-
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
             QuaestorTTLEstimator(quantile=0.0)

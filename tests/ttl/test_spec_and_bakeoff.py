@@ -2,7 +2,7 @@
 
 Covers the full selection path the bake-off sweeps over: ``TTLEstimatorSpec``
 -> ``QuaestorConfig.build_ttl_estimator`` -> ``QuaestorServer`` ->
-``SimulationConfig.ttl_estimator`` (single server and sharded cluster), plus
+``SimulationConfig.quaestor`` (single server and sharded cluster), plus
 the :class:`~repro.workloads.PhasedWorkloadGenerator` that drives the
 drifting and bursty scenarios, and a CI-sized end-to-end bake-off cell.
 """
@@ -20,6 +20,7 @@ from repro.ttl import (
     ESTIMATOR_NAMES,
     QuaestorTTLEstimator,
     StaticTTLEstimator,
+    TTLBounds,
     TTLEstimatorSpec,
 )
 from repro.ttl.bakeoff import (
@@ -112,27 +113,32 @@ class TestSimulatorIntegration:
         return SimulationConfig(**defaults)
 
     def test_spec_overrides_the_server_estimator(self):
-        simulator = Simulator(self._config(ttl_estimator=TTLEstimatorSpec.of("static")))
+        static = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("static"))
+        simulator = Simulator(self._config(quaestor=static))
         assert isinstance(simulator.server.ttl_estimator, StaticTTLEstimator)
 
     def test_spec_reaches_every_shard_of_a_cluster(self):
-        simulator = Simulator(
-            self._config(num_shards=2, ttl_estimator=TTLEstimatorSpec.of("static"))
-        )
+        static = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("static"))
+        simulator = Simulator(self._config(num_shards=2, quaestor=static))
         for shard in simulator.cluster.shards:
             assert isinstance(shard.server.ttl_estimator, StaticTTLEstimator)
 
-    def test_spec_overrides_even_the_uncached_mode_substitution(self):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_the_uncached_mode_keeps_the_other_quaestor_fields(self, num_shards):
+        bounds = TTLBounds(minimum=2.0, maximum=30.0)
+        quaestor = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("static"), ttl_bounds=bounds)
         simulator = Simulator(
-            self._config(
-                mode=CachingMode.UNCACHED, ttl_estimator=TTLEstimatorSpec.of("static")
-            )
+            self._config(mode=CachingMode.UNCACHED, num_shards=num_shards, quaestor=quaestor)
         )
-        assert isinstance(simulator.server.ttl_estimator, StaticTTLEstimator)
-
-    def test_invalid_spec_type_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._config(ttl_estimator="static")
+        servers = (
+            [simulator.server]
+            if num_shards == 1
+            else [shard.server for shard in simulator.cluster.shards]
+        )
+        for server in servers:
+            assert not server.config.caching
+            assert isinstance(server.ttl_estimator, StaticTTLEstimator)
+            assert server.ttl_estimator.bounds == bounds
 
     def test_phased_workload_runs_and_advances_phases(self):
         phases = (
@@ -255,7 +261,7 @@ class TestBakeoff:
     def test_scenario_config_wires_spec_and_phases(self):
         scenario = bakeoff_scenarios(max_operations=800, seed=17)[1]
         config = scenario_config(scenario, TTLEstimatorSpec.of("static"), 800, 17)
-        assert config.ttl_estimator == TTLEstimatorSpec.of("static")
+        assert config.quaestor.ttl_estimator == TTLEstimatorSpec.of("static")
         assert config.workload_phases == scenario.phases
 
     def test_cell_metrics_are_complete_and_sane(self):
