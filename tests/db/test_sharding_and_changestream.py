@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database
+from repro.db import database as database_module
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
 from repro.db.sharding import ShardStatisticsTable
 
@@ -126,6 +127,18 @@ class TestChangeStream:
     def test_history_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             ChangeStream(history_limit=0)
+
+    def test_a_database_keeps_its_last_change_history_limit_events(self, monkeypatch):
+        monkeypatch.setattr(database_module, "CHANGE_HISTORY_LIMIT", 3)
+        database = Database()
+        posts = database.create_collection("posts")
+        for index in range(5):
+            posts.insert({"_id": f"d{index}"})
+        assert len(database.change_stream) == 3
+        assert [event.document_id for event in database.change_stream.replay_since(0)] == [
+            "d2", "d3", "d4",
+        ]
+        assert not database.change_stream.covers_since(0)
 
     def test_a_collection_stamps_the_installed_version_on_its_events(self):
         database = Database()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.query import Query
+from repro.errors import ConfigurationError
 from repro.invalidb import (
     InvaliDBCluster,
     NodeCapacityModel,
@@ -104,6 +105,24 @@ class TestDistributedMatching:
         assert len(per_node_members) == cluster.scheme.object_partitions == 2
         assert sum(per_node_members) == 20
         assert max(per_node_members) < 20
+
+
+class TestGridFromNodeCount:
+    @pytest.mark.parametrize("matching_nodes", [1, 2, 3, 4, 6, 9])
+    def test_one_node_per_grid_cell(self, matching_nodes):
+        cluster = InvaliDBCluster(matching_nodes=matching_nodes)
+        scheme = cluster.scheme
+        assert scheme.query_partitions * scheme.object_partitions == matching_nodes
+        cells = {(node.query_partition, node.object_partition) for node in cluster.nodes}
+        assert len(cluster.nodes) == len(cells) == matching_nodes
+        assert sorted(node.node_index for node in cluster.nodes) == list(range(matching_nodes))
+        # Every node prices its work with the cluster's one capacity model.
+        assert all(node.capacity_model is cluster.capacity_model for node in cluster.nodes)
+
+    @pytest.mark.parametrize("matching_nodes", [0, -1])
+    def test_a_non_positive_node_count_is_refused(self, matching_nodes):
+        with pytest.raises(ConfigurationError, match="matching_nodes"):
+            InvaliDBCluster(matching_nodes=matching_nodes)
 
 
 class TestCapacityModel:

@@ -7,6 +7,7 @@ import pytest
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.query import Query
 from repro.invalidb import CapacityManager, InvaliDBCluster, NotificationType
+from repro.invalidb.capacity import CAPACITY_HEADROOM, EXPECTED_UPDATE_RATE
 from repro.invalidb.ingestion import (
     ChangestreamIngestionTask,
     InvaliDBFrontend,
@@ -118,6 +119,19 @@ class TestCapacityManager:
         small = CapacityManager(InvaliDBCluster(matching_nodes=1))
         large = CapacityManager(InvaliDBCluster(matching_nodes=4))
         assert large.capacity_limit() > small.capacity_limit()
+
+    @pytest.mark.parametrize("matching_nodes", [1, 2, 4, 6])
+    def test_capacity_limit_is_linear_in_nodes_whatever_the_grid(self, matching_nodes):
+        # A node hosts max_ops * headroom / (its object partition's share of
+        # the budgeted update rate) queries and the query partitions add up,
+        # so the grid's shape cancels out: capacity is linear in node count.
+        cluster = InvaliDBCluster(matching_nodes=matching_nodes)
+        per_node = (
+            cluster.capacity_model.max_ops_per_second * CAPACITY_HEADROOM / EXPECTED_UPDATE_RATE
+        )
+        assert CapacityManager(cluster).capacity_limit() == pytest.approx(
+            matching_nodes * per_node
+        )
 
     def test_score_prefers_read_heavy_low_churn_queries(self):
         manager = CapacityManager(InvaliDBCluster())

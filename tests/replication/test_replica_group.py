@@ -10,6 +10,7 @@ from repro.db import Database
 from repro.errors import CacheCoherenceError, ShardUnavailableError
 from repro.invalidb import InvaliDBCluster
 from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication.config import MAX_REPLICA_STALENESS
 from repro.rest.messages import StatusCode
 from repro.simulation.latency import LatencyModel
 
@@ -203,6 +204,28 @@ class TestConsistencyGating:
         response = group.read("posts", "p4", consistency=ConsistencyLevel.DELTA_ATOMIC)
         assert response.status is StatusCode.OK
         assert response.body["document"]["views"] == 4  # pre-update state
+
+
+    def test_a_replica_past_the_staleness_budget_is_routed_around(self):
+        clock, database, _server, group = build_group(replication_factor=2, lag_mean=10.0)
+        clock.advance(1.0)
+        database.update("posts", "p4", {"$set": {"views": 777}})
+        clock.advance(2 * MAX_REPLICA_STALENESS)  # the 10 s lag keeps it pending
+        for _ in range(4):  # round-robin would reach the replica were it eligible
+            response = group.read("posts", "p4", consistency=ConsistencyLevel.DELTA_ATOMIC)
+            assert response.body["document"]["views"] == 777
+        assert group.counters.get("stale_replica_skips") == 4
+        assert group.counters.get("replica_reads") == 0
+
+    def test_a_replica_within_the_staleness_budget_serves_reads(self):
+        clock, database, _server, group = build_group(replication_factor=2, lag_mean=10.0)
+        clock.advance(1.0)
+        database.update("posts", "p4", {"$set": {"views": 777}})
+        clock.advance(MAX_REPLICA_STALENESS / 2)
+        for _ in range(4):
+            group.read("posts", "p4", consistency=ConsistencyLevel.DELTA_ATOMIC)
+        assert group.counters.get("stale_replica_skips") == 0
+        assert group.counters.get("replica_reads") > 0
 
 
 class TestFailover:
