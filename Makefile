@@ -1,6 +1,8 @@
 # Developer entry points for the Quaestor reproduction.
 #
 #   make test            - tier-1 test suite (what CI gates on)
+#   make test-durations  - tier-1 as `make test` runs it, then its wall time, the
+#                          summed per-test durations and the 25 slowest phases
 #   make bench-smoke     - fast benchmark subset (EBF micro + cluster scaling)
 #   make bench           - every benchmark target (regenerates benchmarks/results/)
 #   make bench-replication       - replica-read scale-out + failover drills;
@@ -41,9 +43,11 @@
 #                          timed + traced pass, correctness checks (a)-(d)
 #   make bench-ledger-smoke - the same runner on tiny budgets; the quick CI gate
 #   make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=1234]
+#                    [METRIC=host_ops_per_s]
 #                        - alternating parent-vs-working-tree runs of the
 #                          benchmark: medians, quartiles, wins, the gain verdict
-#                          and whether every sim_* value stayed identical
+#                          on METRIC (its BENCHMARK.json direction) and whether
+#                          every sim_* value stayed identical
 #   make wall-profile WORKLOAD=<name> [SEED=42]
 #                        - sampled wall-clock profile of one benchmark segment:
 #                          self and inclusive shares per function and per layer
@@ -81,10 +85,13 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
+.PHONY: test test-durations budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
+
+test-durations:
+	$(PYTHON) scripts/test_durations.py
 
 budgets:
 	$(PYTEST) $(wildcard tests/*/test_*budget*.py) -q
@@ -139,7 +146,7 @@ bench-ledger-smoke:
 	$(PYTHON) bench/run.py --smoke
 
 bench-pairs:
-	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),1234)
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(or $(PAIRS),10) --seed $(or $(SEED),1234) --metric $(or $(METRIC),host_ops_per_s)
 
 wall-profile:
 	$(PYTHON) scripts/wall_profile.py --workload $(WORKLOAD) --seed $(or $(SEED),42)

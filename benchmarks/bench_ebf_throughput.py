@@ -34,7 +34,7 @@ def _drive_ebf(ebf, clock, keys, ttl: float = 30.0) -> int:
 
 def test_in_memory_ebf_operation_throughput(benchmark):
     clock = VirtualClock()
-    ebf = ExpiringBloomFilter(num_bits=2 ** 16, num_hashes=4, clock=clock)
+    ebf = ExpiringBloomFilter(num_bits=2 ** 16, clock=clock)
     counter = itertools.count()
 
     def batch():
@@ -51,7 +51,7 @@ def test_in_memory_ebf_operation_throughput(benchmark):
 def test_flat_snapshot_export_cost(benchmark):
     """Exporting the client copy must stay cheap even with many stale keys."""
     clock = VirtualClock()
-    ebf = ExpiringBloomFilter(num_bits=PAPER_DEFAULT_BITS, num_hashes=4, clock=clock)
+    ebf = ExpiringBloomFilter(num_bits=PAPER_DEFAULT_BITS, clock=clock)
     for index in range(5_000):
         key = f"query:snapshot-{index}"
         ebf.report_read(key, ttl=300.0)

@@ -26,15 +26,19 @@ from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.sizing import PAPER_DEFAULT_BITS
 from repro.clock import Clock, VirtualClock
 
+#: Hash functions of every Expiring Bloom Filter (and its flat snapshots).
+EBF_NUM_HASHES = 4
+
 
 class ExpiringBloomFilter:
     """Server-side Expiring Bloom Filter.
 
     Parameters
     ----------
-    num_bits, num_hashes:
-        Geometry of the underlying Bloom filter.  The defaults follow the
-        paper's sizing (a filter fitting the initial TCP congestion window).
+    num_bits:
+        Size of the underlying Bloom filter, which hashes each key
+        :data:`EBF_NUM_HASHES` times.  The default follows the paper's sizing
+        (a filter fitting the initial TCP congestion window).
     clock:
         Time source.  A :class:`~repro.clock.VirtualClock` is used by default
         so the structure is fully deterministic under simulation.
@@ -43,13 +47,11 @@ class ExpiringBloomFilter:
     def __init__(
         self,
         num_bits: int = PAPER_DEFAULT_BITS,
-        num_hashes: int = 4,
         clock: Optional[Clock] = None,
     ) -> None:
         self.num_bits = int(num_bits)
-        self.num_hashes = int(num_hashes)
         self._clock: Clock = clock if clock is not None else VirtualClock()
-        self._filter = CountingBloomFilter(self.num_bits, self.num_hashes)
+        self._filter = CountingBloomFilter(self.num_bits, EBF_NUM_HASHES)
         # Latest instant until which some cache may hold the key.
         self._cacheable_until: Dict[str, float] = {}
         # Keys currently marked stale, mapped to when they leave the filter.
@@ -171,6 +173,6 @@ class ExpiringBloomFilter:
 
     def __repr__(self) -> str:
         return (
-            f"ExpiringBloomFilter(bits={self.num_bits}, hashes={self.num_hashes}, "
+            f"ExpiringBloomFilter(bits={self.num_bits}, hashes={EBF_NUM_HASHES}, "
             f"stale={len(self._stale_until)}, tracked={len(self._cacheable_until)})"
         )

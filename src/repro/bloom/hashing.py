@@ -21,7 +21,7 @@ lookups hit the same keys repeatedly on the hot path.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import hashlib
 
@@ -111,7 +111,21 @@ def mixed_uint64(key: "str | bytes") -> int:
     bits, which would cluster them onto one arc of a consistent-hash ring.
     Applying MurmurHash3's 64-bit finaliser spreads them uniformly.
     """
-    value = stable_uint64(key)
+    return _avalanche(stable_uint64(key))
+
+
+def mixed_uint64_all(prefix: str, suffixes: Iterable[str]) -> List[int]:
+    """:func:`mixed_uint64` of ``prefix + suffix`` for every suffix.
+
+    FNV-1a is a left fold over the bytes, so the prefix's state is computed
+    once and each suffix continues from it -- exactly the whole key's hash.
+    """
+    offset = fnv1a_64(prefix.encode("utf-8"))
+    return [_avalanche(fnv1a_64(suffix.encode("utf-8"), offset)) for suffix in suffixes]
+
+
+def _avalanche(value: int) -> int:
+    """MurmurHash3's 64-bit finaliser."""
     value ^= value >> 33
     value = (value * 0xFF51AFD7ED558CCD) & _MASK_64
     value ^= value >> 33

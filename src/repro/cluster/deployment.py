@@ -265,15 +265,22 @@ class QuaestorCluster:
     # -- construction helpers ---------------------------------------------------------
 
     def _load_dataset(self, databases: List[Database], dataset: Dataset) -> None:
-        """Pre-load ``dataset``, routing every document to its owning shard."""
+        """Pre-load ``dataset``: route every document to its owning shard, then
+        load each shard's share of a table at once."""
         for table in dataset.tables:
+            documents = dataset.documents[table]
+            shard_ids = self.router.shards_for_records(
+                table, [str(document["_id"]) for document in documents]
+            )
+            routed: List[List[Document]] = [[] for _ in databases]
+            for shard_id, document in zip(shard_ids, documents):
+                routed[shard_id].append(document)
             # Every shard materialises every collection so scatter queries and
             # later inserts never hit a missing-collection error.
-            for database in databases:
-                database.create_collection(table).create_index(INDEXED_QUERY_FIELD)
-            for document in dataset.documents[table]:
-                shard_id = self.router.shard_for_record(table, str(document["_id"]))
-                databases[shard_id].collection(table).insert(document)
+            for database, share in zip(databases, routed):
+                collection = database.create_collection(table)
+                collection.create_index(INDEXED_QUERY_FIELD)
+                collection.preload(share)
 
     @property
     def num_shards(self) -> int:

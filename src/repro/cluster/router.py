@@ -52,6 +52,11 @@ class ShardRouter:
         """The shard owning ``collection/document_id``."""
         return self.ring.shard_for(record_key(collection, document_id))
 
+    def shards_for_records(self, collection: str, document_ids: Sequence[str]) -> List[int]:
+        """:meth:`shard_for_record` of every id, in order, hashing their shared
+        key prefix once (:meth:`ConsistentHashRing.place_all`)."""
+        return self.ring.place_all(record_key(collection, ""), document_ids)
+
     def shard_for_operation(self, operation: Operation) -> int:
         """The shard a single-record operation routes to (queries scatter).
 

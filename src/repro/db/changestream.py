@@ -19,6 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.db.documents import Document
+from repro.errors import ConfigurationError
+
+#: Change events the change stream keeps in its history.
+CHANGE_HISTORY_LIMIT = 100_000
 
 
 class OperationType(str, enum.Enum):
@@ -78,14 +82,13 @@ class ChangeStream:
     simulation deterministic; any propagation delay (e.g. asynchronous
     invalidations) is modelled by the subscriber itself.  The listener tuple
     is replaced, never edited, so a delivery in progress keeps the listeners
-    it started with; the history is a deque bounded by ``history_limit``.
+    it started with; the history is a deque bounded by
+    :data:`CHANGE_HISTORY_LIMIT`.
     """
 
-    def __init__(self, history_limit: Optional[int] = None) -> None:
-        if history_limit is not None and history_limit <= 0:
-            raise ValueError("history_limit must be positive when given")
+    def __init__(self) -> None:
         self._listeners: Tuple[ChangeListener, ...] = ()
-        self._history: Deque[ChangeEvent] = deque(maxlen=history_limit)
+        self._history: Deque[ChangeEvent] = deque(maxlen=CHANGE_HISTORY_LIMIT)
         self._sequence = 0
 
     def subscribe(self, listener: ChangeListener) -> Callable[[], None]:
@@ -104,6 +107,19 @@ class ChangeStream:
         """Reserve and return the next sequence number."""
         self._sequence += 1
         return self._sequence
+
+    def advance(self, count: int) -> None:
+        """Number ``count`` writes that publish no event (bulk bootstrap).
+
+        A deployment is loaded before anything subscribes, so there is no one
+        to hear those writes: they take their sequence numbers and leave no
+        history.  A later caller only ever holds a position at or after the
+        load's end, where :meth:`replay_since` and :meth:`covers_since`
+        answer as if the events had been published.
+        """
+        if self._listeners:
+            raise ConfigurationError("a bulk install must run before anything subscribes")
+        self._sequence += count
 
     def publish(self, event: ChangeEvent) -> None:
         """Record ``event`` and deliver it to all listeners."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import abc
 from itertools import compress
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.clock import Clock
 from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
@@ -27,9 +27,11 @@ class Collection:
     estimator's write-rate sampling.
 
     Ownership: a stored document version is immutable.  Caller data is copied
-    once on the way in (:meth:`insert`, :meth:`update`); every document handed
-    out -- by reads, writes, queries and change events alike -- is the stored
-    snapshot itself, shared by reference.  Callers that want to edit one
+    once on the way in (:meth:`insert`, :meth:`update`); a generated dataset's
+    documents are immutable snapshots already and are adopted by reference
+    (:meth:`preload`).  Every document handed out -- by reads, writes,
+    queries and change events alike -- is the stored snapshot itself, shared
+    by reference.  Callers that want to edit one
     :func:`~repro.db.documents.deep_copy` it first.  The same holds for a
     query's result list and version map (:meth:`find_versioned`): they are
     shared with the result memo and every earlier caller, so they are
@@ -149,6 +151,53 @@ class Collection:
         primary agree on which number names which content.
         """
         self._install(str(document_id), snapshot, version)
+
+    # -- bootstrap ---------------------------------------------------------------------
+
+    def preload(self, documents: Iterable[Document]) -> None:
+        """Bootstrap ingress: insert ``documents`` before anything subscribes.
+
+        Equal to :meth:`insert` of each in turn, except that the documents
+        are immutable snapshots (a generated dataset) adopted by reference,
+        not copied, and that the batch is checked whole first: a missing or
+        repeated ``_id`` raises before anything is installed.
+        """
+        snapshots: Dict[str, Document] = {}
+        live = self._documents
+        for document in documents:
+            if "_id" not in document:
+                raise InvalidQueryError("documents must carry an explicit _id")
+            document_id = str(document["_id"])
+            if document_id in snapshots or document_id in live:
+                raise DuplicateKeyError(f"duplicate _id {document_id!r} in {self.name!r}")
+            snapshots[document_id] = document
+        floors = self._deleted_versions
+        if floors:
+            versions = {document_id: floors.get(document_id, 0) + 1 for document_id in snapshots}
+        else:
+            versions = dict.fromkeys(snapshots, 1)
+        self._install_all(snapshots, versions)
+
+    def seed_from(self, source: "Collection") -> None:
+        """Snapshot resync: make this new, empty collection a copy of ``source``.
+
+        Equal to :meth:`create_index` for each of ``source``'s fields, then
+        :meth:`install_snapshot` of every live document in id order, then
+        :meth:`restore_version_floors` of ``source``'s floors -- but the
+        documents, versions and index buckets are adopted wholesale.  So are
+        the floors: one survives a restore exactly when it is above its id's
+        live version or its id is deleted, which is what ``source`` keeps.
+        """
+        for field in source.indexed_fields():
+            self.create_index(field)
+        ids = source.ids()
+        documents = source._documents
+        self._install_all(
+            dict(zip(ids, map(documents.__getitem__, ids))),
+            dict(zip(ids, map(source._versions.__getitem__, ids))),
+            source._indexes,
+        )
+        self._deleted_versions = dict(source._deleted_versions)
 
     # -- queries -----------------------------------------------------------------------
 
@@ -303,6 +352,32 @@ class Collection:
             )
         )
         return previous if snapshot is None else snapshot
+
+    def _install_all(
+        self,
+        snapshots: Dict[str, Document],
+        versions: Dict[str, int],
+        filed: Optional[IndexSet] = None,
+    ) -> None:
+        """The bootstrap seam: install every snapshot (none of them live) at its
+        version, in order, as that many :meth:`_install` inserts would.
+
+        Documents and versions are stored in one pass and each index files
+        the batch once -- or, given ``filed`` (the source's indexes, holding
+        exactly these documents), adopts its buckets.  The change stream
+        advances by the batch without publishing: there is no listener yet.
+        """
+        self._change_stream.advance(len(snapshots))
+        self._documents.update(snapshots)
+        self._versions.update(versions)
+        floors = self._deleted_versions
+        for document_id in floors.keys() & snapshots.keys():
+            del floors[document_id]
+        if filed is None:
+            self._indexes.file_all(snapshots)
+        else:
+            self._indexes.adopt(filed, snapshots)
+        self.writes += len(snapshots)
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -11,9 +11,6 @@ from repro.db.documents import Document
 from repro.db.query import Query
 from repro.errors import CollectionNotFoundError
 
-#: Change events the change stream keeps in its history.
-CHANGE_HISTORY_LIMIT = 100_000
-
 
 class Database:
     """Aggregate-oriented document database with a global change stream.
@@ -26,7 +23,7 @@ class Database:
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock: Clock = clock if clock is not None else VirtualClock()
         self._collections: Dict[str, Collection] = {}
-        self.change_stream = ChangeStream(history_limit=CHANGE_HISTORY_LIMIT)
+        self.change_stream = ChangeStream()
 
     # -- collection management ------------------------------------------------------
 

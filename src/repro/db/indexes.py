@@ -8,6 +8,7 @@ would keep secondary indexes consistent with the primary data.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.db.documents import MISSING, Document, order_key, split_path
@@ -76,6 +77,33 @@ class HashIndex:
                 entries.setdefault(key, set()).add(document_id)
             stamps[key] = stamp
 
+    def file_all(self, documents: Dict[str, Document]) -> None:
+        """File new documents in order, as one :meth:`reindex` insert each would."""
+        stamp = self._installs
+        entries, stamps, filed, keys_of = self._entries, self.stamps, self._filed, self._keys
+        for document_id, document in documents.items():
+            stamp += 1
+            keys = filed[document_id] = tuple(keys_of(document))
+            for key in keys:
+                bucket = entries.get(key)
+                if bucket is None:
+                    entries[key] = {document_id}
+                else:
+                    bucket.add(document_id)
+                stamps[key] = stamp
+        self._installs = stamp
+
+    def adopt(self, source: "HashIndex", order: Iterable[str]) -> None:
+        """Become a copy of ``source``'s buckets, stamped as if this empty index
+        had filed ``source``'s documents one by one in ``order``."""
+        position = dict(zip(order, count(1)))
+        self._entries = {key: set(bucket) for key, bucket in source._entries.items()}
+        self._filed = dict(source._filed)
+        self.stamps.update(
+            {key: max(map(position.__getitem__, bucket)) for key, bucket in self._entries.items()}
+        )
+        self._installs = len(position)
+
     def bucket(self, key: Hashable) -> AbstractSet[str]:
         """Live set of the ids whose field equals (or array contains) the keyed value."""
         return self._entries.get(key, _NO_IDS)
@@ -122,6 +150,18 @@ class IndexSet:
         """Keep every index in step with one write (see :meth:`HashIndex.reindex`)."""
         for index in self._indexes.values():
             index.reindex(document_id, before, after)
+
+    def file_all(self, documents: Dict[str, Document]) -> None:
+        """Keep every index in step with a batch of inserts (:meth:`HashIndex.file_all`)."""
+        for index in self._indexes.values():
+            index.file_all(documents)
+
+    def adopt(self, source: "IndexSet", order: Iterable[str]) -> None:
+        """Adopt the buckets of ``source``'s index on each of these (empty)
+        indexes' fields, stamped for documents installed in ``order``
+        (:meth:`HashIndex.adopt`)."""
+        for field, index in self._indexes.items():
+            index.adopt(source._indexes[field], order)
 
     def candidate_ids(
         self, probes: Iterable[Tuple[str, Hashable]]

@@ -14,10 +14,11 @@ counters and the max/mean imbalance ratio the cluster metrics report.
 from __future__ import annotations
 
 import bisect
+import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bloom.hashing import mixed_uint64
+from repro.bloom.hashing import mixed_uint64, mixed_uint64_all
 
 #: Keys the ring's placement memo holds before it starts over.
 PLACEMENT_MEMO_SIZE = 1 << 16
@@ -153,6 +154,25 @@ class ConsistentHashRing:
             placements.clear()
         placements[key] = shard_id
         return shard_id
+
+    def place_all(self, prefix: str, suffixes: Sequence[str]) -> List[int]:
+        """:meth:`shard_for` of ``prefix + suffix`` for every suffix, in order.
+
+        A bulk placement (a dataset pre-load): the keys' shared prefix, and
+        the suffixes' common one, is hashed once
+        (:func:`~repro.bloom.hashing.mixed_uint64_all`), and nothing is
+        memoised -- requests memoise the keys they touch.
+        """
+        ring = self._ring
+        if not ring:
+            raise ValueError("cannot place keys on an empty ring")
+        shared = os.path.commonprefix(suffixes)
+        start = len(shared)
+        shards = []
+        for position in mixed_uint64_all(prefix + shared, [suffix[start:] for suffix in suffixes]):
+            index = bisect.bisect_left(ring, (position, -1))
+            shards.append(ring[index][1] if index < len(ring) else ring[0][1])
+        return shards
 
     def __repr__(self) -> str:
         return f"ConsistentHashRing(shards={len(self._shards)})"

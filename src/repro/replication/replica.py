@@ -63,28 +63,20 @@ class ReplicaNode:
     def seed_from(self, source: Database, upto_sequence: int = 0, upto_timestamp: float = 0.0) -> None:
         """Snapshot resync: rebuild this node's database from ``source``.
 
-        Every collection is recreated with the same secondary indexes and the
-        same version floors, and each live document's stored snapshot is
+        Every collection is recreated by
+        :meth:`~repro.db.collection.Collection.seed_from`: the same secondary
+        indexes and version floors, and each live document's stored snapshot
         adopted by reference at exactly its source version.  A floor *above*
         a live version (failover protection against re-issuing a deposed
-        primary's numbers) and the tombstones of deleted ids are restored
-        afterwards, so the protection survives resyncs.  Used at group
-        construction, when a crashed node rejoins, and to realign surviving
-        replicas after a promotion (their logs may have diverged from the new
-        primary's).
+        primary's numbers) and the tombstones of deleted ids come along, so
+        the protection survives resyncs.  Used at group construction, when a
+        crashed node rejoins, and to realign surviving replicas after a
+        promotion (their logs may have diverged from the new primary's).
         """
         self.database = Database(clock=self._clock)
         self.link = ReplicationLink()
         for name in source.collection_names():
-            source_collection = source.collection(name)
-            replica_collection = self.database.create_collection(name)
-            for field in source_collection.indexed_fields():
-                replica_collection.create_index(field)
-            for document_id in source_collection.ids():
-                replica_collection.install_snapshot(
-                    document_id, *source_collection.get_versioned(document_id)
-                )
-            replica_collection.restore_version_floors(source_collection.version_floors())
+            self.database.create_collection(name).seed_from(source.collection(name))
         self.applied_sequence = upto_sequence
         self.applied_timestamp = upto_timestamp
         self.link_sound = True

@@ -66,7 +66,11 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """A generated dataset: documents and query templates per table."""
+    """A generated dataset: documents and query templates per table.
+
+    The documents are immutable snapshots: loading a database adopts them by
+    reference, so nobody may edit one in place.
+    """
 
     spec: DatasetSpec
     tables: List[str]
@@ -74,12 +78,16 @@ class Dataset:
     queries: Dict[str, List[Query]] = field(default_factory=dict)
 
     def load_into(self, database: Database) -> None:
-        """Insert every document into ``database`` (and index the query field)."""
+        """Pre-load every document into ``database`` (and index the query field).
+
+        The documents are adopted by reference
+        (:meth:`~repro.db.collection.Collection.preload`), so one dataset can
+        back any number of databases.
+        """
         for table in self.tables:
             collection = database.create_collection(table)
             collection.create_index(INDEXED_QUERY_FIELD)
-            for document in self.documents[table]:
-                collection.insert(document)
+            collection.preload(self.documents[table])
 
     def all_queries(self) -> List[Query]:
         """Every query template across all tables."""
@@ -127,40 +135,46 @@ class Dataset:
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
-    """Generate documents and queries according to ``spec`` (deterministic)."""
+    """Generate documents and queries according to ``spec`` (deterministic).
+
+    Each document is a blog post (the paper's running example domain).  The
+    draws are CPython's own under ``randint`` and ``sample``, made directly:
+    ``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, and ``sample`` of a
+    pool this small draws ``_randbelow(n - i)`` for its ``i``-th pick and
+    moves the pool's last free member into the vacancy.
+    """
     rng = random.Random(spec.seed)
+    below = rng._randbelow
     tables = [f"table_{index:02d}" for index in range(spec.num_tables)]
     dataset = Dataset(spec=spec, tables=tables)
     categories = spec.categories_per_table
+    pool_size = len(_TAG_POOL)
 
     for table in tables:
         documents: List[Document] = []
-        for doc_index in range(spec.documents_per_table):
-            category = doc_index % categories
-            documents.append(_make_document(table, doc_index, category, rng))
+        for index in range(spec.documents_per_table):
+            pool = list(_TAG_POOL)
+            tags = [None] * (1 + below(3))
+            for pick in range(len(tags)):
+                position = below(pool_size - pick)
+                tags[pick] = pool[position]
+                pool[position] = pool[pool_size - pick - 1]
+            documents.append({
+                "_id": f"{table}-doc-{index:06d}",
+                "title": f"Post {index} in {table}",
+                "category": index % categories,
+                "tags": tags,
+                "views": below(10_001),
+                "author": f"user-{below(500):03d}",
+                "body": f"Lorem ipsum dolor sit amet ({below(1_000_001)})",
+            })
         dataset.documents[table] = documents
 
         # Queries select a distinct category each; the first queries_per_table
         # categories are used so results have the intended average size.
-        queries = [
+        dataset.queries[table] = [
             Query(table, {"category": category_index})
             for category_index in range(spec.queries_per_table)
         ]
-        dataset.queries[table] = queries
 
     return dataset
-
-
-def _make_document(table: str, index: int, category: int, rng: random.Random) -> Document:
-    """A blog-post-shaped document (the paper's running example domain)."""
-    tag_count = rng.randint(1, 3)
-    tags = rng.sample(_TAG_POOL, tag_count)
-    return {
-        "_id": f"{table}-doc-{index:06d}",
-        "title": f"Post {index} in {table}",
-        "category": category,
-        "tags": tags,
-        "views": rng.randint(0, 10_000),
-        "author": f"user-{rng.randint(0, 499):03d}",
-        "body": f"Lorem ipsum dolor sit amet ({rng.randint(0, 1_000_000)})",
-    }

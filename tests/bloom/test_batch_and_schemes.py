@@ -43,8 +43,8 @@ class TestBatchApis:
 
     def test_expiring_report_read_many_matches_singles(self):
         clock = VirtualClock()
-        batch = ExpiringBloomFilter(num_bits=2048, num_hashes=4, clock=clock)
-        single = ExpiringBloomFilter(num_bits=2048, num_hashes=4, clock=clock)
+        batch = ExpiringBloomFilter(num_bits=2048, clock=clock)
+        single = ExpiringBloomFilter(num_bits=2048, clock=clock)
         batch.report_read_many(KEYS, ttl=10.0, read_time=0.0)
         for key in KEYS:
             single.report_read(key, ttl=10.0, read_time=0.0)
@@ -55,7 +55,7 @@ class TestBatchApis:
         assert batch.to_flat(1.0).to_bytes() == single.to_flat(1.0).to_bytes()
 
     def test_expiring_report_read_many_rejects_negative_ttl(self):
-        ebf = ExpiringBloomFilter(num_bits=256, num_hashes=2)
+        ebf = ExpiringBloomFilter(num_bits=256)
         with pytest.raises(ValueError):
             ebf.report_read_many(["a"], ttl=-1.0)
 
@@ -101,7 +101,7 @@ class TestSchemePlumbing:
         assert counting.fill_ratio() == fill_ratio(counting.to_flat())
 
     def test_expiring_fill_ratio_without_copy(self):
-        ebf = ExpiringBloomFilter(num_bits=1024, num_hashes=4)
+        ebf = ExpiringBloomFilter(num_bits=1024)
         ebf.report_read("key", ttl=100.0, read_time=0.0)
         assert ebf.report_invalidation("key", 1.0)
         assert ebf.fill_ratio() == fill_ratio(ebf.to_flat(1.0)) > 0.0

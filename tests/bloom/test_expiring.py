@@ -6,6 +6,7 @@ import pytest
 
 from repro.bloom import BloomFilter, ExpiringBloomFilter
 from repro.bloom.hashing import stable_uint64
+from repro.bloom.expiring import EBF_NUM_HASHES
 from repro.clock import VirtualClock
 
 
@@ -16,7 +17,7 @@ def clock() -> VirtualClock:
 
 @pytest.fixture
 def ebf(clock: VirtualClock) -> ExpiringBloomFilter:
-    return ExpiringBloomFilter(num_bits=2048, num_hashes=4, clock=clock)
+    return ExpiringBloomFilter(num_bits=2048, clock=clock)
 
 
 class TestInvalidation:
@@ -109,10 +110,15 @@ class TestFlatSnapshot:
         assert not flat.contains("k")
 
 
-@pytest.mark.parametrize("bits, hashes", [(0, 4), (-8, 4), (64, 0), (64, -1)])
-def test_invalid_geometry_rejected(bits, hashes):
+@pytest.mark.parametrize("bits", [0, -8])
+def test_invalid_geometry_rejected(bits):
     with pytest.raises(ValueError):
-        ExpiringBloomFilter(num_bits=bits, num_hashes=hashes)
+        ExpiringBloomFilter(num_bits=bits)
+
+
+def test_every_filter_hashes_a_key_ebf_num_hashes_times():
+    flat = ExpiringBloomFilter(num_bits=64).to_flat()
+    assert (flat.num_bits, flat.num_hashes) == (64, EBF_NUM_HASHES)
 
 
 KEYS = tuple(f"record:posts/p{number}" for number in range(12))
@@ -155,8 +161,8 @@ class ShardedFilters:
     """One shared EBF plus ``shards`` per-shard EBFs, fed the same calls."""
 
     def __init__(self, shards, clock):
-        self.shared = ExpiringBloomFilter(64, 3, clock=clock)
-        self.per_shard = [ExpiringBloomFilter(64, 3, clock=clock) for _ in range(shards)]
+        self.shared = ExpiringBloomFilter(64, clock=clock)
+        self.per_shard = [ExpiringBloomFilter(64, clock=clock) for _ in range(shards)]
 
     def _pair(self, key):
         return self.shared, self.per_shard[stable_uint64(key) % len(self.per_shard)]
@@ -190,7 +196,7 @@ class TestDeltaAtomicity:
     def test_theorem1_no_stale_read_beyond_delta(self, clock):
         """Simulate Theorem 1: a client using a filter of age Delta never
         unknowingly reads data that became stale more than Delta ago."""
-        ebf = ExpiringBloomFilter(num_bits=4096, num_hashes=4, clock=clock)
+        ebf = ExpiringBloomFilter(num_bits=4096, clock=clock)
         # Server: query cached at t=0 with TTL 60.
         ebf.report_read("query:q", ttl=60.0)
         # Client fetches the flat filter at t=5 (its Delta reference point).

@@ -140,7 +140,7 @@ class TestInlinedProbeLoops:
 
     @pytest.mark.parametrize("key", CORPUS)
     def test_expiring_flat_copy_sets_exactly_the_pinned_positions(self, key):
-        ebf = ExpiringBloomFilter(11680, 4)
+        ebf = ExpiringBloomFilter(11680)
         ebf.report_read(key, ttl=10.0, read_time=0.0)
         assert ebf.report_invalidation(key, 1.0)
         assert list(ebf.to_flat(1.0).iter_set_bits()) == pinned_bits(key)
@@ -173,7 +173,7 @@ class TestSerializedPayloads:
         assert counting.to_flat().to_bytes().hex() == GOLDEN_PAYLOAD_HEX
 
     def test_expiring_flat_copy_reproduces_the_payload(self):
-        ebf = ExpiringBloomFilter(512, 4)
+        ebf = ExpiringBloomFilter(512)
         ebf.report_read_many(CORPUS, ttl=10.0, read_time=0.0)
         for key in CORPUS:
             assert ebf.report_invalidation(key, 1.0)

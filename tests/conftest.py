@@ -39,8 +39,11 @@ class SnapshotGuard:
     Stored snapshots are shared by reference from the collection to change
     events, caches, replicas and sessions, so an in-place edit anywhere would
     corrupt all of them silently.  The guard fingerprints every snapshot on
-    its way through the ``Collection`` install seam and re-fingerprints them
-    all when the test ends.
+    its way through the ``Collection`` install seams and re-fingerprints them
+    all when the test ends.  A bulk install (pre-load, replica seeding) is
+    fingerprinted as one batch: a dataset of 10^5 documents costs one JSON
+    encoding, and only a batch that changed is taken apart to name its
+    victims.
     """
 
     def __init__(self) -> None:
@@ -48,25 +51,57 @@ class SnapshotGuard:
         # keeps its id from being reused.  Replicas adopt the primary's
         # object, so one entry covers every node.
         self._installed: Dict[int, Tuple[dict, str, str]] = {}
+        # (snapshots, fingerprint of the list, collection, document ids,
+        # versions) per bulk install, and the ids of every snapshot a batch holds.
+        self._batches: List[Tuple[List[dict], str, str, List[str], Dict[str, int]]] = []
+        self._batched: set = set()
+
+    def _seen(self, snapshot) -> bool:
+        return id(snapshot) in self._installed or id(snapshot) in self._batched
 
     def wrap(self, install):
         installed = self._installed
 
         def guarded_install(collection, document_id, snapshot, version):
-            if snapshot is not None and id(snapshot) not in installed:
+            if snapshot is not None and not self._seen(snapshot):
                 label = f"{collection.name}/{document_id} v{version}"
                 installed[id(snapshot)] = (snapshot, fingerprint(snapshot), label)
             return install(collection, document_id, snapshot, version)
 
         return guarded_install
 
+    def wrap_bulk(self, install_all):
+        def guarded_install_all(collection, snapshots, versions, *filed):
+            fresh = [
+                (document_id, snapshot)
+                for document_id, snapshot in snapshots.items()
+                if not self._seen(snapshot)
+            ]
+            if fresh:
+                ids = [document_id for document_id, _ in fresh]
+                batch = [snapshot for _, snapshot in fresh]
+                self._batched.update(map(id, batch))
+                self._batches.append((batch, fingerprint(batch), collection.name, ids, versions))
+            return install_all(collection, snapshots, versions, *filed)
+
+        return guarded_install_all
+
     def drifted(self) -> List[str]:
         """One line per installed snapshot whose content changed since."""
-        return [
+        lines = [
             f"{label}: installed as {before}, now {fingerprint(snapshot)}"
             for snapshot, before, label in self._installed.values()
             if fingerprint(snapshot) != before
         ]
+        for batch, before, name, ids, versions in self._batches:
+            if fingerprint(batch) != before:
+                for snapshot, old, document_id in zip(batch, json.loads(before), ids):
+                    if fingerprint(snapshot) != fingerprint(old):
+                        lines.append(
+                            f"{name}/{document_id} v{versions[document_id]}: installed as "
+                            f"{fingerprint(old)}, now {fingerprint(snapshot)}"
+                        )
+        return lines
 
     def check(self) -> None:
         drifted = self.drifted()
@@ -82,6 +117,7 @@ def snapshot_guard(monkeypatch) -> SnapshotGuard:
     """Fail any test during which a stored document version was mutated."""
     guard = SnapshotGuard()
     monkeypatch.setattr(Collection, "_install", guard.wrap(Collection._install))
+    monkeypatch.setattr(Collection, "_install_all", guard.wrap_bulk(Collection._install_all))
     yield guard
     guard.check()
 

@@ -97,7 +97,7 @@ class TestExpiringBloomFilterProperties:
     def test_invalidated_unexpired_keys_are_always_contained(self, operations):
         """No false negatives: every key invalidated within its TTL is flagged."""
         clock = VirtualClock()
-        ebf = ExpiringBloomFilter(num_bits=4096, num_hashes=4, clock=clock)
+        ebf = ExpiringBloomFilter(num_bits=4096, clock=clock)
         truly_stale: dict[str, float] = {}
         for key, ttl, gap in operations:
             ebf.report_read(key, ttl)
@@ -115,7 +115,7 @@ class TestExpiringBloomFilterProperties:
     @settings(max_examples=40)
     def test_everything_expires_eventually(self, reads):
         clock = VirtualClock()
-        ebf = ExpiringBloomFilter(num_bits=4096, num_hashes=4, clock=clock)
+        ebf = ExpiringBloomFilter(num_bits=4096, clock=clock)
         for key, ttl in reads:
             ebf.report_read(key, ttl)
             ebf.report_invalidation(key)

@@ -28,7 +28,7 @@ KEYS = tuple(f"record:posts/p{number}" for number in range(6)) + tuple(
     f'query:{{"c":"posts","q":{{"category":{number}}}}}' for number in range(2)
 )
 #: Small enough that keys of different shards share positions.
-BITS, HASHES = 32, 3
+BITS = 32
 
 operations = st.one_of(
     st.tuples(st.just("read"), st.sampled_from(KEYS), st.floats(min_value=0.0, max_value=8.0)),
@@ -41,8 +41,8 @@ operations = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_union_of_shard_filters_equals_one_shared_filter(shards, steps):
     clock = VirtualClock()
-    shared = ExpiringBloomFilter(BITS, HASHES, clock=clock)
-    per_shard = [ExpiringBloomFilter(BITS, HASHES, clock=clock) for _ in range(shards)]
+    shared = ExpiringBloomFilter(BITS, clock=clock)
+    per_shard = [ExpiringBloomFilter(BITS, clock=clock) for _ in range(shards)]
     for kind, key, amount in steps:
         if kind == "advance":
             clock.advance(amount)

@@ -36,3 +36,22 @@ def test_editing_a_deep_copy_is_fine(posts, snapshot_guard):
     mine["tags"].append("edited")
     assert snapshot_guard.drifted() == []
     assert posts.get("p1")["tags"] == ["other"]
+
+
+def test_mutating_a_preloaded_dataset_document_is_reported(snapshot_guard):
+    """Pre-load adopts generated documents by reference, in one batch; an
+    edit of one is named like any other installed snapshot."""
+    from repro.db import Database
+    from repro.workloads.dataset import DatasetSpec, generate_dataset
+
+    dataset = generate_dataset(DatasetSpec(num_tables=1, documents_per_table=30))
+    database = Database()
+    dataset.load_into(database)
+    victim = database.get("table_00", "table_00-doc-000017")
+    assert victim is dataset.documents["table_00"][17]
+    victim["tags"].append("edited")
+    assert [line.split(":")[0] for line in snapshot_guard.drifted()] == [
+        "table_00/table_00-doc-000017 v1"
+    ]
+    victim["tags"].pop()
+    assert snapshot_guard.drifted() == []
