@@ -20,6 +20,12 @@ def test_ablation_ttl_estimators(benchmark, scale):
     # The adaptive estimator must reach a hit rate at least comparable to the
     # best static setting while avoiding the short-TTL hit-rate collapse.
     assert rows["quaestor"]["client_query_hit_rate"] >= rows["static-10s"]["client_query_hit_rate"] - 0.05
+    # The run outlasts the short static TTL, so the two static rows differ.
+    static = [
+        {column: value for column, value in rows[name].items() if column != "estimator"}
+        for name in ("static-10s", "static-120s")
+    ]
+    assert static[0] != static[1], static
 
 
 def test_ablation_representation(benchmark, scale):

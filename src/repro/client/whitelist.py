@@ -18,13 +18,10 @@ class DifferentialWhitelist:
     def __init__(self) -> None:
         #: The whitelisted keys (read-only; hot paths test membership directly).
         self.fresh_keys: Set[str] = set()
-        self.additions = 0
-        self.resets = 0
 
     def add(self, key: str) -> None:
         """Mark ``key`` as revalidated (fresh until the next EBF renewal)."""
         self.fresh_keys.add(key)
-        self.additions += 1
 
     def __contains__(self, key: str) -> bool:
         return key in self.fresh_keys
@@ -32,7 +29,6 @@ class DifferentialWhitelist:
     def reset(self) -> None:
         """Clear the whitelist (called whenever a new EBF copy arrives)."""
         self.fresh_keys.clear()
-        self.resets += 1
 
     def __len__(self) -> int:
         return len(self.fresh_keys)

@@ -10,8 +10,8 @@ behind a consistent-hash :class:`ShardRouter`:
 * queries scatter over every shard; sub-results are gathered, merged with
   single-node sort/window semantics and re-cached under the original cache
   key with *min-TTL wins* Cache-Control merging,
-* write batches are grouped per shard and propagated with one InvaliDB
-  notification pump per batch,
+* write batches are grouped per shard and their after-images matched
+  against InvaliDB once per batch,
 * clients receive the bitwise union of all shard EBFs, so an invalidation on
   any shard flags the merged cached result.
 
@@ -24,14 +24,13 @@ statistics into one cluster-wide snapshot.
 from __future__ import annotations
 
 from repro.cluster.client import ClusterClient
-from repro.cluster.deployment import QuaestorCluster, QuaestorShard
+from repro.cluster.deployment import QuaestorCluster
 from repro.cluster.metrics import aggregate_statistics, cluster_statistics
 from repro.cluster.router import ShardRouter
 
 __all__ = [
     "ClusterClient",
     "QuaestorCluster",
-    "QuaestorShard",
     "aggregate_statistics",
     "cluster_statistics",
     "ShardRouter",

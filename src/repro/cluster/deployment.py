@@ -24,16 +24,17 @@ a merged result that is never cached, which is exactly the waste the old
 admit-then-discover-the-rejection sequence incurred.
 
 Writes route to the owning shard; batches are grouped per shard and applied
-through :meth:`~repro.core.QuaestorServer.handle_write_batch`, which pumps
-the invalidation queues once per batch (batched write propagation).
+through :meth:`~repro.core.QuaestorServer.handle_write_batch`, which matches
+the batch's after-images against InvaliDB once (batched write propagation).
 
 Replication and failure handling
 --------------------------------
-Every shard is wrapped in a :class:`~repro.replication.ReplicaGroup`: a
-primary plus ``replication_factor - 1`` asynchronously shipped replicas
-(:mod:`repro.replication`).  Record reads route through the group, which may
-serve Delta-atomic/causal sessions from a replica; STRONG reads and all
-writes need the primary.  When a primary is down:
+Every shard is a :class:`~repro.replication.ReplicaGroup`: a primary plus
+``replication_factor - 1`` asynchronously shipped replicas
+(:mod:`repro.replication`); its ``server`` and ``database`` name the current
+primary.  Record reads route through the group, which may serve
+Delta-atomic/causal sessions from a replica; STRONG reads and all writes need
+the primary.  When a primary is down:
 
 * record reads degrade to replicas where the consistency level allows it,
   otherwise the caller receives a structured 503 response,
@@ -68,7 +69,6 @@ checks and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bloom.bloom_filter import BloomFilter
@@ -85,8 +85,9 @@ from repro.core.server import PurgeTarget, QuaestorServer
 from repro.db.database import Database
 from repro.db.documents import Document
 from repro.db.query import Query, window_ids
-from repro.errors import ShardUnavailableError
+from repro.errors import ShardUnavailableError, UnsupportedFaultError
 from repro.faults.gray import GrayFailureState
+from repro.faults.plan import target_shard
 from repro.resilience import ResilienceConfig, ResilienceRuntime
 from repro.invalidb.cluster import InvaliDBCluster
 from repro.metrics.counters import Counter
@@ -98,19 +99,6 @@ from repro.rest.messages import Response, StatusCode
 from repro.simulation.staleness import StalenessAuditor
 from repro.workloads.dataset import Dataset, INDEXED_QUERY_FIELD
 from repro.workloads.operations import Operation, OperationType
-
-
-@dataclass
-class QuaestorShard:
-    """One shard of a cluster: the *current primary* database and server.
-
-    The fields are re-pointed on failover, so holders of the shard object
-    always observe the serving primary.
-    """
-
-    shard_id: int
-    database: Database
-    server: QuaestorServer
 
 
 class QuaestorCluster:
@@ -172,36 +160,28 @@ class QuaestorCluster:
             ResilienceRuntime(self.resilience, self.clock) if self.resilience else None
         )
 
+        #: Observability (``repro.obs``): the optional, draw-free request
+        #: tracer; ``_build_server`` binds it to every primary.
+        self.tracer = tracer
+
         databases = [Database(clock=self.clock) for _ in range(num_shards)]
         if dataset is not None:
             self._load_dataset(databases, dataset)
 
-        self.shards: List[QuaestorShard] = [
-            QuaestorShard(
-                shard_id=shard_id,
-                database=database,
-                server=QuaestorServer(
-                    database,
-                    config=self.config,
-                    invalidb=InvaliDBCluster(matching_nodes=matching_nodes),
-                    auditor=self.auditor,
-                ),
-            )
-            for shard_id, database in enumerate(databases)
-        ]
-        #: One replica group per shard (a strict no-op wrapper at RF=1).
-        #: Replicas are seeded from the primary *after* the dataset pre-load,
-        #: so every copy starts from the same state and version sequence.
+        #: One replica group per shard (a strict no-op wrapper at RF=1), which
+        #: is the shard.  Replicas are seeded from the primary *after* the
+        #: dataset pre-load, so every copy starts from the same state and
+        #: version sequence.
         self.groups: List[ReplicaGroup] = [
             ReplicaGroup(
-                shard_id=shard.shard_id,
-                database=shard.database,
-                server=shard.server,
+                shard_id=shard_id,
+                database=database,
+                server=self._build_server(database),
                 server_factory=self._build_server,
                 clock=self.clock,
                 config=self.replication,
             )
-            for shard in self.shards
+            for shard_id, database in enumerate(databases)
         ]
         if self.resilience_runtime is not None and self.resilience.breaker is not None:
             # Per-replica breakers: a replica that keeps failing (e.g. gray
@@ -217,15 +197,9 @@ class QuaestorCluster:
         #: so a server installed by failover is wired identically to the one
         #: it replaces (otherwise CDN purges would silently stop post-crash).
         self._purge_targets: List[PurgeTarget] = []
-        #: Counter snapshots of servers retired by failover, per shard, so
-        #: cluster statistics keep covering the whole run (gauges excluded --
-        #: only the live server's gauges are meaningful).
-        self._retired_statistics: Dict[int, Dict[str, float]] = {}
         #: When each shard's primary went down (cleared when service
         #: resumes); lets recovery paths honour the failure-detection delay.
         self._primary_down_at: Dict[int, float] = {}
-        #: Observability (``repro.obs``): the optional, draw-free request tracer.
-        self.tracer = tracer
         #: Where the latest request of each kind ran, recorded once by its
         #: path: a served read's and an applied write's ``(shard_id,
         #: node_id)``, and a scatter's pair per live primary it iterated.
@@ -235,20 +209,19 @@ class QuaestorCluster:
         self.scatter_placement: List[Tuple[int, str]] = []
         if tracer is not None:
             self.router.tracer = tracer
-            for shard in self.shards:
-                shard.server.tracer = tracer
             for group in self.groups:
                 group.tracer = tracer
 
-    def _build_server(self, database: Database, ebf, ttl_estimator) -> QuaestorServer:
-        """Server factory for promoted replicas.
+    def _build_server(self, database: Database, ebf=None, ttl_estimator=None) -> QuaestorServer:
+        """Server factory for every primary: a shard's first one builds its
+        own Expiring Bloom Filter and TTL estimator.
 
-        The Expiring Bloom Filter and TTL estimator are handed through from
-        the replica group: they model the shared coherence tier (the paper
-        keeps this bookkeeping in Redis, not on the Quaestor process), so
-        they survive the crash.  The InvaliDB matching cluster does *not* --
-        it dies with the primary and is rebuilt empty here; the cluster
-        re-registers the committed queries afterwards.
+        A promoted or recovered primary is handed them by its replica group:
+        they model the shared coherence tier (the paper keeps this
+        bookkeeping in Redis, not on the Quaestor process), so they survive
+        the crash.  The InvaliDB matching cluster does *not* -- it dies with
+        the primary and is rebuilt empty here; the cluster re-registers the
+        committed queries afterwards.
         """
         server = QuaestorServer(
             database,
@@ -258,7 +231,6 @@ class QuaestorCluster:
             ebf=ebf,
             auditor=self.auditor,
         )
-        # Promoted primaries keep emitting spans like the server they replace.
         server.tracer = self.tracer
         return server
 
@@ -284,7 +256,7 @@ class QuaestorCluster:
 
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        return len(self.groups)
 
     # -- fleet-wide wiring --------------------------------------------------------------
 
@@ -295,8 +267,8 @@ class QuaestorCluster:
         wired to the same targets as the one it replaces.
         """
         self._purge_targets.append(target)
-        for shard in self.shards:
-            shard.server.register_purge_target(target)
+        for group in self.groups:
+            group.server.register_purge_target(target)
 
     def bloom_filter(self) -> BloomFilter:
         """Union of every shard's flat EBF snapshot (one client-facing filter).
@@ -500,8 +472,8 @@ class QuaestorCluster:
             # retries: the gather point is only as patient as the whole
             # request's budget.
             deadline = runtime.new_deadline() if runtime is not None and gray_active else None
-            for shard, group in zip(self.shards, self.groups):
-                shard_id = shard.shard_id
+            for group in self.groups:
+                shard_id = group.shard_id
                 primary = group.primary_node
                 if not primary.alive:
                     shard_errors[shard_id] = "primary-unavailable"
@@ -514,7 +486,7 @@ class QuaestorCluster:
                 if gray_active and not self._scatter_attempt(shard_id, deadline):
                     shard_errors[shard_id] = "request-dropped"
                     continue
-                prepared.append(shard.server.prepare_shard_query(query, scatter, deadline=deadline))
+                prepared.append(group.server.prepare_shard_query(query, scatter, deadline=deadline))
                 if tracer is not None:
                     tracer.event("cluster.shard_query", "shard", shard_id)
             if shard_errors:
@@ -683,14 +655,14 @@ class QuaestorCluster:
             group.ensure_collection(collection)
         shard_id = self.router.record_write(collection, str(document.get("_id", "")))
         return self._write(
-            shard_id, "insert", self.shards[shard_id].server.handle_insert, collection, document
+            shard_id, "insert", self.groups[shard_id].server.handle_insert, collection, document
         )
 
     def update(self, collection: str, document_id: str, update: Document) -> Response:
         self.counters.counts["writes"] += 1
         shard_id = self.router.record_write(collection, document_id)
         return self._write(
-            shard_id, "update", self.shards[shard_id].server.handle_update,
+            shard_id, "update", self.groups[shard_id].server.handle_update,
             collection, document_id, update,
         )
 
@@ -698,7 +670,7 @@ class QuaestorCluster:
         self.counters.counts["writes"] += 1
         shard_id = self.router.record_write(collection, document_id)
         return self._write(
-            shard_id, "delete", self.shards[shard_id].server.handle_delete, collection, document_id
+            shard_id, "delete", self.groups[shard_id].server.handle_delete, collection, document_id
         )
 
     def _write(self, shard_id: int, op: str, handler, *args) -> Response:
@@ -766,7 +738,7 @@ class QuaestorCluster:
                 tracer.end(span, "shard", shard_id, "op", op)
 
     def write_batch(self, operations: Sequence[Operation]) -> List[Response]:
-        """Apply a write batch: group by owning shard, one invalidation pump each.
+        """Apply a write batch: group by owning shard, one InvaliDB drain each.
 
         Responses are returned in the caller's operation order.
         """
@@ -795,7 +767,7 @@ class QuaestorCluster:
                     responses[index] = self._unavailable_response(shard_id)
                 continue
             batch = [operation for _index, operation in indexed_operations]
-            shard_responses = self.shards[shard_id].server.handle_write_batch(batch)
+            shard_responses = self.groups[shard_id].server.handle_write_batch(batch)
             for (index, _operation), response in zip(indexed_operations, shard_responses):
                 responses[index] = response
         return list(responses)
@@ -803,8 +775,13 @@ class QuaestorCluster:
     # -- replication fault surface ---------------------------------------------------------
 
     def shard_of(self, node_id: str) -> int:
-        """The shard a node id (``"s<shard>:n<index>"``) belongs to."""
-        for group in self.groups:
+        """The shard a node id (``"s<shard>:n<index>"``) belongs to; raises
+        ``KeyError`` for an id no group holds."""
+        try:
+            group = self.groups[target_shard(node_id)]
+        except (UnsupportedFaultError, IndexError):
+            group = None
+        if group is not None:
             for node in group.nodes:
                 if node.node_id == node_id:
                     return group.shard_id
@@ -884,9 +861,8 @@ class QuaestorCluster:
         """Promote the freshest replica of ``shard_id`` and re-route to it.
 
         Returns the promotion record (or ``None`` when the primary is alive
-        again or no replica survived).  After the promotion the shard entry
-        points at the new server and every query the cluster had committed is
-        re-registered there: the scatter pipeline re-runs prepare/commit so
+        again or no replica survived).  After the promotion every query the
+        cluster had committed is re-registered on the group's new server: the scatter pipeline re-runs prepare/commit so
         the InvaliDB registration, active-list entry and EBF report are
         rebuilt from the promoted database, and the query key itself is
         flagged stale in the shared filter so cached merged results
@@ -901,28 +877,9 @@ class QuaestorCluster:
         self._install_primary(group)
         return info
 
-    #: Point-in-time gauges in a server statistics snapshot; excluded when a
-    #: retired server's counters are folded into the cluster totals (only the
-    #: live server's gauges are meaningful, and summing gauges double-counts).
-    _GAUGE_STATISTICS = frozenset(
-        ("active_queries", "invalidb_active_queries", "ebf_stale_keys", "ebf_fill_ratio")
-    )
-
     def _install_primary(self, group: ReplicaGroup) -> None:
-        """Point the shard at the group's current primary and rebuild state."""
+        """Rebuild the state of the group's new primary."""
         self._primary_down_at.pop(group.shard_id, None)
-        shard = self.shards[group.shard_id]
-        if shard.server is not group.server:
-            # Fold the retired server's counters into the shard's retained
-            # baseline so cluster statistics keep covering the whole run.
-            retained = self._retired_statistics.setdefault(group.shard_id, {})
-            for name, value in shard.server.statistics().items():
-                if name in self._GAUGE_STATISTICS or isinstance(value, bool):
-                    continue
-                if isinstance(value, (int, float)):
-                    retained[name] = retained.get(name, 0) + value
-        shard.server = group.server
-        shard.database = group.database
         now = self.clock.now()
         server = group.server
         # Wire the promoted server exactly like the one it replaces.

@@ -35,17 +35,16 @@ def aggregate_statistics(snapshots: Sequence[Mapping[str, float]]) -> Dict[str, 
 def per_shard_statistics(cluster: "QuaestorCluster") -> Dict[int, Dict[str, float]]:
     """Each shard's server statistics, keyed by shard id.
 
-    Counters of servers retired by failover are folded in (the cluster
-    retains their snapshots), so a shard's numbers cover the whole run,
-    not just the tenure of its current primary.
+    Counters of servers retired by failover and recovery are folded in (each
+    replica group keeps their sums), so a shard's numbers cover the whole
+    run, not just the tenure of its current primary.
     """
     merged: Dict[int, Dict[str, float]] = {}
-    retired = cluster._retired_statistics
-    for shard in cluster.shards:
-        snapshot = dict(shard.server.statistics())
-        for name, value in retired.get(shard.shard_id, {}).items():
+    for group in cluster.groups:
+        snapshot = dict(group.server.statistics())
+        for name, value in group.retired_statistics.items():
             snapshot[name] = snapshot.get(name, 0) + value
-        merged[shard.shard_id] = snapshot
+        merged[group.shard_id] = snapshot
     return merged
 
 

@@ -34,8 +34,21 @@ shard and talks to it through these additional entry points:
   rejecting shard leaves zero new registrations anywhere (keys committed by
   an earlier scatter keep theirs, so still-cached merges stay invalidatable).
 * :meth:`QuaestorServer.handle_write_batch` -- applies a batch of routed
-  writes, pumping the InvaliDB notification queues once per batch instead of
-  once per write (batched write propagation).
+  writes, matching their after-images against InvaliDB once per batch
+  instead of once per write (batched write propagation).
+
+Change stream to InvaliDB
+-------------------------
+The paper's deployment puts Redis queues between the Quaestor servers and
+InvaliDB because they are separate processes on separate machines.  Here
+both run in one call stack and matching is synchronous, so no queue is
+modelled: :meth:`QuaestorServer._on_change` appends each after-image to a
+pending list and :meth:`QuaestorServer._process_invalidations` matches that
+list in arrival order, then handles the notifications in order.  A query
+registration runs the same drain right after activating the query, so an
+after-image that was pending when the query registered is matched against
+it.  The lag of a purge behind its write is modelled by the simulation's
+``NetworkTopology.invalidation_delay``, not here.
 """
 
 from __future__ import annotations
@@ -61,7 +74,6 @@ from repro.errors import DocumentNotFoundError
 from repro.invalidb.capacity import CapacityManager
 from repro.invalidb.cluster import InvaliDBCluster
 from repro.invalidb.events import Notification
-from repro.invalidb.ingestion import InvaliDBFrontend
 from repro.metrics.counters import Counter
 from repro.rest.etags import etag_for_version
 from repro.rest.messages import Response, StatusCode
@@ -72,6 +84,12 @@ from repro.workloads.operations import OperationType as WorkloadOperationType
 #: A purge target is either an invalidation-based cache or a callable taking
 #: the purged key (e.g. a simulator hook that applies the purge after a delay).
 PurgeTarget = Union[InvalidationCache, Callable[[str], None]]
+
+#: The point-in-time gauges of :meth:`QuaestorServer.statistics`; every other
+#: entry is a counter that only grows.
+GAUGE_STATISTICS = frozenset(
+    ("active_queries", "invalidb_active_queries", "ebf_stale_keys", "ebf_fill_ratio")
+)
 
 
 class QuaestorServer:
@@ -101,7 +119,6 @@ class QuaestorServer:
             else self.config.build_ttl_estimator()
         )
         self.invalidb = invalidb if invalidb is not None else InvaliDBCluster(matching_nodes=1)
-        self.frontend = InvaliDBFrontend(self.invalidb)
         self.capacity = CapacityManager(
             self.invalidb, max_active_queries=self.config.max_active_queries
         )
@@ -113,8 +130,8 @@ class QuaestorServer:
         #: Every authoritative install enters ``auditor.record_version``.
         self.auditor = auditor if auditor is not None else StalenessAuditor()
         #: Optional :class:`repro.obs.TraceRecorder`; events are only emitted
-        #: inside an open (sampled) request span, so background notification
-        #: pumps stay silent.
+        #: inside an open (sampled) request span, so background InvaliDB
+        #: drains stay silent.
         self.tracer = None
         self.counters = Counter()
         self._counts = self.counters.counts  # the live mapping, for ``+= 1`` per write
@@ -122,7 +139,9 @@ class QuaestorServer:
 
         #: One ``purge(key)`` callable per registered target.
         self._purges: List[Callable[[str], None]] = []
-        self._defer_pump = False
+        #: After-images not yet matched against InvaliDB, in arrival order.
+        self._pending_changes: List[ChangeEvent] = []
+        self._defer_matching = False
         #: The newest change event: write handlers read their assigned version off it.
         self._last_change: Optional[ChangeEvent] = None
 
@@ -256,14 +275,14 @@ class QuaestorServer:
         return self.database.collection(collection).version(document_id)
 
     def handle_write_batch(self, operations: Sequence[Operation]) -> List[Response]:
-        """Cluster integration point: apply routed writes with one invalidation pump.
+        """Cluster integration point: apply routed writes with one InvaliDB drain.
 
         The cluster router groups a write batch by owning shard and hands each
         shard its slice through this method.  Every write still flows through
         the change stream individually (records are invalidated immediately),
-        but the InvaliDB notification queues are pumped once at the end of the
-        batch instead of once per write -- the batched write propagation that
-        makes high write throughput affordable.
+        but the after-images are matched against InvaliDB once, in arrival
+        order, at the end of the batch instead of once per write -- the
+        batched write propagation that makes high write throughput affordable.
         """
         for operation in operations:
             if operation.type not in (
@@ -273,7 +292,7 @@ class QuaestorServer:
             ):
                 raise ValueError(f"write batches only accept writes, got {operation.type}")
         self._counts["write_batches"] += 1
-        self._defer_pump = True  # suspend notification pumping, pump once on exit
+        self._defer_matching = True  # suspend matching, drain once on exit
         try:
             responses = []
             for operation in operations:
@@ -288,7 +307,7 @@ class QuaestorServer:
                 responses.append(response)
             return responses
         finally:
-            self._defer_pump = False
+            self._defer_matching = False
             self._process_invalidations()
 
     # -- transactions ----------------------------------------------------------------------------
@@ -319,15 +338,22 @@ class QuaestorServer:
         # The record itself becomes stale in all caches holding it.
         self._invalidate_key(key, timestamp)
 
-        # Forward the after-image to InvaliDB for query matching.
-        self.frontend.submit_change(event)
+        # The after-image waits for InvaliDB query matching.
+        self._pending_changes.append(event)
 
     def _process_invalidations(self) -> None:
-        """Pump the InvaliDB queues and handle resulting notifications."""
-        if self._defer_pump:
-            # Inside a write batch: notifications are drained once at the end.
+        """Match the pending after-images in arrival order, then handle the
+        notifications they produced in order."""
+        if self._defer_matching or not self._pending_changes:
+            # Inside a write batch the after-images are matched once at its end.
             return
-        for notification in self.frontend.pump():
+        events = self._pending_changes
+        self._pending_changes = []
+        process_event = self.invalidb.process_event
+        notifications: List[Notification] = []
+        for event in events:
+            notifications += process_event(event)
+        for notification in notifications:
             self._handle_notification(notification)
 
     def _handle_notification(self, notification: Notification) -> None:
@@ -382,9 +408,10 @@ class QuaestorServer:
             initial = self.database.find(full_query)
         else:
             initial = self.database.find(query)
-        self.frontend.submit_activation(query, initial)
-        for notification in self.frontend.pump():
-            self._handle_notification(notification)
+        self.invalidb.register_query(query, initial)
+        # Activation first, then every after-image still pending: the order
+        # the paper's query and change queues give.
+        self._process_invalidations()
         self.counters.increment("queries_registered")
 
     # -- statistics -----------------------------------------------------------------------------------

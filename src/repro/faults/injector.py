@@ -19,7 +19,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.clock import Clock
-from repro.faults.plan import FaultAction, FaultEvent, FaultPlan
+from repro.faults.plan import FaultAction, FaultEvent, FaultPlan, target_shard
 from repro.simulation.event_queue import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -84,20 +84,13 @@ class FaultInjector:
             self._heal(event)
         elif event.action is FaultAction.SLOW_SHARD:
             self.cluster.slow_target(event.target, event.magnitude)
-            self._record("slow_shard", event.target, self._target_shard(event.target))
+            self._record("slow_shard", event.target, target_shard(event.target))
         elif event.action is FaultAction.FLAKY_SHARD:
             self.cluster.flaky_target(event.target, event.magnitude)
-            self._record("flaky_shard", event.target, self._target_shard(event.target))
+            self._record("flaky_shard", event.target, target_shard(event.target))
         else:
             self.cluster.restore_target(event.target)
-            self._record("restore", event.target, self._target_shard(event.target))
-
-    @staticmethod
-    def _target_shard(target: str) -> int:
-        """Shard id named by a (validated) plan target string."""
-        if target.startswith("shard:"):
-            return int(target.split(":", 1)[1])
-        return int(target.split(":", 1)[0][1:])
+            self._record("restore", event.target, target_shard(event.target))
 
     def _crash(self, event: FaultEvent) -> None:
         # Resolve the role fresh on every crash (a second "shard:N" crash
@@ -172,8 +165,7 @@ class FaultInjector:
         if use_binding and target in self._role_bindings:
             return self._role_bindings[target]
         if target.startswith("shard:"):
-            shard_id = int(target.split(":", 1)[1])
-            node_id = self.cluster.groups[shard_id].primary_node_id
+            node_id = self.cluster.groups[target_shard(target)].primary_node_id
             if bind:
                 # Latest crash wins: a later RECOVER of this role brings back
                 # the node this crash actually took down.

@@ -35,37 +35,37 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, UnsupportedFaultError
 
-#: The injector's two target grammars: role targets and node targets.
-_TARGET_GRAMMAR = re.compile(r"^(?:shard:\d+|s\d+:n\d+)$")
+#: The injector's two target grammars: role targets and node targets.  The
+#: first group is a role target's shard id, the second a node target's.
+_TARGET_GRAMMAR = re.compile(r"^(?:shard:(\d+)|s(\d+):n\d+)$")
 
 
-def _validate_target(target: str, role: str = "target") -> None:
-    if not isinstance(target, str) or not _TARGET_GRAMMAR.match(target):
+def target_shard(target: str, role: str = "target") -> int:
+    """The shard id a fault target names (``"shard:3"`` and ``"s3:n1"`` both
+    name shard 3); raises :class:`UnsupportedFaultError` on anything else."""
+    try:
+        match = _TARGET_GRAMMAR.match(target)
+    except TypeError:  # not a string
+        match = None
+    if match is None:
         raise UnsupportedFaultError(
             f"fault {role} {target!r} is not a valid target: expected "
             f"'shard:<id>' (role: the shard's current primary) or "
             f"'s<shard>:n<index>' (a specific node)"
         )
+    return int(match[1] or match[2])
 
 
 def _route_target(target: str, shards_per_partition: int, total_shards: int) -> tuple:
-    """Map a global fault target to ``(partition_id, local_target)``.
-
-    Understands the injector's two target grammars: role targets
-    (``"shard:3"``) and node targets (``"s3:n1"``).
-    """
+    """Map a global fault target to ``(partition_id, local_target)``."""
+    shard = target_shard(target)
+    _check_shard(shard, total_shards, target)
+    local = shard % shards_per_partition
     if target.startswith("shard:"):
-        shard = int(target.split(":", 1)[1])
-        _check_shard(shard, total_shards, target)
-        return shard // shards_per_partition, f"shard:{shard % shards_per_partition}"
-    if target.startswith("s") and ":" in target:
-        shard_part, node_part = target.split(":", 1)
-        shard = int(shard_part[1:])
-        _check_shard(shard, total_shards, target)
-        return shard // shards_per_partition, f"s{shard % shards_per_partition}:{node_part}"
-    raise UnsupportedFaultError(
-        f"cannot route fault target {target!r} to a shard partition"
-    )
+        local_target = f"shard:{local}"
+    else:
+        local_target = f"s{local}:{target.split(':', 1)[1]}"
+    return shard // shards_per_partition, local_target
 
 
 def _check_shard(shard: int, total_shards: int, target: str) -> None:
@@ -113,9 +113,9 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ConfigurationError("fault time must be non-negative")
-        _validate_target(self.target)
+        target_shard(self.target)
         if self.peer is not None:
-            _validate_target(self.peer, role="peer")
+            target_shard(self.peer, role="peer")
         if self.action in (FaultAction.PARTITION, FaultAction.HEAL) and self.peer is None:
             raise ConfigurationError(f"{self.action.value} requires a peer node")
         if self.action in _GRAY_ACTIONS:

@@ -135,8 +135,6 @@ class InvaliDBCluster:
         self._stateful_home_node: Dict[str, int] = {}
         self._registered: Dict[str, Query] = {}
         self._handlers: List[NotificationHandler] = []
-        self.events_processed = 0
-        self.notifications_emitted = 0
 
     # -- subscriptions ------------------------------------------------------------------
 
@@ -192,18 +190,15 @@ class InvaliDBCluster:
         notification stream is identical to evaluating every registered
         query.
         """
-        self.events_processed += 1
         notifications: List[Notification] = []
         for node in self._partition_nodes[self.scheme.object_partition(event.document_id)]:
             notifications += node.process(event)
         if self._stateful_home_node:  # any stateful query registered at all
             for state in self._stateful_states.candidates(event):
                 notifications += state.process(event)
-        if notifications:
-            self.notifications_emitted += len(notifications)
-            for notification in notifications:
-                for handler in self._handlers:
-                    handler(notification)
+        for notification in notifications:
+            for handler in self._handlers:
+                handler(notification)
         return notifications
 
     # -- capacity and latency ----------------------------------------------------------------

@@ -41,8 +41,6 @@ class QueryMatchState:
         self._ordered: Optional[OrderedResultState] = (
             OrderedResultState(query) if query.is_stateful else None
         )
-        self.events_processed = 0
-        self.notifications_emitted = 0
 
     # -- bootstrap -------------------------------------------------------------------
 
@@ -73,7 +71,6 @@ class QueryMatchState:
         member_filter = self._member_filter
         if member_filter is not None and not member_filter(document_id):
             return []
-        self.events_processed += 1
 
         matching_ids = self._matching_ids
         was_match = document_id in matching_ids
@@ -85,9 +82,7 @@ class QueryMatchState:
         )
 
         if self._ordered is not None:
-            notifications = self._process_stateful(event, was_match, is_match)
-            self.notifications_emitted += len(notifications)
-            return notifications
+            return self._process_stateful(event, was_match, is_match)
         if is_match:
             if not was_match:
                 matching_ids.add(document_id)
@@ -101,7 +96,6 @@ class QueryMatchState:
             notification_type = NotificationType.REMOVE
         else:
             return []
-        self.notifications_emitted += 1
         return [
             Notification(self.query_key, self.query, notification_type, document_id, event.timestamp)
         ]

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from repro.clock import Clock
 from repro.core.consistency import ConsistencyLevel
 from repro.core.read_path import render_record_read
+from repro.core.server import GAUGE_STATISTICS
 from repro.db.changestream import ChangeEvent
 from repro.db.database import Database
 from repro.db.query import record_key
@@ -99,7 +100,13 @@ class ReplicaGroup:
             )
             self.nodes.append(node)
 
-        self._server: "QuaestorServer" = server
+        #: The current primary's Quaestor server (re-pointed on failover and
+        #: recovery).
+        self.server: "QuaestorServer" = server
+        #: Counters of the servers failover and recovery retired, summed, so
+        #: shard statistics cover the whole run (gauges excluded: only the
+        #: live server's are meaningful, and summing them double-counts).
+        self.retired_statistics: Dict[str, float] = {}
         #: The serving primary's node (re-pointed on failover and recovery).
         self.primary_node: ReplicaNode = primary
         self._read_rr = 0
@@ -141,11 +148,6 @@ class ReplicaGroup:
     @property
     def primary_alive(self) -> bool:
         return self.primary_node.alive
-
-    @property
-    def server(self) -> "QuaestorServer":
-        """The current primary's Quaestor server (changes on failover)."""
-        return self._server
 
     @property
     def database(self) -> Database:
@@ -317,7 +319,7 @@ class ReplicaGroup:
     def _primary_read(self, collection: str, document_id: str) -> Response:
         self.counters.counts["primary_reads"] += 1
         self.last_served_node_id = self.primary_node.node_id
-        return self._server.handle_read(collection, document_id)
+        return self.server.handle_read(collection, document_id)
 
     def _replica_read(
         self, node: ReplicaNode, collection: str, document_id: str, now: float
@@ -350,7 +352,7 @@ class ReplicaGroup:
             document,
             version,
             now,
-            config=self._server.config,
+            config=self.server.config,
             ttl_estimator=self.ttl_estimator,
             ebf=self.ebf,
         )
@@ -394,7 +396,7 @@ class ReplicaGroup:
             # log shipping.  (The persistent EBF/TTL state lives in the
             # shared coherence tier and is untouched.)
             self._unsubscribe()
-            self._server.close()
+            self.server.close()
             return True
         return False
 
@@ -546,6 +548,7 @@ class ReplicaGroup:
     def _install_server(self, node: ReplicaNode, timestamp: float) -> None:
         """Make ``node`` the serving primary: role, new epoch, server, shipping.
 
+        The retiring server's counters are added to ``retired_statistics``.
         The database is first topped up with every collection the shard has
         ever materialised (the node may have been down when one was created;
         a scatter query hitting a missing collection would raise instead of
@@ -556,7 +559,11 @@ class ReplicaGroup:
         self.primary_node = node
         self._epoch += 1
         node.epoch = self._epoch
-        self._server = self.server_factory(node.database, self.ebf, self.ttl_estimator)
+        retired = self.retired_statistics
+        for name, value in self.server.statistics().items():
+            if name not in GAUGE_STATISTICS:
+                retired[name] = retired.get(name, 0) + value
+        self.server = self.server_factory(node.database, self.ebf, self.ttl_estimator)
         self._unsubscribe = node.database.subscribe(self._ship)
         self._serving_ids = None
 

@@ -110,7 +110,7 @@ class TestBatchedWritePropagation:
         ]
         facade.handle_write_batch(operations)
         for index in range(16):
-            shard = cluster.shards[cluster.router.shard_for_record("posts", f"batch-{index}")]
+            shard = cluster.groups[cluster.router.shard_for_record("posts", f"batch-{index}")]
             assert shard.database.collection("posts").get(f"batch-{index}")["views"] == 0
 
     def test_batch_pumps_invalidations_once_per_shard(self, sharded_deployment):
@@ -147,7 +147,7 @@ class TestBatchedWritePropagation:
             payload={"_id": "authoritative-id", "tags": [], "views": 0},
         )
         facade.handle_write_batch([operation])
-        owner = cluster.shards[cluster.router.shard_for_record("posts", "authoritative-id")]
+        owner = cluster.groups[cluster.router.shard_for_record("posts", "authoritative-id")]
         assert owner.database.collection("posts").get("authoritative-id")["views"] == 0
         response = facade.handle_read("posts", "authoritative-id")
         assert response.body["document"]["_id"] == "authoritative-id"
@@ -199,7 +199,7 @@ class TestBatchedWritePropagation:
         with pytest.raises(ValueError):
             facade.handle_write_batch(bad_batch)
         assert all(
-            "phantom" not in shard.database.collection_names() for shard in cluster.shards
+            "phantom" not in shard.database.collection_names() for shard in cluster.groups
         )
         assert facade.statistics().get("cluster_write_batches", 0) == 0
         from repro.db import Query

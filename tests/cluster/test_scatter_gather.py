@@ -104,7 +104,7 @@ class TestMergeCorrectness:
         # share the client query's compiled plan, or every repeat would file
         # a new, never-hit entry in every shard's result memo.
         cluster = build_cluster()
-        collections = [shard.database.collection("posts") for shard in cluster.shards]
+        collections = [shard.database.collection("posts") for shard in cluster.groups]
         for collection in collections:
             collection.create_index("category")
         query = Query("posts", {"category": 2}, sort=(("views", 1),), limit=3, offset=1)
@@ -122,7 +122,7 @@ class TestCacheControlMerging:
         cluster = build_cluster(num_shards=4)
         # Distinct fixed TTLs per shard: the merged header must carry the
         # smallest one (no cache may outlive the least durable sub-result).
-        for shard, ttl in zip(cluster.shards, (40.0, 10.0, 80.0, 25.0)):
+        for shard, ttl in zip(cluster.groups, (40.0, 10.0, 80.0, 25.0)):
             shard.server.ttl_estimator = StaticTTLEstimator(ttl=ttl)
 
         response = ClusterClient(cluster).handle_query(Query("posts", {"category": 1}))
@@ -134,7 +134,7 @@ class TestCacheControlMerging:
     def test_one_uncacheable_shard_makes_the_merge_uncacheable(self):
         cluster = build_cluster(num_shards=3)
         # Shard 1 rejects the query at admission (capacity exhausted).
-        cluster.shards[1].server.capacity.probe = lambda key, result_size=0: AdmissionTicket(
+        cluster.groups[1].server.capacity.probe = lambda key, result_size=0: AdmissionTicket(
             key, result_size, admitted=False
         )
 
@@ -189,7 +189,7 @@ class TestCrossShardInvalidation:
         # offset (with 4 shards and a global rank < 10, one always exists).
         victim = None
         for document_id in window_ids:
-            shard = cluster.shards[cluster.router.shard_for_record("posts", document_id)]
+            shard = cluster.groups[cluster.router.shard_for_record("posts", document_id)]
             local = shard.database.find(Query("posts", {}, sort=(("views", -1),)))
             local_rank = [str(doc["_id"]) for doc in local].index(document_id)
             if local_rank < query.offset:

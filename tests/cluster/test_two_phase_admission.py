@@ -40,14 +40,14 @@ def build_cluster(num_shards: int = 4, **config_kwargs) -> QuaestorCluster:
 
 def saturate_shard(cluster: QuaestorCluster, shard_id: int) -> None:
     """Fill one shard's single admission slot with an undisplaceable query."""
-    capacity = cluster.shards[shard_id].server.capacity
+    capacity = cluster.groups[shard_id].server.capacity
     capacity.commit(capacity.probe("hot-query"))
     for _ in range(100):
         capacity.record_read("hot-query", result_size=0)
 
 
 def assert_no_bookkeeping(cluster: QuaestorCluster, cache_key: str) -> None:
-    for shard in cluster.shards:
+    for shard in cluster.groups:
         server = shard.server
         assert not server.invalidb.is_registered(cache_key), shard.shard_id
         assert cache_key not in server.capacity._admitted, shard.shard_id
@@ -68,7 +68,7 @@ class TestScatterAbortInvariant:
         assert not response.is_cacheable
         assert_no_bookkeeping(cluster, query.cache_key)
         # The saturated shard keeps its original occupant untouched.
-        assert "hot-query" in cluster.shards[rejecting_shard].server.capacity._admitted
+        assert "hot-query" in cluster.groups[rejecting_shard].server.capacity._admitted
 
     def test_abort_is_observable_in_metrics(self):
         cluster = build_cluster(max_active_queries=1)
@@ -90,7 +90,7 @@ class TestScatterAbortInvariant:
         response = cluster.query(query)
 
         assert response.is_cacheable
-        for shard in cluster.shards:
+        for shard in cluster.groups:
             server = shard.server
             assert server.invalidb.is_registered(query.cache_key)
             assert query.cache_key in server.capacity._admitted
@@ -114,11 +114,11 @@ class TestScatterAbortInvariant:
         query = QUERIES[0]
         assert not cluster.query(query).is_cacheable
 
-        del cluster.shards[0].server.capacity._admitted["hot-query"]
+        del cluster.groups[0].server.capacity._admitted["hot-query"]
         assert cluster.query(query).is_cacheable
         assert_registered_everywhere = all(
             shard.server.invalidb.is_registered(query.cache_key)
-            for shard in cluster.shards
+            for shard in cluster.groups
         )
         assert assert_registered_everywhere
 
@@ -137,18 +137,18 @@ class TestScatterAbortInvariant:
         assert cluster.query(query).is_cacheable  # committed everywhere
 
         # Shard 0 later loses the slot to a hotter query.
-        capacity = cluster.shards[0].server.capacity
+        capacity = cluster.groups[0].server.capacity
         del capacity._admitted[query.cache_key]
         saturate_shard(cluster, 0)
 
         rescatter = cluster.query(query)
 
         assert not rescatter.is_cacheable
-        for shard in cluster.shards[1:]:
+        for shard in cluster.groups[1:]:
             # Deliberate retention: the earlier merge may still be cached.
             assert shard.server.invalidb.is_registered(query.cache_key)
             assert query.cache_key in shard.server.capacity._admitted
-        assert query.cache_key not in cluster.shards[0].server.capacity._admitted
+        assert query.cache_key not in cluster.groups[0].server.capacity._admitted
         # Retained probes of already-admitted keys are not wasted work.
         assert cluster.statistics()["admission_aborts"] == 0
 

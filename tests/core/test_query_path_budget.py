@@ -1,8 +1,11 @@
 """Machine-independent cost guard for the origin query path.
 
 One uncached ``QuaestorServer.handle_query`` executes the query at the
-origin and answers it with an ETag over the member ids and versions.  This
-test counts, around one such query on a 10-member result,
+origin and answers it with an ETag over the member ids and versions.  The
+first cached one also admits the query (capacity probe and commit),
+estimates its TTL, registers it in InvaliDB -- the server's drain then
+matches whatever after-images are pending -- and enters it into the active
+list.  This test counts, around one such query on a 10-member result,
 
 * Python frames (``sys.setprofile`` ``call`` events, as
   ``tests/core/test_write_path_budget.py`` does), and
@@ -21,9 +24,12 @@ unchanged query or to rendering every tag afresh fails here on any machine,
 without a wall-clock threshold.  Before, this query cost 54 frames / 96
 calls on its first execution and 54 / 95 on the next (there was no memo);
 with the tag memo a miss cost 27 / 40 and a hit 25 / 31; with the result
-memo a miss costs 24 / 37 and a hit 17 / 19.
+memo a miss costs 24 / 37 and a hit 17 / 19.  While the activation went
+through a modelled InvaliDB query queue and its ingestion task, the first
+cached query cost 144 / 212; without them it costs 136 / 196, so a return to
+a frame per hand-off between the server and InvaliDB fails here too.
 
-Both runs are preceded by one on a twin server: the query's compiled plan
+Every measured run is preceded by one on a twin server: the query's compiled plan
 and the process-wide memo tables then answer the measured runs the same way
 whatever ran earlier in the process, which makes the counts exact.
 """
@@ -43,6 +49,7 @@ from repro.db import Database, Query
 #: (frames, all calls) budgets.
 MEMO_MISS = (24, 37)
 MEMO_HIT = (17, 19)
+FIRST_CACHED_QUERY = (136, 196)
 
 
 @pytest.fixture(autouse=True)
@@ -77,14 +84,14 @@ def _calls_during(function):
     return frames, frames + c_calls - 1  # the closing sys.setprofile(None) is seen as a c_call
 
 
-def _server() -> QuaestorServer:
-    """An uncached server in front of 40 posts indexed on ``category``."""
+def _server(caching: bool = False) -> QuaestorServer:
+    """A server in front of 40 posts indexed on ``category``."""
     database = Database(clock=VirtualClock())
     posts = database.create_collection("posts")
     posts.create_index("category")
     for number in range(40):
         posts.insert({"_id": f"d{number:03d}", "category": number % 4, "views": number})
-    return QuaestorServer(database, config=QuaestorConfig(caching=False))
+    return QuaestorServer(database, config=QuaestorConfig(caching=caching))
 
 
 QUERY = Query("posts", {"category": 2})
@@ -99,6 +106,18 @@ def _costs():
     return miss, hit
 
 
+def _registration_cost(server: QuaestorServer):
+    """The first cached query on ``server``, which registers it in InvaliDB."""
+    cost = _calls_during(lambda: server.handle_query(QUERY))
+    assert server.invalidb.is_registered(QUERY.cache_key)
+    return cost
+
+
+def _first_cached_cost():
+    assert len(_server(caching=True).handle_query(QUERY).body["documents"]) == 10  # the twin
+    return _registration_cost(_server(caching=True))
+
+
 def _within(cost, budget) -> bool:
     return cost[0] <= budget[0] and cost[1] <= budget[1]
 
@@ -111,6 +130,27 @@ def test_a_query_whose_tag_memo_misses_fits_the_budget():
 def test_a_query_whose_result_is_unchanged_fits_the_budget():
     _miss, hit = _costs()
     assert _within(hit, MEMO_HIT), hit
+
+
+def test_a_cached_query_registering_in_invalidb_fits_the_budget():
+    cost = _first_cached_cost()
+    assert _within(cost, FIRST_CACHED_QUERY), cost
+
+
+def test_the_count_sees_the_registration():
+    """Vacuity check: the registration is visible to the count (the repeat
+    query, already registered, costs less), and so is an after-image the
+    registration's drain matches."""
+    first = _first_cached_cost()
+    server = _server(caching=True)
+    server.handle_query(QUERY)
+    repeat = _calls_during(lambda: server.handle_query(QUERY))
+    assert repeat[0] < first[0] and repeat[1] < first[1], (first, repeat)
+
+    server = _server(caching=True)
+    server.database.update("posts", "d002", {"$inc": {"views": 1}})  # pending at registration
+    with_pending = _registration_cost(server)
+    assert with_pending[0] > first[0] and with_pending[1] > first[1], (first, with_pending)
 
 
 def test_the_count_sees_what_it_claims_to():

@@ -1,8 +1,8 @@
 """Machine-independent cost guard for the write path.
 
 One client write runs ``db.update`` -> change stream -> server reaction (TTL
-sample, auditor, EBF, CDN purge) -> InvaliDB queue -> ingestion -> matching
-nodes -> notification handling.  The chain is one frame per stage and every
+sample, auditor, EBF, CDN purge, the after-image appended to the pending
+list) -> the server's drain -> matching nodes -> notification handling.  The chain is one frame per stage and every
 consumer reads what the write seam already put on the change event; this
 test counts, around one ``QuaestorClient.update`` / ``insert`` / ``delete``,
 
@@ -16,6 +16,9 @@ recomputing both index key sets or to a matching cost that grows with the
 registered queries fails here on any machine, without a wall-clock threshold.
 Before the chain was flattened the plain update below cost 115 frames / 200
 calls, the invalidating one 164 / 285, an insert 91 / 154, a delete 81 / 132.
+While the after-image still went through a modelled InvaliDB change queue
+and its ingestion task they cost 64 / 111, 87 / 158, 57 / 92 and 43 / 73;
+without them 59 / 103, 82 / 149, 52 / 84 and 38 / 65.
 
 Every scenario runs once unmeasured on a twin deployment first: the
 process-wide memo tables (placement hashes, record tags) then answer the
@@ -39,11 +42,13 @@ from repro.invalidb import InvaliDBCluster
 
 #: (frames, all calls) budgets.  Each is 4 frames below what it was while
 #: every ``Database`` CRUD call also counted itself in a per-database
-#: placement table (the ``sharder`` nothing read).
-PLAIN_UPDATE = (66, 115)
-INVALIDATING_UPDATE = (104, 186)
-INSERT = (59, 95)
-DELETE = (51, 84)
+#: placement table (the ``sharder`` nothing read), and 5 frames / 8 calls
+#: (9 for the invalidating update) below what it was while the after-image
+#: went through a modelled queue and ingestion task.
+PLAIN_UPDATE = (61, 107)
+INVALIDATING_UPDATE = (99, 177)
+INSERT = (54, 87)
+DELETE = (46, 76)
 #: Pairs of cached queries no write below can touch.  The budgets hold with a
 #: few of them (enough that both matching nodes index some); many more must
 #: not add a single call.

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, UnsupportedFaultError
 from repro.faults import FaultAction, FaultEvent, FaultPlan
+from repro.faults.plan import target_shard
 
 
 class TestTargetGrammar:
@@ -21,6 +22,16 @@ class TestTargetGrammar:
     def test_malformed_targets_fail_at_construction(self, target):
         with pytest.raises(UnsupportedFaultError):
             FaultEvent(1.0, FaultAction.CRASH, target)
+
+    @pytest.mark.parametrize(
+        "target, shard", (("shard:0", 0), ("shard:12", 12), ("s0:n0", 0), ("s3:n11", 3))
+    )
+    def test_target_shard_reads_the_shard_of_either_grammar(self, target, shard):
+        assert target_shard(target) == shard
+
+    def test_target_shard_rejects_a_malformed_target(self):
+        with pytest.raises(UnsupportedFaultError):
+            target_shard("node-3")
 
     def test_malformed_peer_fails_at_construction(self):
         with pytest.raises(UnsupportedFaultError):

@@ -1,88 +1,17 @@
-"""Tests for the ingestion queues and the capacity manager."""
+"""Tests for the capacity manager."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.db.changestream import ChangeEvent, OperationType
-from repro.db.query import Query
-from repro.invalidb import CapacityManager, InvaliDBCluster, NotificationType
+from repro.invalidb import CapacityManager, InvaliDBCluster
 from repro.invalidb.capacity import CAPACITY_HEADROOM, EXPECTED_UPDATE_RATE
-from repro.invalidb.ingestion import (
-    ChangestreamIngestionTask,
-    InvaliDBFrontend,
-    QueryActivation,
-    QueryIngestionTask,
-)
-from repro.kvstore import MessageQueue
 
 
 def admit(manager: CapacityManager, query_key: str, result_size: int = 0) -> bool:
     """Probe and immediately commit, as the read path does."""
     ticket = manager.probe(query_key, result_size=result_size)
     return ticket.admitted and manager.commit(ticket)
-
-
-def make_event(sequence: int, document_id: str, category: int) -> ChangeEvent:
-    return ChangeEvent(
-        sequence=sequence,
-        operation=OperationType.UPDATE,
-        collection="posts",
-        document_id=document_id,
-        before=None,
-        after={"_id": document_id, "category": category},
-        timestamp=float(sequence),
-    )
-
-
-class TestIngestionTasks:
-    def test_query_ingestion_activates(self):
-        cluster = InvaliDBCluster()
-        frontend = InvaliDBFrontend(cluster)
-        query = Query("posts", {"category": 1})
-        frontend.submit_activation(query, [])
-        frontend.pump()
-        assert cluster.is_registered(query.cache_key)
-
-    def test_change_ingestion_produces_notifications(self):
-        cluster = InvaliDBCluster()
-        frontend = InvaliDBFrontend(cluster)
-        query = Query("posts", {"category": 1})
-        frontend.submit_activation(query, [])
-        frontend.submit_change(make_event(1, "d1", 1))
-        notifications = frontend.pump()
-        assert [n.type for n in notifications] == [NotificationType.ADD]
-
-    def test_activations_processed_before_changes(self):
-        """A change submitted right after the activation must not be missed."""
-        cluster = InvaliDBCluster()
-        frontend = InvaliDBFrontend(cluster)
-        query = Query("posts", {"category": 2})
-        frontend.submit_activation(query, [])
-        frontend.submit_change(make_event(1, "d9", 2))
-        notifications = frontend.pump()
-        assert len(notifications) == 1
-
-    def test_bounded_queue_rejects_overflow(self):
-        cluster = InvaliDBCluster()
-        frontend = InvaliDBFrontend(cluster, queue_capacity=1)
-        assert frontend.submit_change(make_event(1, "d1", 1)) is True
-        assert frontend.submit_change(make_event(2, "d2", 1)) is False
-
-    def test_unexpected_queue_items_rejected(self):
-        cluster = InvaliDBCluster()
-        queue = MessageQueue("bogus")
-        queue.offer("not-an-event")
-        with pytest.raises(TypeError):
-            ChangestreamIngestionTask(queue, cluster).run_once()
-        queue = MessageQueue("bogus2")
-        queue.offer(42)
-        with pytest.raises(TypeError):
-            QueryIngestionTask(queue, cluster).run_once()
-
-    def test_query_activation_dataclass_holds_initial_result(self):
-        activation = QueryActivation(Query("posts", {}), [{"_id": "a"}])
-        assert activation.initial_result[0]["_id"] == "a"
 
 
 class TestCapacityManager:

@@ -8,6 +8,7 @@ from repro.clock import VirtualClock
 from repro.cluster import ClusterClient, QuaestorCluster
 from repro.core import ConsistencyLevel
 from repro.db.query import Query
+from repro.obs import TraceRecorder
 from repro.replication import ReplicationConfig
 from repro.rest.messages import StatusCode
 from repro.simulation.latency import LatencyModel
@@ -151,8 +152,8 @@ class TestClusterFailover:
         clock.advance(0.5)
         info = cluster.failover(0)
         assert info is not None
-        assert cluster.shards[0].server is victim.server
-        assert cluster.shards[0].server is not old_server
+        assert victim.server is not old_server
+        assert victim.server.database is victim.database
 
         # Writes owned by shard 0 succeed again.
         wrote = False
@@ -265,7 +266,49 @@ class TestClusterFailover:
         clock.advance(0.5)
         cluster.failover(0)
         # The retired server's counters are retained, not dropped.
-        assert cluster.statistics()["reads"] >= reads_before
+        assert cluster.statistics()["reads"] == reads_before
+
+    def test_a_retired_server_leaves_its_counters_but_not_its_gauges(self):
+        clock, cluster, facade = build_cluster()
+        facade.handle_query(Query("posts", {"category": 1}))
+        group = cluster.groups[0]
+        retiring = group.server.statistics()
+        cluster.crash_node(group.primary_node_id)
+        clock.advance(0.5)
+        cluster.failover(0)
+        assert group.retired_statistics["shard_queries"] == retiring["shard_queries"] == 1
+        assert "active_queries" not in group.retired_statistics
+        live = sum(shard.server.statistics()["active_queries"] for shard in cluster.groups)
+        assert cluster.statistics()["active_queries"] == live
+
+    def test_retired_counters_accumulate_over_successive_failovers(self):
+        clock, cluster, facade = build_cluster(num_shards=1, replication_factor=3)
+        group = cluster.groups[0]
+        reads = 0
+        for _round in range(2):
+            for index in range(5):
+                facade.handle_read("posts", f"p{index:02d}", consistency=ConsistencyLevel.STRONG)
+            reads += group.server.statistics()["reads"]
+            cluster.crash_node(group.primary_node_id)
+            clock.advance(0.5)
+            assert cluster.failover(0) is not None
+        assert group.retired_statistics["reads"] == reads == 10
+        assert cluster.statistics()["reads"] == reads
+
+    def test_every_primary_carries_the_fleet_tracer(self):
+        clock = VirtualClock()
+        tracer = TraceRecorder(clock)
+        cluster = QuaestorCluster(
+            num_shards=2,
+            clock=clock,
+            replication=ReplicationConfig(replication_factor=2),
+            tracer=tracer,
+        )
+        assert [group.server.tracer for group in cluster.groups] == [tracer, tracer]
+        cluster.crash_node(cluster.groups[0].primary_node_id)
+        clock.advance(0.5)
+        cluster.failover(0)
+        assert cluster.groups[0].server.tracer is tracer
 
     def test_recovering_candidate_ends_an_unresolved_outage(self):
         # Primary-less group with a rejoining replica: the cluster promotes
@@ -343,3 +386,20 @@ class TestClusterFailover:
         clock.advance(0.5)
         cluster.failover(0)
         assert facade.get_bloom_filter().contains(key)
+
+
+class TestShardOf:
+    def test_a_node_id_names_its_shard(self):
+        _clock, cluster, _facade = build_cluster(num_shards=2, replication_factor=2)
+        node_ids = [node.node_id for group in cluster.groups for node in group.nodes]
+        assert [cluster.shard_of(node_id) for node_id in node_ids] == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "node_id",
+        ["s2:n0", "s0:n2", "shard:0", "bogus"],
+        ids=["shard-out-of-range", "node-index-out-of-range", "role-target", "malformed"],
+    )
+    def test_a_node_id_no_group_holds_raises_key_error(self, node_id):
+        _clock, cluster, _facade = build_cluster(num_shards=2, replication_factor=2)
+        with pytest.raises(KeyError):
+            cluster.shard_of(node_id)

@@ -54,7 +54,6 @@ class TestTopLevelApi:
         import repro.core
         import repro.db
         import repro.invalidb
-        import repro.kvstore
         import repro.metrics
         import repro.rest
         import repro.simulation

@@ -120,7 +120,7 @@ class TestSimulatorIntegration:
     def test_spec_reaches_every_shard_of_a_cluster(self):
         static = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("static"))
         simulator = Simulator(self._config(num_shards=2, quaestor=static))
-        for shard in simulator.cluster.shards:
+        for shard in simulator.cluster.groups:
             assert isinstance(shard.server.ttl_estimator, StaticTTLEstimator)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
@@ -133,7 +133,7 @@ class TestSimulatorIntegration:
         servers = (
             [simulator.server]
             if num_shards == 1
-            else [shard.server for shard in simulator.cluster.shards]
+            else [shard.server for shard in simulator.cluster.groups]
         )
         for server in servers:
             assert not server.config.caching
