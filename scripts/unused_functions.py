@@ -14,7 +14,10 @@ repository's entry points run in this process:
 * a four-partition ``ParallelSimulator`` run with a crash/recover fault plan
   and every recorder on, as ``make sim-parallel-smoke`` runs it;
 * one causal cell of the full consistency matrix (``python -m repro.verify``
-  without ``--smoke``, its own CI job).
+  without ``--smoke``, its own CI job);
+* a failover that loses acknowledged writes: one shard at RF 2 under a
+  write-heavy mix and a 0.5 s replication lag, its primary crashed (the
+  entry point fails unless the promotion lost a record).
 
 Every ``def`` under ``src/repro`` (found by parsing the source) then falls
 into one of three classes:
@@ -225,6 +228,37 @@ def _causal_cell() -> None:
         raise RuntimeError(f"the consistency cell {spec.name} found violations")
 
 
+def _failover_loss() -> None:
+    from repro.faults import FaultPlan
+    from repro.simulation import (
+        CachingMode, LatencyModel, NetworkTopology, SimulationConfig, Simulator,
+    )
+    from repro.workloads import DatasetSpec, WorkloadSpec
+
+    config = SimulationConfig(
+        mode=CachingMode.QUAESTOR,
+        workload=WorkloadSpec.with_update_rate(0.5),
+        dataset=DatasetSpec(num_tables=1, documents_per_table=100, queries_per_table=10),
+        num_clients=4,
+        connections_per_client=4,
+        matching_nodes=1,
+        duration=10.0,
+        warmup_fraction=0.0,
+        max_operations=600,
+        seed=5,
+        num_shards=1,
+        replication_factor=2,
+        # Writes acknowledged in the last half second before the crash are
+        # still on the link when the replica is promoted.
+        topology=NetworkTopology(replication_lag=LatencyModel(0.5, jitter=0.1, minimum=0.001)),
+        fault_plan=FaultPlan.primary_crash(shard=0, at=1.0, recover_at=3.0),
+    )
+    simulator = Simulator(config)
+    simulator.run()
+    if not any(info["lost_records"] for info in simulator.cluster.groups[0].promotions):
+        raise RuntimeError("the failover lost no acknowledged write")
+
+
 def entry_points() -> List[Tuple[str, Callable[[], None]]]:
     """Every entry point, the longest first (the census hands them out in order)."""
     return [
@@ -237,6 +271,7 @@ def entry_points() -> List[Tuple[str, Callable[[], None]]]:
         ("run_parity_harness", _parity),
         ("ParallelSimulator, 4 partitions + faults", _parallel),
         ("causal consistency cell", _causal_cell),
+        ("failover losing acknowledged writes", _failover_loss),
     ]
 
 

@@ -162,8 +162,8 @@ class ExpiringBloomFilter:
         return self._filter.to_flat()
 
     def fill_ratio(self) -> float:
-        """Fraction of filter slots currently occupied (no snapshot copy)."""
-        self.expire()
+        """Fraction of filter slots occupied as of the last sweep (no snapshot
+        copy); ``len()`` sweeps first, so read it after that."""
         return self._filter.fill_ratio()
 
     def __len__(self) -> int:

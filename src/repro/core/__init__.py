@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.config import QuaestorConfig
 from repro.core.active_list import ActiveList, ActiveQueryEntry
-from repro.core.read_path import PreparedShardRead, ReadContext, ReadPipeline
+from repro.core.read_path import PreparedShardRead
 from repro.core.representation import ResultRepresentation, choose_representation
 from repro.core.consistency import ConsistencyLevel
 from repro.core.server import QuaestorServer
@@ -24,8 +24,6 @@ __all__ = [
     "ActiveList",
     "ActiveQueryEntry",
     "PreparedShardRead",
-    "ReadContext",
-    "ReadPipeline",
     "ResultRepresentation",
     "choose_representation",
     "ConsistencyLevel",

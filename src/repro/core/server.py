@@ -1,17 +1,17 @@
 """The Quaestor server: a caching middleware in front of the document database.
 
-The server answers REST-style requests for records, queries and writes.  Every
-cacheable read walks the staged :class:`~repro.core.read_path.ReadPipeline`
-(execute, versions/etag, two-phase capacity admission, TTL estimation,
-representation choice, InvaliDB registration, active-list entry, EBF
-reporting) -- one shared implementation, so the single-server and the sharded
-read path cannot drift.  Writes flow through the change stream into the
-invalidation machinery.
+The server answers REST-style requests for records, queries and writes.  A
+cacheable query takes the paper's steps in line -- execute, result etag,
+capacity admission, TTL estimate, representation choice, InvaliDB
+registration, active-list entry, EBF report -- and one commit step
+(:meth:`QuaestorServer._commit_query`) does every stateful one for both the
+single-server query and a cluster shard's commit, so the two cannot drift.
+Writes flow through the change stream into the invalidation machinery.
 
 Public entry points
 -------------------
 * :meth:`QuaestorServer.handle_read`, :meth:`QuaestorServer.handle_query` --
-  the cacheable read path, thin orchestrations over the read pipeline.
+  the cacheable read path.
 * :meth:`QuaestorServer.handle_insert`, :meth:`QuaestorServer.handle_update`,
   :meth:`QuaestorServer.handle_delete` -- the write path; every acknowledged
   write flows through the change stream into the invalidation machinery.
@@ -53,10 +53,7 @@ it.  The lag of a purge behind its write is modelled by the simulation's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.core.consistency import ConsistencyLevel
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.expiring import ExpiringBloomFilter
@@ -64,14 +61,20 @@ from repro.caching.invalidation import InvalidationCache
 from repro.clock import Clock
 from repro.core.active_list import ActiveList
 from repro.core.config import QuaestorConfig
-from repro.core.read_path import PreparedShardRead, ReadPipeline
-from repro.core.representation import ResultRepresentation
+from repro.core.read_path import PreparedShardRead, render_record_read
+from repro.core.representation import (
+    ResultRepresentation,
+    ResultTagMemo,
+    choose_representation,
+    object_list_body,
+    query_result_body,
+)
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.db.database import Database
 from repro.db.documents import Document
 from repro.db.query import Query, record_key
 from repro.errors import DocumentNotFoundError
-from repro.invalidb.capacity import CapacityManager
+from repro.invalidb.capacity import AdmissionTicket, CapacityManager
 from repro.invalidb.cluster import InvaliDBCluster
 from repro.invalidb.events import Notification
 from repro.metrics.counters import Counter
@@ -135,7 +138,7 @@ class QuaestorServer:
         self.tracer = None
         self.counters = Counter()
         self._counts = self.counters.counts  # the live mapping, for ``+= 1`` per write
-        self.pipeline = ReadPipeline(self)
+        self._result_tags = ResultTagMemo()
 
         #: One ``purge(key)`` callable per registered target.
         self._purges: List[Callable[[str], None]] = []
@@ -150,9 +153,6 @@ class QuaestorServer:
         self._unsubscribe_change_stream = self.database.subscribe(self._on_change)
 
     # -- wiring -----------------------------------------------------------------------
-
-    def now(self) -> float:
-        return self._clock.now()
 
     def register_purge_target(self, target: PurgeTarget) -> None:
         """Register an invalidation-based cache (or purge callback) to purge."""
@@ -174,45 +174,77 @@ class QuaestorServer:
     def get_bloom_filter(self) -> BloomFilter:
         """The flat Expiring Bloom Filter copy piggybacked to clients."""
         self.counters.increment("ebf_downloads")
-        return self.ebf.to_flat(self.now())
+        return self.ebf.to_flat(self._clock.now())
 
     # -- read path ---------------------------------------------------------------------------
 
-    def handle_read(
-        self,
-        collection: str,
-        document_id: str,
-        consistency: Optional["ConsistencyLevel"] = None,
-        min_timestamp: Optional[float] = None,
-    ) -> Response:
-        """Serve an individual record.
-
-        ``consistency`` and ``min_timestamp`` exist for protocol symmetry
-        with the replicated cluster facade (:class:`~repro.cluster.ClusterClient`):
-        a single server is its own primary, so every consistency level is
-        trivially satisfied here and the parameters are accepted and ignored.
-        """
+    def handle_read(self, collection: str, document_id: str) -> Response:
+        """Serve an individual record."""
         self.counters.increment("reads")
-        return self.pipeline.run_record_read(collection, document_id)
+        if self.tracer is not None:
+            self.tracer.event("pipeline.record_read", "collection", collection)
+        now = self._clock.now()
+        try:
+            document, version = self.database.collection(collection).get_versioned(document_id)
+        except DocumentNotFoundError:
+            return Response.uncacheable(None, status=StatusCode.NOT_FOUND)
+        response = render_record_read(
+            collection, document_id, document, version, now,
+            self.config, self.ttl_estimator, self.ebf,
+        )
+        # Primary-only: the authoritative version enters the audit history
+        # (replica reads share the rendering above but never this record).
+        self.auditor.record_version(record_key(collection, document_id), response.etag, now)
+        return response
 
     def handle_query(self, query: Query) -> Response:
-        """Serve a query result (object-list or id-list representation)."""
+        """Serve a query result (object-list or id-list representation).
+
+        Executes the query, tags the result, and -- when caching is on and
+        capacity admission probes in -- commits it (:meth:`_commit_query`);
+        otherwise the result goes out as an uncached, etagged object-list.
+        """
         self.counters.increment("queries")
-        return self.pipeline.run_query(query)
+        key = query.cache_key
+        now = self._clock.now()
+        documents, versions = self.database.collection(query.collection).find_versioned(query)
+        etag = self._result_tags.tag(key, versions)
+        self.auditor.record_version(key, etag, now)
+        if self.config.caching:
+            ticket = self.capacity.probe(key, result_size=len(documents))
+            if not ticket.admitted:
+                self.counters.increment("queries_uncacheable")
+            if self.tracer is not None:
+                self.tracer.event("pipeline.admission", "admitted", ticket.admitted)
+            if ticket.admitted:
+                representation = choose_representation(
+                    result_size=len(documents),
+                    assumed_record_hit_rate=self.config.assumed_record_hit_rate,
+                    object_list_max_size=self.config.object_list_max_size,
+                )
+                ttls = self._commit_query(
+                    key, query, query, documents, versions, now, ticket, representation
+                )
+                if ttls is not None:
+                    ttl, shared_ttl = ttls
+                    body = query_result_body(documents, versions, representation, record_ttl=ttl)
+                    return Response.ok(body, ttl=ttl, shared_ttl=shared_ttl, etag=etag)
+        body = object_list_body(documents, versions, record_ttl=0.0)
+        return Response.uncacheable(body, etag=etag)
 
     def prepare_shard_query(
         self, query: Query, scatter_query: Optional[Query] = None, deadline=None
     ) -> PreparedShardRead:
         """Cluster integration point, phase one: execute and *probe* admission.
 
-        Runs the side-effect-free prefix of the read pipeline (scatter-window
-        execution + capacity probe) and returns a
-        :class:`~repro.core.read_path.PreparedShardRead`.  The cluster probes
-        every shard this way and then redeems each prepared read with exactly
-        one of ``commit()`` (all shards admitted: admission slot, InvaliDB
-        registration, active-list entry and EBF report are taken under the
-        *original* query's cache key) or ``abort()`` (no bookkeeping is
-        retained and the raw documents are returned uncacheable).
+        Executes the fetch window and probes capacity without side effects,
+        and returns a :class:`~repro.core.read_path.PreparedShardRead`.  The
+        cluster probes every shard this way and then redeems each prepared
+        read with exactly one of ``commit()`` (all shards admitted: the
+        commit step takes the admission slot, InvaliDB registration,
+        active-list entry and EBF report under the *original* query's cache
+        key) or ``abort()`` (no bookkeeping is retained and the raw documents
+        are returned uncacheable).
 
         Parameters
         ----------
@@ -225,13 +257,69 @@ class QuaestorServer:
             can be cut after the merge).  Defaults to ``query`` itself.
         deadline:
             Optional :class:`~repro.resilience.DeadlineBudget` propagated
-            from the scatter point; an exhausted budget makes the pipeline
-            skip the admission probe (the shard still answers, but no
-            caching bookkeeping is started for a request that is out of
-            time).
+            from the scatter point.  A shard reached with the budget already
+            spent still answers -- the documents are on hand -- but skips the
+            admission probe: a request that is out of time must not start
+            fleet-wide caching bookkeeping its gather point will abort anyway.
         """
         self.counters.increment("shard_queries")
-        return self.pipeline.prepare_shard_query(query, scatter_query, deadline=deadline)
+        fetch = scatter_query if scatter_query is not None else query
+        key = query.cache_key
+        now = self._clock.now()
+        documents, versions = self.database.collection(fetch.collection).find_versioned(fetch)
+        ticket = None
+        if self.config.caching:
+            if deadline is not None and deadline.exhausted:
+                self.counters.increment("deadline_skipped_probes")
+            else:
+                ticket = self.capacity.probe(key, result_size=len(documents))
+                if not ticket.admitted:
+                    self.counters.increment("queries_uncacheable")
+        prepared = PreparedShardRead(self, key, query, fetch, now, documents, versions, ticket)
+        if self.tracer is not None:
+            self.tracer.event("pipeline.shard_probe", "admitted", prepared.admitted)
+        return prepared
+
+    def _commit_query(
+        self, key: str, query: Query, fetch: Query, documents: List[Document],
+        versions: Dict[str, int], now: float, ticket: AdmissionTicket,
+        representation: ResultRepresentation,
+    ) -> Optional[Tuple[float, float]]:
+        """The commit step of a probed-in query; returns ``(ttl, shared_ttl)``.
+
+        Takes the admission slot, estimates the TTL from the member records'
+        write rates, registers ``fetch`` in InvaliDB under ``key``, enters the
+        query into the active list and the capacity cost model, and reports
+        the read to the EBF.  ``None`` -- and nothing done -- when the ticket
+        went stale (an interleaved admission took the slot the probe saw) and
+        the capacity manager's re-arbitration rejected; that cannot happen
+        when probe and commit run back-to-back, as in :meth:`handle_query`.
+
+        On the shard path ``fetch`` is the scatter window (offset 0) and is
+        registered *aliased* to the original key: with the client's offset
+        applied shard-locally, documents in the global window whose local
+        rank lies below the offset would never trigger notifications.
+
+        The query key is tracked in the EBF with the *highest* TTL issued to
+        any cache (the CDN's s-maxage), otherwise a stale copy could outlive
+        its EBF entry.  Member records are only client-cacheable when
+        delivered inside an object-list, so they are tracked exactly then,
+        with the private TTL.
+        """
+        if not self.capacity.commit(ticket):
+            self.counters.increment("queries_uncacheable")
+            return None
+        member_keys = [record_key(query.collection, doc_id) for doc_id in versions]
+        ttl = self.ttl_estimator.estimate_query(key, member_keys, now)
+        shared_ttl = ttl * self.config.cdn_ttl_factor
+        self.register_in_invalidb(fetch.aliased(key) if fetch is not query else query)
+        size = len(documents)
+        self.active_list.record_read(query, now, ttl, size, representation)
+        self.capacity.record_read(key, size)
+        self.ebf.report_read(key, shared_ttl, now)
+        if representation is ResultRepresentation.OBJECT_LIST and member_keys:
+            self.ebf.report_read_many(member_keys, ttl, now)
+        return ttl, shared_ttl
 
     # -- write path --------------------------------------------------------------------------
 
@@ -428,7 +516,7 @@ class QuaestorServer:
         snapshot: Dict[str, Any] = dict(self.counters.as_dict())
         snapshot["active_queries"] = len(self.active_list)
         snapshot["invalidb_active_queries"] = self.invalidb.active_queries
-        snapshot["ebf_stale_keys"] = len(self.ebf)
+        snapshot["ebf_stale_keys"] = len(self.ebf)  # the snapshot's one EBF sweep
         snapshot["ebf_fill_ratio"] = self.ebf.fill_ratio()
         snapshot["admission_probes"] = self.capacity.probes
         snapshot["admission_commits"] = self.capacity.commits

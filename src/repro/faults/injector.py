@@ -122,7 +122,8 @@ class FaultInjector:
 
     def _recover(self, event: FaultEvent) -> None:
         node_id = self._resolve(event.target, bind=False)
-        shard_id = self.cluster.shard_of(node_id)
+        # The id names its shard; recover_node checks that the node exists.
+        shard_id = target_shard(node_id)
         down_at = self.cluster.primary_down_since(shard_id)
         _shard, status = self.cluster.recover_node(node_id)
         self._role_bindings.pop(event.target, None)
@@ -139,8 +140,8 @@ class FaultInjector:
         node_a = self._resolve(event.target, bind=False, use_binding=False)
         node_b = self._resolve(event.peer, bind=False, use_binding=False)
         self._partition_bindings[(event.target, event.peer)] = (node_a, node_b)
-        self.cluster.partition(node_a, node_b)
-        self._record("partition", f"{node_a}|{node_b}", self.cluster.shard_of(node_a))
+        shard_id = self.cluster.partition(node_a, node_b)
+        self._record("partition", f"{node_a}|{node_b}", shard_id)
 
     def _heal(self, event: FaultEvent) -> None:
         bound = self._partition_bindings.pop((event.target, event.peer), None)
@@ -149,8 +150,8 @@ class FaultInjector:
         else:
             node_a = self._resolve(event.target, bind=False, use_binding=False)
             node_b = self._resolve(event.peer, bind=False, use_binding=False)
-        self.cluster.heal(node_a, node_b)
-        self._record("heal", f"{node_a}|{node_b}", self.cluster.shard_of(node_a))
+        shard_id = self.cluster.heal(node_a, node_b)
+        self._record("heal", f"{node_a}|{node_b}", shard_id)
 
     def _resolve(self, target: str, bind: bool, use_binding: bool = True) -> str:
         """Resolve a plan target to a concrete node id.

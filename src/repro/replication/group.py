@@ -400,7 +400,7 @@ class ReplicaGroup:
             return True
         return False
 
-    def promote(self, now: Optional[float] = None) -> Optional[Dict[str, object]]:
+    def promote(self) -> Optional[Dict[str, object]]:
         """Fail over: promote the freshest live replica to primary.
 
         Every live replica first applies all log records that reached it;
@@ -416,7 +416,7 @@ class ReplicaGroup:
         """
         if self.primary_alive:
             return None
-        timestamp = self.clock.now() if now is None else now
+        timestamp = self.clock.now()
         live = [
             (index, node)
             for index, node in enumerate(self.nodes)
@@ -479,7 +479,7 @@ class ReplicaGroup:
         self.counters.increment("promotions")
         return info
 
-    def recover(self, node_id: str, now: Optional[float] = None) -> str:
+    def recover(self, node_id: str) -> str:
         """Bring a crashed node back.
 
         With a live primary the node rejoins as a replica via snapshot
@@ -498,7 +498,7 @@ class ReplicaGroup:
         node = self.node(node_id)
         if node.alive:
             return "noop"
-        timestamp = self.clock.now() if now is None else now
+        timestamp = self.clock.now()
         node.alive = True
         self._serving_ids = None
         self.counters.increment("recoveries")
@@ -674,13 +674,13 @@ class ReplicaGroup:
         self._partitions.add(frozenset((node_a, node_b)))
         self._apply_partitions()
 
-    def heal(self, node_a: str, node_b: str, now: Optional[float] = None) -> None:
+    def heal(self, node_a: str, node_b: str) -> None:
         """Heal a partition; the backlogged log ships shortly after."""
         pair = frozenset((node_a, node_b))
         if pair not in self._partitions:
             return
         self._partitions.discard(pair)
-        timestamp = self.clock.now() if now is None else now
+        timestamp = self.clock.now()
         primary_id = self.primary_node_id
         others = pair - {primary_id}
         if len(others) == 1:

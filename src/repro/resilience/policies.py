@@ -67,8 +67,9 @@ class DeadlineBudget:
     budget before it is issued; once the remaining budget cannot cover the
     next attempt, the request fails fast instead of retrying forever.  The
     same budget object travels through scatter/gather (one budget per
-    query, shared by every shard's retries) and is visible to pipeline
-    stages via ``ReadContext.deadline``.
+    query, shared by every shard's retries) and reaches each shard's
+    ``QuaestorServer.prepare_shard_query``, which skips the admission probe
+    once it is spent.
     """
 
     __slots__ = ("deadline", "spent")

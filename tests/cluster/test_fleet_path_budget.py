@@ -21,7 +21,9 @@ replica-served read 76 / 102, a primary-served read 86 / 113, an update
 90 / 135, the scatter 734 / 1123.  Before a record read took its document
 and version in one probe, a primary-served read cost 54 / 76; before each
 shard handed its versions back with its documents and the merge carried
-them through its sort, the scatter cost 627 / 1014.
+them through its sort, the scatter cost 627 / 1014.  While each shard's
+server ran its reads through a staged read pipeline, a primary-served read
+cost 49 / 67 and the scatter 520 / 795.
 
 Every request runs once unmeasured first -- a read or update on the
 deployment it is then measured on, the scatter on a twin (a repeat on the
@@ -45,9 +47,9 @@ from repro.resilience import ResilienceConfig
 
 #: (frames, all calls) budgets.
 REPLICA_READ = (43, 62)
-PRIMARY_READ = (50, 70)
+PRIMARY_READ = (47, 65)
 UPDATE = (67, 111)
-SCATTER = (570, 889)
+SCATTER = (484, 755)
 
 
 @pytest.fixture(autouse=True)

@@ -24,10 +24,15 @@ unchanged query or to rendering every tag afresh fails here on any machine,
 without a wall-clock threshold.  Before, this query cost 54 frames / 96
 calls on its first execution and 54 / 95 on the next (there was no memo);
 with the tag memo a miss cost 27 / 40 and a hit 25 / 31; with the result
-memo a miss costs 24 / 37 and a hit 17 / 19.  While the activation went
+memo a miss cost 24 / 37 and a hit 17 / 19.  While the activation went
 through a modelled InvaliDB query queue and its ingestion task, the first
-cached query cost 144 / 212; without them it costs 136 / 196, so a return to
-a frame per hand-off between the server and InvaliDB fails here too.
+cached query cost 144 / 212; without them it cost 136 / 196, so a return to
+a frame per hand-off between the server and InvaliDB fails here too.  While
+the server ran a query through a staged read pipeline (a stage method per
+step and a context object carrying the state between them), a miss cost
+24 / 37, a hit 17 / 19 and the first cached query 136 / 196; with the steps
+in line and one commit step a miss costs 18 / 31, a hit 11 / 13 and the
+first cached query 125 / 184.
 
 Every measured run is preceded by one on a twin server: the query's compiled plan
 and the process-wide memo tables then answer the measured runs the same way
@@ -47,9 +52,9 @@ from repro.core.config import QuaestorConfig
 from repro.db import Database, Query
 
 #: (frames, all calls) budgets.
-MEMO_MISS = (24, 37)
-MEMO_HIT = (17, 19)
-FIRST_CACHED_QUERY = (136, 196)
+MEMO_MISS = (18, 31)
+MEMO_HIT = (11, 13)
+FIRST_CACHED_QUERY = (125, 184)
 
 
 @pytest.fixture(autouse=True)

@@ -1,11 +1,13 @@
-"""Read-pipeline tests: golden equivalence and prepared-read protocol.
+"""Read-path tests: golden equivalence, one commit step, prepared-read protocol.
 
 ``golden_read_path.json`` was captured by running the deterministic scenario
-below against the pre-pipeline ``handle_query`` / ``handle_read``
-implementations (the hand-inlined bookkeeping sequences).  The equivalence
-test replays the scenario through the staged :class:`ReadPipeline` and
-asserts the serialized responses are byte-identical, so the refactor is
-provably behaviour-preserving on the single-server path.
+below against the hand-inlined ``handle_query`` / ``handle_read``
+bookkeeping sequences of an early server.  The equivalence test replays the
+scenario through today's server and asserts the serialized responses are
+byte-identical, so every refactor of the read path since is checked to be
+behaviour-preserving on the single-server path.  ``TestOneCommitStep`` checks
+that the single-server query and a shard's commit leave the same caching
+state behind.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.clock import VirtualClock
-from repro.core import QuaestorConfig, QuaestorServer
-from repro.core.read_path import PreparedShardRead, ReadContext, ReadPipeline
+from repro.core import QuaestorConfig, QuaestorServer, ResultRepresentation
 from repro.db import Database, Query
 from repro.invalidb import InvaliDBCluster
 from repro.ttl import TTLEstimatorSpec
@@ -77,11 +78,34 @@ class TestGoldenEquivalence:
         assert json.dumps(responses, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
-class TestSharedPipeline:
-    def test_entry_points_share_one_pipeline_instance(self):
-        server, _ = build_server()
-        assert isinstance(server.pipeline, ReadPipeline)
-        assert server.pipeline.server is server
+class TestOneCommitStep:
+    def test_query_and_shard_commit_leave_the_same_caching_state(self):
+        """The single-server query and a shard's commit share one commit step:
+        on twin servers they leave the same InvaliDB registration, admitted
+        set, active-list entry and EBF-tracked keys (the query key and, in
+        an object-list, every member record)."""
+        query = Query("posts", {"category": 0})
+        twins = []
+        for _ in range(2):
+            server, clock = build_server()
+            for index in range(6):
+                server.handle_insert("posts", {"_id": f"p{index}", "category": index % 2})
+            clock.advance(1.0)
+            twins.append(server)
+        direct, sharded = twins
+        assert direct.handle_query(query).is_cacheable
+        assert sharded.prepare_shard_query(query).commit().is_cacheable
+
+        key = query.cache_key
+        for server in twins:
+            assert server.invalidb.is_registered(key)
+        assert direct.invalidb._registered == sharded.invalidb._registered
+        assert set(direct.capacity._admitted) == set(sharded.capacity._admitted) == {key}
+        entry = direct.active_list.get(key)
+        assert entry.representation is ResultRepresentation.OBJECT_LIST
+        assert entry == sharded.active_list.get(key)
+        assert len(direct.ebf._cacheable_until) == 4  # the query key + 3 members
+        assert direct.ebf._cacheable_until == sharded.ebf._cacheable_until
 
 
 class TestPreparedShardRead:
@@ -174,3 +198,11 @@ class TestAdmissionStatistics:
         assert snapshot["admission_commits"] == 1
         assert snapshot["admission_aborts"] == 1
         assert snapshot["admission_rejections"] == 0
+
+    def test_a_snapshot_sweeps_the_ebf_once(self, monkeypatch):
+        server, _ = build_server()
+        sweeps = []
+        expire = server.ebf.expire
+        monkeypatch.setattr(server.ebf, "expire", lambda *args: sweeps.append(args) or expire(*args))
+        server.statistics()
+        assert len(sweeps) == 1

@@ -17,8 +17,9 @@ entry, and an unchanged covered query is answered from the collection's
 stamped memo -- so a return to the cache chain, to per-request pricing
 dispatch, to an event object per completion or to re-executing the query
 fails here on any machine, without a wall-clock threshold.  Before, a read
-cost 42 frames / 62 calls and a query 54 / 75; now a read costs 29 / 36 and
-a query 32 / 38.
+cost 42 frames / 62 calls and a query 54 / 75; while the server ran its
+reads through a staged read pipeline a read cost 25 / 31 and a query
+29 / 35; now a read costs 23 / 29 and a query 23 / 29.
 
 Each operation runs once unmeasured first, so the query's plan, the
 collection's memo, the sampler's pending spare and every lazily filled table
@@ -37,8 +38,8 @@ from repro.workloads.dataset import DatasetSpec
 from repro.workloads.operations import Operation, OperationType
 
 #: (frames, all calls) budgets.
-READ = (29, 36)
-QUERY = (32, 38)
+READ = (23, 29)
+QUERY = (23, 29)
 
 
 @pytest.fixture(autouse=True)
