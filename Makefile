@@ -55,7 +55,8 @@
 #   make retained WORKLOAD=<name> [SEED=42]
 #                        - one benchmark segment's cost to the cyclic collector:
 #                          collector seconds and share, collections per
-#                          generation, GC-tracked objects retained per op by type
+#                          generation, GC-tracked objects retained per op by type,
+#                          traced bytes retained per op and left by a freed run
 #   make budgets         - the machine-independent cost guards: frames and calls
 #                          of every tests/*/test_*budget*.py path (seconds)
 #   make docs-check      - fail if README.md or docs/ reference missing modules/files,

@@ -14,10 +14,21 @@ edited or timed here), runs it once and prints
   ``gc.get_objects()`` after the run minus the census after construction,
   both taken after a full collection, with the simulator still alive and
   before any read-side accessor (``trace_spans()`` / ``history_events()``)
-  has materialised anything -- for the 15 most retained types.
+  has materialised anything -- for the 15 most retained types,
+* from segments 1 and 2, run next under ``tracemalloc``: the bytes segment 1
+  retained per operation (traced size after the run minus after
+  construction, simulator alive), the bytes it leaves behind once it is
+  freed (``del``, full collection) and what segment 2, freed in turn, adds
+  to that -- memory a memo keeps beyond its run, as the benchmark's
+  segments meet it one after another.  A run may leave its own
+  record-tag memo (emptied when the next ``Simulator`` is built); what the
+  next run adds is what accumulates.  Segment 0 runs untraced first, so the
+  seconds carry no tracing cost.
 
-The object counts are exact for a seed and travel between machines; the
-seconds do not.  ``make retained WORKLOAD=<name> [SEED=42]`` is the short form.
+The object and byte counts are exact for a seed on one interpreter build
+and travel between machines -- the partner of the benchmark's
+``peak_rss_mb``; the seconds do not.  ``make retained WORKLOAD=<name>
+[SEED=42]`` is the short form.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import argparse
 import gc
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List
@@ -78,6 +90,35 @@ def measure(simulator) -> Dict[str, object]:
     }
 
 
+def measure_bytes(first, second) -> Dict[str, int]:
+    """Run two simulators, each built and freed in turn, under
+    ``tracemalloc``; returns the traced bytes the first retained, what it
+    left once freed and what the second added to that."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulator = first()
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0]
+        simulator.run()
+        gc.collect()
+        after_run = tracemalloc.get_traced_memory()[0]
+        del simulator
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+        second().run()
+        gc.collect()
+        left_by_two = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {
+        "retained": after_run - built,
+        "left_behind": left - start,
+        "next_run_adds": left_by_two - left,
+    }
+
+
 def render(workload: str, seed: int, measured: Dict[str, object]) -> List[str]:
     operations = measured["operations"]
     retained = measured["retained"]
@@ -91,6 +132,13 @@ def render(workload: str, seed: int, measured: Dict[str, object]) -> List[str]:
     ]
     for name, count in retained.most_common(TOP_TYPES):
         lines.append(f"     {name:<28s} {count:>9d}  {count / operations:7.3f} /op")
+    traced = measured["bytes"]
+    lines += [
+        "   traced bytes (tracemalloc; segment 1, then segment 2):",
+        f"     retained by the run      {traced['retained']:>11d}  {traced['retained'] / operations:9.1f} /op",
+        f"     left once it is freed    {traced['left_behind']:>11d}",
+        f"     the next run adds        {traced['next_run_adds']:>11d}",
+    ]
     return lines
 
 
@@ -105,8 +153,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
     operations = BY_NAME[args.workload].operations
-    simulator = Simulator(build_config(args.workload, args.seed, 0, operations))
-    print("\n".join(render(args.workload, args.seed, measure(simulator))))
+
+    def build(segment: int):
+        return lambda: Simulator(build_config(args.workload, args.seed, segment, operations))
+
+    measured = measure(build(0)())
+    measured["bytes"] = measure_bytes(build(1), build(2))
+    print("\n".join(render(args.workload, args.seed, measured)))
     return 0
 
 

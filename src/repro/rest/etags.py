@@ -18,7 +18,11 @@ this system; any other value is tagged through its ``repr`` all the same.
 Rendering ``ascii()`` of a ten-member result costs several times the digest,
 and most origin reads ask for the tag they asked for last time: record tags
 are memoised, result tags per owner
-(:class:`~repro.core.representation.ResultTagMemo`).
+(:class:`~repro.core.representation.ResultTagMemo`).  The record-tag memo is
+one table shared by every owner (the SDK's member entries ask for tags the
+server already rendered), and it lives for one simulation run:
+:class:`~repro.simulation.Simulator` empties it when it is built, so a run
+neither inherits nor keeps alive the tags of an earlier run's versions.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.invalidb.cluster import InvaliDBCluster
 from repro.metrics.counters import Counter
 from repro.metrics.histogram import Histogram
 from repro.resilience import ResilienceConfig
+from repro.rest.etags import etag_for_version
 from repro.simulation.aggregate import RunAggregate
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.latency import NetworkTopology
@@ -267,6 +268,9 @@ class Simulator:
         self.events = EventQueue()
         self.rng = random.Random(config.seed)
         config.topology.reseed(config.seed)
+        # The record-tag memo is the run's own: tags of an earlier run's
+        # versions would only keep that run's memory alive.
+        etag_for_version.cache_clear()
 
         # --- substrate + Quaestor deployment (single server or sharded fleet). ---
         self.dataset = dataset if dataset is not None else generate_dataset(config.dataset)

@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.bloom.hashing import stable_uint64
+from repro.bloom.hashing import fnv1a_64
+
+#: The FNV-1a state after ``b"zipf-"``.  FNV-1a is a left fold over the
+#: bytes, so continuing from it over a rank's digits (``b"%d" % rank``, the
+#: ASCII of ``f"{rank}"`` without an ``encode`` call) gives exactly
+#: ``stable_uint64(f"zipf-{rank}")`` without a trip through that function's
+#: process-wide memo: the generator's ``scramble`` table is the only memo.
+ZIPF_PREFIX_STATE = fnv1a_64(b"zipf-")
 
 
 class ZipfianGenerator:
@@ -85,6 +92,8 @@ class ZipfianGenerator:
                     rank = top
             index = scramble[rank]
             if index is None:
-                index = scramble[rank] = stable_uint64(f"zipf-{rank}") % item_count
+                index = scramble[rank] = (
+                    fnv1a_64(b"%d" % rank, ZIPF_PREFIX_STATE) % item_count
+                )
             indexes[position] = index
         return indexes

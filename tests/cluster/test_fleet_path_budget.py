@@ -28,9 +28,11 @@ cost 49 / 67 and the scatter 520 / 795.
 Every request runs once unmeasured first -- a read or update on the
 deployment it is then measured on, the scatter on a twin (a repeat on the
 same deployment would find its query already admitted): placement memos,
-delivered replication logs and the process-wide hash and tag memos then
-answer the measured run the same way whatever ran earlier in the process,
-which makes the counts exact.
+delivered replication logs, the process-wide hash memos and the record-tag
+memo then answer the measured run the same way whatever ran earlier in the
+process, which makes the counts exact.  The tag memo lives for one
+simulation run (a ``Simulator`` empties it when it is built); no simulator
+runs here, so the unmeasured request is what fills it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig
 
 #: (frames, all calls) budgets.
-REPLICA_READ = (43, 62)
+REPLICA_READ = (42, 60)
 PRIMARY_READ = (47, 65)
-UPDATE = (67, 111)
+UPDATE = (59, 96)
 SCATTER = (484, 755)
 
 

@@ -34,9 +34,12 @@ step and a context object carrying the state between them), a miss cost
 in line and one commit step a miss costs 18 / 31, a hit 11 / 13 and the
 first cached query 125 / 184.
 
-Every measured run is preceded by one on a twin server: the query's compiled plan
-and the process-wide memo tables then answer the measured runs the same way
-whatever ran earlier in the process, which makes the counts exact.
+Every measured run is preceded by one on a twin server: the query's compiled
+plan, the process-wide hash memos and the record-tag memo then answer the
+measured runs the same way whatever ran earlier in the process, which makes
+the counts exact.  The tag memo lives for one simulation run (a
+``Simulator`` empties it when it is built); no simulator runs here, so the
+twin is what fills it.
 """
 
 from __future__ import annotations

@@ -21,9 +21,11 @@ and its ingestion task they cost 64 / 111, 87 / 158, 57 / 92 and 43 / 73;
 without them 59 / 103, 82 / 149, 52 / 84 and 38 / 65.
 
 Every scenario runs once unmeasured on a twin deployment first: the
-process-wide memo tables (placement hashes, record tags) then answer the
-measured run from memory whatever ran earlier in the process, which makes
-the counts exact.
+process-wide hash memos (placement hashes) and the record-tag memo then
+answer the measured run from memory whatever ran earlier in the process,
+which makes the counts exact.  The tag memo lives for one simulation run (a
+``Simulator`` empties it when it is built); no simulator runs here, so the
+twin is what fills it.
 """
 
 from __future__ import annotations
@@ -40,15 +42,11 @@ from repro.core import QuaestorServer
 from repro.db import Database, Query
 from repro.invalidb import InvaliDBCluster
 
-#: (frames, all calls) budgets.  Each is 4 frames below what it was while
-#: every ``Database`` CRUD call also counted itself in a per-database
-#: placement table (the ``sharder`` nothing read), and 5 frames / 8 calls
-#: (9 for the invalidating update) below what it was while the after-image
-#: went through a modelled queue and ingestion task.
-PLAIN_UPDATE = (61, 107)
-INVALIDATING_UPDATE = (99, 177)
-INSERT = (54, 87)
-DELETE = (46, 76)
+#: (frames, all calls) budgets: the measured cost of each write.
+PLAIN_UPDATE = (59, 103)
+INVALIDATING_UPDATE = (82, 149)
+INSERT = (52, 84)
+DELETE = (38, 65)
 #: Pairs of cached queries no write below can touch.  The budgets hold with a
 #: few of them (enough that both matching nodes index some); many more must
 #: not add a single call.
@@ -115,7 +113,7 @@ def _client(foreign_queries: int) -> QuaestorClient:
 
 
 def _cost(write, foreign_queries: int = FEW_FOREIGN_QUERIES):
-    write(_client(foreign_queries))  # the twin: warms the process-wide memo tables
+    write(_client(foreign_queries))  # the twin: warms the hash and tag memos
     client = _client(foreign_queries)
     invalidations = client.server.counters.get("query_invalidations")
     cost = _calls_during(lambda: write(client))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+import tracemalloc
+
 import pytest
 
 from repro.metrics import Counter, Histogram
@@ -105,6 +109,82 @@ class TestHistogram:
         first.merge(second)
         assert first.count == 2
         assert first.mean == 2.0
+
+
+class _ListHistogram(Histogram):
+    """The reference: the same statistics over a plain list of floats."""
+
+    def __init__(self, name: str = "") -> None:
+        super().__init__(name)
+        self._samples = []
+
+
+def _statistics(histogram: Histogram) -> tuple:
+    return (
+        histogram.count,
+        histogram.mean,
+        histogram.maximum,
+        [histogram.percentile(fraction) for fraction in (0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0)],
+        histogram.cdf(),
+        histogram.cdf([0.0, 0.01, 0.05, 0.2, 1.0]),
+        histogram.buckets(0.01),
+        histogram.buckets(0.005, maximum=0.1),
+        histogram.samples(),
+    )
+
+
+class TestHistogramStorage:
+    """Samples are stored as 8-byte doubles, and every statistic is still
+    exactly what a list of the same floats gives."""
+
+    @staticmethod
+    def _filled(kind, seed: int):
+        rng = random.Random(seed)
+        histogram = kind("latency")
+        append = histogram.appender()
+        for _ in range(3000):
+            append(round(rng.expovariate(40.0), 4))  # rounding makes duplicates
+        histogram.record_many(rng.lognormvariate(-4.0, 1.0) for _ in range(2000))
+        histogram.record_many([1, 2, 3])  # ints are recorded as floats
+        return histogram
+
+    def test_statistics_match_a_list_backed_reference(self):
+        histogram, reference = self._filled(Histogram, 1), self._filled(_ListHistogram, 1)
+        assert type(histogram._samples) is not list
+        assert _statistics(histogram) == _statistics(reference)
+
+    def test_merge_matches_a_list_backed_reference(self):
+        histogram, reference = self._filled(Histogram, 1), self._filled(_ListHistogram, 1)
+        histogram.percentile(0.5)  # a stale sorted cache must not survive the merge
+        reference.percentile(0.5)
+        histogram.merge(self._filled(Histogram, 2))
+        reference.merge(self._filled(_ListHistogram, 2))
+        assert _statistics(histogram) == _statistics(reference)
+
+    def test_pickle_round_trip_keeps_every_statistic(self):
+        histogram = self._filled(Histogram, 3)
+        restored = pickle.loads(pickle.dumps(histogram))
+        assert restored.name == "latency"
+        assert _statistics(restored) == _statistics(self._filled(_ListHistogram, 3))
+        restored.appender()(0.5)  # still recordable
+        assert restored.count == histogram.count + 1
+
+    def test_a_sample_retains_about_eight_bytes(self):
+        """100 000 freshly computed latencies (as the simulator records them):
+        a list would keep each as a 24-byte float object plus an 8-byte slot."""
+        samples = 100_000
+        tracemalloc.start()
+        try:
+            histogram = Histogram()
+            append = histogram.appender()
+            for index in range(samples):
+                append(index * 1e-6)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert histogram.count == samples
+        # 8 bytes a double, plus the array's growth headroom (at most 1/16).
+        assert retained <= samples * 8.5, retained / samples
 
 
 class TestCounter:

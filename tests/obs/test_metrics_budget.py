@@ -93,9 +93,9 @@ def _cost(observability, name, at=0.0) -> tuple:
 
 @pytest.mark.parametrize("name", ["read", "query", "write"])
 def test_metrics_on_cost_what_metrics_off_costs(name):
-    # ETags are memoised process-wide: one run first, so both counted runs
-    # meet the same warm memo.
-    _cost(None, name)
+    # Each ``_cost`` builds a simulator, which empties the record-tag memo,
+    # and counts the second of two executions: both counted runs meet the
+    # memo their own first execution filled.
     metrics_only = ObservabilityConfig(trace=False, metrics_interval=math.inf)
     assert _cost(metrics_only, name) == _cost(None, name)
 
@@ -103,6 +103,5 @@ def test_metrics_on_cost_what_metrics_off_costs(name):
 def test_the_count_sees_epoch_sampling():
     """Vacuity check: an operation that crosses an epoch boundary pays for
     the snapshot, so the equality above is not blind to the registry."""
-    _cost(None, "read", at=1.0)
     sampling = ObservabilityConfig(trace=False, metrics_interval=0.5)
     assert _cost(sampling, "read", at=1.0)[1] > _cost(None, "read", at=1.0)[1]

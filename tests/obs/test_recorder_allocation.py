@@ -85,8 +85,10 @@ def test_no_read_side_objects_exist_until_asked_for():
 
 
 def test_retained_objects_do_not_grow_with_recorded_events():
-    # Memo tables (ETags, hash pairs, ...) fill on first sight of a key and
-    # would be charged to whichever run came first: settle them beforehand.
+    # Process-wide memo tables (hash pairs, ...) fill on first sight of a key
+    # and would be charged to whichever run came first: settle them
+    # beforehand.  The record-tag memo is each run's own (a ``Simulator``
+    # empties it), filled alike by the two runs of a pair.
     run_and_count(2 * OPERATIONS, recorders=True)
     attributable = []
     recorded = []

@@ -36,6 +36,18 @@ class TestZipfianGenerator:
         most_common_items = [item for item, _count in counts.most_common(5)]
         assert most_common_items != [0, 1, 2, 3, 4]
 
+    def test_scramble_is_the_stable_hash_of_the_rank(self):
+        """Continuing FNV-1a from the state after ``zipf-`` is the whole
+        key's hash, so the scramble places every rank where
+        ``stable_uint64(f"zipf-{rank}")`` does (without its process memo)."""
+        item_count = 5000
+        generator = ZipfianGenerator(item_count, constant=0.5, rng=random.Random(8))
+        generator.next_indexes(50_000)
+        drawn = [rank for rank, index in enumerate(generator._scramble) if index is not None]
+        assert len(drawn) > item_count // 2
+        for rank in drawn:
+            assert generator._scramble[rank] == stable_uint64(f"zipf-{rank}") % item_count
+
     def test_constant_one_is_handled(self):
         generator = ZipfianGenerator(100, constant=1.0, rng=random.Random(7))
         assert 0 <= generator.next_indexes(1)[0] < 100
