@@ -14,8 +14,6 @@
 #   make bench-ttl-check - budget-mode run gated against the committed
 #                          BENCH_ttl.json (fails when the winner's quality
 #                          score collapses >3x; deterministic, seeded)
-#   make sim-parallel-smoke       - oracle-parity, worker-invariance and
-#                                   worker-failure tests of the partitioned engine
 #   make smoke-failover  - seeded crash+recover scenario must stay deterministic
 #   make bench-resilience        - availability/staleness chaos grid (resilience
 #                                  on vs off); rewrites BENCH_resilience.json
@@ -86,7 +84,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test test-durations budgets bench-smoke bench sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
+.PHONY: test test-durations budgets bench-smoke bench bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
@@ -102,9 +100,6 @@ bench-smoke:
 
 bench:
 	$(PYTEST) $(BENCH_FILES) -q
-
-sim-parallel-smoke:
-	$(PYTEST) tests/simulation/test_parallel_parity.py tests/simulation/test_parallel_invariance.py tests/verify/test_parallel_history.py -q
 
 bench-replication:
 	$(PYTHON) benchmarks/bench_replication.py

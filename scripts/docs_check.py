@@ -73,7 +73,7 @@ REQUIRED_MODULES = (
     "repro.replication",
     "repro.resilience",
     "repro.simulation",
-    "repro.simulation.parallel",
+    "repro.simulation.pool",
     "repro.ttl",
     "repro.ttl.bakeoff",
     "repro.verify",

@@ -10,9 +10,8 @@ repository's entry points run in this process:
   ``tests/test_examples.py``);
 * every figure harness in ``repro.benchmarks`` at a toy scale;
 * the behaviour pins (``PIN_TESTS``: the golden and byte-identity tests);
-* the parity harness CI runs (``run_parity_harness``);
-* a four-partition ``ParallelSimulator`` run with a crash/recover fault plan
-  and every recorder on, as ``make sim-parallel-smoke`` runs it;
+* a four-shard RF 3 run with a crash/recover fault plan and every recorder
+  on (a primary resumes with a backlog it never applied);
 * one causal cell of the full consistency matrix (``python -m repro.verify``
   without ``--smoke``, its own CI job);
 * a failover that loses acknowledged writes: one shard at RF 2 under a
@@ -76,7 +75,6 @@ REASONS = {
     "producer": "only a benchmarks/bench_*.py CI guard drives it",
     "safety": "a recovery, validation or failure-report path no smoke reaches",
     "language": "a Mongo-style operator, checked against tests/db/reference_predicates.py",
-    "worker": "runs only in spawned workers or in the parallel merge",
 }
 
 #: The behaviour pins: tests whose goldens fix bytes, responses or summaries.
@@ -183,18 +181,11 @@ def _pins() -> None:
         raise RuntimeError(f"the behaviour pins failed (pytest exit {code})")
 
 
-def _parity() -> None:
-    from repro.simulation.parallel import run_parity_harness
-
-    run_parity_harness(workers=(1,))  # one worker: the partitions run in this process
-
-
-def _parallel() -> None:
+def _sharded_faults() -> None:
     from repro.faults import FaultAction, FaultEvent, FaultPlan
     from repro.obs import ObservabilityConfig
-    from repro.simulation import ParallelSimulator
-    from repro.simulation.parallel import parity_config
-    from repro.simulation.simulator import CachingMode
+    from repro.simulation import CachingMode, SimulationConfig, Simulator
+    from repro.workloads import DatasetSpec, WorkloadSpec
 
     plan = FaultPlan(
         events=[
@@ -205,13 +196,26 @@ def _parallel() -> None:
         ],
         name="census-faults",
     )
-    config = replace(
-        parity_config(CachingMode.QUAESTOR, 3, num_partitions=4),
+    config = SimulationConfig(
+        mode=CachingMode.QUAESTOR,
+        workload=WorkloadSpec.read_heavy(),
+        dataset=DatasetSpec(num_tables=4, documents_per_table=120, queries_per_table=12),
+        num_clients=4,
+        connections_per_client=25,
+        ebf_refresh_interval=1.0,
+        matching_nodes=2,
+        duration=30.0,
+        max_operations=800,
+        seed=42,
+        num_shards=4,
+        replication_factor=3,
         record_history=True,
         observability=ObservabilityConfig.full(),
         fault_plan=plan,
     )
-    ParallelSimulator(config, num_partitions=4).run().history_events()
+    simulator = Simulator(config)
+    simulator.run()
+    simulator.history_events()
 
 
 def _causal_cell() -> None:
@@ -268,8 +272,7 @@ def entry_points() -> List[Tuple[str, Callable[[], None]]]:
         ("FAST_EXAMPLES", _examples),
         *_figures(),
         ("behaviour pins", _pins),
-        ("run_parity_harness", _parity),
-        ("ParallelSimulator, 4 partitions + faults", _parallel),
+        ("4 shards x RF 3 + faults", _sharded_faults),
         ("causal consistency cell", _causal_cell),
         ("failover losing acknowledged writes", _failover_loss),
     ]

@@ -107,9 +107,9 @@ class Query:
 
     def __getstate__(self) -> Dict[str, Any]:
         # Default slot pickling restores via setattr, which the immutability
-        # guard rejects; explicit state keeps queries picklable (the
-        # process-parallel simulator ships datasets to spawned workers).  The
-        # plan is closures, which do not pickle: a copy recompiles on use.
+        # guard rejects; explicit state keeps queries picklable and copyable
+        # (a job mapped to a worker process may carry them).  The plan is
+        # closures, which do not pickle: a copy recompiles on use.
         return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_plan"}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:

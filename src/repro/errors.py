@@ -68,12 +68,10 @@ class ConfigurationError(QuaestorError):
 
 
 class UnsupportedFaultError(ConfigurationError):
-    """A fault plan cannot be expressed in the requested deployment shape.
+    """A fault target names no shard.
 
-    Raised by :meth:`~repro.faults.plan.FaultPlan.split_by_shard` when a
-    plan cannot be partitioned for the parallel simulator -- e.g. a
-    network-partition event linking nodes that live in different
-    partitions, or a target outside the deployment's shard range.  Subclass
+    Raised by :func:`~repro.faults.plan.target_shard` for a target outside
+    its two grammars (``"shard:<id>"``, ``"s<shard>:n<index>"``).  Subclass
     of :class:`ConfigurationError` so existing validation-oriented callers
     keep working unchanged.
     """

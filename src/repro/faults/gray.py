@@ -14,12 +14,10 @@ conditions, mutated by :class:`~repro.faults.injector.FaultInjector` when a
   serving node's factor (``"sN:nM"``).
 * **flaky** targets drop requests from a *seeded per-target RNG substream*
   (``random.Random(f"{seed}:{target}")``), so a given plan drops exactly
-  the same requests run-to-run and per-partition parity is preserved (each
-  parallel partition renumbers its targets locally and derives its own
-  seed, and the serial oracle runs the identical sub-configs).  A
-  shard-level flaky target drops requests *before* admission (retry-safe,
-  even for writes); a node-level flaky target drops the *response* after
-  the primary applied the write (a lost ack -- never retried).
+  the same requests run-to-run.  A shard-level flaky target drops requests
+  *before* admission (retry-safe, even for writes); a node-level flaky
+  target drops the *response* after the primary applied the write (a lost
+  ack -- never retried).
 
 The state draws no randomness while both registries are empty
 (:attr:`~GrayFailureState.active` is ``False``), which keeps no-fault runs

@@ -56,26 +56,6 @@ def target_shard(target: str, role: str = "target") -> int:
     return int(match[1] or match[2])
 
 
-def _route_target(target: str, shards_per_partition: int, total_shards: int) -> tuple:
-    """Map a global fault target to ``(partition_id, local_target)``."""
-    shard = target_shard(target)
-    _check_shard(shard, total_shards, target)
-    local = shard % shards_per_partition
-    if target.startswith("shard:"):
-        local_target = f"shard:{local}"
-    else:
-        local_target = f"s{local}:{target.split(':', 1)[1]}"
-    return shard // shards_per_partition, local_target
-
-
-def _check_shard(shard: int, total_shards: int, target: str) -> None:
-    if not 0 <= shard < total_shards:
-        raise UnsupportedFaultError(
-            f"fault target {target!r} names shard {shard}, outside the deployment's "
-            f"{total_shards} shard(s)"
-        )
-
-
 class FaultAction(str, enum.Enum):
     """The failure vocabulary of the injector."""
 
@@ -155,57 +135,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    # -- shard routing (process-parallel simulation) -----------------------------------
-
-    def split_by_shard(self, num_partitions: int, shards_per_partition: int) -> List["FaultPlan"]:
-        """Route every event to the partition owning its target shard.
-
-        The process-parallel simulator assigns *contiguous* global shard
-        blocks to partitions: partition ``p`` owns global shards
-        ``[p * shards_per_partition, (p + 1) * shards_per_partition)``.
-        Targets are rewritten into each partition's local shard numbering
-        (``"shard:3"`` with 2 shards per partition becomes ``"shard:1"`` in
-        partition 1), so a sub-plan replays against a sub-cluster exactly as
-        the global plan would against the whole fleet.  Events keep their
-        relative order (plans are time-sorted), which is the canonical
-        ``(timestamp, seq, shard_id)`` order each partition's own event queue
-        applies them in.  PARTITION/HEAL links must not span partitions -- in the
-        partitioned model, no replication link crosses a shard-group
-        boundary.
-        """
-        if num_partitions <= 0 or shards_per_partition <= 0:
-            raise ConfigurationError("num_partitions and shards_per_partition must be positive")
-        buckets: List[List[FaultEvent]] = [[] for _ in range(num_partitions)]
-        total_shards = num_partitions * shards_per_partition
-        for event in self.events:
-            partition, local_target = _route_target(
-                event.target, shards_per_partition, total_shards
-            )
-            local_peer = None
-            if event.peer is not None:
-                peer_partition, local_peer = _route_target(
-                    event.peer, shards_per_partition, total_shards
-                )
-                if peer_partition != partition:
-                    raise UnsupportedFaultError(
-                        f"fault event links nodes in different partitions "
-                        f"({event.target!r} vs {event.peer!r}); replication links never "
-                        f"cross a shard-group boundary in the partitioned model"
-                    )
-            buckets[partition].append(
-                FaultEvent(
-                    event.time,
-                    event.action,
-                    local_target,
-                    peer=local_peer,
-                    magnitude=event.magnitude,
-                )
-            )
-        return [
-            FaultPlan(events=events, name=f"{self.name}/part{partition}")
-            for partition, events in enumerate(buckets)
-        ]
 
     # -- canned scenarios ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .trace import Span, spans_from_tuples
+from .trace import Span
 
 __all__ = [
     "index_spans",
@@ -32,16 +32,8 @@ __all__ = [
 REQUEST_ROOT_PREFIX = "sdk."
 
 
-def _as_spans(spans_or_rows) -> List[Span]:
-    spans = list(spans_or_rows)
-    if spans and not isinstance(spans[0], Span):
-        return spans_from_tuples(spans)
-    return spans
-
-
-def index_spans(spans_or_rows) -> Tuple[Dict[int, Span], Dict[Optional[int], List[Span]]]:
-    """``(by_id, children)`` maps for a span list (or ``span_tuples`` rows)."""
-    spans = _as_spans(spans_or_rows)
+def index_spans(spans: Sequence[Span]) -> Tuple[Dict[int, Span], Dict[Optional[int], List[Span]]]:
+    """``(by_id, children)`` maps for a span list."""
     by_id: Dict[int, Span] = {}
     children: Dict[Optional[int], List[Span]] = {}
     for span in spans:
@@ -50,11 +42,11 @@ def index_spans(spans_or_rows) -> Tuple[Dict[int, Span], Dict[Optional[int], Lis
     return by_id, children
 
 
-def request_roots(spans_or_rows) -> List[Span]:
+def request_roots(spans: Sequence[Span]) -> List[Span]:
     """Root spans that are client operations, in completion order."""
     return [
         span
-        for span in _as_spans(spans_or_rows)
+        for span in spans
         if span.parent_id is None and span.name.startswith(REQUEST_ROOT_PREFIX)
     ]
 
@@ -117,14 +109,13 @@ def percentile_root(roots: Sequence[Span], fraction: float) -> Optional[Span]:
     return ranked[index]
 
 
-def latency_attribution(spans_or_rows) -> dict:
+def latency_attribution(spans: Sequence[Span]) -> dict:
     """Aggregate per-stage attribution across every sampled request.
 
     Returns ``requests`` (count), ``total_latency`` (seconds), ``stages``
     (list of ``(name, seconds, share)`` heaviest first), and the coverage
     extrema (``min_coverage`` / ``mean_coverage``).
     """
-    spans = _as_spans(spans_or_rows)
     _by_id, children = index_spans(spans)
     roots = request_roots(spans)
     totals: Dict[str, float] = {}
@@ -171,9 +162,8 @@ def render_waterfall(
     return "\n".join(lines)
 
 
-def render_report(spans_or_rows, top: int = 3) -> str:
+def render_report(spans: Sequence[Span], top: int = 3) -> str:
     """The full latency-attribution report used by the CLI and the example."""
-    spans = _as_spans(spans_or_rows)
     _by_id, children = index_spans(spans)
     roots = request_roots(spans)
     summary = latency_attribution(spans)

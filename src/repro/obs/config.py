@@ -5,8 +5,8 @@
 recorder: ``None`` (the default) means the layer is completely off and the
 request path pays nothing beyond a single ``is None`` check per site.
 
-The config is a frozen, picklable dataclass so it survives the spawn-based
-``ParallelSimulator`` worker boundary unchanged.
+The config is a frozen, picklable dataclass, so a config carrying it can be
+mapped to a worker process unchanged.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class ObservabilityConfig:
         Sampling is counter-based — ``request_index % sample_every == 0`` —
         never random, so the sampled set is identical run-to-run.
     :param metrics_interval: sim-seconds between registry time-series
-        snapshots.  Snapshots land on the global epoch grid (multiples of
-        the interval) so per-partition series merge exactly; ``inf`` keeps
-        only the closing snapshot.
+        snapshots.  Snapshots land on the epoch grid (multiples of the
+        interval); ``inf`` keeps only the closing snapshot.
     """
 
     trace: bool = True

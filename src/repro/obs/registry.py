@@ -19,14 +19,13 @@ kept so the state and its bytes keep their shape.
 Determinism contract: reading draws no RNG and reads nothing but the
 counters plus explicitly supplied timestamps, so enabling the registry
 cannot change any seeded summary.  ``state()`` is a picklable,
-canonically-sorted tuple -- the surface ``ParallelSimulator`` ships across
-the spawn boundary and ``merge_states`` folds in partition-id order.
+canonically-sorted tuple, the surface ``python -m repro.obs`` exports.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from repro.metrics import Histogram
 
@@ -34,7 +33,6 @@ from .config import check_interval
 
 __all__ = [
     "MetricsRegistry",
-    "merge_states",
     "canonical_metrics_bytes",
 ]
 
@@ -63,8 +61,7 @@ class MetricsRegistry:
         """Snapshot the counters onto the time series at ``timestamp``.
 
         The caller supplies the timestamp (an epoch-grid boundary or the
-        run's stop time) so snapshots are reproducible and per-partition
-        grids line up at merge time.
+        run's stop time) so snapshots are reproducible.
         """
         self._series.append((timestamp, self._counters(), ()))
 
@@ -84,39 +81,6 @@ class MetricsRegistry:
             )
         )
         return (self._counters(), (), histograms, tuple(self._series))
-
-
-def merge_states(states: Sequence[tuple]) -> tuple:
-    """Fold per-partition ``MetricsRegistry.state()`` tuples, in order.
-
-    Counters sum; histogram sample lists concatenate in partition-id order;
-    time-series snapshots group by timestamp (the epoch grid is global, so
-    partitions that crossed the same boundary sum there) and sort by time.
-    Folding in partition order makes the merged state worker-count
-    invariant and byte-identical to the serial oracle.
-    """
-    counters: Dict[tuple, float] = {}
-    histograms: Dict[tuple, List[float]] = {}
-    series: Dict[float, Dict[tuple, float]] = {}
-    for state_counters, _gauges, state_histograms, state_series in states:
-        for name, labels, value in state_counters:
-            counters[name, labels] = counters.get((name, labels), 0) + value
-        for name, labels, samples in state_histograms:
-            histograms.setdefault((name, labels), []).extend(samples)
-        for timestamp, snap_counters, _snap_gauges in state_series:
-            bucket = series.setdefault(timestamp, {})
-            for name, labels, value in snap_counters:
-                bucket[name, labels] = bucket.get((name, labels), 0) + value
-
-    def rows(values: dict) -> tuple:
-        return tuple(sorted((name, labels, value) for (name, labels), value in values.items()))
-
-    return (
-        rows(counters),
-        (),
-        rows({key: tuple(samples) for key, samples in histograms.items()}),
-        tuple((timestamp, rows(bucket), ()) for timestamp, bucket in sorted(series.items())),
-    )
 
 
 def _canonical(value):

@@ -18,14 +18,13 @@ built), and a key written twice keeps the last value.  The log is
 append-only but for two slots: ``end`` closes an open span, and a completed
 *root* may be finished exactly once (:meth:`TraceRecorder.finish_root`)
 before the next root completes.  :class:`Span` is the read-side value type;
-one exists only after :meth:`TraceRecorder.spans` / :func:`spans_from_tuples`.
+one exists only after :meth:`TraceRecorder.spans`.
 
 Like ``repro.verify.history``, recording stays invisible to seeded results:
 timestamps come only from the virtual clock, no random numbers are drawn
 (request sampling is counter based), spans serialize to plain tuples
-(``span_tuples``) that pickle across the ``ParallelSimulator`` spawn
-boundary, and ``canonical_trace_bytes`` defines the byte-exact wire form
-(floats via ``repr``) the parity tests pin.
+(``span_tuples``), and ``canonical_trace_bytes`` defines the byte-exact
+wire form (floats via ``repr``) the determinism tests pin.
 
 Because the virtual clock does not advance *inside* a synchronous request,
 a span's ``start``/``end`` describe structure, not duration; the modelled
@@ -38,15 +37,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .config import check_sample_every
 
 __all__ = [
     "Span",
     "TraceRecorder",
-    "spans_from_tuples",
-    "merge_trace_tuples",
     "canonical_trace_bytes",
 ]
 
@@ -60,10 +57,8 @@ _COST = 4
 class Span:
     """One node of a request's trace tree (read side only).
 
-    Built from the recorder's log by :meth:`TraceRecorder.spans` or from
-    ``(span_id, parent_id, name, start, end, cost, attrs)`` rows (attributes
-    as key-sorted pairs) by :func:`spans_from_tuples`; editing one does not
-    write back to the log.
+    Built from the recorder's log by :meth:`TraceRecorder.spans`; editing one
+    does not write back to the log.
     """
 
     span_id: int
@@ -223,40 +218,11 @@ class TraceRecorder:
         return tuple(Span(*row) for row in self._rows())
 
     def span_tuples(self) -> Tuple[tuple, ...]:
-        """All spans as picklable rows, attributes sorted by key (the parallel-merge surface)."""
+        """All spans as picklable rows, attributes sorted by key (the export surface)."""
         return tuple(row[:6] + (tuple(sorted(row[6].items())),) for row in self._rows())
 
     def __len__(self) -> int:
         return len(self._log) // _STRIDE
-
-
-def spans_from_tuples(rows: Iterable[tuple]) -> List[Span]:
-    """Rebuild :class:`Span` objects from :meth:`TraceRecorder.span_tuples` rows."""
-    return [
-        Span(span_id, parent_id, name, start, end, cost, dict(attrs))
-        for span_id, parent_id, name, start, end, cost, attrs in rows
-    ]
-
-
-def merge_trace_tuples(partitions: Sequence[Sequence[tuple]]) -> Tuple[tuple, ...]:
-    """Concatenate per-partition span rows in partition order.
-
-    Span ids are renumbered with a per-partition offset and — unlike the
-    history merge, where rows are independent — **parent ids are offset by
-    the same amount** so the tree structure survives.  Folding in partition-id
-    order makes the result byte-identical run-to-run and worker-count
-    invariant, exactly like ``merge_outcomes`` summaries.
-    """
-    merged: List[tuple] = []
-    for rows in partitions:
-        base = len(merged)
-        for row in rows:
-            span_id, parent_id = row[0], row[1]
-            merged.append(
-                (span_id + base, None if parent_id is None else parent_id + base)
-                + tuple(row[2:])
-            )
-    return tuple(merged)
 
 
 def canonical_trace_bytes(rows: Iterable[tuple]) -> bytes:

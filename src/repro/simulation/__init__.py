@@ -22,17 +22,6 @@ from repro.simulation.simulator import (
     Simulator,
 )
 from repro.simulation.pool import ParallelSimulationError
-from repro.simulation.parallel import (
-    ParallelParityError,
-    ParallelSimulationResult,
-    ParallelSimulator,
-    PartitionJob,
-    PartitionOutcome,
-    merge_outcomes,
-    partition_simulation,
-    run_parity_harness,
-    serial_oracle,
-)
 
 __all__ = [
     "EventQueue",
@@ -45,14 +34,5 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Simulator",
-    "ParallelParityError",
     "ParallelSimulationError",
-    "ParallelSimulationResult",
-    "ParallelSimulator",
-    "PartitionJob",
-    "PartitionOutcome",
-    "merge_outcomes",
-    "partition_simulation",
-    "run_parity_harness",
-    "serial_oracle",
 ]

@@ -1,34 +1,28 @@
-"""The mergeable aggregate of a run: the one place a summary is derived.
+"""The aggregate of a run: the one place a summary is derived.
 
 A finished :class:`~repro.simulation.Simulator` reduces its measured window
 to a :class:`RunAggregate` -- raw sums and counts, never pre-divided rates --
-and every flat summary in the repo is that aggregate's :meth:`~RunAggregate.summary`:
-the single-process ``SimulationResult.summary()`` reads it off one aggregate,
-the partitioned ``ParallelSimulationResult.summary()`` off the
-partition-id-ordered :meth:`~RunAggregate.merge` of several.  Because a fold
-of one aggregate is that aggregate, the one-partition merge and the classic
-simulator cannot disagree, and no summary key has a second definition.
+and every flat summary in the repo is that aggregate's
+:meth:`~RunAggregate.summary` (``SimulationResult.summary()`` reads it off
+the run's aggregate), so no summary key has a second definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.client.sdk import ERROR_LEVEL
 
 
 @dataclass
 class RunAggregate:
-    """Raw sums and counts of one run, or of several partitions folded together."""
+    """Raw sums and counts of one run's measured window."""
 
     measured_operations: int = 0
-    #: The longest measured window among the folded partitions.
+    #: Seconds of simulated time the measured window spans.
     measured_duration: float = 0.0
-    #: ``measured_operations / measured_duration`` of one run; a fold *adds*
-    #: throughputs, since every partition is an independent slice of the
-    #: deployment measuring its own window (how multi-origin ops/sec is
-    #: reported everywhere else in this repo).
+    #: ``measured_operations / measured_duration``.
     throughput: float = 0.0
     #: Per op-class ``(latency_sum_seconds, sample_count)``.
     latency: Dict[str, Tuple[float, int]] = field(default_factory=dict)
@@ -53,39 +47,6 @@ class RunAggregate:
     replication_active: bool = False
     has_fault_injector: bool = False
     has_resilience: bool = False
-
-    @classmethod
-    def merge(cls, aggregates: Iterable["RunAggregate"]) -> "RunAggregate":
-        """Fold ``aggregates`` left to right (callers pass partition-id order).
-
-        Exact and order-pinned: counts and sums add, extrema take ``max``,
-        flags ``or``.  Every accumulator starts at zero, so folding a single
-        aggregate returns an equal one.
-        """
-        merged = cls()
-        for part in aggregates:
-            merged.measured_operations += part.measured_operations
-            merged.measured_duration = max(merged.measured_duration, part.measured_duration)
-            merged.throughput += part.throughput
-            for op_class, (latency_sum, count) in part.latency.items():
-                merged_sum, merged_count = merged.latency.get(op_class, (0.0, 0))
-                merged.latency[op_class] = (merged_sum + latency_sum, merged_count + count)
-            for op_class, counts in part.level_counts.items():
-                _add_counts(merged.level_counts.setdefault(op_class, {}), counts)
-            _add_counts(merged.stale_counts, part.stale_counts)
-            merged.staleness_sum += part.staleness_sum
-            merged.staleness_count += part.staleness_count
-            merged.max_staleness = max(merged.max_staleness, part.max_staleness)
-            merged.replica_reads += part.replica_reads
-            merged.primary_reads += part.primary_reads
-            merged.failovers += part.failovers
-            merged.faults_fired += part.faults_fired
-            merged.recovery_times += part.recovery_times
-            _add_counts(merged.resilience, part.resilience)
-            merged.replication_active |= part.replication_active
-            merged.has_fault_injector |= part.has_fault_injector
-            merged.has_resilience |= part.has_resilience
-        return merged
 
     def mean_latency_ms(self, op_class: str) -> float:
         latency_sum, count = self.latency.get(op_class, (0.0, 0))
@@ -147,8 +108,3 @@ class RunAggregate:
                 summary[name] = float(count)
             summary["degraded_served"] = float(self.stale_counts.get("degraded_served", 0))
         return summary
-
-
-def _add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
-    for name, count in counts.items():
-        into[name] = into.get(name, 0) + count

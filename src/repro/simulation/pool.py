@@ -1,10 +1,11 @@
 """Map a function over jobs in worker processes, in job order, failing loudly.
 
-The one process-pool helper of the repo: the partitioned simulator maps
-:func:`~repro.simulation.parallel.run_partition` over its partitions with
-it, ``python -m repro.verify`` its independent audit cells.  Nothing here
-knows about simulations: jobs that share no state need no coordination
-beyond "run each one somewhere, hand the results back in order".
+The one process-pool helper of the repo, and the one way it uses more than
+one core: across *independent* runs (``python -m repro.verify`` maps its
+audit cells with it).  A single run stays on one core, so every event keeps
+one global timestamp.  Nothing here knows about simulations: jobs that
+share no state need no coordination beyond "run each one somewhere, hand
+the results back in order".
 """
 
 from __future__ import annotations

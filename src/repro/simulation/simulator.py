@@ -213,8 +213,7 @@ class SimulationResult:
     """Aggregated outcome of one simulation run.
 
     Its rates, counts and throughput are views over :attr:`aggregate`, the
-    raw sums and counts every summary is derived from (the partitioned
-    engine folds those, :meth:`RunAggregate.merge`).
+    raw sums and counts every summary is derived from.
     """
 
     mode: CachingMode
@@ -494,7 +493,7 @@ class Simulator:
         return self._total_operations
 
     def stale_counts(self) -> Dict[str, int]:
-        """Measured-window staleness audit counters (parallel-merge surface)."""
+        """Measured-window staleness audit counters (benchmark surface)."""
         return self._stale_counts.as_dict()
 
     def history_events(self) -> Tuple:
@@ -503,12 +502,6 @@ class Simulator:
             return ()
         return self.history.events()
 
-    def history_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable history rows (parallel-merge surface)."""
-        if self.history is None:
-            return ()
-        return self.history.event_tuples()
-
     def trace_spans(self) -> Tuple:
         """The recorded request spans (empty unless tracing is on)."""
         if self.tracer is None:
@@ -516,7 +509,7 @@ class Simulator:
         return self.tracer.spans()
 
     def trace_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable span rows (parallel-merge surface)."""
+        """Flat picklable span rows (export surface)."""
         if self.tracer is None:
             return ()
         return self.tracer.span_tuples()
@@ -536,7 +529,7 @@ class Simulator:
         return rows
 
     def metrics_state(self) -> Optional[tuple]:
-        """The metrics registry state (parallel-merge surface), or ``None``."""
+        """The metrics registry state (export surface), or ``None``."""
         if self.metrics_registry is None:
             return None
         return self.metrics_registry.state()
@@ -610,9 +603,8 @@ class Simulator:
         registry = self.metrics_registry
         if registry is not None:
             # Lazy epoch sampling: snapshot the time series at every grid
-            # boundary this operation's start time has crossed.  The grid is
-            # global (multiples of the interval), so per-partition series
-            # line up exactly at merge time.
+            # boundary this operation's start time has crossed (multiples of
+            # the interval).
             while start_time >= self._next_metrics_sample:
                 registry.sample(self._next_metrics_sample)
                 self._next_metrics_sample += registry.interval

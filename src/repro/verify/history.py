@@ -21,7 +21,7 @@ collector has to track.  The log is append-only.  :class:`HistoryEvent`
 from a log row is a single C call) is the read-side value type and exists
 only after :meth:`HistoryRecorder.events` (or :func:`events_from_tuples`)
 built it; :func:`canonical_bytes` gives a stable serialisation used to
-assert byte-identity between the serial oracle and the parallel simulator.
+assert that seeded runs record byte-identical histories.
 """
 
 from __future__ import annotations
@@ -48,13 +48,10 @@ TOMBSTONE_VERSION = -1
 class HistoryEvent(NamedTuple):
     """One entry in a recorded history.
 
-    ``seq`` is the global record order assigned by the recorder — for a
-    serial run that is exactly the deterministic event-loop order; for a
-    parallel run events are renumbered after the partition-id-ordered
-    merge so the same seed yields the same sequence regardless of worker
-    count.  ``session`` is the client name for operations and ``""`` for
-    server-side installs.  ``frontier`` snapshots the client's causal
-    frontier *after* the operation completed.
+    ``seq`` is the global record order assigned by the recorder: exactly
+    the deterministic event-loop order.  ``session`` is the client name for
+    operations and ``""`` for server-side installs.  ``frontier`` snapshots
+    the client's causal frontier *after* the operation completed.
     """
 
     seq: int
@@ -168,10 +165,6 @@ class HistoryRecorder:
             len(log) // _STRIDE, KIND_OPERATION, session, op, key, invoked, completed,
             etag, version, level, frontier, degraded, hedged, retried, fast_failed,
         ))
-
-    def event_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable ``tuple(event)`` rows for cross-process merging."""
-        return tuple(zip(*[iter(self._log)] * _STRIDE))
 
     def events(self) -> Tuple[HistoryEvent, ...]:
         """Materialise every recorded event (the only place events are built)."""

@@ -16,10 +16,6 @@ from repro.workloads.generator import (
     PhasedWorkloadGenerator,
     WorkloadGenerator,
     WorkloadSpec,
-    derive_substream_seed,
-    partition_share,
-    split_workload_phases,
-    split_workload_spec,
 )
 
 __all__ = [
@@ -32,8 +28,4 @@ __all__ = [
     "WorkloadGenerator",
     "PhasedWorkloadGenerator",
     "WorkloadSpec",
-    "derive_substream_seed",
-    "partition_share",
-    "split_workload_phases",
-    "split_workload_spec",
 ]

@@ -101,38 +101,6 @@ class Dataset:
             for document in self.documents[table]
         ]
 
-    def partition(self, partition_id: int, num_partitions: int) -> "Dataset":
-        """The ``partition_id``-th table slice of this dataset.
-
-        Tables are assigned round-robin by index (table ``i`` belongs to
-        partition ``i % num_partitions``), which spreads any index-correlated
-        skew evenly.  The slice shares the parent's document and query
-        objects (no copy); its spec reflects the reduced table count.  Every
-        partition must end up with at least one table -- the
-        process-parallel simulator shards workload substreams by these
-        slices, and an empty slice could generate no operations.
-        """
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        if not 0 <= partition_id < num_partitions:
-            raise ValueError("partition_id out of range")
-        if len(self.tables) < num_partitions:
-            raise ValueError(
-                f"cannot partition {len(self.tables)} table(s) across "
-                f"{num_partitions} partitions: every partition needs at least one table"
-            )
-        tables = [
-            table for index, table in enumerate(self.tables) if index % num_partitions == partition_id
-        ]
-        from dataclasses import replace as dataclass_replace
-
-        return Dataset(
-            spec=dataclass_replace(self.spec, num_tables=len(tables)),
-            tables=tables,
-            documents={table: self.documents[table] for table in tables},
-            queries={table: self.queries[table] for table in tables},
-        )
-
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
     """Generate documents and queries according to ``spec`` (deterministic).

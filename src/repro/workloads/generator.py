@@ -7,81 +7,15 @@ query (and the table) it targets is sampled from a Zipfian distribution.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.workloads.dataset import Dataset
 from repro.workloads.distributions import ZipfianGenerator
 from repro.workloads.operations import Operation, OperationType
-
-
-def derive_substream_seed(seed: int, *path: object) -> int:
-    """Derive an independent 64-bit RNG substream seed from ``seed``.
-
-    The derivation hashes ``(seed, *path)`` with blake2b, so substreams for
-    different paths (e.g. partition ids) are statistically independent of
-    each other *and* of the master stream, yet fully determined by the
-    master seed.  The same function seeds workload substreams
-    (:func:`split_workload_spec`) and the parallel simulator's
-    per-partition configs, so the two layers can never drift apart.  The
-    mapping is pinned by golden tests -- changing it invalidates every
-    seeded partitioned experiment.
-    """
-    digest = hashlib.blake2b(repr((int(seed),) + path).encode("utf-8"), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")
-
-
-def partition_share(total: int, partition_id: int, num_partitions: int) -> int:
-    """Deterministic near-even integer split: remainder to the lowest ids."""
-    if num_partitions <= 0:
-        raise ConfigurationError("num_partitions must be positive")
-    if not 0 <= partition_id < num_partitions:
-        raise ConfigurationError("partition_id out of range")
-    base, remainder = divmod(int(total), num_partitions)
-    return base + (1 if partition_id < remainder else 0)
-
-
-def split_workload_spec(spec: "WorkloadSpec", partition_id: int, num_partitions: int) -> "WorkloadSpec":
-    """The spec of partition ``partition_id``'s independent substream.
-
-    Identical proportions and skew; only the seed moves, onto the derived
-    substream for that partition.
-    """
-    return replace(
-        spec, seed=derive_substream_seed(spec.seed, "workload", partition_id, num_partitions)
-    )
-
-
-def split_workload_phases(
-    phases: Sequence[Tuple[int, "WorkloadSpec"]], partition_id: int, num_partitions: int
-) -> Tuple[Tuple[int, "WorkloadSpec"], ...]:
-    """Partition a phased workload: per-phase budgets split near-evenly.
-
-    Every phase keeps its boundary *relative* position in each substream
-    (budgets are divided with the deterministic remainder rule), and each
-    phase's spec is reseeded onto a substream derived from the phase index
-    as well, so two phases sharing a seed still diverge per partition.
-    """
-    result: List[Tuple[int, "WorkloadSpec"]] = []
-    for phase_index, (operations, spec) in enumerate(phases):
-        if operations < num_partitions:
-            raise ConfigurationError(
-                f"workload phase {phase_index} budget ({operations}) is smaller than "
-                f"num_partitions ({num_partitions}); every partition needs a positive share"
-            )
-        share = partition_share(operations, partition_id, num_partitions)
-        reseeded = replace(
-            spec,
-            seed=derive_substream_seed(
-                spec.seed, "workload-phase", phase_index, partition_id, num_partitions
-            ),
-        )
-        result.append((share, reseeded))
-    return tuple(result)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class TestLaziness:
 
 class TestPickling:
     def test_round_trip_of_an_already_matched_query(self):
-        """Spawn safety: ParallelSimulator ships queries to spawned workers."""
+        """Spawn safety: a job mapped to a worker process may carry queries."""
         query = Query("posts", {"category": 3, "tags": {"$in": ["a"]}}, sort=[("views", -1)], limit=2)
         assert query.plan.matches({"category": 3, "tags": ["a"]})
         clone = pickle.loads(pickle.dumps(query))

@@ -139,71 +139,3 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             FaultPlan.flaky(at=5.0, recover_at=2.0)
 
-
-class TestSplitByShard:
-    def test_gray_events_route_with_their_magnitude(self):
-        plan = FaultPlan(
-            events=[
-                FaultEvent(1.0, FaultAction.SLOW_SHARD, "shard:0", magnitude=4.0),
-                FaultEvent(1.0, FaultAction.FLAKY_SHARD, "shard:1", magnitude=0.3),
-                FaultEvent(2.0, FaultAction.RESTORE, "shard:1"),
-            ]
-        )
-        first, second = plan.split_by_shard(2, 1)
-        assert [event.action for event in first.events] == [FaultAction.SLOW_SHARD]
-        assert first.events[0].magnitude == pytest.approx(4.0)
-        assert [event.action for event in second.events] == [
-            FaultAction.FLAKY_SHARD,
-            FaultAction.RESTORE,
-        ]
-        # Targets are rewritten into local shard numbering.
-        assert second.events[0].target == "shard:0"
-        assert second.events[0].magnitude == pytest.approx(0.3)
-
-    def test_node_targets_are_rewritten_into_local_numbering(self):
-        plan = FaultPlan(events=[FaultEvent(1.0, FaultAction.CRASH, "s3:n1")])
-        parts = plan.split_by_shard(2, 2)
-        assert parts[0].events == ()
-        assert [(event.target, event.action) for event in parts[1].events] == [
-            ("s1:n1", FaultAction.CRASH)
-        ]
-
-    def test_a_link_inside_one_partition_keeps_its_local_peer(self):
-        plan = FaultPlan.replica_partition(shard=3, replica_index=2, at=1.0, heal_at=2.0)
-        _, second = plan.split_by_shard(2, 2)
-        assert [(e.action, e.target, e.peer) for e in second.events] == [
-            (FaultAction.PARTITION, "shard:1", "s1:n2"),
-            (FaultAction.HEAL, "shard:1", "s1:n2"),
-        ]
-
-    def test_a_link_across_partitions_is_unsupported(self):
-        plan = FaultPlan(
-            events=[FaultEvent(1.0, FaultAction.PARTITION, "shard:0", peer="s1:n1")]
-        )
-        with pytest.raises(UnsupportedFaultError, match="different partitions"):
-            plan.split_by_shard(2, 1)
-
-    @pytest.mark.parametrize("target", ["shard:4", "s4:n0"])
-    def test_a_target_outside_the_fleet_is_unsupported(self, target):
-        plan = FaultPlan(events=[FaultEvent(1.0, FaultAction.CRASH, target)])
-        with pytest.raises(UnsupportedFaultError, match="outside the deployment"):
-            plan.split_by_shard(2, 2)
-
-    @pytest.mark.parametrize("num_partitions, shards_per_partition", [(0, 1), (1, 0), (-1, 2)])
-    def test_a_non_positive_geometry_is_rejected(self, num_partitions, shards_per_partition):
-        with pytest.raises(ConfigurationError, match="must be positive"):
-            FaultPlan.primary_crash().split_by_shard(num_partitions, shards_per_partition)
-
-    def test_every_partition_gets_a_named_sub_plan(self):
-        plan = FaultPlan.primary_crash(shard=1, at=3.0, recover_at=6.0)
-        parts = plan.split_by_shard(3, 1)
-        assert [part.name for part in parts] == [
-            f"primary-crash/shard=1/part{index}" for index in range(3)
-        ]
-        assert [len(part.events) for part in parts] == [0, 2, 0]
-
-    def test_a_partition_keeps_the_global_time_order(self):
-        plan = FaultPlan.rolling_primary_crashes([0, 2, 1, 3], start=1.0, spacing=2.0, downtime=1.5)
-        for part in plan.split_by_shard(2, 2):
-            times = [event.time for event in part.events]
-            assert times == sorted(times) and len(times) == 4

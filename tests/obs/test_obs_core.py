@@ -13,21 +13,16 @@ from repro.obs import (
     ObservabilityConfig,
     Span,
     TraceRecorder,
-    canonical_metrics_bytes,
-    canonical_trace_bytes,
     coverage,
     critical_path,
     index_spans,
     json_artifact,
     latency_attribution,
-    merge_states,
-    merge_trace_tuples,
     percentile_root,
     prometheus_text,
     render_report,
     render_waterfall,
     request_roots,
-    spans_from_tuples,
     write_artifacts,
 )
 from repro.simulation.simulator import SimulationConfig
@@ -174,31 +169,11 @@ class TestTraceRecorder:
         # A cost span happens at its parent's (priced) end.
         assert part.start == part.end == 5.15
 
-    def test_round_trip_through_tuples(self):
+    def test_span_tuples_are_the_spans_rows(self):
         tracer = TraceRecorder(FakeClock())
         root = tracer.begin("sdk.read")
         tracer.end(root, "key", "k")
-        rows = tracer.span_tuples()
-        restored = spans_from_tuples(rows)
-        assert [row(span) for span in restored] == list(rows)
-
-    def test_merge_offsets_both_ids(self):
-        def one_partition():
-            tracer = TraceRecorder(FakeClock())
-            root = tracer.begin("sdk.read")
-            tracer.event("sdk.fetch")
-            tracer.end(root)
-            return tracer.span_tuples()
-
-        merged = merge_trace_tuples([one_partition(), one_partition()])
-        spans = spans_from_tuples(merged)
-        assert [span.span_id for span in spans] == [0, 1, 2, 3]
-        # The second partition's child points at the second partition's root.
-        assert spans[3].parent_id == spans[2].span_id
-        assert canonical_trace_bytes(merged) == canonical_trace_bytes(
-            [row(span) for span in spans]
-        )
-
+        assert [row(span) for span in tracer.spans()] == list(tracer.span_tuples())
 
 class TestMetricsRegistry:
     def test_rows_are_read_from_live_counters(self):
@@ -234,24 +209,6 @@ class TestMetricsRegistry:
     def test_a_non_positive_or_nan_interval_is_rejected(self, interval):
         with pytest.raises(ValueError):
             MetricsRegistry(tuple, interval=interval)
-
-    def test_merge_states_sums_and_concatenates(self):
-        def one(value, sample):
-            latency = Histogram()
-            latency.record_many([sample])
-            registry = MetricsRegistry(
-                lambda: [("ops", (("op", "read"),), value), ("lat", (("op", "read"),), latency)]
-            )
-            registry.sample(1.0)
-            return registry.state()
-
-        merged = merge_states([one(2, 0.5), one(3, 0.25)])
-        counters, _gauges, histograms, series = merged
-        assert counters == (("ops", (("op", "read"),), 5),)
-        assert histograms == (("lat", (("op", "read"),), (0.5, 0.25)),)
-        assert series[0][0] == 1.0 and series[0][1] == (("ops", (("op", "read"),), 5),)
-        assert canonical_metrics_bytes(merged) == canonical_metrics_bytes(merged)
-
 
 class TestExport:
     def _state(self):
@@ -343,7 +300,3 @@ class TestAnalyze:
         report = render_report(spans)
         assert "latency attribution: 3 sampled requests" in report
         assert "top stages at p99" in report
-
-    def test_analyze_accepts_tuple_rows(self):
-        rows = [row(span) for span in self._spans()]
-        assert latency_attribution(rows)["requests"] == 3

@@ -8,7 +8,7 @@ generates write sequences (nested spans, unsampled roots, events inside and
 outside requests, duplicate attribute keys where the last write must win,
 cost children, roots finished once / twice / never, a clock that moves
 between calls) and both must export identical ``span_tuples()`` /
-``event_tuples()``.
+``events()``.
 
 The reference is driven the way the parent's simulator drove it: pricing
 sites collected ``(stage, seconds)`` parts, and finishing a root meant
@@ -22,14 +22,13 @@ from typing import List, Optional
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import TraceRecorder, spans_from_tuples
+from repro.obs import TraceRecorder
 from repro.simulation.staleness import StalenessAuditor
 from repro.verify.history import (
     KIND_INSTALL,
     KIND_OPERATION,
     HistoryEvent,
     HistoryRecorder,
-    events_from_tuples,
 )
 
 
@@ -237,7 +236,6 @@ def test_trace_log_matches_the_object_recorder(sample_every, program):
     assert len(tracer) == len(rows)
     # The read-side objects are the same rows again.
     assert tuple(row(span) for span in tracer.spans()) == rows
-    assert [row(span) for span in spans_from_tuples(rows)] == list(rows)
 
 
 # -- history -----------------------------------------------------------------------------
@@ -320,6 +318,4 @@ def test_history_log_matches_the_object_recorder(program):
             reference.record_operation(**args[0])
     expected = reference.events()
     assert recorder.events() == expected
-    assert recorder.event_tuples() == tuple(tuple(event) for event in expected)
-    assert events_from_tuples(recorder.event_tuples()) == expected
     assert len(recorder) == len(expected)

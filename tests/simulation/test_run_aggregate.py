@@ -1,16 +1,15 @@
-"""The mergeable run aggregate: the one place a summary is derived."""
+"""The run aggregate: the one place a summary is derived."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
 import pytest
 
 from repro.faults import FaultAction, FaultEvent, FaultPlan
 from repro.resilience import ResilienceConfig
-from repro.simulation import CachingMode, RunAggregate, merge_outcomes, partition_simulation
-from repro.simulation.parallel import parity_config, run_partition
+from repro.simulation import CachingMode, RunAggregate, SimulationConfig, Simulator
+from repro.workloads import DatasetSpec, WorkloadSpec
 
 PLAIN_KEYS = [
     "throughput",
@@ -34,8 +33,8 @@ RESILIENCE_COUNTERS = {"resilience_retries": 3, "hedged_reads": 2}
 
 
 @pytest.fixture(scope="module")
-def outcomes():
-    """Three real partition outcomes: gray faults + resilience at RF 3."""
+def faulted_run():
+    """A classic run at RF 3 under gray faults, a crash and resilience."""
     plan = FaultPlan(
         events=[
             FaultEvent(0.02, FaultAction.SLOW_SHARD, "shard:0", magnitude=4.0),
@@ -46,64 +45,24 @@ def outcomes():
         ],
         name="aggregate",
     )
-    config = replace(
-        parity_config(CachingMode.QUAESTOR, replication_factor=3, num_partitions=3),
+    config = SimulationConfig(
+        mode=CachingMode.QUAESTOR,
+        workload=WorkloadSpec.read_heavy(),
+        dataset=DatasetSpec(num_tables=3, documents_per_table=120, queries_per_table=12),
+        num_clients=3,
+        connections_per_client=25,
+        ebf_refresh_interval=1.0,
+        matching_nodes=2,
+        duration=30.0,
+        max_operations=800,
+        seed=42,
+        num_shards=3,
+        replication_factor=3,
         fault_plan=plan,
         resilience=ResilienceConfig(),
         failover_detection_delay=0.02,
     )
-    return [run_partition(job) for job in partition_simulation(config, 3)]
-
-
-class TestMerge:
-    def test_folding_one_aggregate_is_the_identity(self, outcomes):
-        for outcome in outcomes:
-            assert RunAggregate.merge([outcome.aggregate]) == outcome.aggregate
-        assert RunAggregate.merge([]) == RunAggregate()
-
-    def test_outcomes_merge_the_same_in_any_hand_over_order(self, outcomes):
-        """``merge_outcomes`` sorts by partition id before the (order-sensitive)
-        float fold, so the order workers finish in cannot reach a result."""
-        expected = merge_outcomes(outcomes, CachingMode.QUAESTOR, num_workers=1)
-        assert [outcome.partition_id for outcome in expected.outcomes] == [0, 1, 2]
-        for shuffled in itertools.permutations(outcomes):
-            merged = merge_outcomes(shuffled, CachingMode.QUAESTOR, num_workers=1)
-            assert merged.aggregate == expected.aggregate
-            assert merged.summary() == expected.summary()
-            assert merged.outcomes == expected.outcomes
-
-    def test_counts_add_extrema_take_max_and_rates_are_rederived(self):
-        left = RunAggregate(
-            measured_operations=4,
-            measured_duration=2.0,
-            throughput=2.0,
-            latency={"read": (1.0, 2)},
-            level_counts={"read": {"client": 1, "origin": 1}},
-            stale_counts={"audited_read": 2, "stale_read": 1},
-            max_staleness=0.5,
-        )
-        right = RunAggregate(
-            measured_operations=2,
-            measured_duration=1.0,
-            throughput=2.0,
-            latency={"read": (3.0, 2), "query": (1.0, 1)},
-            level_counts={"read": {"client": 2}},
-            stale_counts={"audited_read": 2},
-            max_staleness=0.25,
-        )
-        merged = RunAggregate.merge([left, right])
-        assert merged.measured_operations == 6
-        assert merged.measured_duration == 2.0
-        assert merged.max_staleness == 0.5
-        summary = merged.summary()
-        assert summary["throughput"] == 4.0
-        assert summary["mean_read_latency_ms"] == 1000.0
-        assert summary["mean_query_latency_ms"] == 1000.0
-        assert summary["client_read_hit_rate"] == 0.75
-        assert summary["read_stale_rate"] == 0.25
-        # Folding never writes into its inputs.
-        assert left.level_counts == {"read": {"client": 1, "origin": 1}}
-        assert left.latency == {"read": (1.0, 2)}
+    return Simulator(config).run()
 
 
 class TestSummaryKeys:
@@ -140,7 +99,13 @@ class TestSummaryKeys:
         assert on.summary()["degraded_served"] == 4.0
         assert all(isinstance(value, float) for value in on.summary().values())
 
-    def test_a_fold_carries_a_block_if_any_partition_does(self, outcomes):
-        merged = RunAggregate.merge([RunAggregate(), outcomes[0].aggregate])
-        assert merged.replication_active and merged.has_fault_injector and merged.has_resilience
-        assert list(merged.summary()) == list(outcomes[0].aggregate.summary())
+    def test_a_faulted_resilient_run_carries_every_block(self, faulted_run):
+        aggregate = faulted_run.aggregate
+        assert aggregate.replication_active
+        assert aggregate.has_fault_injector and aggregate.has_resilience
+        keys = list(faulted_run.summary())
+        assert keys[: len(PLAIN_KEYS) + len(AVAILABILITY_KEYS)] == PLAIN_KEYS + AVAILABILITY_KEYS
+        assert "faults_injected" in keys
+        assert keys[-len(aggregate.resilience) - 1 :] == (
+            list(aggregate.resilience) + ["degraded_served"]
+        )

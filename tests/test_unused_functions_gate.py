@@ -90,7 +90,7 @@ def test_a_stale_entry_fails_when_its_def_no_longer_exists(census):
         "repro.toy:forgotten": "safety",
         "repro.toy:Widget": "producer",
         "repro.toy:deleted": "bench",
-        "repro.gone": "worker",
+        "repro.gone": "language",
     }
     assert verdict(census, {"repro.toy:reached"}, allowlist) == (
         [], ["repro.toy:deleted", "repro.gone"]
@@ -124,11 +124,19 @@ def test_the_committed_allowlist_parses(census):
     assert set(entries.values()) <= set(census.REASONS)
 
 
-@pytest.mark.parametrize("reason", ["bench", "producer", "safety", "language", "worker"])
+@pytest.mark.parametrize("reason", ["bench", "producer", "safety", "language"])
 def test_every_reason_of_the_closed_set_is_accepted(census, reason):
     assert census.read_allowlist(f"repro.toy:forgotten {reason}") == {
         "repro.toy:forgotten": reason
     }
+
+
+def test_the_retired_worker_reason_is_rejected(census):
+    # Nothing runs only in spawned workers any more: every pooled job also
+    # runs in process, where the census sees it.
+    assert "worker" not in census.REASONS
+    with pytest.raises(SystemExit):
+        census.read_allowlist("repro.toy:forgotten worker")
 
 
 def test_comments_and_blank_lines_are_ignored(census):

@@ -9,9 +9,8 @@ simulator audited must get the identical verdict -- seconds superseded, or
 ``None`` for fresh -- from the replay.
 
 The default run covers the four benchmark workloads at one seed.  The
-``slow_chaos`` run widens that to 24 seeds each, all 16 verify-matrix cells
-and a two-worker partitioned run, whose merged log must replay to the union
-of its partitions' verdicts.
+``slow_chaos`` run widens that to 24 seeds each and all 16 verify-matrix
+cells.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import pytest
 
 from repro.client.sdk import ERROR_LEVEL
-from repro.simulation import ParallelSimulator, Simulator
+from repro.simulation import Simulator
 from repro.simulation.staleness import StalenessAuditor
 from repro.verify.checkers import check_delta_atomicity
-from repro.verify.history import KIND_OPERATION, HistoryEvent, events_from_tuples
+from repro.verify.history import KIND_OPERATION, HistoryEvent
 from repro.verify.scenarios import scenario_matrix
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -125,23 +124,3 @@ def test_workload_verdicts_agree_across_seeds(name, seed, monkeypatch):
 def test_verify_cell_verdicts_agree(spec, monkeypatch):
     assert_one_verdict(spec.build_config(), monkeypatch)
 
-
-@pytest.mark.slow_chaos
-def test_merged_log_replays_to_the_union_of_its_partitions(monkeypatch):
-    result = ParallelSimulator(
-        _workload_config("fleet_chaos", 42), num_partitions=2, num_workers=2
-    ).run()
-    union: Verdicts = {}
-    owners: Dict[str, int] = {}
-    offset = 0
-    for outcome in result.outcomes:
-        events = events_from_tuples(outcome.history)
-        for event in events:
-            # Timelines are per key, so the partitions' replays compose only
-            # when no key is installed or read in two partitions.
-            assert owners.setdefault(event.key, outcome.partition_id) == outcome.partition_id
-        for seq, verdict in replayed_verdicts(events, monkeypatch).items():
-            union[offset + seq] = verdict
-        offset += len(events)
-    merged = replayed_verdicts(result.history_events(), monkeypatch)
-    assert merged and merged == union
