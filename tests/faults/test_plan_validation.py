@@ -139,3 +139,27 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             FaultPlan.flaky(at=5.0, recover_at=2.0)
 
+
+    def test_rolling_crashes_take_one_primary_per_shard_in_turn(self):
+        plan = FaultPlan.rolling_primary_crashes([2, 0, 1], start=10.0, spacing=5.0)
+        assert plan.name == "rolling-crashes/3-shards"
+        assert [(event.time, event.action, event.target) for event in plan.events] == [
+            (10.0, FaultAction.CRASH, "shard:2"),
+            (15.0, FaultAction.CRASH, "shard:0"),
+            (20.0, FaultAction.CRASH, "shard:1"),
+        ]
+
+    def test_rolling_crashes_with_a_downtime_recover_each_primary(self):
+        plan = FaultPlan.rolling_primary_crashes([0, 1], start=1.0, spacing=2.0, downtime=3.0)
+        # Time order: shard 1 crashes (t=3) before shard 0 recovers (t=4).
+        assert [(event.time, event.action, event.target) for event in plan.events] == [
+            (1.0, FaultAction.CRASH, "shard:0"),
+            (3.0, FaultAction.CRASH, "shard:1"),
+            (4.0, FaultAction.RECOVER, "shard:0"),
+            (6.0, FaultAction.RECOVER, "shard:1"),
+        ]
+
+    def test_a_rolling_drill_over_no_shards_is_empty(self):
+        plan = FaultPlan.rolling_primary_crashes([])
+        assert len(plan.events) == 0
+        assert plan.name == "rolling-crashes/0-shards"

@@ -388,6 +388,38 @@ class TestClusterFailover:
         assert facade.get_bloom_filter().contains(key)
 
 
+class TestPrimaryDownSince:
+    def test_a_serving_primary_is_not_down(self):
+        _clock, cluster, _facade = build_cluster()
+        assert cluster.primary_down_since(0) is None
+        cluster.crash_node(cluster.groups[0].replica_nodes()[0].node_id)
+        assert cluster.primary_down_since(0) is None  # a replica crash keeps it up
+
+    def test_the_outage_starts_at_the_primary_crash_and_ends_at_failover(self):
+        clock, cluster, _facade = build_cluster(replication_factor=3)
+        group = cluster.groups[1]
+        cluster.crash_node(group.primary_node_id)
+        down_at = clock.now()
+        clock.advance(0.5)
+        # A replica crash while the primary is down does not move the start.
+        cluster.crash_node(group.replica_nodes()[0].node_id)
+        assert cluster.primary_down_since(1) == down_at
+        assert cluster.primary_down_since(0) is None
+        assert cluster.failover(1) is not None
+        assert cluster.primary_down_since(1) is None
+
+    def test_a_recovered_primary_ends_a_total_outage(self):
+        clock, cluster, _facade = build_cluster(num_shards=1)
+        group = cluster.groups[0]
+        cluster.crash_node(group.replica_nodes()[0].node_id)
+        primary = group.primary_node_id
+        cluster.crash_node(primary)
+        assert cluster.primary_down_since(0) == clock.now()
+        clock.advance(1.0)
+        assert cluster.recover_node(primary) == (0, "primary")
+        assert cluster.primary_down_since(0) is None
+
+
 class TestShardOf:
     def test_a_node_id_names_its_shard(self):
         _clock, cluster, _facade = build_cluster(num_shards=2, replication_factor=2)

@@ -57,6 +57,13 @@ class TestTTLEstimatorSpec:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_param_dict_reads_back_the_overrides(self):
+        assert TTLEstimatorSpec.of("static", window=10.0, ttl=5.0).param_dict() == {
+            "ttl": 5.0,
+            "window": 10.0,
+        }
+        assert TTLEstimatorSpec.of("static").param_dict() == {}
+
     def test_of_params_reach_the_estimator(self):
         estimator = TTLEstimatorSpec.of("static", ttl=42.0).build()
         assert isinstance(estimator, StaticTTLEstimator)

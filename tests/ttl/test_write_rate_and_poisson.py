@@ -16,6 +16,17 @@ from repro.ttl.write_rate import WriteRateSampler
 
 
 class TestWriteRateSampler:
+    def test_a_key_is_tracked_from_its_first_write(self):
+        sampler = WriteRateSampler(max_samples_per_key=3)
+        assert sampler.tracked_keys() == 0
+        assert sampler.last_write("a") is None
+        for timestamp in (1.0, 2.0, 3.0, 4.0):
+            sampler.observe_write("a", timestamp)
+        sampler.observe_write("b", 2.5)
+        sampler.write_rate("never-written", now=5.0)  # reading tracks nothing
+        assert sampler.tracked_keys() == 2
+        assert (sampler.last_write("a"), sampler.last_write("b")) == (4.0, 2.5)
+
     def test_unknown_key_uses_default_rate(self):
         sampler = WriteRateSampler(default_rate=0.01)
         assert sampler.write_rate("never-written", now=100.0) == 0.01
