@@ -4,25 +4,12 @@
 #   make test-durations  - tier-1 as `make test` runs it, then its wall time, the
 #                          summed per-test durations and the 25 slowest phases
 #   make bench-smoke     - fast benchmark subset (EBF micro + cluster scaling)
-#   make bench           - every benchmark target (regenerates benchmarks/results/)
-#   make bench-replication       - replica-read scale-out + failover drills;
-#                                  rewrites BENCH_replication.json
-#   make bench-replication-check - budget-mode run gated against the committed
-#                                  BENCH_replication.json (fails when the RF=3
-#                                  scale-out collapses or failover degrades)
-#   make bench-ttl       - TTL estimator bake-off grid; rewrites BENCH_ttl.json
-#   make bench-ttl-check - budget-mode run gated against the committed
-#                          BENCH_ttl.json (fails when the winner's quality
-#                          score collapses >3x; deterministic, seeded)
+#   make bench           - every benchmarks/bench_*.py file (regenerates
+#                          benchmarks/results/)
 #   make smoke-failover  - seeded crash+recover scenario must stay deterministic
-#   make bench-resilience        - availability/staleness chaos grid (resilience
-#                                  on vs off); rewrites BENCH_resilience.json
-#   make bench-resilience-check  - budget-mode run gated against the committed
-#                                  BENCH_resilience.json (fails when resilience
-#                                  stops beating the unprotected arm on a gray
-#                                  scenario or staleness escapes the Δ budget)
 #   make chaos-smoke     - seeded gray-failure scenarios (brownout/flaky/hedge)
-#                          must stay deterministic and keep their wins
+#                          must stay deterministic and keep their wins, and the
+#                          pinned resilience-on/off chaos grid
 #   make verify-consistency       - full consistency audit: record histories for
 #                                   the chaos x RF x consistency scenario matrix,
 #                                   run the Δ-atomicity/session-guarantee checkers
@@ -30,6 +17,7 @@
 #                                   self-test (every injected breach detected),
 #                                   then the slow_chaos pytest cells and the
 #                                   online-vs-replayed staleness differential
+#                                   and the full-size TTL estimator bake-off
 #   make verify-consistency-smoke - one representative scenario per fault
 #                                   archetype; the quick CI gate
 #   make obs-smoke       - seeded brownout scenario with tracing on: asserts the
@@ -64,27 +52,18 @@
 #   make unused-functions - function census gate (~60 s on two cores): fails on
 #                          any def under src/repro that no entry point reaches
 #                          (benchmark workloads, verify and obs smokes, fast
-#                          examples, figure harnesses, behaviour pins, parity
-#                          harness, a 4-partition faulted run, a causal audit
-#                          cell) unless it is a dunder or declaration or is
+#                          examples, figure harnesses, behaviour pins, a
+#                          faulted 4-shard RF 3 run, a causal audit cell, a
+#                          failover losing acknowledged writes) unless it is
+#                          a dunder or declaration or is
 #                          named in scripts/unused_allowlist.txt, and on any
 #                          allowlist entry that covers nothing unreached
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
+BENCH_FILES := $(wildcard benchmarks/bench_*.py)
 
-# Benchmarks with their own CLI entry point (report writers / CI gates); every
-# other benchmarks/bench_*.py file is a pytest-style benchmark that `make
-# bench` collects.  New gated benchmarks are added HERE, not to a filter-out
-# chain that silently rots when a file is renamed.
-GATED_BENCH := \
-	benchmarks/bench_replication.py \
-	benchmarks/bench_ttl.py \
-	benchmarks/bench_resilience.py
-
-BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
-
-.PHONY: test test-durations budgets bench-smoke bench bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
+.PHONY: test test-durations budgets bench-smoke bench smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke bench-ledger bench-ledger-smoke bench-pairs wall-profile retained docs-check unused-functions
 
 test:
 	$(PYTEST) -x -q
@@ -100,24 +79,6 @@ bench-smoke:
 
 bench:
 	$(PYTEST) $(BENCH_FILES) -q
-
-bench-replication:
-	$(PYTHON) benchmarks/bench_replication.py
-
-bench-replication-check:
-	$(PYTHON) benchmarks/bench_replication.py --budget --check BENCH_replication.json
-
-bench-ttl:
-	$(PYTHON) benchmarks/bench_ttl.py
-
-bench-ttl-check:
-	$(PYTHON) benchmarks/bench_ttl.py --budget --check BENCH_ttl.json
-
-bench-resilience:
-	$(PYTHON) benchmarks/bench_resilience.py
-
-bench-resilience-check:
-	$(PYTHON) benchmarks/bench_resilience.py --budget --check BENCH_resilience.json
 
 smoke-failover:
 	$(PYTEST) tests/replication/test_failover_smoke.py -q

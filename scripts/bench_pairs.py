@@ -16,6 +16,11 @@ spread, a verdict, each host metric's ratio of medians against its
 ``BENCHMARK.json`` bound, and whether every exact ``sim_*`` value was
 identical in every pair (a host-only change must not move one).
 
+Each side runs with its own bytecode cache (``PYTHONPYCACHEPREFIX`` in the
+temporary directory, written even where ``PYTHONDONTWRITEBYTECODE`` is set),
+filled once before the first pair, so that ``setup_s``'s import probe reads
+cached bytecode on both sides instead of compiling on one of them.
+
 The verdict is GAIN when the change won >= 9/10 of the decided pairs and its
 median is better than the parent's by more than the parent's IQR, LOSS when
 the same holds the other way round, and FLAT otherwise; "better" is the
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,11 +52,31 @@ DECLARED = {
 }
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
+def side_env(cache: Path) -> Dict[str, str]:
+    """The environment one side runs in: bytecode written to its own ``cache``."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+def warm(checkout: Path, env: Dict[str, str]) -> None:
+    """Fill a side's bytecode cache: compile its program and benchmark, then
+    import what the benchmark's child imports (the standard library too)."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "bench"],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True,
+    )
+    subprocess.run(
+        [sys.executable, "-c", "import bench.child"],
+        cwd=checkout, env=dict(env, PYTHONPATH=str(checkout / "src")), check=True,
+    )
+
+
+def run_once(checkout: Path, workload: str, seed: int, env: Dict[str, str]) -> Dict[str, float]:
     """One timed pass of ``checkout``'s own benchmark; returns its gated metrics."""
     finished = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
-        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     result = json.loads(finished.stdout.splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -119,30 +145,33 @@ def main() -> int:
     parent: List[Dict[str, float]] = []
     change: List[Dict[str, float]] = []
 
-    def run_pairs(parent_dir: Path) -> None:
+    def run_pairs(parent_dir: Path, caches: Path) -> None:
+        sides = [
+            (parent_dir, side_env(caches / "parent-pycache"), parent),
+            (ROOT, side_env(caches / "change-pycache"), change),
+        ]
+        for checkout, env, _sink in sides:
+            warm(checkout, env)
         for pair in range(args.pairs):
-            order = [(parent_dir, parent), (ROOT, change)]
-            if pair % 2:
-                order.reverse()
-            for checkout, sink in order:
-                sink.append(run_once(checkout, args.workload, args.seed))
+            for checkout, env, sink in sides[::-1] if pair % 2 else sides:
+                sink.append(run_once(checkout, args.workload, args.seed, env))
             print(
                 f"pair {pair + 1:>2}/{args.pairs} ({'change' if pair % 2 else 'parent'} first): "
                 f"parent {parent[-1][metric]:.6g}  change {change[-1][metric]:.6g}",
                 flush=True,
             )
 
-    if args.parent_checkout is not None:
-        run_pairs(args.parent_checkout.resolve())
-    else:
-        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        if args.parent_checkout is not None:
+            run_pairs(args.parent_checkout.resolve(), Path(scratch))
+        else:
             parent_dir = Path(scratch) / "parent"
             subprocess.run(
                 ["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
                 cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
             )
             try:
-                run_pairs(parent_dir)
+                run_pairs(parent_dir, Path(scratch))
             finally:
                 subprocess.run(
                     ["git", "worktree", "remove", "--force", str(parent_dir)], cwd=ROOT, check=False

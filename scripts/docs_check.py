@@ -10,7 +10,7 @@ Scans ``README.md`` and every Markdown file under ``docs/`` for
   ``examples/quickstart.py`` -- the file or directory must exist.
 
 The docstrings of ``benchmarks/*.py`` are scanned as well, for files they
-name in prose (``BENCH_ttl.json``, ``docs/benchmarks.md``): a benchmark that
+name in prose (``docs/benchmarks.md``): a benchmark that
 points its reader at a report or a document must point at one that exists.
 
 It additionally enforces *coverage*: every subsystem package listed in

@@ -9,7 +9,9 @@ repository's entry points run in this process:
 * the fast examples the test suite runs (``FAST_EXAMPLES`` in
   ``tests/test_examples.py``);
 * every figure harness in ``repro.benchmarks`` at a toy scale;
-* the behaviour pins (``PIN_TESTS``: the golden and byte-identity tests);
+* the behaviour pins (``PIN_TESTS``: the golden and byte-identity tests, and
+  the exact pins of the replication drills, the resilience chaos grid and
+  the TTL estimator bake-off grid);
 * a four-shard RF 3 run with a crash/recover fault plan and every recorder
   on (a primary resumes with a backlog it never applied);
 * one causal cell of the full consistency matrix (``python -m repro.verify``
@@ -72,7 +74,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 #: The closed set of reasons an allowlist entry may give.
 REASONS = {
     "bench": "the frozen bench/ names it",
-    "producer": "only a benchmarks/bench_*.py CI guard drives it",
+    "producer": "only a benchmarks/ pytest benchmark, or a caller CHANGES.md names as missing",
     "safety": "a recovery, validation or failure-report path no smoke reaches",
     "language": "a Mongo-style operator, checked against tests/db/reference_predicates.py",
 }
@@ -84,7 +86,10 @@ PIN_TESTS = (
     "tests/core/test_read_path.py::TestGoldenEquivalence",
     "tests/obs/test_recorder_goldens.py",
     "tests/obs/test_statistics_golden.py",
+    "tests/replication/test_scaleout_and_drills.py",
+    "tests/resilience/test_chaos_smoke.py::TestChaosGrid",
     "tests/simulation/test_golden_summary.py",
+    "tests/ttl/test_spec_and_bakeoff.py::TestBakeoffGrid",
     "tests/ttl/test_ttl_golden_vectors.py",
 )
 

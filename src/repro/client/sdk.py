@@ -121,14 +121,10 @@ class QuaestorClient:
         self.consistency = consistency
         self.use_client_cache = use_client_cache
         self.use_ebf = use_ebf
-        # Stale-if-error: with a resilience config attached (and the policy
-        # enabled), an unavailable origin may be answered from the client's
+        # Stale-if-error: with a resilience config attached (and its policy
+        # set), an unavailable origin may be answered from the client's
         # expired cache entry, bounded by the policy's staleness budget.
-        self._stale_policy = (
-            resilience.stale_if_error
-            if resilience is not None and resilience.enabled
-            else None
-        )
+        self._stale_policy = resilience.stale_if_error if resilience is not None else None
 
         self.client_cache = ExpirationCache(f"{name}-cache", self._clock)
         levels = []

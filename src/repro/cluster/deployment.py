@@ -155,7 +155,7 @@ class QuaestorCluster:
         #: empty in every run without gray fault events, so the request paths
         #: never consult it (and draw no random numbers).
         self.gray = GrayFailureState(gray_seed)
-        self.resilience = resilience if resilience is not None and resilience.enabled else None
+        self.resilience = resilience
         self.resilience_runtime = (
             ResilienceRuntime(self.resilience, self.clock) if self.resilience else None
         )

@@ -85,10 +85,6 @@ class ReplicationLink:
         self.delivered += len(ready)
         return ready
 
-    def partition(self) -> None:
-        """Stop delivering; the primary keeps appending to the backlog."""
-        self.partitioned = True
-
     def heal(self, now: float, catchup_lag: float) -> None:
         """Re-open the link; the backlog is re-timed to land after the heal."""
         self.partitioned = False

@@ -289,15 +289,14 @@ class ResilienceConfig:
 
     Attach to :class:`~repro.simulation.SimulationConfig` (or directly to
     :class:`~repro.cluster.QuaestorCluster` / the SDK) to enable the
-    resilience layer.  Any sub-policy may be ``None`` to disable just that
-    mechanism; ``enabled=False`` (or :meth:`off`) disables the whole layer
-    even if sub-policies are set.  ``assumed_round_trip`` is the nominal
-    per-attempt cost charged against :class:`DeadlineBudget` -- virtual
-    time does not advance inside a synchronous request, so deadline
-    accounting uses this estimate rather than measured elapsed time.
+    resilience layer; ``None`` in its place is the one way to run without
+    it.  Any sub-policy may be ``None`` to disable just that mechanism.
+    ``assumed_round_trip`` is the nominal per-attempt cost charged against
+    :class:`DeadlineBudget` -- virtual time does not advance inside a
+    synchronous request, so deadline accounting uses this estimate rather
+    than measured elapsed time.
     """
 
-    enabled: bool = True
     seed: int = 1033
     request_deadline: Optional[float] = 2.0
     assumed_round_trip: float = 0.15
@@ -311,8 +310,3 @@ class ResilienceConfig:
             raise ConfigurationError("request_deadline must be positive when set")
         if self.assumed_round_trip <= 0:
             raise ConfigurationError("assumed_round_trip must be positive")
-
-    @classmethod
-    def off(cls) -> "ResilienceConfig":
-        """A fully disabled config (identical behavior to passing ``None``)."""
-        return cls(enabled=False, retry=None, breaker=None, hedge=None, stale_if_error=None)

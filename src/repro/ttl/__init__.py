@@ -17,7 +17,8 @@ estimator) are provided for the ablation benchmarks, and every family is
 registered by name in :mod:`repro.ttl.spec` so deployments select one via
 :class:`TTLEstimatorSpec`.  :mod:`repro.ttl.bakeoff` sweeps the whole registry
 across stationary / drifting / bursty write processes end-to-end through the
-simulator (``make bench-ttl``, results in ``BENCH_ttl.json``).
+simulator (its grid is pinned in ``tests/ttl/test_spec_and_bakeoff.py``; the
+full-size ranking is frozen in ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ Every cell of the (estimator x scenario) grid reports the stale-read rate,
 cache hit rate, invalidation cost and EBF pressure, and is scored by
 ``cache_hit_rate * (1 - stale_rate)`` -- the probability a request was both
 served from cache *and* fresh.  The estimator with the highest mean score
-across scenarios wins the bake-off; ``BENCH_ttl.json`` (written by
-``benchmarks/bench_ttl.py``) pins the grid and the CI ratio guard watches the
-winner's headline score.
+across scenarios wins the bake-off.  ``tests/ttl/test_spec_and_bakeoff.py``
+pins the grid at 1 500 operations per cell in tier-1 and, in the
+``slow_chaos`` job, checks that the full size (``DEFAULT_OPERATIONS``) ranks
+:data:`repro.ttl.spec.DEFAULT_ESTIMATOR` first.
 
 The sweep uses tighter TTL bounds than the production default: the simulator
 compresses wall-clock time, and with the production floor of one second every

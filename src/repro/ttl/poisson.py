@@ -27,13 +27,6 @@ def poisson_quantile_ttl(write_rate: float, quantile: float) -> float:
     return -math.log(1.0 - quantile) / write_rate
 
 
-def expected_time_to_next_write(write_rate: float) -> float:
-    """Mean of the exponential inter-arrival distribution (``1 / lambda``)."""
-    if write_rate <= 0:
-        raise ValueError("write_rate must be positive")
-    return 1.0 / write_rate
-
-
 def combined_write_rate(write_rates: Sequence[float]) -> float:
     """Rate of the minimum of independent exponentials (sum of the rates)."""
     if not write_rates:
@@ -78,12 +71,9 @@ class PoissonTTLEstimator(TTLEstimator):
         self, query_key: str, member_record_keys: Sequence[str], now: float
     ) -> float:
         if member_record_keys:
-            rate = combined_write_rate(
-                [self.sampler.write_rate(key, now) for key in member_record_keys]
-            )
-        else:
-            rate = self.sampler.default_rate
-        return self.bounds.clamp(poisson_quantile_ttl(rate, self.quantile))
+            rates = [self.sampler.write_rate(key, now) for key in member_record_keys]
+            return self.bounds.clamp(query_result_ttl(rates, self.quantile))
+        return self.bounds.clamp(poisson_quantile_ttl(self.sampler.default_rate, self.quantile))
 
     def observe_write(self, record_key: str, timestamp: float) -> None:
         self.sampler.observe_write(record_key, timestamp)

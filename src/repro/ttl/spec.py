@@ -21,8 +21,8 @@ quaestor    :class:`~repro.ttl.estimator.QuaestorTTLEstimator` -- Poisson + EWMA
 One additional entry qualifies the dual strategy's write-rate sampler:
 ``quaestor-window`` runs it on the windowed sampler whose contracts the
 property suite enforces (finite first-observation rate, zero-interval burst
-floor -- see :mod:`repro.ttl.write_rate`).  The bake-off (``BENCH_ttl.json``)
-confirmed the span-sampled dual strategy as the winner in every scenario, so
+floor -- see :mod:`repro.ttl.write_rate`).  The full-size bake-off
+(:mod:`repro.ttl.bakeoff`, 6 000 operations per cell) confirmed the span-sampled dual strategy as the winner in every scenario, so
 ``quaestor`` keeps the span sampler and remains the default.  Seeded
 simulator summaries under the default spec are pinned value-identical by
 ``tests/simulation/test_golden_summary.py``.
@@ -41,7 +41,7 @@ from repro.ttl.poisson import PoissonTTLEstimator
 from repro.ttl.static import StaticTTLEstimator
 from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
 
-#: The bake-off winner (``BENCH_ttl.json``): the paper's dual strategy on the
+#: The full-size bake-off's winner: the paper's dual strategy on the
 #: scale-free span sampler, which beat every challenger -- including its own
 #: window-normalised variant (``quaestor-window``) -- in all three scenarios.
 DEFAULT_ESTIMATOR = "quaestor"

@@ -20,7 +20,7 @@ Two estimation modes are supported (the TTL bake-off compares them through the
   oldest in-window sample.  Scale-free (no absolute-time prior or floor), at
   the price of a first-observation spike: a lone write observed just before
   the estimate makes the key look quasi-infinitely hot, collapsing its TTL to
-  the lower bound.  The bake-off (``BENCH_ttl.json``) showed this fresh-biased
+  the lower bound.  The full-size bake-off showed this fresh-biased
   behaviour *wins* under the simulator's compressed virtual clock, so the
   default ``quaestor`` estimator spec keeps it; the windowed contracts above
   remain available via ``quaestor-window``.
@@ -115,18 +115,10 @@ class WriteRateSampler:
         """Mean time between writes (the reciprocal of the write rate)."""
         return 1.0 / self.write_rate(key, now)
 
-    def last_write(self, key: str) -> Optional[float]:
-        """Timestamp of the most recent observed write to ``key``."""
-        samples = self._samples.get(key)
-        return samples[-1] if samples else None
-
-    def tracked_keys(self) -> int:
-        return len(self._samples)
-
     def __repr__(self) -> str:
         return (
             f"WriteRateSampler(window={self.window}, estimation={self.estimation!r}, "
-            f"tracked={self.tracked_keys()})"
+            f"tracked={len(self._samples)})"
         )
 
 

@@ -279,23 +279,15 @@ class PhasedWorkloadGenerator:
         )
         self.dataset = dataset
         self._generators = [WorkloadGenerator(spec, dataset) for _, spec in self.phases]
-        self._index = 0
+        #: Position of the active phase in ``phases``.
+        self.phase_index = 0
         self._remaining = self.phases[0][0]
-
-    @property
-    def spec(self) -> WorkloadSpec:
-        """The spec of the currently active phase."""
-        return self.phases[self._index][1]
-
-    @property
-    def phase_index(self) -> int:
-        return self._index
 
     def _advance_phase_if_exhausted(self) -> None:
         # The last phase never exhausts: its budget is a soft boundary.
-        while self._remaining <= 0 and self._index + 1 < len(self.phases):
-            self._index += 1
-            self._remaining = self.phases[self._index][0]
+        while self._remaining <= 0 and self.phase_index + 1 < len(self.phases):
+            self.phase_index += 1
+            self._remaining = self.phases[self.phase_index][0]
 
     def next_operations(self, count: int) -> List[Operation]:
         """Sample up to ``count`` operations without crossing a phase boundary.
@@ -309,7 +301,7 @@ class PhasedWorkloadGenerator:
         if count == 0:
             return []
         self._advance_phase_if_exhausted()
-        if self._index + 1 < len(self.phases):
+        if self.phase_index + 1 < len(self.phases):
             count = min(count, self._remaining)
         self._remaining -= count
-        return self._generators[self._index].next_operations(count)
+        return self._generators[self.phase_index].next_operations(count)

@@ -54,7 +54,7 @@ class TestReplicationLink:
     def test_a_partitioned_link_keeps_its_backlog_and_delivers_nothing(self):
         link = ReplicationLink()
         link.ship(record(1, 0.0, 0.1))
-        link.partition()
+        link.partitioned = True
         link.ship(record(2, 0.2, 0.3, "d2"))
         assert link.take_ready(10.0) == ()
         assert len(link) == 2 and link.shipped == 2 and link.delivered == 0
@@ -62,7 +62,7 @@ class TestReplicationLink:
     def test_a_heal_retimes_the_backlog_to_land_after_it(self):
         link = ReplicationLink()
         link.ship(record(1, 0.0, 0.1))
-        link.partition()
+        link.partitioned = True
         link.heal(now=5.0, catchup_lag=0.25)
         assert not link.partitioned
         assert link.take_ready(5.2) == ()
@@ -74,7 +74,7 @@ class TestReplicationLink:
     def test_a_negative_catchup_lag_delivers_at_the_heal(self):
         link = ReplicationLink()
         link.ship(record(1, 0.0, 0.1))
-        link.partition()
+        link.partitioned = True
         link.heal(now=2.0, catchup_lag=-1.0)
         assert [r.event.sequence for r in link.take_ready(2.0)] == [1]
 

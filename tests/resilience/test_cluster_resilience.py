@@ -274,5 +274,5 @@ class TestNoFaultTransparency:
         assert resilient_cluster.resilience_runtime.take_trace().empty
 
     def test_disabled_config_builds_no_runtime(self):
-        _, cluster, _ = build_cluster(resilience=ResilienceConfig.off())
+        _, cluster, _ = build_cluster(resilience=None)
         assert cluster.resilience_runtime is None

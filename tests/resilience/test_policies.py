@@ -257,15 +257,11 @@ class TestStaleIfErrorPolicy:
 class TestResilienceConfig:
     def test_defaults_enable_every_policy(self):
         config = ResilienceConfig()
-        assert config.enabled
         assert config.retry is not None
         assert config.breaker is not None
         assert config.hedge is not None
         assert config.stale_if_error is not None
         assert config.request_deadline == pytest.approx(2.0)
-
-    def test_off_is_disabled(self):
-        assert not ResilienceConfig.off().enabled
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -44,3 +44,10 @@ def test_a_gap_inside_the_parents_spread_is_flat(bench_pairs):
     wide = [0.30, 0.60, 0.30, 0.60, 0.30, 0.60, 0.30, 0.60, 0.30, 0.60]
     barely = [value - 0.01 for value in wide]
     assert bench_pairs.verdict(wide, barely, "lower") == "FLAT"
+
+
+def test_each_side_writes_bytecode_to_its_own_cache(bench_pairs, monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_pairs.side_env(tmp_path / "parent-pycache")
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent-pycache")

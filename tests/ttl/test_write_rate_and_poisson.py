@@ -6,26 +6,23 @@ import math
 
 import pytest
 
-from repro.ttl.poisson import (
-    combined_write_rate,
-    expected_time_to_next_write,
-    poisson_quantile_ttl,
-    query_result_ttl,
-)
-from repro.ttl.write_rate import WriteRateSampler
+from repro.ttl.poisson import combined_write_rate, poisson_quantile_ttl, query_result_ttl
+from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
 
 
 class TestWriteRateSampler:
     def test_a_key_is_tracked_from_its_first_write(self):
         sampler = WriteRateSampler(max_samples_per_key=3)
-        assert sampler.tracked_keys() == 0
-        assert sampler.last_write("a") is None
+        assert "tracked=0" in repr(sampler)
         for timestamp in (1.0, 2.0, 3.0, 4.0):
             sampler.observe_write("a", timestamp)
         sampler.observe_write("b", 2.5)
         sampler.write_rate("never-written", now=5.0)  # reading tracks nothing
-        assert sampler.tracked_keys() == 2
-        assert (sampler.last_write("a"), sampler.last_write("b")) == (4.0, 2.5)
+        assert "tracked=2" in repr(sampler)
+        assert {key: list(samples) for key, samples in sampler._samples.items()} == {
+            "a": [2.0, 3.0, 4.0],
+            "b": [2.5],
+        }
 
     def test_unknown_key_uses_default_rate(self):
         sampler = WriteRateSampler(default_rate=0.01)
@@ -56,11 +53,12 @@ class TestWriteRateSampler:
         assert sampler.mean_interarrival("unknown", 0.0) == pytest.approx(4.0)
 
     def test_last_write(self):
-        sampler = WriteRateSampler()
-        assert sampler.last_write("key") is None
+        # The span estimate runs from the oldest kept write to ``now``, so the
+        # latest write counts without stretching the span.
+        sampler = WriteRateSampler(estimation="span")
         sampler.observe_write("key", 3.0)
         sampler.observe_write("key", 7.0)
-        assert sampler.last_write("key") == 7.0
+        assert sampler.write_rate("key", now=8.0) == pytest.approx(2 / 5.0)
 
     def test_bounded_history_per_key(self):
         sampler = WriteRateSampler(max_samples_per_key=10)
@@ -138,7 +136,9 @@ class TestPoissonModel:
         assert poisson_quantile_ttl(1.0, 0.5) < poisson_quantile_ttl(0.01, 0.5)
 
     def test_expected_time_is_mean_of_exponential(self):
-        assert expected_time_to_next_write(0.25) == pytest.approx(4.0)
+        # The write-rate estimator's TTL is the exponential's mean, 1 / lambda.
+        estimator = WriteRateTTLEstimator(sampler=WriteRateSampler(default_rate=0.25))
+        assert estimator.estimate_record("unknown", 0.0) == pytest.approx(4.0)
 
     def test_combined_rate_is_sum(self):
         """Minimum of independent exponentials has the summed rate."""
@@ -158,5 +158,3 @@ class TestPoissonModel:
             combined_write_rate([])
         with pytest.raises(ValueError):
             combined_write_rate([0.1, -0.1])
-        with pytest.raises(ValueError):
-            expected_time_to_next_write(0.0)
