@@ -33,7 +33,10 @@ into one of three classes:
 Anything else fails the gate, listed as ``module:qualname`` with its body
 lines; so does a *stale* allowlist entry, one that covers no unreached def (it is
 reached now, or it no longer exists).  Exits 0 only when both lists are
-empty.
+empty.  After the verdict the census prints, for information only, the defs
+that no entry point but the behaviour pins reaches: a count, then the names.
+Such a def is kept alive by a golden alone, which makes it a candidate for
+deletion together with its pin.
 
 The entry points run in up to two spawned census processes, each pinned to
 one CPU, and the sets of entered code objects are merged.
@@ -92,6 +95,8 @@ PIN_TESTS = (
     "tests/ttl/test_spec_and_bakeoff.py::TestBakeoffGrid",
     "tests/ttl/test_ttl_golden_vectors.py",
 )
+#: The entry point that runs :data:`PIN_TESTS`.
+PINS = "behaviour pins"
 
 
 def _fast_examples() -> List[str]:
@@ -276,7 +281,7 @@ def entry_points() -> List[Tuple[str, Callable[[], None]]]:
         ("python -m repro.obs --smoke", _obs),
         ("FAST_EXAMPLES", _examples),
         *_figures(),
-        ("behaviour pins", _pins),
+        (PINS, _pins),
         ("4 shards x RF 3 + faults", _sharded_faults),
         ("causal consistency cell", _causal_cell),
         ("failover losing acknowledged writes", _failover_loss),
@@ -319,22 +324,18 @@ def _profile(index: int) -> Tuple[Set[Tuple[str, int]], Tuple[str, float, str]]:
     return seen, (name, time.perf_counter() - start, outcome)
 
 
-def census() -> Tuple[Set[Tuple[str, int]], List[Tuple[str, float, str]]]:
+def census() -> List[Tuple[Set[Tuple[str, int]], Tuple[str, float, str]]]:
     """Run every entry point under the profiler, in up to two processes of
-    one CPU each; returns the ``(file, first line)`` of every code object
-    under ``src/repro`` entered, and how each entry point went."""
+    one CPU each; returns, per entry point in order, the ``(file, first
+    line)`` of every code object under ``src/repro`` it entered, and how it
+    went."""
     cpus = sorted(os.sched_getaffinity(0))[:2] if hasattr(os, "sched_setaffinity") else [None]
     context = multiprocessing.get_context("spawn")
     queue = context.Queue()
     for cpu in cpus:
         queue.put(cpu)
-    seen: Set[Tuple[str, int]] = set()
-    runs = []
     with context.Pool(len(cpus), initializer=_pin_to_one_cpu, initargs=(queue,)) as pool:
-        for entered, run in pool.imap(_profile, range(len(entry_points())), chunksize=1):
-            seen |= entered
-            runs.append(run)
-    return seen, runs
+        return list(pool.imap(_profile, range(len(entry_points())), chunksize=1))
 
 
 def _named(node: ast.expr, name: str) -> bool:
@@ -430,25 +431,37 @@ def classify(
     return unlisted, [entry for entry in allowlist if entry not in used]
 
 
+def reached_only_by(entered: Dict[str, Set[str]], name: str) -> List[str]:
+    """The defs entry point ``name`` reached and no other did, sorted;
+    ``entered`` maps each entry point to the ``module:qualname`` of every
+    def it entered."""
+    others = set().union(*(found for entry, found in entered.items() if entry != name))
+    return sorted(entered.get(name, set()) - others)
+
+
 def main() -> int:
     allowlist = read_allowlist(ALLOWLIST.read_text())
     started = time.perf_counter()
-    seen, runs = census()
+    results = census()
+    runs = [run for _seen, run in results]
     for name, seconds, outcome in runs:
         print(f"{name:<40} {seconds:7.1f} s  {outcome}")
     print(f"{'census total':<40} {time.perf_counter() - started:7.1f} s")
     print()
 
     modules: Dict[str, List[Tuple[str, int, int, bool]]] = {}
-    reached: Set[str] = set()
+    # ``(file, code first line)`` -> ``module:qualname`` of every def.
+    targets: Dict[Tuple[str, int], str] = {}
     for path in sorted(SOURCE.rglob("*.py")):
         module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
         modules[module] = defs(path.read_text())
-        reached.update(
-            f"{module}:{name}"
-            for name, first, _lines, _exempt in modules[module]
-            if (str(path), first) in seen
-        )
+        for name, first, _lines, _exempt in modules[module]:
+            targets[(str(path), first)] = f"{module}:{name}"
+    entered = {
+        name: {targets[code] for code in seen if code in targets}
+        for seen, (name, _seconds, _outcome) in results
+    }
+    reached: Set[str] = set().union(*entered.values())
     unlisted, stale = classify(modules, reached, allowlist)
     total = sum(len(found) for found in modules.values())
     print(
@@ -460,14 +473,20 @@ def main() -> int:
     for entry in stale:
         print(f"stale allowlist entry (reached, or gone): {entry} {allowlist[entry]}")
     crashed = [name for name, _seconds, outcome in runs if outcome != "ok"]
-    if unlisted or stale or crashed:
+    failed = bool(unlisted or stale or crashed)
+    if failed:
         print(
             f"unused-functions: FAIL ({len(unlisted)} unlisted, {len(stale)} stale, "
             f"{len(crashed)} crashed entry points)"
         )
-        return 1
-    print("unused-functions: OK")
-    return 0
+    else:
+        print("unused-functions: OK")
+    pinned_only = reached_only_by(entered, PINS)
+    print()
+    print(f"{len(pinned_only)} defs only the {PINS} reach:")
+    for target in pinned_only:
+        print(f"  {target}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

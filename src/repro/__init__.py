@@ -16,8 +16,8 @@ The most convenient entry points are:
 * :class:`repro.client.QuaestorClient` -- the client SDK with tunable
   consistency (Delta-atomicity via Expiring Bloom Filter refreshes).
 * :class:`repro.cluster.QuaestorCluster` -- the sharded multi-server
-  deployment (consistent-hash routing, scatter/gather queries, batched
-  write propagation) behind the :class:`repro.cluster.ClusterClient` facade.
+  deployment (consistent-hash routing, scatter/gather queries, replicated
+  shards) behind the :class:`repro.cluster.ClusterClient` facade.
 * :class:`repro.simulation.Simulator` -- the Monte Carlo experiment driver.
 * :mod:`repro.benchmarks` -- per-figure/per-table experiment harnesses.
 """

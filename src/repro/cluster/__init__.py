@@ -6,12 +6,11 @@ multi-tenant traffic; this package deploys the reproduction that way.  A
 database shard, Expiring Bloom Filter, TTL estimator and InvaliDB cluster)
 behind a consistent-hash :class:`ShardRouter`:
 
-* record reads and writes route to the shard owning the record key,
+* record reads and writes route, one request at a time, to the shard
+  owning the record key,
 * queries scatter over every shard; sub-results are gathered, merged with
   single-node sort/window semantics and re-cached under the original cache
   key with *min-TTL wins* Cache-Control merging,
-* write batches are grouped per shard and their after-images matched
-  against InvaliDB once per batch,
 * clients receive the bitwise union of all shard EBFs, so an invalidation on
   any shard flags the merged cached result.
 

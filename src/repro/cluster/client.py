@@ -43,7 +43,6 @@ class ClusterClient:
         self.handle_insert = cluster.insert
         self.handle_update = cluster.update
         self.handle_delete = cluster.delete
-        self.handle_write_batch = cluster.write_batch
         self.get_bloom_filter = cluster.bloom_filter
         self.register_purge_target = cluster.register_purge_target
 
@@ -61,7 +60,6 @@ class ClusterClient:
     handle_insert = QuaestorCluster.insert
     handle_update = QuaestorCluster.update
     handle_delete = QuaestorCluster.delete
-    handle_write_batch = QuaestorCluster.write_batch
     get_bloom_filter = QuaestorCluster.bloom_filter
     register_purge_target = QuaestorCluster.register_purge_target
 

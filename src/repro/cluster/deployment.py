@@ -23,9 +23,8 @@ rejects, every prepared read is aborted -- no shard maintains bookkeeping for
 a merged result that is never cached, which is exactly the waste the old
 admit-then-discover-the-rejection sequence incurred.
 
-Writes route to the owning shard; batches are grouped per shard and applied
-through :meth:`~repro.core.QuaestorServer.handle_write_batch`, which matches
-the batch's after-images against InvaliDB once (batched write propagation).
+Each write routes on its own to the owning shard's primary, whose server
+matches the after-image against InvaliDB before it acknowledges.
 
 Replication and failure handling
 --------------------------------
@@ -98,7 +97,6 @@ from repro.replication.group import ReplicaGroup
 from repro.rest.messages import Response, StatusCode
 from repro.simulation.staleness import StalenessAuditor
 from repro.workloads.dataset import Dataset, INDEXED_QUERY_FIELD
-from repro.workloads.operations import Operation, OperationType
 
 
 class QuaestorCluster:
@@ -321,7 +319,7 @@ class QuaestorCluster:
         makes no policy call at all.
         """
         self.counters.counts["reads"] += 1
-        shard_id = self.router.record_read(collection, document_id)
+        shard_id = self.router.route("read", collection, document_id)
         tracer = self.tracer
         span = tracer.begin("cluster.read") if tracer is not None and tracer.recording else None
         runtime = self.resilience_runtime
@@ -653,14 +651,14 @@ class QuaestorCluster:
         # scatter queries) so queries see a consistent schema.
         for group in self.groups:
             group.ensure_collection(collection)
-        shard_id = self.router.record_write(collection, str(document.get("_id", "")))
+        shard_id = self.router.route("write", collection, str(document.get("_id", "")))
         return self._write(
             shard_id, "insert", self.groups[shard_id].server.handle_insert, collection, document
         )
 
     def update(self, collection: str, document_id: str, update: Document) -> Response:
         self.counters.counts["writes"] += 1
-        shard_id = self.router.record_write(collection, document_id)
+        shard_id = self.router.route("write", collection, document_id)
         return self._write(
             shard_id, "update", self.groups[shard_id].server.handle_update,
             collection, document_id, update,
@@ -668,7 +666,7 @@ class QuaestorCluster:
 
     def delete(self, collection: str, document_id: str) -> Response:
         self.counters.counts["writes"] += 1
-        shard_id = self.router.record_write(collection, document_id)
+        shard_id = self.router.route("write", collection, document_id)
         return self._write(
             shard_id, "delete", self.groups[shard_id].server.handle_delete, collection, document_id
         )
@@ -736,41 +734,6 @@ class QuaestorCluster:
         finally:
             if span is not None:
                 tracer.end(span, "shard", shard_id, "op", op)
-
-    def write_batch(self, operations: Sequence[Operation]) -> List[Response]:
-        """Apply a write batch: group by owning shard, one InvaliDB drain each.
-
-        Responses are returned in the caller's operation order.
-        """
-        # Validate and group first: a rejected batch must not leave empty
-        # collections or counter increments behind.
-        grouped = self.router.group_writes(operations)
-        self.counters.increment("write_batches")
-        # Batched inserts materialise their collections fleet-wide, exactly
-        # like insert(): scatter queries and routed reads rely on every
-        # collection existing on every shard.
-        for name in {
-            operation.collection
-            for operation in operations
-            if operation.type == OperationType.INSERT
-        }:
-            for group in self.groups:
-                group.ensure_collection(name)
-        responses: List[Optional[Response]] = [None] * len(operations)
-        for shard_id, indexed_operations in sorted(grouped.items()):
-            self.router.record_writes_at(shard_id, count=len(indexed_operations))
-            if not self.groups[shard_id].primary_alive:
-                # The whole per-shard slice fails structurally; other shards'
-                # slices still apply (per-shard atomicity, like a real fleet).
-                self.counters.increment("write_errors", len(indexed_operations))
-                for index, _operation in indexed_operations:
-                    responses[index] = self._unavailable_response(shard_id)
-                continue
-            batch = [operation for _index, operation in indexed_operations]
-            shard_responses = self.groups[shard_id].server.handle_write_batch(batch)
-            for (index, _operation), response in zip(indexed_operations, shard_responses):
-                responses[index] = response
-        return list(responses)
 
     # -- replication fault surface ---------------------------------------------------------
 

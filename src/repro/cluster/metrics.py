@@ -51,10 +51,9 @@ def per_shard_statistics(cluster: "QuaestorCluster") -> Dict[int, Dict[str, floa
 def cluster_statistics(cluster: "QuaestorCluster") -> Dict[str, float]:
     """One flat cluster-wide snapshot: summed counters + routing indicators.
 
-    Facade-level counters share names with per-shard ones (a batched write
-    increments the shards' ``writes`` but only the facade's
-    ``write_batches``), so they are namespaced under ``cluster_`` instead of
-    overwriting the shard sums.
+    Facade-level counters share names with per-shard ones (a routed write
+    increments both the facade's and its shard's ``writes``), so they are
+    namespaced under ``cluster_`` instead of overwriting the shard sums.
 
     ``scatter_abort_rate`` is the fraction of scatter queries whose
     fleet-wide admission was aborted: a shard's probe succeeded while

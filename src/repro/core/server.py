@@ -18,10 +18,11 @@ Public entry points
 * :meth:`QuaestorServer.get_bloom_filter` -- the flat EBF snapshot
   piggybacked to connecting clients.
 
-Cluster integration points
---------------------------
+Cluster integration point
+-------------------------
 A sharded deployment (:mod:`repro.cluster`) runs one ``QuaestorServer`` per
-shard and talks to it through these additional entry points:
+shard and sends it reads and writes through the handlers above, one request
+each, plus one additional entry point:
 
 * :meth:`QuaestorServer.prepare_shard_query` -- phase one of the two-phase
   scatter: executes the scatter window against this shard's local data and
@@ -33,9 +34,6 @@ shard and talks to it through these additional entry points:
   *original* query's cache key); otherwise it ``abort()``-s them all, so one
   rejecting shard leaves zero new registrations anywhere (keys committed by
   an earlier scatter keep theirs, so still-cached merges stay invalidatable).
-* :meth:`QuaestorServer.handle_write_batch` -- applies a batch of routed
-  writes, matching their after-images against InvaliDB once per batch
-  instead of once per write (batched write propagation).
 
 Change stream to InvaliDB
 -------------------------
@@ -44,16 +42,18 @@ InvaliDB because they are separate processes on separate machines.  Here
 both run in one call stack and matching is synchronous, so no queue is
 modelled: :meth:`QuaestorServer._on_change` appends each after-image to a
 pending list and :meth:`QuaestorServer._process_invalidations` matches that
-list in arrival order, then handles the notifications in order.  A query
+list in arrival order, then handles the notifications in order.  Every write
+handler drains it before it acknowledges, one write per request.  A query
 registration runs the same drain right after activating the query, so an
-after-image that was pending when the query registered is matched against
-it.  The lag of a purge behind its write is modelled by the simulation's
+after-image that was pending when the query registered (a write made straight
+on the :class:`~repro.db.Database`) is matched against it.  The lag of a
+purge behind its write is modelled by the simulation's
 ``NetworkTopology.invalidation_delay``, not here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.expiring import ExpiringBloomFilter
@@ -81,8 +81,6 @@ from repro.metrics.counters import Counter
 from repro.rest.etags import etag_for_version
 from repro.rest.messages import Response, StatusCode
 from repro.ttl.base import TTLEstimator
-from repro.workloads.operations import Operation
-from repro.workloads.operations import OperationType as WorkloadOperationType
 
 #: A purge target is either an invalidation-based cache or a callable taking
 #: the purged key (e.g. a simulator hook that applies the purge after a delay).
@@ -144,7 +142,6 @@ class QuaestorServer:
         self._purges: List[Callable[[str], None]] = []
         #: After-images not yet matched against InvaliDB, in arrival order.
         self._pending_changes: List[ChangeEvent] = []
-        self._defer_matching = False
         #: The newest change event: write handlers read their assigned version off it.
         self._last_change: Optional[ChangeEvent] = None
 
@@ -362,42 +359,6 @@ class QuaestorServer:
         # Detached from the change stream (closed): ask the collection.
         return self.database.collection(collection).version(document_id)
 
-    def handle_write_batch(self, operations: Sequence[Operation]) -> List[Response]:
-        """Cluster integration point: apply routed writes with one InvaliDB drain.
-
-        The cluster router groups a write batch by owning shard and hands each
-        shard its slice through this method.  Every write still flows through
-        the change stream individually (records are invalidated immediately),
-        but the after-images are matched against InvaliDB once, in arrival
-        order, at the end of the batch instead of once per write -- the
-        batched write propagation that makes high write throughput affordable.
-        """
-        for operation in operations:
-            if operation.type not in (
-                WorkloadOperationType.INSERT,
-                WorkloadOperationType.UPDATE,
-                WorkloadOperationType.DELETE,
-            ):
-                raise ValueError(f"write batches only accept writes, got {operation.type}")
-        self._counts["write_batches"] += 1
-        self._defer_matching = True  # suspend matching, drain once on exit
-        try:
-            responses = []
-            for operation in operations:
-                if operation.type is WorkloadOperationType.INSERT:
-                    response = self.handle_insert(operation.collection, operation.payload)
-                elif operation.type is WorkloadOperationType.UPDATE:
-                    response = self.handle_update(
-                        operation.collection, operation.document_id, operation.payload
-                    )
-                else:
-                    response = self.handle_delete(operation.collection, operation.document_id)
-                responses.append(response)
-            return responses
-        finally:
-            self._defer_matching = False
-            self._process_invalidations()
-
     # -- transactions ----------------------------------------------------------------------------
 
     def begin_transaction(self) -> "Transaction":
@@ -432,8 +393,7 @@ class QuaestorServer:
     def _process_invalidations(self) -> None:
         """Match the pending after-images in arrival order, then handle the
         notifications they produced in order."""
-        if self._defer_matching or not self._pending_changes:
-            # Inside a write batch the after-images are matched once at its end.
+        if not self._pending_changes:
             return
         events = self._pending_changes
         self._pending_changes = []

@@ -26,7 +26,7 @@ from repro.db.database import Database
 from repro.db.documents import Document, get_path, set_path
 from repro.db.predicates import matches
 from repro.db.query import Query
-from repro.db.sharding import ConsistentHashRing, ShardStatisticsTable
+from repro.db.sharding import ConsistentHashRing
 from repro.db.updates import apply_update
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "matches",
     "Query",
     "ConsistentHashRing",
-    "ShardStatisticsTable",
     "apply_update",
 ]

@@ -6,17 +6,13 @@ a consistent-hash ring with virtual nodes, on which the
 :class:`~repro.cluster.ShardRouter` places record keys onto whole Quaestor
 deployments (shards).  A ring keeps almost all key placements stable when
 shards are added or removed, which modulo placement does not.
-
-:class:`ShardStatisticsTable` keeps the router's per-shard read/write
-counters and the max/mean imbalance ratio the cluster metrics report.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.bloom.hashing import mixed_uint64, mixed_uint64_all
 
@@ -24,69 +20,6 @@ from repro.bloom.hashing import mixed_uint64, mixed_uint64_all
 PLACEMENT_MEMO_SIZE = 1 << 16
 #: Virtual nodes (ring points) per shard.
 VIRTUAL_NODES = 64
-
-
-@dataclass
-class ShardStatistics:
-    """Operation counters for a single shard."""
-
-    shard_id: int
-    reads: int = 0
-    writes: int = 0
-
-    @property
-    def operations(self) -> int:
-        return self.reads + self.writes
-
-
-class ShardStatisticsTable:
-    """Per-shard operation counters with the max/mean imbalance ratio.
-
-    The bookkeeping behind :class:`~repro.cluster.router.ShardRouter`'s
-    routing statistics and the cluster's placement-imbalance figure.
-    """
-
-    def __init__(self, shard_ids: Iterable[int] = ()) -> None:
-        self._statistics: Dict[int, ShardStatistics] = {}
-        for shard_id in shard_ids:
-            self.add_shard(shard_id)
-
-    def add_shard(self, shard_id: int) -> None:
-        """Start (or restart) tracking ``shard_id`` with fresh counters.
-
-        A re-added shard must not inherit pre-removal traffic: that would
-        skew the imbalance ratio against it.
-        """
-        self._statistics[shard_id] = ShardStatistics(shard_id)
-
-    def record_read(self, shard_id: int, count: int = 1) -> None:
-        self._statistics[shard_id].reads += count
-
-    def record_write(self, shard_id: int, count: int = 1) -> None:
-        self._statistics[shard_id].writes += count
-
-    def statistics(self, shard_ids: Optional[Iterable[int]] = None) -> List[ShardStatistics]:
-        """Counters for ``shard_ids`` (default: every tracked shard, ordered)."""
-        ids = list(shard_ids) if shard_ids is not None else sorted(self._statistics)
-        return [self._statistics[shard_id] for shard_id in ids]
-
-    def imbalance(self, shard_ids: Optional[Iterable[int]] = None) -> float:
-        """Max/mean operation ratio across shards (1.0 = perfectly balanced)."""
-        counts = [stats.operations for stats in self.statistics(shard_ids)]
-        total = sum(counts)
-        if total == 0 or not counts:
-            return 1.0
-        mean = total / len(counts)
-        return max(counts) / mean if mean else 1.0
-
-    def __len__(self) -> int:
-        return len(self._statistics)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardStatisticsTable(shards={len(self._statistics)}, "
-            f"imbalance={self.imbalance():.3f})"
-        )
 
 
 class ConsistentHashRing:
@@ -126,10 +59,6 @@ class ConsistentHashRing:
         for replica in range(VIRTUAL_NODES):
             position = mixed_uint64(f"shard:{shard_id}:vnode:{replica}")
             bisect.insort(self._ring, (position, shard_id))
-
-    def shard_ids(self) -> List[int]:
-        """All shard ids on the ring, sorted."""
-        return sorted(self._shards)
 
     def __contains__(self, shard_id: int) -> bool:
         return shard_id in self._shards

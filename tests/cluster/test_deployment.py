@@ -1,4 +1,4 @@
-"""Sharded deployment end-to-end: unchanged SDK, batching, metrics, simulation."""
+"""Sharded deployment end-to-end: unchanged SDK, routed writes, metrics, simulation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.cluster import ClusterClient, QuaestorCluster, aggregate_statistics
 from repro.cluster.metrics import per_shard_statistics
 from repro.db import Query
 from repro.errors import UnsupportedOperationError
-from repro.workloads.operations import Operation, OperationType
 
 
 @pytest.fixture
@@ -79,135 +78,6 @@ class TestUnchangedClientSDK:
             sharded_deployment["client"].begin_transaction()
 
 
-class TestBatchedWritePropagation:
-    def test_batch_responses_keep_request_order(self, sharded_deployment):
-        facade = sharded_deployment["facade"]
-        operations = [
-            Operation(
-                type=OperationType.UPDATE,
-                collection="posts",
-                document_id=f"post-{index}",
-                payload={"$set": {"views": 1000 + index}},
-            )
-            for index in range(20)
-        ]
-        responses = facade.handle_write_batch(operations)
-        assert len(responses) == 20
-        for index, response in enumerate(responses):
-            assert response.body["document"]["views"] == 1000 + index
-
-    def test_batch_applies_on_owning_shards(self, sharded_deployment):
-        facade = sharded_deployment["facade"]
-        cluster = sharded_deployment["cluster"]
-        operations = [
-            Operation(
-                type=OperationType.INSERT,
-                collection="posts",
-                document_id=f"batch-{index}",
-                payload={"_id": f"batch-{index}", "tags": ["batch"], "views": 0},
-            )
-            for index in range(16)
-        ]
-        facade.handle_write_batch(operations)
-        for index in range(16):
-            shard = cluster.groups[cluster.router.shard_for_record("posts", f"batch-{index}")]
-            assert shard.database.collection("posts").get(f"batch-{index}")["views"] == 0
-
-    def test_batch_pumps_invalidations_once_per_shard(self, sharded_deployment):
-        facade = sharded_deployment["facade"]
-        client = sharded_deployment["client"]
-        query = Query("posts", {"tags": "example"})
-        client.query(query)
-
-        operations = [
-            Operation(
-                type=OperationType.UPDATE,
-                collection="posts",
-                document_id=f"post-{index * 2}",  # members of the cached query
-                payload={"$inc": {"views": 1}},
-            )
-            for index in range(10)
-        ]
-        facade.handle_write_batch(operations)
-        stats = facade.statistics()
-        assert stats["write_batches"] >= 1
-        # The cached query must still be invalidated by the batched writes.
-        assert facade.get_bloom_filter().contains(query.cache_key)
-
-    def test_batched_inserts_route_by_payload_id(self, sharded_deployment):
-        # Routing must follow the stored primary key (payload _id), so a
-        # batched insert lands on the same shard a direct insert would and
-        # later reads find the document.
-        facade = sharded_deployment["facade"]
-        cluster = sharded_deployment["cluster"]
-        operation = Operation(
-            type=OperationType.INSERT,
-            collection="posts",
-            document_id="mismatched-routing-key",
-            payload={"_id": "authoritative-id", "tags": [], "views": 0},
-        )
-        facade.handle_write_batch([operation])
-        owner = cluster.groups[cluster.router.shard_for_record("posts", "authoritative-id")]
-        assert owner.database.collection("posts").get("authoritative-id")["views"] == 0
-        response = facade.handle_read("posts", "authoritative-id")
-        assert response.body["document"]["_id"] == "authoritative-id"
-
-    def test_batched_insert_materialises_collection_fleet_wide(self, sharded_deployment):
-        # Regression: a batched insert into a brand-new collection must
-        # create it on every shard (like a direct insert), or later scatter
-        # queries and routed reads hit missing-collection errors.
-        facade = sharded_deployment["facade"]
-        facade.handle_write_batch(
-            [
-                Operation(
-                    type=OperationType.INSERT,
-                    collection="events",
-                    document_id="e-1",
-                    payload={"_id": "e-1", "kind": "signup"},
-                )
-            ]
-        )
-        from repro.db import Query
-        from repro.rest.messages import StatusCode
-
-        assert facade.handle_query(Query("events", {})).body["ids"] == ["e-1"]
-        missing = facade.handle_read("events", "nope")
-        assert missing.status == StatusCode.NOT_FOUND
-
-    def test_batch_rejects_non_write_operations(self, sharded_deployment):
-        facade = sharded_deployment["facade"]
-        read = Operation(type=OperationType.READ, collection="posts", document_id="post-0")
-        with pytest.raises(ValueError):
-            facade.handle_write_batch([read])
-
-    def test_rejected_batch_leaves_no_state_behind(self, sharded_deployment):
-        # A batch with an invalid member must fail atomically at validation:
-        # no counter increment, no fleet-wide collection materialisation.
-        from repro.errors import CollectionNotFoundError
-
-        facade = sharded_deployment["facade"]
-        cluster = sharded_deployment["cluster"]
-        bad_batch = [
-            Operation(
-                type=OperationType.INSERT,
-                collection="phantom",
-                document_id="x",
-                payload={"_id": "x"},
-            ),
-            Operation(type=OperationType.READ, collection="posts", document_id="post-0"),
-        ]
-        with pytest.raises(ValueError):
-            facade.handle_write_batch(bad_batch)
-        assert all(
-            "phantom" not in shard.database.collection_names() for shard in cluster.groups
-        )
-        assert facade.statistics().get("cluster_write_batches", 0) == 0
-        from repro.db import Query
-
-        with pytest.raises(CollectionNotFoundError):
-            facade.handle_query(Query("phantom", {}))
-
-
 class TestClusterMetrics:
     def test_aggregate_sums_per_shard_counters(self, sharded_deployment):
         cluster = sharded_deployment["cluster"]
@@ -227,23 +97,15 @@ class TestClusterMetrics:
         assert merged == {"a": 3.5}
 
     def test_facade_counters_do_not_clobber_shard_sums(self, sharded_deployment):
-        # Batched writes increment the shards' ``writes`` but only the
-        # facade's ``write_batches``; the aggregate must keep both.
+        # A routed write increments both the facade's and its shard's
+        # ``writes``; the aggregate must keep both.
         facade = sharded_deployment["facade"]
-        before = facade.statistics()["writes"]
-        operations = [
-            Operation(
-                type=OperationType.UPDATE,
-                collection="posts",
-                document_id=f"post-{index}",
-                payload={"$inc": {"views": 1}},
-            )
-            for index in range(12)
-        ]
-        facade.handle_write_batch(operations)
+        before = facade.statistics()
+        for index in range(12):
+            facade.handle_update("posts", f"post-{index}", {"$inc": {"views": 1}})
         stats = facade.statistics()
-        assert stats["writes"] == before + 12  # shard sums survive
-        assert stats["cluster_write_batches"] == 1  # facade counters namespaced
+        assert stats["writes"] == before["writes"] + 12  # shard sums survive
+        assert stats["cluster_writes"] == before["cluster_writes"] + 12  # namespaced
 
 
 class TestShardedSimulation:

@@ -23,7 +23,9 @@ and version in one probe, a primary-served read cost 54 / 76; before each
 shard handed its versions back with its documents and the merge carried
 them through its sort, the scatter cost 627 / 1014.  While each shard's
 server ran its reads through a staged read pipeline, a primary-served read
-cost 49 / 67 and the scatter 520 / 795.
+cost 49 / 67 and the scatter 520 / 795.  While the router counted reads and
+writes in a separate per-shard statistics table, a replica-served read cost
+42 / 60, a primary-served read 47 / 65 and an update 59 / 96.
 
 Every request runs once unmeasured first -- a read or update on the
 deployment it is then measured on, the scatter on a twin (a repeat on the
@@ -45,13 +47,14 @@ import pytest
 from repro.clock import VirtualClock
 from repro.cluster import ClusterClient, QuaestorCluster
 from repro.db import Query
+from repro.db.query import record_key
 from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig
 
 #: (frames, all calls) budgets.
-REPLICA_READ = (42, 60)
-PRIMARY_READ = (47, 65)
-UPDATE = (59, 96)
+REPLICA_READ = (41, 59)
+PRIMARY_READ = (46, 64)
+UPDATE = (58, 95)
 SCATTER = (484, 755)
 
 
@@ -108,7 +111,7 @@ def _deployment(resilience=True):
 def _read_costs(resilience=True):
     """``{"replica": cost, "primary": cost}`` of a warm record read."""
     cluster, facade = _deployment(resilience)
-    group = cluster.groups[cluster.router.shard_for_record("posts", "d007")]
+    group = cluster.groups[cluster.router.ring.shard_for(record_key("posts", "d007"))]
     costs = {}
     for _ in range(3):  # the rotation: primary, replica, replica
         facade.handle_read("posts", "d007")
@@ -179,7 +182,7 @@ def test_the_count_sees_what_it_claims_to():
     assert on["replica"][0] > off["replica"][0]
 
     cluster, facade = _deployment()
-    shard_id = cluster.router.shard_for_record("posts", "d007")
+    shard_id = cluster.router.ring.shard_for(record_key("posts", "d007"))
     cluster.slow_target(f"shard:{(shard_id + 1) % 4}", 2.0)  # not the read's shard
     for _ in range(3):
         facade.handle_read("posts", "d007")

@@ -9,7 +9,6 @@ import pytest
 from repro.cluster.router import ShardRouter
 from repro.db.query import record_key
 from repro.db.sharding import ConsistentHashRing
-from repro.workloads.operations import Operation, OperationType
 
 
 def document_ids(count: int) -> list:
@@ -45,9 +44,8 @@ class TestDistributionUniformity:
         first = ShardRouter(num_shards=4)
         second = ShardRouter(num_shards=4)
         for document_id in document_ids(500):
-            assert first.shard_for_record("posts", document_id) == second.shard_for_record(
-                "posts", document_id
-            )
+            key = record_key("posts", document_id)
+            assert first.ring.shard_for(key) == second.ring.shard_for(key)
 
 
 class TestRoutingStability:
@@ -73,70 +71,17 @@ class TestRoutingStability:
 
 
 class TestOperationRouting:
-    def test_record_operations_route_to_owning_shard(self):
-        router = ShardRouter(num_shards=4)
-        operation = Operation(
-            type=OperationType.UPDATE,
-            collection="posts",
-            document_id="doc-7",
-            payload={"$inc": {"views": 1}},
-        )
-        assert router.shard_for_operation(operation) == router.shard_for_record(
-            "posts", "doc-7"
-        )
-
-    def test_queries_have_no_single_owner(self):
-        from repro.db.query import Query
-
-        router = ShardRouter(num_shards=4)
-        operation = Operation(
-            type=OperationType.QUERY, collection="posts", query=Query("posts", {})
-        )
-        with pytest.raises(ValueError):
-            router.shard_for_operation(operation)
-
-    def test_group_writes_preserves_order_and_positions(self):
-        router = ShardRouter(num_shards=4)
-        operations = [
-            Operation(
-                type=OperationType.UPDATE,
-                collection="posts",
-                document_id=f"doc-{index}",
-                payload={"$inc": {"views": 1}},
-            )
-            for index in range(50)
-        ]
-        grouped = router.group_writes(operations)
-        seen = sorted(index for batch in grouped.values() for index, _op in batch)
-        assert seen == list(range(50))
-        for shard_id, batch in grouped.items():
-            indexes = [index for index, _op in batch]
-            assert indexes == sorted(indexes), "per-shard order must follow request order"
-            for _index, operation in batch:
-                assert router.shard_for_operation(operation) == shard_id
-
-    def test_group_writes_rejects_reads(self):
-        router = ShardRouter(num_shards=2)
-        read = Operation(type=OperationType.READ, collection="posts", document_id="doc-1")
-        with pytest.raises(ValueError):
-            router.group_writes([read])
-
     def test_routing_statistics_track_imbalance(self):
-        router = ShardRouter(num_shards=2)
-        assert router.imbalance() == 1.0
-        for index in range(200):
-            router.record_read("posts", f"doc-{index}")
-            router.record_write("posts", f"doc-{index}")
-        totals = {stats.shard_id: stats.operations for stats in router._statistics.statistics()}
-        assert sum(totals.values()) == 400
-        assert router.imbalance() < 2.0
-
-    def test_router_uses_the_shared_statistics_table(self):
-        """The router's imbalance figure is the shared statistics table's."""
-        from repro.db.sharding import ShardStatisticsTable
-
+        """Max over mean of the routed counts: 8, 2 and 2 requests on three
+        shards is 8 / (12 / 3) = 2.0 exactly; an idle router is balanced."""
         router = ShardRouter(num_shards=3)
-        assert isinstance(router._statistics, ShardStatisticsTable)
-        for index in range(120):
-            router.record_write("posts", f"doc-{index}")
-        assert router.imbalance() == router._statistics.imbalance(router.shard_ids())
+        assert router.imbalance() == 1.0
+        wanted = {0: 8, 1: 2, 2: 2}
+        for index, document_id in enumerate(document_ids(200)):
+            shard_id = router.ring.shard_for(record_key("posts", document_id))
+            if wanted[shard_id]:
+                wanted[shard_id] -= 1
+                op = "read" if index % 2 else "write"
+                assert router.route(op, "posts", document_id) == shard_id
+        assert wanted == {0: 0, 1: 0, 2: 0}
+        assert router.imbalance() == 2.0

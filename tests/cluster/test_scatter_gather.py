@@ -8,6 +8,7 @@ from repro.clock import VirtualClock
 from repro.cluster import ClusterClient, QuaestorCluster
 from repro.core import QuaestorConfig, QuaestorServer
 from repro.db import Database, Query
+from repro.db.query import record_key
 from repro.invalidb import AdmissionTicket, InvaliDBCluster
 from repro.rest.messages import StatusCode
 from repro.ttl.static import StaticTTLEstimator
@@ -189,7 +190,7 @@ class TestCrossShardInvalidation:
         # offset (with 4 shards and a global rank < 10, one always exists).
         victim = None
         for document_id in window_ids:
-            shard = cluster.groups[cluster.router.shard_for_record("posts", document_id)]
+            shard = cluster.groups[cluster.router.ring.shard_for(record_key("posts", document_id))]
             local = shard.database.find(Query("posts", {}, sort=(("views", -1),)))
             local_rank = [str(doc["_id"]) for doc in local].index(document_id)
             if local_rank < query.offset:
@@ -230,7 +231,7 @@ class TestCrossShardInvalidation:
         # then invalidate them all; the union filter must contain every key.
         per_shard_ids = {}
         for document in DOCUMENTS:
-            shard = cluster.router.shard_for_record("posts", document["_id"])
+            shard = cluster.router.ring.shard_for(record_key("posts", document["_id"]))
             per_shard_ids.setdefault(shard, document["_id"])
             if len(per_shard_ids) == cluster.num_shards:
                 break
@@ -241,7 +242,5 @@ class TestCrossShardInvalidation:
             facade.handle_update("posts", document_id, {"$inc": {"views": 1}})
 
         union = facade.get_bloom_filter()
-        from repro.db.query import record_key
-
         for document_id in per_shard_ids.values():
             assert union.contains(record_key("posts", document_id))

@@ -10,7 +10,6 @@ from repro.db import Query
 from repro.db.query import record_key
 from repro.invalidb import InvaliDBCluster, NotificationType
 from repro.rest.messages import StatusCode
-from repro.workloads.operations import Operation, OperationType
 
 
 @pytest.fixture
@@ -177,71 +176,26 @@ class TestWritePathAndInvalidation:
 class TestInvaliDBDrainOrder:
     """After-images wait in one pending list until the server drains it into
     InvaliDB: activation first, then the pending after-images in arrival
-    order, and a write batch drains once, after its last write."""
+    order.  Every write handler drains before it acknowledges."""
 
     def test_an_after_image_pending_at_registration_is_matched_against_the_query(
         self, server, database, example_query
     ):
         seen = []
         server.invalidb.subscribe(seen.append)
-        # A write straight to the database: no server handler drains it.
+        # Writes straight to the database: no server handler drains them.
+        database.update("posts", "p2", {"$inc": {"views": 1}})
         database.update("posts", "p0", {"$inc": {"views": 1}})
         server.handle_query(example_query)
         assert [(n.query_key, n.document_id, n.type) for n in seen] == [
-            (example_query.cache_key, "p0", NotificationType.CHANGE)
+            (example_query.cache_key, "p2", NotificationType.CHANGE),
+            (example_query.cache_key, "p0", NotificationType.CHANGE),
         ]
         # Matched once: the next write's drain neither sees it again nor
         # invalidates the now cached query with it.
         server.handle_update("posts", "p1", {"$inc": {"views": 1}})
-        assert len(seen) == 1
+        assert len(seen) == 2
         assert server.counters.get("query_invalidations") == 0
-
-    def test_a_write_batch_is_matched_in_arrival_order_after_its_last_write(
-        self, server, database, example_query
-    ):
-        server.handle_query(example_query)
-        purged = []
-        server.register_purge_target(purged.append)
-        seen = []
-        server.invalidb.subscribe(
-            lambda n: seen.append((n.document_id, n.type, database.get("posts", "p2")["views"]))
-        )
-        views = database.get("posts", "p2")["views"]
-        server.handle_write_batch(
-            [
-                Operation(OperationType.UPDATE, "posts", "p0", payload={"$set": {"tags": []}}),
-                Operation(OperationType.UPDATE, "posts", "p2", payload={"$inc": {"views": 1}}),
-            ]
-        )
-        # Both after-images are matched, in arrival order, once p2 is written.
-        assert seen == [
-            ("p0", NotificationType.REMOVE, views + 1),
-            ("p2", NotificationType.CHANGE, views + 1),
-        ]
-        # Records are purged per write; the query's notifications after both.
-        assert purged == [
-            record_key("posts", "p0"),
-            record_key("posts", "p2"),
-            example_query.cache_key,
-            example_query.cache_key,
-        ]
-
-    def test_a_write_batch_drains_past_a_write_that_found_nothing(
-        self, server, example_query
-    ):
-        server.handle_query(example_query)
-        responses = server.handle_write_batch(
-            [
-                Operation(OperationType.UPDATE, "posts", "p0", payload={"$set": {"tags": []}}),
-                Operation(OperationType.DELETE, "posts", "ghost"),
-            ]
-        )
-        assert [response.status for response in responses] == [
-            StatusCode.OK,
-            StatusCode.NOT_FOUND,
-        ]
-        assert server.counters.get("query_invalidations") == 1
-        assert server.ebf.contains(example_query.cache_key)
 
 
 class TestBloomFilterEndpoint:

@@ -1,4 +1,4 @@
-"""Tests for the shard statistics table and the change stream container."""
+"""Tests for the consistent-hash ring's bulk placement and the change stream container."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.db.changestream import ChangeEvent, ChangeStream, OperationType
 from repro.bloom.hashing import mixed_uint64, mixed_uint64_all
 from repro.cluster.router import ShardRouter
 from repro.db.query import record_key
-from repro.db.sharding import ConsistentHashRing, ShardStatisticsTable
+from repro.db.sharding import ConsistentHashRing
 from repro.errors import ConfigurationError
 
 
@@ -24,40 +24,6 @@ def _event(sequence: int, document_id: str = "d1") -> ChangeEvent:
         after={"_id": document_id, "v": sequence},
         timestamp=float(sequence),
     )
-
-
-class TestShardStatisticsTable:
-    def test_counts_reads_and_writes_per_shard(self):
-        table = ShardStatisticsTable(range(3))
-        table.record_read(0)
-        table.record_write(0)
-        table.record_write(1, count=5)
-        first, second, third = table.statistics()
-        assert first.operations == 2
-        assert second.writes == 5
-        assert third.operations == 0
-
-    def test_imbalance_of_idle_table_is_one(self):
-        assert ShardStatisticsTable(range(4)).imbalance() == 1.0
-        assert ShardStatisticsTable().imbalance() == 1.0
-
-    def test_imbalance_is_max_over_mean(self):
-        table = ShardStatisticsTable(range(2))
-        table.record_write(0, count=3)
-        table.record_write(1, count=1)
-        assert table.imbalance() == pytest.approx(1.5)
-
-    def test_imbalance_restricts_to_requested_shards(self):
-        table = ShardStatisticsTable(range(3))
-        table.record_write(0, count=8)
-        table.record_write(1, count=2)
-        table.record_write(2, count=2)
-        assert table.imbalance([1, 2]) == pytest.approx(1.0)
-
-    def test_statistics_order_follows_requested_ids(self):
-        table = ShardStatisticsTable([2, 0, 1])
-        assert [stats.shard_id for stats in table.statistics()] == [0, 1, 2]
-        assert [stats.shard_id for stats in table.statistics([2, 0])] == [2, 0]
 
 
 class TestChangeStream:
@@ -202,7 +168,7 @@ class TestBulkPlacement:
         router = ShardRouter(4)
         ids = [f"table_03-doc-{number:06d}" for number in range(200)]
         assert router.shards_for_records("table_03", ids) == [
-            router.shard_for_record("table_03", document_id) for document_id in ids
+            router.ring.shard_for(record_key("table_03", document_id)) for document_id in ids
         ]
 
     def test_an_empty_ring_places_nothing(self):

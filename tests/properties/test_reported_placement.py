@@ -23,23 +23,24 @@ from repro.clock import VirtualClock
 from repro.cluster import QuaestorCluster
 from repro.core.consistency import ConsistencyLevel
 from repro.db import Query
+from repro.db.query import record_key
 from repro.replication import ReplicationConfig
 from repro.resilience import ResilienceConfig
 from repro.rest.messages import StatusCode
-from repro.workloads.operations import Operation, OperationType
 
 DOCUMENTS = 12
 
 
 def reference_read(cluster, collection, document_id):
     """The serving node of a record read, derived after the read."""
-    shard_id = cluster.router.shard_for_record(collection, document_id)
+    shard_id = cluster.router.ring.shard_for(record_key(collection, document_id))
     return shard_id, cluster.groups[shard_id].last_served_node_id
 
 
-def reference_write(cluster, operation):
-    """The primary a write lands on, derived before the write."""
-    shard_id = cluster.router.shard_for_operation(operation)
+def reference_write(cluster, collection, document_id):
+    """The primary a write on ``collection/document_id`` lands on, derived
+    before the write (an insert's id is its payload's ``_id``)."""
+    shard_id = cluster.router.ring.shard_for(record_key(collection, document_id))
     return shard_id, cluster.groups[shard_id].primary_node.node_id
 
 
@@ -131,21 +132,12 @@ def test_the_cluster_reports_the_placement_the_simulator_derived(fleet):
             compared += 1
         else:
             if kind == "insert":
-                new_id = f"n{position:02d}"
-                operation = Operation(
-                    OperationType.INSERT, "posts", new_id, None, {"_id": new_id, "category": 0}
-                )
-            elif kind == "update":
-                operation = Operation(
-                    OperationType.UPDATE, "posts", document_id, None, {"$set": {"views": position}}
-                )
-            else:
-                operation = Operation(OperationType.DELETE, "posts", document_id)
-            expected = reference_write(cluster, operation)
+                document_id = f"n{position:02d}"
+            expected = reference_write(cluster, "posts", document_id)
             if kind == "insert":
-                response = cluster.insert("posts", operation.payload)
+                response = cluster.insert("posts", {"_id": document_id, "category": 0})
             elif kind == "update":
-                response = cluster.update("posts", document_id, operation.payload)
+                response = cluster.update("posts", document_id, {"$set": {"views": position}})
             else:
                 response = cluster.delete("posts", document_id)
             if response.status is not unavailable:

@@ -7,7 +7,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.cluster import ClusterClient, QuaestorCluster
 from repro.core import ConsistencyLevel
-from repro.db.query import Query
+from repro.db.query import Query, record_key
 from repro.obs import TraceRecorder
 from repro.replication import ReplicationConfig
 from repro.rest.messages import StatusCode
@@ -107,7 +107,6 @@ class TestScatterDegradation:
         # must not whitelist the query key as fresh.
         from repro.client import QuaestorClient
         from repro.core import QuaestorConfig
-        from repro.db.query import record_key
 
         clock = VirtualClock()
         config = QuaestorConfig(object_list_max_size=0, assumed_record_hit_rate=0.99)
@@ -159,7 +158,7 @@ class TestClusterFailover:
         wrote = False
         for index in range(40):
             document_id = f"p{index:02d}"
-            if cluster.router.shard_for_record("posts", document_id) != 0:
+            if cluster.router.ring.shard_for(record_key("posts", document_id)) != 0:
                 continue
             response = facade.handle_update("posts", document_id, {"$inc": {"views": 1}})
             assert response.status is StatusCode.OK
@@ -182,7 +181,8 @@ class TestClusterFailover:
         member = None
         for index in range(40):
             document_id = f"p{index:02d}"
-            if index % 4 == 1 and cluster.router.shard_for_record("posts", document_id) == 0:
+            owner = cluster.router.ring.shard_for(record_key("posts", document_id))
+            if index % 4 == 1 and owner == 0:
                 member = document_id
                 break
         assert member is not None
@@ -207,7 +207,7 @@ class TestClusterFailover:
         served = 0
         for index in range(40):
             document_id = f"p{index:02d}"
-            if cluster.router.shard_for_record("posts", document_id) != 0:
+            if cluster.router.ring.shard_for(record_key("posts", document_id)) != 0:
                 continue
             response = facade.handle_read(
                 "posts", document_id, consistency=ConsistencyLevel.DELTA_ATOMIC
@@ -223,7 +223,7 @@ class TestClusterFailover:
         got_503 = False
         for index in range(40):
             document_id = f"p{index:02d}"
-            if cluster.router.shard_for_record("posts", document_id) != 0:
+            if cluster.router.ring.shard_for(record_key("posts", document_id)) != 0:
                 continue
             response = facade.handle_read(
                 "posts", document_id, consistency=ConsistencyLevel.STRONG
@@ -244,7 +244,7 @@ class TestClusterFailover:
         member = None
         for index in range(40):
             document_id = f"p{index:02d}"
-            if cluster.router.shard_for_record("posts", document_id) == 0:
+            if cluster.router.ring.shard_for(record_key("posts", document_id)) == 0:
                 member = document_id
                 break
         facade.handle_update("posts", member, {"$inc": {"views": 1}})
@@ -336,6 +336,12 @@ class TestClusterFailover:
         cluster.crash_node(group.primary_node_id)
         # Materialised while s0:n1 and s0:n0 are down (insert routes wherever).
         facade.handle_insert("newcoll", {"_id": "x", "views": 1})
+        # It is created on every primary and every live replica; s0:n1 is
+        # topped up only when it resumes service as primary.
+        for group in cluster.groups:
+            for node in group.nodes:
+                created = "newcoll" in node.database.collection_names()
+                assert created == (node.alive or node is group.primary_node), node.node_id
         clock.advance(1.0)  # detection window long elapsed
         cluster.recover_node("s0:n1")
         assert group.primary_alive
@@ -372,7 +378,7 @@ class TestClusterFailover:
         target = None
         for index in range(40):
             document_id = f"p{index:02d}"
-            if cluster.router.shard_for_record("posts", document_id) == 0:
+            if cluster.router.ring.shard_for(record_key("posts", document_id)) == 0:
                 target = document_id
                 break
         facade.handle_read("posts", target)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.cluster import ClusterClient, QuaestorCluster
-from repro.db.query import Query
+from repro.db.query import Query, record_key
 from repro.errors import ConfigurationError
 from repro.replication import ReplicationConfig
 from repro.resilience import BreakerPolicy, ResilienceConfig, RetryPolicy
@@ -44,7 +44,7 @@ def build_cluster(
 
 
 def shard_of(cluster, collection, document_id):
-    return cluster.router.record_read(collection, document_id)
+    return cluster.router.ring.shard_for(record_key(collection, document_id))
 
 
 class TestGraySurface:

@@ -213,3 +213,16 @@ def test_every_pin_test_the_census_runs_exists(census):
         path, _, node = pin.partition("::")
         source = (census.ROOT / path).read_text()
         assert not node or f"class {node}" in source, pin
+
+
+def test_the_defs_only_the_pins_reach_are_listed_sorted(census):
+    entered = {
+        census.PINS: {"repro.toy:Widget.spare", "repro.toy:reached", "repro.toy:forgotten"},
+        "benchmark workloads (smoke)": {"repro.toy:reached"},
+        "FAST_EXAMPLES": set(),
+    }
+    assert census.reached_only_by(entered, census.PINS) == [
+        "repro.toy:Widget.spare",
+        "repro.toy:forgotten",
+    ]
+    assert census.reached_only_by({"FAST_EXAMPLES": {"repro.toy:reached"}}, census.PINS) == []
