@@ -10,7 +10,10 @@ from repro.client import QuaestorClient
 from repro.cluster import ClusterClient, QuaestorCluster, aggregate_statistics
 from repro.cluster.metrics import per_shard_statistics
 from repro.db import Query
+from repro.db.query import record_key
 from repro.errors import UnsupportedOperationError
+from repro.replication import ReplicationConfig
+from repro.rest.messages import StatusCode
 
 
 @pytest.fixture
@@ -76,6 +79,52 @@ class TestUnchangedClientSDK:
     def test_transactions_are_refused_not_miscommitted(self, sharded_deployment):
         with pytest.raises(UnsupportedOperationError):
             sharded_deployment["client"].begin_transaction()
+
+
+class TestRoutedWrites:
+    @pytest.mark.parametrize("op", ["insert", "update", "delete"])
+    def test_a_write_applies_on_its_owning_shard_only(self, sharded_deployment, op):
+        """The ring owner of the record key -- an insert's payload ``_id`` --
+        counts and applies the write; no other shard sees it."""
+        facade = sharded_deployment["facade"]
+        cluster = sharded_deployment["cluster"]
+        document_id = "post-new" if op == "insert" else "post-3"
+        owner = cluster.router.ring.shard_for(record_key("posts", document_id))
+        before = per_shard_statistics(cluster)
+        if op == "insert":
+            response = facade.handle_insert("posts", {"_id": document_id, "views": 7})
+        elif op == "update":
+            response = facade.handle_update("posts", document_id, {"$set": {"views": 7}})
+        else:
+            response = facade.handle_delete("posts", document_id)
+        assert response.status is (StatusCode.CREATED if op == "insert" else StatusCode.OK)
+        after = per_shard_statistics(cluster)
+        for group in cluster.groups:
+            shard_id = group.shard_id
+            assert after[shard_id]["writes"] - before[shard_id]["writes"] == (shard_id == owner)
+            stored = group.database.collection("posts")
+            present = document_id in stored
+            assert present == (shard_id == owner and op != "delete"), shard_id
+            if present:
+                assert stored.get(document_id)["views"] == 7
+
+    @pytest.mark.parametrize("replication_factor", [1, 3])
+    def test_an_insert_materialises_its_collection_on_every_node(self, replication_factor):
+        """Every primary and replica holds the new collection, so a scatter
+        query and a read on any shard answer instead of failing."""
+        cluster = QuaestorCluster(
+            num_shards=3,
+            clock=VirtualClock(),
+            replication=ReplicationConfig(replication_factor=replication_factor),
+        )
+        facade = ClusterClient(cluster)
+        facade.handle_insert("events", {"_id": "e-1", "kind": "signup"})
+        for group in cluster.groups:
+            assert len(group.nodes) == replication_factor
+            for node in group.nodes:
+                assert "events" in node.database.collection_names(), node.node_id
+        assert facade.handle_query(Query("events", {})).body["ids"] == ["e-1"]
+        assert facade.handle_read("events", "nope").status is StatusCode.NOT_FOUND
 
 
 class TestClusterMetrics:
