@@ -7,11 +7,14 @@ It combines
   entries that were invalidated before their TTL ran out, and
 * an expiration map tracking, per key, the latest point in time until which
   some cache may still hold the entry (the highest TTL the server ever issued
-  for it).
+  for it).  The map holds one entry per key ever read and is never swept:
+  a passed deadline already reads as "not cacheable".
 
 A key enters the filter when it is invalidated while still cacheable and is
 removed again once its highest issued TTL has expired, because from then on no
-standards-compliant cache may serve it anymore.  Clients receive flat
+standards-compliant cache may serve it anymore.  Only stale keys are
+scheduled for that removal (an expiry heap entry per stale deadline), so a
+read-only workload leaves the heap empty.  Clients receive flat
 snapshots (:meth:`ExpiringBloomFilter.to_flat`) and obtain Delta-atomicity with
 Delta equal to the age of their snapshot (Theorem 1 in the paper).
 """
@@ -52,12 +55,15 @@ class ExpiringBloomFilter:
         self.num_bits = int(num_bits)
         self._clock: Clock = clock if clock is not None else VirtualClock()
         self._filter = CountingBloomFilter(self.num_bits, EBF_NUM_HASHES)
-        # Latest instant until which some cache may hold the key.
+        # Latest instant until which some cache may hold the key: one entry
+        # per key ever read, kept after it passes (a passed deadline reads as
+        # "not cacheable", and the next read of the key supersedes it).
         self._cacheable_until: Dict[str, float] = {}
         # Keys currently marked stale, mapped to when they leave the filter.
         self._stale_until: Dict[str, float] = {}
-        # Min-heap of (expiry, key) for both maps; entries may be outdated and
-        # are validated lazily against the maps when popped.
+        # Min-heap of (deadline, key), one entry per stale deadline set: only
+        # stale keys ever enter it.  Entries may be outdated (the deadline was
+        # raised since) and are validated against ``_stale_until`` when popped.
         self._expiry_heap: List[Tuple[float, str]] = []
 
     # -- time -----------------------------------------------------------------
@@ -81,11 +87,14 @@ class ExpiringBloomFilter:
         cacheable = self._cacheable_until
         if key not in cacheable or cacheable_until > cacheable[key]:
             cacheable[key] = cacheable_until
-            heapq.heappush(self._expiry_heap, (cacheable_until, key))
-        # If the key is already stale, the newly issued TTL extends the time
-        # it must remain in the filter (the highest issued TTL governs).
-        if key in self._stale_until and cacheable_until > self._stale_until[key]:
-            self._stale_until[key] = cacheable_until
+            # A stale key's deadline equals its cacheable one: the newly
+            # issued TTL extends its stay in the filter (the highest issued
+            # TTL governs), and the heap must hold the new deadline or the
+            # key would never leave.
+            stale = self._stale_until
+            if key in stale:
+                stale[key] = cacheable_until
+                heapq.heappush(self._expiry_heap, (cacheable_until, key))
 
     def report_read_many(
         self, keys: Iterable[str], ttl: float, read_time: Optional[float] = None
@@ -93,13 +102,21 @@ class ExpiringBloomFilter:
         """Batch form of :meth:`report_read`: one TTL shared by all ``keys``.
 
         The read pipeline reports every member record of an object-list
-        result with the same private TTL; resolving the clock once amortises
-        the per-key bookkeeping and keeps batch and single-key reads on one
-        code path.
+        result with the same private TTL; the clock, the deadline and the
+        maps are resolved once for the whole batch.
         """
+        if not ttl >= 0:  # NaN included
+            raise ValueError(f"ttl must be non-negative, got {ttl}")
         timestamp = self.now() if read_time is None else read_time
+        cacheable_until = timestamp + ttl
+        cacheable = self._cacheable_until
+        stale = self._stale_until
         for key in keys:
-            self.report_read(key, ttl, timestamp)
+            if key not in cacheable or cacheable_until > cacheable[key]:
+                cacheable[key] = cacheable_until
+                if key in stale:  # see report_read
+                    stale[key] = cacheable_until
+                    heapq.heappush(self._expiry_heap, (cacheable_until, key))
 
     def report_invalidation(self, key: str, invalidation_time: Optional[float] = None) -> bool:
         """Mark ``key`` stale if any cache may still be holding it.
@@ -114,12 +131,12 @@ class ExpiringBloomFilter:
         cacheable_until = self._cacheable_until.get(key)
         if cacheable_until is None or cacheable_until <= timestamp:
             return False
-        if key not in self._stale_until:
+        # An already stale key needs nothing: while stale, its deadline is
+        # raised together with its cacheable one (see report_read).
+        stale = self._stale_until
+        if key not in stale:
             self._filter.add(key)
-            self._stale_until[key] = cacheable_until
-            heapq.heappush(self._expiry_heap, (cacheable_until, key))
-        elif cacheable_until > self._stale_until[key]:
-            self._stale_until[key] = cacheable_until
+            stale[key] = cacheable_until
             heapq.heappush(self._expiry_heap, (cacheable_until, key))
         return True
 
@@ -131,16 +148,14 @@ class ExpiringBloomFilter:
         """
         timestamp = self.now() if now is None else now
         removed = 0
-        while self._expiry_heap and self._expiry_heap[0][0] <= timestamp:
-            _, key = heapq.heappop(self._expiry_heap)
+        heap = self._expiry_heap
+        while heap and heap[0][0] <= timestamp:
+            _, key = heapq.heappop(heap)
             stale_deadline = self._stale_until.get(key)
             if stale_deadline is not None and stale_deadline <= timestamp:
                 del self._stale_until[key]
                 self._filter.remove(key)
                 removed += 1
-            cacheable_deadline = self._cacheable_until.get(key)
-            if cacheable_deadline is not None and cacheable_deadline <= timestamp:
-                del self._cacheable_until[key]
         return removed
 
     # -- queries ---------------------------------------------------------------

@@ -389,7 +389,7 @@ class QuaestorClient:
         response = self.server.handle_delete(collection, document_id)
         if response.status is StatusCode.SERVICE_UNAVAILABLE:
             return self._unavailable_result(key, "writes")
-        self.session.record_own_write(key, version=-1, document=None)
+        self.session.observe_read(key, -1, None)
         self._causal_frontier = self._clock.now()
         return ClientResult(
             key=key,
@@ -634,7 +634,7 @@ class QuaestorClient:
         version = body.get("version", default_version)
         document = body.get("document")
         if status is StatusCode.OK or status is StatusCode.CREATED:
-            self.session.record_own_write(key, 1 if version is None else version, document)
+            self.session.observe_read(key, 1 if version is None else version, document)
             # An acknowledged write advances the causal frontier: replicas
             # may only serve this session once they have applied it.
             self._causal_frontier = self._clock.now()

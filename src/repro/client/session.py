@@ -1,9 +1,10 @@
 """Per-session consistency state: read-your-writes and monotonic reads.
 
-Read-your-writes is obtained by caching the client's own writes within the
-session; monotonic reads by remembering the highest version seen per record
-and falling back to that version (or revalidating) whenever a cache returns an
-older one (Section 3.2).
+Both rest on one map: the highest version seen per record key.  The
+session observes its own acknowledged writes exactly like reads, so
+read-your-writes is monotonic reads over a history that includes them: a
+cache returning a version older than the session's own write is caught, and
+the session falls back to that version (or revalidates) (Section 3.2).
 """
 
 from __future__ import annotations
@@ -22,27 +23,18 @@ class ClientSession:
     """
 
     def __init__(self) -> None:
-        # Own writes: record key -> (version, document or None for deletes).
-        self._own_writes: Dict[str, Tuple[int, Optional[Document]]] = {}
         # Highest version observed per record key.
         self._seen_versions: Dict[str, int] = {}
         # Most recent document observed at that version (for monotonic fallback).
         self._seen_documents: Dict[str, Optional[Document]] = {}
         self.monotonic_violations_prevented = 0
 
-    # -- read-your-writes -----------------------------------------------------------
-
-    def record_own_write(self, key: str, version: int, document: Optional[Document]) -> None:
-        """Remember the outcome of a write performed by this session."""
-        self._own_writes[key] = (version, document if document else None)
-        self.observe_read(key, version, document)
-
-    # -- monotonic reads ----------------------------------------------------------------
+    # -- monotonic reads and read-your-writes ----------------------------------------------
 
     def observe_read(self, key: str, version: int, document: Optional[Document]) -> bool:
-        """Record the version a read returned (keeps the highest one).  A
-        regression -- older than a version this session has already seen --
-        records nothing and returns False."""
+        """Record the version a read -- or an own write -- returned (keeps the
+        highest one).  A regression -- older than a version this session has
+        already seen -- records nothing and returns False."""
         if version < self._seen_versions.get(key, -1):
             return False
         self._seen_versions[key] = version

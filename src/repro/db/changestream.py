@@ -9,6 +9,12 @@ and *remove* notifications.  The replication layer
 log: every event is fanned out to the shard's replicas and applied after a
 modelled lag, which keeps replica version sequences in lock-step with the
 primary because the stream is totally ordered.
+
+A stream keeps a history of its events only once asked to
+(:meth:`ChangeStream.retain_history`).  A replica group with replicas asks
+for its primary's database and every database it seeds, because failover
+replays the deposed primary's stream; a single server, or a shard without
+replicas, never replays anything and keeps nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from repro.db.documents import Document
 from repro.errors import ConfigurationError
 
-#: Change events the change stream keeps in its history.
+#: Change events a retaining change stream keeps in its history.
 CHANGE_HISTORY_LIMIT = 100_000
 
 
@@ -76,20 +82,32 @@ ChangeListener = Callable[[ChangeEvent], None]
 
 
 class ChangeStream:
-    """Publishes change events to registered listeners and keeps a history.
+    """Publishes change events to registered listeners, keeping a history on request.
 
     Listeners are invoked synchronously in registration order, which keeps the
     simulation deterministic; any propagation delay (e.g. asynchronous
     invalidations) is modelled by the subscriber itself.  The listener tuple
     is replaced, never edited, so a delivery in progress keeps the listeners
-    it started with; the history is a deque bounded by
+    it started with.  Until :meth:`retain_history` is called the stream keeps
+    no event; from then on its history is a deque bounded by
     :data:`CHANGE_HISTORY_LIMIT`.
     """
 
     def __init__(self) -> None:
         self._listeners: Tuple[ChangeListener, ...] = ()
-        self._history: Deque[ChangeEvent] = deque(maxlen=CHANGE_HISTORY_LIMIT)
+        self._history: Optional[Deque[ChangeEvent]] = None
         self._sequence = 0
+
+    def retain_history(self) -> None:
+        """Keep every event published from now on (the last
+        :data:`CHANGE_HISTORY_LIMIT` of them) for :meth:`replay_since`.
+
+        Events published before the call are not kept, so
+        :meth:`covers_since` answers ``False`` for positions before them.
+        Calling it again changes nothing.
+        """
+        if self._history is None:
+            self._history = deque(maxlen=CHANGE_HISTORY_LIMIT)
 
     def subscribe(self, listener: ChangeListener) -> Callable[[], None]:
         """Register ``listener``; returns a callable that unsubscribes it."""
@@ -122,29 +140,29 @@ class ChangeStream:
         self._sequence += count
 
     def publish(self, event: ChangeEvent) -> None:
-        """Record ``event`` and deliver it to all listeners."""
-        self._history.append(event)
+        """Deliver ``event`` to all listeners (and keep it, if retaining)."""
+        history = self._history
+        if history is not None:
+            history.append(event)
         for listener in self._listeners:
             listener(event)
 
     def replay_since(self, sequence: int) -> List[ChangeEvent]:
         """Events with a sequence strictly greater than ``sequence``.
 
-        Used when activating a query in InvaliDB (recently received objects
-        are replayed so no update in the activation window is missed) and by
-        the replication layer to compute a failover's loss window.  Callers
-        that need completeness must check :meth:`covers_since` first: the
-        retained history is bounded, so a sufficiently old ``sequence`` may
-        predate it.
+        Used by the replication layer to compute a failover's loss window.
+        Callers that need completeness must check :meth:`covers_since` first:
+        the retained history is bounded (and empty on a stream that does not
+        retain), so a sufficiently old ``sequence`` may predate it.
         """
-        return [event for event in self._history if event.sequence > sequence]
+        return [event for event in self._history or () if event.sequence > sequence]
 
     def covers_since(self, sequence: int) -> bool:
         """Whether :meth:`replay_since` for ``sequence`` is provably complete.
 
-        True when nothing was ever truncated before the requested position:
-        either the stream never exceeded its retention, or the oldest
-        retained event directly follows ``sequence``.
+        True when nothing after the requested position went unkept: either
+        nothing was published after it, or the oldest retained event
+        directly follows ``sequence``.
         """
         if self._sequence <= sequence:
             return True
@@ -157,4 +175,5 @@ class ChangeStream:
         return self._sequence
 
     def __len__(self) -> int:
-        return len(self._history)
+        """Number of retained events."""
+        return len(self._history or ())

@@ -10,7 +10,8 @@ the key hashed into the Expiring Bloom Filter.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Collection, Dict, Hashable, Iterable, List, Mapping
+from collections import defaultdict
+from typing import Any, Callable, Collection, DefaultDict, Dict, Hashable, Iterable, List, Mapping
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.db.documents import Document, compile_sort_key, order_key
@@ -202,9 +203,25 @@ class Query:
         return "Query(" + ", ".join(clauses) + ")"
 
 
+#: ``collection -> document id -> record key``: every holder of a record's
+#: key (caches, the EBF, the TTL sampler, the auditor) shares one string.
+#: Emptied when a :class:`~repro.simulation.Simulator` is built.
+RECORD_KEYS: DefaultDict[str, Dict[str, str]] = defaultdict(dict)
+
+#: Keys one collection's memo holds before it starts over.
+RECORD_KEY_MEMO_SIZE = 1 << 16
+
+
 def record_key(collection: str, document_id: str) -> str:
-    """Canonical EBF / cache key for an individual record."""
-    return f"record:{collection}/{document_id}"
+    """Canonical EBF / cache key for an individual record (ids are strings)."""
+    keys = RECORD_KEYS[collection]
+    try:
+        return keys[document_id]
+    except KeyError:
+        if len(keys) >= RECORD_KEY_MEMO_SIZE:
+            keys.clear()
+        key = keys[document_id] = f"record:{collection}/{document_id}"
+        return key
 
 
 def window_ids(ids: Collection[str], documents: Mapping[str, Document], query: Query) -> List[str]:

@@ -87,6 +87,10 @@ class ReplicaGroup:
         self.ebf = server.ebf
         self.ttl_estimator = server.ttl_estimator
 
+        if self.config.replication_factor > 1:
+            # Failover replays the deposed primary's own stream (promote());
+            # without a replica nothing is ever promoted or replayed.
+            database.change_stream.retain_history()
         primary = ReplicaNode(self._node_id(0), clock, database=database)
         primary.applied_sequence = database.change_stream.last_sequence
         primary.applied_timestamp = clock.now()

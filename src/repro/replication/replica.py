@@ -74,6 +74,9 @@ class ReplicaNode:
         promotion (their logs may have diverged from the new primary's).
         """
         self.database = Database(clock=self._clock)
+        # A seeded node can be promoted, and a later failover replays its
+        # stream (ReplicaGroup.promote).
+        self.database.change_stream.retain_history()
         self.link = ReplicationLink()
         for name in source.collection_names():
             self.database.create_collection(name).seed_from(source.collection(name))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.rest.cache_control import UNCACHEABLE, CacheControl
 
@@ -30,7 +30,6 @@ class Response:
     body: Any = None
     etag: Optional[str] = None
     cache_control: CacheControl = UNCACHEABLE
-    headers: Dict[str, str] = field(default_factory=dict)
 
     @property
     def is_cacheable(self) -> bool:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.bloom.bloom_filter import _probe_memo
+from repro.bloom.hashing import _blake2_pair_cached
 from repro.caching.invalidation import InvalidationCache
 from repro.clock import VirtualClock
 from repro.client.sdk import DEGRADED_LEVEL, ERROR_LEVEL, QuaestorClient
@@ -31,6 +33,7 @@ from repro.core.config import QuaestorConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.server import QuaestorServer
 from repro.db.database import Database
+from repro.db.query import RECORD_KEYS
 from repro.errors import ConfigurationError
 from repro.invalidb.cluster import InvaliDBCluster
 from repro.metrics.counters import Counter
@@ -267,9 +270,13 @@ class Simulator:
         self.events = EventQueue()
         self.rng = random.Random(config.seed)
         config.topology.reseed(config.seed)
-        # The record-tag memo is the run's own: tags of an earlier run's
-        # versions would only keep that run's memory alive.
+        # The record-key, record-tag and Bloom hash memos are the run's own:
+        # keys, tags and probes of an earlier run's records would only keep
+        # its memory alive.
+        RECORD_KEYS.clear()
         etag_for_version.cache_clear()
+        _probe_memo.cache_clear()
+        _blake2_pair_cached.cache_clear()
 
         # --- substrate + Quaestor deployment (single server or sharded fleet). ---
         self.dataset = dataset if dataset is not None else generate_dataset(config.dataset)

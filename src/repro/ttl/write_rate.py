@@ -2,8 +2,9 @@
 
 For each database record, Quaestor estimates (through sampling) the rate of
 incoming writes ``lambda_w`` in some time window.  The sampler keeps a bounded
-history of recent write timestamps per key and derives the arrival rate from
-it; keys that have never been written fall back to a configurable default
+history of recent write timestamps per key (a plain list trimmed to the
+newest ``max_samples_per_key``, a few dozen bytes for a key written once) and
+derives the arrival rate from it; keys that have never been written fall back to a configurable default
 rate, which corresponds to an optimistic initial TTL.
 
 Two estimation modes are supported (the TTL bake-off compares them through the
@@ -28,8 +29,7 @@ Two estimation modes are supported (the TTL bake-off compares them through the
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.ttl.base import TTLBounds, TTLEstimator
 
@@ -65,7 +65,7 @@ class WriteRateSampler:
         self.max_samples_per_key = max_samples_per_key
         self.default_rate = default_rate
         self.estimation = estimation
-        self._samples: Dict[str, Deque[float]] = {}
+        self._samples: Dict[str, List[float]] = {}
 
     # -- recording -------------------------------------------------------------------
 
@@ -73,9 +73,11 @@ class WriteRateSampler:
         """Record a write to ``key`` at ``timestamp``."""
         samples = self._samples.get(key)
         if samples is None:
-            samples = deque(maxlen=self.max_samples_per_key)
-            self._samples[key] = samples
-        samples.append(timestamp)
+            self._samples[key] = [timestamp]
+        else:
+            samples.append(timestamp)
+            # Keep the newest samples; a no-op until the bound is passed.
+            del samples[: -self.max_samples_per_key]
 
     # -- estimation --------------------------------------------------------------------
 

@@ -58,6 +58,39 @@ class TestInvalidation:
         clock.advance(10.0)
         assert ebf.contains("query:q1")
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["report_read", "report_read_many"])
+    def test_a_stale_key_read_with_a_longer_ttl_leaves_at_the_new_deadline(
+        self, ebf, clock, batch
+    ):
+        """The raised deadline of an already stale key is scheduled: the key
+        stays flagged past its first deadline, until the new one, and then
+        leaves the filter (an unscheduled raise would keep it forever)."""
+        ebf.report_read("query:q1", ttl=5.0)
+        clock.advance(1.0)
+        assert ebf.report_invalidation("query:q1")  # stale until 5 s
+        clock.advance(1.0)
+        if batch:
+            ebf.report_read_many(["record:other", "query:q1"], ttl=20.0)
+        else:
+            ebf.report_read("query:q1", ttl=20.0)  # stale until 22 s
+        clock.advance(4.0)
+        assert ebf.contains("query:q1") and len(ebf) == 1  # 6 s: past the first
+        clock.advance(15.5)
+        assert ebf.contains("query:q1")  # 21.5 s
+        clock.advance(1.0)
+        assert not ebf.contains("query:q1") and len(ebf) == 0  # 22.5 s
+        assert ebf._expiry_heap == []
+
+    def test_reads_without_invalidations_schedule_nothing(self, ebf, clock):
+        for number in range(20):
+            ebf.report_read(f"record:posts/p{number}", ttl=1.0 + number)
+            ebf.report_read(f"record:posts/p{number}", ttl=50.0)
+        ebf.report_read_many([f"record:posts/q{number}" for number in range(20)], ttl=5.0)
+        assert ebf._expiry_heap == [] and len(ebf._cacheable_until) == 40
+        clock.advance(60.0)
+        assert len(ebf) == 0 and ebf._expiry_heap == []
+        assert ebf.report_invalidation("record:posts/p0") is False
+
     def test_repeated_invalidations_do_not_double_count(self, ebf, clock):
         ebf.report_read("query:q1", ttl=10.0)
         ebf.report_invalidation("query:q1")

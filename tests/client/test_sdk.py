@@ -152,7 +152,7 @@ class TestSessionGuarantees:
         client.delete("posts", "phoenix")
         reborn = client.insert("posts", {"_id": "phoenix", "views": 99})
         assert reborn.version == 3
-        assert client.session._own_writes.get("record:posts/phoenix")[0] == 3
+        assert client.session.monotonic_fallback("record:posts/phoenix")[0] == 3
         read = client.read("posts", "phoenix")
         assert read.version == 3
         assert read.value["views"] == 99

@@ -94,11 +94,14 @@ class TestClientSession:
         session.observe_read("key", 0, {"_id": "x", "value": "second"})
         assert session.monotonic_fallback("key") == (0, {"_id": "x", "value": "second"})
 
-    def test_own_writes_recorded(self):
-        session = ClientSession()
-        session.record_own_write("key", 4, {"_id": "x"})
-        assert session._own_writes.get("key") == (4, {"_id": "x"})
-        assert session._seen_versions.get("key") == 4
+    def test_own_writes_recorded(self, deployment):
+        """An acknowledged own write is the session's newest seen version:
+        the monotonic fallback answers it, and an older version is refused."""
+        session = deployment["client"].session
+        deployment["client"].insert("posts", {"_id": "x"})
+        deployment["client"].update("posts", "x", {"$set": {"v": 4}})
+        assert session.monotonic_fallback("record:posts/x") == (2, {"_id": "x", "v": 4})
+        assert not session.observe_read("record:posts/x", 1, {"_id": "x"})
 
     def test_own_write_copies_document(self, deployment):
         """Ingress isolation end to end: the session's own-write snapshot is the
@@ -108,14 +111,14 @@ class TestClientSession:
         document = {"_id": "fresh", "tags": ["a"]}
         client.insert("posts", document)
         document["tags"].append("b")
-        version, remembered = client.session._own_writes.get("record:posts/fresh")
+        version, remembered = client.session.monotonic_fallback("record:posts/fresh")
         assert (version, remembered) == (1, {"_id": "fresh", "tags": ["a"]})
         assert remembered is database.collection("posts").get("fresh")
 
         update = {"$set": {"meta": {"k": ["v"]}}}
         client.update("posts", "fresh", update)
         update["$set"]["meta"]["k"].append("edited")
-        version, remembered = client.session._own_writes.get("record:posts/fresh")
+        version, remembered = client.session.monotonic_fallback("record:posts/fresh")
         assert (version, remembered["meta"]) == (2, {"k": ["v"]})
         assert remembered is database.collection("posts").get("fresh")
 

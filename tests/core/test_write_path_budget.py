@@ -18,7 +18,10 @@ Before the chain was flattened the plain update below cost 115 frames / 200
 calls, the invalidating one 164 / 285, an insert 91 / 154, a delete 81 / 132.
 While the after-image still went through a modelled InvaliDB change queue
 and its ingestion task they cost 64 / 111, 87 / 158, 57 / 92 and 43 / 73;
-without them 59 / 103, 82 / 149, 52 / 84 and 38 / 65.
+without them 59 / 103, 82 / 149, 52 / 84 and 38 / 65.  Without the
+session's map of its own writes (nothing read it), a single server's
+change-stream history (nothing replays it) and a headers dict per response,
+they cost 58 / 100, 81 / 146, 51 / 81 and 37 / 62.
 
 Every scenario runs once unmeasured on a twin deployment first: the
 process-wide hash memos (placement hashes) and the record-tag memo then
@@ -43,10 +46,10 @@ from repro.db import Database, Query
 from repro.invalidb import InvaliDBCluster
 
 #: (frames, all calls) budgets: the measured cost of each write.
-PLAIN_UPDATE = (59, 103)
-INVALIDATING_UPDATE = (82, 149)
-INSERT = (52, 84)
-DELETE = (38, 65)
+PLAIN_UPDATE = (58, 100)
+INVALIDATING_UPDATE = (81, 146)
+INSERT = (51, 81)
+DELETE = (37, 62)
 #: Pairs of cached queries no write below can touch.  The budgets hold with a
 #: few of them (enough that both matching nodes index some); many more must
 #: not add a single call.

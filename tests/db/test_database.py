@@ -36,6 +36,7 @@ class TestConvenienceCrud:
 
 class TestChangeStreamIntegration:
     def test_replay_since_returns_newer_events(self, database):
+        database.change_stream.retain_history()
         database.insert("posts", {"_id": "p1"})
         marker = database.change_stream.last_sequence
         database.insert("posts", {"_id": "p2"})

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
+from repro.db import query as query_module
 from repro.db.query import Query, record_key
 from repro.errors import InvalidQueryError, UnsupportedOperationError
 
@@ -69,6 +72,18 @@ class TestNormalisation:
 
     def test_record_key_format(self):
         assert record_key("posts", "p1") == "record:posts/p1"
+
+    def test_a_record_has_one_key_string_until_its_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(query_module, "RECORD_KEY_MEMO_SIZE", 3)
+        monkeypatch.setattr(query_module, "RECORD_KEYS", defaultdict(dict))
+        first = record_key("posts", "".join(["p", "1"]))
+        assert record_key("posts", "p1") is first
+        assert record_key("users", "p1") == "record:users/p1"
+        record_key("posts", "p2"), record_key("posts", "p3")
+        assert len(query_module.RECORD_KEYS["posts"]) == 3
+        assert record_key("posts", "p4") == "record:posts/p4"  # a full memo starts over
+        assert query_module.RECORD_KEYS["posts"] == {"p4": "record:posts/p4"}
+        assert record_key("posts", "p1") == first and record_key("posts", "p1") is not first
 
 
 class TestStatefulness:

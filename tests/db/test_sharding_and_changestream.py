@@ -26,6 +26,12 @@ def _event(sequence: int, document_id: str = "d1") -> ChangeEvent:
     )
 
 
+def _retaining() -> ChangeStream:
+    stream = ChangeStream()
+    stream.retain_history()
+    return stream
+
+
 class TestChangeStream:
     def test_publish_delivers_to_listeners(self):
         stream = ChangeStream()
@@ -44,7 +50,7 @@ class TestChangeStream:
         assert received == []
 
     def test_replay_since(self):
-        stream = ChangeStream()
+        stream = _retaining()
         events = [_event(stream.next_sequence(), f"d{index}") for index in range(5)]
         for event in events:
             stream.publish(event)
@@ -53,7 +59,7 @@ class TestChangeStream:
 
     def test_history_limit_truncates(self, monkeypatch):
         monkeypatch.setattr(changestream_module, "CHANGE_HISTORY_LIMIT", 3)
-        stream = ChangeStream()
+        stream = _retaining()
         for index in range(10):
             stream.publish(_event(stream.next_sequence(), f"d{index}"))
         assert len(stream) == 3
@@ -65,7 +71,7 @@ class TestChangeStream:
         answer as the last ``limit`` of every event published would."""
         limit = 50
         monkeypatch.setattr(changestream_module, "CHANGE_HISTORY_LIMIT", limit)
-        bounded, published = ChangeStream(), []
+        bounded, published = _retaining(), []
         for index in range(3 * limit):
             event = _event(bounded.next_sequence(), f"d{index}")
             bounded.publish(event)
@@ -79,6 +85,22 @@ class TestChangeStream:
                 ]
                 # Complete exactly when nothing after ``since`` was dropped.
                 assert bounded.covers_since(since) == (since >= oldest - 1)
+
+    def test_a_stream_keeps_nothing_until_asked(self):
+        """Without ``retain_history`` nothing is kept, and nothing published
+        before the call is kept after it: ``covers_since`` says so."""
+        stream, received = ChangeStream(), []
+        stream.subscribe(received.append)
+        for index in range(3):
+            stream.publish(_event(stream.next_sequence(), f"d{index}"))
+        assert len(received) == 3 and len(stream) == 0
+        assert stream.replay_since(0) == [] and not stream.covers_since(0)
+        stream.retain_history()
+        stream.publish(_event(stream.next_sequence(), "d3"))
+        stream.retain_history()  # a second call keeps what the first kept
+        stream.publish(_event(stream.next_sequence(), "d4"))
+        assert [event.document_id for event in stream.replay_since(0)] == ["d3", "d4"]
+        assert stream.covers_since(3) and not stream.covers_since(2)
 
     def test_a_listener_may_unsubscribe_during_delivery(self):
         """Delivery runs over the listeners it started with; the change shows
@@ -97,7 +119,7 @@ class TestChangeStream:
         assert received == [("once", 1), ("always", 1), ("always", 2)]
 
     def test_advance_numbers_writes_without_keeping_them(self):
-        stream = ChangeStream()
+        stream = _retaining()
         stream.advance(4)
         assert stream.last_sequence == 4 and len(stream) == 0
         stream.publish(_event(stream.next_sequence(), "d5"))
@@ -114,6 +136,7 @@ class TestChangeStream:
     def test_a_database_keeps_its_last_change_history_limit_events(self, monkeypatch):
         monkeypatch.setattr(changestream_module, "CHANGE_HISTORY_LIMIT", 3)
         database = Database()
+        database.change_stream.retain_history()
         posts = database.create_collection("posts")
         for index in range(5):
             posts.insert({"_id": f"d{index}"})

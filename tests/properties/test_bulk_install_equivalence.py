@@ -51,6 +51,14 @@ HISTORY = st.lists(
 LATER = st.lists(st.tuples(IDS, BODIES), max_size=5)
 
 
+def _retaining() -> Database:
+    """A database whose stream keeps its history, so ``_answers`` compares
+    replays (a plain database keeps none)."""
+    database = Database()
+    database.change_stream.retain_history()
+    return database
+
+
 def _collection(database: Database) -> Collection:
     collection = database.create_collection("posts")
     for field in INDEXED:
@@ -127,7 +135,7 @@ def _seed_one_by_one(target: Database, source: Database) -> None:
 @settings(max_examples=300, deadline=None)
 @given(history=HISTORY, batch=st.lists(DOCUMENTS, max_size=8), later=LATER)
 def test_preload_equals_one_insert_per_document(history, batch, later):
-    bulk, reference = Database(), Database()
+    bulk, reference = _retaining(), _retaining()
     for database in (bulk, reference):
         _replay(_collection(database), history)
     before = _state(bulk)
@@ -160,7 +168,7 @@ def test_seed_from_equals_one_install_per_document(history, batch, churn, later)
     _replay(collection, churn)
     source.create_collection("empty").create_index("category")
 
-    bulk, reference = Database(), Database()
+    bulk, reference = _retaining(), _retaining()
     for name in source.collection_names():
         bulk.create_collection(name).seed_from(source.collection(name))
     _seed_one_by_one(reference, source)

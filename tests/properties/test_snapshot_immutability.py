@@ -77,6 +77,7 @@ def scribble(value) -> None:
 @settings(max_examples=150, deadline=None)
 def test_every_snapshot_ever_handed_out_keeps_its_content(steps):
     database = Database()
+    database.change_stream.retain_history()
     collection = database.create_collection("things")
     collection.create_index("tags")
     handed_out = []  # (snapshot, fingerprint at hand-out)

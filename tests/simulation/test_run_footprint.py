@@ -7,15 +7,18 @@ is freed (``del``, ``gc.collect()``) the test reads ``tracemalloc``'s traced
 size: what the second run leaves behind may not exceed what the first left
 by more than ``SLACK_BYTES``.
 
-What a freed run may leave is the record-tag memo it filled (emptied when the
-next :class:`~repro.simulation.Simulator` is built) and the bounded
+What a freed run may leave is the memos it filled -- the record-key and
+record-tag memos and the Bloom filters' probe and hash-pair memos, all
+emptied when the next
+:class:`~repro.simulation.Simulator` is built -- and the bounded
 process-wide hash memos.  A memo that outlives its run instead grows with
 every run: keeping record tags across runs, or hashing Zipf ranks through
-``stable_uint64``'s process memo, leaves the second run about 80 KB above
-the first at this size (each alone; 158 KB both).  Identical seeds would not
-show that: both runs would ask for the very same tags and ranks.  The runs
-are uncached: the Bloom filters' probe and hash-pair memos, bounded but not
-yet per run, would add to every cached run.
+``stable_uint64``'s process memo, leaves the second uncached run about 80 KB
+above the first at this size (each alone; 158 KB both); keeping the Bloom
+memos across runs leaves the second cached run 193 KB above the first.
+Identical seeds would not show that: both runs would ask for the very same
+tags, ranks and keys.  Both an uncached and a cached (Quaestor) run are
+measured.
 """
 
 from __future__ import annotations
@@ -42,11 +45,11 @@ def snapshot_guard():
     yield
 
 
-def _run_and_free(segment: int) -> int:
+def _run_and_free(mode: CachingMode, segment: int) -> int:
     """Build and run one segment, free it, and return the traced size."""
     simulator = Simulator(
         SimulationConfig(
-            mode=CachingMode.UNCACHED,
+            mode=mode,
             workload=WorkloadSpec(seed=11 + segment),
             dataset=DatasetSpec(num_tables=2, documents_per_table=2500, queries_per_table=20),
             num_clients=2,
@@ -62,12 +65,21 @@ def _run_and_free(segment: int) -> int:
     return tracemalloc.get_traced_memory()[0]
 
 
-def test_a_freed_run_leaves_no_more_than_the_one_before():
-    _run_and_free(-1)  # untraced: lazy imports and one-time tables settle
+def _growth(mode: CachingMode) -> tuple:
+    """Traced size after a freed first and a freed second run of ``mode``."""
+    _run_and_free(mode, -1)  # untraced: lazy imports and one-time tables settle
     tracemalloc.start()
     try:
-        first = _run_and_free(0)
-        second = _run_and_free(1)
+        return _run_and_free(mode, 0), _run_and_free(mode, 1)
     finally:
         tracemalloc.stop()
+
+
+def test_a_freed_run_leaves_no_more_than_the_one_before():
+    first, second = _growth(CachingMode.UNCACHED)
+    assert second - first <= SLACK_BYTES, (first, second)
+
+
+def test_a_freed_cached_run_leaves_no_more_than_the_one_before():
+    first, second = _growth(CachingMode.QUAESTOR)
     assert second - first <= SLACK_BYTES, (first, second)
