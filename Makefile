@@ -17,7 +17,6 @@
 #                                   self-test (every injected breach detected),
 #                                   then the slow_chaos pytest cells and the
 #                                   online-vs-replayed staleness differential
-#                                   and the full-size TTL estimator bake-off
 #   make verify-consistency-smoke - one representative scenario per fault
 #                                   archetype; the quick CI gate
 #   make obs-smoke       - seeded brownout scenario with tracing on: asserts the
@@ -56,8 +55,10 @@
 #                          faulted 4-shard RF 3 run, a causal audit cell, a
 #                          failover losing acknowledged writes) unless it is
 #                          a dunder or declaration or is
-#                          named in scripts/unused_allowlist.txt, and on any
-#                          allowlist entry that covers nothing unreached
+#                          named in scripts/unused_allowlist.txt, on any
+#                          allowlist entry that covers nothing unreached, and
+#                          when more defs than the committed ceiling are
+#                          reached by the behaviour pins alone
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest

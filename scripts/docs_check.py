@@ -75,7 +75,6 @@ REQUIRED_MODULES = (
     "repro.simulation",
     "repro.simulation.pool",
     "repro.ttl",
-    "repro.ttl.bakeoff",
     "repro.verify",
     "repro.workloads",
 )

@@ -10,8 +10,7 @@ repository's entry points run in this process:
   ``tests/test_examples.py``);
 * every figure harness in ``repro.benchmarks`` at a toy scale;
 * the behaviour pins (``PIN_TESTS``: the golden and byte-identity tests, and
-  the exact pins of the replication drills, the resilience chaos grid and
-  the TTL estimator bake-off grid);
+  the exact pins of the replication drills and the resilience chaos grid);
 * a four-shard RF 3 run with a crash/recover fault plan and every recorder
   on (a primary resumes with a backlog it never applied);
 * one causal cell of the full consistency matrix (``python -m repro.verify``
@@ -32,11 +31,16 @@ into one of three classes:
 
 Anything else fails the gate, listed as ``module:qualname`` with its body
 lines; so does a *stale* allowlist entry, one that covers no unreached def (it is
-reached now, or it no longer exists).  Exits 0 only when both lists are
-empty.  After the verdict the census prints, for information only, the defs
-that no entry point but the behaviour pins reaches: a count, then the names.
-Such a def is kept alive by a golden alone, which makes it a candidate for
-deletion together with its pin.
+reached now, or it no longer exists).
+
+The census also lists the defs that no entry point but the behaviour pins
+reaches.  Such a def is kept alive by a golden alone, which makes it a
+candidate for deletion together with its pin.  The *pin machinery*
+(``PIN_MACHINERY``: the helpers the goldens hash with and the reference forms
+the golden vectors pin) is listed apart and not counted.  The gate fails
+when the count exceeds ``PINS_ONLY_CEILING``, which a change may lower but
+never raise.  Exits 0 only when nothing is unlisted, stale, crashed or over
+the ceiling.
 
 The entry points run in up to two spawned census processes, each pinned to
 one CPU, and the sets of entered code objects are merged.
@@ -92,11 +96,39 @@ PIN_TESTS = (
     "tests/replication/test_scaleout_and_drills.py",
     "tests/resilience/test_chaos_smoke.py::TestChaosGrid",
     "tests/simulation/test_golden_summary.py",
-    "tests/ttl/test_spec_and_bakeoff.py::TestBakeoffGrid",
     "tests/ttl/test_ttl_golden_vectors.py",
 )
 #: The entry point that runs :data:`PIN_TESTS`.
 PINS = "behaviour pins"
+
+#: Defs that exist for the pins themselves: the canonical-bytes helpers the
+#: goldens hash, and the reference forms the Bloom golden vectors pin.
+PIN_MACHINERY = frozenset({
+    "repro.obs.registry:_canonical",
+    "repro.obs.registry:canonical_metrics_bytes",
+    "repro.obs.trace:canonical_trace_bytes",
+    "repro.verify.history:canonical_bytes",
+    "repro.bloom.hashing:hash_pair",
+    "repro.bloom.hashing:positions",
+})
+
+#: Most defs the behaviour pins alone may reach, pin machinery aside.  Lower
+#: it when a def leaves the list; never raise it.  The 15 today, by reason:
+#:
+#: * the Bloom wire format and bulk helpers (9): ``BloomFilter.add`` /
+#:   ``add_all`` / ``contains_all`` / ``from_bytes`` / ``iter_set_bits`` /
+#:   ``to_bytes`` and ``CountingBloomFilter.add_all`` / ``counter`` /
+#:   ``nonzero_slots`` -- a client refresh hands over the filter object, so
+#:   the bytes exist only for the golden vectors (a decision still open);
+#: * degraded serving (3): ``StaleIfErrorPolicy.may_serve`` and the
+#:   ``QuaestorClient.now`` / ``CacheEntry.fresh_until`` it reads -- no
+#:   smoke-size run serves a stale-if-error read;
+#: * ``QuaestorCluster.delete`` -- no fleet workload deletes;
+#: * ``ReplicaGroup._coerce_level`` -- only a replica read that names its
+#:   consistency by ``None`` or by value, which the fleet never sends;
+#: * ``compile_criteria.match_all`` -- a filter of two or more clauses,
+#:   which no workload sends.
+PINS_ONLY_CEILING = 15
 
 
 def _fast_examples() -> List[str]:
@@ -375,8 +407,8 @@ def defs(source: str) -> List[Tuple[str, int, int, bool]]:
 
 def read_allowlist(text: str) -> Dict[str, str]:
     """``{target: reason}`` from the allowlist's ``<target> <reason>`` lines
-    (``#`` starts a comment).  A target is a module (``repro.ttl.bakeoff``),
-    a class or a def (``repro.replication.group:ReplicaGroup.partition``)."""
+    (``#`` starts a comment).  A target is a module (``repro.db.updates``),
+    a class or a def (``repro.replication.group:ReplicaGroup.promote``)."""
     entries: Dict[str, str] = {}
     for number, line in enumerate(text.splitlines(), 1):
         fields = line.split("#", 1)[0].split()
@@ -439,6 +471,21 @@ def reached_only_by(entered: Dict[str, Set[str]], name: str) -> List[str]:
     return sorted(entered.get(name, set()) - others)
 
 
+def pins_only(entered: Dict[str, Set[str]]) -> Tuple[List[str], List[str]]:
+    """The defs only the behaviour pins reach, split into those the ceiling
+    counts and the pin machinery, each sorted."""
+    found = reached_only_by(entered, PINS)
+    return (
+        [target for target in found if target not in PIN_MACHINERY],
+        [target for target in found if target in PIN_MACHINERY],
+    )
+
+
+def over_ceiling(pinned_only: List[str]) -> bool:
+    """Whether more defs than :data:`PINS_ONLY_CEILING` are pins-only."""
+    return len(pinned_only) > PINS_ONLY_CEILING
+
+
 def main() -> int:
     allowlist = read_allowlist(ALLOWLIST.read_text())
     started = time.perf_counter()
@@ -472,20 +519,26 @@ def main() -> int:
         print(f"unreached and not allowlisted: {target} ({lines} lines)")
     for entry in stale:
         print(f"stale allowlist entry (reached, or gone): {entry} {allowlist[entry]}")
+    pinned_only, machinery = pins_only(entered)
+    print(
+        f"{len(pinned_only)} defs only the {PINS} reach "
+        f"(ceiling {PINS_ONLY_CEILING}; pin machinery apart):"
+    )
+    for target in pinned_only:
+        print(f"  {target}")
+    print(f"{len(machinery)} defs of pin machinery:")
+    for target in machinery:
+        print(f"  {target}")
     crashed = [name for name, _seconds, outcome in runs if outcome != "ok"]
-    failed = bool(unlisted or stale or crashed)
+    failed = bool(unlisted or stale or crashed or over_ceiling(pinned_only))
     if failed:
         print(
             f"unused-functions: FAIL ({len(unlisted)} unlisted, {len(stale)} stale, "
-            f"{len(crashed)} crashed entry points)"
+            f"{len(crashed)} crashed entry points, {len(pinned_only)} pins-only defs "
+            f"against a ceiling of {PINS_ONLY_CEILING})"
         )
     else:
         print("unused-functions: OK")
-    pinned_only = reached_only_by(entered, PINS)
-    print()
-    print(f"{len(pinned_only)} defs only the {PINS} reach:")
-    for target in pinned_only:
-        print(f"  {target}")
     return 1 if failed else 0
 
 

@@ -806,24 +806,6 @@ class QuaestorCluster:
             return True
         return self.clock.now() - down_at >= self.replication.failover_detection_delay
 
-    def partition(self, node_a: str, node_b: str) -> int:
-        """Partition the replication link between two nodes of one shard;
-        returns the shard id."""
-        shard_id = self.shard_of(node_a)
-        if self.shard_of(node_b) != shard_id:
-            raise ValueError("partitions act on the replication links within one shard")
-        self.groups[shard_id].partition(node_a, node_b)
-        self.counters.increment("partitions")
-        return shard_id
-
-    def heal(self, node_a: str, node_b: str) -> int:
-        """Heal a partition (the backlogged log ships shortly after); returns
-        the shard id."""
-        shard_id = self.shard_of(node_a)
-        self.groups[shard_id].heal(node_a, node_b)
-        self.counters.increment("partition_heals")
-        return shard_id
-
     def failover(self, shard_id: int) -> Optional[Dict[str, object]]:
         """Promote the freshest replica of ``shard_id`` and re-route to it.
 

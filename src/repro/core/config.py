@@ -27,9 +27,9 @@ class QuaestorConfig:
 
     # -- TTL estimation --------------------------------------------------------------
     #: Which TTL estimator family serves this deployment, selected by name
-    #: from the :mod:`repro.ttl.spec` registry.  The default is the bake-off
-    #: winner (:data:`repro.ttl.spec.DEFAULT_ESTIMATOR`).  This is the one way
-    #: to choose it.
+    #: from the :mod:`repro.ttl.spec` registry.  The default is the paper's
+    #: estimator (:data:`repro.ttl.spec.DEFAULT_ESTIMATOR`).  This is the one
+    #: way to choose it.
     ttl_estimator: TTLEstimatorSpec = field(default_factory=TTLEstimatorSpec)
     ttl_quantile: float = 0.5
     ewma_alpha: float = 0.7

@@ -1,11 +1,11 @@
-"""Fault injection: seeded crash / recover / partition scenarios.
+"""Fault injection: seeded crash / recover and gray-failure scenarios.
 
 The ROADMAP's north star asks for "as many scenarios as you can imagine";
 this package makes failure one of them.  A
 :class:`~repro.faults.plan.FaultPlan` is a deterministic schedule of
 :class:`~repro.faults.plan.FaultEvent`\\ s -- scripted
-(:meth:`FaultPlan.primary_crash`, :meth:`FaultPlan.replica_partition`,
-:meth:`FaultPlan.rolling_primary_crashes`, or event by event).  The
+(:meth:`FaultPlan.primary_crash`, :meth:`FaultPlan.rolling_primary_crashes`,
+or event by event).  The
 :class:`~repro.faults.injector.FaultInjector` replays the plan through the
 simulator's event queue against a replicated
 :class:`~repro.cluster.QuaestorCluster`, driving the failover machinery of

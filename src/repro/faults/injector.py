@@ -51,11 +51,6 @@ class FaultInjector:
         #: Role targets ("shard:0") resolved at crash time, so a later
         #: RECOVER of the same role brings back the node actually crashed.
         self._role_bindings: Dict[str, str] = {}
-        #: Concrete node pairs resolved at PARTITION time, keyed by the
-        #: plan's (target, peer) identity: the matching HEAL must heal the
-        #: pair that was actually cut, even if a failover moved the role's
-        #: primary in between.
-        self._partition_bindings: Dict[tuple, tuple] = {}
         self.faults_fired = 0
         self._armed = False
 
@@ -78,10 +73,6 @@ class FaultInjector:
             self._crash(event)
         elif event.action is FaultAction.RECOVER:
             self._recover(event)
-        elif event.action is FaultAction.PARTITION:
-            self._partition(event)
-        elif event.action is FaultAction.HEAL:
-            self._heal(event)
         elif event.action is FaultAction.SLOW_SHARD:
             self.cluster.slow_target(event.target, event.magnitude)
             self._record("slow_shard", event.target, target_shard(event.target))
@@ -96,7 +87,7 @@ class FaultInjector:
         # Resolve the role fresh on every crash (a second "shard:N" crash
         # must hit the *promoted* primary, not the dead ex-primary); the
         # binding is recorded only so the matching RECOVER pairs up.
-        node_id = self._resolve(event.target, bind=True, use_binding=False)
+        node_id = self._resolve(event.target, bind=True)
         now = self.clock.now()
         shard_id, lost_primary = self.cluster.crash_node(node_id)
         self._record("crash", node_id, shard_id)
@@ -136,34 +127,15 @@ class FaultInjector:
             # primary sees no pending crash instant and records nothing.
             entry["time_to_recover"] = self.clock.now() - down_at
 
-    def _partition(self, event: FaultEvent) -> None:
-        node_a = self._resolve(event.target, bind=False, use_binding=False)
-        node_b = self._resolve(event.peer, bind=False, use_binding=False)
-        self._partition_bindings[(event.target, event.peer)] = (node_a, node_b)
-        shard_id = self.cluster.partition(node_a, node_b)
-        self._record("partition", f"{node_a}|{node_b}", shard_id)
-
-    def _heal(self, event: FaultEvent) -> None:
-        bound = self._partition_bindings.pop((event.target, event.peer), None)
-        if bound is not None:
-            node_a, node_b = bound
-        else:
-            node_a = self._resolve(event.target, bind=False, use_binding=False)
-            node_b = self._resolve(event.peer, bind=False, use_binding=False)
-        shard_id = self.cluster.heal(node_a, node_b)
-        self._record("heal", f"{node_a}|{node_b}", shard_id)
-
-    def _resolve(self, target: str, bind: bool, use_binding: bool = True) -> str:
+    def _resolve(self, target: str, bind: bool) -> str:
         """Resolve a plan target to a concrete node id.
 
         Role targets (``"shard:N"``) resolve to the shard's current primary;
-        a crash *binds* the resolution so the matching RECOVER hits the node
-        that actually went down rather than the newly promoted primary.  The
-        binding applies only to the crash/recover pair -- PARTITION and HEAL
-        pass ``use_binding=False`` so a post-failover ``"shard:N"`` acts on
-        the *current* primary, not the dead ex-primary.
+        a crash (``bind``) resolves afresh and *binds* the resolution, so the
+        matching RECOVER (not ``bind``) hits the node that actually went down
+        rather than the newly promoted primary.
         """
-        if use_binding and target in self._role_bindings:
+        if not bind and target in self._role_bindings:
             return self._role_bindings[target]
         if target.startswith("shard:"):
             node_id = self.cluster.groups[target_shard(target)].primary_node_id

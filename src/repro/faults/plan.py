@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError, UnsupportedFaultError
 _TARGET_GRAMMAR = re.compile(r"^(?:shard:(\d+)|s(\d+):n\d+)$")
 
 
-def target_shard(target: str, role: str = "target") -> int:
+def target_shard(target: str) -> int:
     """The shard id a fault target names (``"shard:3"`` and ``"s3:n1"`` both
     name shard 3); raises :class:`UnsupportedFaultError` on anything else."""
     try:
@@ -49,7 +49,7 @@ def target_shard(target: str, role: str = "target") -> int:
         match = None
     if match is None:
         raise UnsupportedFaultError(
-            f"fault {role} {target!r} is not a valid target: expected "
+            f"fault target {target!r} is not a valid target: expected "
             f"'shard:<id>' (role: the shard's current primary) or "
             f"'s<shard>:n<index>' (a specific node)"
         )
@@ -61,8 +61,6 @@ class FaultAction(str, enum.Enum):
 
     CRASH = "crash"
     RECOVER = "recover"
-    PARTITION = "partition"
-    HEAL = "heal"
     SLOW_SHARD = "slow_shard"
     FLAKY_SHARD = "flaky_shard"
     RESTORE = "restore"
@@ -77,27 +75,20 @@ class FaultEvent:
     """One scheduled fault.
 
     ``target`` names a node (``"s0:n1"``) or a role (``"shard:0"`` = that
-    shard's primary at fire time).  ``peer`` is only used by
-    PARTITION/HEAL, which act on a link between two nodes.  ``magnitude``
-    is only used by the gray actions: the latency multiplier (>= 1) for
-    SLOW_SHARD, the request-drop probability (in ``(0, 1]``) for
-    FLAKY_SHARD.
+    shard's primary at fire time).  ``magnitude`` is only used by the gray
+    actions: the latency multiplier (>= 1) for SLOW_SHARD, the request-drop
+    probability (in ``(0, 1]``) for FLAKY_SHARD.
     """
 
     time: float
     action: FaultAction
     target: str
-    peer: Optional[str] = None
     magnitude: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ConfigurationError("fault time must be non-negative")
         target_shard(self.target)
-        if self.peer is not None:
-            target_shard(self.peer, role="peer")
-        if self.action in (FaultAction.PARTITION, FaultAction.HEAL) and self.peer is None:
-            raise ConfigurationError(f"{self.action.value} requires a peer node")
         if self.action in _GRAY_ACTIONS:
             if self.magnitude is None:
                 raise ConfigurationError(f"{self.action.value} requires a magnitude")
@@ -171,23 +162,6 @@ class FaultPlan:
                     FaultEvent(crash_at + downtime, FaultAction.RECOVER, f"shard:{shard}")
                 )
         return cls(events=events, name=f"rolling-crashes/{len(shards)}-shards")
-
-    @classmethod
-    def replica_partition(
-        cls, shard: int = 0, replica_index: int = 1, at: float = 20.0, heal_at: float = 40.0
-    ) -> "FaultPlan":
-        """Partition one replica off its primary's log stream, then heal."""
-        if heal_at <= at:
-            raise ConfigurationError("heal_at must come after the partition")
-        primary = f"shard:{shard}"
-        replica = f"s{shard}:n{replica_index}"
-        return cls(
-            events=[
-                FaultEvent(at, FaultAction.PARTITION, primary, peer=replica),
-                FaultEvent(heal_at, FaultAction.HEAL, primary, peer=replica),
-            ],
-            name=f"replica-partition/shard={shard}",
-        )
 
     @classmethod
     def brownout(

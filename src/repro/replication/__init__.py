@@ -17,8 +17,8 @@ reads route to the primary through the identical code path, no lag is ever
 sampled, and seeded simulation results are value-identical to a deployment
 without this package.
 
-Fault scenarios (crash / recover / partition schedules) are driven by the
-companion :mod:`repro.faults` package.
+Fault scenarios (crash / recover schedules and gray failures) are driven by
+the companion :mod:`repro.faults` package.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ from repro.simulation.latency import LatencyModel
 
 #: Upper bound on how far behind (seconds of unapplied backlog) a replica may
 #: be and still serve Delta-atomic reads.  Delta-atomicity budgets for
-#: *bounded* staleness; a partitioned or deeply backlogged replica would
-#: otherwise serve arbitrarily old state to an EBF-triggered revalidation and
-#: have it whitelisted as fresh.  When the primary is down, over-bound
+#: *bounded* staleness; a deeply backlogged replica would otherwise serve
+#: arbitrarily old state to an EBF-triggered revalidation and have it
+#: whitelisted as fresh.  When the primary is down, over-bound
 #: replicas still serve (fail-stale availability beats refusing entirely).
 MAX_REPLICA_STALENESS = 1.0
 

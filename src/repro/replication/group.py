@@ -48,7 +48,7 @@ from repro.errors import (
 from repro.metrics.counters import Counter
 from repro.replication.config import MAX_REPLICA_STALENESS, ReplicationConfig
 from repro.replication.log_shipping import LogRecord
-from repro.replication.replica import ReplicaNode
+from repro.replication.replica import ReplicaNode, seeded_database
 from repro.rest.messages import Response, StatusCode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nothing of us)
@@ -91,18 +91,15 @@ class ReplicaGroup:
             # Failover replays the deposed primary's own stream (promote());
             # without a replica nothing is ever promoted or replayed.
             database.change_stream.retain_history()
-        primary = ReplicaNode(self._node_id(0), clock, database=database)
-        primary.applied_sequence = database.change_stream.last_sequence
-        primary.applied_timestamp = clock.now()
-        self.nodes: List[ReplicaNode] = [primary]
-        for index in range(1, self.config.replication_factor):
-            node = ReplicaNode(self._node_id(index), clock)
-            node.seed_from(
-                database,
-                upto_sequence=database.change_stream.last_sequence,
-                upto_timestamp=clock.now(),
-            )
-            self.nodes.append(node)
+        primary = ReplicaNode(self._node_id(0), clock, database)
+        # A replica is built on its snapshot of the primary's database.
+        self.nodes: List[ReplicaNode] = [primary] + [
+            ReplicaNode(self._node_id(index), clock, seeded_database(database, clock))
+            for index in range(1, self.config.replication_factor)
+        ]
+        for node in self.nodes:
+            node.applied_sequence = database.change_stream.last_sequence
+            node.applied_timestamp = clock.now()
 
         #: The current primary's Quaestor server (re-pointed on failover and
         #: recovery).
@@ -114,7 +111,6 @@ class ReplicaGroup:
         #: The serving primary's node (re-pointed on failover and recovery).
         self.primary_node: ReplicaNode = primary
         self._read_rr = 0
-        self._partitions: Set[frozenset] = set()
         self.last_served_node_id = primary.node_id
         #: Promotion epoch: bumped on every primary change; candidate
         #: freshness is compared as (epoch, applied_sequence) because
@@ -280,7 +276,7 @@ class ReplicaGroup:
                 self.counters.increment("causal_replica_skips")
                 continue
             if node.staleness_at(now) > MAX_REPLICA_STALENESS:
-                # Beyond the Delta budget (partitioned or deeply backlogged):
+                # Beyond the Delta budget (deeply backlogged):
                 # not eligible while fresher nodes exist, but kept as the
                 # fail-stale last resort when the primary is down.
                 self.counters.increment("stale_replica_skips")
@@ -440,13 +436,13 @@ class ReplicaGroup:
 
         # The loss window is everything the deposed primary acknowledged
         # that the winner never applied -- derived from the primary's own
-        # change stream, not from the winner's link: records held up on a
-        # *partitioned peer's* link, or written while the winner was
-        # crashed, would otherwise be lost silently with no fail-stale
-        # flag.  For a winner from an older epoch the whole retained stream
-        # counts (its sequence is not comparable).  The retained history is
-        # bounded, so when it cannot prove completeness for the gap, every
-        # document the deposed primary held is absorbed conservatively.
+        # change stream, not from the winner's link: records still in flight
+        # on another peer's link, or written while the winner was crashed,
+        # would otherwise be lost silently with no fail-stale flag.  For a
+        # winner from an older epoch the whole retained stream counts (its
+        # sequence is not comparable).  The retained history is bounded, so
+        # when it cannot prove completeness for the gap, every document the
+        # deposed primary held is absorbed conservatively.
         deposed = self.primary_node
         best.link.clear()
         since = best.applied_sequence if best.epoch == self._epoch else 0
@@ -470,7 +466,6 @@ class ReplicaGroup:
                 continue
             node.seed_from(best.database, upto_sequence=upto, upto_timestamp=timestamp)
             node.epoch = self._epoch
-        self._apply_partitions()
 
         info: Dict[str, object] = {
             "shard_id": self.shard_id,
@@ -513,7 +508,6 @@ class ReplicaGroup:
                 upto_timestamp=timestamp,
             )
             node.epoch = self._epoch
-            self._apply_partitions()
             return "replica"
         if not self.primary_alive and node is not self.primary_node and any(
             other.alive and other is not node for other in self.replica_nodes()
@@ -521,7 +515,6 @@ class ReplicaGroup:
             # Primary-less but not alone: rejoin as a promotion candidate
             # with retained (old-epoch) data; promote() compares epochs, so
             # it only wins against candidates at least as stale.
-            self._apply_partitions()
             return "replica"
         # Total outage: service resumes on the recovered node.  The node
         # restores from the cluster's *freshest durable state* -- the last
@@ -546,7 +539,6 @@ class ReplicaGroup:
             node.link.clear()
             self._absorb_lost_records(node, lost, timestamp)
         self._install_server(node, timestamp)
-        self._apply_partitions()
         return "primary"
 
     def _install_server(self, node: ReplicaNode, timestamp: float) -> None:
@@ -651,59 +643,6 @@ class ReplicaGroup:
             collection.restore_version_floors(floors)
             for document_id in floors:
                 self.ebf.report_invalidation(record_key(name, document_id), timestamp)
-
-    def partition(self, node_a: str, node_b: str) -> None:
-        """Partition the replication link between two group members.
-
-        Only primary-to-replica links carry traffic, so a partition between
-        two replicas records the pair but has no immediate effect (it will,
-        should one of them be promoted later).  A degenerate pair (both
-        endpoints resolving to the same node -- e.g. a role target written
-        against a pre-failover topology) is a no-op: a node cannot be
-        partitioned from itself.
-        """
-        self.node(node_a)
-        self.node(node_b)
-        if node_a == node_b:
-            self.counters.increment("degenerate_partitions_ignored")
-            return
-        # Delivery is lazy: records already due on the affected links had
-        # arrived *before* the partition began and must not be blocked
-        # retroactively -- only in-flight and future traffic is cut.
-        now = self.clock.now()
-        for endpoint in (node_a, node_b):
-            node = self.node(endpoint)
-            if node.alive and node is not self.primary_node:
-                node.deliver_until(now)
-        self._partitions.add(frozenset((node_a, node_b)))
-        self._apply_partitions()
-
-    def heal(self, node_a: str, node_b: str) -> None:
-        """Heal a partition; the backlogged log ships shortly after."""
-        pair = frozenset((node_a, node_b))
-        if pair not in self._partitions:
-            return
-        self._partitions.discard(pair)
-        timestamp = self.clock.now()
-        primary_id = self.primary_node_id
-        others = pair - {primary_id}
-        if len(others) == 1:
-            node = self.node(next(iter(others)))
-            if node.link.partitioned:
-                node.link.heal(timestamp, self.config.lag.sample())
-
-    def _apply_partitions(self) -> None:
-        """Project the partition set onto the current primary's links."""
-        primary_id = self.primary_node_id
-        partitioned_peers = set()
-        for pair in self._partitions:
-            others = pair - {primary_id}
-            # Pairs not involving the primary (or degenerate ones) have no
-            # live link to cut.
-            if len(others) == 1:
-                partitioned_peers.add(next(iter(others)))
-        for node in self.replica_nodes():
-            node.link.partitioned = node.node_id in partitioned_peers
 
     def __repr__(self) -> str:
         return (

@@ -8,16 +8,10 @@ replica applies every record whose delivery time has passed the moment it is
 asked to serve a read (or is considered for promotion), which keeps the
 simulation deterministic without scheduling one event per shipped write.
 
-Links model two failure behaviours:
-
-* **Partition** -- a partitioned link keeps accumulating records (the
-  primary retains its log) but delivers nothing until :meth:`heal`, at which
-  point the backlog is re-timed to arrive shortly after the heal.
-* **Loss on failover** -- records still pending on the freshest replica's
-  link when its primary crashes are the classic asynchronous-replication
-  loss window; the group flags the affected keys stale in the coherence
-  filter rather than pretending they arrived (fail-stale, never
-  fail-incorrect).
+Records still pending on the freshest replica's link when its primary
+crashes are the classic asynchronous-replication loss window; the group
+flags the affected keys stale in the coherence filter rather than pretending
+they arrived (fail-stale, never fail-incorrect).
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ class ReplicationLink:
 
     def __init__(self) -> None:
         self._pending: Deque[LogRecord] = deque()
-        self.partitioned = False
         #: Delivery times are forced monotone per link so jittered lag draws
         #: can never reorder the log (replicas apply strictly in sequence).
         self._last_apply_at = 0.0
@@ -77,23 +70,13 @@ class ReplicationLink:
         returns the shared empty tuple without building a list.
         """
         pending = self._pending
-        if self.partitioned or not pending or pending[0].apply_at > now:
+        if not pending or pending[0].apply_at > now:
             return ()
         ready: List[LogRecord] = []
         while pending and pending[0].apply_at <= now:
             ready.append(pending.popleft())
         self.delivered += len(ready)
         return ready
-
-    def heal(self, now: float, catchup_lag: float) -> None:
-        """Re-open the link; the backlog is re-timed to land after the heal."""
-        self.partitioned = False
-        arrival = now + max(0.0, catchup_lag)
-        for record in self._pending:
-            if record.apply_at < arrival:
-                record.apply_at = arrival
-        if self._pending:
-            self._last_apply_at = max(self._last_apply_at, self._pending[-1].apply_at)
 
     def pending_records(self) -> List[LogRecord]:
         """Records shipped but not yet delivered (the potential loss window)."""
@@ -112,6 +95,5 @@ class ReplicationLink:
 
     def __repr__(self) -> str:
         return (
-            f"ReplicationLink(pending={len(self._pending)}, shipped={self.shipped}, "
-            f"partitioned={self.partitioned})"
+            f"ReplicationLink(pending={len(self._pending)}, shipped={self.shipped})"
         )

@@ -25,6 +25,26 @@ from repro.errors import CacheCoherenceError, DocumentNotFoundError
 from repro.replication.log_shipping import LogRecord, ReplicationLink
 
 
+def seeded_database(source: Database, clock: Clock) -> Database:
+    """A new database holding a snapshot of ``source``.
+
+    Every collection is recreated by
+    :meth:`~repro.db.collection.Collection.seed_from`: the same secondary
+    indexes and version floors, and each live document's stored snapshot
+    adopted by reference at exactly its source version.  A floor *above* a
+    live version (failover protection against re-issuing a deposed primary's
+    numbers) and the tombstones of deleted ids come along, so the protection
+    survives resyncs.  The copy retains its change history: a seeded node
+    can be promoted, and a later failover replays its stream
+    (``ReplicaGroup.promote``).
+    """
+    database = Database(clock=clock)
+    database.change_stream.retain_history()
+    for name in source.collection_names():
+        database.create_collection(name).seed_from(source.collection(name))
+    return database
+
+
 class ReplicaNode:
     """One member of a replica group (primary or secondary).
 
@@ -35,10 +55,10 @@ class ReplicaNode:
     failover uses to pick the freshest promotion candidate.
     """
 
-    def __init__(self, node_id: str, clock: Clock, database: Optional[Database] = None) -> None:
+    def __init__(self, node_id: str, clock: Clock, database: Database) -> None:
         self.node_id = node_id
         self._clock = clock
-        self.database = database if database is not None else Database(clock=clock)
+        self.database = database
         self.link = ReplicationLink()
         self.alive = True
         #: Promotion epoch this node's log position belongs to.  Sequence
@@ -61,25 +81,13 @@ class ReplicaNode:
     # -- bootstrap / resync -----------------------------------------------------------
 
     def seed_from(self, source: Database, upto_sequence: int = 0, upto_timestamp: float = 0.0) -> None:
-        """Snapshot resync: rebuild this node's database from ``source``.
-
-        Every collection is recreated by
-        :meth:`~repro.db.collection.Collection.seed_from`: the same secondary
-        indexes and version floors, and each live document's stored snapshot
-        adopted by reference at exactly its source version.  A floor *above*
-        a live version (failover protection against re-issuing a deposed
-        primary's numbers) and the tombstones of deleted ids come along, so
-        the protection survives resyncs.  Used at group construction, when a
-        crashed node rejoins, and to realign surviving replicas after a
+        """Snapshot resync: replace this node's database with
+        :func:`seeded_database` of ``source`` and drop its backlog.  Used when
+        a crashed node rejoins, and to realign surviving replicas after a
         promotion (their logs may have diverged from the new primary's).
         """
-        self.database = Database(clock=self._clock)
-        # A seeded node can be promoted, and a later failover replays its
-        # stream (ReplicaGroup.promote).
-        self.database.change_stream.retain_history()
+        self.database = seeded_database(source, self._clock)
         self.link = ReplicationLink()
-        for name in source.collection_names():
-            self.database.create_collection(name).seed_from(source.collection(name))
         self.applied_sequence = upto_sequence
         self.applied_timestamp = upto_timestamp
         self.link_sound = True

@@ -46,7 +46,7 @@ from repro.simulation.latency import NetworkTopology
 from repro.simulation.pricing import Pricer
 from repro.simulation.staleness import StalenessAuditor
 from repro.workloads.dataset import Dataset, DatasetSpec, generate_dataset
-from repro.workloads.generator import PhasedWorkloadGenerator, WorkloadGenerator, WorkloadSpec
+from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.workloads.operations import Operation, OperationType
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -139,18 +139,12 @@ class SimulationConfig:
     #: value-identical to a deployment without it).
     replication_factor: int = 1
     #: Optional seeded failure schedule (:class:`repro.faults.FaultPlan`);
-    #: its crash/recover/partition events are injected into the event queue
-    #: so any scenario replays deterministically under failures.
+    #: its crash/recover and gray-failure events are injected into the event
+    #: queue so any scenario replays deterministically under failures.
     fault_plan: Optional["FaultPlan"] = None
     #: Seconds between a primary crash and the promotion of a replica
     #: (failure detection + election).
     failover_detection_delay: float = 0.5
-    #: Non-stationary workloads: ``(operations, spec)`` phases concatenated
-    #: by a :class:`~repro.workloads.PhasedWorkloadGenerator` (the final
-    #: phase is open-ended).  ``None`` keeps the single stationary
-    #: ``workload`` spec.  The TTL bake-off's drifting and bursty write
-    #: processes are built from this.
-    workload_phases: Optional[Tuple[Tuple[int, WorkloadSpec], ...]] = None
     #: Optional resilience layer (:class:`repro.resilience.ResilienceConfig`):
     #: per-shard/per-replica circuit breakers, deadline-bounded retries with
     #: seeded jittered backoff, hedged origin reads and stale-if-error
@@ -200,11 +194,6 @@ class SimulationConfig:
 
             if not isinstance(self.observability, ObservabilityConfig):
                 raise ConfigurationError("observability must be an ObservabilityConfig")
-        if self.workload_phases is not None:
-            if not self.workload_phases:
-                raise ConfigurationError("workload_phases must contain at least one phase")
-            for operations, _spec in self.workload_phases:
-                require_count("workload_phases budget", operations)
 
     @property
     def total_connections(self) -> int:
@@ -340,10 +329,7 @@ class Simulator:
                 client.connect()
             self.clients.append(client)
 
-        if config.workload_phases is not None:
-            self.workload = PhasedWorkloadGenerator(config.workload_phases, self.dataset)
-        else:
-            self.workload = WorkloadGenerator(config.workload, self.dataset)
+        self.workload = WorkloadGenerator(config.workload, self.dataset)
         # Operations are pulled from the generator in chunks (YCSB-style
         # batched sampling); the buffer holds the sampled-ahead tail.  The
         # generator's RNG streams are private to it, so sampling ahead of the

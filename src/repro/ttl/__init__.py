@@ -11,26 +11,22 @@ Quaestor's estimator uses a dual strategy:
   nudging the estimate towards the *actual* TTL observed whenever a cached
   query result is invalidated.
 
-Baselines from the related-work discussion (static TTLs, the Alex protocol,
-an Alici-style adaptive scheme, a pure-Poisson and a mean-interarrival
-estimator) are provided for the ablation benchmarks, and every family is
+Two baselines from the related-work discussion (a static TTL and the Alex
+protocol) are provided for the ablation benchmark, and every family is
 registered by name in :mod:`repro.ttl.spec` so deployments select one via
-:class:`TTLEstimatorSpec`.  :mod:`repro.ttl.bakeoff` sweeps the whole registry
-across stationary / drifting / bursty write processes end-to-end through the
-simulator (its grid is pinned in ``tests/ttl/test_spec_and_bakeoff.py``; the
-full-size ranking is frozen in ``docs/benchmarks.md``).
+:class:`TTLEstimatorSpec`.  ``tests/oracles/test_ttl_calibration.py`` checks
+the issued record TTLs against the Poisson model's quantile.
 """
 
 from __future__ import annotations
 
 from repro.ttl.base import TTLBounds, TTLEstimator
-from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
-from repro.ttl.poisson import PoissonTTLEstimator, poisson_quantile_ttl
+from repro.ttl.write_rate import WriteRateSampler
+from repro.ttl.poisson import poisson_quantile_ttl
 from repro.ttl.ewma import EwmaTracker
 from repro.ttl.estimator import QuaestorTTLEstimator
 from repro.ttl.static import StaticTTLEstimator
 from repro.ttl.alex import AlexTTLEstimator
-from repro.ttl.adaptive import AdaptiveTTLEstimator
 from repro.ttl.spec import (
     DEFAULT_ESTIMATOR,
     ESTIMATOR_NAMES,
@@ -41,14 +37,11 @@ __all__ = [
     "TTLBounds",
     "TTLEstimator",
     "WriteRateSampler",
-    "WriteRateTTLEstimator",
     "poisson_quantile_ttl",
-    "PoissonTTLEstimator",
     "EwmaTracker",
     "QuaestorTTLEstimator",
     "StaticTTLEstimator",
     "AlexTTLEstimator",
-    "AdaptiveTTLEstimator",
     "TTLEstimatorSpec",
     "DEFAULT_ESTIMATOR",
     "ESTIMATOR_NAMES",

@@ -2,58 +2,36 @@
 
 Every estimator family ships behind a stable name so a
 :class:`~repro.core.config.QuaestorConfig` (and therefore a
-:class:`~repro.simulation.SimulationConfig`) can select one declaratively --
-the TTL bake-off (:mod:`repro.ttl.bakeoff`) sweeps exactly this registry:
+:class:`~repro.simulation.SimulationConfig`) can select one declaratively;
+the TTL ablation (:mod:`repro.benchmarks.ablations`) compares them:
 
 ========== =====================================================================
 name        estimator
 ========== =====================================================================
 static      :class:`~repro.ttl.static.StaticTTLEstimator` -- one fixed TTL
 alex        :class:`~repro.ttl.alex.AlexTTLEstimator` -- % of time since change
-adaptive    :class:`~repro.ttl.adaptive.AdaptiveTTLEstimator` -- reset/increase
-write-rate  :class:`~repro.ttl.write_rate.WriteRateTTLEstimator` -- mean 1/lambda
-poisson     :class:`~repro.ttl.poisson.PoissonTTLEstimator` -- quantile, no EWMA
 quaestor    :class:`~repro.ttl.estimator.QuaestorTTLEstimator` -- Poisson + EWMA
 ========== =====================================================================
 
-(plus the ``quaestor-window`` variant described below)
-
-One additional entry qualifies the dual strategy's write-rate sampler:
-``quaestor-window`` runs it on the windowed sampler whose contracts the
-property suite enforces (finite first-observation rate, zero-interval burst
-floor -- see :mod:`repro.ttl.write_rate`).  The full-size bake-off
-(:mod:`repro.ttl.bakeoff`, 6 000 operations per cell) confirmed the span-sampled dual strategy as the winner in every scenario, so
-``quaestor`` keeps the span sampler and remains the default.  Seeded
-simulator summaries under the default spec are pinned value-identical by
-``tests/simulation/test_golden_summary.py``.
+``quaestor`` is the paper's estimator (Section 4.2) and the default; it runs
+the write-rate sampler in ``span`` mode (see :mod:`repro.ttl.write_rate`).
+Seeded simulator summaries under the default spec are pinned value-identical
+by ``tests/simulation/test_golden_summary.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.ttl.adaptive import AdaptiveTTLEstimator
 from repro.ttl.alex import AlexTTLEstimator
 from repro.ttl.base import TTLBounds, TTLEstimator
 from repro.ttl.estimator import QuaestorTTLEstimator
-from repro.ttl.poisson import PoissonTTLEstimator
 from repro.ttl.static import StaticTTLEstimator
-from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
+from repro.ttl.write_rate import WriteRateSampler
 
-#: The full-size bake-off's winner: the paper's dual strategy on the
-#: scale-free span sampler, which beat every challenger -- including its own
-#: window-normalised variant (``quaestor-window``) -- in all three scenarios.
+#: The paper's dual strategy, on the write-rate sampler's ``span`` mode.
 DEFAULT_ESTIMATOR = "quaestor"
-
-
-def _sampler(params: Mapping[str, float], estimation: str) -> WriteRateSampler:
-    return WriteRateSampler(
-        window=float(params.get("window", 600.0)),
-        max_samples_per_key=int(params.get("max_samples_per_key", 50)),
-        default_rate=float(params.get("default_rate", 1.0 / 600.0)),
-        estimation=estimation,
-    )
 
 
 def _build_static(params, bounds, quantile, alpha):
@@ -68,55 +46,27 @@ def _build_alex(params, bounds, quantile, alpha):
     )
 
 
-def _build_adaptive(params, bounds, quantile, alpha):
-    return AdaptiveTTLEstimator(
-        minimum_ttl=float(params.get("minimum_ttl", 5.0)),
-        increment=float(params.get("increment", 10.0)),
-        bounds=bounds,
-    )
-
-
-def _build_write_rate(params, bounds, quantile, alpha):
-    return WriteRateTTLEstimator(bounds=bounds, sampler=_sampler(params, "window"))
-
-
-def _build_poisson(params, bounds, quantile, alpha):
-    return PoissonTTLEstimator(
-        quantile=float(params.get("quantile", quantile)),
-        bounds=bounds,
-        sampler=_sampler(params, "window"),
-    )
-
-
 def _build_quaestor(params, bounds, quantile, alpha):
     return QuaestorTTLEstimator(
         quantile=float(params.get("quantile", quantile)),
         alpha=float(params.get("alpha", alpha)),
         bounds=bounds,
-        sampler=_sampler(params, "span"),
-    )
-
-
-def _build_quaestor_window(params, bounds, quantile, alpha):
-    return QuaestorTTLEstimator(
-        quantile=float(params.get("quantile", quantile)),
-        alpha=float(params.get("alpha", alpha)),
-        bounds=bounds,
-        sampler=_sampler(params, "window"),
+        sampler=WriteRateSampler(
+            window=float(params.get("window", 600.0)),
+            max_samples_per_key=int(params.get("max_samples_per_key", 50)),
+            default_rate=float(params.get("default_rate", 1.0 / 600.0)),
+            estimation="span",
+        ),
     )
 
 
 _BUILDERS: Dict[str, Callable[..., TTLEstimator]] = {
     "static": _build_static,
     "alex": _build_alex,
-    "adaptive": _build_adaptive,
-    "write-rate": _build_write_rate,
-    "poisson": _build_poisson,
     "quaestor": _build_quaestor,
-    "quaestor-window": _build_quaestor_window,
 }
 
-#: Every registered estimator name (the bake-off's sweep axis).
+#: Every registered estimator name.
 ESTIMATOR_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
 
 

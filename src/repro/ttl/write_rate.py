@@ -7,8 +7,7 @@ newest ``max_samples_per_key``, a few dozen bytes for a key written once) and
 derives the arrival rate from it; keys that have never been written fall back to a configurable default
 rate, which corresponds to an optimistic initial TTL.
 
-Two estimation modes are supported (the TTL bake-off compares them through the
-``quaestor`` vs ``quaestor-window`` estimator specs):
+Two estimation modes are supported:
 
 * ``"window"`` (default) -- arrivals are counted over the span the key has
   actually been observed, capped at the window.  A *single* arrival carries no
@@ -21,17 +20,14 @@ Two estimation modes are supported (the TTL bake-off compares them through the
   oldest in-window sample.  Scale-free (no absolute-time prior or floor), at
   the price of a first-observation spike: a lone write observed just before
   the estimate makes the key look quasi-infinitely hot, collapsing its TTL to
-  the lower bound.  The full-size bake-off showed this fresh-biased
-  behaviour *wins* under the simulator's compressed virtual clock, so the
-  default ``quaestor`` estimator spec keeps it; the windowed contracts above
-  remain available via ``quaestor-window``.
+  the lower bound.  The ``quaestor`` estimator spec, the default, runs this
+  mode; ``tests/oracles/test_ttl_calibration.py`` measures both modes against
+  the Poisson model's quantile.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-from repro.ttl.base import TTLBounds, TTLEstimator
+from typing import Dict, List
 
 #: Supported rate-estimation modes.
 ESTIMATION_MODES = ("window", "span")
@@ -113,47 +109,9 @@ class WriteRateSampler:
         span = min(self.window, now - samples[0])
         return arrivals / max(span, MIN_SPAN)
 
-    def mean_interarrival(self, key: str, now: float) -> float:
-        """Mean time between writes (the reciprocal of the write rate)."""
-        return 1.0 / self.write_rate(key, now)
-
     def __repr__(self) -> str:
         return (
             f"WriteRateSampler(window={self.window}, estimation={self.estimation!r}, "
             f"tracked={len(self._samples)})"
         )
 
-
-class WriteRateTTLEstimator(TTLEstimator):
-    """TTL = observed mean inter-arrival time (``1 / lambda``).
-
-    The simplest sampling-based estimator: a record's TTL is the expected
-    time to its next write under the sampled rate, and a query result expires
-    when the *first* member is written, so its TTL is the reciprocal of the
-    summed member rates.  Unlike the Poisson-quantile estimators there is no
-    risk knob: the estimate is the distribution's mean, which under an
-    exponential model is the 63rd percentile of the time to the next write.
-    """
-
-    def __init__(
-        self,
-        bounds: Optional[TTLBounds] = None,
-        sampler: Optional[WriteRateSampler] = None,
-    ) -> None:
-        super().__init__(bounds)
-        self.sampler = sampler if sampler is not None else WriteRateSampler()
-
-    def estimate_record(self, record_key: str, now: float) -> float:
-        return self.bounds.clamp(self.sampler.mean_interarrival(record_key, now))
-
-    def estimate_query(
-        self, query_key: str, member_record_keys: Sequence[str], now: float
-    ) -> float:
-        if member_record_keys:
-            rate = sum(self.sampler.write_rate(key, now) for key in member_record_keys)
-        else:
-            rate = self.sampler.default_rate
-        return self.bounds.clamp(1.0 / rate)
-
-    def observe_write(self, record_key: str, timestamp: float) -> None:
-        self.sampler.observe_write(record_key, timestamp)

@@ -12,11 +12,7 @@ from __future__ import annotations
 from repro.workloads.distributions import ZipfianGenerator
 from repro.workloads.dataset import Dataset, DatasetSpec, generate_dataset
 from repro.workloads.operations import Operation, OperationType
-from repro.workloads.generator import (
-    PhasedWorkloadGenerator,
-    WorkloadGenerator,
-    WorkloadSpec,
-)
+from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 __all__ = [
     "ZipfianGenerator",
@@ -26,6 +22,5 @@ __all__ = [
     "Operation",
     "OperationType",
     "WorkloadGenerator",
-    "PhasedWorkloadGenerator",
     "WorkloadSpec",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.workloads.dataset import Dataset
@@ -252,56 +252,3 @@ class WorkloadGenerator:
             }
         return {"$inc": {"views": 1}}
 
-
-class PhasedWorkloadGenerator:
-    """Concatenates per-phase workload generators at operation-count boundaries.
-
-    Non-stationary workloads -- a slow drift of the write rate, flash-crowd
-    bursts, hotspot shifts -- are expressed as a sequence of ``(operations,
-    spec)`` phases: the generator emits ``operations`` operations sampled from
-    each phase's :class:`WorkloadGenerator` before advancing to the next.  The
-    final phase is open-ended, so a simulation can always draw more
-    operations than the phase budgets sum to.  Every phase runs on its own
-    seeded RNG streams (carried by its spec), making the concatenated stream
-    exactly as reproducible as a single-spec workload.  The TTL estimator
-    bake-off (:mod:`repro.ttl.bakeoff`) builds its drifting and bursty write
-    processes from this.
-    """
-
-    def __init__(self, phases: Sequence[Tuple[int, WorkloadSpec]], dataset: Dataset) -> None:
-        if not phases:
-            raise ConfigurationError("at least one workload phase is required")
-        for operations, _spec in phases:
-            if operations <= 0:
-                raise ConfigurationError("every phase budget must be positive")
-        self.phases: Tuple[Tuple[int, WorkloadSpec], ...] = tuple(
-            (int(operations), spec) for operations, spec in phases
-        )
-        self.dataset = dataset
-        self._generators = [WorkloadGenerator(spec, dataset) for _, spec in self.phases]
-        #: Position of the active phase in ``phases``.
-        self.phase_index = 0
-        self._remaining = self.phases[0][0]
-
-    def _advance_phase_if_exhausted(self) -> None:
-        # The last phase never exhausts: its budget is a soft boundary.
-        while self._remaining <= 0 and self.phase_index + 1 < len(self.phases):
-            self.phase_index += 1
-            self._remaining = self.phases[self.phase_index][0]
-
-    def next_operations(self, count: int) -> List[Operation]:
-        """Sample up to ``count`` operations without crossing a phase boundary.
-
-        May return fewer operations than requested when the active phase has
-        less budget left; callers that buffer in chunks simply refill.  Never
-        returns an empty list for a positive ``count``.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return []
-        self._advance_phase_if_exhausted()
-        if self.phase_index + 1 < len(self.phases):
-            count = min(count, self._remaining)
-        self._remaining -= count
-        return self._generators[self.phase_index].next_operations(count)

@@ -48,8 +48,7 @@ def serialize(response):
 
 class TestGoldenEquivalence:
     def test_single_server_responses_are_byte_identical_to_pre_pipeline(self):
-        # The golden file was captured under the pre-bake-off default
-        # estimator, which the bake-off kept as the default spec.
+        # The golden file was captured under the default estimator spec.
         server, clock = build_server(config=QuaestorConfig(ttl_estimator=TTLEstimatorSpec()))
         for index in range(40):
             server.handle_insert(

@@ -73,7 +73,7 @@ def _preloaded(count: int):
 
 def _seed_calls(count: int) -> int:
     _, source = _preloaded(count)
-    node = ReplicaNode("replica", VirtualClock())
+    node = ReplicaNode("replica", VirtualClock(), Database())
     return _calls(lambda: node.seed_from(source))
 
 
@@ -89,7 +89,7 @@ def test_a_seeded_replica_document_costs_no_call():
 
 def test_a_bootstrap_publishes_no_event_and_keeps_the_sequence():
     _, source = _preloaded(50)
-    node = ReplicaNode("replica", VirtualClock())
+    node = ReplicaNode("replica", VirtualClock(), Database())
     node.seed_from(source)
     for database in (source, node.database):
         assert database.change_stream.last_sequence == 50

@@ -33,10 +33,6 @@ class TestTargetGrammar:
         with pytest.raises(UnsupportedFaultError):
             target_shard("node-3")
 
-    def test_malformed_peer_fails_at_construction(self):
-        with pytest.raises(UnsupportedFaultError):
-            FaultEvent(1.0, FaultAction.PARTITION, "s0:n0", peer="bogus")
-
     def test_unsupported_fault_error_is_a_configuration_error(self):
         # Existing except ConfigurationError sites keep catching it.
         assert issubclass(UnsupportedFaultError, ConfigurationError)
@@ -46,10 +42,6 @@ class TestEventValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultEvent(-0.1, FaultAction.CRASH, "shard:0")
-
-    def test_partition_requires_a_peer(self):
-        with pytest.raises(ConfigurationError):
-            FaultEvent(1.0, FaultAction.PARTITION, "s0:n0")
 
     def test_gray_actions_require_a_magnitude(self):
         with pytest.raises(ConfigurationError):

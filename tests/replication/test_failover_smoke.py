@@ -108,23 +108,6 @@ class TestFaultPlanConstruction:
         with pytest.raises(ConfigurationError):
             FaultPlan.primary_crash(at=30.0, recover_at=20.0)
 
-    def test_partition_requires_a_peer(self):
-        from repro.errors import ConfigurationError
-        from repro.faults import FaultEvent
-
-        with pytest.raises(ConfigurationError):
-            FaultEvent(1.0, FaultAction.PARTITION, "s0:n0")
-
-    def test_replica_partition_plan_round_trips_through_a_simulation(self):
-        config = crash_recover_config()
-        config.fault_plan = FaultPlan.replica_partition(
-            shard=0, replica_index=1, at=0.02, heal_at=0.10
-        )
-        result = Simulator(config).run()
-        assert result.operations > 0
-        # A partition alone makes nothing unavailable.
-        assert result.summary()["request_error_rate"] == 0.0
-
 
 class TestRoleTargetResolution:
     def test_second_crash_of_the_same_role_hits_the_promoted_primary(self):
@@ -162,41 +145,3 @@ class TestRoleTargetResolution:
         assert sum(1 for e in injector.timeline if e["action"] == "failover") == 2
         # The single failover source of truth is the cluster counter.
         assert cluster.counters.get("failovers") == 2
-
-    def test_heal_after_failover_heals_the_originally_cut_link(self):
-        # Regression: PARTITION resolves its role target at fire time and
-        # the matching HEAL must heal that same pair, even when a failover
-        # moved the shard's primary in between -- otherwise the partition
-        # entry lingers forever and re-applies on a later promotion.
-        from repro.clock import VirtualClock
-        from repro.cluster import ClusterClient, QuaestorCluster
-        from repro.faults import FaultAction, FaultEvent, FaultInjector
-        from repro.replication import ReplicationConfig
-        from repro.simulation import EventQueue
-        from repro.simulation.latency import LatencyModel
-
-        clock = VirtualClock()
-        cluster = QuaestorCluster(
-            num_shards=1, clock=clock, matching_nodes=1,
-            replication=ReplicationConfig(
-                replication_factor=3, lag=LatencyModel(0.01)
-            ),
-        )
-        ClusterClient(cluster).handle_insert("posts", {"_id": "x", "views": 0})
-        events = EventQueue()
-        plan = FaultPlan(
-            events=[
-                FaultEvent(1.0, FaultAction.PARTITION, "shard:0", peer="s0:n2"),
-                FaultEvent(2.0, FaultAction.CRASH, "shard:0"),   # n0 -> failover to n1
-                FaultEvent(5.0, FaultAction.HEAL, "shard:0", peer="s0:n2"),
-            ]
-        )
-        injector = FaultInjector(cluster, events, clock, plan, detection_delay=0.5)
-        injector.arm()
-        events.run_until(clock, 10.0)
-
-        group = cluster.groups[0]
-        # The heal removed the (n0, n2) pair the partition actually cut:
-        # no zombie partition remains to re-apply on future promotions.
-        assert not group._partitions
-        assert not group.node("s0:n2").link.partitioned

@@ -1,9 +1,9 @@
 """The replication link and a replica node's backlog introspection.
 
 ``ReplicationLink`` is the in-order channel between a primary and one
-replica: delivery times are clamped monotone, a partition holds the backlog,
-a heal re-times it.  ``ReplicaNode`` reads its lag, staleness and causal
-watermark off that backlog; these tests drive both by hand-built log
+replica: delivery times are clamped monotone and records are taken in order
+once their time has come.  ``ReplicaNode`` reads its lag, staleness and
+causal watermark off that backlog; these tests drive both by hand-built log
 records, without a replica group around them.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import VirtualClock
+from repro.db import Database
 from repro.db.changestream import ChangeEvent, OperationType
 from repro.replication.log_shipping import LogRecord, ReplicationLink
 from repro.replication.replica import ReplicaNode
@@ -51,33 +52,6 @@ class TestReplicationLink:
         assert len(link) == 1
         assert link.delivered == 2
 
-    def test_a_partitioned_link_keeps_its_backlog_and_delivers_nothing(self):
-        link = ReplicationLink()
-        link.ship(record(1, 0.0, 0.1))
-        link.partitioned = True
-        link.ship(record(2, 0.2, 0.3, "d2"))
-        assert link.take_ready(10.0) == ()
-        assert len(link) == 2 and link.shipped == 2 and link.delivered == 0
-
-    def test_a_heal_retimes_the_backlog_to_land_after_it(self):
-        link = ReplicationLink()
-        link.ship(record(1, 0.0, 0.1))
-        link.partitioned = True
-        link.heal(now=5.0, catchup_lag=0.25)
-        assert not link.partitioned
-        assert link.take_ready(5.2) == ()
-        assert [r.event.sequence for r in link.take_ready(5.25)] == [1]
-        # A record shipped after the heal still lands after the re-timed one.
-        link.ship(record(2, 5.3, 0.0, "d2"))
-        assert link.pending_records()[0].apply_at == 5.25
-
-    def test_a_negative_catchup_lag_delivers_at_the_heal(self):
-        link = ReplicationLink()
-        link.ship(record(1, 0.0, 0.1))
-        link.partitioned = True
-        link.heal(now=2.0, catchup_lag=-1.0)
-        assert [r.event.sequence for r in link.take_ready(2.0)] == [1]
-
     def test_pending_records_is_a_copy_of_the_backlog(self):
         link = ReplicationLink()
         link.ship(record(1, 0.0, 0.1))
@@ -105,7 +79,7 @@ class TestReplicationLink:
 
 class TestReplicaBacklog:
     def test_lag_and_staleness_read_the_links_backlog(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         assert node.lag_records == 0
         assert node.staleness_at(3.0) == 0.0
         node.link.ship(record(1, 1.0, 1.5))
@@ -116,7 +90,7 @@ class TestReplicaBacklog:
         assert node.staleness_at(0.5) == 0.0
 
     def test_delivery_applies_the_records_and_advances_the_watermark(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         node.link.ship(record(1, 1.0, 1.5))
         node.link.ship(record(2, 1.2, 1.6, "d2"))
         assert node.deliver_until(1.55) == 1
@@ -127,12 +101,12 @@ class TestReplicaBacklog:
         assert node.staleness_at(2.0) == 0.0
 
     def test_a_missing_frontier_is_trivially_caught_up(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         node.link.ship(record(1, 1.0, 1.5))
         assert node.caught_up_to(None)
 
     def test_the_watermark_passing_the_frontier_is_caught_up(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         node.link.ship(record(1, 1.0, 1.5))
         node.link.ship(record(2, 2.0, 2.5, "d2"))
         assert not node.caught_up_to(1.0)
@@ -141,11 +115,11 @@ class TestReplicaBacklog:
         assert not node.caught_up_to(2.0)
 
     def test_an_empty_sound_link_proves_nothing_is_outstanding(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         assert node.caught_up_to(7.0)
 
     def test_an_empty_link_after_a_crash_proves_nothing(self):
-        node = ReplicaNode("s0:n1", VirtualClock())
+        node = ReplicaNode("s0:n1", VirtualClock(), Database())
         node.link_sound = False
         assert not node.caught_up_to(7.0)
         node.applied_timestamp = 7.0

@@ -9,7 +9,7 @@ from repro.core import ConsistencyLevel, QuaestorConfig, QuaestorServer
 from repro.db import Database
 from repro.errors import CacheCoherenceError, ShardUnavailableError
 from repro.invalidb import InvaliDBCluster
-from repro.replication import ReplicaGroup, ReplicationConfig
+from repro.replication import ReplicaGroup, ReplicationConfig, ReplicationLink
 from repro.replication.config import MAX_REPLICA_STALENESS
 from repro.rest.messages import StatusCode
 from repro.simulation.latency import LatencyModel
@@ -47,6 +47,12 @@ def build_group(replication_factor: int = 2, lag_mean: float = 0.05, clock=None)
         config=replication,
     )
     return clock, database, server, group
+
+
+def hold_link(node):
+    """Test-local hold: ``node``'s link delivers nothing from now on (a
+    snapshot resync gives the node a new link)."""
+    node.link.take_ready = lambda now: ()
 
 
 class TestSeedingAndShipping:
@@ -135,6 +141,23 @@ class TestSeedingAndShipping:
         assert group.last_served_node_id == group.primary_node_id
         assert group.counters.get("replica_reads") == 0
         assert group.server is server
+
+    @pytest.mark.parametrize("replication_factor", [1, 2, 3])
+    def test_a_group_build_makes_one_database_and_link_per_node(
+        self, monkeypatch, replication_factor
+    ):
+        # A replica is built on its seeded snapshot, the primary on the
+        # caller's database.
+        built = []
+        for kind in (Database, ReplicationLink):
+            def counting(self, *args, _init=kind.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(kind, "__init__", counting)
+        build_group(replication_factor=replication_factor)
+        assert built.count(Database) == replication_factor
+        assert built.count(ReplicationLink) == replication_factor
 
 
 class TestConsistencyGating:
@@ -244,15 +267,29 @@ class TestFailover:
     def test_promote_picks_the_freshest_replica(self):
         clock, database, _server, group = build_group(replication_factor=3, lag_mean=0.05)
         clock.advance(1.0)
-        # Partition n2 so only n1 receives the write stream.
-        group.partition(group.primary_node_id, "s0:n2")
+        # Hold n1's link so only n2 receives the write stream: freshness,
+        # not the lower index, must pick the winner.
+        hold_link(group.node("s0:n1"))
         database.update("posts", "p5", {"$set": {"views": 500}})
         clock.advance(0.2)
         group.crash(group.primary_node_id)
         info = group.promote()
-        assert info["node_id"] == "s0:n1"
+        assert info["node_id"] == "s0:n2"
         assert group.primary_alive
         assert group.server.database.get("posts", "p5")["views"] == 500
+
+    def test_a_crash_keeps_the_records_that_had_arrived(self):
+        # Delivery is lazy, so a crash must first materialise every record
+        # whose delivery time had already passed -- only in-flight traffic
+        # is lost with the node.
+        clock, database, _server, group = build_group(replication_factor=2, lag_mean=0.01)
+        clock.advance(1.0)
+        database.update("posts", "p0", {"$set": {"views": 50}})
+        clock.advance(1.0)  # the update has long arrived, just not applied
+        group.crash("s0:n1")
+        replica = group.node("s0:n1")
+        assert replica.database.get("posts", "p0")["views"] == 50
+        assert replica.lag_records == 0
 
     def test_lost_tail_is_flagged_stale_in_the_surviving_ebf(self):
         clock, database, _server, group = build_group(replication_factor=2, lag_mean=5.0)
@@ -289,13 +326,13 @@ class TestFailover:
     def test_loss_window_covers_writes_the_winner_never_received(self):
         # Regression: the loss window must come from the deposed primary's
         # change stream, not the winner's link -- a write acknowledged while
-        # the winner was crashed (and queued only on a partitioned peer's
-        # link) would otherwise vanish with no fail-stale flag and its
-        # version number would be re-issued to different content.
+        # the winner was crashed (and queued only on a held peer's link)
+        # would otherwise vanish with no fail-stale flag and its version
+        # number would be re-issued to different content.
         clock, database, _server, group = build_group(replication_factor=3, lag_mean=0.01)
         clock.advance(1.0)
         group.read("posts", "p1", consistency=ConsistencyLevel.STRONG)  # EBF tracks p1
-        group.partition(group.primary_node_id, "s0:n2")
+        hold_link(group.node("s0:n2"))
         group.crash("s0:n1")
         database.update("posts", "p1", {"$set": {"views": 100}})  # acked: v2
         lost_version = database.collection("posts").version("p1")
@@ -354,7 +391,7 @@ class TestFailover:
         from repro.replication import ReplicaNode
 
         posts.restore_version_floors({"x": 20})
-        node = ReplicaNode("n", database.clock)
+        node = ReplicaNode("n", database.clock, DB(clock=database.clock))
         node.seed_from(database)
         replica_posts = node.database.collection("posts")
         assert replica_posts.version("x") == 8            # live version preserved
@@ -414,45 +451,3 @@ class TestFailover:
         assert group.recover("s0:n2") == "primary"
         assert group.server.database.get("posts", "p1")["views"] == 111
         assert group.database.collection("posts").version("p1") == promoted_version
-
-    def test_degenerate_partition_pair_is_a_noop(self):
-        clock, _database, _server, group = build_group(replication_factor=2)
-        group.partition(group.primary_node_id, group.primary_node_id)
-        assert group.counters.get("degenerate_partitions_ignored") == 1
-        # The group keeps serving; no partition is recorded.
-        assert group.read("posts", "p0").status is StatusCode.OK
-        group.heal(group.primary_node_id, group.primary_node_id)  # also a no-op
-
-
-class TestPartitions:
-    def test_partition_does_not_retroactively_block_arrived_records(self):
-        # Delivery is lazy, so a partition (or crash) must first materialise
-        # every record whose delivery time had already passed -- only
-        # in-flight and future traffic may be cut.
-        clock, database, _server, group = build_group(replication_factor=2, lag_mean=0.01)
-        clock.advance(1.0)
-        database.update("posts", "p0", {"$set": {"views": 50}})
-        clock.advance(1.0)  # the update has long arrived, just not applied
-        group.partition(group.primary_node_id, "s0:n1")
-        replica = group.node("s0:n1")
-        assert replica.database.get("posts", "p0")["views"] == 50
-
-        group.crash(group.primary_node_id)
-        response = group.read("posts", "p0")
-        assert response.body["document"]["views"] == 50
-
-    def test_partitioned_replica_catches_up_after_heal(self):
-        clock, database, _server, group = build_group(replication_factor=2, lag_mean=0.01)
-        clock.advance(1.0)
-        replica_id = "s0:n1"
-        group.partition(group.primary_node_id, replica_id)
-        database.update("posts", "p9", {"$set": {"views": 900}})
-        clock.advance(5.0)
-        replica = group.node(replica_id)
-        replica.deliver_until(clock.now())
-        assert replica.database.get("posts", "p9")["views"] == 9  # still partitioned
-
-        group.heal(group.primary_node_id, replica_id)
-        clock.advance(1.0)
-        replica.deliver_until(clock.now())
-        assert replica.database.get("posts", "p9")["views"] == 900

@@ -7,8 +7,8 @@ Two seeded experiments of 6 000 operations each:
   factor 1, 2 and 3.  Delta-atomic reads round-robin over the primary and
   its replicas, so simulated throughput grows with the factor.
 * **Failover drills** -- the full system (QUAESTOR mode, 2 shards, RF 2)
-  under a primary crash with recovery, rolling primary crashes on both
-  shards, and a replica partition that heals.
+  under a primary crash with recovery and rolling primary crashes on both
+  shards.
 
 Every pinned number is a simulated metric of a seeded run.  The directional
 asserts beside the pins are the claims a re-pin may not drop.
@@ -80,9 +80,6 @@ DRILLS = {
     "rolling-primary-crashes": FaultPlan.rolling_primary_crashes(
         shards=[0, 1], start=0.02, spacing=0.06, downtime=0.15
     ),
-    "replica-partition-heal": FaultPlan.replica_partition(
-        shard=0, replica_index=1, at=0.02, heal_at=0.10
-    ),
 }
 
 #: Simulated throughput (ops/s) at replication factor 1, 2 and 3.
@@ -101,7 +98,6 @@ DRILL_PINS = {
     "rolling-primary-crashes": (
         0.0005, [0.030000000000000002, 0.03], 2.0, 3.0, 0.21916048665425497, 0.40414507772020725,
     ),
-    "replica-partition-heal": (0.0, [], 0.0, 2.0, 0.21562921976516217, 0.5),
 }
 #: The availability bound every drill's request error rate must stay under.
 ERROR_RATE_BOUND = 0.05

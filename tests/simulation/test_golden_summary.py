@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import QuaestorConfig
 from repro.simulation import CachingMode, SimulationConfig, Simulator
 from repro.ttl import TTLEstimatorSpec
 from repro.workloads import DatasetSpec, WorkloadSpec
@@ -101,10 +102,10 @@ class TestGoldenSummaries:
         assert result.summary() == GOLDEN_SUMMARIES[(mode, num_shards)]
 
     def test_explicit_default_estimator_spec_reproduces_the_pinned_summaries(self):
-        """The TTL bake-off confirmed the pre-existing estimator as the
-        default: selecting it explicitly through ``SimulationConfig`` must
-        reproduce the golden summaries exactly."""
+        """Selecting the default estimator explicitly through
+        ``SimulationConfig.quaestor`` must reproduce the golden summaries
+        exactly."""
         config = golden_config(CachingMode.QUAESTOR)
-        config.ttl_estimator = TTLEstimatorSpec()
+        config.quaestor = QuaestorConfig(ttl_estimator=TTLEstimatorSpec())
         result = Simulator(config).run()
         assert result.summary() == GOLDEN_SUMMARIES[(CachingMode.QUAESTOR, 1)]

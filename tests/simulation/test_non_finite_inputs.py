@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, ObservabilityConfig, TraceRecorder
 from repro.simulation import CachingMode, EventQueue, LatencyModel, SimulationConfig, Simulator
 from repro.workloads.dataset import DatasetSpec
-from repro.workloads.generator import WorkloadSpec
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -100,16 +99,6 @@ def test_every_count_field_takes_only_a_positive_int(field, value):
 def test_every_count_field_accepts_a_positive_int(field):
     config = SimulationConfig(**{field: 2})
     assert getattr(config, field) == 2
-
-
-@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5, True, 0, -1])
-def test_a_phase_budget_takes_only_a_positive_int(budget):
-    # NaN and inf failed late, in Simulator(...), with a bare ValueError or
-    # OverflowError; 2.5 ran as 2 and True as a budget of one.  Each is now
-    # refused by name, like every other count.
-    spec = WorkloadSpec.read_heavy()
-    with pytest.raises(ConfigurationError, match="workload_phases"):
-        SimulationConfig(workload_phases=((budget, spec), (5, spec)))
 
 
 @pytest.mark.parametrize("field", ["origin_capacity", "duration"])

@@ -226,3 +226,30 @@ def test_the_defs_only_the_pins_reach_are_listed_sorted(census):
         "repro.toy:forgotten",
     ]
     assert census.reached_only_by({"FAST_EXAMPLES": {"repro.toy:reached"}}, census.PINS) == []
+
+
+def test_pin_machinery_is_listed_apart_from_the_pins_only_count(census):
+    machinery = sorted(census.PIN_MACHINERY)
+    entered = {
+        census.PINS: {"repro.toy:forgotten", *machinery},
+        "benchmark workloads (smoke)": {"repro.toy:reached"},
+    }
+    assert census.pins_only(entered) == (["repro.toy:forgotten"], machinery)
+
+
+def test_every_pin_machinery_entry_names_a_def_under_src(census):
+    for target in census.PIN_MACHINERY:
+        module, _, name = target.partition(":")
+        path = census.SOURCE.parent.joinpath(*module.split(".")).with_suffix(".py")
+        assert name in {found for found, *_rest in census.defs(path.read_text())}, target
+
+
+def test_the_census_fails_above_the_pins_only_ceiling(census):
+    at_ceiling = [f"repro.toy:def{index}" for index in range(census.PINS_ONLY_CEILING)]
+    assert not census.over_ceiling(at_ceiling)
+    assert census.over_ceiling(at_ceiling + ["repro.toy:one_more"])
+
+
+def test_the_pins_only_ceiling_is_never_raised(census):
+    # The ceiling only falls: lower this bound with it.
+    assert census.PINS_ONLY_CEILING <= 15

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.ttl import (
-    AdaptiveTTLEstimator,
     AlexTTLEstimator,
     EwmaTracker,
     QuaestorTTLEstimator,
@@ -122,30 +121,8 @@ class TestBaselines:
         ttl = estimator.estimate_query("q", ["old", "new"], now=100.0)
         assert ttl == pytest.approx(0.2 * 10.0)
 
-    def test_adaptive_increases_when_unchanged(self):
-        estimator = AdaptiveTTLEstimator(minimum_ttl=5.0, increment=10.0, bounds=TTLBounds(0.0, 1000.0))
-        assert estimator.estimate_query("q", [], 0.0) == 5.0
-        estimator.observe_unchanged("q")
-        assert estimator.estimate_query("q", [], 0.0) == 15.0
-        estimator.observe_unchanged("q")
-        assert estimator.estimate_query("q", [], 0.0) == 25.0
-
-    def test_adaptive_resets_on_change(self):
-        estimator = AdaptiveTTLEstimator(minimum_ttl=5.0, increment=10.0, bounds=TTLBounds(0.0, 1000.0))
-        estimator.observe_unchanged("q")
-        estimator.observe_changed("q")
-        assert estimator.estimate_query("q", [], 0.0) == 5.0
-
-    def test_adaptive_treats_invalidation_as_change(self):
-        estimator = AdaptiveTTLEstimator(minimum_ttl=5.0, increment=10.0, bounds=TTLBounds(0.0, 1000.0))
-        estimator.observe_unchanged("q")
-        estimator.observe_query_invalidation("q", actual_ttl=3.0, timestamp=0.0)
-        assert estimator.estimate_query("q", [], 0.0) == 5.0
-
     def test_baseline_validation(self):
         with pytest.raises(ValueError):
             StaticTTLEstimator(ttl=-1.0)
         with pytest.raises(ValueError):
             AlexTTLEstimator(percentage=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveTTLEstimator(minimum_ttl=0.0)

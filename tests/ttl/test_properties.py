@@ -1,6 +1,7 @@
-"""Property tests for every TTL estimator family (the bake-off's sweep axis).
+"""Property tests for every registered TTL estimator family.
 
-Three contracts hold for *all* estimators on *any* write trace:
+Three contracts hold for *all* estimators on *any* write trace (the registry,
+plus the dual strategy on the windowed write-rate sampler):
 
 * estimates are finite, non-negative and inside the configured bounds;
 * estimates are a pure function of the observation history (rebuilding the
@@ -9,10 +10,9 @@ Three contracts hold for *all* estimators on *any* write trace:
   key's estimate.
 
 On top of that, each family's own promises are exercised: monotone response
-to write-rate increases where the contract makes one (windowed write-rate /
-Poisson estimates), the Alex age proportionality, the adaptive
-reset/additive-increase cycle, and the windowed sampler's first-observation
-and zero-interval-burst guards that the bake-off PR fixed.
+to write-rate increases where the contract makes one (the windowed sampler),
+the Alex age proportionality, the Poisson quantile's monotone risk, and the
+windowed sampler's first-observation and zero-interval-burst guards.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ttl import (
-    AdaptiveTTLEstimator,
     AlexTTLEstimator,
     ESTIMATOR_NAMES,
+    QuaestorTTLEstimator,
     TTLBounds,
     TTLEstimatorSpec,
 )
@@ -39,7 +39,9 @@ gaps = st.lists(
     min_size=0,
     max_size=25,
 )
-estimator_names = st.sampled_from(ESTIMATOR_NAMES)
+#: The dual strategy on the windowed sampler, beside the registry's names.
+WINDOWED = "quaestor, window sampler"
+estimator_names = st.sampled_from(ESTIMATOR_NAMES + (WINDOWED,))
 
 
 def trace_from_gaps(gap_list):
@@ -52,6 +54,8 @@ def trace_from_gaps(gap_list):
 
 
 def build(name: str):
+    if name == WINDOWED:
+        return QuaestorTTLEstimator(bounds=BOUNDS, sampler=WriteRateSampler(estimation="window"))
     return TTLEstimatorSpec.of(name).build(bounds=BOUNDS)
 
 
@@ -102,7 +106,7 @@ class TestUniversalContracts:
 
 
 class TestWindowedSamplerContracts:
-    """The contracts the bake-off PR fixed in ``estimation="window"`` mode."""
+    """The contracts of ``estimation="window"`` mode."""
 
     @given(first_write=st.floats(min_value=0.0, max_value=1_000.0))
     @settings(max_examples=30)
@@ -149,15 +153,14 @@ class TestWindowedSamplerContracts:
         arrivals=st.integers(min_value=3, max_value=30),
         slow_gap=st.floats(min_value=2.0, max_value=60.0),
         compression=st.floats(min_value=1.1, max_value=20.0),
-        name=st.sampled_from(["write-rate", "poisson", "quaestor-window"]),
     )
     @settings(max_examples=40)
     def test_faster_writes_never_lengthen_the_record_ttl(
-        self, arrivals, slow_gap, compression, name
+        self, arrivals, slow_gap, compression
     ):
         fast_gap = slow_gap / compression
-        slow = build(name)
-        fast = build(name)
+        slow = build(WINDOWED)
+        fast = build(WINDOWED)
         for index in range(arrivals):
             slow.observe_write("k", index * slow_gap)
             fast.observe_write("k", index * fast_gap)
@@ -192,20 +195,6 @@ class TestFamilyContracts:
         assert young <= old
         assert old <= BOUNDS.clamp(estimator.cap)
 
-    @given(rounds=st.integers(min_value=1, max_value=20))
-    @settings(max_examples=30)
-    def test_adaptive_increases_then_resets(self, rounds):
-        estimator = AdaptiveTTLEstimator(bounds=BOUNDS)
-        now = 0.0
-        previous = estimator.estimate_query("q", [], now)
-        for _ in range(rounds):
-            estimator.observe_unchanged("q")
-            current = estimator.estimate_query("q", [], now)
-            assert current >= previous
-            previous = current
-        estimator.observe_changed("q")
-        assert estimator.estimate_query("q", [], now) == BOUNDS.clamp(estimator.minimum_ttl)
-
     @given(
         low=st.floats(min_value=0.05, max_value=0.45),
         high=st.floats(min_value=0.55, max_value=0.95),
@@ -215,8 +204,11 @@ class TestFamilyContracts:
     def test_poisson_quantile_is_monotone_in_risk(self, low, high, gap_list):
         timestamps = trace_from_gaps(gap_list)
         now = (timestamps[-1] if timestamps else 0.0) + 1.0
-        conservative = replay(TTLEstimatorSpec.of("poisson", quantile=low).build(bounds=BOUNDS), timestamps)
-        optimistic = replay(TTLEstimatorSpec.of("poisson", quantile=high).build(bounds=BOUNDS), timestamps)
+        def at(quantile):
+            spec = TTLEstimatorSpec.of("quaestor", quantile=quantile)
+            return replay(spec.build(bounds=BOUNDS), timestamps)
+
+        conservative, optimistic = at(low), at(high)
         assert conservative.estimate_record("k", now) <= optimistic.estimate_record("k", now)
 
     @given(
@@ -242,7 +234,7 @@ class TestFamilyContracts:
     def test_query_ttl_never_exceeds_its_hottest_member(self, members, gap):
         # Minimum of exponentials: the combined rate dominates each member's,
         # so the query estimate cannot outlive any single member's estimate.
-        estimator = build("poisson")
+        estimator = build("quaestor")
         keys = [f"k{index}" for index in range(members)]
         for key in keys:
             for index in range(5):

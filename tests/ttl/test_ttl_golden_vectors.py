@@ -2,25 +2,33 @@
 
 The trace drives three keys at clearly different rates (hot: every 2 s, warm:
 every 15 s, cold: a single write) plus two query-invalidation feedback events,
-then reads seven estimates off each registered estimator family.  The pinned
-floats were produced by the implementations at the time of the TTL bake-off
-PR and must match *exactly* -- any estimator change shows up here first, as
-an auditable diff of concrete TTL values rather than a shifted simulation
-summary.
+then reads seven estimates off each registered estimator family and off the
+dual strategy on the windowed write-rate sampler (``quaestor/window``).  The
+pinned floats must match *exactly* -- any estimator change shows up here
+first, as an auditable diff of concrete TTL values rather than a shifted
+simulation summary.
 
-The vectors also document the one behavioural split the bake-off measured:
-``quaestor`` (span sampler, the winner and default) derives a rate from
-``cold``'s lone write
-(``record_cold`` = 19.4 s), while ``quaestor-window`` / ``poisson`` /
-``write-rate`` keep the default-rate prior for a single observation
-(``record_cold`` = prior).
+The vectors also document the one behavioural split between the sampler's
+two modes: ``quaestor`` (span sampler, the default) derives a rate from
+``cold``'s lone write (``record_cold`` = 19.4 s), while ``quaestor/window``
+keeps the default-rate prior for a single observation (``record_cold`` =
+prior).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ttl import ESTIMATOR_NAMES, TTLBounds, TTLEstimatorSpec
+from repro.ttl import (
+    ESTIMATOR_NAMES,
+    QuaestorTTLEstimator,
+    TTLBounds,
+    TTLEstimatorSpec,
+    WriteRateSampler,
+)
+
+#: The dual strategy on the windowed sampler, pinned beside the registry.
+WINDOWED = "quaestor/window"
 
 BOUNDS = TTLBounds(minimum=0.1, maximum=3600.0)
 
@@ -43,33 +51,6 @@ GOLDEN_VECTORS = {
         "query_cold": 5.6000000000000005,
         "query_empty": 300.0,
     },
-    "adaptive": {
-        "record_hot": 5.0,
-        "record_warm": 5.0,
-        "record_cold": 5.0,
-        "record_unseen": 5.0,
-        "query_mixed": 5.0,
-        "query_cold": 5.0,
-        "query_empty": 5.0,
-    },
-    "write-rate": {
-        "record_hot": 2.95,
-        "record_warm": 11.5,
-        "record_cold": 600.0,
-        "record_unseen": 600.0,
-        "query_mixed": 2.347750865051903,
-        "query_cold": 600.0,
-        "query_empty": 600.0,
-    },
-    "poisson": {
-        "record_hot": 2.0447841826518385,
-        "record_warm": 7.971192576439371,
-        "record_cold": 415.88830833596717,
-        "record_unseen": 415.88830833596717,
-        "query_mixed": 1.6273368927678993,
-        "query_cold": 415.88830833596717,
-        "query_empty": 415.88830833596717,
-    },
     "quaestor": {
         "record_hot": 2.0447841826518385,
         "record_warm": 7.971192576439371,
@@ -79,7 +60,7 @@ GOLDEN_VECTORS = {
         "query_cold": 19.408121055678468,
         "query_empty": 415.88830833596717,
     },
-    "quaestor-window": {
+    WINDOWED: {
         "record_hot": 2.0447841826518385,
         "record_warm": 7.971192576439371,
         "record_cold": 415.88830833596717,
@@ -92,7 +73,12 @@ GOLDEN_VECTORS = {
 
 
 def run_trace(name: str):
-    estimator = TTLEstimatorSpec.of(name).build(bounds=BOUNDS)
+    if name == WINDOWED:
+        estimator = QuaestorTTLEstimator(
+            bounds=BOUNDS, sampler=WriteRateSampler(estimation="window")
+        )
+    else:
+        estimator = TTLEstimatorSpec.of(name).build(bounds=BOUNDS)
     for index in range(20):
         estimator.observe_write("hot", 2.0 * (index + 1))
     for index in range(4):
@@ -115,7 +101,7 @@ def run_trace(name: str):
 
 class TestGoldenVectors:
     def test_every_registered_estimator_is_pinned(self):
-        assert set(GOLDEN_VECTORS) == set(ESTIMATOR_NAMES)
+        assert set(GOLDEN_VECTORS) == {*ESTIMATOR_NAMES, WINDOWED}
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_VECTORS))
     def test_estimates_match_the_pinned_vector_exactly(self, name):
@@ -123,7 +109,7 @@ class TestGoldenVectors:
 
     def test_window_and_span_samplers_split_on_the_lone_write(self):
         span = run_trace("quaestor")
-        window = run_trace("quaestor-window")
+        window = run_trace(WINDOWED)
         # Identical on multi-write keys, different on the single-write key:
         # span derives a rate from one observation, window keeps the prior.
         assert span["record_hot"] == window["record_hot"]

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from repro.ttl.poisson import combined_write_rate, poisson_quantile_ttl, query_result_ttl
-from repro.ttl.write_rate import WriteRateSampler, WriteRateTTLEstimator
+from repro.ttl import QuaestorTTLEstimator, TTLBounds
+from repro.ttl.poisson import combined_write_rate, poisson_quantile_ttl
+from repro.ttl.write_rate import WriteRateSampler
 
 
 class TestWriteRateSampler:
@@ -48,10 +49,6 @@ class TestWriteRateSampler:
         sampler.observe_write("key", 0.0)
         assert sampler.write_rate("key", now=100.0) == 0.001
 
-    def test_mean_interarrival_is_reciprocal(self):
-        sampler = WriteRateSampler(default_rate=0.25)
-        assert sampler.mean_interarrival("unknown", 0.0) == pytest.approx(4.0)
-
     def test_last_write(self):
         # The span estimate runs from the oldest kept write to ``now``, so the
         # latest write counts without stretching the span.
@@ -78,11 +75,10 @@ class TestWriteRateSampler:
 
 
 class TestEstimationModes:
-    """The window/span split the TTL bake-off measures (see module docstring)."""
+    """The window/span split of the write-rate sampler (see module docstring)."""
 
     def test_span_mode_reproduces_the_legacy_formula(self):
-        # Legacy: in-window count over the time since the oldest in-window
-        # sample -- byte-identical to the pre-bake-off implementation.
+        # In-window count over the time since the oldest in-window sample.
         sampler = WriteRateSampler(window=100.0, estimation="span")
         for timestamp in (10.0, 20.0, 30.0):
             sampler.observe_write("key", timestamp)
@@ -118,9 +114,6 @@ class TestEstimationModes:
 
         assert TTLEstimatorSpec.of("quaestor").build().sampler.estimation == "span"
         assert TTLEstimatorSpec().build().sampler.estimation == "span"
-        assert TTLEstimatorSpec.of("quaestor-window").build().sampler.estimation == "window"
-        assert TTLEstimatorSpec.of("poisson").build().sampler.estimation == "window"
-        assert TTLEstimatorSpec.of("write-rate").build().sampler.estimation == "window"
 
 
 class TestPoissonModel:
@@ -135,18 +128,15 @@ class TestPoissonModel:
     def test_higher_write_rate_means_shorter_ttl(self):
         assert poisson_quantile_ttl(1.0, 0.5) < poisson_quantile_ttl(0.01, 0.5)
 
-    def test_expected_time_is_mean_of_exponential(self):
-        # The write-rate estimator's TTL is the exponential's mean, 1 / lambda.
-        estimator = WriteRateTTLEstimator(sampler=WriteRateSampler(default_rate=0.25))
-        assert estimator.estimate_record("unknown", 0.0) == pytest.approx(4.0)
-
     def test_combined_rate_is_sum(self):
         """Minimum of independent exponentials has the summed rate."""
         assert combined_write_rate([0.1, 0.2, 0.3]) == pytest.approx(0.6)
 
     def test_query_ttl_shrinks_with_result_size(self):
-        small = query_result_ttl([0.01] * 2, 0.5)
-        large = query_result_ttl([0.01] * 50, 0.5)
+        estimator = QuaestorTTLEstimator(bounds=TTLBounds(minimum=0.01, maximum=10_000.0))
+        keys = [f"k{index}" for index in range(50)]
+        small = estimator.estimate_query("q-small", keys[:2], now=0.0)
+        large = estimator.estimate_query("q-large", keys, now=0.0)
         assert large < small
 
     def test_invalid_arguments(self):
