@@ -33,6 +33,8 @@ class HashIndex:
             raise ValueError("index field must not be empty")
         self.field = field
         self._segments = split_path(field)
+        #: The field itself when the path is one segment, else ``None``.
+        self._top_level = field if len(self._segments) == 1 else None
         self._entries: Dict[Hashable, Set[str]] = {}
         self.stamps: Dict[Hashable, int] = {}
         #: The keys each document is filed under (never recomputed on a move).
@@ -108,12 +110,23 @@ class HashIndex:
         """Live set of the ids whose field equals (or array contains) the keyed value."""
         return self._entries.get(key, _NO_IDS)
 
-    def _keys(self, document: Document) -> Set[Hashable]:
+    def _keys(self, document: Document) -> Iterable[Hashable]:
         """Every key an equality condition on the field can find ``document`` under.
 
         Mirrors the matcher: the path fans out over arrays, each value counts
         whole and (multikey) element by element, a missing path as ``None``.
+        A top-level number or string -- its class exactly ``int``, ``float``
+        or ``str``, so never a ``bool`` -- is its one key, :func:`order_key`'s
+        ``(rank, value)`` built here without a call.
         """
+        field = self._top_level
+        if field is not None and field in document:
+            value = document[field]
+            cls = value.__class__
+            if cls is int or cls is float:
+                return ((1, value),)
+            if cls is str:
+                return ((2, value),)
         values = with_array_elements(resolve_values(document, self._segments))
         return set(map(order_key, values)) if values else {order_key(None)}
 

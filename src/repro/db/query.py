@@ -205,7 +205,8 @@ class Query:
 
 #: ``collection -> document id -> record key``: every holder of a record's
 #: key (caches, the EBF, the TTL sampler, the auditor) shares one string.
-#: Emptied when a :class:`~repro.simulation.Simulator` is built.
+#: Emptied when a :class:`~repro.simulation.Simulator` is built and when its
+#: run has collected its result.
 RECORD_KEYS: DefaultDict[str, Dict[str, str]] = defaultdict(dict)
 
 #: Keys one collection's memo holds before it starts over.

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Optional
 
 from repro.clock import Clock
@@ -256,6 +255,9 @@ class HedgePolicy:
         mean = model.mean
         if jitter <= 0:
             return max(model.minimum, mean)
+        # Imported here: a run that never hedges should not load ``statistics``.
+        from statistics import NormalDist
+
         point = NormalDist(mean, jitter).inv_cdf(self.quantile)
         return max(model.minimum, point)
 

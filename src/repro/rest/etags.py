@@ -21,8 +21,9 @@ are memoised, result tags per owner
 (:class:`~repro.core.representation.ResultTagMemo`).  The record-tag memo is
 one table shared by every owner (the SDK's member entries ask for tags the
 server already rendered), and it lives for one simulation run:
-:class:`~repro.simulation.Simulator` empties it when it is built, so a run
-neither inherits nor keeps alive the tags of an earlier run's versions.
+:class:`~repro.simulation.Simulator` empties it when it is built and when
+its run has collected its result, so a run neither inherits the tags of an
+earlier run's versions nor leaves its own behind.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ the results back in order".
 from __future__ import annotations
 
 import os
-import traceback
 from typing import Callable, Iterable, List, TypeVar
 
 #: Seconds the parent waits for the next job's result before declaring the
@@ -76,6 +75,8 @@ def map_in_processes(
                         f"no result from the pool within {WORKER_TIMEOUT:.0f}s"
                     ) from error
                 # The executor chains the worker-side traceback as the cause.
+                import traceback
+
                 detail = "".join(traceback.format_exception(error))
                 raise ParallelSimulationError(f"worker failed:\n{detail}") from error
         return results

@@ -100,9 +100,13 @@ class CachingMode(str, enum.Enum):
         return self in (CachingMode.QUAESTOR, CachingMode.EBF_ONLY)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationConfig:
-    """Everything needed to run one simulated experiment."""
+    """Everything needed to run one simulated experiment.
+
+    Slotted: assigning a field it does not have (a typo, a removed knob)
+    raises ``AttributeError`` instead of setting an attribute nothing reads.
+    """
 
     mode: CachingMode = CachingMode.QUAESTOR
     workload: WorkloadSpec = field(default_factory=WorkloadSpec.read_heavy)
@@ -250,6 +254,19 @@ class SimulationResult:
         return {key: value for key, value in self.summary().items() if key not in plain}
 
 
+def _clear_run_memos() -> None:
+    """Empty the record-key, record-tag and Bloom hash memos.
+
+    They are a run's own: keys, tags and probes of an earlier run's records
+    would only keep its memory alive.  A simulator empties them when it is
+    built and when :meth:`Simulator.run` has collected its result.
+    """
+    RECORD_KEYS.clear()
+    etag_for_version.cache_clear()
+    _probe_memo.cache_clear()
+    _blake2_pair_cached.cache_clear()
+
+
 class Simulator:
     """Builds a deployment from a :class:`SimulationConfig` and runs it."""
 
@@ -259,13 +276,7 @@ class Simulator:
         self.events = EventQueue()
         self.rng = random.Random(config.seed)
         config.topology.reseed(config.seed)
-        # The record-key, record-tag and Bloom hash memos are the run's own:
-        # keys, tags and probes of an earlier run's records would only keep
-        # its memory alive.
-        RECORD_KEYS.clear()
-        etag_for_version.cache_clear()
-        _probe_memo.cache_clear()
-        _blake2_pair_cached.cache_clear()
+        _clear_run_memos()
 
         # --- substrate + Quaestor deployment (single server or sharded fleet). ---
         self.dataset = dataset if dataset is not None else generate_dataset(config.dataset)
@@ -478,7 +489,9 @@ class Simulator:
             # Closing snapshot at the (deterministic) stop time so the
             # series always covers the whole run.
             self.metrics_registry.sample(self.clock.now())
-        return self._collect_results()
+        result = self._collect_results()
+        _clear_run_memos()
+        return result
 
     @property
     def total_operations(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.db.database import Database
 from repro.db.documents import Document
@@ -93,13 +93,16 @@ class Dataset:
         """Every query template across all tables."""
         return [query for table in self.tables for query in self.queries[table]]
 
-    def all_document_ids(self) -> List[tuple]:
-        """Every ``(table, document_id)`` pair."""
-        return [
-            (table, str(document["_id"]))
-            for table in self.tables
-            for document in self.documents[table]
-        ]
+    def document_targets(self) -> Tuple[List[str], List[str]]:
+        """Every document as ``(tables, ids)``, two flat lists in table order:
+        target ``i`` is document ``ids[i]`` of table ``tables[i]``."""
+        tables: List[str] = []
+        ids: List[str] = []
+        for table in self.tables:
+            documents = self.documents[table]
+            tables += [table] * len(documents)
+            ids += [document["_id"] for document in documents]
+        return tables, ids
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
@@ -109,33 +112,66 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
     draws are CPython's own under ``randint`` and ``sample``, made directly:
     ``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, and ``sample`` of a
     pool this small draws ``_randbelow(n - i)`` for its ``i``-th pick and
-    moves the pool's last free member into the vacancy.
+    moves the pool's last free member into the vacancy.  Each
+    ``_randbelow(n)`` is CPython's ``_randbelow_with_getrandbits`` written
+    out in the loop -- ``getrandbits(n.bit_length())`` until the draw is
+    below ``n`` -- with every bound's bit length worked out once, so a
+    document costs no Python frame.  The zero-padded numbers are formatted
+    once per value, not once per document.
     """
     rng = random.Random(spec.seed)
-    below = rng._randbelow
+    bits = rng.getrandbits
     tables = [f"table_{index:02d}" for index in range(spec.num_tables)]
     dataset = Dataset(spec=spec, tables=tables)
+    count = spec.documents_per_table
     categories = spec.categories_per_table
     pool_size = len(_TAG_POOL)
+    # The (bound, bit length) of each tag pick of a post with 1, 2 or 3 tags.
+    picks = [
+        [(bound, bound.bit_length()) for bound in range(pool_size, pool_size - tags, -1)]
+        for tags in (1, 2, 3)
+    ]
+    count_bits = (3).bit_length()
+    views_bits = (10_001).bit_length()
+    author_bits = (500).bit_length()
+    body_bits = (1_000_001).bit_length()
+    padded = [f"{index:06d}" for index in range(count)]
+    authors = [f"user-{author:03d}" for author in range(500)]
 
     for table in tables:
-        documents: List[Document] = []
-        for index in range(spec.documents_per_table):
+        documents = [None] * count
+        for index in range(count):
+            extra = bits(count_bits)
+            while extra >= 3:
+                extra = bits(count_bits)
             pool = list(_TAG_POOL)
-            tags = [None] * (1 + below(3))
-            for pick in range(len(tags)):
-                position = below(pool_size - pick)
+            tags = [None] * (1 + extra)
+            pick = 0
+            for bound, width in picks[extra]:
+                position = bits(width)
+                while position >= bound:
+                    position = bits(width)
                 tags[pick] = pool[position]
-                pool[position] = pool[pool_size - pick - 1]
-            documents.append({
-                "_id": f"{table}-doc-{index:06d}",
+                pool[position] = pool[bound - 1]
+                pick += 1
+            views = bits(views_bits)
+            while views >= 10_001:
+                views = bits(views_bits)
+            author = bits(author_bits)
+            while author >= 500:
+                author = bits(author_bits)
+            body = bits(body_bits)
+            while body >= 1_000_001:
+                body = bits(body_bits)
+            documents[index] = {
+                "_id": f"{table}-doc-{padded[index]}",
                 "title": f"Post {index} in {table}",
                 "category": index % categories,
                 "tags": tags,
-                "views": below(10_001),
-                "author": f"user-{below(500):03d}",
-                "body": f"Lorem ipsum dolor sit amet ({below(1_000_001)})",
-            })
+                "views": views,
+                "author": authors[author],
+                "body": f"Lorem ipsum dolor sit amet ({body})",
+            }
         dataset.documents[table] = documents
 
         # Queries select a distinct category each; the first queries_per_table

@@ -59,7 +59,7 @@ class ZipfianGenerator:
 
     @staticmethod
     def _zeta(count: int, theta: float) -> float:
-        return sum(1.0 / (i**theta) for i in range(1, count + 1))
+        return sum([1.0 / (i**theta) for i in range(1, count + 1)])
 
     def next_indexes(self, count: int) -> List[int]:
         """Draw ``count`` indexes in one pass; same stream as single draws.

@@ -91,10 +91,12 @@ class WorkloadGenerator:
         self._rng = random.Random(spec.seed)
         self._insert_counter = 0
 
-        document_ids = dataset.all_document_ids()
+        tables, document_ids = dataset.document_targets()
         queries = dataset.all_queries()
         if not document_ids or not queries:
             raise ConfigurationError("dataset must contain documents and queries")
+        #: Document target ``i`` is ``_document_ids[i]`` in ``_document_tables[i]``.
+        self._document_tables = tables
         self._document_ids = document_ids
         self._queries = queries
         #: One read / query operation per target index, built on first use:
@@ -187,6 +189,7 @@ class WorkloadGenerator:
         document_indexes = iter(self._document_picker.next_indexes(document_picks))
         query_indexes = iter(self._query_picker.next_indexes(count - document_picks))
 
+        document_tables = self._document_tables
         document_ids = self._document_ids
         queries = self._queries
         read_operations = self._read_operations
@@ -205,20 +208,21 @@ class WorkloadGenerator:
             if entry is read_type:
                 operation = read_operations[index]
                 if operation is None:
-                    table, document_id = document_ids[index]
-                    operation = Operation(read_type, table, document_id)
+                    operation = Operation(read_type, document_tables[index], document_ids[index])
                     read_operations[index] = operation
                 plan[position] = operation
                 continue
             operation_type, payload, insert_number = entry
-            table, document_id = document_ids[index]
+            table = document_tables[index]
             if operation_type is insert_type:
                 new_id = f"{table}-new-{insert_number:06d}"
                 plan[position] = Operation(
                     insert_type, table, new_id, None, {"_id": new_id, **payload}
                 )
             else:
-                plan[position] = Operation(operation_type, table, document_id, None, payload)
+                plan[position] = Operation(
+                    operation_type, table, document_ids[index], None, payload
+                )
         return plan
 
     # -- internals ---------------------------------------------------------------------

@@ -14,6 +14,22 @@ replica (``get_versioned``, ``install_snapshot``, the same event and
 ``reindex``, and its floor's restore).  Pre-loaded, it costs the index's key
 resolution alone; seeded, it costs nothing per document -- the replica adopts
 the source's documents, versions and index buckets wholesale.
+
+Pre-loading went 10 -> 3 calls a document when the index answered a
+top-level number or string in ``HashIndex._keys`` itself (the ``_keys``
+call, the bucket lookup and the bucket ``add``), where it had resolved it
+through ``resolve_values``, ``with_array_elements`` and ``order_key``.
+
+The same count pins the two other per-document costs of a build, at one
+table of ``n`` and ``2 n`` generated posts:
+
+* generating a post went 22.46 -> 8.53 calls: its bounded draws are
+  ``getrandbits`` calls in the loop (about 8.5 a post, rejections
+  included), where each was a ``random._randbelow`` frame with its own
+  ``bit_length`` and ``getrandbits`` calls;
+* building the workload generator went 1.0 -> 0 calls a target: the
+  targets are two flat lists, and the Zipf normaliser sums a list, where a
+  generator expression resumed once per item.
 """
 
 from __future__ import annotations
@@ -27,10 +43,13 @@ import pytest
 from repro.clock import VirtualClock
 from repro.db import Database
 from repro.replication.replica import ReplicaNode
-from repro.workloads.dataset import INDEXED_QUERY_FIELD
+from repro.workloads.dataset import INDEXED_QUERY_FIELD, DatasetSpec, generate_dataset
+from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
-CALLS_PER_PRELOADED_DOCUMENT = 10
+CALLS_PER_PRELOADED_DOCUMENT = 3
 CALLS_PER_SEEDED_DOCUMENT = 0
+CALLS_PER_GENERATED_DOCUMENT = 8.53
+CALLS_PER_WORKLOAD_TARGET = 0
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +104,25 @@ def test_a_preloaded_document_costs_its_index_keys_only():
 def test_a_seeded_replica_document_costs_no_call():
     per_document = (_seed_calls(400) - _seed_calls(200)) / 200
     assert per_document == CALLS_PER_SEEDED_DOCUMENT
+
+
+def _one_table(count: int) -> DatasetSpec:
+    return DatasetSpec(num_tables=1, documents_per_table=count, queries_per_table=10)
+
+
+def test_a_generated_document_costs_its_draws_only():
+    def calls(count: int) -> int:
+        return _calls(lambda: generate_dataset(_one_table(count)))
+
+    assert (calls(400) - calls(200)) / 200 == CALLS_PER_GENERATED_DOCUMENT
+
+
+def test_a_workload_target_costs_no_call():
+    def calls(count: int) -> int:
+        dataset = generate_dataset(_one_table(count))
+        return _calls(lambda: WorkloadGenerator(WorkloadSpec(), dataset))
+
+    assert (calls(400) - calls(200)) / 200 == CALLS_PER_WORKLOAD_TARGET
 
 
 def test_a_bootstrap_publishes_no_event_and_keeps_the_sequence():

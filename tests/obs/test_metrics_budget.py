@@ -66,7 +66,8 @@ def _simulator(observability) -> Simulator:
 
 
 def _operations(dataset):
-    table, document_id = dataset.all_document_ids()[7]
+    tables, ids = dataset.document_targets()
+    table, document_id = tables[7], ids[7]
     query = dataset.all_queries()[1]
     return {
         "read": Operation(OperationType.READ, table, document_id),

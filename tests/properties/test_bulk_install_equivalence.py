@@ -10,6 +10,14 @@ the install counters, the version floors and the change stream's sequence.
 The change stream keeps no events for a bulk install, so its answers are
 compared at every position a caller can hold: the end of the bootstrap and
 after.
+
+Both paths file a document under the keys ``HashIndex._keys`` gives, which
+answers a top-level number or string itself; so the buckets filed by
+``file_all`` (bulk) and by ``reindex`` (one write) are also checked against
+the generic key resolution -- ``resolve_values``, ``with_array_elements``,
+``order_key`` -- with the indexed values ranging over ``True``, ``1``,
+``1.0``, ``None``, a missing value, lists and sub-documents, on a top-level
+field and on a dotted path.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.db import Database
 from repro.db.collection import Collection
+from repro.db.documents import order_key, split_path
+from repro.db.predicates import resolve_values, with_array_elements
 from repro.errors import DuplicateKeyError
 from repro.simulation import SimulationConfig, Simulator
 from repro.workloads.dataset import DatasetSpec, generate_dataset
@@ -26,7 +36,10 @@ from repro.workloads.generator import WorkloadSpec
 
 INDEXED = ("category", "tags", "author.name")
 IDS = st.sampled_from([f"d{number}" for number in range(8)])
-SCALARS = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(["x", "y"]))
+#: ``True`` is no number to an index (it files apart from ``1``); ``1.0`` is ``1``.
+SCALARS = st.one_of(
+    st.none(), st.integers(-2, 2), st.sampled_from(["x", "y", True, False, 1.0, 2.5])
+)
 VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.fixed_dictionaries({"k": SCALARS}))
 BODIES = st.fixed_dictionaries(
     {},
@@ -103,6 +116,22 @@ def _state(database: Database) -> dict:
     return state
 
 
+def _assert_generic_keys(database: Database) -> None:
+    """Every index holds each live document under exactly the keys the
+    generic resolution gives (a missing path: ``None``'s key)."""
+    for name in database.collection_names():
+        collection = database.collection(name)
+        for field, index in collection._indexes._indexes.items():
+            buckets: dict = {}
+            for document_id, document in collection._documents.items():
+                values = with_array_elements(resolve_values(document, split_path(field)))
+                keys = set(map(order_key, values)) if values else {order_key(None)}
+                assert set(index._filed[document_id]) == keys, (field, document)
+                for key in keys:
+                    buckets.setdefault(key, set()).add(document_id)
+            assert index._entries == buckets, field
+
+
 def _answers(database: Database, since: int) -> list:
     """``covers_since`` / ``replay_since`` at every position from ``since`` on."""
     stream = database.change_stream
@@ -150,10 +179,12 @@ def test_preload_equals_one_insert_per_document(history, batch, later):
         return
     bulk.collection("posts").preload(batch)
     assert _state(bulk) == _state(reference)
+    _assert_generic_keys(bulk)
     loaded = bulk.change_stream.last_sequence
     for database in (bulk, reference):
         _write(database.collection("posts"), later)
     assert _state(bulk) == _state(reference)
+    _assert_generic_keys(bulk)
     assert _answers(bulk, loaded) == _answers(reference, loaded)
 
 

@@ -102,7 +102,8 @@ def _cost(operation_for) -> tuple:
 
 
 def _read(dataset):
-    table, document_id = dataset.all_document_ids()[7]
+    tables, ids = dataset.document_targets()
+    table, document_id = tables[7], ids[7]
     return Operation(OperationType.READ, table, document_id)
 
 

@@ -7,10 +7,10 @@ is freed (``del``, ``gc.collect()``) the test reads ``tracemalloc``'s traced
 size: what the second run leaves behind may not exceed what the first left
 by more than ``SLACK_BYTES``.
 
-What a freed run may leave is the memos it filled -- the record-key and
-record-tag memos and the Bloom filters' probe and hash-pair memos, all
-emptied when the next
-:class:`~repro.simulation.Simulator` is built -- and the bounded
+A run's own memos -- the record-key and record-tag memos and the Bloom
+filters' probe and hash-pair memos -- are emptied when a
+:class:`~repro.simulation.Simulator` is built and again when its ``run()``
+has collected its result, so a freed run leaves only the bounded
 process-wide hash memos.  A memo that outlives its run instead grows with
 every run: keeping record tags across runs, or hashing Zipf ranks through
 ``stable_uint64``'s process memo, leaves the second uncached run about 80 KB
@@ -28,6 +28,10 @@ import tracemalloc
 
 import pytest
 
+from repro.bloom.bloom_filter import _probe_memo
+from repro.bloom.hashing import _blake2_pair_cached
+from repro.db.query import RECORD_KEYS
+from repro.rest.etags import etag_for_version
 from repro.simulation import CachingMode, SimulationConfig, Simulator
 from repro.workloads.dataset import DatasetSpec
 from repro.workloads.generator import WorkloadSpec
@@ -45,9 +49,8 @@ def snapshot_guard():
     yield
 
 
-def _run_and_free(mode: CachingMode, segment: int) -> int:
-    """Build and run one segment, free it, and return the traced size."""
-    simulator = Simulator(
+def _simulator(mode: CachingMode, segment: int) -> Simulator:
+    return Simulator(
         SimulationConfig(
             mode=mode,
             workload=WorkloadSpec(seed=11 + segment),
@@ -59,6 +62,11 @@ def _run_and_free(mode: CachingMode, segment: int) -> int:
             seed=segment,
         )
     )
+
+
+def _run_and_free(mode: CachingMode, segment: int) -> int:
+    """Build and run one segment, free it, and return the traced size."""
+    simulator = _simulator(mode, segment)
     simulator.run()
     del simulator
     gc.collect()
@@ -83,3 +91,12 @@ def test_a_freed_run_leaves_no_more_than_the_one_before():
 def test_a_freed_cached_run_leaves_no_more_than_the_one_before():
     first, second = _growth(CachingMode.QUAESTOR)
     assert second - first <= SLACK_BYTES, (first, second)
+
+
+@pytest.mark.parametrize("mode", [CachingMode.UNCACHED, CachingMode.QUAESTOR])
+def test_a_run_empties_its_memos_when_it_returns(mode):
+    simulator = _simulator(mode, 0)
+    simulator.run()
+    assert not RECORD_KEYS
+    for memo in (etag_for_version, _probe_memo, _blake2_pair_cached):
+        assert memo.cache_info().currsize == 0, memo

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -70,6 +73,17 @@ class TestSimulationMechanics:
             small_config(CachingMode.QUAESTOR, warmup_fraction=1.5)
         with pytest.raises(ConfigurationError):
             small_config(CachingMode.QUAESTOR, origin_capacity=0)
+
+    def test_assigning_a_field_the_config_lacks_raises(self):
+        config = small_config(CachingMode.QUAESTOR)
+        config.ebf_refresh_interval = 2.0  # a field: fine
+        with pytest.raises(AttributeError):
+            config.ebf_refresh_intervall = 2.0  # a typo
+        with pytest.raises(AttributeError):
+            config.partitions = 2  # no such knob
+        assert not hasattr(config, "__dict__")
+        assert replace(config, seed=14).seed == 14
+        assert pickle.loads(pickle.dumps(config)).ebf_refresh_interval == 2.0
 
 
 class TestCachingModes:
