@@ -195,9 +195,8 @@ def _figures() -> List[Tuple[str, Callable[[], None]]]:
     runs: List[Tuple[str, Callable[[], None]]] = [
         (harness.__name__, partial(harness, scale=toy))
         for harness in (
-            figure8.run_figure8_throughput, figure8.run_figure8_read_latency,
-            figure8.run_figure8_query_latency, figure8.run_figure8_query_count,
-            figure8.run_figure8_hit_rates, figure8.run_figure8_histogram,
+            figure8.run_figure8_connection_sweep, figure8.run_figure8_query_count_sweep,
+            figure8.run_figure8_histogram,
             figure9.run_figure9, figure11.run_figure11, table1.run_table1,
             ablations.run_ttl_estimator_ablation, ablations.run_representation_ablation,
             ablations.run_refresh_interval_ablation,

@@ -20,7 +20,9 @@ Module            Paper artefact
 
 Every harness accepts a :class:`BenchmarkScale` so the same code can run a
 laptop-friendly configuration (the default, used by the pytest-benchmark
-targets) or a configuration much closer to the paper's EC2 setup.
+targets) or a configuration much closer to the paper's EC2 setup.  Every run's
+config comes from :func:`repro.benchmarks.harness.simulation_config`, and each
+distinct cell runs once (Figure 8a-c share one sweep, 8d-e another).
 """
 
 from __future__ import annotations

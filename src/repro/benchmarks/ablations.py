@@ -15,27 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
+from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE, simulation_config
 from repro.core.config import QuaestorConfig
 from repro.benchmarks.report import ExperimentReport
-from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
+from repro.simulation.simulator import Simulator
 from repro.ttl.spec import TTLEstimatorSpec
-from repro.workloads.generator import WorkloadSpec
-
-
-def _base_config(scale: BenchmarkScale, connections: int, seed: int = 77) -> SimulationConfig:
-    return SimulationConfig(
-        mode=CachingMode.QUAESTOR,
-        workload=WorkloadSpec.read_heavy(),
-        dataset=scale.dataset_spec(),
-        num_clients=scale.num_clients,
-        connections_per_client=max(1, connections // scale.num_clients),
-        ebf_refresh_interval=1.0,
-        matching_nodes=scale.matching_nodes,
-        duration=scale.duration,
-        max_operations=scale.max_operations,
-        seed=seed,
-    )
 
 
 def run_ttl_estimator_ablation(
@@ -68,9 +52,8 @@ def run_ttl_estimator_ablation(
     )
     spans = []
     for name, estimator in estimators.items():
-        config = _base_config(scale, connections)
-        config.quaestor = QuaestorConfig(ttl_estimator=estimator)
-        simulator = Simulator(config)
+        quaestor = QuaestorConfig(ttl_estimator=estimator)
+        simulator = Simulator(simulation_config(scale, connections, seed=77, quaestor=quaestor))
         result = simulator.run()
         spans.append(simulator.clock.now())
         report.add_row(
@@ -116,8 +99,7 @@ def run_representation_ablation(
         ],
     )
     for name, quaestor_config in configurations.items():
-        config = _base_config(scale, connections)
-        config.quaestor = quaestor_config
+        config = simulation_config(scale, connections, seed=77, quaestor=quaestor_config)
         result = Simulator(config).run()
         report.add_row(
             representation=name,
@@ -150,8 +132,7 @@ def run_refresh_interval_ablation(
         ],
     )
     for interval in (0.5, 1.0, 5.0, 15.0, 60.0):
-        config = _base_config(scale, connections)
-        config.ebf_refresh_interval = interval
+        config = simulation_config(scale, connections, seed=77, ebf_refresh_interval=interval)
         result = Simulator(config).run()
         report.add_row(
             refresh_interval_s=interval,

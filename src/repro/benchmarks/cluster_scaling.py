@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
+from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE, run_mode
 from repro.benchmarks.report import ExperimentReport
-from repro.simulation.simulator import CachingMode, SimulationConfig, SimulationResult, Simulator
+from repro.simulation.simulator import CachingMode, SimulationResult
 from repro.workloads.generator import WorkloadSpec
 
 #: Shard counts swept by default (powers of two, as cloud deployments scale).
@@ -71,21 +71,17 @@ def run_cluster_scaling(
         ],
     )
     for num_shards in shard_counts:
-        config = SimulationConfig(
-            mode=CachingMode.QUAESTOR,
+        result = run_mode(
+            scale,
+            CachingMode.QUAESTOR,
+            connections,
             workload=scaling_workload(),
-            dataset=scale.dataset_spec(),
-            num_clients=scale.num_clients,
-            connections_per_client=max(1, connections // scale.num_clients),
             ebf_refresh_interval=ebf_refresh_interval,
-            matching_nodes=scale.matching_nodes,
-            duration=scale.duration,
-            max_operations=max_operations if max_operations is not None else scale.max_operations,
+            max_operations=max_operations,
             origin_capacity=origin_capacity_per_shard,
             num_shards=num_shards,
             seed=seed,
         )
-        result = Simulator(config).run()
         report.add_row(
             shards=num_shards,
             throughput=result.throughput,

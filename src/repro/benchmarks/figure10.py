@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.benchmarks.report import ExperimentReport
-from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
-from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
-from repro.workloads.generator import WorkloadSpec
+from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE, run_mode
+from repro.simulation.simulator import CachingMode
 
 
 def run_figure10(
@@ -39,19 +38,16 @@ def run_figure10(
     )
     for num_clients in clients:
         for interval in intervals:
-            config = SimulationConfig(
-                mode=CachingMode.QUAESTOR,
-                workload=WorkloadSpec.read_heavy(),
-                dataset=scale.dataset_spec(),
+            result = run_mode(
+                scale,
+                CachingMode.QUAESTOR,
+                num_clients * connections_per_client,
                 num_clients=num_clients,
-                connections_per_client=connections_per_client,
                 ebf_refresh_interval=interval,
-                matching_nodes=scale.matching_nodes,
                 duration=max(scale.duration, 4 * interval),
-                max_operations=max_operations if max_operations is not None else scale.max_operations,
+                max_operations=max_operations,
                 seed=101,
             )
-            result = Simulator(config).run()
             report.add_row(
                 clients=num_clients,
                 refresh_interval_s=interval,

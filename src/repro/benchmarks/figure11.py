@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE
+from repro.benchmarks.harness import BenchmarkScale, SMALL_SCALE, simulation_config
 from repro.metrics.histogram import Histogram
 from repro.benchmarks.report import ExperimentReport
-from repro.simulation.simulator import CachingMode, SimulationConfig, Simulator
-from repro.ttl.base import TTLBounds, TTLEstimator
+from repro.simulation.simulator import Simulator
+from repro.ttl.base import TTLEstimator
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -72,18 +72,13 @@ def run_figure11(
     dataset = scale.dataset_spec(
         documents_per_table=max(100, scale.documents_per_table // 3)
     )
-    config = SimulationConfig(
-        mode=CachingMode.QUAESTOR,
+    config = simulation_config(
+        scale,
+        connections,
         workload=WorkloadSpec.with_update_rate(0.01),
         dataset=dataset,
-        num_clients=scale.num_clients,
-        connections_per_client=max(1, connections // scale.num_clients),
-        ebf_refresh_interval=1.0,
-        matching_nodes=scale.matching_nodes,
         duration=600.0,
-        max_operations=(
-            max_operations if max_operations is not None else 2 * scale.max_operations
-        ),
+        max_operations=max_operations if max_operations is not None else 2 * scale.max_operations,
         seed=202,
     )
     simulator = Simulator(config)

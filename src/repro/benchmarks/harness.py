@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.simulation.simulator import CachingMode, SimulationConfig, SimulationResult, Simulator
@@ -83,32 +83,38 @@ PAPER_SCALE = BenchmarkScale(
 )
 
 
-def run_mode(
-    scale: BenchmarkScale,
-    mode: CachingMode,
-    connections: int,
-    workload: Optional[WorkloadSpec] = None,
-    dataset: Optional[DatasetSpec] = None,
-    ebf_refresh_interval: float = 1.0,
-    max_operations: Optional[int] = None,
-    seed: int = 42,
-) -> SimulationResult:
-    """Run one simulated experiment for ``mode`` with ``connections`` connections."""
-    num_clients = scale.num_clients
-    connections_per_client = max(1, connections // num_clients)
-    config = SimulationConfig(
-        mode=mode,
-        workload=workload if workload is not None else WorkloadSpec.read_heavy(),
-        dataset=dataset if dataset is not None else scale.dataset_spec(),
+def simulation_config(scale: BenchmarkScale, connections: int, **overrides) -> SimulationConfig:
+    """The one config every harness runs: the scale's defaults plus the cell's overrides.
+
+    The defaults are the read-heavy workload on the scale's dataset, a
+    Quaestor deployment refreshing its EBF every second, and seed 42.
+    ``connections`` are spread evenly over the clients (``num_clients``, the
+    scale's unless overridden); any other :class:`SimulationConfig` field
+    named in ``overrides`` replaces its default, unless the override is
+    ``None``.
+    """
+    num_clients = overrides.pop("num_clients", scale.num_clients)
+    fields = dict(
+        mode=CachingMode.QUAESTOR,
+        workload=WorkloadSpec.read_heavy(),
+        dataset=scale.dataset_spec(),
         num_clients=num_clients,
-        connections_per_client=connections_per_client,
-        ebf_refresh_interval=ebf_refresh_interval,
+        connections_per_client=max(1, connections // num_clients),
+        ebf_refresh_interval=1.0,
         matching_nodes=scale.matching_nodes,
         duration=scale.duration,
-        max_operations=max_operations if max_operations is not None else scale.max_operations,
-        seed=seed,
+        max_operations=scale.max_operations,
+        seed=42,
     )
-    return Simulator(config).run()
+    fields.update((name, value) for name, value in overrides.items() if value is not None)
+    return SimulationConfig(**fields)
+
+
+def run_mode(
+    scale: BenchmarkScale, mode: CachingMode, connections: int, **overrides
+) -> SimulationResult:
+    """Run one simulated experiment for ``mode`` with ``connections`` connections."""
+    return Simulator(simulation_config(scale, connections, mode=mode, **overrides)).run()
 
 
 ALL_MODES = (

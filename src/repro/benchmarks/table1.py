@@ -40,19 +40,13 @@ def run_table1(
         ),
         columns=["documents", "queries", "query_latency_ms", "read_latency_ms"],
     )
+    workload = WorkloadSpec.read_heavy(zipf_constant=zipf_constant)
     for total_documents in counts:
         num_tables = max(1, total_documents // scale.documents_per_table)
         documents_per_table = total_documents // num_tables
-        dataset = scale.dataset_spec(
-            num_tables=num_tables, documents_per_table=documents_per_table
-        )
-        workload = WorkloadSpec.read_heavy(zipf_constant=zipf_constant)
+        dataset = scale.dataset_spec(num_tables=num_tables, documents_per_table=documents_per_table)
         result = run_mode(
-            scale,
-            CachingMode.QUAESTOR,
-            connections,
-            workload=workload,
-            dataset=dataset,
+            scale, CachingMode.QUAESTOR, connections, workload=workload, dataset=dataset
         )
         report.add_row(
             documents=num_tables * documents_per_table,

@@ -507,7 +507,7 @@ class QuaestorCluster:
                     if not read.admitted:
                         break
                 else:
-                    ttls = [read.commit_ttls() for read in prepared]
+                    ttls = [read.commit() for read in prepared]
                     self._registered_queries[query.cache_key] = query
             if ttls is None:
                 if not shard_errors and any(read.admitted for read in prepared):

@@ -31,8 +31,6 @@ class QuaestorConfig:
     #: estimator (:data:`repro.ttl.spec.DEFAULT_ESTIMATOR`).  This is the one
     #: way to choose it.
     ttl_estimator: TTLEstimatorSpec = field(default_factory=TTLEstimatorSpec)
-    ttl_quantile: float = 0.5
-    ewma_alpha: float = 0.7
     ttl_bounds: TTLBounds = field(default_factory=lambda: TTLBounds(minimum=1.0, maximum=600.0))
     #: Multiplier applied to the estimator's TTL for invalidation-based caches
     #: (they can be purged, so a longer s-maxage is safe and raises hit rates).
@@ -59,10 +57,6 @@ class QuaestorConfig:
             raise ConfigurationError("EBF geometry must be positive")
         if not isinstance(self.ttl_estimator, TTLEstimatorSpec):
             raise ConfigurationError("ttl_estimator must be a TTLEstimatorSpec")
-        if not 0.0 < self.ttl_quantile < 1.0:
-            raise ConfigurationError("ttl_quantile must lie strictly between 0 and 1")
-        if not 0.0 <= self.ewma_alpha < 1.0:
-            raise ConfigurationError("ewma_alpha must lie in [0, 1)")
         if self.cdn_ttl_factor < 1.0:
             raise ConfigurationError("cdn_ttl_factor must be at least 1.0")
         if self.object_list_max_size < 0:
@@ -74,8 +68,4 @@ class QuaestorConfig:
 
     def build_ttl_estimator(self) -> TTLEstimator:
         """Instantiate the configured TTL estimator (used by the server)."""
-        return self.ttl_estimator.build(
-            bounds=self.ttl_bounds,
-            ttl_quantile=self.ttl_quantile,
-            ewma_alpha=self.ewma_alpha,
-        )
+        return self.ttl_estimator.build(bounds=self.ttl_bounds)

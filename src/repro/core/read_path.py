@@ -79,12 +79,12 @@ class PreparedShardRead:
 
     * :meth:`commit` -- every shard admitted: take the admission slot,
       register in InvaliDB, enter the active list, report to the EBF, and
-      return the cacheable shard response.
+      return the shard's ``(ttl, shared_ttl)``.
     * :meth:`abort` -- some shard rejected (or caching is disabled): discard
-      the probe and return the raw documents uncacheable.  No admission slot,
-      InvaliDB registration or active-list entry is retained for a key the
-      shard had not admitted before (keys committed by an *earlier* scatter
-      keep theirs -- see :meth:`abort`).
+      the probe; the raw documents in :attr:`body` go out uncacheable.  No
+      admission slot, InvaliDB registration or active-list entry is retained
+      for a key the shard had not admitted before (keys committed by an
+      *earlier* scatter keep theirs -- see :meth:`abort`).
     """
 
     __slots__ = (
@@ -120,27 +120,17 @@ class PreparedShardRead:
         self.admitted = ticket is not None and ticket.admitted
         self._resolved = False
 
-    def commit(self) -> Response:
-        """Perform all stateful steps and return the cacheable shard response.
+    def commit(self) -> Optional[Tuple[float, float]]:
+        """Perform all stateful steps and return the shard's ``(ttl, shared_ttl)``.
 
-        Committing a rejected read is a programming error (and leaves the
-        read unresolved, so the caller can still :meth:`abort` it).  A ticket
-        that went stale between probe and commit -- the slot it saw was taken
-        by an interleaved admission -- is re-arbitrated by the capacity
-        manager; if that rejects, the read degrades to the uncacheable
-        response an up-front rejection would have produced.
-        """
-        ttls = self.commit_ttls()
-        if ttls is None:
-            return Response.uncacheable(self.body)
-        return Response.ok(self.body, ttl=ttls[0], shared_ttl=ttls[1])
-
-    def commit_ttls(self) -> Optional[Tuple[float, float]]:
-        """:meth:`commit` without the response: the shard's ``(ttl, shared_ttl)``.
-
-        ``None`` when re-arbitration rejected a stale ticket (the shard
-        result is uncacheable).  The cluster's merge consumes exactly these
-        terms, so a scatter builds no per-shard response.
+        The cluster's merge consumes exactly these terms, so a scatter builds
+        no per-shard response; the documents are :attr:`body`.  Committing a
+        rejected read is a programming error (and leaves the read unresolved,
+        so the caller can still :meth:`abort` it).  A ticket that went stale
+        between probe and commit -- the slot it saw was taken by an
+        interleaved admission -- is re-arbitrated by the capacity manager; if
+        that rejects, the result is ``None``: the shard result is uncacheable,
+        as an up-front rejection would have left it.
         """
         if not self.admitted:
             raise ValueError("cannot commit a shard read that was not admitted")
@@ -155,8 +145,8 @@ class PreparedShardRead:
             self.ticket, ResultRepresentation.OBJECT_LIST,
         )
 
-    def abort(self) -> Response:
-        """Discard the probe and return the raw documents uncacheable.
+    def abort(self) -> None:
+        """Discard the probe; the raw documents stay in :attr:`body`, uncacheable.
 
         For a key this shard never admitted, nothing is retained.  A key that
         was *already admitted* (committed by an earlier scatter) deliberately
@@ -173,7 +163,6 @@ class PreparedShardRead:
         if self.admitted:
             server.capacity.abort(self.ticket)
             server.counters.increment("shard_queries_aborted")
-        return Response.uncacheable(self.body)
 
     def _resolve(self) -> None:
         if self._resolved:

@@ -240,8 +240,9 @@ class QuaestorServer:
         read with exactly one of ``commit()`` (all shards admitted: the
         commit step takes the admission slot, InvaliDB registration,
         active-list entry and EBF report under the *original* query's cache
-        key) or ``abort()`` (no bookkeeping is retained and the raw documents
-        are returned uncacheable).
+        key; it returns the shard's ``(ttl, shared_ttl)``) or ``abort()`` (no
+        bookkeeping is retained and the raw documents in ``body`` go out
+        uncacheable).
 
         Parameters
         ----------

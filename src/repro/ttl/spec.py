@@ -34,11 +34,11 @@ from repro.ttl.write_rate import WriteRateSampler
 DEFAULT_ESTIMATOR = "quaestor"
 
 
-def _build_static(params, bounds, quantile, alpha):
+def _build_static(params, bounds):
     return StaticTTLEstimator(ttl=float(params.get("ttl", 60.0)), bounds=bounds)
 
 
-def _build_alex(params, bounds, quantile, alpha):
+def _build_alex(params, bounds):
     return AlexTTLEstimator(
         percentage=float(params.get("percentage", 0.2)),
         cap=float(params.get("cap", 300.0)),
@@ -46,10 +46,10 @@ def _build_alex(params, bounds, quantile, alpha):
     )
 
 
-def _build_quaestor(params, bounds, quantile, alpha):
+def _build_quaestor(params, bounds):
     return QuaestorTTLEstimator(
-        quantile=float(params.get("quantile", quantile)),
-        alpha=float(params.get("alpha", alpha)),
+        quantile=float(params.get("quantile", 0.5)),
+        alpha=float(params.get("alpha", 0.7)),
         bounds=bounds,
         sampler=WriteRateSampler(
             window=float(params.get("window", 600.0)),
@@ -77,9 +77,9 @@ class TTLEstimatorSpec:
     ``params`` holds estimator-specific overrides as a sorted tuple of
     ``(name, value)`` pairs so the spec stays hashable (use :meth:`of` rather
     than spelling the tuple out).  Parameters that a family does not consume
-    are ignored; ``quantile`` / ``alpha`` default to the owning
-    :class:`~repro.core.config.QuaestorConfig`'s ``ttl_quantile`` /
-    ``ewma_alpha`` fields when absent.
+    are ignored.  The spec is the one way to set the ``quaestor`` family's
+    Poisson ``quantile`` (default 0.5) and EWMA ``alpha`` (default 0.7); the
+    estimator rejects an out-of-range value when it is built.
     """
 
     name: str = DEFAULT_ESTIMATOR
@@ -101,11 +101,6 @@ class TTLEstimatorSpec:
     def param_dict(self) -> Dict[str, float]:
         return dict(self.params)
 
-    def build(
-        self,
-        bounds: Optional[TTLBounds] = None,
-        ttl_quantile: float = 0.5,
-        ewma_alpha: float = 0.7,
-    ) -> TTLEstimator:
+    def build(self, bounds: Optional[TTLBounds] = None) -> TTLEstimator:
         """Instantiate the selected estimator."""
-        return _BUILDERS[self.name](self.param_dict(), bounds, ttl_quantile, ewma_alpha)
+        return _BUILDERS[self.name](self.param_dict(), bounds)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.benchmarks import BenchmarkScale, PAPER_SCALE, SMALL_SCALE
+from repro.benchmarks import BenchmarkScale, PAPER_SCALE, SMALL_SCALE, harness
 from repro.benchmarks.figure1 import PageLoadModel, run_figure1
+from repro.benchmarks.figure8 import run_figure8_connection_sweep, run_figure8_query_count_sweep
 from repro.benchmarks.figure12 import exercise_matching, run_figure12
 from repro.benchmarks.harness import ALL_MODES, run_mode
-from repro.simulation.simulator import CachingMode
+from repro.simulation.simulator import CachingMode, Simulator
 
 
 #: A deliberately tiny scale so harness smoke tests stay fast.
@@ -58,6 +61,74 @@ class TestRunMode:
         quaestor = run_mode(TINY_SCALE, CachingMode.QUAESTOR, connections=40, max_operations=1_200)
         uncached = run_mode(TINY_SCALE, CachingMode.UNCACHED, connections=40, max_operations=1_200)
         assert quaestor.throughput > uncached.throughput
+
+
+class TestFigure8Sweeps:
+    """Each sweep runs every distinct cell once and fills all its reports from it."""
+
+    SCALE = replace(TINY_SCALE, max_operations=600)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the simulators the harness builds."""
+        configs = []
+
+        class CountingSimulator(Simulator):
+            def __init__(self, config):
+                configs.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(harness, "Simulator", CountingSimulator)
+        return configs
+
+    def test_the_connection_sweep_runs_each_cell_once(self, built):
+        steps, modes = [20, 40], ALL_MODES
+        reports = run_figure8_connection_sweep(self.SCALE, connection_steps=steps, modes=modes)
+        assert len(built) == len(steps) * len(modes)
+        assert [report.experiment for report in reports] == ["Figure 8a", "Figure 8b", "Figure 8c"]
+        cells = [(connections, mode) for connections in steps for mode in modes]
+        assert all(len(report.rows) == len(cells) for report in reports)
+        throughput, reads, queries = reports
+        for index, (connections, mode) in enumerate(cells):
+            result = run_mode(self.SCALE, mode, connections)
+            cell = {"connections": connections, "mode": mode.value}
+            assert throughput.rows[index] == {
+                **cell, "throughput": result.throughput, "operations": result.operations,
+            }
+            assert reads.rows[index] == {
+                **cell,
+                "mean_read_latency_ms": result.read_latency.mean * 1000.0,
+                "p99_read_latency_ms": result.read_latency.percentile(0.99) * 1000.0,
+            }
+            assert queries.rows[index] == {
+                **cell,
+                "mean_query_latency_ms": result.query_latency.mean * 1000.0,
+                "p99_query_latency_ms": result.query_latency.percentile(0.99) * 1000.0,
+            }
+
+    def test_the_query_count_sweep_runs_each_count_once(self, built):
+        steps = [20, 40]
+        latency, hit_rates = run_figure8_query_count_sweep(
+            self.SCALE, query_count_steps=steps, connections=20
+        )
+        assert len(built) == len(steps)
+        assert (latency.experiment, hit_rates.experiment) == ("Figure 8d", "Figure 8e")
+        for index, total_queries in enumerate(steps):
+            queries_per_table = total_queries // self.SCALE.num_tables
+            dataset = self.SCALE.dataset_spec(queries_per_table=queries_per_table)
+            result = run_mode(self.SCALE, CachingMode.QUAESTOR, 20, dataset=dataset)
+            assert latency.rows[index] == {
+                "query_count": total_queries,
+                "mean_query_latency_ms": result.query_latency.mean * 1000.0,
+                "mean_read_latency_ms": result.read_latency.mean * 1000.0,
+            }
+            assert hit_rates.rows[index] == {
+                "query_count": total_queries,
+                "client_query_hit_rate": result.client_query_hit_rate,
+                "client_read_hit_rate": result.client_read_hit_rate,
+                "cdn_query_hit_rate": result.cdn_query_hit_rate,
+                "cdn_read_hit_rate": result.cdn_read_hit_rate,
+            }
 
 
 class TestFigure1Harness:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import ActiveList, QuaestorConfig, ResultRepresentation, choose_representation
 from repro.db.query import Query
 from repro.errors import ConfigurationError
+from repro.ttl import TTLEstimatorSpec
 
 
 class TestQuaestorConfig:
@@ -19,10 +20,6 @@ class TestQuaestorConfig:
         with pytest.raises(ConfigurationError):
             QuaestorConfig(ebf_bits=0)
         with pytest.raises(ConfigurationError):
-            QuaestorConfig(ttl_quantile=1.5)
-        with pytest.raises(ConfigurationError):
-            QuaestorConfig(ewma_alpha=1.0)
-        with pytest.raises(ConfigurationError):
             QuaestorConfig(cdn_ttl_factor=0.5)
         with pytest.raises(ConfigurationError):
             QuaestorConfig(assumed_record_hit_rate=2.0)
@@ -34,9 +31,6 @@ class TestQuaestorConfig:
             ({"ebf_bits": -8}, "EBF geometry"),
             ({"ebf_bits": 0}, "EBF geometry"),
             ({"ttl_estimator": "ewma"}, "ttl_estimator"),
-            ({"ttl_quantile": 0.0}, "ttl_quantile"),
-            ({"ttl_quantile": 1.0}, "ttl_quantile"),
-            ({"ewma_alpha": -0.01}, "ewma_alpha"),
             ({"cdn_ttl_factor": 0.99}, "cdn_ttl_factor"),
             ({"object_list_max_size": -1}, "object_list_max_size"),
             ({"assumed_record_hit_rate": -0.01}, "assumed_record_hit_rate"),
@@ -50,9 +44,6 @@ class TestQuaestorConfig:
         "setting",
         [
             {"ebf_bits": 1},
-            {"ttl_quantile": 0.001},
-            {"ttl_quantile": 0.999},
-            {"ewma_alpha": 0.0},
             {"cdn_ttl_factor": 1.0},
             {"object_list_max_size": 0},
             {"assumed_record_hit_rate": 0.0},
@@ -62,6 +53,34 @@ class TestQuaestorConfig:
     def test_each_bound_admits_its_edge(self, setting):
         config = QuaestorConfig(**setting)
         assert all(getattr(config, name) == value for name, value in setting.items())
+
+    # The Poisson quantile and the EWMA alpha are set only through the
+    # estimator spec; the estimator rejects an out-of-range value when the
+    # configuration builds it, before any operation runs.
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"quantile": 1.5}, "quantile"),
+            ({"quantile": 0.0}, "quantile"),
+            ({"quantile": 1.0}, "quantile"),
+            ({"alpha": 1.0}, "alpha"),
+            ({"alpha": -0.01}, "alpha"),
+        ],
+    )
+    def test_the_estimator_spec_rejects_each_bound(self, params, message):
+        config = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("quaestor", **params))
+        with pytest.raises(ValueError, match=message):
+            config.build_ttl_estimator()
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"quantile": 0.001}, {"quantile": 0.999}, {"alpha": 0.0}],
+    )
+    def test_the_estimator_spec_admits_its_edge(self, params):
+        config = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("quaestor", **params))
+        estimator = config.build_ttl_estimator()
+        read = {"quantile": estimator.quantile, "alpha": estimator._query_ewma.alpha}
+        assert all(read[name] == value for name, value in params.items())
 
 class TestActiveList:
     def test_record_read_creates_entry(self):

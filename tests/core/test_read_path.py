@@ -93,7 +93,7 @@ class TestOneCommitStep:
             twins.append(server)
         direct, sharded = twins
         assert direct.handle_query(query).is_cacheable
-        assert sharded.prepare_shard_query(query).commit().is_cacheable
+        assert sharded.prepare_shard_query(query).commit() is not None
 
         key = query.cache_key
         for server in twins:
@@ -116,10 +116,9 @@ class TestPreparedShardRead:
 
         prepared = server.prepare_shard_query(query)
         assert prepared.admitted
-        response = prepared.abort()
+        prepared.abort()
 
-        assert not response.is_cacheable
-        assert response.body["documents"]
+        assert prepared.body["documents"]
         assert not server.invalidb.is_registered(query.cache_key)
         assert query.cache_key not in server.capacity._admitted
         assert server.active_list.get(query.cache_key) is None
@@ -148,9 +147,8 @@ class TestPreparedShardRead:
         with pytest.raises(ValueError):
             prepared.commit()
         # The failed commit leaves the read unresolved: it is still abortable.
-        response = prepared.abort()
-        assert not response.is_cacheable
-        assert response.body["documents"]
+        prepared.abort()
+        assert prepared.body["documents"]
 
     def test_stale_ticket_commit_degrades_to_uncacheable(self):
         """An interleaved admission between probe and commit must not overfill."""
@@ -165,9 +163,8 @@ class TestPreparedShardRead:
         interleaved = Query("posts", {"category": 1})
         assert server.handle_query(interleaved).is_cacheable
 
-        response = prepared.commit()
-        assert not response.is_cacheable
-        assert response.body["documents"]
+        assert prepared.commit() is None
+        assert prepared.body["documents"]
         assert sorted(server.capacity._admitted) == [interleaved.cache_key]
         assert not server.invalidb.is_registered(scatter.cache_key)
         assert server.active_list.get(scatter.cache_key) is None
@@ -177,8 +174,8 @@ class TestPreparedShardRead:
         server.handle_insert("posts", {"_id": "p0", "category": 0})
         prepared = server.prepare_shard_query(Query("posts", {"category": 0}))
         assert not prepared.admitted
-        response = prepared.abort()
-        assert not response.is_cacheable
+        prepared.abort()
+        assert prepared.body["documents"]
         # No probe happened, so nothing is counted as an abort.
         assert server.capacity.aborts == 0
         assert server.counters.get("shard_queries_aborted") == 0

@@ -40,7 +40,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core import QuaestorConfig, QuaestorServer
 from repro.db import Database
-from repro.ttl import QuaestorTTLEstimator, TTLEstimator, WriteRateSampler
+from repro.ttl import QuaestorTTLEstimator, TTLEstimator, TTLEstimatorSpec, WriteRateSampler
 
 #: Two-sided 99.9 % normal quantile: the bound's confidence.
 Z = 3.2905
@@ -50,7 +50,7 @@ QUANTILE = 0.5
 SEED = 2101
 
 COLLECTION = "items"
-CONFIG = QuaestorConfig(ttl_quantile=QUANTILE)
+CONFIG = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("quaestor", quantile=QUANTILE))
 BOUNDS = CONFIG.ttl_bounds
 
 

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.core import QuaestorConfig
 from repro.ttl import (
     AlexTTLEstimator,
     QuaestorTTLEstimator,
@@ -179,10 +180,15 @@ class TestRegistryParameters:
         assert read(estimator) == value
         assert estimator.sampler.estimation == "span"
 
-    def test_spec_parameters_win_over_the_config_quantile_and_alpha(self):
-        spec = TTLEstimatorSpec.of("quaestor", quantile=0.3, alpha=0.1)
-        estimator = spec.build(ttl_quantile=0.9, ewma_alpha=0.6)
-        assert (estimator.quantile, estimator._query_ewma.alpha) == (0.3, 0.1)
+    @pytest.mark.parametrize("quantile, alpha", [(0.3, 0.1), (0.9, 0.6)])
+    def test_spec_quantile_and_alpha_reach_the_estimator_through_the_config(self, quantile, alpha):
+        spec = TTLEstimatorSpec.of("quaestor", quantile=quantile, alpha=alpha)
+        estimator = QuaestorConfig(ttl_estimator=spec).build_ttl_estimator()
+        assert (estimator.quantile, estimator._query_ewma.alpha) == (quantile, alpha)
+
+    def test_an_unset_quantile_and_alpha_take_the_paper_defaults(self):
+        estimator = QuaestorConfig().build_ttl_estimator()
+        assert (estimator.quantile, estimator._query_ewma.alpha) == (0.5, 0.7)
 
     def test_alex_parameters_reach_the_estimator(self):
         estimator = TTLEstimatorSpec.of("alex", percentage=0.4, cap=25.0).build()

@@ -74,8 +74,8 @@ class TestConfigIntegration:
         assert isinstance(estimator, StaticTTLEstimator)
         assert estimator.bounds == config.ttl_bounds
 
-    def test_config_quantile_and_alpha_flow_into_the_default(self):
-        config = QuaestorConfig(ttl_quantile=0.9, ewma_alpha=0.5)
+    def test_spec_quantile_and_alpha_flow_through_the_config(self):
+        config = QuaestorConfig(ttl_estimator=TTLEstimatorSpec.of("quaestor", quantile=0.9, alpha=0.5))
         estimator = config.build_ttl_estimator()
         assert estimator.quantile == 0.9
         assert estimator._query_ewma.alpha == 0.5
